@@ -37,6 +37,7 @@ from .operators import (
     attainment_equal,
     attainment_set,
     op_norm,
+    require_norm_one,
     restricted_norm,
 )
 from .optim import bisect_increasing
@@ -85,12 +86,6 @@ def _finish(T, A, eps, construction, expect_preserved=True, allow_equal=False):
     return ApproximantReport(T, A, eps, dist, MT, MA, preserved, construction)
 
 
-def _require_norm_one(T: OperatorMatrix):
-    value, _ = op_norm(T)
-    if abs(value - 1.0) > 1e-7:
-        raise NormNotOneError(f"operator norm is {value}, expected 1")
-
-
 def _check_eps(eps, hi=2.0):
     if not (0.0 < eps < hi):
         raise OutOfRangeError(f"eps must lie in (0, {hi}), got {eps}")
@@ -116,7 +111,7 @@ def rank_one_approx(T: OperatorMatrix, eps: float) -> ApproximantReport:
     of the functional f alone, is untouched.
     """
     _check_eps(eps, hi=4.0)
-    _require_norm_one(T)
+    require_norm_one(T)
     if T.codomain.n < 2:
         raise CodomainDimOneError("rank-one construction needs dim(codomain) > 1")
     f, w = _rank_one_factors(T)
@@ -199,7 +194,7 @@ def direct_sum_shrink_approx(
     orthogonal to X2.
     """
     _check_eps(eps)
-    _require_norm_one(T)
+    require_norm_one(T)
     n_dim = T.domain.n
     B1, B2, P1, P2 = _decomposition_projectors(X1_basis, X2_basis, n_dim)
     MT = attainment_set(T)
@@ -334,7 +329,7 @@ def hilbert_rotate_approx(
     _check_eps(eps)
     if not (T.domain.hilbert and T.codomain.hilbert):
         raise WrongSpacesError("construction requires Hilbert domain and codomain")
-    _require_norm_one(T)
+    require_norm_one(T)
     n = T.domain.n
     if attained_subspace is not None:
         Q0 = np.atleast_2d(np.asarray(attained_subspace, dtype=float))

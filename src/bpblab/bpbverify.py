@@ -19,16 +19,17 @@ from .classify import enumerate_extreme_linf3_l13, is_isometry
 from .errors import (
     BadExponentError,
     IsIsometryError,
-    NormNotOneError,
     NotDiscreteError,
     UnsupportedPairError,
     UnsupportedSpaceError,
 )
 from .operators import (
-    AttainmentSet,
+    DEFAULT_RESOLUTION,
+    DELTA_FLOOR,
     OperatorMatrix,
     attainment_set,
     op_norm,
+    require_norm_one,
     restricted_norm,
 )
 from .sampling import sphere_grid
@@ -41,9 +42,6 @@ from .spaces import (
     enumerate_faces,
     pnorm,
 )
-
-DEFAULT_RESOLUTION = 4096
-DELTA_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -63,12 +61,6 @@ class BpbCertificate:
         return self.status == "certified"
 
 
-def _require_norm_one(T: OperatorMatrix, what: str = "operator"):
-    value, _ = op_norm(T)
-    if abs(value - 1.0) > 1e-7:
-        raise NormNotOneError(f"{what} norm is {value}, expected 1")
-
-
 def verify_uniform_bpb(
     T: OperatorMatrix, A: OperatorMatrix, eps: float, resolution: int = DEFAULT_RESOLUTION
 ) -> BpbCertificate:
@@ -76,30 +68,26 @@ def verify_uniform_bpb(
 
     Requires ||T-A|| < eps; then descends a geometric delta grid looking for
     the largest delta such that every sampled z with ||Tz|| > 1 - delta lies
-    within eps of the attainment set of A.
+    within eps of the attainment set of A.  The sample is the sphere grid
+    plus the norming vector of T, so no delta is certified on an empty set.
     """
-    _require_norm_one(T, "T")
-    _require_norm_one(A, "A")
+    _, witness = require_norm_one(T, "T")
+    require_norm_one(A, "A")
     dist, _ = op_norm(T - A)
     if dist >= eps:
         return BpbCertificate("falsified", eps, None, resolution, math.inf, None, dist)
     MA = attainment_set(A)
-    X = sphere_grid(T.domain, resolution)
+    X = np.vstack([sphere_grid(T.domain, resolution), witness.coords])
     norms = T.image_norms(X)
     dists = MA.distance_to(X)
     delta = 0.5
-    worst = None
     while delta >= DELTA_FLOOR:
         mask = norms > 1.0 - delta
-        if not mask.any():
-            return BpbCertificate("certified", eps, delta, resolution, 0.0, None, dist)
         worst = float(dists[mask].max())
         if worst < eps:
             return BpbCertificate("certified", eps, delta, resolution, worst, None, dist)
         delta /= 2.0
     mask = norms > 1.0 - DELTA_FLOOR
-    if not mask.any():
-        mask = norms >= norms.max() - 1e-12
     idx = int(np.argmax(np.where(mask, dists, -np.inf)))
     z = Point(X[idx], T.domain)
     return BpbCertificate(
@@ -130,7 +118,7 @@ def is_only_approximation(
     each; the first certified A is returned as a counterexample.  Finding
     none is evidence, not proof.
     """
-    _require_norm_one(T, "T")
+    require_norm_one(T, "T")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
@@ -166,8 +154,8 @@ def check_ball_inclusion(
     resolution: int = DEFAULT_RESOLUTION,
 ) -> bool:
     """Whether every representative point of M_A is delta_ball-close to M_T."""
-    _require_norm_one(T, "T")
-    _require_norm_one(A, "A")
+    require_norm_one(T, "T")
+    require_norm_one(A, "A")
     MT = attainment_set(T, resolution=resolution)
     MA = attainment_set(A, resolution=resolution)
     reps = MA.representative_points()
@@ -191,7 +179,7 @@ def property_p_witness(A: OperatorMatrix, resolution: int = DEFAULT_RESOLUTION) 
     (2-D, integer p > 2), or any unit vector of the orthocomplement of the
     attainment subspace (Hilbert, r0 = 1 exactly).
     """
-    _require_norm_one(A, "A")
+    require_norm_one(A, "A")
     dom = A.domain
     if dom.n == A.codomain.n and dom.p == A.codomain.p and is_isometry(A):
         raise IsIsometryError("an isometry attains everywhere; no witness exists")

@@ -1,7 +1,7 @@
 """Structural classification of contractions.
 
 Necessary sign-pattern conditions for extreme contractions on polyhedral
-spaces, an LP-based extremality test, isometry testing and enumeration, and
+spaces, a rank-based extremality test, isometry testing and enumeration, and
 signed-permutation equivalence orbits including the 90-element census of
 extreme contractions from l_inf^3 to l_1^3.
 """
@@ -15,16 +15,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .errors import (
-    InfiniteGroupError,
-    NormNotOneError,
-    UnsupportedSpaceError,
-    WrongSpacesError,
-)
-from .operators import OperatorMatrix, op_norm
-from .spaces import INF, TAU_EQ, SpaceSpec, l1, linf, pnorm
+from .errors import InfiniteGroupError, WrongSpacesError
+from .operators import OperatorMatrix, op_norm, require_norm_one
+from .spaces import INF, TAU_EQ, SpaceSpec, l1, linf, pnorm, polyhedral_table
 
 
 @dataclass(frozen=True)
@@ -76,14 +70,14 @@ def linf_row_condition(T: OperatorMatrix) -> bool:
     operators on l_inf^n; not claimed sufficient.
     """
     _require_pair(T, INF)
-    _require_norm_one(T)
+    require_norm_one(T)
     return _one_unimodular_per_line(T.entries)
 
 
 def l1_column_condition(T: OperatorMatrix) -> bool:
     """Column-wise analogue of linf_row_condition for l_1^n."""
     _require_pair(T, 1)
-    _require_norm_one(T)
+    require_norm_one(T)
     return _one_unimodular_per_line(T.entries.T)
 
 
@@ -95,69 +89,46 @@ def _one_unimodular_per_line(M: np.ndarray) -> bool:
     return True
 
 
-def _require_norm_one(T: OperatorMatrix):
-    value, _ = op_norm(T)
-    if abs(value - 1.0) > 1e-7:
-        raise NormNotOneError(f"operator norm is {value}, expected 1")
-
-
-def _dual_extreme_functionals(codomain: SpaceSpec) -> np.ndarray:
-    """Extreme points of the dual unit ball, rows."""
-    if codomain.p == 1:
-        return np.array(
-            list(itertools.product((1.0, -1.0), repeat=codomain.n))
-        )
-    if codomain.p == INF:
-        return np.concatenate([np.eye(codomain.n), -np.eye(codomain.n)])
-    raise UnsupportedSpaceError("polyhedral codomain required")
-
-
-def _domain_vertices(domain: SpaceSpec) -> np.ndarray:
-    if domain.p == INF:
-        return np.array(list(itertools.product((1.0, -1.0), repeat=domain.n)))
-    if domain.p == 1:
-        return np.concatenate([np.eye(domain.n), -np.eye(domain.n)])
-    raise UnsupportedSpaceError("polyhedral domain required")
-
-
 def is_extreme_contraction(T: OperatorMatrix, seed: int = 0) -> ExtremalityVerdict:
     """Whether a norm-one T is an extreme point of the operator unit ball.
 
-    Polyhedral pairs: T is extreme iff {D : ||T+D|| <= 1, ||T-D|| <= 1} is
-    {0}.  Since the ball norm is a max of linear functionals f((T+-D)s) over
-    the domain vertices s and the extreme dual functionals f, the set is a
-    symmetric polytope; T is extreme iff maximising each coordinate of D over
-    it gives 0.  Non-polyhedral codomains fall back to a randomized
+    Polyhedral pairs: the operator unit ball is the polytope
+    {S : f(S v) <= 1} over the domain vertices v and the extreme dual
+    functionals f, so T is extreme iff it is a vertex of that polytope: iff
+    the normals f (x) v of the constraints active at T span R^(m*n)
+    (Schrijver, Theory of Linear and Integer Programming, section 8).  One
+    SVD decides the rank; otherwise a null vector D of the active normals,
+    scaled so that no inactive constraint is crossed, is a witness with
+    ||T +/- D|| <= 1.  Non-polyhedral codomains fall back to a randomized
     perturbation search, flagged as evidence only.
     """
-    _require_norm_one(T)
+    require_norm_one(T)
     dom, cod = T.domain, T.codomain
     if dom.polyhedral and cod.polyhedral and dom.n <= 3 and cod.n <= 3:
-        return _lp_extremality(T)
+        return _rank_extremality(T)
     return _random_extremality(T, seed)
 
 
-def _lp_extremality(T: OperatorMatrix) -> ExtremalityVerdict:
+def _rank_extremality(T: OperatorMatrix) -> ExtremalityVerdict:
     m, n = T.entries.shape
-    V = _domain_vertices(T.domain)          # (v, n)
-    F = _dual_extreme_functionals(T.codomain)  # (f, m)
-    # rows of constraints: for each (f, s) pair, f D s <= 1 - f T s.
-    # Coefficient of d_{ij} in f D s is f_i * s_j, so the row is kron(f, s).
-    rows = np.einsum("fi,vj->fvij", F, V).reshape(len(F) * len(V), m * n)
-    rhs = 1.0 - (F @ T.entries @ V.T).reshape(-1)
-    rows = np.concatenate([rows, -rows])  # constraints on T+D and T-D
-    rhs = np.concatenate([rhs, rhs])
-    bounds = [(-2.0, 2.0)] * (m * n)
-    for k in range(m * n):
-        c = np.zeros(m * n)
-        c[k] = -1.0  # maximize d_k
-        res = linprog(c, A_ub=rows, b_ub=rhs, bounds=bounds, method="highs")
-        if not res.success:
-            raise RuntimeError(f"LP solver failed: {res.message}")
-        if -res.fun > 1e-7:
-            D = res.x.reshape(m, n)
-            return ExtremalityVerdict("not_extreme", "lp", witness=D)
-    return ExtremalityVerdict("extreme", "lp")
+    V = polyhedral_table(T.domain).vertices          # (v, n)
+    F = polyhedral_table(T.codomain.dual()).vertices  # (f, m)
+    vals = F @ T.entries @ V.T                       # f(T v), (f, v)
+    active = vals >= 1.0 - TAU_EQ
+    fi, vi = np.nonzero(active)
+    # the coefficient of d_ij in f(D v) is f_i v_j: the normal is kron(f, v)
+    normals = (F[fi, :, None] * V[vi, None, :]).reshape(len(fi), m * n)
+    _, s, Vt = np.linalg.svd(normals)
+    # numpy's matrix_rank tolerance; the normals have entries in {0, +-1}
+    rank = int((s > s.max(initial=0.0) * max(normals.shape) * np.finfo(float).eps).sum())
+    if rank == m * n:
+        return ExtremalityVerdict("extreme", "rank")
+    D = Vt[rank].reshape(m, n)
+    # f(D v) = 0 on the active pairs; stop at the first inactive one to reach 1
+    slack, reach = 1.0 - vals[~active], np.abs(F @ D @ V.T)[~active]
+    with np.errstate(divide="ignore"):
+        t = np.min(slack / reach, initial=1.0)
+    return ExtremalityVerdict("not_extreme", "rank", witness=t * D)
 
 
 def _random_extremality(T: OperatorMatrix, seed: int) -> ExtremalityVerdict:

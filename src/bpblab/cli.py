@@ -21,18 +21,29 @@ from . import bpbverify as bv
 from . import classify as cf
 from . import jsonio
 from .errors import BpbLabError, MalformedInputError
-from .operators import attainment_set, op_norm
+from .operators import DEFAULT_RESOLUTION, attainment_set, op_norm
 from .spaces import Point, as_exponent, l2, pnorm
+
+
+def _resolution_flag(text: str) -> int:
+    """The --resolution type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
 
 
 def _default_resolution() -> int:
     env = os.environ.get("BPBLAB_DEFAULT_RESOLUTION")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise MalformedInputError("BPBLAB_DEFAULT_RESOLUTION", "must be an integer")
-    return 4096
+    if not env:
+        return DEFAULT_RESOLUTION
+    try:
+        return _resolution_flag(env)
+    except argparse.ArgumentTypeError as exc:
+        raise MalformedInputError("BPBLAB_DEFAULT_RESOLUTION", str(exc))
 
 
 def _emit(args, payload: dict) -> None:
@@ -305,18 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
         if resolution:
             p.add_argument(
                 "--resolution",
-                type=int,
-                default=_default_resolution_lazy(),
+                type=_resolution_flag,
                 help="sphere sampling density (env BPBLAB_DEFAULT_RESOLUTION)",
             )
         if seed:
             p.add_argument("--seed", type=int, required=True, help="RNG seed (required)")
-
-    def _default_resolution_lazy():
-        try:
-            return _default_resolution()
-        except MalformedInputError:
-            return 4096
 
     p = sub.add_parser("norm", help="operator norm with witness")
     p.add_argument("--operator", required=True)
@@ -396,10 +400,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "resolution" in vars(args) and args.resolution is None:
+            args.resolution = _default_resolution()
         return args.func(args)
-    except MalformedInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BpbLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,22 +17,22 @@ import numpy as np
 from .errors import (
     DegenerateBasisError,
     MixedSpacesError,
+    NormNotOneError,
     UnsupportedSpaceError,
     ZeroOperatorError,
 )
 from .optim import golden_section_min
 from .sampling import sphere_grid
 from .spaces import (
-    INF,
     TAU_EQ,
     TAU_OPT,
     Face,
     Point,
     SpaceSpec,
-    enumerate_faces,
     lp_circle,
     pnorm,
     points_distance,
+    polyhedral_table,
     subspace_distance,
 )
 
@@ -249,29 +249,17 @@ def _lp2_local_maxima(T: OperatorMatrix, resolution: int):
 def op_norm(T: OperatorMatrix) -> tuple[float, Point]:
     """Operator norm sup ||Tx|| over the unit sphere, with a witness.
 
-    Exact per domain: max column image norm for l_1^n, vertex maximum for
-    l_inf^n, the top singular value for Hilbert-to-Hilbert, and grid search
+    Exact per domain: the maximum over the unit ball's vertices for l_1^n
+    and l_inf^n (the first maximising vertex is the witness), the top
+    singular value for Hilbert-to-Hilbert, and grid search
     refined by golden section for 2-D strictly convex domains.
     """
     dom = T.domain
-    if dom.p == 1:
-        best, wit = -1.0, None
-        for j in range(dom.n):
-            for sgn in (1.0, -1.0):
-                v = float(pnorm(sgn * T.entries[:, j], T.codomain.p))
-                if v > best:
-                    e = np.zeros(dom.n)
-                    e[j] = sgn
-                    best, wit = v, e
-        return best, Point(wit, dom)
-    if dom.p == INF:
-        best, wit = -1.0, None
-        for signs in itertools.product((1.0, -1.0), repeat=dom.n):
-            x = np.array(signs)
-            v = float(pnorm(T.apply(x), T.codomain.p))
-            if v > best:
-                best, wit = v, x
-        return best, Point(wit, dom)
+    if dom.polyhedral:
+        V = polyhedral_table(dom).vertices
+        norms = T.image_norms(V)
+        k = int(np.argmax(norms))
+        return float(norms[k]), Point(V[k], dom)
     if dom.hilbert and T.codomain.hilbert:
         U, s, Vt = np.linalg.svd(T.entries)
         return float(s[0]), Point(Vt[0], dom)
@@ -284,20 +272,22 @@ def op_norm(T: OperatorMatrix) -> tuple[float, Point]:
     )
 
 
+def require_norm_one(T: OperatorMatrix, what: str = "operator") -> tuple[float, Point]:
+    """op_norm(T), refusing operators whose norm is not 1 within 1e-7."""
+    value, witness = op_norm(T)
+    if abs(value - 1.0) > 1e-7:
+        raise NormNotOneError(f"{what} norm is {value}, expected 1")
+    return value, witness
+
+
 def _polyhedral_attainment(T: OperatorMatrix, value: float) -> AttainmentSet:
-    faces = []
-    for f in enumerate_faces(T.domain):
-        verts = f.vertices()
-        if (T.image_norms(verts) >= value * (1.0 - TAU_EQ)).all():
-            mid = f.relative_interior_coords()
-            if float(pnorm(T.apply(mid), T.codomain.p)) >= value * (1.0 - TAU_EQ):
-                faces.append(f)
-    maximal = [
-        f
-        for f in faces
-        if not any(g is not f and g.contains_face(f) for g in faces)
-    ]
-    return AttainmentSet("faces", value, T.domain, faces=tuple(maximal))
+    # ||T.|| is convex and at most ||T|| on the ball, so it reaches ||T|| at
+    # a face's barycentre iff it is constant on the whole face.
+    table = polyhedral_table(T.domain)
+    hit = T.image_norms(table.barycentres) >= value * (1.0 - TAU_EQ)
+    maximal = hit & ~(table.contains & hit[:, None]).any(axis=0)
+    faces = tuple(table.faces[i] for i in np.flatnonzero(maximal))
+    return AttainmentSet("faces", value, T.domain, faces=faces)
 
 
 def _orthonormal(basis: np.ndarray) -> np.ndarray:
@@ -311,8 +301,8 @@ def _orthonormal(basis: np.ndarray) -> np.ndarray:
 def attainment_set(T: OperatorMatrix, resolution: int = DEFAULT_RESOLUTION) -> AttainmentSet:
     """The norm attainment set M_T in its exact representation.
 
-    Polyhedral domains: union of maximal faces whose vertices and relative
-    interior all attain.  Hilbert-to-Hilbert: the right singular subspace of
+    Polyhedral domains: union of the maximal faces whose barycentre
+    attains.  Hilbert-to-Hilbert: the right singular subspace of
     the top singular value (gap TAU_GAP).  Other 2-D domains: refined point
     pairs.
     """

@@ -287,13 +287,84 @@ class Face:
 
 def enumerate_faces(s: SpaceSpec) -> list[Face]:
     """All proper faces of the unit ball of a polyhedral space."""
-    if not s.polyhedral:
-        raise UnsupportedSpaceError("face enumeration requires p in {1, inf}")
-    faces = []
-    for pat in itertools.product((-1, 0, 1), repeat=s.n):
-        if any(v != 0 for v in pat):
-            faces.append(Face(s, pat))
-    return faces
+    return list(polyhedral_table(s).faces)
+
+
+# Largest dimension with a face containment matrix: (3^n - 1)^2 booleans,
+# 4.8 MB at n = 7.  Beyond it the attainment filter would need gigabytes.
+CONTAINMENT_MAX_DIM = 7
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class PolyhedralTable:
+    """The unit ball of l_1^n or l_inf^n as arrays, built once per space.
+
+    ``vertices`` holds the extreme points, one per row: the sign vectors in
+    ``itertools.product((1, -1))`` order for the cube, e_1..e_n then
+    -e_1..-e_n for the cross-polytope.  The vertices of ``space.dual()`` are
+    the extreme functionals of the dual ball, so one table serves both
+    roles.  ``faces`` lists the proper faces in sign-pattern order,
+    ``barycentres`` their barycentres (one row each), and
+    ``contains[i, j]`` says that face i properly contains face j.  The face
+    fields are built on first use.
+    """
+
+    def __init__(self, space: SpaceSpec):
+        if not space.polyhedral:
+            raise UnsupportedSpaceError("face enumeration requires p in {1, inf}")
+        self.space = space
+        n = space.n
+        if space.p == INF:
+            V = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+        else:
+            V = np.concatenate([np.eye(n), -np.eye(n)])
+        self.vertices = _read_only(V)
+
+    @functools.cached_property
+    def patterns(self) -> np.ndarray:
+        P = np.array(list(itertools.product((-1, 0, 1), repeat=self.space.n)))
+        return _read_only(P[(P != 0).any(axis=1)])
+
+    @functools.cached_property
+    def faces(self) -> tuple:
+        return tuple(Face(self.space, tuple(row)) for row in self.patterns)
+
+    @functools.cached_property
+    def barycentres(self) -> np.ndarray:
+        P = self.patterns.astype(float)
+        if self.space.p == 1:
+            P /= np.abs(P).sum(axis=1, keepdims=True)
+        return _read_only(P)
+
+    @functools.cached_property
+    def contains(self) -> np.ndarray:
+        if self.space.n > CONTAINMENT_MAX_DIM:
+            raise UnsupportedSpaceError(
+                f"the face lattice of {self.space} has {len(self.patterns)} faces; "
+                f"attainment sets need n <= {CONTAINMENT_MAX_DIM}"
+            )
+        P = self.patterns
+        C = np.ones((len(P), len(P)), dtype=bool)
+        # a cube face is fixed by its nonzero signs, so the larger face fixes
+        # a subset of them; a cross-polytope face is spanned by its nonzero
+        # signs, so the larger face spans a superset.  One coordinate at a
+        # time keeps the working memory at one matrix.
+        for q in P.T:
+            big, small = q[:, None], q[None, :]
+            free = big == 0 if self.space.p == INF else small == 0
+            C &= free | (big == small)
+        np.fill_diagonal(C, False)
+        return _read_only(C)
+
+
+@functools.lru_cache(maxsize=32)
+def polyhedral_table(s: SpaceSpec) -> PolyhedralTable:
+    """The cached PolyhedralTable of a polyhedral space."""
+    return PolyhedralTable(s)
 
 
 def relative_interior_point(face: Face) -> Point:

@@ -58,6 +58,17 @@ class TestVerifyUniformBpb:
         cert = verify_uniform_bpb(T, A, 0.5)
         assert cert.status == "falsified"
         assert cert.counterexample is not None
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_sparse_grid_does_not_certify_vacuously(self, p):
+        # the two grid points (+-1, 0) have ||Tz|| = 0.4, so no grid sample
+        # is near-norming; the norming vector of T must join the sample
+        s = lp(p, 2)
+        T = operator(np.diag([0.4, 1.0]), s, s)
+        A = operator(np.diag([1.0, 0.4]), s, s)
+        cert = verify_uniform_bpb(T, A, 0.7, resolution=2)
+        assert cert.status == "falsified"
+        assert abs(cert.counterexample.coords[1]) == pytest.approx(1.0)
         z = cert.counterexample.coords
         # the counterexample nearly attains for T yet sits far from M_A
         assert float(np.linalg.norm(T.apply(z))) > 1.0 - 1e-5

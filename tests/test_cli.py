@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from bpblab import l1, linf
 from bpblab.cli import main
+from bpblab.errors import OutOfRangeError
 from bpblab.jsonio import operator_to_json, parse_operator
+from bpblab.sampling import sphere_grid
 
 
 @pytest.fixture
@@ -200,3 +203,25 @@ class TestEnvResolution:
         code, doc = run(capsys, ["attain", "--operator", f, "--no-timestamp"])
         assert code == 0
         assert doc["kind"] == "points"
+
+
+class TestResolutionBoundaries:
+    @pytest.mark.parametrize("value", ["0", "-3", "many"])
+    def test_flag_below_one_rejected(self, op_file, capsys, value):
+        f = op_file("t.json", [[1, 0], [1, 0]], LINF2, LINF2)
+        with pytest.raises(SystemExit) as exc:
+            main(["attain", "--operator", f, "--resolution", value])
+        assert exc.value.code == 2
+        assert "--resolution" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_env_default_names_variable(self, op_file, capsys, monkeypatch, value):
+        monkeypatch.setenv("BPBLAB_DEFAULT_RESOLUTION", value)
+        f = op_file("t.json", [[1, 0], [1, 0]], LINF2, LINF2)
+        assert main(["attain", "--operator", f, "--no-timestamp"]) == 2
+        assert "BPBLAB_DEFAULT_RESOLUTION" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("space", [linf(2), l1(3)])
+    def test_sphere_grid_rejects_resolution_below_one(self, space):
+        with pytest.raises(OutOfRangeError, match="resolution"):
+            sphere_grid(space, 0)
