@@ -99,22 +99,24 @@ def is_extreme_contraction(T: OperatorMatrix, seed: int = 0) -> ExtremalityVerdi
     (Schrijver, Theory of Linear and Integer Programming, section 8).  One
     SVD decides the rank; otherwise a null vector D of the active normals,
     scaled so that no inactive constraint is crossed, is a witness with
-    ||T +/- D|| <= 1.  Non-polyhedral codomains fall back to a randomized
+    ||T +/- D|| <= ||T||.  Non-polyhedral codomains fall back to a randomized
     perturbation search, flagged as evidence only.
     """
-    require_norm_one(T)
+    value, _ = require_norm_one(T)
     dom, cod = T.domain, T.codomain
     if dom.polyhedral and cod.polyhedral and dom.n <= 3 and cod.n <= 3:
-        return _rank_extremality(T)
+        return _rank_extremality(T, value)
     return _random_extremality(T, seed)
 
 
-def _rank_extremality(T: OperatorMatrix) -> ExtremalityVerdict:
+def _rank_extremality(T: OperatorMatrix, value: float) -> ExtremalityVerdict:
     m, n = T.entries.shape
     V = polyhedral_table(T.domain).vertices          # (v, n)
     F = polyhedral_table(T.codomain.dual()).vertices  # (f, m)
     vals = F @ T.entries @ V.T                       # f(T v), (f, v)
-    active = vals >= 1.0 - TAU_EQ
+    # active relative to ||T||, as in the attainment set: require_norm_one
+    # lets ||T|| miss 1 by more than TAU_EQ
+    active = vals >= value * (1.0 - TAU_EQ)
     fi, vi = np.nonzero(active)
     # the coefficient of d_ij in f(D v) is f_i v_j: the normal is kron(f, v)
     normals = (F[fi, :, None] * V[vi, None, :]).reshape(len(fi), m * n)
@@ -124,8 +126,8 @@ def _rank_extremality(T: OperatorMatrix) -> ExtremalityVerdict:
     if rank == m * n:
         return ExtremalityVerdict("extreme", "rank")
     D = Vt[rank].reshape(m, n)
-    # f(D v) = 0 on the active pairs; stop at the first inactive one to reach 1
-    slack, reach = 1.0 - vals[~active], np.abs(F @ D @ V.T)[~active]
+    # f(D v) = 0 on the active pairs; stop at the first inactive one to reach ||T||
+    slack, reach = value - vals[~active], np.abs(F @ D @ V.T)[~active]
     with np.errstate(divide="ignore"):
         t = np.min(slack / reach, initial=1.0)
     return ExtremalityVerdict("not_extreme", "rank", witness=t * D)

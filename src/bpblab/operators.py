@@ -29,6 +29,7 @@ from .spaces import (
     Face,
     Point,
     SpaceSpec,
+    face_containment,
     lp_circle,
     pnorm,
     points_distance,
@@ -284,9 +285,12 @@ def _polyhedral_attainment(T: OperatorMatrix, value: float) -> AttainmentSet:
     # ||T.|| is convex and at most ||T|| on the ball, so it reaches ||T|| at
     # a face's barycentre iff it is constant on the whole face.
     table = polyhedral_table(T.domain)
-    hit = T.image_norms(table.barycentres) >= value * (1.0 - TAU_EQ)
-    maximal = hit & ~(table.contains & hit[:, None]).any(axis=0)
-    faces = tuple(table.faces[i] for i in np.flatnonzero(maximal))
+    hit = np.flatnonzero(T.image_norms(table.barycentres) >= value * (1.0 - TAU_EQ))
+    # distinct patterns, so off the diagonal containment is proper
+    H = table.patterns[hit]
+    inside = face_containment(T.domain, H, H)
+    np.fill_diagonal(inside, False)
+    faces = tuple(table.faces[i] for i in hit[~inside.any(axis=0)])
     return AttainmentSet("faces", value, T.domain, faces=faces)
 
 

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .errors import OutOfRangeError, UnsupportedSpaceError
+from .errors import UnsupportedSpaceError
 from .spaces import INF, SpaceSpec, lp_circle, pnorm
 
 
@@ -24,8 +24,6 @@ def sphere_grid(space: SpaceSpec, resolution: int) -> np.ndarray:
     Per-face grids for polyhedral spaces, the trigonometric parametrization
     for 2-D l_p spheres, a Fibonacci grid for the Euclidean 2-sphere.
     """
-    if resolution < 1:
-        raise OutOfRangeError(f"resolution must be at least 1, got {resolution}")
     from .spaces import exponent_str
 
     pts = _cached_grid(exponent_str(space.p), space.n, int(resolution))

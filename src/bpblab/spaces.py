@@ -244,14 +244,7 @@ class Face:
         """Whether `other` is a (not necessarily proper) subface of this face."""
         if self.space != other.space:
             raise MixedSpacesError("faces of different spaces")
-        if self.space.p == INF:
-            # larger face = fewer fixed coordinates
-            return all(
-                other.pattern[i] == v for i, v in enumerate(self.pattern) if v != 0
-            )
-        return all(
-            self.pattern[i] == v for i, v in enumerate(other.pattern) if v != 0
-        )
+        return bool(face_containment(self.space, [self.pattern], [other.pattern])[0, 0])
 
     def distance_to(self, X) -> np.ndarray:
         """Distance (in the space's own norm) from each row of X to the face.
@@ -290,9 +283,22 @@ def enumerate_faces(s: SpaceSpec) -> list[Face]:
     return list(polyhedral_table(s).faces)
 
 
-# Largest dimension with a face containment matrix: (3^n - 1)^2 booleans,
-# 4.8 MB at n = 7.  Beyond it the attainment filter would need gigabytes.
-CONTAINMENT_MAX_DIM = 7
+def face_containment(s: SpaceSpec, big, small) -> np.ndarray:
+    """C[i, j]: whether the face with sign pattern small[j] is a (not
+    necessarily proper) subface of the face with sign pattern big[i].
+
+    A cube face is fixed by its nonzero signs, so the larger face fixes a
+    subset of them; a cross-polytope face is spanned by its nonzero signs,
+    so the larger face spans a superset.
+    """
+    big, small = np.atleast_2d(big), np.atleast_2d(small)
+    C = np.ones((len(big), len(small)), dtype=bool)
+    # one coordinate at a time keeps the working memory at one matrix
+    for b, q in zip(big.T, small.T):
+        b, q = b[:, None], q[None, :]
+        free = b == 0 if s.p == INF else q == 0
+        C &= free | (b == q)
+    return C
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -307,10 +313,10 @@ class PolyhedralTable:
     ``itertools.product((1, -1))`` order for the cube, e_1..e_n then
     -e_1..-e_n for the cross-polytope.  The vertices of ``space.dual()`` are
     the extreme functionals of the dual ball, so one table serves both
-    roles.  ``faces`` lists the proper faces in sign-pattern order,
-    ``barycentres`` their barycentres (one row each), and
-    ``contains[i, j]`` says that face i properly contains face j.  The face
-    fields are built on first use.
+    roles.  ``patterns`` holds the sign patterns of the proper faces in
+    ``itertools.product((-1, 0, 1))`` order, ``faces`` the faces themselves
+    and ``barycentres`` their barycentres, one row each.  The face fields
+    are built on first use.
     """
 
     def __init__(self, space: SpaceSpec):
@@ -339,26 +345,6 @@ class PolyhedralTable:
         if self.space.p == 1:
             P /= np.abs(P).sum(axis=1, keepdims=True)
         return _read_only(P)
-
-    @functools.cached_property
-    def contains(self) -> np.ndarray:
-        if self.space.n > CONTAINMENT_MAX_DIM:
-            raise UnsupportedSpaceError(
-                f"the face lattice of {self.space} has {len(self.patterns)} faces; "
-                f"attainment sets need n <= {CONTAINMENT_MAX_DIM}"
-            )
-        P = self.patterns
-        C = np.ones((len(P), len(P)), dtype=bool)
-        # a cube face is fixed by its nonzero signs, so the larger face fixes
-        # a subset of them; a cross-polytope face is spanned by its nonzero
-        # signs, so the larger face spans a superset.  One coordinate at a
-        # time keeps the working memory at one matrix.
-        for q in P.T:
-            big, small = q[:, None], q[None, :]
-            free = big == 0 if self.space.p == INF else small == 0
-            C &= free | (big == small)
-        np.fill_diagonal(C, False)
-        return _read_only(C)
 
 
 @functools.lru_cache(maxsize=32)

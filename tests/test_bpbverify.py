@@ -58,6 +58,11 @@ class TestVerifyUniformBpb:
         cert = verify_uniform_bpb(T, A, 0.5)
         assert cert.status == "falsified"
         assert cert.counterexample is not None
+        z = cert.counterexample.coords
+        # the counterexample nearly attains for T yet sits far from M_A
+        assert float(np.linalg.norm(T.apply(z))) > 1.0 - 1e-5
+        MA = attainment_set(A)
+        assert float(MA.distance_to(z[None, :])[0]) >= 0.5
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_sparse_grid_does_not_certify_vacuously(self, p):
@@ -69,11 +74,6 @@ class TestVerifyUniformBpb:
         cert = verify_uniform_bpb(T, A, 0.7, resolution=2)
         assert cert.status == "falsified"
         assert abs(cert.counterexample.coords[1]) == pytest.approx(1.0)
-        z = cert.counterexample.coords
-        # the counterexample nearly attains for T yet sits far from M_A
-        assert float(np.linalg.norm(T.apply(z))) > 1.0 - 1e-5
-        MA = attainment_set(A)
-        assert float(MA.distance_to(z[None, :])[0]) >= 0.5
 
     def test_monotone_in_eps(self):
         T = operator([[1.0, 0.0], [1.0, 0.0]], linf(2), linf(2))

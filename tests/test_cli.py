@@ -3,11 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from bpblab import l1, linf
 from bpblab.cli import main
-from bpblab.errors import OutOfRangeError
 from bpblab.jsonio import operator_to_json, parse_operator
-from bpblab.sampling import sphere_grid
 
 
 @pytest.fixture
@@ -220,8 +217,3 @@ class TestResolutionBoundaries:
         f = op_file("t.json", [[1, 0], [1, 0]], LINF2, LINF2)
         assert main(["attain", "--operator", f, "--no-timestamp"]) == 2
         assert "BPBLAB_DEFAULT_RESOLUTION" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("space", [linf(2), l1(3)])
-    def test_sphere_grid_rejects_resolution_below_one(self, space):
-        with pytest.raises(OutOfRangeError, match="resolution"):
-            sphere_grid(space, 0)

@@ -24,7 +24,6 @@ from bpblab import (
     op_norm,
     operator,
 )
-from bpblab.errors import UnsupportedSpaceError
 from bpblab.spaces import INF, TAU_EQ, pnorm
 
 
@@ -165,6 +164,15 @@ def test_rank_verdict_matches_lp(verdicts):
     assert statuses == {"extreme", "not_extreme"}
 
 
+def test_scaled_census_stays_extreme():
+    # inside the norm-one tolerance of require_norm_one, so a rank test with
+    # an absolute activity threshold would find no active constraint
+    for T in enumerate_extreme_linf3_l13():
+        S = (1.0 - 5e-8) * T
+        v = is_extreme_contraction(S)
+        assert v.status == "extreme" == lp_extremality(S), T
+
+
 def test_non_extreme_witnesses_stay_in_the_ball(verdicts):
     checked = 0
     for T, v, _ in verdicts:
@@ -208,9 +216,12 @@ def test_vectorised_op_norm_matches_loops(poly_operators):
         assert np.array_equal(witness.coords, ref_witness), T
 
 
-def test_containment_matrix_refuses_large_lattices():
-    # 3^8 - 1 faces would need a 43 MB containment matrix
-    T = operator(np.eye(8), linf(8), linf(8))
-    assert op_norm(T)[0] == 1.0
-    with pytest.raises(UnsupportedSpaceError, match="n <= 7"):
-        attainment_set(T)
+
+def test_attainment_beyond_three_dimensions():
+    rng = np.random.default_rng(5)
+    T = _unit(rng.standard_normal((3, 8)), l1(8), l2(3))
+    got = [f.pattern for f in attainment_set(T).faces]
+    assert got == loop_attainment_patterns(T, op_norm(T)[0])
+    # every face of the cube attains for the identity; the facets are maximal
+    facets = attainment_set(operator(np.eye(8), linf(8), linf(8))).faces
+    assert sorted(f.dim for f in facets) == [7] * 16
