@@ -9,6 +9,7 @@ necessary-condition reports, and pair-level sweeps.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -41,7 +42,37 @@ from .spaces import (
     arc_length_total,
     enumerate_faces,
     pnorm,
+    pnorm_into,
 )
+
+
+_scratch = threading.local()
+_SAMPLE_BUFFERS_KEPT = 8
+
+
+def _sample_buffers(space: SpaceSpec, resolution: int, cols: int):
+    """This thread's arrays for verifying on the grid of `space` at
+    `resolution` with a codomain of dimension `cols`, kept from call to call.
+
+    `sample` holds the grid and one free last row, `images` their images,
+    `work` five rows of scratch and `mask` one flag per sample row.  At
+    resolution 16384 each array is 0.13-0.4 MB.  Allocated afresh per call,
+    such blocks go back to the kernel whenever glibc trims the heap, which
+    depends on what was allocated before the call, and the next call faults
+    every page in again, hundreds of page faults per call.
+    """
+    buffers = _scratch.__dict__.setdefault("samples", {})
+    key = (space, resolution, cols)
+    if key not in buffers:
+        if len(buffers) == _SAMPLE_BUFFERS_KEPT:
+            del buffers[next(iter(buffers))]
+        grid = sphere_grid(space, resolution)
+        rows = len(grid) + 1
+        sample = np.empty((rows, space.n))
+        sample[:-1] = grid
+        buffers[key] = (sample, np.empty((rows, cols)), np.empty((5, rows)),
+                        np.empty(rows, dtype=bool))
+    return buffers[key]
 
 
 @dataclass(frozen=True)
@@ -77,13 +108,15 @@ def verify_uniform_bpb(
     if dist >= eps:
         return BpbCertificate("falsified", eps, None, resolution, math.inf, None, dist)
     MA = attainment_set(A)
-    X = np.vstack([sphere_grid(T.domain, resolution), witness.coords])
-    norms = T.image_norms(X)
-    dists = MA.distance_to(X)
+    X, images, work, mask = _sample_buffers(T.domain, resolution, T.codomain.n)
+    X[-1] = witness.coords
+    norms, dists = work[0], work[1]
+    pnorm_into(np.matmul(X, T.entries.T, out=images), T.codomain.p, 1, norms)
+    MA.distance_to(X, out=dists, work=work[2:])
     delta = 0.5
     while delta >= DELTA_FLOOR:
-        mask = norms > 1.0 - delta
-        worst = float(dists[mask].max())
+        np.greater(norms, 1.0 - delta, out=mask)
+        worst = float(dists.max(where=mask, initial=-np.inf))
         if worst < eps:
             return BpbCertificate("certified", eps, delta, resolution, worst, None, dist)
         delta /= 2.0

@@ -123,17 +123,34 @@ class AttainmentSet:
     points: Optional[np.ndarray] = None
     basis: Optional[np.ndarray] = None
 
-    def distance_to(self, X) -> np.ndarray:
-        """Distance in the domain norm from each row of X to the set."""
+    def distance_to(self, X, out=None, work=None) -> np.ndarray:
+        """Distance in the domain norm from each row of X to the set.
+
+        The result goes to `out` when it is given.  For faces, `work`,
+        shape (3, len(X)), is scratch, so with both given no array of
+        len(X) is allocated.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.kind == "faces":
-            d = np.full(len(X), np.inf)
+            if out is None:
+                out = np.empty(len(X))
+            if work is None:
+                work = np.empty((3, len(X)))
+            out.fill(np.inf)
             for f in self.faces:
-                d = np.minimum(d, f.distance_to(X))
-            return d
+                np.minimum(out, f.distance_to(X, work[0], work[1:]), out=out)
+            return out
         if self.kind == "points":
             diffs = X[:, None, :] - self.points[None, :, :]
-            return pnorm(diffs, self.space.p, axis=2).min(axis=1)
+            d = pnorm(diffs, self.space.p, axis=2).min(axis=1)
+        else:
+            d = self._subspace_distance(X)
+        if out is None:
+            return d
+        out[...] = d
+        return out
+
+    def _subspace_distance(self, X) -> np.ndarray:
         # subspace: Euclidean residual, then renormalised? The set is
         # S_X /\ H_0; for p = 2 the nearest point of the set to a unit vector
         # is the normalised projection, at distance sqrt(2 - 2*||proj||).

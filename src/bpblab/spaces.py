@@ -120,6 +120,20 @@ def pnorm(v, p: Exponent, axis: int = -1):
     return (np.abs(v) ** pf).sum(axis=axis) ** (1.0 / pf)
 
 
+def pnorm_into(v: np.ndarray, p: Exponent, axis: int, out: np.ndarray) -> np.ndarray:
+    """pnorm(v, p, axis) written to `out`, with the float array v
+    overwritten as scratch, so no array is allocated."""
+    if p == INF:
+        return np.abs(v, out=v).max(axis=axis, out=out)
+    pf = float(p)
+    if pf == 1.0:
+        return np.abs(v, out=v).sum(axis=axis, out=out)
+    if pf == 2.0:
+        return np.sqrt(np.multiply(v, v, out=v).sum(axis=axis, out=out), out=out)
+    np.power(np.abs(v, out=v), pf, out=v).sum(axis=axis, out=out)
+    return np.power(out, 1.0 / pf, out=out)
+
+
 @dataclass(frozen=True)
 class Point:
     """A vector together with the space whose norm measures it."""
@@ -246,32 +260,39 @@ class Face:
             raise MixedSpacesError("faces of different spaces")
         return bool(face_containment(self.space, [self.pattern], [other.pattern])[0, 0])
 
-    def distance_to(self, X) -> np.ndarray:
+    def distance_to(self, X, out=None, work=None) -> np.ndarray:
         """Distance (in the space's own norm) from each row of X to the face.
 
-        Closed forms: coordinate clamping for l_inf faces, an exact simplex
-        projection formula for l_1 faces.
+        Closed forms, one coordinate at a time: coordinate clamping for
+        l_inf faces, an exact simplex projection formula for l_1 faces.
+        The result goes to `out`; `work`, shape (2, len(X)), is scratch.
+        Both are allocated when not given.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        pat = np.array(self.pattern, dtype=float)
-        fixed = pat != 0
+        if out is None:
+            out = np.empty(len(X))
+        tmp, pos = np.empty((2, len(X))) if work is None else work
+        out.fill(0.0)
         if self.space.p == INF:
-            dev_fixed = np.abs(X[:, fixed] - pat[fixed])
-            a = dev_fixed.max(axis=1) if fixed.any() else np.zeros(len(X))
-            free = ~fixed
-            if free.any():
-                over = np.maximum(np.abs(X[:, free]) - 1.0, 0.0).max(axis=1)
-                a = np.maximum(a, over)
-            return a
+            # max of |x_i - s_i| over the fixed coordinates and of
+            # (|x_i| - 1)_+ over the free ones
+            for i, s in enumerate(self.pattern):
+                if s:
+                    np.abs(np.subtract(X[:, i], s, out=tmp), out=tmp)
+                else:
+                    np.subtract(np.abs(X[:, i], out=tmp), 1.0, out=tmp)
+                np.maximum(out, tmp, out=out)
+            return out
         # l_1: min over the simplex conv{q_i e_i} of ||x - v||_1.  With
-        # y_i = q_i x_i on the support, the optimum value is
-        # sum((-y)_+) + |sum(y_+) - 1| plus the off-support mass.
-        sup = list(self.support)
-        y = X[:, sup] * pat[sup]
-        negpart = np.maximum(-y, 0.0).sum(axis=1)
-        pospart = np.maximum(y, 0.0).sum(axis=1)
-        off = np.abs(X).sum(axis=1) - np.abs(X[:, sup]).sum(axis=1)
-        return negpart + np.abs(pospart - 1.0) + off
+        # P = sum((q_i x_i)_+) over the support, the optimum value is
+        # ||x||_1 - P + |P - 1|.
+        pos.fill(0.0)
+        for i, s in enumerate(self.pattern):
+            np.add(out, np.abs(X[:, i], out=tmp), out=out)
+            if s:
+                np.add(pos, np.maximum(np.multiply(X[:, i], s, out=tmp), 0.0, out=tmp), out=pos)
+        np.subtract(out, pos, out=out)
+        return np.add(out, np.abs(np.subtract(pos, 1.0, out=pos), out=pos), out=out)
 
     def __repr__(self):
         s = "".join("+" if v > 0 else "-" if v < 0 else "0" for v in self.pattern)

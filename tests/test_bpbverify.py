@@ -1,4 +1,6 @@
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from bpblab import (
     hilbert_rotate_approx,
     is_only_approximation,
     l1,
+    l1_extreme_approx,
     l2,
     linf,
     linf_extreme_approx,
@@ -74,6 +77,42 @@ class TestVerifyUniformBpb:
         cert = verify_uniform_bpb(T, A, 0.7, resolution=2)
         assert cert.status == "falsified"
         assert abs(cert.counterexample.coords[1]) == pytest.approx(1.0)
+
+    def test_polyhedral_verify_reuses_its_grid_arrays(self):
+        # every array over the 16384-point grid is 0.1-0.4 MB; after the
+        # first call none of them is allocated again
+        s = l1(3)
+        T = operator(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]).T, s, s)
+        A = l1_extreme_approx(T, 0.3).approximant
+        first = verify_uniform_bpb(T, A, 0.3, resolution=16384)
+        tracemalloc.start()
+        try:
+            again = verify_uniform_bpb(T, A, 0.3, resolution=16384)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again == first and first.certified
+        assert peak < 64 * 1024
+
+    def test_threads_do_not_share_grid_arrays(self):
+        s = linf(3)
+        cases = []
+        for cols in ((0, 0, 2), (1, 1, 0), (0, 2, 2), (2, 1, 2)):
+            T = operator(np.eye(3)[list(cols)], s, s)
+            cases.append((T, linf_extreme_approx(T, 0.3).approximant))
+        expected = [verify_uniform_bpb(T, A, 0.3, resolution=4096) for T, A in cases]
+        got = [[] for _ in cases]
+
+        def work(i):
+            for _ in range(5):
+                got[i].append(verify_uniform_bpb(*cases[i], 0.3, resolution=4096))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert got == [[c] * 5 for c in expected]
 
     def test_monotone_in_eps(self):
         T = operator([[1.0, 0.0], [1.0, 0.0]], linf(2), linf(2))

@@ -176,6 +176,30 @@ class TestDistances:
         d = float(f.distance_to(np.array([[1.0, 0.3, -0.2]]))[0])
         assert d == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("space", [linf(3), l1(3), linf(4), l1(4)])
+    def test_face_distance_matches_closed_forms(self, space):
+        # the whole-array closed forms: clamping for l_inf, and for l_1
+        # sum((-y)_+) + |sum(y_+) - 1| + off-support mass, y = q x on the support
+        X = np.random.default_rng(2).uniform(-2.0, 2.0, size=(400, space.n))
+        out, work = np.empty(len(X)), np.empty((2, len(X)))
+        for f in enumerate_faces(space):
+            pat = np.array(f.pattern, dtype=float)
+            fixed = pat != 0
+            if space.p == INF:
+                expected = np.abs(X[:, fixed] - pat[fixed]).max(axis=1)
+                if (~fixed).any():
+                    over = np.maximum(np.abs(X[:, ~fixed]) - 1.0, 0.0).max(axis=1)
+                    expected = np.maximum(expected, over)
+            else:
+                y = X[:, fixed] * pat[fixed]
+                expected = (np.maximum(-y, 0.0).sum(axis=1)
+                            + np.abs(np.maximum(y, 0.0).sum(axis=1) - 1.0)
+                            + np.abs(X[:, ~fixed]).sum(axis=1))
+            d = f.distance_to(X)
+            assert np.abs(d - expected).max() <= 1e-12
+            assert f.distance_to(X, out, work) is out
+            assert np.array_equal(out, d)
+
 
 class TestSupportFunctionals:
     def test_euclidean_self_duality(self):
