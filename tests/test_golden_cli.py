@@ -1,0 +1,51 @@
+"""Byte-for-byte CLI outputs under --no-timestamp.
+
+Each `tests/golden/<name>.out` holds the stdout of one subcommand, recorded
+before the kernels behind it were consolidated.  The cases avoid results that
+go through LAPACK, quadrature or a non-integer `pow` (l_2, l_p^2, epsilon0),
+whose last bits may vary with the platform.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from bpblab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# name -> (argv with operator files relative to GOLDEN, exit code)
+CASES = {
+    "norm_l13": (["norm", "--operator", "l13_mixed.json"], 0),
+    "norm_census": (["norm", "--operator", "census_block.json"], 0),
+    "attain_l13": (["attain", "--operator", "l13_mixed.json"], 0),
+    "attain_linf2": (["attain", "--operator", "linf2_double.json"], 0),
+    "classify_census": (["classify", "--operator", "census_block.json"], 0),
+    "isometries_p3_n2": (["isometries", "--p", "3", "--n", "2"], 0),
+    "orbit_census": (["orbit", "--operator", "census_block.json"], 0),
+    "enumerate_ext": (["enumerate-ext", "--pair", "linf3-l13"], 0),
+    "approx_linf": (
+        ["approx", "--operator", "linf2_double.json", "--eps", "0.2", "--construction", "linf"],
+        0,
+    ),
+    "verify_certified": (
+        ["verify", "--T", "linf2_double.json", "--A", "linf2_double_approx.json", "--eps", "0.2"],
+        0,
+    ),
+    "verify_falsified": (
+        ["verify", "--T", "linf2_identity.json", "--A", "linf2_shrunk.json", "--eps", "0.2"],
+        1,
+    ),
+}
+
+
+def golden_argv(argv):
+    return [str(GOLDEN / a) if a.endswith(".json") else a for a in argv] + ["--no-timestamp"]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_golden(name, capsys, monkeypatch):
+    monkeypatch.delenv("BPBLAB_DEFAULT_RESOLUTION", raising=False)
+    argv, code = CASES[name]
+    assert main(golden_argv(argv)) == code
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
