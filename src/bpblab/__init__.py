@@ -37,7 +37,6 @@ from .bpbverify import (
 )
 from .classify import (
     ExtremalityVerdict,
-    SignedPermutation,
     enumerate_extreme_linf3_l13,
     enumerate_isometries,
     equivalence_orbit,

@@ -24,6 +24,7 @@ from .errors import (
     NormNotOneError,
     NotAMidpointError,
     NotComplementaryError,
+    NotInEnumerationError,
     NotRankOneError,
     ObstructionError,
     OrthogonalityError,
@@ -37,17 +38,17 @@ from .operators import (
     attainment_equal,
     attainment_set,
     op_norm,
+    orthogonal_complement,
     require_norm_one,
     restricted_norm,
 )
 from .optim import bisect_increasing
 from .spaces import (
-    INF,
     TAU_EQ,
     Point,
     SpaceSpec,
     birkhoff_orthogonal,
-    l1,
+    l2,
     lp_circle,
     pnorm,
     support_functionals,
@@ -84,6 +85,14 @@ def _finish(T, A, eps, construction, expect_preserved=True, allow_equal=False):
     if expect_preserved and not preserved:
         raise ConstructionError("attainment set was not preserved")
     return ApproximantReport(T, A, eps, dist, MT, MA, preserved, construction)
+
+
+def _shrink_index(d, eps):
+    """The smallest integer n >= 2 with d/n < eps."""
+    n = max(int(math.floor(d / eps)) + 1, 2)
+    while d / n >= eps:
+        n += 1
+    return n
 
 
 def _check_eps(eps, hi=2.0):
@@ -160,9 +169,7 @@ def convex_witness_approx(
     d, _ = op_norm(T - T1)
     if d <= 1e-14:
         raise DegenerateWitnessError("T coincides with T1")
-    n = max(int(math.floor(d / eps)) + 1, 2)
-    while d / n >= eps:
-        n += 1
+    n = _shrink_index(d, eps)
     A = (1.0 - 1.0 / n) * T + (1.0 / n) * T1
     return _finish(T, A, eps, f"convex_witness(n={n})")
 
@@ -209,9 +216,7 @@ def direct_sum_shrink_approx(
             y = Point(B2[:, j], T.domain)
             if not birkhoff_orthogonal(x, y):
                 raise OrthogonalityError("X1 is not Birkhoff-James orthogonal to X2")
-    n = max(int(math.floor(2.0 / eps)) + 1, 2)
-    while 2.0 / n >= eps:
-        n += 1
+    n = _shrink_index(2.0, eps)
     A = OperatorMatrix(T.entries @ (P1 + (1.0 - 1.0 / n) * P2), T.domain, T.codomain)
     return _finish(T, A, eps, f"direct_sum_shrink(n={n})")
 
@@ -301,8 +306,6 @@ def linf3_l13_extreme_approx(T: OperatorMatrix, eps: float) -> ApproximantReport
     an explicit perturbation at distance eps/2 applies, and conjugated back.
     """
     _check_eps(eps)
-    from .errors import NotInEnumerationError
-
     hit = census_lookup(T)
     if hit is None:
         raise NotInEnumerationError("operator is not in the 90-element census")
@@ -341,9 +344,7 @@ def hilbert_rotate_approx(
     k = Q0.shape[1]
     if k == n:
         raise IsIsometryError("full-sphere attainment; T is an isometry")
-    # orthonormal basis of the complement
-    full, _ = np.linalg.qr(np.concatenate([Q0, np.eye(n)], axis=1))
-    Qc = full[:, k:n]
+    Qc = orthogonal_complement(Q0)
     r = restricted_norm(T, Qc)
     if r >= 1.0 - TAU_EQ:
         raise ObstructionError(
@@ -370,8 +371,6 @@ def hilbert_nonpreserving_demo(eps: float) -> ApproximantReport:
     attainment pair moves from +/-e1 to the rotated direction.
     """
     _check_eps(eps)
-    from .spaces import l2
-
     s = l2(2)
     T = OperatorMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]), s, s)
     st = 1.0 - eps ** 2 / 16.0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,13 +23,15 @@ from .errors import (
     NotDiscreteError,
     UnsupportedPairError,
     UnsupportedSpaceError,
+    WrongSpacesError,
 )
 from .operators import (
     DEFAULT_RESOLUTION,
-    DELTA_FLOOR,
     OperatorMatrix,
     attainment_set,
+    delta_descent,
     op_norm,
+    orthogonal_complement,
     require_norm_one,
     restricted_norm,
 )
@@ -38,11 +40,14 @@ from .spaces import (
     INF,
     Point,
     SpaceSpec,
+    _arc_table,
+    _interp_on_curve,
     arc_length_constant,
     arc_length_total,
-    enumerate_faces,
+    exponent_str,
     pnorm,
     pnorm_into,
+    polyhedral_table,
 )
 
 
@@ -113,19 +118,11 @@ def verify_uniform_bpb(
     norms, dists = work[0], work[1]
     pnorm_into(np.matmul(X, T.entries.T, out=images), T.codomain.p, 1, norms)
     MA.distance_to(X, out=dists, work=work[2:])
-    delta = 0.5
-    while delta >= DELTA_FLOOR:
-        np.greater(norms, 1.0 - delta, out=mask)
-        worst = float(dists.max(where=mask, initial=-np.inf))
-        if worst < eps:
-            return BpbCertificate("certified", eps, delta, resolution, worst, None, dist)
-        delta /= 2.0
-    mask = norms > 1.0 - DELTA_FLOOR
-    idx = int(np.argmax(np.where(mask, dists, -np.inf)))
+    delta, worst, idx = delta_descent(norms, dists, 1.0, eps, mask)
+    if delta is not None:
+        return BpbCertificate("certified", eps, delta, resolution, worst, None, dist)
     z = Point(X[idx], T.domain)
-    return BpbCertificate(
-        "falsified", eps, None, resolution, float(dists[idx]), z, dist
-    )
+    return BpbCertificate("falsified", eps, None, resolution, worst, z, dist)
 
 
 @dataclass(frozen=True)
@@ -218,25 +215,20 @@ def property_p_witness(A: OperatorMatrix, resolution: int = DEFAULT_RESOLUTION) 
         raise IsIsometryError("an isometry attains everywhere; no witness exists")
     MA = attainment_set(A, resolution=resolution)
     if dom.polyhedral:
-        best = None
-        for f in enumerate_faces(dom):
-            if (dom.p == INF and f.dim != dom.n - 1) or (dom.p == 1 and f.dim != dom.n - 1):
-                continue
-            x = f.relative_interior_coords()
-            d = float(MA.distance_to(x[None, :])[0])
-            if best is None or d > best[1]:
-                best = (x, d)
-        x, d = best
+        table = polyhedral_table(dom)
+        # a cube facet fixes one sign, a cross-polytope facet fixes all n
+        support = (table.patterns != 0).sum(axis=1)
+        facets = table.barycentres[support == (1 if dom.p == INF else dom.n)]
+        dists = MA.distance_to(facets)
+        k = int(np.argmax(dists))
+        x, d = facets[k], float(dists[k])
         if d <= 0.0:
             raise UnsupportedSpaceError("no facet interior point avoids M_A")
         return PropertyPWitness(A, Point(x, dom), d / 2.0)
     if dom.hilbert:
         if MA.kind != "subspace":
             raise UnsupportedSpaceError("Hilbert witness needs a Hilbert codomain")
-        Q0 = MA.basis
-        n = dom.n
-        full, _ = np.linalg.qr(np.concatenate([Q0, np.eye(n)], axis=1))
-        x = full[:, Q0.shape[1]]
+        x = orthogonal_complement(MA.basis)[:, 0]
         return PropertyPWitness(A, Point(x, dom), 1.0)
     if dom.n == 2 and dom.strictly_convex:
         p = dom.p
@@ -247,8 +239,6 @@ def property_p_witness(A: OperatorMatrix, resolution: int = DEFAULT_RESOLUTION) 
         L = arc_length_total(p)
         pts = MA.points
         # arc-length positions of the attainment points on the circle
-        from .spaces import _arc_table, exponent_str
-
         tab_pts, s = _arc_table(exponent_str(p), 1 << 15)
         occupied = set()
         for q in pts:
@@ -256,8 +246,6 @@ def property_p_witness(A: OperatorMatrix, resolution: int = DEFAULT_RESOLUTION) 
             occupied.add(int(s[i] / (L / K)) % K)
         free = next(a for a in range(K) if a not in occupied)
         mid_s = (free + 0.5) * (L / K)
-        from .spaces import _interp_on_curve
-
         x = _interp_on_curve(tab_pts, s, np.array([mid_s]))[0]
         x = x / float(pnorm(x, p))
         r0 = arc_length_constant(p, L / (2.0 * K))
@@ -305,12 +293,6 @@ class HilbertChecks:
         )
 
 
-def _complement(Q: np.ndarray) -> np.ndarray:
-    n = Q.shape[0]
-    full, _ = np.linalg.qr(np.concatenate([Q, np.eye(n)], axis=1))
-    return full[:, Q.shape[1]:n]
-
-
 def hilbert_necessary_checks(
     T: OperatorMatrix,
     A: OperatorMatrix,
@@ -325,8 +307,6 @@ def hilbert_necessary_checks(
     inclusion certificate.
     """
     if not (T.domain.hilbert and T.codomain.hilbert):
-        from .errors import WrongSpacesError
-
         raise WrongSpacesError("checks require Hilbert domain and codomain")
     H0 = attainment_set(T).basis
     H = attainment_set(A).basis
@@ -336,7 +316,7 @@ def hilbert_necessary_checks(
     trivial = dims_equal and (len(sv) == 0 or float(sv[min(k, len(sv)) - 1]) > 1e-9)
     D = T - A
     n1 = restricted_norm(D, H0)
-    n2 = restricted_norm(D, _complement(H0))
+    n2 = restricted_norm(D, orthogonal_complement(H0))
     radius = math.sqrt(2.25) * eps
     angles = np.linspace(0.0, math.pi / 2.0, 16)
     disjunction = all(

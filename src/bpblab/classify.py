@@ -10,36 +10,41 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import InfiniteGroupError, WrongSpacesError
+from .errors import InfiniteGroupError, OutOfRangeError, WrongSpacesError
 from .operators import OperatorMatrix, op_norm, require_norm_one
 from .spaces import INF, TAU_EQ, SpaceSpec, l1, linf, pnorm, polyhedral_table
 
+# The most matrices one signed-permutation enumeration may build: 2^n * n!
+# for the isometries of l_p^n (n <= 7), its square for an orbit (n <= 4).
+ENUMERATION_LIMIT = 10 ** 6
 
-@dataclass(frozen=True)
-class SignedPermutation:
-    """A permutation of indices with a sign flip per coordinate."""
 
-    perm: tuple
-    signs: tuple
-
-    def matrix(self) -> np.ndarray:
-        n = len(self.perm)
-        m = np.zeros((n, n))
-        for i, (j, s) in enumerate(zip(self.perm, self.signs)):
-            m[i, j] = s
-        return m
+def _check_enumeration_size(n: int, power: int) -> None:
+    """Refuse, before building any, to enumerate (2^n * n!)^power matrices
+    when that is more than ENUMERATION_LIMIT."""
+    count = 1
+    for k in range(1, n + 1):
+        count *= 2 * k  # 2^k * k!
+        if count ** power > ENUMERATION_LIMIT:
+            raise OutOfRangeError(
+                f"n = {n}: the enumeration would build more than "
+                f"{ENUMERATION_LIMIT} matrices"
+            )
 
 
 def all_signed_permutations(n: int):
+    """The 2^n * n! signed permutation matrices of size n."""
+    rows = np.arange(n)
     for perm in itertools.permutations(range(n)):
         for signs in itertools.product((1.0, -1.0), repeat=n):
-            yield SignedPermutation(perm, signs)
+            m = np.zeros((n, n))
+            m[rows, perm] = signs
+            yield m
 
 
 @dataclass(frozen=True)
@@ -189,9 +194,8 @@ def enumerate_isometries(s: SpaceSpec) -> list[OperatorMatrix]:
     """All 2^n * n! signed permutation isometries of l_p^n, p != 2."""
     if s.hilbert:
         raise InfiniteGroupError("the Hilbert isometry group is infinite")
-    return [
-        OperatorMatrix(sp.matrix(), s, s) for sp in all_signed_permutations(s.n)
-    ]
+    _check_enumeration_size(s.n, 1)
+    return [OperatorMatrix(m, s, s) for m in all_signed_permutations(s.n)]
 
 
 def _round_key(M: np.ndarray) -> tuple:
@@ -206,7 +210,8 @@ def orbit_with_witnesses(A: OperatorMatrix) -> dict:
     with member = L @ A @ R.
     """
     n = A.domain.n
-    mats = [sp.matrix() for sp in all_signed_permutations(n)]
+    _check_enumeration_size(n, 2)
+    mats = list(all_signed_permutations(n))
     out = {}
     for L in mats:
         LA = L @ A.entries

@@ -21,8 +21,8 @@ from . import bpbverify as bv
 from . import classify as cf
 from . import jsonio
 from .errors import BpbLabError, MalformedInputError
-from .operators import DEFAULT_RESOLUTION, attainment_set, op_norm
-from .spaces import Point, as_exponent, l2, pnorm
+from .operators import DEFAULT_RESOLUTION, OperatorMatrix, attainment_set, op_norm
+from .spaces import INF, Point, SpaceSpec, as_exponent, l2, linf, lp, pnorm
 
 
 def _resolution_flag(text: str) -> int:
@@ -34,6 +34,25 @@ def _resolution_flag(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return value
+
+
+def _eps_flag(text: str) -> float:
+    """The type of --eps and of each --eps-list item: a finite real > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (0.0 < value < math.inf):
+        raise argparse.ArgumentTypeError(f"must be a finite positive real, got {text!r}")
+    return value
+
+
+def _eps_list_flag(text: str) -> list:
+    """The --eps-list type: comma-separated finite positive reals."""
+    values = [_eps_flag(e) for e in text.split(",") if e]
+    if not values:
+        raise argparse.ArgumentTypeError("expected comma-separated positive reals")
+    return values
 
 
 def _default_resolution() -> int:
@@ -78,8 +97,6 @@ def _cmd_classify(args) -> int:
     square_same = T.domain.n == T.codomain.n and T.domain.p == T.codomain.p
     if square_same:
         out["is_isometry"] = cf.is_isometry(T)
-    from .spaces import INF
-
     if T.domain.p == INF and T.codomain.p == INF and square_same:
         out["row_condition"] = cf.linf_row_condition(T)
     if T.domain.p == 1 and T.codomain.p == 1 and square_same:
@@ -87,14 +104,12 @@ def _cmd_classify(args) -> int:
     verdict = cf.is_extreme_contraction(T, seed=args.seed or 0)
     out["extremality"] = {"status": verdict.status, "method": verdict.method}
     if verdict.witness is not None:
-        out["extremality"]["witness"] = [[float(v) for v in r] for r in verdict.witness]
+        out["extremality"]["witness"] = verdict.witness.tolist()
     _emit(args, out)
     return 0
 
 
 def _cmd_isometries(args) -> int:
-    from .spaces import SpaceSpec
-
     s = SpaceSpec(as_exponent(args.p), args.n)
     mats = cf.enumerate_isometries(s)
     _emit(
@@ -102,7 +117,7 @@ def _cmd_isometries(args) -> int:
         {
             "space": jsonio.space_to_json(s),
             "count": len(mats),
-            "matrices": [[[float(v) for v in r] for r in m.entries] for m in mats],
+            "matrices": [m.entries.tolist() for m in mats],
         },
     )
     return 0
@@ -115,7 +130,7 @@ def _cmd_orbit(args) -> int:
         args,
         {
             "size": len(orbit),
-            "members": [[[float(v) for v in r] for r in m.entries] for m in orbit],
+            "members": [m.entries.tolist() for m in orbit],
         },
     )
     return 0
@@ -135,7 +150,7 @@ def _cmd_enumerate_ext(args) -> int:
             "pair": args.pair,
             "count": len(members),
             "orbits": [sizes["rank_one"], sizes["block"]],
-            "members": [[[float(v) for v in r] for r in m.entries] for m in members],
+            "members": [m.entries.tolist() for m in members],
         },
     )
     return 0
@@ -152,8 +167,6 @@ _CONSTRUCTIONS = {
 
 def _cmd_approx(args) -> int:
     T = jsonio.load_operator(args.operator)
-    if args.eps <= 0:
-        raise MalformedInputError("eps", "must be positive")
     builder = _CONSTRUCTIONS.get(args.construction)
     if builder is None:
         raise MalformedInputError("construction", f"unknown {args.construction!r}")
@@ -165,8 +178,6 @@ def _cmd_approx(args) -> int:
 def _cmd_verify(args) -> int:
     T = jsonio.load_operator(args.T, "T")
     A = jsonio.load_operator(args.A, "A")
-    if args.eps <= 0:
-        raise MalformedInputError("eps", "must be positive")
     cert = bv.verify_uniform_bpb(T, A, args.eps, resolution=args.resolution)
     _emit(args, jsonio.certificate_to_json(cert))
     return 0 if cert.certified else 1
@@ -197,20 +208,15 @@ _SWEEP_PAIRS = {
 
 
 def _cmd_sweep(args) -> int:
-    from .spaces import SpaceSpec
-
     if args.pair not in _SWEEP_PAIRS:
         raise MalformedInputError(
             "pair", f"unknown pair {args.pair!r}; choose from {sorted(_SWEEP_PAIRS)}"
         )
     px, nx, py, ny = _SWEEP_PAIRS[args.pair]
-    eps_list = [float(e) for e in args.eps_list.split(",") if e]
-    if not eps_list or any(e <= 0 for e in eps_list):
-        raise MalformedInputError("eps-list", "expected comma-separated positive reals")
     summary = bv.pair_property_sweep(
         SpaceSpec(as_exponent(px), nx),
         SpaceSpec(as_exponent(py), ny),
-        eps_list,
+        args.eps_list,
         trials=args.trials,
         seed=args.seed,
         resolution=args.resolution,
@@ -235,9 +241,6 @@ def _demo_checks():
     norms_ok = all(abs(op_norm(m)[0] - 1.0) < 1e-9 for m in members)
     checks.append(("every census member has norm one", norms_ok))
 
-    from .operators import OperatorMatrix
-    from .spaces import lp
-
     s4 = lp(4, 2)
     T = OperatorMatrix(np.array([[1.0, 1.0], [1.0, -1.0]]), s4, s4)
     v, _ = op_norm(T)
@@ -256,8 +259,6 @@ def _demo_checks():
     checks.append(("pairwise isometry distances are 2^(2/3) or 2", dists == expected))
     eps0 = bv.epsilon0_lp2(3)
     checks.append(("rigidity constant for p=3 is positive", eps0.eps0 > 0))
-
-    from .spaces import linf
 
     Tl = OperatorMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]), linf(2), linf(2))
     rep = apx.linf_extreme_approx(Tl, 0.2)
@@ -356,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("approx", help="build an attainment-aware approximant")
     p.add_argument("--operator", required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_eps_flag, required=True)
     p.add_argument(
         "--construction",
         required=True,
@@ -368,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="certify or falsify an approximation triple")
     p.add_argument("--T", required=True)
     p.add_argument("--A", required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_eps_flag, required=True)
     common(p, resolution=True)
     p.set_defaults(func=_cmd_verify)
 
@@ -384,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="construct and verify approximants across a pair")
     p.add_argument("--pair", required=True)
-    p.add_argument("--eps-list", default="0.2", dest="eps_list")
+    p.add_argument("--eps-list", type=_eps_list_flag, default="0.2", dest="eps_list")
     p.add_argument("--trials", type=int, default=10)
     common(p, resolution=True, seed=True)
     p.set_defaults(func=_cmd_sweep)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import MalformedInputError, UnsupportedExponentError
 from .operators import AttainmentSet, OperatorMatrix
-from .spaces import Face, Point, SpaceSpec, as_exponent, exponent_str
+from .spaces import Point, SpaceSpec, as_exponent, exponent_str
 
 
 def parse_space(d, field: str = "space") -> SpaceSpec:
@@ -48,6 +48,8 @@ def parse_operator(d, field: str = "operator") -> OperatorMatrix:
         raise MalformedInputError(f"{field}.rows", "rows must be numeric and rectangular")
     if M.ndim != 2:
         raise MalformedInputError(f"{field}.rows", "rows must form a matrix")
+    if not np.isfinite(M).all():
+        raise MalformedInputError(f"{field}.rows", "entries must be finite numbers")
     if "domain" not in d:
         raise MalformedInputError(f"{field}.domain", "missing domain space")
     if "codomain" not in d:
@@ -63,7 +65,7 @@ def parse_operator(d, field: str = "operator") -> OperatorMatrix:
 
 def operator_to_json(T: OperatorMatrix) -> dict:
     return {
-        "rows": [[float(v) for v in row] for row in T.entries],
+        "rows": T.entries.tolist(),
         "domain": space_to_json(T.domain),
         "codomain": space_to_json(T.codomain),
     }
@@ -80,22 +82,18 @@ def load_operator(path: str, field: str = "operator") -> OperatorMatrix:
     return parse_operator(data, field)
 
 
-def face_pattern_str(f: Face) -> str:
-    return "".join("+" if v > 0 else "-" if v < 0 else "0" for v in f.pattern)
-
-
 def point_to_json(x: Point) -> dict:
-    return {"coords": [float(v) for v in x.coords], "space": space_to_json(x.space)}
+    return {"coords": x.coords.tolist(), "space": space_to_json(x.space)}
 
 
 def attainment_to_json(M: AttainmentSet) -> dict:
     out = {"kind": M.kind, "value": float(M.value), "space": space_to_json(M.space)}
     if M.kind == "faces":
-        out["faces"] = [face_pattern_str(f) for f in M.faces]
+        out["faces"] = [f.signs for f in M.faces]
     elif M.kind == "points":
-        out["points"] = [[float(v) for v in row] for row in M.points]
+        out["points"] = M.points.tolist()
     else:
-        out["basis"] = [[float(v) for v in row] for row in M.basis]
+        out["basis"] = M.basis.tolist()
     return out
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -18,6 +18,7 @@ from .errors import (
     DegenerateBasisError,
     MixedSpacesError,
     NormNotOneError,
+    NotDiscreteError,
     UnsupportedSpaceError,
     ZeroOperatorError,
 )
@@ -26,15 +27,14 @@ from .sampling import sphere_grid
 from .spaces import (
     TAU_EQ,
     TAU_OPT,
-    Face,
     Point,
     SpaceSpec,
     face_containment,
+    is_smooth_point,
     lp_circle,
     pnorm,
     points_distance,
     polyhedral_table,
-    subspace_distance,
 )
 
 TAU_GAP = 1e-8     # singular-value gap deciding dim H_0
@@ -200,8 +200,6 @@ class AttainmentSet:
 
     def pair_count(self) -> int:
         """Number of +/- pairs for a discrete set."""
-        from .errors import NotDiscreteError
-
         if self.kind == "points":
             return len(self.points) // 2
         if self.kind == "faces" and all(f.dim == 0 for f in self.faces):
@@ -234,34 +232,41 @@ def attainment_equal(a: AttainmentSet, b: AttainmentSet, tol: float = 1e-7) -> b
     return bool(a.distance_to(rb).max() < tol and b.distance_to(ra).max() < tol)
 
 
+def _refined_maxima(t: np.ndarray, h: np.ndarray, val):
+    """Golden-section refinement of the local maxima of a pi-periodic
+    objective sampled as h at the equispaced parameters t of [0, pi).
+
+    `val(theta)` is the objective negated.  Returns the refined
+    (theta mod pi, value) pairs and the largest value.
+    """
+    left, right = np.roll(h, 1), np.roll(h, -1)
+    # plateaus (constant stretches, up to rounding noise) contribute one
+    # candidate at most, via the global argmax; otherwise require a rise
+    # above the floating-point noise floor on the two sides combined
+    keep = (h >= left) & (h >= right) & ((h - left) + (h - right) > 1e-13 * np.maximum(1.0, h))
+    keep[np.argmax(h)] = True
+    step = math.pi / len(t)
+    candidates = []
+    for i in np.flatnonzero(keep):
+        tt, negv = golden_section_min(val, t[i] - step, t[i] + step, tol=TAU_OPT)
+        candidates.append((tt % math.pi, -negv))
+    return candidates, max(v for _, v in candidates)
+
+
 def _lp2_local_maxima(T: OperatorMatrix, resolution: int):
-    """Grid + golden-section refinement of ||T gamma(t)|| on the l_p circle."""
+    """Grid + golden-section refinement of ||T gamma(t)|| on the l_p circle;
+    refuses domains of other dimensions."""
+    if T.domain.n != 2:
+        raise UnsupportedSpaceError(
+            f"operator norm on {T.domain} is out of desk scale (1<p<inf, p!=2 needs n=2)"
+        )
     p = T.domain.p
     t = np.linspace(0.0, math.pi, resolution, endpoint=False)
-    h = T.image_norms(lp_circle(p, t))
-    n = len(t)
-    step = math.pi / n
 
     def val(tt):
         return -float(pnorm(T.apply(lp_circle(p, tt)), T.codomain.p))
 
-    best_val = -np.inf
-    candidates = []
-    top = int(np.argmax(h))
-    for i in range(n):
-        left, right = h[(i - 1) % n], h[(i + 1) % n]
-        # plateaus (constant stretches, up to rounding noise) contribute one
-        # candidate at most, via the global argmax; otherwise require a rise
-        # above the floating-point noise floor on the two sides combined
-        if not (h[i] >= left and h[i] >= right):
-            continue
-        if (h[i] - left) + (h[i] - right) <= 1e-13 * max(1.0, h[i]) and i != top:
-            continue
-        a, b = t[i] - step, t[i] + step
-        tt, negv = golden_section_min(val, a, b, tol=TAU_OPT)
-        candidates.append((tt % math.pi, -negv))
-        best_val = max(best_val, -negv)
-    return candidates, best_val
+    return _refined_maxima(t, T.image_norms(lp_circle(p, t)), val)
 
 
 def op_norm(T: OperatorMatrix) -> tuple[float, Point]:
@@ -281,13 +286,9 @@ def op_norm(T: OperatorMatrix) -> tuple[float, Point]:
     if dom.hilbert and T.codomain.hilbert:
         U, s, Vt = np.linalg.svd(T.entries)
         return float(s[0]), Point(Vt[0], dom)
-    if dom.n == 2:
-        candidates, best = _lp2_local_maxima(T, DEFAULT_RESOLUTION)
-        tt = max(candidates, key=lambda c: c[1])[0]
-        return best, Point(lp_circle(dom.p, tt), dom)
-    raise UnsupportedSpaceError(
-        f"operator norm on {dom} is out of desk scale (1<p<inf, p!=2 needs n=2)"
-    )
+    candidates, best = _lp2_local_maxima(T, DEFAULT_RESOLUTION)
+    tt = max(candidates, key=lambda c: c[1])[0]
+    return best, Point(lp_circle(dom.p, tt), dom)
 
 
 def require_norm_one(T: OperatorMatrix, what: str = "operator") -> tuple[float, Point]:
@@ -311,6 +312,14 @@ def _polyhedral_attainment(T: OperatorMatrix, value: float) -> AttainmentSet:
     return AttainmentSet("faces", value, T.domain, faces=faces)
 
 
+def orthogonal_complement(Q: np.ndarray) -> np.ndarray:
+    """An orthonormal basis, one column each, of the orthogonal complement
+    of the span of the orthonormal columns of Q."""
+    n, k = Q.shape
+    full, _ = np.linalg.qr(np.concatenate([Q, np.eye(n)], axis=1))
+    return full[:, k:n]
+
+
 def _orthonormal(basis: np.ndarray) -> np.ndarray:
     Q, R = np.linalg.qr(basis)
     keep = np.abs(np.diag(R)) > 1e-12
@@ -327,25 +336,29 @@ def attainment_set(T: OperatorMatrix, resolution: int = DEFAULT_RESOLUTION) -> A
     the top singular value (gap TAU_GAP).  Other 2-D domains: refined point
     pairs.
     """
-    value, _ = op_norm(T)
+    dom = T.domain
+    if dom.polyhedral:
+        value, _ = op_norm(T)
+    elif dom.hilbert and T.codomain.hilbert:
+        _, s, Vt = np.linalg.svd(T.entries)
+        value = float(s[0])
+    else:
+        candidates, value = _lp2_local_maxima(T, resolution)
     if value <= 0.0:
         raise ZeroOperatorError("the zero operator attains nothing")
-    dom = T.domain
     if dom.polyhedral:
         return _polyhedral_attainment(T, value)
     if dom.hilbert and T.codomain.hilbert:
-        _, s, Vt = np.linalg.svd(T.entries)
         k = int((s >= s[0] - TAU_GAP * max(s[0], 1.0)).sum())
         return AttainmentSet("subspace", value, dom, basis=Vt[:k].T.copy())
-    candidates, best = _lp2_local_maxima(T, resolution)
     pts = []
     for tt, v in candidates:
-        if v >= best * (1.0 - TAU_EQ):
+        if v >= value * (1.0 - TAU_EQ):
             x = lp_circle(dom.p, tt)
             if not pts or points_distance(x, np.array(pts), dom.p) > TAU_DEDUP:
                 pts.append(x)
     pts = pts + [-x for x in pts]
-    return AttainmentSet("points", best, dom, points=np.array(pts))
+    return AttainmentSet("points", value, dom, points=np.array(pts))
 
 
 def approx_attainment(
@@ -373,30 +386,50 @@ class DeltaSearch:
 DELTA_FLOOR = 1e-6
 
 
+def delta_descent(norms, dists, top: float, eps: float, mask: np.ndarray):
+    """The geometric delta descent of the uniform inclusion test.
+
+    Sample row i has image norm norms[i] and distance dists[i] to the
+    target set.  Returns (delta, worst distance, None) for the first delta
+    of top/2, top/4, ... down to DELTA_FLOOR*top whose rows with
+    norms > top - delta all lie below eps; else (None, its distance, index)
+    of the farthest row with norms > top - DELTA_FLOOR*top, or
+    (None, -inf, None) without one.  `mask`, one flag per row, is scratch.
+    """
+    delta = top / 2.0
+    while delta >= DELTA_FLOOR * top:
+        np.greater(norms, top - delta, out=mask)
+        worst = float(dists.max(where=mask, initial=-np.inf))
+        if worst < eps:
+            return delta, worst, None
+        delta /= 2.0
+    np.greater(norms, top - DELTA_FLOOR * top, out=mask)
+    if not mask.any():
+        return None, -np.inf, None
+    idx = int(np.argmax(np.where(mask, dists, -np.inf)))
+    return None, float(dists[idx]), idx
+
+
 def delta_for_epsilon(
     T: OperatorMatrix, eps: float, resolution: int = DEFAULT_RESOLUTION
 ) -> DeltaSearch:
     """Largest grid delta with sampled M_T(delta) inside eps-balls of M_T.
 
-    The delta grid is geometric, ||T||*2^-k down to 1e-6*||T||.  The
-    certificate is valid at the stated sampling resolution only.
+    The delta grid is geometric, ||T||*2^-k down to DELTA_FLOOR*||T||.  On
+    failure the counterexample is the sample farthest from M_T among those
+    with ||Tz|| > ||T||(1 - DELTA_FLOOR), None when no sample is that close
+    to norming.  The certificate is valid at the stated sampling resolution
+    only.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    value, _ = op_norm(T)
     M = attainment_set(T, resolution=resolution)
     X = sphere_grid(T.domain, resolution)
-    norms = T.image_norms(X)
-    dists = M.distance_to(X)
-    delta = value / 2.0
-    worst_idx = None
-    while delta >= DELTA_FLOOR * value:
-        mask = norms > value - delta
-        if not mask.any() or dists[mask].max() < eps:
-            return DeltaSearch(True, delta, None, resolution)
-        worst_idx = np.argmax(np.where(mask, dists, -np.inf))
-        delta /= 2.0
-    z = Point(X[worst_idx], T.domain) if worst_idx is not None else None
+    mask = np.empty(len(X), dtype=bool)
+    delta, _, idx = delta_descent(T.image_norms(X), M.distance_to(X), M.value, eps, mask)
+    if delta is not None:
+        return DeltaSearch(True, delta, None, resolution)
+    z = None if idx is None else Point(X[idx], T.domain)
     return DeltaSearch(False, None, z, resolution)
 
 
@@ -429,15 +462,8 @@ def restricted_norm(T: OperatorMatrix, basis) -> float:
             )
 
         t = np.linspace(0.0, math.pi, 2048, endpoint=False)
-        h = np.array([-val(tt) for tt in t])
-        best = -np.inf
-        for i in range(len(t)):
-            if h[i] >= h[(i - 1) % len(t)] and h[i] >= h[(i + 1) % len(t)]:
-                _, negv = golden_section_min(
-                    val, t[i] - math.pi / 2048, t[i] + math.pi / 2048, tol=TAU_OPT
-                )
-                best = max(best, -negv)
-        return best
+        V = np.outer(np.cos(t), b1) + np.outer(np.sin(t), b2)
+        return _refined_maxima(t, T.image_norms(V) / pnorm(V, dom.p, axis=1), val)[1]
     raise UnsupportedSpaceError("restricted norm supports dim(Z) <= 2 off Hilbert space")
 
 
@@ -448,6 +474,4 @@ def is_smooth_operator(T: OperatorMatrix) -> bool:
     if not M.is_single_pair():
         return False
     x0 = M.representative_points()[0]
-    from .spaces import is_smooth_point
-
     return is_smooth_point(Point(T.apply(x0), T.codomain))

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from .errors import UnsupportedSpaceError
-from .spaces import INF, SpaceSpec, lp_circle, pnorm
+from .spaces import INF, SpaceSpec, exponent_str, lp_circle
 
 
 @functools.lru_cache(maxsize=64)
@@ -24,8 +24,6 @@ def sphere_grid(space: SpaceSpec, resolution: int) -> np.ndarray:
     Per-face grids for polyhedral spaces, the trigonometric parametrization
     for 2-D l_p spheres, a Fibonacci grid for the Euclidean 2-sphere.
     """
-    from .spaces import exponent_str
-
     pts = _cached_grid(exponent_str(space.p), space.n, int(resolution))
     return pts
 

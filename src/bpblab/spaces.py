@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 import numpy as np
 from scipy.integrate import quad
@@ -177,22 +177,13 @@ def dual_space(s: SpaceSpec) -> SpaceSpec:
 
 
 def extreme_points(s: SpaceSpec) -> list[Point]:
-    """Extreme points of the unit ball; polyhedral spaces only."""
+    """Extreme points of the unit ball, in `PolyhedralTable.vertices`
+    order; polyhedral spaces only."""
     if not s.polyhedral:
         raise UnsupportedSpaceError(
             "extreme points of a strictly convex ball form the whole sphere"
         )
-    pts = []
-    if s.p == INF:
-        for signs in itertools.product((-1.0, 1.0), repeat=s.n):
-            pts.append(Point(np.array(signs), s))
-    else:
-        for i in range(s.n):
-            for sgn in (1.0, -1.0):
-                e = np.zeros(s.n)
-                e[i] = sgn
-                pts.append(Point(e, s))
-    return pts
+    return [Point(v, s) for v in polyhedral_table(s).vertices]
 
 
 @dataclass(frozen=True)
@@ -248,11 +239,13 @@ class Face:
             out.append(v)
         return np.array(out)
 
+    @property
+    def signs(self) -> str:
+        """The sign pattern as a string such as "+0-"."""
+        return "".join("+" if v > 0 else "-" if v < 0 else "0" for v in self.pattern)
+
     def relative_interior_coords(self) -> np.ndarray:
-        if self.space.p == INF:
-            return np.array(self.pattern, dtype=float)
-        verts = self.vertices()
-        return verts.mean(axis=0)
+        return face_barycentres(self.space, self.pattern)[0]
 
     def contains_face(self, other: "Face") -> bool:
         """Whether `other` is a (not necessarily proper) subface of this face."""
@@ -295,8 +288,7 @@ class Face:
         return np.add(out, np.abs(np.subtract(pos, 1.0, out=pos), out=pos), out=out)
 
     def __repr__(self):
-        s = "".join("+" if v > 0 else "-" if v < 0 else "0" for v in self.pattern)
-        return f"Face({self.space}, {s})"
+        return f"Face({self.space}, {self.signs})"
 
 
 def enumerate_faces(s: SpaceSpec) -> list[Face]:
@@ -320,6 +312,16 @@ def face_containment(s: SpaceSpec, big, small) -> np.ndarray:
         free = b == 0 if s.p == INF else q == 0
         C &= free | (b == q)
     return C
+
+
+def face_barycentres(s: SpaceSpec, patterns) -> np.ndarray:
+    """Barycentres of the faces with the given sign patterns, one row each:
+    the pattern itself for a cube face, pattern / |support| for a
+    cross-polytope face."""
+    P = np.atleast_2d(patterns).astype(float)
+    if s.p == 1:
+        P /= np.abs(P).sum(axis=1, keepdims=True)
+    return P
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -362,10 +364,7 @@ class PolyhedralTable:
 
     @functools.cached_property
     def barycentres(self) -> np.ndarray:
-        P = self.patterns.astype(float)
-        if self.space.p == 1:
-            P /= np.abs(P).sum(axis=1, keepdims=True)
-        return _read_only(P)
+        return _read_only(face_barycentres(self.space, self.patterns))
 
 
 @functools.lru_cache(maxsize=32)
@@ -382,14 +381,6 @@ def points_distance(x_coords, pts, p: Exponent) -> float:
     """Min l_p distance from a single vector to a finite point list."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     return float(pnorm(pts - np.asarray(x_coords, dtype=float), p, axis=1).min())
-
-
-def subspace_distance(x_coords, basis) -> float:
-    """Euclidean distance to a subspace given an orthonormal basis (columns)."""
-    Q = np.asarray(basis, dtype=float)
-    x = np.asarray(x_coords, dtype=float)
-    r = x - Q @ (Q.T @ x)
-    return float(np.linalg.norm(r))
 
 
 def distance_point_to_set(x: Point, S) -> float:

@@ -36,9 +36,10 @@ from bpblab import (
     sbpbp_counterexample_family,
     verify_uniform_bpb,
 )
-from bpblab.bpbverify import _complement, _random_linf_candidates
+from bpblab.bpbverify import _random_linf_candidates
 from bpblab.classify import census_lookup
 from bpblab.errors import ObstructionError
+from bpblab.operators import orthogonal_complement
 
 
 def run_criterion(k, budget, body):
@@ -110,7 +111,7 @@ def _hilbert_iff_pairs():
             v, _ = op_norm(operator(M, l2(3), l2(3)))
             T = operator(M / v, l2(3), l2(3))
             H0 = attainment_set(T).basis
-            cond = restricted_norm(T, _complement(H0)) < 1.0 - 1e-9
+            cond = restricted_norm(T, orthogonal_complement(H0)) < 1.0 - 1e-9
             try:
                 rep = hilbert_rotate_approx(T, eps)
                 succeeded = True

@@ -217,3 +217,59 @@ class TestResolutionBoundaries:
         f = op_file("t.json", [[1, 0], [1, 0]], LINF2, LINF2)
         assert main(["attain", "--operator", f, "--no-timestamp"]) == 2
         assert "BPBLAB_DEFAULT_RESOLUTION" in capsys.readouterr().err
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_entry_names_rows(self, tmp_path, capsys, entry):
+        path = tmp_path / "t.json"
+        path.write_text(
+            '{"rows": [[1, %s], [0, 1]], "domain": {"p": "inf", "n": 2}, '
+            '"codomain": {"p": "inf", "n": 2}}' % entry
+        )
+        assert main(["norm", "--operator", str(path), "--no-timestamp"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "operator.rows" in captured.err
+
+    @pytest.mark.parametrize("command", ["verify", "approx"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf", "0", "-0.5", "x"])
+    def test_eps_must_be_finite_and_positive(self, op_file, capsys, command, value):
+        f = op_file("t.json", [[1, 0], [1, 0]], LINF2, LINF2)
+        if command == "verify":
+            argv = ["verify", "--T", f, "--A", f, "--eps", value]
+        else:
+            argv = ["approx", "--operator", f, "--construction", "linf", "--eps", value]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--no-timestamp"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--eps" in captured.err
+
+    @pytest.mark.parametrize("value", ["0.2,inf", "nan", "0.2,0", ","])
+    def test_eps_list_items_must_be_finite_and_positive(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--pair", "linf2", "--seed", "1", "--eps-list", value])
+        assert exc.value.code == 2
+        assert "--eps-list" in capsys.readouterr().err
+
+
+class TestEnumerationGuards:
+    @pytest.fixture(autouse=True)
+    def no_enumeration(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"enumeration of size {n} started")
+
+        monkeypatch.setattr("bpblab.classify.all_signed_permutations", refuse)
+
+    def test_isometries_refuse_n8_before_building(self, capsys):
+        # 2^8 * 8! = 10,321,920 matrices
+        assert main(["isometries", "--p", "3", "--n", "8", "--no-timestamp"]) == 2
+        err = capsys.readouterr().err
+        assert "n = 8" in err and "1000000" in err
+
+    def test_orbit_refuses_n5_before_building(self, op_file, capsys):
+        # (2^5 * 5!)^2 = 14,745,600 products
+        l1_5 = {"p": "1", "n": 5}
+        f = op_file("t.json", np.eye(5).tolist(), l1_5, l1_5)
+        assert main(["orbit", "--operator", f, "--no-timestamp"]) == 2
+        assert "n = 5" in capsys.readouterr().err

@@ -1,0 +1,331 @@
+"""Differential tests of the consolidated kernels against the code they replaced.
+
+The references below are the earlier implementations, kept verbatim in
+logic: the per-point neighbour scan of the l_p^2 maximum search, the
+scalar-evaluation search of `restricted_norm` on 2-D subspaces, the delta
+descent written inline in `verify_uniform_bpb` and `delta_for_epsilon`, the
+vertex loops of `extreme_points` and the facet loop of
+`property_p_witness`.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from bpblab import (
+    attainment_set,
+    delta_for_epsilon,
+    enumerate_extreme_linf3_l13,
+    extreme_points,
+    l1,
+    l2,
+    linf,
+    lp,
+    op_norm,
+    operator,
+    property_p_witness,
+    restricted_norm,
+    verify_uniform_bpb,
+)
+from bpblab.bpbverify import _sample_buffers
+from bpblab.operators import (
+    DELTA_FLOOR,
+    OperatorMatrix,
+    _lp2_local_maxima,
+    require_norm_one,
+)
+from bpblab.optim import golden_section_min
+from bpblab.sampling import sphere_grid
+from bpblab.spaces import INF, TAU_OPT, enumerate_faces, lp_circle, pnorm, pnorm_into
+
+
+# ---------------------------------------------------------------------------
+# The replaced implementations.
+# ---------------------------------------------------------------------------
+
+
+def loop_lp2_local_maxima(T, resolution):
+    """Grid + golden-section refinement, one neighbour test per grid point."""
+    p = T.domain.p
+    t = np.linspace(0.0, math.pi, resolution, endpoint=False)
+    h = T.image_norms(lp_circle(p, t))
+    n = len(t)
+    step = math.pi / n
+
+    def val(tt):
+        return -float(pnorm(T.apply(lp_circle(p, tt)), T.codomain.p))
+
+    best_val = -np.inf
+    candidates = []
+    top = int(np.argmax(h))
+    for i in range(n):
+        left, right = h[(i - 1) % n], h[(i + 1) % n]
+        if not (h[i] >= left and h[i] >= right):
+            continue
+        if (h[i] - left) + (h[i] - right) <= 1e-13 * max(1.0, h[i]) and i != top:
+            continue
+        a, b = t[i] - step, t[i] + step
+        tt, negv = golden_section_min(val, a, b, tol=TAU_OPT)
+        candidates.append((tt % math.pi, -negv))
+        best_val = max(best_val, -negv)
+    return candidates, best_val
+
+
+def loop_restricted_norm_2d(T, B):
+    """sup of ||Tv||/||v|| over span(B), B of two columns: 2048 scalar
+    evaluations, then golden section at every weak local maximum."""
+    b1, b2 = B[:, 0], B[:, 1]
+
+    def val(theta):
+        v = math.cos(theta) * b1 + math.sin(theta) * b2
+        return -float(pnorm(T.apply(v), T.codomain.p) / pnorm(v, T.domain.p))
+
+    t = np.linspace(0.0, math.pi, 2048, endpoint=False)
+    h = np.array([-val(tt) for tt in t])
+    best = -np.inf
+    for i in range(len(t)):
+        if h[i] >= h[(i - 1) % len(t)] and h[i] >= h[(i + 1) % len(t)]:
+            _, negv = golden_section_min(
+                val, t[i] - math.pi / 2048, t[i] + math.pi / 2048, tol=TAU_OPT
+            )
+            best = max(best, -negv)
+    return best
+
+
+def inline_verify(T, A, eps, resolution):
+    """verify_uniform_bpb with its delta descent written inline; returns
+    (status, eps, delta_found, resolution, worst_distance, counterexample
+    coords or None, operator_distance)."""
+    _, witness = require_norm_one(T, "T")
+    require_norm_one(A, "A")
+    dist, _ = op_norm(T - A)
+    if dist >= eps:
+        return ("falsified", eps, None, resolution, math.inf, None, dist)
+    MA = attainment_set(A)
+    X, images, work, mask = _sample_buffers(T.domain, resolution, T.codomain.n)
+    X[-1] = witness.coords
+    norms, dists = work[0], work[1]
+    pnorm_into(np.matmul(X, T.entries.T, out=images), T.codomain.p, 1, norms)
+    MA.distance_to(X, out=dists, work=work[2:])
+    delta = 0.5
+    while delta >= DELTA_FLOOR:
+        np.greater(norms, 1.0 - delta, out=mask)
+        worst = float(dists.max(where=mask, initial=-np.inf))
+        if worst < eps:
+            return ("certified", eps, delta, resolution, worst, None, dist)
+        delta /= 2.0
+    mask = norms > 1.0 - DELTA_FLOOR
+    idx = int(np.argmax(np.where(mask, dists, -np.inf)))
+    return ("falsified", eps, None, resolution, float(dists[idx]), X[idx].copy(), dist)
+
+
+def inline_delta_search(T, eps, resolution):
+    """delta_for_epsilon's own descent: (succeeded, delta)."""
+    value, _ = op_norm(T)
+    M = attainment_set(T, resolution=resolution)
+    X = sphere_grid(T.domain, resolution)
+    norms = T.image_norms(X)
+    dists = M.distance_to(X)
+    delta = value / 2.0
+    while delta >= DELTA_FLOOR * value:
+        mask = norms > value - delta
+        if not mask.any() or dists[mask].max() < eps:
+            return True, delta
+        delta /= 2.0
+    return False, None
+
+
+def loop_extreme_points(s):
+    if s.p == INF:
+        return [np.array(signs) for signs in itertools.product((-1.0, 1.0), repeat=s.n)]
+    pts = []
+    for i in range(s.n):
+        for sgn in (1.0, -1.0):
+            e = np.zeros(s.n)
+            e[i] = sgn
+            pts.append(e)
+    return pts
+
+
+def loop_facet_witness(A):
+    """The farthest facet barycentre from M_A, first one on ties, and r0."""
+    dom = A.domain
+    MA = attainment_set(A)
+    best = None
+    for f in enumerate_faces(dom):
+        if f.dim != dom.n - 1:
+            continue
+        x = f.vertices().mean(axis=0) if dom.p == 1 else np.array(f.pattern, dtype=float)
+        d = float(MA.distance_to(x[None, :])[0])
+        if best is None or d > best[1]:
+            best = (x, d)
+    return best[0], best[1] / 2.0
+
+
+# ---------------------------------------------------------------------------
+# Inputs.
+# ---------------------------------------------------------------------------
+
+
+def _unit(M, dom, cod):
+    T = OperatorMatrix(M, dom, cod)
+    v, _ = op_norm(T)
+    return OperatorMatrix(M / v, dom, cod)
+
+
+def lp2_operators(count, seed):
+    """Operators on 2-D strictly convex domains (and the Euclidean plane
+    into non-Euclidean codomains), Gaussian or rounded to small integers,
+    whose flat stretches exercise the plateau rule; one zero operator."""
+    rng = np.random.default_rng(seed)
+    domains = [lp(3, 2), lp(4, 2), lp("4/3", 2), lp("3/2", 2), lp("5/2", 2), l2(2)]
+    codomains = [(INF, 2), (1, 2), (3, 2), (2, 3), (INF, 3), (4, 1), ("4/3", 3)]
+    ops = [OperatorMatrix(np.zeros((2, 2)), lp(3, 2), lp(3, 2))]
+    while len(ops) < count:
+        dom = domains[len(ops) % len(domains)]
+        q, m = codomains[(len(ops) // len(domains)) % len(codomains)]
+        cod = lp(q, m)
+        if dom.hilbert and cod.hilbert:
+            cod = linf(m)
+        M = rng.standard_normal((m, 2))
+        if len(ops) % 3 == 0:
+            M = np.round(2.0 * M)
+        ops.append(OperatorMatrix(M, dom, cod))
+    return ops
+
+
+# ---------------------------------------------------------------------------
+# Oracles.
+# ---------------------------------------------------------------------------
+
+
+def test_vectorised_scan_gives_the_loop_candidates():
+    ops = lp2_operators(520, seed=3)
+    for k, T in enumerate(ops):
+        resolution = (256, 1024, 4096)[k % 3]
+        want = loop_lp2_local_maxima(T, resolution)
+        got = _lp2_local_maxima(T, resolution)
+        assert got == want, (T, resolution)
+
+
+def test_restricted_norm_matches_scalar_search():
+    rng = np.random.default_rng(11)
+    pairs = [
+        (lp(3, 3), lp(4, 2)),
+        (linf(3), l1(3)),
+        (l1(3), lp(3, 3)),
+        (lp("3/2", 3), linf(2)),
+        (lp(4, 2), lp(3, 3)),
+        (l2(3), l1(2)),
+    ]
+    for k in range(30):
+        dom, cod = pairs[k % len(pairs)]
+        M = rng.standard_normal((cod.n, dom.n))
+        if k % 4 == 0:
+            M = np.round(M)
+            M[0, 0] = 1.0
+        T = OperatorMatrix(M, dom, cod)
+        B = rng.standard_normal((dom.n, 2))
+        want = loop_restricted_norm_2d(T, B)
+        got = restricted_norm(T, B)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), (T, B)
+
+
+def _polyhedral_triples():
+    rng = np.random.default_rng(5)
+    census = enumerate_extreme_linf3_l13()
+    triples = []
+    for T in census[::6]:
+        A = _unit(T.entries + 0.05 * rng.standard_normal((3, 3)), T.domain, T.codomain)
+        triples.append((T, A))
+    for dom, cod in [(linf(2), linf(2)), (l1(3), l1(3)), (linf(3), l1(2)), (l1(2), linf(3))]:
+        for _ in range(6):
+            M = rng.standard_normal((cod.n, dom.n))
+            if rng.random() < 0.5:
+                M = np.round(M)
+                M[0, 0] = 2.0
+            T = _unit(M, dom, cod)
+            A = _unit(T.entries + 0.1 * rng.standard_normal(M.shape), dom, cod)
+            triples.append((T, A))
+    return triples
+
+
+def _hilbert_triples():
+    rng = np.random.default_rng(9)
+    triples = []
+    for n in (2, 3, 2, 3, 3):
+        s = l2(n)
+        for _ in range(4):
+            T = _unit(rng.standard_normal((n, n)), s, s)
+            A = _unit(T.entries + 0.1 * rng.standard_normal((n, n)), s, s)
+            triples.append((T, A))
+    return triples
+
+
+@pytest.mark.parametrize("triples", [_polyhedral_triples, _hilbert_triples], ids=["polyhedral", "hilbert"])
+def test_delta_descent_gives_the_inline_certificates(triples):
+    statuses = set()
+    for k, (T, A) in enumerate(triples()):
+        for eps in (0.15, 0.4, 1.2):
+            resolution = (256, 1024)[k % 2]
+            want = inline_verify(T, A, eps, resolution)
+            cert = verify_uniform_bpb(T, A, eps, resolution=resolution)
+            z = None if cert.counterexample is None else cert.counterexample.coords
+            got = (cert.status, cert.eps, cert.delta_found, cert.resolution,
+                   cert.worst_distance, z, cert.operator_distance)
+            assert got[:5] == want[:5] and got[6] == want[6], (T, A, eps)
+            if want[5] is None:
+                assert z is None
+            else:
+                assert np.array_equal(z, want[5])
+            statuses.add(cert.status)
+    assert statuses == {"certified", "falsified"}
+
+
+def test_delta_for_epsilon_keeps_its_delta_and_takes_the_floor_counterexample():
+    cases = [(T, eps) for T, _ in _polyhedral_triples() + _hilbert_triples() for eps in (0.05, 0.3)]
+    # a second direction nearly attaining, far from M_T: no delta passes
+    for s in (l2(2), l2(3), linf(2), l1(2)):
+        cases.append((operator(np.diag([1.0] + [1.0 - 1e-7] * (s.n - 1)), s, s), 0.3))
+    outcomes = set()
+    for T, eps in cases:
+        ok, delta = inline_delta_search(T, eps, 1024)
+        res = delta_for_epsilon(T, eps, resolution=1024)
+        assert (res.succeeded, res.delta) == (ok, delta)
+        outcomes.add(ok)
+        if ok:
+            continue
+        # the counterexample is the farthest sample with ||Tz|| > ||T||(1 - DELTA_FLOOR)
+        value, _ = op_norm(T)
+        M = attainment_set(T, resolution=1024)
+        X = sphere_grid(T.domain, 1024)
+        near = T.image_norms(X) > value - DELTA_FLOOR * value
+        z = res.counterexample.coords
+        assert float(T.image_norms(z[None, :])[0]) > value - DELTA_FLOOR * value
+        assert float(M.distance_to(z[None, :])[0]) == M.distance_to(X[near]).max()
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("space", [linf(1), linf(2), linf(3), linf(4), l1(1), l1(2), l1(3), l1(5)])
+def test_extreme_points_are_the_loop_vertices(space):
+    got = {tuple(p.coords) for p in extreme_points(space)}
+    want = {tuple(v) for v in loop_extreme_points(space)}
+    assert got == want and len(extreme_points(space)) == len(want)
+
+
+def test_facet_witness_matches_the_facet_loop():
+    rng = np.random.default_rng(21)
+    ops = enumerate_extreme_linf3_l13()[::9]
+    for dom, cod in [(linf(2), linf(2)), (l1(3), l1(3)), (linf(3), l1(2)), (l1(2), linf(2))]:
+        for _ in range(5):
+            M = rng.standard_normal((cod.n, dom.n))
+            if rng.random() < 0.5:
+                M = np.round(M)
+                M[0, 0] = 2.0
+            ops.append(_unit(M, dom, cod))
+    for A in ops:
+        x, r0 = loop_facet_witness(A)
+        w = property_p_witness(A)
+        assert np.array_equal(w.x_A.coords, x) and w.r0 == r0, A
