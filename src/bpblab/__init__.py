@@ -66,8 +66,6 @@ from .spaces import (
     arc_length_constant,
     arc_length_total,
     birkhoff_orthogonal,
-    distance_point_to_set,
-    dual_space,
     enumerate_faces,
     extreme_points,
     is_smooth_point,
@@ -77,7 +75,6 @@ from .spaces import (
     lp,
     norm,
     point,
-    relative_interior_point,
     support_functionals,
 )
 

@@ -226,7 +226,7 @@ def property_p_witness(A: OperatorMatrix, resolution: int = DEFAULT_RESOLUTION) 
             raise UnsupportedSpaceError("no facet interior point avoids M_A")
         return PropertyPWitness(A, Point(x, dom), d / 2.0)
     if dom.hilbert:
-        if MA.kind != "subspace":
+        if not A.codomain.hilbert:
             raise UnsupportedSpaceError("Hilbert witness needs a Hilbert codomain")
         x = orthogonal_complement(MA.basis)[:, 0]
         return PropertyPWitness(A, Point(x, dom), 1.0)
@@ -327,12 +327,12 @@ def hilbert_necessary_checks(
 
 
 def attainment_cardinality_check(T: OperatorMatrix, A: OperatorMatrix, eps: float) -> bool:
-    """Whether A attains on at least as many point pairs as T."""
+    """Whether A attains on at least as many point pairs as T, whose
+    attainment set must be refined points (a 2-D non-Euclidean domain)."""
     MT = attainment_set(T)
-    if MT.kind != "points":
+    if MT.points is None:
         raise NotDiscreteError("the attainment set of T is not a finite point set")
-    MA = attainment_set(A)
-    return MA.pair_count() >= MT.pair_count()
+    return attainment_set(A).pair_count() >= MT.pair_count()
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +399,8 @@ def pair_property_sweep(
     where available), routes each through the applicable constructor, and
     verifies every report.  Isometries are skipped by definition.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
     candidates: list[OperatorMatrix] = []
     same = spaceX.n == spaceY.n and spaceX.p == spaceY.p
@@ -409,7 +411,7 @@ def pair_property_sweep(
         for M in _random_linf_candidates(spaceX.n, trials, rng):
             candidates.append(OperatorMatrix(M.T, spaceX, spaceY))
     elif spaceX.p == INF and spaceX.n == 3 and spaceY.p == 1 and spaceY.n == 3:
-        candidates.extend(enumerate_extreme_linf3_l13()[: max(trials, 1)])
+        candidates.extend(enumerate_extreme_linf3_l13()[:trials])
     elif spaceX.hilbert and spaceY.hilbert and same and spaceX.n <= 3:
         while len(candidates) < trials:
             M = rng.standard_normal((spaceX.n, spaceX.n))

@@ -29,6 +29,7 @@ from .spaces import (
     TAU_OPT,
     Point,
     SpaceSpec,
+    face_barycentres,
     face_containment,
     is_smooth_point,
     lp_circle,
@@ -126,50 +127,60 @@ class AttainmentSet:
     def distance_to(self, X, out=None, work=None) -> np.ndarray:
         """Distance in the domain norm from each row of X to the set.
 
-        The result goes to `out` when it is given.  For faces, `work`,
-        shape (3, len(X)), is scratch, so with both given no array of
-        len(X) is allocated.
+        The result goes to `out`; `work`, shape (3, len(X)), is scratch.
+        Both are allocated when not given; with both given, faces and
+        subspaces allocate no array of len(X).
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        if out is None:
+            out = np.empty(len(X))
+        if work is None:
+            work = np.empty((3, len(X)))
         if self.kind == "faces":
-            if out is None:
-                out = np.empty(len(X))
-            if work is None:
-                work = np.empty((3, len(X)))
             out.fill(np.inf)
             for f in self.faces:
                 np.minimum(out, f.distance_to(X, work[0], work[1:]), out=out)
-            return out
-        if self.kind == "points":
-            diffs = X[:, None, :] - self.points[None, :, :]
-            d = pnorm(diffs, self.space.p, axis=2).min(axis=1)
+        elif self.kind == "points":
+            pnorm(X[:, None, :] - self.points[None, :, :], self.space.p, axis=2).min(axis=1, out=out)
+        elif self.basis.shape[1] == 0:
+            out.fill(np.inf)
         else:
-            d = self._subspace_distance(X)
-        if out is None:
-            return d
-        out[...] = d
+            # the nearest point of S_X /\ H_0 to x is the normalised
+            # projection: distance sqrt(||x||^2 + 1 - 2 ||Q^T x||)
+            tmp, qx = work[0], work[1]
+            out.fill(1.0)
+            for x in X.T:
+                np.add(out, np.multiply(x, x, out=tmp), out=out)
+            qx.fill(0.0)
+            for q in self.basis.T:
+                np.matmul(X, q, out=tmp)
+                np.add(qx, np.multiply(tmp, tmp, out=tmp), out=qx)
+            np.subtract(out, np.multiply(np.sqrt(qx, out=qx), 2.0, out=qx), out=out)
+            np.sqrt(np.maximum(out, 0.0, out=out), out=out)
         return out
 
-    def _subspace_distance(self, X) -> np.ndarray:
-        # subspace: Euclidean residual, then renormalised? The set is
-        # S_X /\ H_0; for p = 2 the nearest point of the set to a unit vector
-        # is the normalised projection, at distance sqrt(2 - 2*||proj||).
-        Q = self.basis
-        proj = X @ Q @ Q.T
-        pn = np.linalg.norm(proj, axis=1)
-        xn = np.linalg.norm(X, axis=1)
-        if Q.shape[1] == 0:
-            return np.full(len(X), np.inf)
-        # distance from x to the unit sphere of H_0
-        inner = np.einsum("ij,ij->i", X, proj)
-        d2 = xn ** 2 + 1.0 - 2.0 * np.where(pn > 0, inner / np.maximum(pn, 1e-300), 0.0)
-        return np.sqrt(np.maximum(d2, 0.0))
+    def finite_points(self) -> Optional[np.ndarray]:
+        """The set as +/- rows when it is finite, else None: the points,
+        the vertices of faces that all have dimension 0, or +/-q of a 1-D
+        subspace."""
+        if self.kind == "points":
+            return self.points
+        if self.kind == "faces":
+            if any(f.dim for f in self.faces):
+                return None
+            # a 0-dimensional face is the vertex its sign pattern names
+            return np.array([f.pattern for f in self.faces], dtype=float)
+        if self.subspace_dim > 1:
+            return None
+        return np.concatenate([self.basis.T, -self.basis.T])
 
     def representative_points(self) -> np.ndarray:
         """Unit vectors representing the set, one row each."""
         if self.kind == "faces":
-            reps = [f.relative_interior_coords() for f in self.faces]
-            verts = np.concatenate([f.vertices() for f in self.faces], axis=0)
+            table = polyhedral_table(self.space)
+            patterns = [f.pattern for f in self.faces]
+            verts = table.vertices[face_containment(self.space, patterns, table.vertices).any(axis=0)]
+            reps = face_barycentres(self.space, patterns)
             return np.unique(np.round(np.concatenate([reps, verts]), 12), axis=0)
         if self.kind == "points":
             return self.points
@@ -184,29 +195,16 @@ class AttainmentSet:
 
     @property
     def subspace_dim(self) -> int:
-        if self.kind != "subspace":
+        if self.basis is None:
             raise UnsupportedSpaceError("not a subspace attainment set")
         return self.basis.shape[1]
 
-    def is_full_sphere(self) -> bool:
-        return self.kind == "subspace" and self.subspace_dim == self.space.n
-
-    def is_single_pair(self) -> bool:
-        if self.kind == "points":
-            return len(self.points) == 2
-        if self.kind == "subspace":
-            return self.subspace_dim == 1
-        return len(self.faces) == 2 and all(f.dim == 0 for f in self.faces)
-
     def pair_count(self) -> int:
         """Number of +/- pairs for a discrete set."""
-        if self.kind == "points":
-            return len(self.points) // 2
-        if self.kind == "faces" and all(f.dim == 0 for f in self.faces):
-            return len(self.faces) // 2
-        if self.kind == "subspace" and self.subspace_dim == 1:
-            return 1
-        raise NotDiscreteError("attainment set is not a finite point set")
+        P = self.finite_points()
+        if P is None:
+            raise NotDiscreteError("attainment set is not a finite point set")
+        return len(P) // 2
 
 
 def attainment_equal(a: AttainmentSet, b: AttainmentSet, tol: float = 1e-7) -> bool:
@@ -470,8 +468,7 @@ def restricted_norm(T: OperatorMatrix, basis) -> float:
 def is_smooth_operator(T: OperatorMatrix) -> bool:
     """True iff M_T is a single +/- pair and the image of the attaining
     direction is a smooth point of the codomain."""
-    M = attainment_set(T)
-    if not M.is_single_pair():
+    P = attainment_set(T).finite_points()
+    if P is None or len(P) != 2:
         return False
-    x0 = M.representative_points()[0]
-    return is_smooth_point(Point(T.apply(x0), T.codomain))
+    return is_smooth_point(Point(T.apply(P[0]), T.codomain))

@@ -15,11 +15,15 @@ from .spaces import INF, SpaceSpec, exponent_str, lp_circle
 @functools.lru_cache(maxsize=64)
 def _cached_grid(p_key, n, resolution):
     space = SpaceSpec(p_key if p_key != "inf" else INF, n)
-    return _build_grid(space, resolution)
+    grid = _build_grid(space, resolution)
+    # one array shared by every caller: a write would corrupt them all
+    grid.setflags(write=False)
+    return grid
 
 
 def sphere_grid(space: SpaceSpec, resolution: int) -> np.ndarray:
-    """A deterministic sample of S_X with roughly `resolution` points.
+    """A deterministic, read-only sample of S_X with roughly `resolution`
+    points.
 
     Per-face grids for polyhedral spaces, the trigonometric parametrization
     for 2-D l_p spheres, a Fibonacci grid for the Euclidean 2-sphere.
@@ -49,23 +53,14 @@ def _build_grid(space: SpaceSpec, resolution: int) -> np.ndarray:
 
 
 def _linf_grid(n: int, resolution: int) -> np.ndarray:
-    """Grid over the 2n facets x_j = +/-1 of the cube."""
+    """Grid over the 2n facets x_j = +/-1 of the cube: one lattice of the
+    free coordinates, with the fixed one inserted per facet."""
     per_facet = max(resolution // (2 * n), 2)
     k = max(int(round(per_facet ** (1.0 / (n - 1)))), 2)
     axis = np.linspace(-1.0, 1.0, k)
-    out = []
-    for j in range(n):
-        for sgn in (1.0, -1.0):
-            for free in itertools.product(axis, repeat=n - 1):
-                v = np.empty(n)
-                v[j] = sgn
-                idx = 0
-                for i in range(n):
-                    if i != j:
-                        v[i] = free[idx]
-                        idx += 1
-                out.append(v)
-    return np.unique(np.array(out), axis=0)
+    lattice = np.stack(np.meshgrid(*[axis] * (n - 1), indexing="ij"), axis=-1).reshape(-1, n - 1)
+    facets = [np.insert(lattice, j, sgn, axis=1) for j in range(n) for sgn in (1.0, -1.0)]
+    return np.unique(np.concatenate(facets), axis=0)
 
 
 def _l1_grid(n: int, resolution: int) -> np.ndarray:

@@ -85,7 +85,12 @@ class SpaceSpec:
         return self.p == 2
 
     def dual(self) -> "SpaceSpec":
-        return dual_space(self)
+        """Conjugate-exponent space: 1/p + 1/q = 1, with 1 <-> inf."""
+        if self.p == INF:
+            return SpaceSpec(Fraction(1), self.n)
+        if self.p == 1:
+            return SpaceSpec(INF, self.n)
+        return SpaceSpec(self.p / (self.p - 1), self.n)
 
     def __repr__(self):
         return f"l_{exponent_str(self.p)}^{self.n}"
@@ -166,16 +171,6 @@ def norm(x: Point) -> float:
     return x.norm()
 
 
-def dual_space(s: SpaceSpec) -> SpaceSpec:
-    """Conjugate-exponent space: 1/p + 1/q = 1, with 1 <-> inf."""
-    if s.p == INF:
-        return SpaceSpec(Fraction(1), s.n)
-    if s.p == 1:
-        return SpaceSpec(INF, s.n)
-    q = s.p / (s.p - 1)
-    return SpaceSpec(q, s.n)
-
-
 def extreme_points(s: SpaceSpec) -> list[Point]:
     """Extreme points of the unit ball, in `PolyhedralTable.vertices`
     order; polyhedral spaces only."""
@@ -215,29 +210,11 @@ class Face:
             return self.space.n - nz
         return nz - 1
 
-    @property
-    def support(self) -> tuple:
-        return tuple(i for i, v in enumerate(self.pattern) if v != 0)
-
     def vertices(self) -> np.ndarray:
-        """Extreme points of the face, one per row."""
-        n = self.space.n
-        if self.space.p == INF:
-            free = [i for i, v in enumerate(self.pattern) if v == 0]
-            base = np.array(self.pattern, dtype=float)
-            out = []
-            for signs in itertools.product((-1.0, 1.0), repeat=len(free)):
-                v = base.copy()
-                for i, sgn in zip(free, signs):
-                    v[i] = sgn
-                out.append(v)
-            return np.array(out)
-        out = []
-        for i in self.support:
-            v = np.zeros(n)
-            v[i] = self.pattern[i]
-            out.append(v)
-        return np.array(out)
+        """Extreme points of the face, one per row, in
+        `PolyhedralTable.vertices` order."""
+        V = polyhedral_table(self.space).vertices
+        return V[face_containment(self.space, [self.pattern], V)[0]]
 
     @property
     def signs(self) -> str:
@@ -373,39 +350,10 @@ def polyhedral_table(s: SpaceSpec) -> PolyhedralTable:
     return PolyhedralTable(s)
 
 
-def relative_interior_point(face: Face) -> Point:
-    return Point(face.relative_interior_coords(), face.space)
-
-
 def points_distance(x_coords, pts, p: Exponent) -> float:
     """Min l_p distance from a single vector to a finite point list."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     return float(pnorm(pts - np.asarray(x_coords, dtype=float), p, axis=1).min())
-
-
-def distance_point_to_set(x: Point, S) -> float:
-    """inf over S of ||x - s|| in x's own norm.
-
-    S may be a Face, a finite collection of Points (or an array of rows), or
-    any object exposing a vectorized ``distance_to`` (an AttainmentSet).
-    """
-    if isinstance(S, Face):
-        if S.space != x.space:
-            raise MixedSpacesError("point and face in different spaces")
-        return float(S.distance_to(x.coords[None, :])[0])
-    if hasattr(S, "distance_to"):
-        return float(np.atleast_1d(S.distance_to(x.coords[None, :]))[0])
-    if isinstance(S, np.ndarray):
-        return points_distance(x.coords, S, x.space.p)
-    pts = []
-    for s in S:
-        if isinstance(s, Point):
-            if s.space != x.space:
-                raise MixedSpacesError("points in different spaces")
-            pts.append(s.coords)
-        else:
-            pts.append(np.asarray(s, dtype=float))
-    return points_distance(x.coords, np.array(pts), x.space.p)
 
 
 @dataclass(frozen=True)
@@ -432,8 +380,17 @@ class SupportSet:
                 raise MixedSpacesError("functional not in the dual space")
 
 
+def _supporting_vertices(x: Point, nx: float) -> np.ndarray:
+    """The vertices f of the dual ball of a polyhedral space with
+    f(x) >= ||x|| (1 - TAU_EQ): the extreme points of J(x)."""
+    V = polyhedral_table(x.space.dual()).vertices
+    return V[V @ x.coords >= nx * (1.0 - TAU_EQ)]
+
+
 def support_functionals(x: Point) -> SupportSet:
-    """The supporting functionals J(x) of a nonzero vector."""
+    """The supporting functionals J(x) of a nonzero vector: the duality
+    map on strictly convex spaces, else the supporting vertices of the
+    dual ball in `PolyhedralTable.vertices` order."""
     nx = x.norm()
     if nx == 0.0:
         raise ZeroVectorError("J(x) is undefined for x = 0")
@@ -444,29 +401,8 @@ def support_functionals(x: Point) -> SupportSet:
         pf = s.pf
         f = np.sign(c) * np.abs(c) ** (pf - 1.0) / nx ** (pf - 1.0)
         return SupportSet(x, (Point(f, dual),), True)
-    if s.p == INF:
-        gens = []
-        for i in range(s.n):
-            if abs(abs(c[i]) - nx) <= TAU_EQ * nx:
-                e = np.zeros(s.n)
-                e[i] = math.copysign(1.0, c[i])
-                gens.append(Point(e, dual))
-        return SupportSet(x, tuple(gens), len(gens) == 1)
-    # l_1: f_i = sign(x_i) on the support, any value in [-1, 1] off it.
-    supp = [i for i in range(s.n) if abs(c[i]) > TAU_EQ * nx]
-    free = [i for i in range(s.n) if i not in supp]
-    base = np.zeros(s.n)
-    for i in supp:
-        base[i] = math.copysign(1.0, c[i])
-    gens = []
-    for signs in itertools.product((-1.0, 1.0), repeat=len(free)):
-        f = base.copy()
-        for i, sgn in zip(free, signs):
-            f[i] = sgn
-        gens.append(Point(f, dual))
-    if not free:
-        gens = [Point(base, dual)]
-    return SupportSet(x, tuple(gens), len(free) == 0)
+    gens = tuple(Point(f, dual) for f in _supporting_vertices(x, nx))
+    return SupportSet(x, gens, len(gens) == 1)
 
 
 def is_smooth_point(x: Point) -> bool:
@@ -474,13 +410,7 @@ def is_smooth_point(x: Point) -> bool:
     nx = x.norm()
     if nx == 0.0:
         raise ZeroVectorError("smoothness is undefined for x = 0")
-    s = x.space
-    if s.strictly_convex:
-        return True
-    c = np.abs(x.coords)
-    if s.p == INF:
-        return int((c >= nx * (1.0 - TAU_EQ)).sum()) == 1
-    return bool((c > TAU_EQ * nx).all())
+    return x.space.strictly_convex or len(_supporting_vertices(x, nx)) == 1
 
 
 def birkhoff_orthogonal(x: Point, y: Point, strong: bool = False) -> bool:

@@ -80,19 +80,22 @@ class TestVerifyUniformBpb:
 
     def test_polyhedral_verify_reuses_its_grid_arrays(self):
         # every array over the 16384-point grid is 0.1-0.4 MB; after the
-        # first call none of them is allocated again
-        s = l1(3)
-        T = operator(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]).T, s, s)
-        A = l1_extreme_approx(T, 0.3).approximant
-        first = verify_uniform_bpb(T, A, 0.3, resolution=16384)
-        tracemalloc.start()
-        try:
-            again = verify_uniform_bpb(T, A, 0.3, resolution=16384)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert again == first and first.certified
-        assert peak < 64 * 1024
+        # first call none of them is allocated again, on a polyhedral
+        # domain (face distances) or a Euclidean one (subspace distances)
+        s, h = l1(3), l2(3)
+        L = operator(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]).T, s, s)
+        H = operator(np.diag([1.0, 1.0, 0.5]), h, h)
+        for T, A in ((L, l1_extreme_approx(L, 0.3).approximant),
+                     (H, hilbert_rotate_approx(H, 0.3).approximant)):
+            first = verify_uniform_bpb(T, A, 0.3, resolution=16384)
+            tracemalloc.start()
+            try:
+                again = verify_uniform_bpb(T, A, 0.3, resolution=16384)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert again == first and first.certified
+            assert peak < 64 * 1024, T.domain
 
     def test_threads_do_not_share_grid_arrays(self):
         s = linf(3)
@@ -279,6 +282,12 @@ class TestSweep:
     def test_hilbert_pair(self):
         s = pair_property_sweep(l2(2), l2(2), [0.2], trials=5, seed=4)
         assert not s.failures
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_rejected(self, trials):
+        for X, Y in ((linf(2), linf(2)), (l2(2), l2(2)), (linf(3), l1(3))):
+            with pytest.raises(ValueError, match="trials must be at least 1"):
+                pair_property_sweep(X, Y, [0.2], trials=trials, seed=1)
 
     def test_unsupported_pair(self):
         with pytest.raises(UnsupportedPairError):

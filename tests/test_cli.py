@@ -211,6 +211,16 @@ class TestResolutionBoundaries:
         assert exc.value.code == 2
         assert "--resolution" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pair", ["linf2", "l22", "linf3-l13"])
+    @pytest.mark.parametrize("value", ["-3", "0", "two"])
+    def test_sweep_trials_below_one_rejected(self, capsys, pair, value):
+        # a sweep over no operators printed "total": 0 and exited 0
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--pair", pair, "--trials", value, "--seed", "1", "--no-timestamp"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--trials" in captured.err
+
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_bad_env_default_names_variable(self, op_file, capsys, monkeypatch, value):
         monkeypatch.setenv("BPBLAB_DEFAULT_RESOLUTION", value)

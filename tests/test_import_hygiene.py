@@ -1,8 +1,11 @@
-"""Every bpblab module imports only what it uses, at module level.
+"""Every bpblab module imports only what it uses, at module level, and
+only `operators` and `jsonio` read the kind of an attainment set.
 
 Package-relative imports inside functions hide the module graph and are
 never needed to break a cycle here; an unused import is dead code.  The
-package `__init__` re-exports names and is exempt.
+package `__init__` re-exports names and is exempt.  Everywhere else an
+attainment set is asked `finite_points()`, `representative_points()` or
+`distance_to()`, so its kind string is decided in one place.
 """
 
 import ast
@@ -42,3 +45,27 @@ def test_package_imports_at_module_level(path):
         if isinstance(node, ast.ImportFrom) and node.level > 0 and id(node) not in top
     ]
     assert not nested, f"{path.name}: function-level package imports at lines {nested}"
+
+
+def _is_kind(node):
+    return isinstance(node, ast.Attribute) and node.attr == "kind"
+
+
+def _is_str(node):
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_is_str(e) for e in node.elts)
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in ("operators.py", "jsonio.py")], ids=lambda p: p.stem
+)
+def test_no_kind_string_comparisons(path):
+    sites = sorted(
+        node.lineno
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Compare)
+        and any(_is_kind(e) for e in (node.left, *node.comparators))
+        and any(_is_str(e) for e in (node.left, *node.comparators))
+    )
+    assert not sites, f"{path.name}: `.kind` compared with a string at lines {sites}"

@@ -109,11 +109,22 @@ class TestAttainmentSet:
 
     def test_identity_on_plane_is_full_sphere(self):
         M = attainment_set(operator(np.eye(2), l2(2), l2(2)))
-        assert M.kind == "subspace" and M.is_full_sphere()
+        assert M.kind == "subspace" and M.subspace_dim == M.space.n
 
     def test_hadamard_on_plane_is_full_sphere(self):
         M = attainment_set(hadamard(2))
-        assert M.kind == "subspace" and M.is_full_sphere()
+        assert M.kind == "subspace" and M.subspace_dim == M.space.n
+
+    def test_finite_points_of_each_kind(self):
+        P = attainment_set(hadamard(4)).finite_points()
+        assert P.shape == (4, 2)
+        P = attainment_set(operator(np.diag([1.0, 0.5]), l2(2), l2(2))).finite_points()
+        assert np.abs(np.abs(P) - np.eye(2)[[0, 0]]).max() < 1e-12 and np.array_equal(P[1], -P[0])
+        assert attainment_set(operator(np.eye(2), l2(2), l2(2))).finite_points() is None
+        M = attainment_set(operator(np.diag([1.0, 0.5]), l1(2), l1(2)))
+        assert {tuple(x) for x in M.finite_points()} == {(1.0, 0.0), (-1.0, 0.0)}
+        assert M.pair_count() == 1
+        assert attainment_set(operator([[1.0, 0.0], [0.0, 0.0]], linf(2), linf(2))).finite_points() is None
 
     def test_dominant_singular_direction(self):
         M = attainment_set(operator(np.diag([1.0, 0.5]), l2(2), l2(2)))
@@ -195,6 +206,16 @@ class TestApproxAttainment:
         small_set = {tuple(p) for p in small}
         large_set = {tuple(p) for p in large}
         assert small_set <= large_set
+
+
+class TestSphereGrid:
+    @pytest.mark.parametrize("space", [linf(1), linf(3), l1(3), l2(2), lp(4, 2), l2(3), l2(4)])
+    def test_grids_are_read_only(self, space):
+        # one cached array serves every caller at this resolution
+        X = sphere_grid(space, 256)
+        with pytest.raises(ValueError):
+            X[0, 0] = 2.0
+        assert sphere_grid(space, 256) is X
 
 
 class TestDeltaForEpsilon:

@@ -13,8 +13,6 @@ from bpblab import (
     arc_length_constant,
     arc_length_total,
     birkhoff_orthogonal,
-    distance_point_to_set,
-    dual_space,
     enumerate_faces,
     extreme_points,
     is_smooth_point,
@@ -24,7 +22,6 @@ from bpblab import (
     lp,
     norm,
     point,
-    relative_interior_point,
     support_functionals,
 )
 from bpblab.errors import (
@@ -33,7 +30,7 @@ from bpblab.errors import (
     UnsupportedSpaceError,
     ZeroVectorError,
 )
-from bpblab.spaces import lp_circle, pnorm
+from bpblab.spaces import lp_circle, pnorm, points_distance
 
 
 class TestNorm:
@@ -54,9 +51,9 @@ class TestNorm:
 
 class TestDuality:
     def test_conjugate_pairs(self):
-        assert dual_space(linf(3)) == l1(3)
-        assert dual_space(l2(5)) == l2(5)
-        assert dual_space(lp(4, 2)) == lp(Fraction(4, 3), 2)
+        assert linf(3).dual() == l1(3)
+        assert l2(5).dual() == l2(5)
+        assert lp(4, 2).dual() == lp(Fraction(4, 3), 2)
 
     @given(
         st.one_of(
@@ -67,7 +64,7 @@ class TestDuality:
     )
     def test_involution(self, p, n):
         s = lp(p, n)
-        assert dual_space(dual_space(s)) == s
+        assert s.dual().dual() == s
 
     def test_rejects_p_below_one(self):
         with pytest.raises(UnsupportedExponentError):
@@ -114,10 +111,10 @@ class TestFaces:
             assert len(enumerate_faces(l1(n))) == 3 ** n - 1
 
     def test_relative_interior_points(self):
-        assert tuple(relative_interior_point(Face(linf(2), (1, 0))).coords) == (1, 0)
-        ri = relative_interior_point(Face(l1(2), (1, 1)))
-        assert tuple(ri.coords) == (0.5, 0.5)
-        assert tuple(relative_interior_point(Face(linf(3), (0, 0, -1))).coords) == (
+        assert tuple(Face(linf(2), (1, 0)).relative_interior_coords()) == (1, 0)
+        ri = Face(l1(2), (1, 1)).relative_interior_coords()
+        assert tuple(ri) == (0.5, 0.5)
+        assert tuple(Face(linf(3), (0, 0, -1)).relative_interior_coords()) == (
             0,
             0,
             -1,
@@ -126,9 +123,9 @@ class TestFaces:
     def test_every_interior_point_is_on_sphere_and_on_face(self):
         for s in (linf(2), linf(3), l1(2), l1(3)):
             for f in enumerate_faces(s):
-                x = relative_interior_point(f)
-                assert x.norm() == pytest.approx(1.0, abs=1e-12)
-                assert distance_point_to_set(x, f) == pytest.approx(0.0, abs=1e-12)
+                x = f.relative_interior_coords()
+                assert pnorm(x, s.p) == pytest.approx(1.0, abs=1e-12)
+                assert float(f.distance_to(x[None, :])[0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_bad_pattern_rejected(self):
         with pytest.raises(OutOfRangeError):
@@ -140,13 +137,13 @@ class TestFaces:
 class TestDistances:
     def test_point_list(self):
         x = point([0.0, 1.0], l2(2))
-        assert distance_point_to_set(x, [point([1.0, 0.0], l2(2))]) == pytest.approx(
+        assert points_distance(x.coords, [point([1.0, 0.0], l2(2)).coords], x.space.p) == pytest.approx(
             math.sqrt(2)
         )
 
     def test_point_on_face(self):
         x = point([0.5, 1.0], linf(2))
-        assert distance_point_to_set(x, Face(linf(2), (0, 1))) == 0.0
+        assert float(Face(linf(2), (0, 1)).distance_to(x.coords[None, :])[0]) == 0.0
 
     def test_linf_face_clamping_oracle(self):
         # brute force over a fine grid of the face {x1 = 1, |x2| <= 1}
@@ -233,7 +230,7 @@ class TestSupportFunctionals:
             for _ in range(20):
                 x = rng.standard_normal(s.n)
                 f = rng.standard_normal(s.n)
-                f = f / pnorm(f, dual_space(s).p)
+                f = f / pnorm(f, s.dual().p)
                 assert float(f @ x) <= pnorm(x, s.p) + 1e-9
 
     def test_zero_vector_rejected(self):
