@@ -69,7 +69,7 @@ class ApproximantReport:
     construction: str
 
 
-def _finish(T, A, eps, construction, expect_preserved=True, allow_equal=False):
+def _finish(T, A, eps, construction, expect_preserved=True):
     """Measure the report fields and enforce the constructor contract."""
     value, _ = op_norm(A)
     if abs(value - 1.0) > 1e-7:
@@ -77,7 +77,7 @@ def _finish(T, A, eps, construction, expect_preserved=True, allow_equal=False):
     dist, _ = op_norm(T - A)
     if not dist < eps:
         raise ConstructionError(f"distance {dist} is not below eps={eps}")
-    if not allow_equal and dist <= 1e-14:
+    if dist <= 1e-14:
         raise ConstructionError("approximant coincides with the input operator")
     MT = attainment_set(T)
     MA = attainment_set(A)
@@ -159,10 +159,8 @@ def convex_witness_approx(
     ||T-T1||/n falls below eps.
     """
     _check_eps(eps)
-    for S in (T1, T2):
-        v, _ = op_norm(S)
-        if abs(v - 1.0) > 1e-7:
-            raise NormNotOneError("both endpoint operators must have norm one")
+    require_norm_one(T1, "T1")
+    require_norm_one(T2, "T2")
     mid = 0.5 * (T1.entries + T2.entries)
     if np.abs(mid - T.entries).max() > TAU_EQ:
         raise NotAMidpointError("T is not the midpoint of (T1, T2)")

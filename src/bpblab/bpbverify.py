@@ -37,6 +37,7 @@ from .operators import (
 )
 from .sampling import sphere_grid
 from .spaces import (
+    ARC_TABLE_SIZE,
     INF,
     Point,
     SpaceSpec,
@@ -44,7 +45,6 @@ from .spaces import (
     _interp_on_curve,
     arc_length_constant,
     arc_length_total,
-    exponent_str,
     pnorm,
     pnorm_into,
     polyhedral_table,
@@ -239,7 +239,7 @@ def property_p_witness(A: OperatorMatrix, resolution: int = DEFAULT_RESOLUTION) 
         L = arc_length_total(p)
         pts = MA.points
         # arc-length positions of the attainment points on the circle
-        tab_pts, s = _arc_table(exponent_str(p), 1 << 15)
+        tab_pts, s = _arc_table(p, ARC_TABLE_SIZE)
         occupied = set()
         for q in pts:
             i = int(np.argmin(np.linalg.norm(tab_pts - q, axis=1)))

@@ -17,16 +17,13 @@ import numpy as np
 
 from .errors import InfiniteGroupError, OutOfRangeError, WrongSpacesError
 from .operators import OperatorMatrix, op_norm, require_norm_one
-from .spaces import INF, TAU_EQ, SpaceSpec, l1, linf, pnorm, polyhedral_table
-
-# The most matrices one signed-permutation enumeration may build: 2^n * n!
-# for the isometries of l_p^n (n <= 7), its square for an orbit (n <= 4).
-ENUMERATION_LIMIT = 10 ** 6
+from .spaces import ENUMERATION_LIMIT, INF, TAU_EQ, SpaceSpec, l1, linf, pnorm, polyhedral_table
 
 
 def _check_enumeration_size(n: int, power: int) -> None:
     """Refuse, before building any, to enumerate (2^n * n!)^power matrices
-    when that is more than ENUMERATION_LIMIT."""
+    when that is more than ENUMERATION_LIMIT: 2^n * n! for the isometries
+    of l_p^n (n <= 7), its square for an orbit (n <= 4)."""
     count = 1
     for k in range(1, n + 1):
         count *= 2 * k  # 2^k * k!

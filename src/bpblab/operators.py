@@ -34,6 +34,7 @@ from .spaces import (
     is_smooth_point,
     lp_circle,
     pnorm,
+    pnorm_into,
     points_distance,
     polyhedral_table,
 )
@@ -128,8 +129,8 @@ class AttainmentSet:
         """Distance in the domain norm from each row of X to the set.
 
         The result goes to `out`; `work`, shape (3, len(X)), is scratch.
-        Both are allocated when not given; with both given, faces and
-        subspaces allocate no array of len(X).
+        Both are allocated when not given; with both given, no array of
+        len(X) is allocated.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if out is None:
@@ -141,7 +142,11 @@ class AttainmentSet:
             for f in self.faces:
                 np.minimum(out, f.distance_to(X, work[0], work[1:]), out=out)
         elif self.kind == "points":
-            pnorm(X[:, None, :] - self.points[None, :, :], self.space.p, axis=2).min(axis=1, out=out)
+            # points sets live on 2-D domains: work[:2] holds X - q by columns
+            out.fill(np.inf)
+            for q in self.points:
+                np.subtract(X.T, q[:, None], out=work[:2])
+                np.minimum(out, pnorm_into(work[:2], self.space.p, 0, work[2]), out=out)
         elif self.basis.shape[1] == 0:
             out.fill(np.inf)
         else:

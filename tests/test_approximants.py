@@ -32,6 +32,7 @@ from bpblab.errors import (
     IsIsometryError,
     NotAMidpointError,
     NotInEnumerationError,
+    NormNotOneError,
     NotRankOneError,
     ObstructionError,
     ZeroOnX2Error,
@@ -108,6 +109,12 @@ class TestConvexWitness:
     def test_degenerate_witness(self):
         with pytest.raises(DegenerateWitnessError):
             convex_witness_approx(self.T1, self.T1, self.T1, 0.1)
+
+    def test_endpoint_norms_must_be_one(self):
+        long = operator([[1.1, 0.0], [0.0, 0.5]], linf(2), linf(2))
+        for T1, T2, name in ((long, self.T2, "T1"), (self.T1, long, "T2")):
+            with pytest.raises(NormNotOneError, match=name):
+                convex_witness_approx(0.5 * (T1 + T2), T1, T2, 0.1)
 
 
 class TestDirectSumShrink:

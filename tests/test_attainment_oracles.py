@@ -3,14 +3,15 @@ code they replaced.
 
 The references below are the earlier implementations, kept verbatim in
 logic: the sign loop of `Face.vertices`, the per-coordinate rules of
-`support_functionals` and `is_smooth_point`, the whole-array subspace
-distance of `AttainmentSet.distance_to`, `pair_count` and `is_single_pair`
+`support_functionals` and `is_smooth_point`, the whole-array subspace and
+point distances of `AttainmentSet.distance_to`, `pair_count` and `is_single_pair`
 branching on the kind, `is_smooth_operator` on top of them, and the point
 loop of `sampling._linf_grid`.
 """
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,8 +33,8 @@ from bpblab import (
 )
 from bpblab.errors import NotDiscreteError
 from bpblab.operators import OperatorMatrix
-from bpblab.sampling import _linf_grid
-from bpblab.spaces import INF, TAU_EQ, Point
+from bpblab.sampling import _linf_grid, sphere_grid
+from bpblab.spaces import INF, TAU_EQ, Point, pnorm
 
 # ---------------------------------------------------------------------------
 # The replaced implementations.
@@ -105,6 +106,10 @@ def whole_array_subspace_distance(Q, X):
     inner = np.einsum("ij,ij->i", X, proj)
     d2 = xn ** 2 + 1.0 - 2.0 * np.where(pn > 0, inner / np.maximum(pn, 1e-300), 0.0)
     return np.sqrt(np.maximum(d2, 0.0))
+
+
+def broadcast_points_distance(M, X):
+    return pnorm(X[:, None, :] - M.points[None, :, :], M.space.p, axis=2).min(axis=1)
 
 
 def kind_is_single_pair(M):
@@ -255,6 +260,36 @@ def test_in_place_subspace_distance_matches_the_whole_array_one():
     assert worst <= 1e-7
     empty = AttainmentSet("subspace", 1.0, l2(3), basis=np.zeros((3, 0)))
     assert np.isinf(empty.distance_to(np.eye(3))).all()
+
+
+def test_in_place_point_distance_is_the_broadcast_one():
+    rng = np.random.default_rng(29)
+    for p in (3, 4, "4/3", "3/2"):
+        s = lp(p, 2)
+        X = np.concatenate([sphere_grid(s, 1024), rng.standard_normal((200, 2))])
+        out, work = np.empty(len(X)), np.empty((3, len(X)))
+        for _ in range(15):
+            M = attainment_set(_unit(rng.standard_normal((2, 2)), s))
+            assert M.kind == "points"
+            assert M.distance_to(X, out=out, work=work) is out
+            assert np.array_equal(out, broadcast_points_distance(M, X)), p
+            assert np.array_equal(M.distance_to(X), out)
+
+
+def test_point_distance_with_buffers_allocates_no_rows():
+    s = lp(3, 2)
+    M = attainment_set(OperatorMatrix(np.array([[1.0, 0.3], [-0.2, 0.9]]), s, s))
+    X = sphere_grid(s, 16384)
+    out, work = np.empty(len(X)), np.empty((3, len(X)))
+    M.distance_to(X, out=out, work=work)
+    tracemalloc.start()
+    try:
+        M.distance_to(X, out=out, work=work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one row of the grid is 128 KB
+    assert peak < 16 * 1024
 
 
 def _unit(M, s):

@@ -5,10 +5,14 @@ Package-relative imports inside functions hide the module graph and are
 never needed to break a cycle here; an unused import is dead code.  The
 package `__init__` re-exports names and is exempt.  Everywhere else an
 attainment set is asked `finite_points()`, `representative_points()` or
-`distance_to()`, so its kind string is decided in one place.
+`distance_to()`, so its kind string is decided in one place.  numpy is the
+only runtime dependency: importing bpblab loads no scipy module.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,3 +73,11 @@ def test_no_kind_string_comparisons(path):
         and any(_is_str(e) for e in (node.left, *node.comparators))
     )
     assert not sites, f"{path.name}: `.kind` compared with a string at lines {sites}"
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, bpblab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"

@@ -12,6 +12,7 @@ from bpblab import (
     Point,
     arc_length_constant,
     arc_length_total,
+    attainment_set,
     birkhoff_orthogonal,
     enumerate_faces,
     extreme_points,
@@ -21,6 +22,8 @@ from bpblab import (
     linf,
     lp,
     norm,
+    op_norm,
+    operator,
     point,
     support_functionals,
 )
@@ -30,7 +33,8 @@ from bpblab.errors import (
     UnsupportedSpaceError,
     ZeroVectorError,
 )
-from bpblab.spaces import lp_circle, pnorm, points_distance
+from bpblab import spaces
+from bpblab.spaces import lp_circle, pnorm, points_distance, polyhedral_table
 
 
 class TestNorm:
@@ -132,6 +136,34 @@ class TestFaces:
             Face(linf(2), (0, 0))
         with pytest.raises(OutOfRangeError):
             Face(l1(2), (2, 0))
+
+
+def refuse_enumeration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated despite the size guard")
+
+    monkeypatch.setattr(spaces.itertools, "product", refuse)
+
+
+class TestPolyhedralTableGuard:
+    """The table refuses, before enumerating anything, a ball with more
+    than ENUMERATION_LIMIT vertices (l_inf^20) or faces (n = 13)."""
+
+    def test_cube_vertices(self, monkeypatch):
+        refuse_enumeration(monkeypatch)
+        with pytest.raises(OutOfRangeError, match="n = 20"):
+            op_norm(operator(np.ones((1, 20)), linf(20), l1(1)))
+
+    def test_dual_cube_vertices(self, monkeypatch):
+        refuse_enumeration(monkeypatch)
+        with pytest.raises(OutOfRangeError, match="n = 20"):
+            support_functionals(point(np.eye(20)[0], l1(20)))
+
+    def test_faces(self, monkeypatch):
+        polyhedral_table(linf(13))  # its 2^13 vertices are within the limit
+        refuse_enumeration(monkeypatch)
+        with pytest.raises(OutOfRangeError, match="n = 13"):
+            attainment_set(operator(np.eye(13), linf(13), linf(13)))
 
 
 class TestDistances:
