@@ -37,6 +37,7 @@ from .operators import (
     OperatorMatrix,
     attainment_equal,
     attainment_set,
+    norm_one_attainment_set,
     op_norm,
     orthogonal_complement,
     require_norm_one,
@@ -71,16 +72,13 @@ class ApproximantReport:
 
 def _finish(T, A, eps, construction, expect_preserved=True):
     """Measure the report fields and enforce the constructor contract."""
-    value, _ = op_norm(A)
-    if abs(value - 1.0) > 1e-7:
-        raise ConstructionError(f"approximant norm {value} is not 1")
+    MA = norm_one_attainment_set(A, "approximant", error=ConstructionError)
     dist, _ = op_norm(T - A)
     if not dist < eps:
         raise ConstructionError(f"distance {dist} is not below eps={eps}")
     if dist <= 1e-14:
         raise ConstructionError("approximant coincides with the input operator")
     MT = attainment_set(T)
-    MA = attainment_set(A)
     preserved = attainment_equal(MT, MA)
     if expect_preserved and not preserved:
         raise ConstructionError("attainment set was not preserved")

@@ -30,6 +30,7 @@ from .operators import (
     OperatorMatrix,
     attainment_set,
     delta_descent,
+    norm_one_attainment_set,
     op_norm,
     orthogonal_complement,
     require_norm_one,
@@ -42,6 +43,7 @@ from .spaces import (
     Point,
     SpaceSpec,
     _arc_table,
+    _arc_table_rows,
     _interp_on_curve,
     arc_length_constant,
     arc_length_total,
@@ -108,11 +110,10 @@ def verify_uniform_bpb(
     plus the norming vector of T, so no delta is certified on an empty set.
     """
     _, witness = require_norm_one(T, "T")
-    require_norm_one(A, "A")
+    MA = norm_one_attainment_set(A, "A")
     dist, _ = op_norm(T - A)
     if dist >= eps:
         return BpbCertificate("falsified", eps, None, resolution, math.inf, None, dist)
-    MA = attainment_set(A)
     X, images, work, mask = _sample_buffers(T.domain, resolution, T.codomain.n)
     X[-1] = witness.coords
     norms, dists = work[0], work[1]
@@ -209,11 +210,12 @@ def property_p_witness(A: OperatorMatrix, resolution: int = DEFAULT_RESOLUTION) 
     (2-D, integer p > 2), or any unit vector of the orthocomplement of the
     attainment subspace (Hilbert, r0 = 1 exactly).
     """
-    require_norm_one(A, "A")
     dom = A.domain
+    # an isometry has norm 1, so testing for one first refuses no operator
+    # that the norm-one rule would have refused
     if dom.n == A.codomain.n and dom.p == A.codomain.p and is_isometry(A):
         raise IsIsometryError("an isometry attains everywhere; no witness exists")
-    MA = attainment_set(A, resolution=resolution)
+    MA = norm_one_attainment_set(A, "A", resolution)
     if dom.polyhedral:
         table = polyhedral_table(dom)
         # a cube facet fixes one sign, a cross-polytope facet fixes all n
@@ -237,13 +239,10 @@ def property_p_witness(A: OperatorMatrix, resolution: int = DEFAULT_RESOLUTION) 
         pi = int(p)
         K = 2 * (16 * pi - 9)
         L = arc_length_total(p)
-        pts = MA.points
-        # arc-length positions of the attainment points on the circle
         tab_pts, s = _arc_table(p, ARC_TABLE_SIZE)
-        occupied = set()
-        for q in pts:
-            i = int(np.argmin(np.linalg.norm(tab_pts - q, axis=1)))
-            occupied.add(int(s[i] / (L / K)) % K)
+        # arc-length positions of the attainment points, binned into K arcs
+        rows = _arc_table_rows(p, ARC_TABLE_SIZE, MA.points)
+        occupied = set(((s[rows] / (L / K)).astype(int) % K).tolist())
         free = next(a for a in range(K) if a not in occupied)
         mid_s = (free + 0.5) * (L / K)
         x = _interp_on_curve(tab_pts, s, np.array([mid_s]))[0]

@@ -41,6 +41,7 @@ from .spaces import (
 
 TAU_GAP = 1e-8     # singular-value gap deciding dim H_0
 TAU_DEDUP = 1e-5   # dedup radius for point-pair attainment sets
+TAU_NORM_ONE = 1e-7  # largest | ||T|| - 1 | of an operator taken as norm one
 
 DEFAULT_RESOLUTION = 4096
 
@@ -294,11 +295,17 @@ def op_norm(T: OperatorMatrix) -> tuple[float, Point]:
     return best, Point(lp_circle(dom.p, tt), dom)
 
 
+def check_norm_one(value: float, what: str, error=NormNotOneError) -> None:
+    """Raise `error` naming `what` unless the norm `value` is 1 within
+    TAU_NORM_ONE."""
+    if abs(value - 1.0) > TAU_NORM_ONE:
+        raise error(f"{what} norm is {value}, expected 1")
+
+
 def require_norm_one(T: OperatorMatrix, what: str = "operator") -> tuple[float, Point]:
-    """op_norm(T), refusing operators whose norm is not 1 within 1e-7."""
+    """op_norm(T), refusing operators whose norm is not 1 within TAU_NORM_ONE."""
     value, witness = op_norm(T)
-    if abs(value - 1.0) > 1e-7:
-        raise NormNotOneError(f"{what} norm is {value}, expected 1")
+    check_norm_one(value, what)
     return value, witness
 
 
@@ -331,13 +338,16 @@ def _orthonormal(basis: np.ndarray) -> np.ndarray:
     return Q
 
 
-def attainment_set(T: OperatorMatrix, resolution: int = DEFAULT_RESOLUTION) -> AttainmentSet:
+def attainment_set(
+    T: OperatorMatrix, resolution: int = DEFAULT_RESOLUTION, check=None
+) -> AttainmentSet:
     """The norm attainment set M_T in its exact representation.
 
     Polyhedral domains: union of the maximal faces whose barycentre
     attains.  Hilbert-to-Hilbert: the right singular subspace of
     the top singular value (gap TAU_GAP).  Other 2-D domains: refined point
-    pairs.
+    pairs.  `check`, when given, is called with ||T|| before anything else
+    is decided from it.
     """
     dom = T.domain
     if dom.polyhedral:
@@ -347,6 +357,8 @@ def attainment_set(T: OperatorMatrix, resolution: int = DEFAULT_RESOLUTION) -> A
         value = float(s[0])
     else:
         candidates, value = _lp2_local_maxima(T, resolution)
+    if check is not None:
+        check(value)
     if value <= 0.0:
         raise ZeroOperatorError("the zero operator attains nothing")
     if dom.polyhedral:
@@ -362,6 +374,15 @@ def attainment_set(T: OperatorMatrix, resolution: int = DEFAULT_RESOLUTION) -> A
                 pts.append(x)
     pts = pts + [-x for x in pts]
     return AttainmentSet("points", value, dom, points=np.array(pts))
+
+
+def norm_one_attainment_set(
+    T: OperatorMatrix, what: str, resolution: int = DEFAULT_RESOLUTION, error=NormNotOneError
+) -> AttainmentSet:
+    """attainment_set(T), refused with `error` naming `what` before the set
+    is built when ||T|| is not 1 within TAU_NORM_ONE, the zero operator
+    included."""
+    return attainment_set(T, resolution, check=lambda value: check_norm_one(value, what, error))
 
 
 def approx_attainment(

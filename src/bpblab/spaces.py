@@ -525,6 +525,25 @@ def _interp_on_curve(pts, s, u):
     return np.stack([x, y], axis=-1)
 
 
+def _arc_table_rows(p: Exponent, m: int, Q) -> np.ndarray:
+    """For each point q (row of Q) of the l_p circle, the row of
+    _arc_table(p, m) nearest to q in the Euclidean norm, never the wrap row.
+
+    The inverse of lp_circle, t = atan2(sgn(y)|y|^(p/2), sgn(x)|x|^(p/2)),
+    names q's row up to rounding; the argmin runs over the two rows on
+    either side of it, cyclically.
+    """
+    pts, _ = _arc_table(p, m)
+    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    e = float(p) / 2.0
+    c, s = np.sign(Q.T) * np.abs(Q.T) ** e
+    guess = np.rint(np.mod(np.arctan2(s, c), 2.0 * math.pi) * (m / (2.0 * math.pi)))
+    # sorted, so that ties go to the lower row as in a full-table argmin
+    window = np.sort((guess.astype(int)[:, None] + np.arange(-2, 3)) % m, axis=1)
+    d = np.linalg.norm(pts[window] - Q[:, None, :], axis=2)
+    return window[np.arange(len(Q)), np.argmin(d, axis=1)]
+
+
 def _arc_constant_at(p: Exponent, eps: float, m: int) -> float:
     pts, s = _arc_table(p, m)
     L = s[-1]
@@ -540,16 +559,24 @@ def arc_length_constant(p, eps: float, resolution: int | None = None) -> float:
     Minimal l_p chord length between circle points at Euclidean arc
     separation eps (monotone chord-vs-arc on a convex curve reduces the
     search over separations >= eps to exactly eps).  The table resolution is
-    doubled until successive values agree to 1e-6 unless pinned explicitly.
+    doubled until successive values agree to 1e-6 unless `resolution` pins
+    it, to at least 2 segments.  Each (p, eps, resolution) is computed once.
     """
     p = as_exponent(p)
     if not (1 < p < INF):
         raise UnsupportedExponentError("arc-length constant needs 1 < p < inf")
+    if resolution is not None and not resolution >= 2:
+        raise OutOfRangeError(f"resolution must be at least 2, got {resolution}")
     L = arc_length_total(p)
     if not (0.0 < eps < L / 2.0):
         raise OutOfRangeError(f"eps must lie in (0, L/2) = (0, {L / 2.0})")
+    return _arc_length_constant(p, float(eps), None if resolution is None else int(resolution))
+
+
+@functools.lru_cache(maxsize=32)
+def _arc_length_constant(p: Exponent, eps: float, resolution: int | None) -> float:
     if resolution is not None:
-        return _arc_constant_at(p, eps, int(resolution))
+        return _arc_constant_at(p, eps, resolution)
     m = 1 << 13
     prev = _arc_constant_at(p, eps, m)
     while m < (1 << 17):
