@@ -70,15 +70,17 @@ class ApproximantReport:
     construction: str
 
 
-def _finish(T, A, eps, construction, expect_preserved=True):
-    """Measure the report fields and enforce the constructor contract."""
+def _finish(T, A, eps, construction, expect_preserved=True, MT=None):
+    """Measure the report fields and enforce the constructor contract;
+    `MT`, when given, is attainment_set(T) built by the caller."""
     MA = norm_one_attainment_set(A, "approximant", error=ConstructionError)
     dist, _ = op_norm(T - A)
     if not dist < eps:
         raise ConstructionError(f"distance {dist} is not below eps={eps}")
     if dist <= 1e-14:
         raise ConstructionError("approximant coincides with the input operator")
-    MT = attainment_set(T)
+    if MT is None:
+        MT = attainment_set(T)
     preserved = attainment_equal(MT, MA)
     if expect_preserved and not preserved:
         raise ConstructionError("attainment set was not preserved")
@@ -118,7 +120,11 @@ def rank_one_approx(T: OperatorMatrix, eps: float) -> ApproximantReport:
     of the functional f alone, is untouched.
     """
     _check_eps(eps, hi=4.0)
-    require_norm_one(T)
+    return _rank_one(T, norm_one_attainment_set(T, "operator"), eps)
+
+
+def _rank_one(T: OperatorMatrix, MT: AttainmentSet, eps: float) -> ApproximantReport:
+    """rank_one_approx of a norm-one T whose attainment set MT is built."""
     if T.codomain.n < 2:
         raise CodomainDimOneError("rank-one construction needs dim(codomain) > 1")
     f, w = _rank_one_factors(T)
@@ -145,7 +151,7 @@ def rank_one_approx(T: OperatorMatrix, eps: float) -> ApproximantReport:
     u = w + t * v
     u = u / float(pnorm(u, p))
     A = OperatorMatrix(np.outer(u, f), T.domain, T.codomain)
-    return _finish(T, A, eps, "rank_one")
+    return _finish(T, A, eps, "rank_one", MT=MT)
 
 
 def convex_witness_approx(
@@ -197,10 +203,15 @@ def direct_sum_shrink_approx(
     orthogonal to X2.
     """
     _check_eps(eps)
-    require_norm_one(T)
-    n_dim = T.domain.n
-    B1, B2, P1, P2 = _decomposition_projectors(X1_basis, X2_basis, n_dim)
-    MT = attainment_set(T)
+    return _direct_sum_shrink(T, norm_one_attainment_set(T, "operator"), X1_basis, X2_basis, eps)
+
+
+def _direct_sum_shrink(
+    T: OperatorMatrix, MT: AttainmentSet, X1_basis, X2_basis, eps: float
+) -> ApproximantReport:
+    """direct_sum_shrink_approx of a norm-one T whose attainment set MT is
+    built."""
+    B1, B2, P1, P2 = _decomposition_projectors(X1_basis, X2_basis, T.domain.n)
     reps = MT.representative_points()
     if np.abs(reps @ P2.T).max() > 1e-7:
         raise NotComplementaryError("attainment set is not contained in X1")
@@ -214,7 +225,7 @@ def direct_sum_shrink_approx(
                 raise OrthogonalityError("X1 is not Birkhoff-James orthogonal to X2")
     n = _shrink_index(2.0, eps)
     A = OperatorMatrix(T.entries @ (P1 + (1.0 - 1.0 / n) * P2), T.domain, T.codomain)
-    return _finish(T, A, eps, f"direct_sum_shrink(n={n})")
+    return _finish(T, A, eps, f"direct_sum_shrink(n={n})", MT=MT)
 
 
 def linf_extreme_approx(T: OperatorMatrix, eps: float) -> ApproximantReport:
@@ -328,7 +339,7 @@ def hilbert_rotate_approx(
     _check_eps(eps)
     if not (T.domain.hilbert and T.codomain.hilbert):
         raise WrongSpacesError("construction requires Hilbert domain and codomain")
-    require_norm_one(T)
+    MT = norm_one_attainment_set(T, "operator")
     n = T.domain.n
     if attained_subspace is not None:
         Q0 = np.atleast_2d(np.asarray(attained_subspace, dtype=float))
@@ -336,7 +347,7 @@ def hilbert_rotate_approx(
             Q0 = Q0.T
         Q0, _ = np.linalg.qr(Q0)
     else:
-        Q0 = attainment_set(T).basis
+        Q0 = MT.basis
     k = Q0.shape[1]
     if k == n:
         raise IsIsometryError("full-sphere attainment; T is an isometry")
@@ -347,16 +358,16 @@ def hilbert_rotate_approx(
             "T has full norm on the attainment complement; preservation impossible"
         )
     if r > 1e-12:
-        return direct_sum_shrink_approx(T, Q0, Qc, eps)
+        return _direct_sum_shrink(T, MT, Q0, Qc, eps)
     if k == 1:
-        return rank_one_approx(T, eps)
+        return _rank_one(T, MT, eps)
     phi = 2.0 * math.asin(eps / 8.0)
     e1, e2 = Q0[:, 0], Q0[:, 1]
     plane = np.outer(e1, e1) + np.outer(e2, e2)
     skew = np.outer(e2, e1) - np.outer(e1, e2)
     Rmat = np.eye(n) + (math.cos(phi) - 1.0) * plane + math.sin(phi) * skew
     A = OperatorMatrix(T.entries @ Rmat, T.domain, T.codomain)
-    return _finish(T, A, eps, "hilbert_rotate")
+    return _finish(T, A, eps, "hilbert_rotate", MT=MT)
 
 
 def hilbert_nonpreserving_demo(eps: float) -> ApproximantReport:

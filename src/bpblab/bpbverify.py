@@ -106,11 +106,12 @@ def verify_uniform_bpb(
 
     Requires ||T-A|| < eps; then descends a geometric delta grid looking for
     the largest delta such that every sampled z with ||Tz|| > 1 - delta lies
-    within eps of the attainment set of A.  The sample is the sphere grid
-    plus the norming vector of T, so no delta is certified on an empty set.
+    within eps of the attainment set of A, which is built at the same
+    resolution.  The sample is the sphere grid plus the norming vector of
+    T, so no delta is certified on an empty set.
     """
     _, witness = require_norm_one(T, "T")
-    MA = norm_one_attainment_set(A, "A")
+    MA = norm_one_attainment_set(A, "A", resolution)
     dist, _ = op_norm(T - A)
     if dist >= eps:
         return BpbCertificate("falsified", eps, None, resolution, math.inf, None, dist)
@@ -163,10 +164,10 @@ def is_only_approximation(
             cand = T.entries + t * D
             v, _ = op_norm(OperatorMatrix(cand, T.domain, T.codomain))
             cand = cand / v
-            Ac = OperatorMatrix(cand, T.domain, T.codomain)
-            d, _ = op_norm(T - Ac)
+            # ||T - cand||, with A built only for the accepted candidate
+            d, _ = op_norm(OperatorMatrix(T.entries - cand, T.domain, T.codomain))
             if d < eps:
-                A = Ac
+                A = OperatorMatrix(cand, T.domain, T.codomain)
                 break
             t /= 2.0
         if A is None or np.abs(A.entries - T.entries).max() < 1e-9:

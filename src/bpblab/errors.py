@@ -17,6 +17,10 @@ class MixedSpacesError(BpbLabError):
     """Arguments live in different spaces."""
 
 
+class NonFiniteError(BpbLabError):
+    """Numeric input holds NaN or an infinity."""
+
+
 class ZeroVectorError(BpbLabError):
     """A nonzero vector was required."""
 

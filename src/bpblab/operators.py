@@ -7,6 +7,7 @@ restricted norms, and operator smoothness.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,12 +18,14 @@ import numpy as np
 from .errors import (
     DegenerateBasisError,
     MixedSpacesError,
+    NonFiniteError,
     NormNotOneError,
     NotDiscreteError,
+    OutOfRangeError,
     UnsupportedSpaceError,
     ZeroOperatorError,
 )
-from .optim import golden_section_min
+from .optim import zoom_max
 from .sampling import sphere_grid
 from .spaces import (
     TAU_EQ,
@@ -48,7 +51,8 @@ DEFAULT_RESOLUTION = 4096
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """An m x n real matrix between declared l_p spaces."""
+    """An m x n real matrix between declared l_p spaces; NaN and infinite
+    entries are refused."""
 
     entries: np.ndarray
     domain: SpaceSpec
@@ -61,6 +65,8 @@ class OperatorMatrix:
                 f"matrix shape {m.shape} does not match "
                 f"{self.codomain.n} x {self.domain.n}"
             )
+        if np.count_nonzero(np.isfinite(m)) != m.size:
+            raise NonFiniteError(f"entries must be finite, got {m.tolist()}")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
@@ -236,12 +242,13 @@ def attainment_equal(a: AttainmentSet, b: AttainmentSet, tol: float = 1e-7) -> b
     return bool(a.distance_to(rb).max() < tol and b.distance_to(ra).max() < tol)
 
 
-def _refined_maxima(t: np.ndarray, h: np.ndarray, val):
-    """Golden-section refinement of the local maxima of a pi-periodic
-    objective sampled as h at the equispaced parameters t of [0, pi).
+def _refined_maxima(t: np.ndarray, h: np.ndarray, f):
+    """Refinement of the local maxima of a pi-periodic objective sampled as
+    h at the equispaced parameters t of [0, pi).
 
-    `val(theta)` is the objective negated.  Returns the refined
-    (theta mod pi, value) pairs and the largest value.
+    `f` evaluates the objective on an array of parameters.  One zoom_max
+    call refines every kept grid maximum on its +/- one grid step bracket.
+    Returns the refined (theta mod pi, value) pairs and the largest value.
     """
     left, right = np.roll(h, 1), np.roll(h, -1)
     # plateaus (constant stretches, up to rounding noise) contribute one
@@ -249,28 +256,38 @@ def _refined_maxima(t: np.ndarray, h: np.ndarray, val):
     # above the floating-point noise floor on the two sides combined
     keep = (h >= left) & (h >= right) & ((h - left) + (h - right) > 1e-13 * np.maximum(1.0, h))
     keep[np.argmax(h)] = True
-    step = math.pi / len(t)
-    candidates = []
-    for i in np.flatnonzero(keep):
-        tt, negv = golden_section_min(val, t[i] - step, t[i] + step, tol=TAU_OPT)
-        candidates.append((tt % math.pi, -negv))
-    return candidates, max(v for _, v in candidates)
+    x, v = zoom_max(f, t[keep], math.pi / len(t), TAU_OPT)
+    return list(zip((x % math.pi).tolist(), v.tolist())), float(v.max())
+
+
+@functools.lru_cache(maxsize=32)
+def _lp2_grid(p, resolution: int):
+    """Read-only (parameters t of [0, pi), their l_p circle points) of the
+    l_p^2 maximum search, shared by every operator on the space."""
+    t = np.linspace(0.0, math.pi, resolution, endpoint=False)
+    pts = lp_circle(p, t)
+    t.setflags(write=False)
+    pts.setflags(write=False)
+    return t, pts
 
 
 def _lp2_local_maxima(T: OperatorMatrix, resolution: int):
-    """Grid + golden-section refinement of ||T gamma(t)|| on the l_p circle;
-    refuses domains of other dimensions."""
+    """Grid + zoom refinement of ||T gamma(t)|| on the l_p circle; refuses
+    domains of other dimensions and resolutions below 2."""
     if T.domain.n != 2:
         raise UnsupportedSpaceError(
             f"operator norm on {T.domain} is out of desk scale (1<p<inf, p!=2 needs n=2)"
         )
-    p = T.domain.p
-    t = np.linspace(0.0, math.pi, resolution, endpoint=False)
+    if not resolution >= 2:
+        raise OutOfRangeError(f"resolution must be at least 2, got {resolution}")
+    t, pts = _lp2_grid(T.domain.p, int(resolution))
+    # float exponents: the same norms, without Fraction arithmetic per level
+    p, q = T.domain.pf, T.codomain.pf
 
-    def val(tt):
-        return -float(pnorm(T.apply(lp_circle(p, tt)), T.codomain.p))
+    def f(theta):
+        return pnorm(lp_circle(p, theta) @ T.entries.T, q)
 
-    return _refined_maxima(t, T.image_norms(lp_circle(p, t)), val)
+    return _refined_maxima(t, T.image_norms(pts), f)
 
 
 def op_norm(T: OperatorMatrix) -> tuple[float, Point]:
@@ -279,7 +296,7 @@ def op_norm(T: OperatorMatrix) -> tuple[float, Point]:
     Exact per domain: the maximum over the unit ball's vertices for l_1^n
     and l_inf^n (the first maximising vertex is the witness), the top
     singular value for Hilbert-to-Hilbert, and grid search
-    refined by golden section for 2-D strictly convex domains.
+    refined by zoom_max for 2-D strictly convex domains.
     """
     dom = T.domain
     if dom.polyhedral:
@@ -479,15 +496,12 @@ def restricted_norm(T: OperatorMatrix, basis) -> float:
     if B.shape[1] == 2:
         b1, b2 = B[:, 0], B[:, 1]
 
-        def val(theta):
-            v = math.cos(theta) * b1 + math.sin(theta) * b2
-            return -float(
-                pnorm(T.apply(v), T.codomain.p) / pnorm(v, dom.p)
-            )
+        def f(theta):
+            V = np.cos(theta)[..., None] * b1 + np.sin(theta)[..., None] * b2
+            return pnorm(V @ T.entries.T, T.codomain.p) / pnorm(V, dom.p)
 
         t = np.linspace(0.0, math.pi, 2048, endpoint=False)
-        V = np.outer(np.cos(t), b1) + np.outer(np.sin(t), b2)
-        return _refined_maxima(t, T.image_norms(V) / pnorm(V, dom.p, axis=1), val)[1]
+        return _refined_maxima(t, f(t), f)[1]
     raise UnsupportedSpaceError("restricted norm supports dim(Z) <= 2 off Hilbert space")
 
 

@@ -1,38 +1,42 @@
 """Small 1-D optimisation helpers used throughout the library."""
 
-import math
+import numpy as np
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+ZOOM_POINTS = 33  # samples per bracket and level; odd, so the centre is one
 
 
-def golden_section_min(f, a, b, tol=1e-10):
-    """Minimise a unimodal f on [a, b] by golden-section search.
+def zoom_max(f, centre, half, tol):
+    """Maximise f on every bracket [centre - half, centre + half] at once.
 
-    Returns (x, f(x)) with the bracket narrowed to width <= tol.
+    `f` maps a (k, ZOOM_POINTS) array of parameters, one row per bracket,
+    to the array of its values.  Each level samples every bracket at
+    ZOOM_POINTS equispaced points, the centre among them, and keeps one
+    spacing on either side of each row's best sample, clipped to the
+    row's first bracket; it stops once that bracket is at most `tol` wide.
+    Returns the best samples x and their values f(x), shape (k,) each.
+    When f is unimodal on a bracket its maximiser lies in the final
+    bracket, within tol of x, and no sample beats f(x), so f(x) is never
+    below f(centre).
     """
-    if a > b:
-        a, b = b, a
-    h = b - a
-    if h <= tol:
-        x = (a + b) / 2.0
-        return x, f(x)
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
-    fc, fd = f(c), f(d)
-    while h > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + _INVPHI2 * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = f(d)
-    x = (a + b) / 2.0
-    return x, f(x)
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    c = np.atleast_1d(np.asarray(centre, dtype=float))
+    h = np.broadcast_to(np.asarray(half, dtype=float), c.shape)
+    lo, hi = (c - h)[:, None], (c + h)[:, None]
+    u = np.linspace(-1.0, 1.0, ZOOM_POINTS)
+    rows = np.arange(len(c))
+    shrink = 2.0 / (ZOOM_POINTS - 1)
+    width = 2.0 * float(h.max(initial=0.0))
+    while True:
+        x = c[:, None] + h[:, None] * u
+        np.minimum(np.maximum(x, lo, out=x), hi, out=x)
+        v = f(x)
+        best = np.argmax(v, axis=1)
+        c, fc = x[rows, best], v[rows, best]
+        h = h * shrink
+        width *= shrink
+        if width <= tol:
+            return c, fc
 
 
 def bisect_increasing(g, target, lo, hi, tol=1e-12, max_iter=200):

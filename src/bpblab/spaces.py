@@ -23,14 +23,14 @@ from .errors import (
     UnsupportedSpaceError,
     ZeroVectorError,
 )
-from .optim import golden_section_min
+from .optim import zoom_max
 
 INF = math.inf
 
 # Decidability tolerances. The underlying mathematics is exact; these make
 # every predicate computable on floats.
 TAU_EQ = 1e-9      # relative tolerance for norm equalities
-TAU_OPT = 1e-10    # bracket width for 1-D convex minimisation
+TAU_OPT = 1e-10    # final bracket width of the 1-D zoom search
 TAU_PROBE = 1e-6   # probe offset for strong Birkhoff-James certification
 
 # The most elements one enumeration may build: vertices or faces of a
@@ -430,7 +430,7 @@ def birkhoff_orthogonal(x: Point, y: Point, strong: bool = False) -> bool:
     """Birkhoff-James orthogonality x _|_B y.
 
     Plain: min over real lambda of ||x + lambda*y|| >= ||x||, decided by
-    golden-section search on a bracketing interval.  Strong additionally
+    zoom_max on -||x + lambda*y|| over a bracketing interval.  Strong additionally
     requires the minimiser set to be {0}, certified by probing
     ||x +/- tau*y|| > ||x|| at tau = TAU_PROBE (exact for strictly convex
     spaces; a tau-resolution certificate for polyhedral ones).
@@ -447,10 +447,10 @@ def birkhoff_orthogonal(x: Point, y: Point, strong: bool = False) -> bool:
     r = 2.0 * nx / ny
 
     def g(lam):
-        return float(pnorm(x.coords + lam * y.coords, p))
+        return pnorm(x.coords + np.asarray(lam)[..., None] * y.coords, p)
 
-    _, gmin = golden_section_min(g, -r, r, tol=TAU_OPT)
-    plain = gmin >= nx * (1.0 - TAU_EQ)
+    _, negmin = zoom_max(lambda lam: -g(lam), 0.0, r, TAU_OPT)
+    plain = -float(negmin[0]) >= nx * (1.0 - TAU_EQ)
     if not strong or not plain:
         return plain
     if x.space.strictly_convex:
@@ -458,7 +458,7 @@ def birkhoff_orthogonal(x: Point, y: Point, strong: bool = False) -> bool:
         return True
     probe = TAU_PROBE
     bump = nx * TAU_EQ
-    return g(probe) > nx + bump and g(-probe) > nx + bump
+    return bool(g(probe) > nx + bump and g(-probe) > nx + bump)
 
 
 # ---------------------------------------------------------------------------

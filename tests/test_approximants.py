@@ -23,6 +23,7 @@ from bpblab import (
     rank_one_approx,
     sbpbp_counterexample_family,
 )
+from bpblab import approximants, operators
 from bpblab.classify import census_lookup
 from bpblab.errors import (
     BadIndexError,
@@ -271,6 +272,64 @@ class TestHilbertRotate:
             hilbert_rotate_approx(
                 Tsplit, 0.1, attained_subspace=np.array([[1.0], [0.0], [0.0]])
             )
+
+
+class TestHilbertChainWork:
+    """The l_2^n chain hilbert_rotate_approx -> direct_sum_shrink or
+    rank_one -> _finish checks ||T|| once and builds M_T once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        log = []
+        for name in ("op_norm", "attainment_set"):
+            fn = getattr(operators, name)
+
+            def spy(T, *args, _fn=fn, _name=name, **kwargs):
+                log.append((_name, T.entries.tobytes()))
+                return _fn(T, *args, **kwargs)
+
+            for module in (operators, approximants):
+                monkeypatch.setattr(module, name, spy)
+        return log
+
+    @pytest.mark.parametrize("diag, construction", [
+        ([1.0, 1.0, 0.5], "direct_sum_shrink"),
+        ([1.0, 1.0, 0.0], "hilbert_rotate"),
+        ([1.0, 0.0, 0.0], "rank_one"),
+    ])
+    def test_one_attainment_set_and_no_norm_of_T(self, calls, diag, construction):
+        T = operator(np.diag(diag), l2(3), l2(3))
+        report = hilbert_rotate_approx(T, 0.1)
+        assert report.construction.startswith(construction)
+        of_T = [name for name, key in calls if key == T.entries.tobytes()]
+        assert of_T == ["attainment_set"]
+        # the rest: M_A and ||T - A|| in _finish
+        assert sorted(name for name, _ in calls) == ["attainment_set", "attainment_set", "op_norm"]
+
+    def test_reports_match_the_public_constructors(self):
+        T = operator(np.diag([1.0, 1.0, 0.5]), l2(3), l2(3))
+        chained = hilbert_rotate_approx(T, 0.1)
+        Q0 = chained.attainment_original.basis
+        Qc = np.array([[0.0], [0.0], [1.0]])
+        direct = direct_sum_shrink_approx(T, Q0, Qc, 0.1)
+        assert np.array_equal(chained.approximant.entries, direct.approximant.entries)
+        assert chained.distance == direct.distance
+        assert chained.construction == direct.construction
+        R = operator(np.diag([1.0, 0.0, 0.0]), l2(3), l2(3))
+        chained, alone = hilbert_rotate_approx(R, 0.1), rank_one_approx(R, 0.1)
+        assert np.array_equal(chained.approximant.entries, alone.approximant.entries)
+        assert chained.distance == alone.distance
+
+    @pytest.mark.parametrize("scale", [0.0, 2.0])
+    def test_norm_errors_are_unchanged(self, scale):
+        T = operator(scale * np.eye(3), l2(3), l2(3))
+        for construct in (
+            lambda: hilbert_rotate_approx(T, 0.1),
+            lambda: direct_sum_shrink_approx(T, np.eye(3)[:, :1], np.eye(3)[:, 1:], 0.1),
+            lambda: rank_one_approx(T, 0.1),
+        ):
+            with pytest.raises(NormNotOneError, match=f"operator norm is {scale}, expected 1"):
+                construct()
 
 
 class TestNonPreservingDemo:

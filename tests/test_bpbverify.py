@@ -26,9 +26,11 @@ from bpblab import (
     property_p_witness,
     verify_uniform_bpb,
 )
+from bpblab import operators
 from bpblab.errors import (
     BadExponentError,
     IsIsometryError,
+    OutOfRangeError,
     NotDiscreteError,
     UnsupportedPairError,
 )
@@ -130,6 +132,47 @@ class TestVerifyUniformBpb:
         report = linf_extreme_approx(T, 0.2)
         for res in (4096, 16384):
             assert verify_uniform_bpb(T, report.approximant, 0.2, resolution=res).certified
+
+
+class TestVerifyResolution:
+    def _lp2_pair(self):
+        s = lp(3, 2)
+        T = operator([[1.0, 0.3], [0.2, 0.8]], s, s)
+        T = operator(T.entries / op_norm(T)[0], s, s)
+        A = operator(T.entries + 0.01 * np.array([[0.0, 1.0], [1.0, 0.0]]), s, s)
+        return T, operator(A.entries / op_norm(A)[0], s, s)
+
+    def test_attainment_set_of_A_uses_the_callers_resolution(self, monkeypatch):
+        seen = []
+        search = operators._lp2_local_maxima
+
+        def spy(T, resolution):
+            seen.append(resolution)
+            return search(T, resolution)
+
+        monkeypatch.setattr(operators, "_lp2_local_maxima", spy)
+        T, A = self._lp2_pair()
+        for res in (512, 2048):
+            seen.clear()
+            cert = verify_uniform_bpb(T, A, 0.5, resolution=res)
+            assert cert.resolution == res
+            # ||T|| (op_norm) stays at the default; M_A follows the caller
+            assert seen[1] == res
+
+    @pytest.mark.parametrize("resolution", [0, 1])
+    def test_lp2_resolution_below_two_is_refused(self, resolution):
+        T, A = self._lp2_pair()
+        with pytest.raises(OutOfRangeError, match="resolution"):
+            verify_uniform_bpb(T, A, 0.5, resolution=resolution)
+
+    def test_hilbert_resolution_zero_still_runs_on_the_svd_path(self):
+        # M_A comes from an SVD, which reads no resolution; the sample is
+        # the norming vector of T alone
+        s = l2(2)
+        T = operator([[1.0, 0.0], [0.0, 0.5]], s, s)
+        A = operator([[0.5, 0.0], [0.0, 1.0]], s, s)
+        cert = verify_uniform_bpb(T, A, 0.6, resolution=0)
+        assert cert.resolution == 0 and cert.status in ("certified", "falsified")
 
 
 class TestOnlyApproximation:

@@ -211,6 +211,14 @@ class TestResolutionBoundaries:
         assert exc.value.code == 2
         assert "--resolution" in capsys.readouterr().err
 
+    def test_lp2_resolution_one_exits_two_naming_resolution(self, op_file, capsys):
+        # the flag admits 1; the l_p^2 search needs two grid points
+        lp3 = {"p": "3", "n": 2}
+        f = op_file("t.json", [[1, 0], [0, 0.5]], lp3, lp3)
+        assert main(["attain", "--operator", f, "--resolution", "1", "--no-timestamp"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "resolution" in captured.err
+
     @pytest.mark.parametrize("pair", ["linf2", "l22", "linf3-l13"])
     @pytest.mark.parametrize("value", ["-3", "0", "two"])
     def test_sweep_trials_below_one_rejected(self, capsys, pair, value):

@@ -1,8 +1,9 @@
 """Differential tests of the consolidated kernels against the code they replaced.
 
 The references below are the earlier implementations, kept verbatim in
-logic: the per-point neighbour scan of the l_p^2 maximum search, the
-scalar-evaluation search of `restricted_norm` on 2-D subspaces, the delta
+logic: scalar golden-section search, the per-point neighbour scan of the
+l_p^2 maximum search, the scalar-evaluation search of `restricted_norm`
+on 2-D subspaces, the golden-section Birkhoff-James test, the delta
 descent written inline in `verify_uniform_bpb` and `delta_for_epsilon`, the
 vertex loops of `extreme_points` and the facet loop of
 `property_p_witness`.
@@ -16,6 +17,7 @@ import pytest
 
 from bpblab import (
     attainment_set,
+    birkhoff_orthogonal,
     delta_for_epsilon,
     enumerate_extreme_linf3_l13,
     extreme_points,
@@ -25,10 +27,12 @@ from bpblab import (
     lp,
     op_norm,
     operator,
+    point,
     property_p_witness,
     restricted_norm,
     verify_uniform_bpb,
 )
+from bpblab import operators
 from bpblab.bpbverify import _sample_buffers
 from bpblab.operators import (
     DELTA_FLOOR,
@@ -36,18 +40,58 @@ from bpblab.operators import (
     _lp2_local_maxima,
     require_norm_one,
 )
-from bpblab.optim import golden_section_min
 from bpblab.sampling import sphere_grid
-from bpblab.spaces import INF, TAU_OPT, enumerate_faces, lp_circle, pnorm, pnorm_into
+from bpblab.spaces import (
+    INF,
+    TAU_EQ,
+    TAU_OPT,
+    enumerate_faces,
+    lp_circle,
+    pnorm,
+    pnorm_into,
+)
 
 
 # ---------------------------------------------------------------------------
 # The replaced implementations.
 # ---------------------------------------------------------------------------
 
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
+_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+
+
+def golden_section_min(f, a, b, tol=1e-10):
+    """Minimise a unimodal f on [a, b] by golden-section search.
+
+    Returns (x, f(x)) with the bracket narrowed to width <= tol.
+    """
+    if a > b:
+        a, b = b, a
+    h = b - a
+    if h <= tol:
+        x = (a + b) / 2.0
+        return x, f(x)
+    c = a + _INVPHI2 * h
+    d = a + _INVPHI * h
+    fc, fd = f(c), f(d)
+    while h > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            h = b - a
+            c = a + _INVPHI2 * h
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            h = b - a
+            d = a + _INVPHI * h
+            fd = f(d)
+    x = (a + b) / 2.0
+    return x, f(x)
+
 
 def loop_lp2_local_maxima(T, resolution):
-    """Grid + golden-section refinement, one neighbour test per grid point."""
+    """Grid + golden-section refinement, one neighbour test per grid point;
+    returns the candidates, the best value and the kept grid indices."""
     p = T.domain.p
     t = np.linspace(0.0, math.pi, resolution, endpoint=False)
     h = T.image_norms(lp_circle(p, t))
@@ -59,6 +103,7 @@ def loop_lp2_local_maxima(T, resolution):
 
     best_val = -np.inf
     candidates = []
+    kept = []
     top = int(np.argmax(h))
     for i in range(n):
         left, right = h[(i - 1) % n], h[(i + 1) % n]
@@ -70,7 +115,8 @@ def loop_lp2_local_maxima(T, resolution):
         tt, negv = golden_section_min(val, a, b, tol=TAU_OPT)
         candidates.append((tt % math.pi, -negv))
         best_val = max(best_val, -negv)
-    return candidates, best_val
+        kept.append(i)
+    return candidates, best_val, kept
 
 
 def loop_restricted_norm_2d(T, B):
@@ -92,6 +138,20 @@ def loop_restricted_norm_2d(T, B):
             )
             best = max(best, -negv)
     return best
+
+
+def golden_birkhoff_orthogonal(x, y):
+    """Plain Birkhoff-James orthogonality by golden section on [-r, r]."""
+    nx, ny = x.norm(), y.norm()
+    if ny == 0.0:
+        return True
+    r = 2.0 * nx / ny
+
+    def g(lam):
+        return float(pnorm(x.coords + lam * y.coords, x.space.p))
+
+    _, gmin = golden_section_min(g, -r, r, tol=TAU_OPT)
+    return gmin >= nx * (1.0 - TAU_EQ)
 
 
 def inline_verify(T, A, eps, resolution):
@@ -201,13 +261,50 @@ def lp2_operators(count, seed):
 # ---------------------------------------------------------------------------
 
 
-def test_vectorised_scan_gives_the_loop_candidates():
+def _zoom_centres(monkeypatch):
+    """Record the bracket centres of every zoom_max call the operators
+    module makes."""
+    calls = []
+
+    def spy(f, centre, half, tol):
+        calls.append(np.array(centre))
+        return zoom_max(f, centre, half, tol)
+
+    zoom_max = operators.zoom_max
+    monkeypatch.setattr(operators, "zoom_max", spy)
+    return calls
+
+
+def assert_refines(got, want):
+    """got within TAU_EQ (relative) of the golden-section value want, and
+    never below it by more than rounding."""
+    assert abs(got - want) <= TAU_EQ * max(1.0, abs(want)), (got, want)
+    assert got >= want - 1e-15 * max(1.0, abs(want)), (got, want)
+
+
+def test_vectorised_scan_gives_the_loop_candidates(monkeypatch):
+    # the kept grid indices are exactly the loop's neighbour test, one
+    # zoom_max call refines them all, and each refined value is the golden
+    # value up to rounding: the evaluation order differs, the bracket not
+    calls = _zoom_centres(monkeypatch)
     ops = lp2_operators(520, seed=3)
     for k, T in enumerate(ops):
         resolution = (256, 1024, 4096)[k % 3]
-        want = loop_lp2_local_maxima(T, resolution)
-        got = _lp2_local_maxima(T, resolution)
-        assert got == want, (T, resolution)
+        want, want_best, kept = loop_lp2_local_maxima(T, resolution)
+        calls.clear()
+        got, best = _lp2_local_maxima(T, resolution)
+        t = np.linspace(0.0, math.pi, resolution, endpoint=False)
+        assert len(calls) == 1 and np.array_equal(calls[0], t[kept]), (T, resolution)
+        assert len(got) == len(want)
+        h = T.image_norms(lp_circle(T.domain.p, t))
+        step = math.pi / resolution
+        for (tt, v), (_, w), i in zip(got, want, kept):
+            assert_refines(v, w)
+            assert v >= h[i] - 1e-15 * max(1.0, h[i])
+            # inside its bracket t[i] +/- step, read modulo pi
+            assert abs((tt - t[i] + math.pi / 2) % math.pi - math.pi / 2) <= step * (1 + 1e-9)
+        assert best == max(v for _, v in got)
+        assert_refines(best, want_best)
 
 
 def test_restricted_norm_matches_scalar_search():
@@ -230,7 +327,27 @@ def test_restricted_norm_matches_scalar_search():
         B = rng.standard_normal((dom.n, 2))
         want = loop_restricted_norm_2d(T, B)
         got = restricted_norm(T, B)
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0), (T, B)
+        assert_refines(got, want)
+
+
+def test_birkhoff_orthogonal_matches_golden_section():
+    rng = np.random.default_rng(17)
+    spaces = [lp(3, 2), lp("4/3", 3), l2(3), l1(3), linf(2), lp(5, 4)]
+    verdicts = set()
+    for k in range(300):
+        s = spaces[k % len(spaces)]
+        x = point(rng.standard_normal(s.n), s)
+        y = point(rng.standard_normal(s.n), s)
+        if k % 5 == 0:
+            # on the boundary: a direction J(x) annihilates, when x is smooth
+            f = np.sign(x.coords) * np.abs(x.coords) ** (s.pf - 1.0) if s.strictly_convex else None
+            if f is not None:
+                c = y.coords - (f @ y.coords) / (f @ x.coords) * x.coords
+                y = point(c, s)
+        want = golden_birkhoff_orthogonal(x, y)
+        assert birkhoff_orthogonal(x, y) == want, (x, y)
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def _polyhedral_triples():

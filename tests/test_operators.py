@@ -19,7 +19,10 @@ from bpblab import (
     restricted_norm,
 )
 from bpblab.errors import (
+    BpbLabError,
     DegenerateBasisError,
+    NonFiniteError,
+    OutOfRangeError,
     UnsupportedSpaceError,
     ZeroOperatorError,
 )
@@ -273,3 +276,38 @@ class TestSmoothOperator:
     def test_face_attainment_not_smooth(self):
         T = operator([[1.0, 0.0], [0.0, 0.0]], linf(2), linf(2))
         assert not is_smooth_operator(T)
+
+
+class TestNonFiniteEntries:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("space", [lp(3, 2), linf(2), l2(2)])
+    def test_refused_at_construction_naming_entries(self, bad, space):
+        # op_norm used to return a NaN norm with a finite witness on l_p^2
+        with pytest.raises(NonFiniteError, match="entries") as info:
+            operator([[bad, 0.0], [0.0, 1.0]], space, space)
+        assert isinstance(info.value, BpbLabError)
+        with pytest.raises(NonFiniteError, match="entries"):
+            OperatorMatrix(np.array([[1.0, 0.0], [0.0, bad]]), space, space)
+
+    def test_scaling_cannot_build_one(self):
+        T = operator([[1.0, 2.0], [3.0, 4.0]], lp(3, 2), lp(3, 2))
+        with pytest.raises(NonFiniteError):
+            T * math.inf
+
+
+class TestLp2SearchResolution:
+    @pytest.mark.parametrize("resolution", [0, 1, -5])
+    def test_below_two_is_refused_naming_resolution(self, resolution):
+        # resolution 0 used to fail inside numpy: argmax of an empty sequence
+        T = hadamard(3)
+        with pytest.raises(OutOfRangeError, match="resolution"):
+            attainment_set(T, resolution=resolution)
+
+    def test_two_is_the_smallest_grid(self):
+        value = attainment_set(hadamard(4), resolution=2).value
+        assert value == pytest.approx(2 ** 0.75, rel=1e-9)
+
+    def test_the_refusal_is_the_lp2_search_only(self):
+        # Hilbert and polyhedral domains never read the resolution
+        assert attainment_set(operator(np.eye(2), l2(2), l2(2)), resolution=0).subspace_dim == 2
+        assert attainment_set(operator(np.eye(2), linf(2), linf(2)), resolution=0).kind == "faces"
