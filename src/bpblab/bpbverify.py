@@ -108,8 +108,10 @@ def verify_uniform_bpb(
     the largest delta such that every sampled z with ||Tz|| > 1 - delta lies
     within eps of the attainment set of A, which is built at the same
     resolution.  The sample is the sphere grid plus the norming vector of
-    T, so no delta is certified on an empty set.
+    T, so no delta is certified on an empty set.  eps must be finite and
+    positive.
     """
+    apx._check_eps(eps, hi=math.inf)
     _, witness = require_norm_one(T, "T")
     MA = norm_one_attainment_set(A, "A", resolution)
     dist, _ = op_norm(T - A)
@@ -148,8 +150,9 @@ def is_only_approximation(
 
     Samples norm-one perturbations A != T with ||T-A|| < eps and verifies
     each; the first certified A is returned as a counterexample.  Finding
-    none is evidence, not proof.
+    none is evidence, not proof.  eps must be finite and positive.
     """
+    apx._check_eps(eps, hi=math.inf)
     require_norm_one(T, "T")
     if trials < 1:
         raise ValueError("trials must be at least 1")

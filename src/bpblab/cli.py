@@ -102,7 +102,7 @@ def _cmd_classify(args) -> int:
         out["row_condition"] = cf.linf_row_condition(T)
     if T.domain.p == 1 and T.codomain.p == 1 and square_same:
         out["column_condition"] = cf.l1_column_condition(T)
-    verdict = cf.is_extreme_contraction(T, seed=args.seed or 0)
+    verdict = cf.is_extreme_contraction(T)
     out["extremality"] = {"status": verdict.status, "method": verdict.method}
     if verdict.witness is not None:
         out["extremality"]["witness"] = verdict.witness.tolist()
@@ -336,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="extremality and isometry classification")
     p.add_argument("--operator", required=True)
-    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=_cmd_classify)
 

@@ -23,7 +23,6 @@ from .errors import (
     UnsupportedSpaceError,
     ZeroVectorError,
 )
-from .optim import zoom_max
 
 INF = math.inf
 
@@ -31,7 +30,6 @@ INF = math.inf
 # every predicate computable on floats.
 TAU_EQ = 1e-9      # relative tolerance for norm equalities
 TAU_OPT = 1e-10    # final bracket width of the 1-D zoom search
-TAU_PROBE = 1e-6   # probe offset for strong Birkhoff-James certification
 
 # The most elements one enumeration may build: vertices or faces of a
 # polyhedral ball, signed permutations of l_p^n or pairs of them.
@@ -393,11 +391,17 @@ class SupportSet:
                 raise MixedSpacesError("functional not in the dual space")
 
 
-def _supporting_vertices(x: Point, nx: float) -> np.ndarray:
-    """The vertices f of the dual ball of a polyhedral space with
-    f(x) >= ||x|| (1 - TAU_EQ): the extreme points of J(x)."""
+def _support_rows(x: Point, nx: float) -> np.ndarray:
+    """J(x) as the rows of an array: the duality map on strictly convex
+    spaces, else the vertices f of the dual ball with
+    f(x) >= ||x|| (1 - TAU_EQ), the extreme points of J(x), in
+    `PolyhedralTable.vertices` order."""
+    c = x.coords
+    if x.space.strictly_convex:
+        pf = x.space.pf
+        return (np.sign(c) * np.abs(c) ** (pf - 1.0) / nx ** (pf - 1.0))[None, :]
     V = polyhedral_table(x.space.dual()).vertices
-    return V[V @ x.coords >= nx * (1.0 - TAU_EQ)]
+    return V[V @ c >= nx * (1.0 - TAU_EQ)]
 
 
 def support_functionals(x: Point) -> SupportSet:
@@ -407,14 +411,8 @@ def support_functionals(x: Point) -> SupportSet:
     nx = x.norm()
     if nx == 0.0:
         raise ZeroVectorError("J(x) is undefined for x = 0")
-    s = x.space
-    dual = s.dual()
-    c = x.coords
-    if s.strictly_convex:
-        pf = s.pf
-        f = np.sign(c) * np.abs(c) ** (pf - 1.0) / nx ** (pf - 1.0)
-        return SupportSet(x, (Point(f, dual),), True)
-    gens = tuple(Point(f, dual) for f in _supporting_vertices(x, nx))
+    dual = x.space.dual()
+    gens = tuple(Point(f, dual) for f in _support_rows(x, nx))
     return SupportSet(x, gens, len(gens) == 1)
 
 
@@ -423,17 +421,19 @@ def is_smooth_point(x: Point) -> bool:
     nx = x.norm()
     if nx == 0.0:
         raise ZeroVectorError("smoothness is undefined for x = 0")
-    return x.space.strictly_convex or len(_supporting_vertices(x, nx)) == 1
+    return len(_support_rows(x, nx)) == 1
 
 
 def birkhoff_orthogonal(x: Point, y: Point, strong: bool = False) -> bool:
-    """Birkhoff-James orthogonality x _|_B y.
+    """Birkhoff-James orthogonality x _|_B y, read off J(x).
 
-    Plain: min over real lambda of ||x + lambda*y|| >= ||x||, decided by
-    zoom_max on -||x + lambda*y|| over a bracketing interval.  Strong additionally
-    requires the minimiser set to be {0}, certified by probing
-    ||x +/- tau*y|| > ||x|| at tau = TAU_PROBE (exact for strictly convex
-    spaces; a tau-resolution certificate for polyhedral ones).
+    The one-sided derivatives of lambda -> ||x + lambda*y|| at 0 are the
+    least and the greatest f(y) over f in J(x), lo and hi.  The function
+    is convex, so 0 is a minimiser, x _|_B y, iff lo <= 0 <= hi (James,
+    1947).  Strong orthogonality asks that 0 be the only minimiser:
+    lo < 0 < hi on polyhedral spaces, where the norm is piecewise linear
+    along the line, and plain orthogonality on strictly convex ones.  Both
+    compare with the tolerance TAU_EQ * ||y||.
     """
     if x.space != y.space:
         raise MixedSpacesError("Birkhoff-James orthogonality needs one space")
@@ -443,22 +443,11 @@ def birkhoff_orthogonal(x: Point, y: Point, strong: bool = False) -> bool:
     ny = y.norm()
     if ny == 0.0:
         return not strong
-    p = x.space.p
-    r = 2.0 * nx / ny
-
-    def g(lam):
-        return pnorm(x.coords + np.asarray(lam)[..., None] * y.coords, p)
-
-    _, negmin = zoom_max(lambda lam: -g(lam), 0.0, r, TAU_OPT)
-    plain = -float(negmin[0]) >= nx * (1.0 - TAU_EQ)
-    if not strong or not plain:
-        return plain
-    if x.space.strictly_convex:
-        # the minimiser is unique, and plain orthogonality pins it at 0
-        return True
-    probe = TAU_PROBE
-    bump = nx * TAU_EQ
-    return bool(g(probe) > nx + bump and g(-probe) > nx + bump)
+    fy = _support_rows(x, nx) @ y.coords
+    lo, hi, tol = float(fy.min()), float(fy.max()), TAU_EQ * ny
+    if not strong or x.space.strictly_convex:
+        return lo <= tol and hi >= -tol
+    return lo < -tol and hi > tol
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,30 @@ class TestOnlyApproximation:
             is_only_approximation(T, 0.5, trials=0, seed=0)
 
 
+class TestEpsBoundary:
+    """eps must be finite and positive; it is checked before any work, so
+    even an operator that is not norm-one gets the eps error."""
+
+    @pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("check", ["verify", "only"])
+    def test_non_positive_or_non_finite_eps_is_refused(self, eps, check, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before eps was checked")
+
+        monkeypatch.setattr("bpblab.bpbverify.op_norm", refuse)
+        T = operator(0.5 * np.eye(2), linf(2), linf(2))
+        with pytest.raises(OutOfRangeError, match="eps"):
+            if check == "verify":
+                verify_uniform_bpb(T, T, eps)
+            else:
+                is_only_approximation(T, eps, trials=3, seed=0)
+
+    def test_finite_positive_eps_is_accepted(self):
+        T = enumerate_isometries(linf(2))[0]
+        assert verify_uniform_bpb(T, T, 1e-12, resolution=64).certified
+        assert verify_uniform_bpb(T, T, 1e6, resolution=64).certified
+
+
 class TestBallInclusion:
     def test_preserving_pair_any_radius(self):
         T = operator([[1.0, 0.0], [1.0, 0.0]], linf(2), linf(2))

@@ -72,12 +72,25 @@ class TestExtremality:
             v, _ = op_norm(operator(T.entries + sgn * D, linf(2), linf(2)))
             assert v <= 1.0 + 1e-7
 
+    @pytest.mark.parametrize(
+        "T",
+        [
+            operator(np.diag([1.0, 0.5]), lp(3, 2), lp(3, 2)),
+            operator([[1.0, 0.0], [0.0, 0.0]], l2(2), l2(2)),
+            operator([[0.6, 0.0], [0.8, 0.0]], linf(2), l2(2)),
+        ],
+    )
+    def test_pair_outside_the_rank_test_gets_no_verdict(self, T):
+        verdict = is_extreme_contraction(T)
+        assert (verdict.status, verdict.method, verdict.witness) == (
+            "necessary_condition_only", "none", None
+        )
+
     def test_norm_not_one_rejected(self):
         with pytest.raises(NormNotOneError):
             is_extreme_contraction(operator([[0.5, 0.0], [0.0, 0.0]], linf(2), linf(2)))
 
     def test_agrees_with_brute_force_on_2x2_polyhedral(self):
-        rng = np.random.default_rng(11)
         cases = [
             operator(np.eye(2), linf(2), linf(2)),
             operator([[1.0, 0.0], [0.0, 0.0]], linf(2), linf(2)),
@@ -85,23 +98,31 @@ class TestExtremality:
             operator([[1.0, 1.0], [0.0, 0.0]], l1(2), l1(2)),
             operator([[1.0, 0.0], [0.0, 0.5]], l1(2), linf(2)),
         ]
+        # perturbation directions in {-1, 0, 1}^(2x2): the faces of these
+        # balls are spanned by such matrices, where a Gaussian draw never lands
+        directions = [
+            np.array(d, dtype=float).reshape(2, 2)
+            for d in itertools.product((-1, 0, 1), repeat=4)
+            if any(d)
+        ]
+        fired = 0
         for T in cases:
             v, _ = op_norm(T)
             T = (1.0 / v) * T
             verdict = is_extreme_contraction(T)
-            # brute force: random perturbation directions, magnitude scan;
-            # a brute hit proves non-extremality (the converse search can
-            # miss thin feasible cones, so the check is one-sided)
+            # brute force: every direction, magnitude scan; a brute hit
+            # proves non-extremality (the converse search can miss
+            # directions outside the lattice, so the check is one-sided)
             brute_not_extreme = False
-            for _ in range(300):
-                D = rng.standard_normal((2, 2))
-                D /= np.abs(D).sum()
+            for D in directions:
+                D = D / np.abs(D).sum()
                 for t in (0.5, 0.1, 0.02):
                     n1, _ = op_norm(operator(T.entries + t * D, T.domain, T.codomain))
                     n2, _ = op_norm(operator(T.entries - t * D, T.domain, T.codomain))
                     if n1 <= 1 + 1e-9 and n2 <= 1 + 1e-9:
                         brute_not_extreme = True
             if brute_not_extreme:
+                fired += 1
                 assert not verdict.is_extreme
             if not verdict.is_extreme:
                 D = verdict.witness
@@ -109,6 +130,7 @@ class TestExtremality:
                 for sgn in (1.0, -1.0):
                     v, _ = op_norm(operator(T.entries + sgn * D, T.domain, T.codomain))
                     assert v <= 1.0 + 1e-7
+        assert fired >= 1
 
 
 class TestIsometry:

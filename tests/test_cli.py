@@ -172,6 +172,13 @@ class TestClassifyCommand:
         assert doc["row_condition"] is True
         assert doc["is_isometry"] is False
 
+    def test_seed_flag_is_refused(self, op_file, capsys):
+        f = op_file("t.json", [[1, 0], [1, 0]], LINF2, LINF2)
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--operator", f, "--seed", "3"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
 
 class TestWitnessCommand:
     def test_hilbert_witness(self, op_file, capsys):

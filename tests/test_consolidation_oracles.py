@@ -3,7 +3,8 @@
 The references below are the earlier implementations, kept verbatim in
 logic: scalar golden-section search, the per-point neighbour scan of the
 l_p^2 maximum search, the scalar-evaluation search of `restricted_norm`
-on 2-D subspaces, the golden-section Birkhoff-James test, the delta
+on 2-D subspaces, the golden-section Birkhoff-James test and its strong
+probe, the random extremality search of `is_extreme_contraction`, the delta
 descent written inline in `verify_uniform_bpb` and `delta_for_epsilon`, the
 vertex loops of `extreme_points` and the facet loop of
 `property_p_witness`.
@@ -21,6 +22,8 @@ from bpblab import (
     delta_for_epsilon,
     enumerate_extreme_linf3_l13,
     extreme_points,
+    is_extreme_contraction,
+    is_smooth_point,
     l1,
     l2,
     linf,
@@ -152,6 +155,38 @@ def golden_birkhoff_orthogonal(x, y):
 
     _, gmin = golden_section_min(g, -r, r, tol=TAU_OPT)
     return gmin >= nx * (1.0 - TAU_EQ)
+
+
+def probe_strong_orthogonal(x, y):
+    """Strong Birkhoff-James orthogonality on a polyhedral space by probing
+    ||x +/- h*y|| on both sides of 0.  The probe replaced here used a fixed
+    h, so its verdict changed with the scale of y; this one takes
+    h = 1e-7 ||x|| / ||y|| and compares the difference quotients with
+    1e-5 ||y||, so it is invariant under scaling either argument."""
+    nx, ny = x.norm(), y.norm()
+    h = 1e-7 * nx / ny
+
+    def slope(lam):
+        return (float(pnorm(x.coords + lam * y.coords, x.space.p)) - nx) / abs(lam)
+
+    return slope(h) > 1e-5 * ny and slope(-h) > 1e-5 * ny
+
+
+def random_extremality(T, seed, draws=200):
+    """The random perturbation search: not_extreme with a witness D when
+    ||T +/- tD|| <= 1 for a drawn D and a scan of t, else no verdict."""
+    rng = np.random.default_rng(seed)
+    m, n = T.entries.shape
+    for _ in range(draws):
+        D = rng.standard_normal((m, n))
+        D /= np.abs(D).sum()
+        for t in (0.5, 0.1, 0.02, 0.004):
+            Dt = OperatorMatrix(t * D, T.domain, T.codomain)
+            np1, _ = op_norm(T + Dt)
+            np2, _ = op_norm(T - Dt)
+            if np1 <= 1.0 + TAU_EQ and np2 <= 1.0 + TAU_EQ:
+                return ("not_extreme", t * D)
+    return ("necessary_condition_only", None)
 
 
 def inline_verify(T, A, eps, resolution):
@@ -330,6 +365,28 @@ def test_restricted_norm_matches_scalar_search():
         assert_refines(got, want)
 
 
+def _non_smooth_pairs(rng):
+    """Points with several supporting functionals and directions, some with
+    zeroed coordinates so that J(x) y ends at 0: vertices and edges of the
+    cube and l_1 points with zero coordinates."""
+    pairs = []
+    for k in range(120):
+        s = [linf(2), linf(3), l1(2), l1(3)][k % 4]
+        c = rng.uniform(0.5, 2.0) * np.sign(rng.standard_normal(s.n))
+        if s.p == INF and k % 8 == 1:
+            c[rng.integers(s.n)] *= rng.uniform(0.1, 0.8)  # an edge of the cube
+        if s.p == 1:
+            c = c * rng.uniform(0.2, 1.0, s.n)
+            c[rng.permutation(s.n)[: 1 + k % (s.n - 1)]] = 0.0  # zero coordinates
+        y = rng.standard_normal(s.n)
+        if k % 3 == 0:
+            y[rng.integers(s.n)] = 0.0
+        pairs.append((point(c, s), point(y, s)))
+    pairs.append((point([1.0, 0.0], l1(2)), point([1.0, 1.0], l1(2))))  # lo = 0
+    pairs.append((point([1.0, 1.0], linf(2)), point([1.0, 0.0], linf(2))))  # lo = 0
+    return pairs
+
+
 def test_birkhoff_orthogonal_matches_golden_section():
     rng = np.random.default_rng(17)
     spaces = [lp(3, 2), lp("4/3", 3), l2(3), l1(3), linf(2), lp(5, 4)]
@@ -348,6 +405,69 @@ def test_birkhoff_orthogonal_matches_golden_section():
         assert birkhoff_orthogonal(x, y) == want, (x, y)
         verdicts.add(want)
     assert verdicts == {True, False}
+    verdicts = set()
+    for x, y in _non_smooth_pairs(np.random.default_rng(19)):
+        assert not is_smooth_point(x)
+        want = golden_birkhoff_orthogonal(x, y)
+        assert birkhoff_orthogonal(x, y) == want, (x, y)
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_strong_orthogonality_matches_the_scaled_probe():
+    verdicts = set()
+    for x, y in _non_smooth_pairs(np.random.default_rng(23)):
+        want = probe_strong_orthogonal(x, y)
+        for a, b in ((1.0, 1.0), (1.0, 1e-3), (1.0, 1e-6), (1.0, 1e3), (1e-4, 1.0), (50.0, 1e-6)):
+            xs, ys = point(a * x.coords, x.space), point(b * y.coords, y.space)
+            assert probe_strong_orthogonal(xs, ys) == want, (x, y, a, b)
+            assert birkhoff_orthogonal(xs, ys, strong=True) == want, (x, y, a, b)
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_closed_form_and_golden_section_differ_only_in_the_second_order_band():
+    """On l_2^2 with x = (1, 0) and y = (s, 1), J(x) y = s and the minimum of
+    ||x + lambda*y|| is 1/||y||.  The closed form says x _|_B y iff
+    s <= TAU_EQ ||y||; golden section accepts a minimum down to
+    1 - TAU_EQ, so it also says yes up to s = sqrt(2 TAU_EQ) ||y||, and
+    the two differ exactly in that band (1% slack for the search)."""
+    band = []
+    for sv in np.logspace(-12, -2, 81):
+        x, y = point([1.0, 0.0], l2(2)), point([sv, 1.0], l2(2))
+        ny = y.norm()
+        closed, golden = birkhoff_orthogonal(x, y), golden_birkhoff_orthogonal(x, y)
+        if TAU_EQ * ny < sv <= 1.01 * math.sqrt(2.0 * TAU_EQ) * ny:
+            assert not closed
+            if golden:
+                band.append(sv)
+        else:
+            assert closed == golden, sv
+    assert band and min(band) < 1e-8 and max(band) > 4e-5
+    x, y = point([1.0, 0.0], l2(2)), point([3e-5, 1.0], l2(2))
+    assert golden_birkhoff_orthogonal(x, y) and not birkhoff_orthogonal(x, y)
+
+
+def test_random_extremality_finds_no_witness_where_the_rank_test_does_not_apply():
+    """Every D with ||T +/- D|| <= 1 lies in the span of the minimal face of
+    T, a proper subspace, so the random search never finds one on pairs
+    outside the rank test, and its status agrees with the verdict without
+    it.  The draws are sized so the test runs in about 2 s."""
+    rng = np.random.default_rng(31)
+    c, sn = math.cos(0.4), math.sin(0.4)
+    cases = [(OperatorMatrix(np.array([[c, -sn], [sn, c]]), l2(2), l2(2)), 200)]  # extreme
+    for dom, cod, draws in (
+        (l2(2), l2(3), 200), (l2(3), l2(2), 200), (l2(3), l2(3), 200),
+        (l1(2), lp(3, 2), 200), (linf(2), lp(3, 3), 200), (linf(3), l2(2), 200),
+        (lp(3, 2), lp(4, 2), 20), (lp(3, 2), linf(2), 20),
+    ):
+        for _ in range(2):
+            cases.append((_unit(rng.standard_normal((cod.n, dom.n)), dom, cod), draws))
+    for seed, (T, draws) in enumerate(cases):
+        verdict = is_extreme_contraction(T)
+        status, witness = random_extremality(T, seed, draws)
+        assert witness is None, (T, witness)
+        assert (verdict.status, verdict.method, verdict.witness) == (status, "none", None)
 
 
 def _polyhedral_triples():

@@ -3,9 +3,11 @@
 Each `tests/golden/<name>.out` holds the stdout of one subcommand, recorded
 before the kernels behind it were consolidated.  The cases avoid results that
 go through LAPACK, quadrature or a non-integer `pow` (l_2, l_p^2, epsilon0),
-whose last bits may vary with the platform.
+whose last bits may vary with the platform; `demo` prints only check names
+and pass flags.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -36,6 +38,7 @@ CASES = {
         ["verify", "--T", "linf2_identity.json", "--A", "linf2_shrunk.json", "--eps", "0.2"],
         1,
     ),
+    "demo": (["demo"], 0),
 }
 
 
@@ -49,3 +52,10 @@ def test_stdout_matches_golden(name, capsys, monkeypatch):
     argv, code = CASES[name]
     assert main(golden_argv(argv)) == code
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_demo_passes_every_check(capsys):
+    assert main(["demo", "--no-timestamp"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["failed"] == 0
+    assert doc["checks"] and all(c["passed"] for c in doc["checks"])

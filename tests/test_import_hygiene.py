@@ -6,7 +6,9 @@ never needed to break a cycle here; an unused import is dead code.  The
 package `__init__` re-exports names and is exempt.  Everywhere else an
 attainment set is asked `finite_points()`, `representative_points()` or
 `distance_to()`, so its kind string is decided in one place.  numpy is the
-only runtime dependency: importing bpblab loads no scipy module.
+only runtime dependency: importing bpblab loads no scipy module.  Yes/no
+predicates are decided in closed form, so searches and random draws stay
+in the few modules that need them.
 """
 
 import ast
@@ -81,3 +83,34 @@ def test_import_loads_no_scipy():
     run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
+
+
+def _refers_to(tree, name):
+    """`from ... import name` or an attribute `<module>.name`."""
+    return any(
+        (isinstance(node, ast.ImportFrom) and any(alias.name == name for alias in node.names))
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        for node in ast.walk(tree)
+    )
+
+
+def _uses_np_random(tree):
+    return any(
+        isinstance(node, ast.Attribute)
+        and node.attr == "random"
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy")
+        for node in ast.walk(tree)
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_searches_and_random_draws_stay_where_they_belong(path):
+    """Yes/no predicates are closed forms: only the l_p^2 maximum search in
+    `operators` uses `zoom_max`, and only the seeded sweeps of `bpbverify`
+    and the seeded Hilbert grid of `sampling` draw random numbers."""
+    tree = parse(path)
+    if path.name != "operators.py":
+        assert not _refers_to(tree, "zoom_max"), f"{path.name} imports zoom_max"
+    if path.name not in ("bpbverify.py", "sampling.py"):
+        assert not _uses_np_random(tree), f"{path.name} uses np.random"

@@ -313,6 +313,22 @@ class TestBirkhoffOrthogonality:
         assert birkhoff_orthogonal(x, y)
         assert not birkhoff_orthogonal(x, y, strong=True)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6])
+    @pytest.mark.parametrize(
+        "space, x, y, strong",
+        [
+            (linf(2), [1.0, 1.0], [1.0, -1.0], True),
+            (l1(2), [1.0, 0.0], [0.0, 1.0], True),
+            (linf(2), [1.0, 0.0], [0.0, 1.0], False),
+            (l1(2), [1.0, 1.0], [1.0, -1.0], False),
+        ],
+    )
+    def test_strong_variant_is_homogeneous_in_y(self, space, x, y, strong, scale):
+        # J(x) y spans [-1, 1] in the first two cases and is {0} in the last two
+        ys = point(scale * np.array(y), space)
+        assert birkhoff_orthogonal(point(x, space), ys)
+        assert birkhoff_orthogonal(point(x, space), ys, strong=True) == strong
+
     @settings(deadline=None, max_examples=40)
     @given(
         st.floats(min_value=0.01, max_value=100),
