@@ -9,6 +9,7 @@ necessary-condition reports, and pair-level sweeps.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 from typing import Optional
@@ -27,11 +28,14 @@ from .errors import (
 )
 from .operators import (
     DEFAULT_RESOLUTION,
+    TAU_ANGLE,
+    TAU_SAME,
     OperatorMatrix,
     attainment_set,
     delta_descent,
     norm_one_attainment_set,
     op_norm,
+    op_norms,
     orthogonal_complement,
     require_norm_one,
     restricted_norm,
@@ -99,6 +103,32 @@ class BpbCertificate:
         return self.status == "certified"
 
 
+def _sample_norms(T: OperatorMatrix, witness: Point, resolution: int):
+    """The T side of the inclusion test: this thread's sample buffers
+    (X, work, mask) for T's domain at `resolution`, with the norming vector
+    `witness` of T as the last row of X and T's image norm of every row
+    in work[0]."""
+    X, images, work, mask = _sample_buffers(T.domain, resolution, T.codomain.n)
+    X[-1] = witness.coords
+    pnorm_into(np.matmul(X, T.entries.T, out=images), T.codomain.p, 1, work[0])
+    return X, work, mask
+
+
+def _inclusion_certificate(MA, dist: float, eps: float, resolution: int, sample) -> BpbCertificate:
+    """The A side of the inclusion test: the distance of every row of the
+    T-side `sample` to the attainment set MA of A and the delta descent over
+    T's image norms; `dist` is ||T - A||, below eps.  Overwrites work[1:]
+    and the mask of the sample, never X or work[0]."""
+    X, work, mask = sample
+    dists = work[1]
+    MA.distance_to(X, out=dists, work=work[2:])
+    delta, worst, idx = delta_descent(work[0], dists, 1.0, eps, mask)
+    if delta is not None:
+        return BpbCertificate("certified", eps, delta, resolution, worst, None, dist)
+    z = Point(X[idx], MA.space)
+    return BpbCertificate("falsified", eps, None, resolution, worst, z, dist)
+
+
 def verify_uniform_bpb(
     T: OperatorMatrix, A: OperatorMatrix, eps: float, resolution: int = DEFAULT_RESOLUTION
 ) -> BpbCertificate:
@@ -117,16 +147,7 @@ def verify_uniform_bpb(
     dist, _ = op_norm(T - A)
     if dist >= eps:
         return BpbCertificate("falsified", eps, None, resolution, math.inf, None, dist)
-    X, images, work, mask = _sample_buffers(T.domain, resolution, T.codomain.n)
-    X[-1] = witness.coords
-    norms, dists = work[0], work[1]
-    pnorm_into(np.matmul(X, T.entries.T, out=images), T.codomain.p, 1, norms)
-    MA.distance_to(X, out=dists, work=work[2:])
-    delta, worst, idx = delta_descent(norms, dists, 1.0, eps, mask)
-    if delta is not None:
-        return BpbCertificate("certified", eps, delta, resolution, worst, None, dist)
-    z = Point(X[idx], T.domain)
-    return BpbCertificate("falsified", eps, None, resolution, worst, z, dist)
+    return _inclusion_certificate(MA, dist, eps, resolution, _sample_norms(T, witness, resolution))
 
 
 @dataclass(frozen=True)
@@ -137,6 +158,44 @@ class OnlyApproximationResult:
     trials: int
     counterexample: Optional[OperatorMatrix] = None
     certificate: Optional[BpbCertificate] = None
+
+
+HALVINGS = 60      # scalings t = eps/2, eps/4, ... tried per random direction
+TRIAL_BLOCK = 64   # trials of is_only_approximation searched in lockstep
+
+
+def _check_trials(trials) -> int:
+    """trials as an int; refuses bools, non-integers and values below 1."""
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    return int(trials)
+
+
+def _halving_search(T: OperatorMatrix, D: np.ndarray, eps: float):
+    """For each direction D[i], the first t of eps/2, eps/4, ... (HALVINGS
+    of them) whose normalised T + tD[i] lies within eps of T, all directions
+    in lockstep: two stacked norm calls per halving over the still-open
+    directions.  Returns the candidates, their distances ||T - A|| and
+    which directions found one."""
+    dom, cod = T.domain, T.codomain
+    cands, dists = np.empty_like(D), np.empty(len(D))
+    found = np.zeros(len(D), dtype=bool)
+    open_ = np.arange(len(D))
+    t = eps / 2.0
+    for _ in range(HALVINGS):
+        C = T.entries + t * D[open_]
+        C /= op_norms(C, dom, cod)[:, None, None]
+        d = op_norms(T.entries - C, dom, cod)
+        hit = d < eps
+        done = open_[hit]
+        cands[done], dists[done], found[done] = C[hit], d[hit], True
+        open_ = open_[~hit]
+        if not open_.size:
+            break
+        t /= 2.0
+    return cands, dists, found
 
 
 def is_only_approximation(
@@ -150,35 +209,33 @@ def is_only_approximation(
 
     Samples norm-one perturbations A != T with ||T-A|| < eps and verifies
     each; the first certified A is returned as a counterexample.  Finding
-    none is evidence, not proof.  eps must be finite and positive.
+    none is evidence, not proof.  eps must be finite and positive, trials
+    an integer of at least 1.
+
+    Trials run in blocks of TRIAL_BLOCK, one Gaussian draw per block (the
+    same stream as one draw per trial), with the halving search of the
+    block in lockstep and the candidates verified in trial order against
+    one sample of T.  On l_p^2 domains, where op_norms loops per matrix,
+    a block is one trial, so no trial past a certificate is searched.
     """
     apx._check_eps(eps, hi=math.inf)
-    require_norm_one(T, "T")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    trials = _check_trials(trials)
+    _, witness = require_norm_one(T, "T")
+    dom, cod = T.domain, T.codomain
+    block = TRIAL_BLOCK if dom.polyhedral or (dom.hilbert and cod.hilbert) else 1
     rng = np.random.default_rng(seed)
-    m, n = T.entries.shape
-    hits = 0
-    for _ in range(trials):
-        D = rng.standard_normal((m, n))
-        t = eps / 2.0
-        A = None
-        for _ in range(60):
-            cand = T.entries + t * D
-            v, _ = op_norm(OperatorMatrix(cand, T.domain, T.codomain))
-            cand = cand / v
-            # ||T - cand||, with A built only for the accepted candidate
-            d, _ = op_norm(OperatorMatrix(T.entries - cand, T.domain, T.codomain))
-            if d < eps:
-                A = OperatorMatrix(cand, T.domain, T.codomain)
-                break
-            t /= 2.0
-        if A is None or np.abs(A.entries - T.entries).max() < 1e-9:
-            continue
-        hits += 1
-        cert = verify_uniform_bpb(T, A, eps, resolution=resolution)
-        if cert.certified:
-            return OnlyApproximationResult(True, trials, A, cert)
+    sample = _sample_norms(T, witness, resolution)
+    for start in range(0, trials, block):
+        D = rng.standard_normal((min(block, trials - start), *T.entries.shape))
+        cands, dists, found = _halving_search(T, D, eps)
+        for i in np.flatnonzero(found):
+            if np.abs(cands[i] - T.entries).max() < TAU_SAME:
+                continue
+            A = OperatorMatrix(cands[i], dom, cod)
+            MA = norm_one_attainment_set(A, "A", resolution)
+            cert = _inclusion_certificate(MA, float(dists[i]), eps, resolution, sample)
+            if cert.certified:
+                return OnlyApproximationResult(True, trials, A, cert)
     return OnlyApproximationResult(False, trials)
 
 
@@ -316,7 +373,7 @@ def hilbert_necessary_checks(
     dims_equal = H0.shape[1] == H.shape[1]
     k = min(H0.shape[1], H.shape[1])
     sv = np.linalg.svd(H0.T @ H, compute_uv=False)
-    trivial = dims_equal and (len(sv) == 0 or float(sv[min(k, len(sv)) - 1]) > 1e-9)
+    trivial = dims_equal and (len(sv) == 0 or float(sv[min(k, len(sv)) - 1]) > TAU_ANGLE)
     D = T - A
     n1 = restricted_norm(D, H0)
     n2 = restricted_norm(D, orthogonal_complement(H0))
@@ -402,8 +459,7 @@ def pair_property_sweep(
     where available), routes each through the applicable constructor, and
     verifies every report.  Isometries are skipped by definition.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    trials = _check_trials(trials)
     rng = np.random.default_rng(seed)
     candidates: list[OperatorMatrix] = []
     same = spaceX.n == spaceY.n and spaceX.p == spaceY.p

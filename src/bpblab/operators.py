@@ -45,6 +45,11 @@ from .spaces import (
 TAU_GAP = 1e-8     # singular-value gap deciding dim H_0
 TAU_DEDUP = 1e-5   # dedup radius for point-pair attainment sets
 TAU_NORM_ONE = 1e-7  # largest | ||T|| - 1 | of an operator taken as norm one
+TAU_SAME = 1e-9    # entry gap below which a perturbation of T is T itself,
+                   # so the rigidity search does not verify it
+TAU_ANGLE = 1e-9   # largest cosine of the widest principal angle between two
+                   # attainment subspaces still read as 0: up to it, one meets
+                   # the other's orthogonal complement
 
 DEFAULT_RESOLUTION = 4096
 
@@ -290,6 +295,13 @@ def _lp2_local_maxima(T: OperatorMatrix, resolution: int):
     return _refined_maxima(t, T.image_norms(pts), f)
 
 
+def _vertex_norms(E: np.ndarray, V: np.ndarray, codomain: SpaceSpec) -> np.ndarray:
+    """||Ev|| in `codomain` at every row v of V, the vertices of a polyhedral
+    unit ball, for a stack E of shape (..., m, n); the result has shape
+    (..., vertices)."""
+    return pnorm(V @ E.swapaxes(-1, -2), codomain.p, axis=-1)
+
+
 def op_norm(T: OperatorMatrix) -> tuple[float, Point]:
     """Operator norm sup ||Tx|| over the unit sphere, with a witness.
 
@@ -301,7 +313,7 @@ def op_norm(T: OperatorMatrix) -> tuple[float, Point]:
     dom = T.domain
     if dom.polyhedral:
         V = polyhedral_table(dom).vertices
-        norms = T.image_norms(V)
+        norms = _vertex_norms(T.entries, V, T.codomain)
         k = int(np.argmax(norms))
         return float(norms[k]), Point(V[k], dom)
     if dom.hilbert and T.codomain.hilbert:
@@ -310,6 +322,30 @@ def op_norm(T: OperatorMatrix) -> tuple[float, Point]:
     candidates, best = _lp2_local_maxima(T, DEFAULT_RESOLUTION)
     tt = max(candidates, key=lambda c: c[1])[0]
     return best, Point(lp_circle(dom.p, tt), dom)
+
+
+def op_norms(E, domain: SpaceSpec, codomain: SpaceSpec) -> np.ndarray:
+    """op_norm(...)[0] of every matrix of a stack E of shape (..., m, n),
+    bit for bit; the result has shape (...).
+
+    One vertex matmul on l_1^n and l_inf^n, one stacked SVD on a Hilbert
+    pair (with vectors: the LAPACK driver of op_norm), and op_norm per
+    matrix on l_p^2.  Non-finite entries are refused.
+    """
+    E = np.asarray(E, dtype=float)
+    if E.ndim < 2 or E.shape[-2:] != (codomain.n, domain.n):
+        raise MixedSpacesError(
+            f"stack shape {E.shape} does not end in {codomain.n} x {domain.n}"
+        )
+    if not np.isfinite(E).all():
+        raise NonFiniteError("entries must be finite")
+    if domain.polyhedral:
+        return _vertex_norms(E, polyhedral_table(domain).vertices, codomain).max(axis=-1)
+    if domain.hilbert and codomain.hilbert:
+        return np.linalg.svd(E)[1][..., 0]
+    flat = E.reshape(-1, codomain.n, domain.n)
+    norms = [op_norm(OperatorMatrix(M, domain, codomain))[0] for M in flat]
+    return np.array(norms).reshape(E.shape[:-2])
 
 
 def check_norm_one(value: float, what: str, error=NormNotOneError) -> None:
@@ -436,15 +472,21 @@ def delta_descent(norms, dists, top: float, eps: float, mask: np.ndarray):
     norms > top - delta all lie below eps; else (None, its distance, index)
     of the farthest row with norms > top - DELTA_FLOOR*top, or
     (None, -inf, None) without one.  `mask`, one flag per row, is scratch.
+
+    A delta fails iff some row not below eps has norms > top - delta, that
+    is iff g, the largest norm among those rows, exceeds top - delta; so
+    one masked max decides every level of the grid.
     """
+    np.less(dists, eps, out=mask)
+    g = float(norms.max(where=np.invert(mask, out=mask), initial=-np.inf))
+    floor = DELTA_FLOOR * top
     delta = top / 2.0
-    while delta >= DELTA_FLOOR * top:
-        np.greater(norms, top - delta, out=mask)
-        worst = float(dists.max(where=mask, initial=-np.inf))
-        if worst < eps:
-            return delta, worst, None
+    while delta >= floor and g > top - delta:
         delta /= 2.0
-    np.greater(norms, top - DELTA_FLOOR * top, out=mask)
+    if delta >= floor:
+        np.greater(norms, top - delta, out=mask)
+        return delta, float(dists.max(where=mask, initial=-np.inf)), None
+    np.greater(norms, top - floor, out=mask)
     if not mask.any():
         return None, -np.inf, None
     idx = int(np.argmax(np.where(mask, dists, -np.inf)))

@@ -194,6 +194,19 @@ class TestOnlyApproximation:
         with pytest.raises(ValueError):
             is_only_approximation(T, 0.5, trials=0, seed=0)
 
+    @pytest.mark.parametrize("trials", [True, False, 2.5, 3.0, "3", None, -1])
+    def test_non_integer_or_bool_trials_are_refused(self, trials):
+        # True used to run one trial and report trials=True; 2.5 died
+        # with a bare TypeError
+        T = enumerate_isometries(linf(2))[0]
+        with pytest.raises(ValueError, match="trials"):
+            is_only_approximation(T, 0.5, trials=trials, seed=0)
+
+    def test_numpy_integer_trials_are_accepted(self):
+        T = enumerate_isometries(linf(2))[0]
+        res = is_only_approximation(T, 0.5, trials=np.int64(3), seed=0, resolution=64)
+        assert res.trials == 3 and type(res.trials) is int and not res.found
+
 
 class TestEpsBoundary:
     """eps must be finite and positive; it is checked before any work, so
@@ -354,6 +367,12 @@ class TestSweep:
     def test_trials_below_one_rejected(self, trials):
         for X, Y in ((linf(2), linf(2)), (l2(2), l2(2)), (linf(3), l1(3))):
             with pytest.raises(ValueError, match="trials must be at least 1"):
+                pair_property_sweep(X, Y, [0.2], trials=trials, seed=1)
+
+    @pytest.mark.parametrize("trials", [True, 2.5, "3", None])
+    def test_non_integer_or_bool_trials_rejected(self, trials):
+        for X, Y in ((linf(2), linf(2)), (l2(2), l2(2)), (linf(3), l1(3))):
+            with pytest.raises(ValueError, match="trials must be an integer"):
                 pair_property_sweep(X, Y, [0.2], trials=trials, seed=1)
 
     def test_unsupported_pair(self):

@@ -5,9 +5,10 @@ logic: scalar golden-section search, the per-point neighbour scan of the
 l_p^2 maximum search, the scalar-evaluation search of `restricted_norm`
 on 2-D subspaces, the golden-section Birkhoff-James test and its strong
 probe, the random extremality search of `is_extreme_contraction`, the delta
-descent written inline in `verify_uniform_bpb` and `delta_for_epsilon`, the
-vertex loops of `extreme_points` and the facet loop of
-`property_p_witness`.
+descent written inline in `verify_uniform_bpb` and `delta_for_epsilon` and
+its level-by-level loop, the one-trial-at-a-time search of
+`is_only_approximation`, the vertex loops of `extreme_points` and the facet
+loop of `property_p_witness`.
 """
 
 import itertools
@@ -21,8 +22,10 @@ from bpblab import (
     birkhoff_orthogonal,
     delta_for_epsilon,
     enumerate_extreme_linf3_l13,
+    enumerate_isometries,
     extreme_points,
     is_extreme_contraction,
+    is_only_approximation,
     is_smooth_point,
     l1,
     l2,
@@ -41,6 +44,7 @@ from bpblab.operators import (
     DELTA_FLOOR,
     OperatorMatrix,
     _lp2_local_maxima,
+    delta_descent,
     require_norm_one,
 )
 from bpblab.sampling import sphere_grid
@@ -214,6 +218,49 @@ def inline_verify(T, A, eps, resolution):
     mask = norms > 1.0 - DELTA_FLOOR
     idx = int(np.argmax(np.where(mask, dists, -np.inf)))
     return ("falsified", eps, None, resolution, float(dists[idx]), X[idx].copy(), dist)
+
+
+def loop_delta_descent(norms, dists, top, eps):
+    """delta_descent one grid level at a time: a masked max per level."""
+    delta = top / 2.0
+    while delta >= DELTA_FLOOR * top:
+        mask = norms > top - delta
+        worst = float(dists.max(where=mask, initial=-np.inf))
+        if worst < eps:
+            return delta, worst, None
+        delta /= 2.0
+    mask = norms > top - DELTA_FLOOR * top
+    if not mask.any():
+        return None, -np.inf, None
+    idx = int(np.argmax(np.where(mask, dists, -np.inf)))
+    return None, float(dists[idx]), idx
+
+
+def sequential_only_approximation(T, eps, trials, seed, resolution):
+    """is_only_approximation one trial at a time: a Gaussian draw per trial,
+    a scalar halving search with op_norm, and verify_uniform_bpb per
+    candidate; returns (found, counterexample, certificate)."""
+    rng = np.random.default_rng(seed)
+    m, n = T.entries.shape
+    for _ in range(trials):
+        D = rng.standard_normal((m, n))
+        t = eps / 2.0
+        A = None
+        for _ in range(60):
+            cand = T.entries + t * D
+            v, _ = op_norm(OperatorMatrix(cand, T.domain, T.codomain))
+            cand = cand / v
+            d, _ = op_norm(OperatorMatrix(T.entries - cand, T.domain, T.codomain))
+            if d < eps:
+                A = OperatorMatrix(cand, T.domain, T.codomain)
+                break
+            t /= 2.0
+        if A is None or np.abs(A.entries - T.entries).max() < 1e-9:
+            continue
+        cert = verify_uniform_bpb(T, A, eps, resolution=resolution)
+        if cert.certified:
+            return True, A, cert
+    return False, None, None
 
 
 def inline_delta_search(T, eps, resolution):
@@ -566,3 +613,86 @@ def test_facet_witness_matches_the_facet_loop():
         x, r0 = loop_facet_witness(A)
         w = property_p_witness(A)
         assert np.array_equal(w.x_A.coords, x) and w.r0 == r0, A
+
+
+def _descent_cases():
+    """(norms, dists, top, eps): random rows plus the edges of the closed
+    form: no row at or beyond eps, every row beyond it, infinite distances
+    (an empty attainment basis), no row near enough to norming for the
+    final mask, and rows exactly at eps or exactly on a grid level."""
+    rng = np.random.default_rng(41)
+    cases = []
+    for k in range(200):
+        rows = int(rng.integers(1, 300))
+        top = (1.0, 0.5, 3.0)[k % 3]
+        norms = top * (1.0 - rng.uniform(0.0, 1.0, rows) ** rng.uniform(1.0, 40.0))
+        dists = rng.uniform(0.0, 1.0, rows) * rng.uniform(0.1, 2.0)
+        if k % 5 == 0:
+            norms[rng.integers(rows)] = top
+        cases.append((norms, dists, top, float(rng.uniform(0.05, 1.0))))
+    norms = np.linspace(0.0, 1.0, 50)
+    cases.append((norms, np.full(50, 0.1), 1.0, 0.3))            # no row at or beyond eps
+    cases.append((norms, np.full(50, 0.5), 1.0, 0.3))            # every row beyond eps
+    cases.append((norms, np.full(50, np.inf), 1.0, 0.3))         # empty basis: infinite distances
+    # every level fails on a row between the last level and the floor,
+    # which the final mask leaves out: no counterexample
+    near = np.full(50, 1.0 - 1.5 * DELTA_FLOOR)
+    cases.append((near, np.full(50, 0.5), 1.0, 0.3))
+    cases.append((norms, np.where(norms > 0.9, 0.3, 0.0), 1.0, 0.3))  # rows exactly at eps
+    levels = 1.0 - 0.5 ** np.arange(1, 25)                      # norms exactly top - delta
+    cases.append((levels, np.linspace(0.0, 0.6, 24), 1.0, 0.3))
+    cases.append((np.array([0.75]), np.array([0.2]), 1.0, 0.2))  # one row, at eps
+    return cases
+
+
+def test_closed_form_descent_matches_the_level_loop():
+    outcomes = set()
+    for norms, dists, top, eps in _descent_cases():
+        want = loop_delta_descent(norms, dists, top, eps)
+        got = delta_descent(norms, dists, top, eps, np.empty(len(norms), dtype=bool))
+        assert got == want, (norms, dists, top, eps)
+        outcomes.add((want[0] is None, want[2] is None))
+    assert outcomes == {(False, True), (True, False), (True, True)}
+
+
+def _rigidity_cases():
+    """(T, eps, trials, seed, resolution): every isometry of l_inf^2, l_1^2,
+    l_inf^3 and l_1^3 at eps 0.5; seeded norm-one operators on l_inf^2/3,
+    l_1^2/3, l_2^2/3 and l_3^2 at eps 0.05, 0.3 and 0.5; and 70 trials on
+    an isometry, which cross a block of 64."""
+    cases = []
+    for s in (linf(2), l1(2), linf(3), l1(3)):
+        for T in enumerate_isometries(s):
+            cases.append((T, 0.5, 10, len(cases), 256))
+    rng = np.random.default_rng(13)
+    for s in (linf(2), linf(3), l1(2), l1(3), l2(2), l2(3), lp(3, 2)):
+        for j in range(2):
+            M = rng.standard_normal((s.n, s.n))
+            if j == 0:
+                M = np.round(M)
+                M[0, 0] = 2.0
+            T = _unit(M, s, s)
+            for eps in (0.05, 0.3, 0.5):
+                cases.append((T, eps, 6, len(cases), (256, 512)[j]))
+    cases.append((enumerate_isometries(l1(3))[5], 0.5, 70, 99, 256))
+    return cases
+
+
+def test_lockstep_search_matches_the_sequential_loop():
+    found = set()
+    for T, eps, trials, seed, resolution in _rigidity_cases():
+        want_found, want_A, want_cert = sequential_only_approximation(T, eps, trials, seed, resolution)
+        res = is_only_approximation(T, eps, trials=trials, seed=seed, resolution=resolution)
+        assert (res.found, res.trials) == (want_found, trials), (T, eps)
+        found.add(res.found)
+        if not want_found:
+            assert res.counterexample is None and res.certificate is None
+            continue
+        assert res.counterexample.entries.tobytes() == want_A.entries.tobytes(), (T, eps)
+        got, cert = res.certificate, want_cert
+        assert (got.status, got.eps, got.delta_found, got.resolution) == (
+            cert.status, cert.eps, cert.delta_found, cert.resolution)
+        assert repr(got.worst_distance) == repr(cert.worst_distance)
+        assert repr(got.operator_distance) == repr(cert.operator_distance)
+        assert got.counterexample is None and cert.counterexample is None
+    assert found == {True, False}

@@ -21,12 +21,13 @@ from bpblab import (
 from bpblab.errors import (
     BpbLabError,
     DegenerateBasisError,
+    MixedSpacesError,
     NonFiniteError,
     OutOfRangeError,
     UnsupportedSpaceError,
     ZeroOperatorError,
 )
-from bpblab.operators import OperatorMatrix
+from bpblab.operators import OperatorMatrix, op_norms
 from bpblab.sampling import sphere_grid
 from bpblab.spaces import pnorm
 
@@ -99,6 +100,43 @@ class TestOpNorm:
     def test_unsupported_high_dim(self):
         with pytest.raises(UnsupportedSpaceError):
             op_norm(operator(np.eye(3), lp(4, 3), lp(4, 3)))
+
+
+class TestOpNorms:
+    """The stacked kernel gives op_norm's value, bit for bit, per matrix."""
+
+    PAIRS = [
+        (linf(2), linf(2)), (linf(3), l1(3)), (l1(2), l1(3)), (l1(3), lp(3, 2)),
+        (l2(2), l2(2)), (l2(3), l2(2)), (l2(2), linf(3)), (lp(3, 2), lp(4, 2)),
+        (lp("4/3", 2), l1(3)),
+    ]
+
+    @pytest.mark.parametrize("dom, cod", PAIRS, ids=lambda s: str(s))
+    @pytest.mark.parametrize("stack", [(7,), (3, 2)], ids=["k", "k_j"])
+    def test_equals_op_norm_per_matrix(self, dom, cod, stack):
+        rng = np.random.default_rng(len(stack) + 10 * dom.n + cod.n)
+        E = rng.standard_normal(stack + (cod.n, dom.n))
+        E.reshape(-1, cod.n, dom.n)[0] = np.round(E.reshape(-1, cod.n, dom.n)[0])
+        got = op_norms(E, dom, cod)
+        assert got.shape == stack
+        for idx in np.ndindex(*stack):
+            want, _ = op_norm(OperatorMatrix(E[idx], dom, cod))
+            assert got[idx] == want, (idx, got[idx], want)
+
+    def test_one_matrix_gives_a_scalar(self):
+        T = operator([[1.0, -2.0], [0.5, 3.0]], linf(2), l1(2))
+        assert op_norms(T.entries, T.domain, T.codomain)[()] == op_norm(T)[0]
+
+    @pytest.mark.parametrize("shape", [(4, 2, 3), (4, 3, 2, 2), (2,)])
+    def test_wrong_shape_is_refused(self, shape):
+        with pytest.raises(MixedSpacesError, match="3 x 2"):
+            op_norms(np.ones(shape), linf(2), linf(3))
+
+    def test_non_finite_entries_are_refused(self):
+        E = np.ones((3, 2, 2))
+        E[1, 0, 1] = np.nan
+        with pytest.raises(NonFiniteError, match="finite"):
+            op_norms(E, l2(2), l2(2))
 
 
 class TestAttainmentSet:
