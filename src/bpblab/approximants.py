@@ -33,6 +33,13 @@ from .errors import (
     ZeroOnX2Error,
 )
 from .operators import (
+    TAU_COINCIDE,
+    TAU_DET,
+    TAU_INDEP,
+    TAU_INSIDE,
+    TAU_RANK_ONE,
+    TAU_UNIT,
+    TAU_VANISH,
     AttainmentSet,
     OperatorMatrix,
     attainment_equal,
@@ -77,7 +84,7 @@ def _finish(T, A, eps, construction, expect_preserved=True, MT=None):
     dist, _ = op_norm(T - A)
     if not dist < eps:
         raise ConstructionError(f"distance {dist} is not below eps={eps}")
-    if dist <= 1e-14:
+    if dist <= TAU_COINCIDE:
         raise ConstructionError("approximant coincides with the input operator")
     if MT is None:
         MT = attainment_set(T)
@@ -103,7 +110,7 @@ def _check_eps(eps, hi=2.0):
 def _rank_one_factors(T: OperatorMatrix):
     """Write T = f (x) w with w a unit codomain vector; requires rank 1."""
     U, s, Vt = np.linalg.svd(T.entries)
-    if s[0] <= 0 or (len(s) > 1 and s[1] > 1e-10 * s[0]):
+    if s[0] <= 0 or (len(s) > 1 and s[1] > TAU_RANK_ONE * s[0]):
         raise NotRankOneError("operator is not rank one")
     w0 = U[:, 0]
     f0 = s[0] * Vt[0]
@@ -133,7 +140,7 @@ def _rank_one(T: OperatorMatrix, MT: AttainmentSet, eps: float) -> ApproximantRe
     for j in range(m):
         e = np.zeros(m)
         e[j] = 1.0
-        if np.linalg.norm(e - (e @ w) * w / (w @ w)) > 1e-8:
+        if np.linalg.norm(e - (e @ w) * w / (w @ w)) > TAU_INDEP:
             v = e
             break
     p = T.codomain.p
@@ -169,7 +176,7 @@ def convex_witness_approx(
     if np.abs(mid - T.entries).max() > TAU_EQ:
         raise NotAMidpointError("T is not the midpoint of (T1, T2)")
     d, _ = op_norm(T - T1)
-    if d <= 1e-14:
+    if d <= TAU_COINCIDE:
         raise DegenerateWitnessError("T coincides with T1")
     n = _shrink_index(d, eps)
     A = (1.0 - 1.0 / n) * T + (1.0 / n) * T1
@@ -184,7 +191,7 @@ def _decomposition_projectors(X1, X2, n):
     if B2.shape[0] != n:
         B2 = B2.T
     C = np.concatenate([B1, B2], axis=1)
-    if C.shape != (n, n) or abs(np.linalg.det(C)) < 1e-12:
+    if C.shape != (n, n) or abs(np.linalg.det(C)) < TAU_DET:
         raise NotComplementaryError("bases do not decompose the domain")
     Cinv = np.linalg.inv(C)
     k = B1.shape[1]
@@ -213,9 +220,9 @@ def _direct_sum_shrink(
     built."""
     B1, B2, P1, P2 = _decomposition_projectors(X1_basis, X2_basis, T.domain.n)
     reps = MT.representative_points()
-    if np.abs(reps @ P2.T).max() > 1e-7:
+    if np.abs(reps @ P2.T).max() > TAU_INSIDE:
         raise NotComplementaryError("attainment set is not contained in X1")
-    if restricted_norm(T, B2) <= 1e-12:
+    if restricted_norm(T, B2) <= TAU_VANISH:
         raise ZeroOnX2Error("T vanishes on X2; the construction is trivial")
     for i in range(B1.shape[1]):
         for j in range(B2.shape[1]):
@@ -357,7 +364,7 @@ def hilbert_rotate_approx(
         raise ObstructionError(
             "T has full norm on the attainment complement; preservation impossible"
         )
-    if r > 1e-12:
+    if r > TAU_VANISH:
         return _direct_sum_shrink(T, MT, Q0, Qc, eps)
     if k == 1:
         return _rank_one(T, MT, eps)
@@ -400,7 +407,7 @@ def functional_approx_lp2(f: Point, eps: float) -> ApproximantReport:
     p_space = q_space.dual()
     if p_space.n != 2 or not p_space.strictly_convex:
         raise WrongSpacesError("functional construction lives on strictly convex l_p^2")
-    if abs(f.norm() - 1.0) > 1e-9:
+    if abs(f.norm() - 1.0) > TAU_UNIT:
         raise NormNotOneError("functional must have dual norm one")
     qf = float(q_space.p)
     c = f.coords
@@ -438,7 +445,7 @@ def sbpbp_counterexample_family(x0: Point, n: int) -> OperatorMatrix:
     s = x0.space
     if not s.hilbert:
         raise WrongSpacesError("family is defined on Euclidean domains")
-    if abs(x0.norm() - 1.0) > 1e-9:
+    if abs(x0.norm() - 1.0) > TAU_UNIT:
         raise NormNotOneError("x0 must be a unit vector")
     P = np.outer(x0.coords, x0.coords)
     A = P + (1.0 - 1.0 / n) * (np.eye(s.n) - P)

@@ -386,7 +386,7 @@ def hilbert_necessary_checks(
     return HilbertChecks(dims_equal, trivial, disjunction, cert.certified)
 
 
-def attainment_cardinality_check(T: OperatorMatrix, A: OperatorMatrix, eps: float) -> bool:
+def attainment_cardinality_check(T: OperatorMatrix, A: OperatorMatrix) -> bool:
     """Whether A attains on at least as many point pairs as T, whose
     attainment set must be refined points (a 2-D non-Euclidean domain)."""
     MT = attainment_set(T)

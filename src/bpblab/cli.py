@@ -20,7 +20,7 @@ from . import approximants as apx
 from . import bpbverify as bv
 from . import classify as cf
 from . import jsonio
-from .errors import BpbLabError, MalformedInputError
+from .errors import BpbLabError, MalformedInputError, UnsupportedExponentError
 from .operators import DEFAULT_RESOLUTION, OperatorMatrix, attainment_set, op_norm
 from .spaces import INF, Point, SpaceSpec, as_exponent, l2, linf, lp, pnorm
 
@@ -48,6 +48,15 @@ def _eps_flag(text: str) -> float:
     return value
 
 
+def _exponent_flag(text: str):
+    """The type of isometries --p: an exponent p >= 1 ("inf" for the sup
+    norm)."""
+    try:
+        return as_exponent(text)
+    except (ValueError, ZeroDivisionError, UnsupportedExponentError):
+        raise argparse.ArgumentTypeError(f"must be an exponent >= 1 or 'inf', got {text!r}")
+
+
 def _eps_list_flag(text: str) -> list:
     """The --eps-list type: comma-separated finite positive reals."""
     values = [_eps_flag(e) for e in text.split(",") if e]
@@ -66,11 +75,12 @@ def _default_resolution() -> int:
         raise MalformedInputError("BPBLAB_DEFAULT_RESOLUTION", str(exc))
 
 
-def _emit(args, payload: dict) -> None:
+def _emit(args, payload) -> None:
+    """Write the JSON form of `payload`, a result or a dict of results."""
+    doc = jsonio.to_json(payload)
     if not getattr(args, "no_timestamp", False):
-        payload = dict(payload)
-        payload["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    text = json.dumps(payload, indent=2, sort_keys=True)
+        doc["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    text = json.dumps(doc, indent=2, sort_keys=True)
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
@@ -81,20 +91,20 @@ def _emit(args, payload: dict) -> None:
 def _cmd_norm(args) -> int:
     T = jsonio.load_operator(args.operator)
     value, witness = op_norm(T)
-    _emit(args, {"norm": value, "witness": jsonio.point_to_json(witness)})
+    _emit(args, {"norm": value, "witness": witness})
     return 0
 
 
 def _cmd_attain(args) -> int:
     T = jsonio.load_operator(args.operator)
     M = attainment_set(T, resolution=args.resolution)
-    _emit(args, jsonio.attainment_to_json(M))
+    _emit(args, M)
     return 0
 
 
 def _cmd_classify(args) -> int:
     T = jsonio.load_operator(args.operator)
-    out = {"operator": jsonio.operator_to_json(T)}
+    out = {"operator": T}
     square_same = T.domain.n == T.codomain.n and T.domain.p == T.codomain.p
     if square_same:
         out["is_isometry"] = cf.is_isometry(T)
@@ -105,64 +115,53 @@ def _cmd_classify(args) -> int:
     verdict = cf.is_extreme_contraction(T)
     out["extremality"] = {"status": verdict.status, "method": verdict.method}
     if verdict.witness is not None:
-        out["extremality"]["witness"] = verdict.witness.tolist()
+        out["extremality"]["witness"] = verdict.witness
     _emit(args, out)
     return 0
 
 
 def _cmd_isometries(args) -> int:
-    s = SpaceSpec(as_exponent(args.p), args.n)
+    s = SpaceSpec(args.p, args.n)
     mats = cf.enumerate_isometries(s)
-    _emit(
-        args,
-        {
-            "space": jsonio.space_to_json(s),
-            "count": len(mats),
-            "matrices": [m.entries.tolist() for m in mats],
-        },
-    )
+    _emit(args, {"space": s, "count": len(mats), "matrices": [m.entries for m in mats]})
     return 0
 
 
 def _cmd_orbit(args) -> int:
     A = jsonio.load_operator(args.operator)
     orbit = cf.equivalence_orbit(A)
-    _emit(
-        args,
-        {
-            "size": len(orbit),
-            "members": [m.entries.tolist() for m in orbit],
-        },
-    )
+    _emit(args, {"size": len(orbit), "members": [m.entries for m in orbit]})
     return 0
+
+
+def _orbit_sizes(members) -> list:
+    """[rank-one orbit size, block orbit size] of the l_inf^3 -> l_1^3 census."""
+    names = [cf.census_lookup(m)[0] for m in members]
+    return [names.count("rank_one"), names.count("block")]
 
 
 def _cmd_enumerate_ext(args) -> int:
     if args.pair != "linf3-l13":
         raise MalformedInputError("pair", f"unsupported pair {args.pair!r}")
     members = cf.enumerate_extreme_linf3_l13()
-    sizes = {}
-    for m in members:
-        name, _, _, _ = cf.census_lookup(m)
-        sizes[name] = sizes.get(name, 0) + 1
     _emit(
         args,
         {
             "pair": args.pair,
             "count": len(members),
-            "orbits": [sizes["rank_one"], sizes["block"]],
-            "members": [m.entries.tolist() for m in members],
+            "orbits": _orbit_sizes(members),
+            "members": [m.entries for m in members],
         },
     )
     return 0
 
 
 _CONSTRUCTIONS = {
-    "rank-one": lambda T, eps: apx.rank_one_approx(T, eps),
-    "linf": lambda T, eps: apx.linf_extreme_approx(T, eps),
-    "l1": lambda T, eps: apx.l1_extreme_approx(T, eps),
-    "linf3-l13": lambda T, eps: apx.linf3_l13_extreme_approx(T, eps),
-    "hilbert": lambda T, eps: apx.hilbert_rotate_approx(T, eps),
+    "rank-one": apx.rank_one_approx,
+    "linf": apx.linf_extreme_approx,
+    "l1": apx.l1_extreme_approx,
+    "linf3-l13": apx.linf3_l13_extreme_approx,
+    "hilbert": apx.hilbert_rotate_approx,
 }
 
 
@@ -171,8 +170,7 @@ def _cmd_approx(args) -> int:
     builder = _CONSTRUCTIONS.get(args.construction)
     if builder is None:
         raise MalformedInputError("construction", f"unknown {args.construction!r}")
-    report = builder(T, args.eps)
-    _emit(args, jsonio.report_to_json(report))
+    _emit(args, builder(T, args.eps))
     return 0
 
 
@@ -180,20 +178,18 @@ def _cmd_verify(args) -> int:
     T = jsonio.load_operator(args.T, "T")
     A = jsonio.load_operator(args.A, "A")
     cert = bv.verify_uniform_bpb(T, A, args.eps, resolution=args.resolution)
-    _emit(args, jsonio.certificate_to_json(cert))
+    _emit(args, cert)
     return 0 if cert.certified else 1
 
 
 def _cmd_witness_p(args) -> int:
     A = jsonio.load_operator(args.operator)
-    w = bv.property_p_witness(A, resolution=args.resolution)
-    _emit(args, jsonio.witness_to_json(w))
+    _emit(args, bv.property_p_witness(A, resolution=args.resolution))
     return 0
 
 
 def _cmd_epsilon0(args) -> int:
-    rep = bv.epsilon0_lp2(args.p)
-    _emit(args, jsonio.epsilon0_to_json(rep))
+    _emit(args, bv.epsilon0_lp2(args.p))
     return 0
 
 
@@ -222,7 +218,7 @@ def _cmd_sweep(args) -> int:
         seed=args.seed,
         resolution=args.resolution,
     )
-    _emit(args, jsonio.sweep_to_json(summary))
+    _emit(args, summary)
     return 0 if not summary.failures else 1
 
 
@@ -232,13 +228,7 @@ def _demo_checks():
 
     members = cf.enumerate_extreme_linf3_l13()
     checks.append(("extreme census count is 90", len(members) == 90))
-    sizes = {}
-    for m in members:
-        name, _, _, _ = cf.census_lookup(m)
-        sizes[name] = sizes.get(name, 0) + 1
-    checks.append(
-        ("census orbit sizes are 18 and 72", sizes.get("rank_one") == 18 and sizes.get("block") == 72)
-    )
+    checks.append(("census orbit sizes are 18 and 72", _orbit_sizes(members) == [18, 72]))
     norms_ok = all(abs(op_norm(m)[0] - 1.0) < 1e-9 for m in members)
     checks.append(("every census member has norm one", norms_ok))
 
@@ -340,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("isometries", help="enumerate signed-permutation isometries")
-    p.add_argument("--p", required=True)
+    p.add_argument("--p", type=_exponent_flag, required=True)
     p.add_argument("--n", type=int, required=True)
     common(p)
     p.set_defaults(func=_cmd_isometries)

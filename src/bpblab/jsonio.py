@@ -3,18 +3,21 @@
 Operator schema: {"rows": [[...]], "domain": {"p": "inf"|"1"|"4/3"...,
 "n": k}, "codomain": {...}} with exponents as strings so rationals travel
 exactly.  Attainment sets serialize as a tagged union; faces are sign
-pattern strings like "+0-".
+pattern strings like "+0-".  Every other result serializes field by field
+through `to_json`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 
 from .errors import MalformedInputError, UnsupportedExponentError
 from .operators import AttainmentSet, OperatorMatrix
-from .spaces import Point, SpaceSpec, as_exponent, exponent_str
+from .spaces import SpaceSpec, as_exponent, exponent_str
 
 
 def parse_space(d, field: str = "space") -> SpaceSpec:
@@ -27,13 +30,9 @@ def parse_space(d, field: str = "space") -> SpaceSpec:
     except (ValueError, ZeroDivisionError, UnsupportedExponentError) as exc:
         raise MalformedInputError(f"{field}.p", str(exc))
     n = d.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise MalformedInputError(f"{field}.n", "dimension must be a positive integer")
     return SpaceSpec(p, n)
-
-
-def space_to_json(s: SpaceSpec) -> dict:
-    return {"p": exponent_str(s.p), "n": s.n}
 
 
 def parse_operator(d, field: str = "operator") -> OperatorMatrix:
@@ -63,14 +62,6 @@ def parse_operator(d, field: str = "operator") -> OperatorMatrix:
     return OperatorMatrix(M, dom, cod)
 
 
-def operator_to_json(T: OperatorMatrix) -> dict:
-    return {
-        "rows": T.entries.tolist(),
-        "domain": space_to_json(T.domain),
-        "codomain": space_to_json(T.codomain),
-    }
-
-
 def load_operator(path: str, field: str = "operator") -> OperatorMatrix:
     try:
         with open(path) as fh:
@@ -82,74 +73,39 @@ def load_operator(path: str, field: str = "operator") -> OperatorMatrix:
     return parse_operator(data, field)
 
 
-def point_to_json(x: Point) -> dict:
-    return {"coords": x.coords.tolist(), "space": space_to_json(x.space)}
+def to_json(obj):
+    """The JSON form of a space, operator, attainment set or result.
 
-
-def attainment_to_json(M: AttainmentSet) -> dict:
-    out = {"kind": M.kind, "value": float(M.value), "space": space_to_json(M.space)}
-    if M.kind == "faces":
-        out["faces"] = [f.signs for f in M.faces]
-    elif M.kind == "points":
-        out["points"] = M.points.tolist()
-    else:
-        out["basis"] = M.basis.tolist()
-    return out
-
-
-def certificate_to_json(c) -> dict:
-    return {
-        "status": c.status,
-        "eps": c.eps,
-        "delta_found": c.delta_found,
-        "resolution": c.resolution,
-        "worst_distance": None if c.worst_distance == float("inf") else c.worst_distance,
-        "operator_distance": c.operator_distance,
-        "counterexample": None
-        if c.counterexample is None
-        else point_to_json(c.counterexample),
-    }
-
-
-def report_to_json(r) -> dict:
-    return {
-        "construction": r.construction,
-        "eps": r.eps,
-        "distance": r.distance,
-        "original": operator_to_json(r.original),
-        "approximant": operator_to_json(r.approximant),
-        "attainment_original": attainment_to_json(r.attainment_original),
-        "attainment_approximant": attainment_to_json(r.attainment_approximant),
-        "attainment_preserved": r.attainment_preserved,
-    }
-
-
-def witness_to_json(w) -> dict:
-    return {
-        "x_A": point_to_json(w.x_A),
-        "r0": w.r0,
-        "operator": operator_to_json(w.operator),
-    }
-
-
-def epsilon0_to_json(e) -> dict:
-    return {
-        "p": e.p,
-        "separation": e.separation,
-        "delta1": e.delta1,
-        "eps0": e.eps0,
-    }
-
-
-def sweep_to_json(s) -> dict:
-    return {
-        "pair": list(s.pair),
-        "total": s.total,
-        "certified": s.certified,
-        "preserved": s.preserved,
-        "skipped_isometries": s.skipped_isometries,
-        "failures": [
-            {"eps": f.eps, "reason": f.reason, "operator": operator_to_json(f.operator)}
-            for f in s.failures
-        ],
-    }
+    SpaceSpec, OperatorMatrix and AttainmentSet have the forms in the module
+    docstring.  Any other dataclass maps field by field and a dict value by
+    value; tuples and arrays become lists, and an infinite float becomes
+    null.
+    """
+    if isinstance(obj, SpaceSpec):
+        return {"p": exponent_str(obj.p), "n": obj.n}
+    if isinstance(obj, OperatorMatrix):
+        return {
+            "rows": obj.entries.tolist(),
+            "domain": to_json(obj.domain),
+            "codomain": to_json(obj.codomain),
+        }
+    if isinstance(obj, AttainmentSet):
+        out = {"kind": obj.kind, "value": float(obj.value), "space": to_json(obj.space)}
+        if obj.kind == "faces":
+            out["faces"] = [f.signs for f in obj.faces]
+        elif obj.kind == "points":
+            out["points"] = obj.points.tolist()
+        else:
+            out["basis"] = obj.basis.tolist()
+        return out
+    if dataclasses.is_dataclass(obj):
+        return {f.name: to_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {k: to_json(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [to_json(v) for v in obj]
+    if isinstance(obj, float) and math.isinf(obj):
+        return None
+    return obj

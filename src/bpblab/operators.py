@@ -50,6 +50,20 @@ TAU_SAME = 1e-9    # entry gap below which a perturbation of T is T itself,
 TAU_ANGLE = 1e-9   # largest cosine of the widest principal angle between two
                    # attainment subspaces still read as 0: up to it, one meets
                    # the other's orthogonal complement
+TAU_ATTAIN_EQ = 1e-7  # largest distance between two attainment sets (points
+                      # or subspace projectors) still read as equal sets
+TAU_COINCIDE = 1e-14  # largest ||T - A|| at which a constructor reads A as T
+                      # itself and refuses it
+TAU_RANK_ONE = 1e-10  # largest s_2 / s_1 of an operator still read as rank one
+TAU_INDEP = 1e-8   # smallest distance from a basis vector to span{w} for the
+                   # rank-one tilt to turn w toward it
+TAU_DET = 1e-12    # smallest |det [X1 X2]| read as X1 (+) X2 spanning the domain
+TAU_INSIDE = 1e-7  # largest X2 component of an attainment point still read as
+                   # the point lying in X1
+TAU_VANISH = 1e-12  # largest norm of T restricted to a subspace still read as T
+                    # vanishing there
+TAU_UNIT = 1e-9    # largest | ||x|| - 1 | of an input vector or functional taken
+                   # as a unit one
 
 DEFAULT_RESOLUTION = 4096
 
@@ -224,8 +238,9 @@ class AttainmentSet:
         return len(P) // 2
 
 
-def attainment_equal(a: AttainmentSet, b: AttainmentSet, tol: float = 1e-7) -> bool:
-    """Whether two attainment sets describe the same subset of the sphere."""
+def attainment_equal(a: AttainmentSet, b: AttainmentSet) -> bool:
+    """Whether two attainment sets describe the same subset of the sphere,
+    up to TAU_ATTAIN_EQ."""
     if a.space != b.space:
         return False
     if a.kind == "faces" and b.kind == "faces":
@@ -235,16 +250,16 @@ def attainment_equal(a: AttainmentSet, b: AttainmentSet, tol: float = 1e-7) -> b
             return False
         P = a.basis @ a.basis.T
         Q = b.basis @ b.basis.T
-        return bool(np.abs(P - Q).max() < tol)
+        return bool(np.abs(P - Q).max() < TAU_ATTAIN_EQ)
     if a.kind == "points" and b.kind == "points":
         if len(a.points) != len(b.points):
             return False
         da = a.distance_to(b.points)
         db = b.distance_to(a.points)
-        return bool(da.max() < tol and db.max() < tol)
+        return bool(da.max() < TAU_ATTAIN_EQ and db.max() < TAU_ATTAIN_EQ)
     # mixed representations: compare via mutual representative distances
     ra, rb = a.representative_points(), b.representative_points()
-    return bool(a.distance_to(rb).max() < tol and b.distance_to(ra).max() < tol)
+    return bool(a.distance_to(rb).max() < TAU_ATTAIN_EQ and b.distance_to(ra).max() < TAU_ATTAIN_EQ)
 
 
 def _refined_maxima(t: np.ndarray, h: np.ndarray, f):

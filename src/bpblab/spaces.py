@@ -65,7 +65,7 @@ class SpaceSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "p", as_exponent(self.p))
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if not (isinstance(self.n, int) and not isinstance(self.n, bool) and self.n >= 1):
             raise UnsupportedSpaceError(f"dimension must be a positive integer, got {self.n}")
 
     @property

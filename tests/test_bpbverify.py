@@ -337,12 +337,12 @@ class TestCardinality:
     def test_equality_for_self(self):
         s = lp(4, 2)
         T = operator(np.array([[1.0, 1.0], [1.0, -1.0]]) / 2 ** 0.75, s, s)
-        assert attainment_cardinality_check(T, T, 0.05)
+        assert attainment_cardinality_check(T, T)
 
     def test_non_discrete_rejected(self):
         T = operator(np.diag([1.0, 0.5]), l2(2), l2(2))
         with pytest.raises(NotDiscreteError):
-            attainment_cardinality_check(T, T, 0.05)
+            attainment_cardinality_check(T, T)
 
 
 class TestSweep:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bpblab.cli import main
-from bpblab.jsonio import operator_to_json, parse_operator
+from bpblab.errors import MalformedInputError
+from bpblab.jsonio import parse_operator, parse_space, to_json
 
 
 @pytest.fixture
@@ -42,6 +43,22 @@ class TestNormCommand:
         err = capsys.readouterr().err
         assert "domain.p" in err
 
+    @pytest.mark.parametrize("side", ["domain", "codomain"])
+    def test_bool_dimension_names_field(self, op_file, capsys, side):
+        # rows of the shape that n = 1 gives: this ran with exit 0
+        spaces = {"domain": LINF2, "codomain": LINF2}
+        spaces[side] = {"p": "inf", "n": True}
+        rows = [[1], [0]] if side == "domain" else [[1, 0]]
+        f = op_file("bad.json", rows, spaces["domain"], spaces["codomain"])
+        assert main(["norm", "--operator", f, "--no-timestamp"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"operator.{side}.n" in captured.err
+
+    def test_parse_space_refuses_bool_dimension(self):
+        with pytest.raises(MalformedInputError) as exc:
+            parse_space({"p": "2", "n": True}, "T.domain")
+        assert exc.value.field == "T.domain.n"
+
     def test_shape_mismatch_names_field(self, op_file, capsys):
         f = op_file("bad.json", [[1, 0]], LINF2, LINF2)
         code = main(["norm", "--operator", f])
@@ -61,7 +78,7 @@ class TestAttainAndRoundTrip:
         import bpblab
 
         T = bpblab.operator([[1.0, 0.5], [0.0, -1.0]], bpblab.linf(2), bpblab.l1(2))
-        back = parse_operator(operator_to_json(T))
+        back = parse_operator(to_json(T))
         assert back.close_to(T)
         assert back.domain == T.domain and back.codomain == T.codomain
 
@@ -103,6 +120,16 @@ class TestEnumerationCommands:
         code, doc = run(capsys, ["isometries", "--p", "3", "--n", "2", "--no-timestamp"])
         assert code == 0
         assert doc["count"] == 8
+
+    @pytest.mark.parametrize("value", ["abc", "1/0", "nan", "0.5"])
+    def test_isometries_bad_exponent_names_flag(self, capsys, value):
+        # "abc" and "1/0" died with a traceback and exit 1
+        with pytest.raises(SystemExit) as exc:
+            main(["isometries", "--p", value, "--n", "2", "--no-timestamp"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--p" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_orbit(self, op_file, capsys):
         f = op_file("id.json", [[1, 0], [0, 1]], LINF2, LINF2)

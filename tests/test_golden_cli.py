@@ -1,7 +1,9 @@
 """Byte-for-byte CLI outputs under --no-timestamp.
 
 Each `tests/golden/<name>.out` holds the stdout of one subcommand, recorded
-before the kernels behind it were consolidated.  The cases avoid results that
+before the kernels behind it were consolidated; `witness_p_linf2` and
+`sweep_linf2` were recorded before the per-type serialisers became
+`jsonio.to_json`.  The cases avoid results that
 go through LAPACK, quadrature or a non-integer `pow` (l_2, l_p^2, epsilon0),
 whose last bits may vary with the platform; `demo` prints only check names
 and pass flags.
@@ -39,6 +41,14 @@ CASES = {
         1,
     ),
     "demo": (["demo"], 0),
+    "witness_p_linf2": (["witness-p", "--operator", "linf2_double.json"], 0),
+    "sweep_linf2": (
+        [
+            "sweep", "--pair", "linf2", "--trials", "2", "--seed", "1",
+            "--resolution", "256", "--eps-list", "0.2,2.5",
+        ],
+        1,
+    ),
 }
 
 

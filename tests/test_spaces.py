@@ -37,6 +37,14 @@ from bpblab import spaces
 from bpblab.spaces import lp_circle, pnorm, points_distance, polyhedral_table
 
 
+class TestSpaceSpec:
+    @pytest.mark.parametrize("n", [True, False, 0, -1, 2.0])
+    def test_dimension_must_be_a_positive_int(self, n):
+        # isinstance(True, int) holds, so l_inf^True was built
+        with pytest.raises(UnsupportedSpaceError):
+            spaces.SpaceSpec(INF, n)
+
+
 class TestNorm:
     def test_unit_vector(self):
         assert norm(point([1.0, 0.0], lp(3, 2))) == 1.0
