@@ -31,7 +31,10 @@ from .operators import (
     TAU_ANGLE,
     TAU_SAME,
     OperatorMatrix,
+    _halving_delta,
+    _vertex_norms,
     attainment_set,
+    check_norm_one,
     delta_descent,
     norm_one_attainment_set,
     op_norm,
@@ -44,6 +47,7 @@ from .sampling import sphere_grid
 from .spaces import (
     ARC_TABLE_SIZE,
     INF,
+    TAU_EQ,
     Point,
     SpaceSpec,
     _arc_table,
@@ -51,6 +55,7 @@ from .spaces import (
     _interp_on_curve,
     arc_length_constant,
     arc_length_total,
+    face_distances,
     pnorm,
     pnorm_into,
     polyhedral_table,
@@ -198,6 +203,29 @@ def _halving_search(T: OperatorMatrix, D: np.ndarray, eps: float):
     return cands, dists, found
 
 
+def _polyhedral_screen(C: np.ndarray, dom: SpaceSpec, cod: SpaceSpec, sample, eps: float):
+    """||A|| of every candidate A of the stack C on a polyhedral domain, and
+    whether `_inclusion_certificate` certifies A against the T-side
+    `sample` when ||A|| is 1, decided without building an attainment set.
+
+    A attains on the faces whose barycentre norm reaches ||A||(1 - TAU_EQ),
+    as in `attainment_set`.  A face is no farther from a point than its
+    subfaces, so a row lies below eps of M_A iff it lies below eps of one
+    of these faces, maximal or not: one table of row-to-face distances over
+    the faces some candidate attains on gives each candidate's g, the
+    largest image norm among the rows not below eps, and `_halving_delta`
+    decides from g as `delta_descent` does.
+    """
+    X, work, _ = sample
+    table = polyhedral_table(dom)
+    values = op_norms(C, dom, cod)
+    hit = _vertex_norms(C, table.barycentres, cod) >= values[:, None] * (1.0 - TAU_EQ)
+    used = np.flatnonzero(hit.any(axis=0))
+    near = face_distances(dom, table.patterns[used], X) < eps
+    g = np.where(hit[:, used] @ near, -np.inf, work[0]).max(axis=1)
+    return values, [_halving_delta(float(x), 1.0) is not None for x in g]
+
+
 def is_only_approximation(
     T: OperatorMatrix,
     eps: float,
@@ -215,8 +243,11 @@ def is_only_approximation(
     Trials run in blocks of TRIAL_BLOCK, one Gaussian draw per block (the
     same stream as one draw per trial), with the halving search of the
     block in lockstep and the candidates verified in trial order against
-    one sample of T.  On l_p^2 domains, where op_norms loops per matrix,
-    a block is one trial, so no trial past a certificate is searched.
+    one sample of T.  On polyhedral domains one stacked screen
+    (`_polyhedral_screen`) decides every candidate of a block, and only
+    the first that certifies gets its attainment set and certificate.  On
+    l_p^2 domains, where op_norms loops per matrix, a block is one trial,
+    so no trial past a certificate is searched.
     """
     apx._check_eps(eps, hi=math.inf)
     trials = _check_trials(trials)
@@ -228,9 +259,16 @@ def is_only_approximation(
     for start in range(0, trials, block):
         D = rng.standard_normal((min(block, trials - start), *T.entries.shape))
         cands, dists, found = _halving_search(T, D, eps)
-        for i in np.flatnonzero(found):
+        idx = np.flatnonzero(found)
+        if dom.polyhedral and idx.size:
+            values, certifies = _polyhedral_screen(cands[idx], dom, cod, sample, eps)
+        for j, i in enumerate(idx):
             if np.abs(cands[i] - T.entries).max() < TAU_SAME:
                 continue
+            if dom.polyhedral:
+                check_norm_one(float(values[j]), "A")
+                if not certifies[j]:
+                    continue
             A = OperatorMatrix(cands[i], dom, cod)
             MA = norm_one_attainment_set(A, "A", resolution)
             cert = _inclusion_certificate(MA, float(dists[i]), eps, resolution, sample)

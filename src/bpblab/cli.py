@@ -25,16 +25,27 @@ from .operators import DEFAULT_RESOLUTION, OperatorMatrix, attainment_set, op_no
 from .spaces import INF, Point, SpaceSpec, as_exponent, l2, linf, lp, pnorm
 
 
-def _positive_int(text: str) -> int:
-    """The type of --resolution, --trials and BPBLAB_DEFAULT_RESOLUTION:
-    an integer >= 1."""
+def _int_at_least(text: str, lo: int) -> int:
+    """int(text), refused with an argparse error naming the bound unless
+    it is an integer >= lo."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+        value = lo - 1
+    if value < lo:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {lo}, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """The type of --resolution, --trials, isometries --n and
+    BPBLAB_DEFAULT_RESOLUTION: an integer >= 1."""
+    return _int_at_least(text, 1)
+
+
+def _epsilon0_exponent_flag(text: str) -> int:
+    """The type of epsilon0 --p: an integer >= 3."""
+    return _int_at_least(text, 3)
 
 
 def _eps_flag(text: str) -> float:
@@ -331,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("isometries", help="enumerate signed-permutation isometries")
     p.add_argument("--p", type=_exponent_flag, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     common(p)
     p.set_defaults(func=_cmd_isometries)
 
@@ -369,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_witness_p)
 
     p = sub.add_parser("epsilon0", help="rigidity constant for l_p^2, integer p >= 3")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_epsilon0_exponent_flag, required=True)
     common(p)
     p.set_defaults(func=_cmd_epsilon0)
 

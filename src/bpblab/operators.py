@@ -478,6 +478,17 @@ class DeltaSearch:
 DELTA_FLOOR = 1e-6
 
 
+def _halving_delta(g: float, top: float) -> Optional[float]:
+    """The first delta of top/2, top/4, ... down to DELTA_FLOOR*top with
+    g <= top - delta, None without one: the delta grid level that passes
+    when g is the largest image norm among the sample rows not below eps."""
+    floor = DELTA_FLOOR * top
+    delta = top / 2.0
+    while delta >= floor and g > top - delta:
+        delta /= 2.0
+    return delta if delta >= floor else None
+
+
 def delta_descent(norms, dists, top: float, eps: float, mask: np.ndarray):
     """The geometric delta descent of the uniform inclusion test.
 
@@ -490,17 +501,15 @@ def delta_descent(norms, dists, top: float, eps: float, mask: np.ndarray):
 
     A delta fails iff some row not below eps has norms > top - delta, that
     is iff g, the largest norm among those rows, exceeds top - delta; so
-    one masked max decides every level of the grid.
+    one masked max decides every level of the grid (`_halving_delta`).
     """
     np.less(dists, eps, out=mask)
     g = float(norms.max(where=np.invert(mask, out=mask), initial=-np.inf))
-    floor = DELTA_FLOOR * top
-    delta = top / 2.0
-    while delta >= floor and g > top - delta:
-        delta /= 2.0
-    if delta >= floor:
+    delta = _halving_delta(g, top)
+    if delta is not None:
         np.greater(norms, top - delta, out=mask)
         return delta, float(dists.max(where=mask, initial=-np.inf)), None
+    floor = DELTA_FLOOR * top
     np.greater(norms, top - floor, out=mask)
     if not mask.any():
         return None, -np.inf, None

@@ -232,38 +232,17 @@ class Face:
         return bool(face_containment(self.space, [self.pattern], [other.pattern])[0, 0])
 
     def distance_to(self, X, out=None, work=None) -> np.ndarray:
-        """Distance (in the space's own norm) from each row of X to the face.
+        """Distance (in the space's own norm) from each row of X to the
+        face, by `face_distances`.
 
-        Closed forms, one coordinate at a time: coordinate clamping for
-        l_inf faces, an exact simplex projection formula for l_1 faces.
         The result goes to `out`; `work`, shape (2, len(X)), is scratch.
         Both are allocated when not given.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if out is None:
             out = np.empty(len(X))
-        tmp, pos = np.empty((2, len(X))) if work is None else work
-        out.fill(0.0)
-        if self.space.p == INF:
-            # max of |x_i - s_i| over the fixed coordinates and of
-            # (|x_i| - 1)_+ over the free ones
-            for i, s in enumerate(self.pattern):
-                if s:
-                    np.abs(np.subtract(X[:, i], s, out=tmp), out=tmp)
-                else:
-                    np.subtract(np.abs(X[:, i], out=tmp), 1.0, out=tmp)
-                np.maximum(out, tmp, out=out)
-            return out
-        # l_1: min over the simplex conv{q_i e_i} of ||x - v||_1.  With
-        # P = sum((q_i x_i)_+) over the support, the optimum value is
-        # ||x||_1 - P + |P - 1|.
-        pos.fill(0.0)
-        for i, s in enumerate(self.pattern):
-            np.add(out, np.abs(X[:, i], out=tmp), out=out)
-            if s:
-                np.add(pos, np.maximum(np.multiply(X[:, i], s, out=tmp), 0.0, out=tmp), out=pos)
-        np.subtract(out, pos, out=out)
-        return np.add(out, np.abs(np.subtract(pos, 1.0, out=pos), out=pos), out=out)
+        face_distances(self.space, [self.pattern], X, out[None], None if work is None else work[:, None])
+        return out
 
     def __repr__(self):
         return f"Face({self.space}, {self.signs})"
@@ -290,6 +269,56 @@ def face_containment(s: SpaceSpec, big, small) -> np.ndarray:
         free = b == 0 if s.p == INF else q == 0
         C &= free | (b == q)
     return C
+
+
+def face_distances(s: SpaceSpec, patterns, X, out=None, work=None) -> np.ndarray:
+    """D[f, i]: the distance in the norm of s from row i of X to the face
+    with sign pattern patterns[f].
+
+    Closed forms, one coordinate at a time for every face at once: the
+    largest of 0 and |x_j - q_j| - [q_j = 0] over j (coordinate clamping)
+    for a cube face; ||x||_1 - P + |P - 1| with P = sum((q_j x_j)_+) (the
+    nearest point of the simplex conv{q_j e_j}) for a cross-polytope face.
+    The result goes to `out`, shape (len(patterns), len(X)); `work`, shape
+    (2, len(patterns), len(X)), is scratch.  Both are allocated when not
+    given.  Rows of another dimension than s are refused.
+    """
+    if X.shape[1] != s.n:
+        raise MixedSpacesError(f"rows of dimension {X.shape[1]} do not live in {s}")
+    Q = np.atleast_2d(np.asarray(patterns, dtype=float))
+    if out is None:
+        out = np.empty((len(Q), len(X)))
+    tmp, pos = np.empty((2, *out.shape)) if work is None else work
+    # where no face fixes a coordinate (or, on l_inf, none frees it), its
+    # pass would only subtract or add zeros, which changes no bit: skipping
+    # it, and taking one face's rows as 1-D arrays and its signs as floats,
+    # keeps one face as cheap as the two-branch per-face forms
+    D, signs = out, Q.T.tolist()
+    if len(Q) == 1:
+        out, tmp, pos = out[0], tmp[0], pos[0]
+        cols = [c[0] for c in signs]
+    else:
+        cols = Q.T[:, :, None]
+    out.fill(0.0)
+    if s.p == INF:
+        for x, q, c in zip(X.T, cols, signs):
+            if any(c):
+                np.abs(np.subtract(x, q, out=tmp), out=tmp)
+            else:
+                np.abs(x, out=tmp)
+            if not all(c):
+                np.subtract(tmp, 1.0 - abs(q), out=tmp)
+            np.maximum(out, tmp, out=out)
+        return D
+    pos.fill(0.0)
+    for x, q, c in zip(X.T, cols, signs):
+        np.add(out, np.abs(x, out=tmp), out=out)
+        if any(c):
+            # fmax, not maximum: an infinite x_j off the support adds 0, not nan
+            np.add(pos, np.fmax(np.multiply(x, q, out=tmp), 0.0, out=tmp), out=pos)
+    np.subtract(out, pos, out=out)
+    np.add(out, np.abs(np.subtract(pos, 1.0, out=pos), out=pos), out=out)
+    return D
 
 
 def face_barycentres(s: SpaceSpec, patterns) -> np.ndarray:

@@ -131,6 +131,24 @@ class TestEnumerationCommands:
         assert captured.out == "" and "--p" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("value", ["0", "-1", "two", "2.5"])
+    def test_isometries_bad_dimension_names_flag(self, capsys, value):
+        # "0" was refused without naming the flag
+        with pytest.raises(SystemExit) as exc:
+            main(["isometries", "--p", "inf", "--n", value, "--no-timestamp"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--n" in captured.err
+
+    @pytest.mark.parametrize("value", ["2", "1", "0", "-3", "3.5", "inf", "x"])
+    def test_epsilon0_bad_exponent_names_flag(self, capsys, value):
+        # "2" was refused without naming the flag
+        with pytest.raises(SystemExit) as exc:
+            main(["epsilon0", "--p", value, "--no-timestamp"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--p" in captured.err
+
     def test_orbit(self, op_file, capsys):
         f = op_file("id.json", [[1, 0], [0, 1]], LINF2, LINF2)
         code, doc = run(capsys, ["orbit", "--operator", f, "--no-timestamp"])

@@ -7,8 +7,9 @@ on 2-D subspaces, the golden-section Birkhoff-James test and its strong
 probe, the random extremality search of `is_extreme_contraction`, the delta
 descent written inline in `verify_uniform_bpb` and `delta_for_epsilon` and
 its level-by-level loop, the one-trial-at-a-time search of
-`is_only_approximation`, the vertex loops of `extreme_points` and the facet
-loop of `property_p_witness`.
+`is_only_approximation`, the vertex loops of `extreme_points`, the facet
+loop of `property_p_witness` and the per-face closed forms of
+`Face.distance_to`.
 """
 
 import itertools
@@ -39,12 +40,20 @@ from bpblab import (
     verify_uniform_bpb,
 )
 from bpblab import operators
-from bpblab.bpbverify import _sample_buffers
+from bpblab.bpbverify import (
+    _halving_search,
+    _inclusion_certificate,
+    _polyhedral_screen,
+    _sample_buffers,
+    _sample_norms,
+)
+from bpblab.errors import MixedSpacesError, NormNotOneError
 from bpblab.operators import (
     DELTA_FLOOR,
     OperatorMatrix,
     _lp2_local_maxima,
     delta_descent,
+    norm_one_attainment_set,
     require_norm_one,
 )
 from bpblab.sampling import sphere_grid
@@ -52,10 +61,13 @@ from bpblab.spaces import (
     INF,
     TAU_EQ,
     TAU_OPT,
+    Face,
     enumerate_faces,
+    face_distances,
     lp_circle,
     pnorm,
     pnorm_into,
+    polyhedral_table,
 )
 
 
@@ -240,6 +252,7 @@ def sequential_only_approximation(T, eps, trials, seed, resolution):
     """is_only_approximation one trial at a time: a Gaussian draw per trial,
     a scalar halving search with op_norm, and verify_uniform_bpb per
     candidate; returns (found, counterexample, certificate)."""
+    require_norm_one(T, "T")
     rng = np.random.default_rng(seed)
     m, n = T.entries.shape
     for _ in range(trials):
@@ -261,6 +274,27 @@ def sequential_only_approximation(T, eps, trials, seed, resolution):
         if cert.certified:
             return True, A, cert
     return False, None, None
+
+
+def loop_face_distance(face, X):
+    """Face.distance_to with its two closed forms written per face: one
+    branch per coordinate on whether the face fixes it (l_inf), the
+    positive part summed over the support only (l_1)."""
+    out, tmp, pos = np.zeros(len(X)), np.empty(len(X)), np.zeros(len(X))
+    if face.space.p == INF:
+        for i, s in enumerate(face.pattern):
+            if s:
+                np.abs(np.subtract(X[:, i], s, out=tmp), out=tmp)
+            else:
+                np.subtract(np.abs(X[:, i], out=tmp), 1.0, out=tmp)
+            np.maximum(out, tmp, out=out)
+        return out
+    for i, s in enumerate(face.pattern):
+        np.add(out, np.abs(X[:, i], out=tmp), out=out)
+        if s:
+            np.add(pos, np.maximum(np.multiply(X[:, i], s, out=tmp), 0.0, out=tmp), out=pos)
+    np.subtract(out, pos, out=out)
+    return np.add(out, np.abs(np.subtract(pos, 1.0, out=pos), out=pos), out=out)
 
 
 def inline_delta_search(T, eps, resolution):
@@ -658,8 +692,10 @@ def test_closed_form_descent_matches_the_level_loop():
 def _rigidity_cases():
     """(T, eps, trials, seed, resolution): every isometry of l_inf^2, l_1^2,
     l_inf^3 and l_1^3 at eps 0.5; seeded norm-one operators on l_inf^2/3,
-    l_1^2/3, l_2^2/3 and l_3^2 at eps 0.05, 0.3 and 0.5; and 70 trials on
-    an isometry, which cross a block of 64."""
+    l_1^2/3, l_2^2/3 and l_3^2 at eps 0.05, 0.3 and 0.5; 70 trials on an
+    isometry, which cross a block of 64; and integer or sparse norm-one
+    operators on l_inf^2/3 and l_1^2/3 domains (some into other codomains)
+    at eps 0.05, 0.3 and 1.0, whose attainment sets hold many faces."""
     cases = []
     for s in (linf(2), l1(2), linf(3), l1(3)):
         for T in enumerate_isometries(s):
@@ -675,14 +711,44 @@ def _rigidity_cases():
             for eps in (0.05, 0.3, 0.5):
                 cases.append((T, eps, 6, len(cases), (256, 512)[j]))
     cases.append((enumerate_isometries(l1(3))[5], 0.5, 70, 99, 256))
+    rng = np.random.default_rng(23)
+    pairs = [(linf(2), linf(2)), (linf(3), linf(3)), (l1(2), l1(2)), (l1(3), l1(3)),
+             (linf(3), l1(2)), (l1(2), linf(3)), (linf(2), lp(3, 2))]
+    for dom, cod in pairs:
+        for j in range(3):
+            if j < 2:
+                M = rng.integers(-1, 2, size=(cod.n, dom.n)).astype(float)
+            else:
+                M = rng.standard_normal((cod.n, dom.n)) * (rng.random((cod.n, dom.n)) < 0.5)
+            M[0, 0] = 1.0 if j else 2.0
+            T = _unit(M, dom, cod)
+            for eps in (0.05, 0.3, 1.0):
+                cases.append((T, eps, 8, len(cases), (256, 512)[j % 2]))
     return cases
 
 
-def test_lockstep_search_matches_the_sequential_loop():
-    found = set()
+def _outcome(search, *args):
+    """search(*args), or the type and message of the NormNotOneError it
+    raised."""
+    try:
+        return search(*args)
+    except NormNotOneError as exc:
+        return (type(exc), str(exc))
+
+
+def _compare_with_the_sequential_loop():
+    """Runs both searches on every rigidity case and asserts the same
+    outcome byte for byte; returns the found flags seen and the number of
+    cases that raised."""
+    found, raised = set(), 0
     for T, eps, trials, seed, resolution in _rigidity_cases():
-        want_found, want_A, want_cert = sequential_only_approximation(T, eps, trials, seed, resolution)
-        res = is_only_approximation(T, eps, trials=trials, seed=seed, resolution=resolution)
+        want = _outcome(sequential_only_approximation, T, eps, trials, seed, resolution)
+        res = _outcome(lambda: is_only_approximation(T, eps, trials=trials, seed=seed, resolution=resolution))
+        if want[0] is NormNotOneError:
+            assert res == want, (T, eps)
+            raised += 1
+            continue
+        want_found, want_A, want_cert = want
         assert (res.found, res.trials) == (want_found, trials), (T, eps)
         found.add(res.found)
         if not want_found:
@@ -695,4 +761,96 @@ def test_lockstep_search_matches_the_sequential_loop():
         assert repr(got.worst_distance) == repr(cert.worst_distance)
         assert repr(got.operator_distance) == repr(cert.operator_distance)
         assert got.counterexample is None and cert.counterexample is None
-    assert found == {True, False}
+    return found, raised
+
+
+def test_lockstep_search_matches_the_sequential_loop():
+    assert _compare_with_the_sequential_loop() == ({True, False}, 0)
+
+
+def test_lockstep_search_raises_at_the_trial_the_sequential_loop_does(monkeypatch):
+    # with no tolerance every candidate whose norm misses 1 by an ulp is
+    # refused, so both searches must raise at the same trial, unless an
+    # earlier trial certified
+    monkeypatch.setattr(operators, "TAU_NORM_ONE", 0.0)
+    found, raised = _compare_with_the_sequential_loop()
+    assert found == {True, False} and raised > 0
+
+
+def test_polyhedral_screen_decides_each_candidate_as_its_certificate():
+    # the search builds a certificate only where the screen passes, so a
+    # screen that passed too much would go unseen by the comparison above
+    outcomes = set()
+    for T, eps, trials, seed, resolution in _rigidity_cases():
+        if not T.domain.polyhedral:
+            continue
+        D = np.random.default_rng(seed).standard_normal((trials, *T.entries.shape))
+        cands, dists, found = _halving_search(T, D, eps)
+        sample = _sample_norms(T, require_norm_one(T)[1], resolution)
+        values, certifies = _polyhedral_screen(cands[found], T.domain, T.codomain, sample, eps)
+        for C, d, value, passes in zip(cands[found], dists[found], values, certifies):
+            A = OperatorMatrix(C, T.domain, T.codomain)
+            MA = norm_one_attainment_set(A, "A", resolution)
+            assert value == MA.value
+            cert = _inclusion_certificate(MA, float(d), eps, resolution, sample)
+            assert passes == cert.certified, (T, eps)
+            outcomes.add(passes)
+    assert outcomes == {True, False}
+
+
+def _face_samples(s):
+    """Sphere grids at 256 and 16384, and off-sphere points: Gaussian rows,
+    small integers and rows with exact zeros."""
+    rng = np.random.default_rng(31)
+    G = rng.standard_normal((400, s.n)) * rng.uniform(0.0, 3.0, (400, 1))
+    G[::3] = np.round(G[::3])
+    G[1::5, 0] = 0.0
+    return [sphere_grid(s, 256), sphere_grid(s, 16384), G]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("s", [linf(2), linf(3), l1(2), l1(3)])
+def test_face_distances_match_the_per_face_loop(s):
+    patterns = polyhedral_table(s).patterns
+    for X in _face_samples(s):
+        D = face_distances(s, patterns, X)
+        for f, row in zip(polyhedral_table(s).faces, D):
+            want = _bits(loop_face_distance(f, X))
+            assert np.array_equal(_bits(row), want), (s, f)
+            assert np.array_equal(_bits(f.distance_to(X)), want), (s, f)
+        assert np.array_equal(_bits(face_distances(s, patterns[:1], X)), _bits(D[:1]))
+    # rows of another dimension: the per-face loop raised IndexError or
+    # ignored the extra coordinates
+    for cols in (s.n - 1, s.n + 1):
+        with pytest.raises(MixedSpacesError):
+            Face(s, patterns[0]).distance_to(np.ones((2, cols)))
+
+
+def test_every_attaining_face_gives_the_attainment_distance():
+    # the rigidity screen takes the minimum over all faces whose barycentre
+    # attains; attainment_set keeps the maximal ones only
+    rng = np.random.default_rng(37)
+    pairs = [(linf(2), linf(2)), (linf(3), linf(3)), (l1(2), l1(2)), (l1(3), l1(3)),
+             (linf(3), l1(2)), (l1(2), linf(3))]
+    sizes = set()
+    for dom, cod in pairs:
+        table = polyhedral_table(dom)
+        samples = _face_samples(dom)
+        for k in range(12):
+            if k % 2:
+                M = rng.integers(-1, 2, size=(cod.n, dom.n)).astype(float)
+            else:
+                M = rng.standard_normal((cod.n, dom.n)) * (rng.random((cod.n, dom.n)) < 0.4)
+            if not M.any():
+                M[0, 0] = 1.0
+            A = _unit(M, dom, cod)
+            MA = attainment_set(A)
+            hit = A.image_norms(table.barycentres) >= MA.value * (1.0 - TAU_EQ)
+            sizes.add(int(hit.sum()) > len(MA.faces))
+            for X in samples[:2]:
+                got = face_distances(dom, table.patterns[hit], X).min(axis=0)
+                assert np.array_equal(_bits(got), _bits(MA.distance_to(X))), (A, len(X))
+    assert sizes == {True, False}
