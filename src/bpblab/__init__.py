@@ -27,7 +27,6 @@ from .bpbverify import (
     HilbertChecks,
     PropertyPWitness,
     attainment_cardinality_check,
-    check_ball_inclusion,
     epsilon0_lp2,
     hilbert_necessary_checks,
     is_only_approximation,
@@ -48,7 +47,6 @@ from .classify import (
 from .operators import (
     AttainmentSet,
     OperatorMatrix,
-    approx_attainment,
     attainment_equal,
     attainment_set,
     delta_for_epsilon,
@@ -66,7 +64,6 @@ from .spaces import (
     arc_length_constant,
     arc_length_total,
     birkhoff_orthogonal,
-    enumerate_faces,
     extreme_points,
     is_smooth_point,
     l1,

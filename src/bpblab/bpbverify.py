@@ -21,18 +21,17 @@ from .classify import enumerate_extreme_linf3_l13, is_isometry
 from .errors import (
     BadExponentError,
     IsIsometryError,
-    NotDiscreteError,
     UnsupportedPairError,
     UnsupportedSpaceError,
     WrongSpacesError,
 )
 from .operators import (
     DEFAULT_RESOLUTION,
+    DELTA_LAST,
     TAU_ANGLE,
     TAU_SAME,
     OperatorMatrix,
-    _halving_delta,
-    _vertex_norms,
+    _attaining_faces,
     attainment_set,
     check_norm_one,
     delta_descent,
@@ -47,7 +46,6 @@ from .sampling import sphere_grid
 from .spaces import (
     ARC_TABLE_SIZE,
     INF,
-    TAU_EQ,
     Point,
     SpaceSpec,
     _arc_table,
@@ -84,7 +82,8 @@ def _sample_buffers(space: SpaceSpec, resolution: int, cols: int):
             del buffers[next(iter(buffers))]
         grid = sphere_grid(space, resolution)
         rows = len(grid) + 1
-        sample = np.empty((rows, space.n))
+        # column-major: the distance kernels read the sample a column at a time
+        sample = np.empty((rows, space.n), order="F")
         sample[:-1] = grid
         buffers[key] = (sample, np.empty((rows, cols)), np.empty((5, rows)),
                         np.empty(rows, dtype=bool))
@@ -208,22 +207,21 @@ def _polyhedral_screen(C: np.ndarray, dom: SpaceSpec, cod: SpaceSpec, sample, ep
     whether `_inclusion_certificate` certifies A against the T-side
     `sample` when ||A|| is 1, decided without building an attainment set.
 
-    A attains on the faces whose barycentre norm reaches ||A||(1 - TAU_EQ),
-    as in `attainment_set`.  A face is no farther from a point than its
+    A attains on the faces `_attaining_faces` names, as in
+    `attainment_set`.  A face is no farther from a point than its
     subfaces, so a row lies below eps of M_A iff it lies below eps of one
     of these faces, maximal or not: one table of row-to-face distances over
     the faces some candidate attains on gives each candidate's g, the
-    largest image norm among the rows not below eps, and `_halving_delta`
-    decides from g as `delta_descent` does.
+    largest image norm among the rows not below eps, and A certifies iff
+    g passes some level of the delta grid, g <= 1 - DELTA_LAST.
     """
     X, work, _ = sample
-    table = polyhedral_table(dom)
     values = op_norms(C, dom, cod)
-    hit = _vertex_norms(C, table.barycentres, cod) >= values[:, None] * (1.0 - TAU_EQ)
+    hit = _attaining_faces(C, values, dom, cod)
     used = np.flatnonzero(hit.any(axis=0))
-    near = face_distances(dom, table.patterns[used], X) < eps
+    near = face_distances(dom, polyhedral_table(dom).patterns[used], X) < eps
     g = np.where(hit[:, used] @ near, -np.inf, work[0]).max(axis=1)
-    return values, [_halving_delta(float(x), 1.0) is not None for x in g]
+    return values, g <= 1.0 - DELTA_LAST
 
 
 def is_only_approximation(
@@ -275,21 +273,6 @@ def is_only_approximation(
             if cert.certified:
                 return OnlyApproximationResult(True, trials, A, cert)
     return OnlyApproximationResult(False, trials)
-
-
-def check_ball_inclusion(
-    T: OperatorMatrix,
-    A: OperatorMatrix,
-    delta_ball: float,
-    resolution: int = DEFAULT_RESOLUTION,
-) -> bool:
-    """Whether every representative point of M_A is delta_ball-close to M_T."""
-    require_norm_one(T, "T")
-    require_norm_one(A, "A")
-    MT = attainment_set(T, resolution=resolution)
-    MA = attainment_set(A, resolution=resolution)
-    reps = MA.representative_points()
-    return bool(MT.distance_to(reps).max() <= delta_ball)
 
 
 @dataclass(frozen=True)
@@ -425,12 +408,11 @@ def hilbert_necessary_checks(
 
 
 def attainment_cardinality_check(T: OperatorMatrix, A: OperatorMatrix) -> bool:
-    """Whether A attains on at least as many point pairs as T, whose
-    attainment set must be refined points (a 2-D non-Euclidean domain)."""
-    MT = attainment_set(T)
-    if MT.points is None:
-        raise NotDiscreteError("the attainment set of T is not a finite point set")
-    return attainment_set(A).pair_count() >= MT.pair_count()
+    """Whether A attains on at least as many +/- pairs as T.  Raises
+    NotDiscreteError when an attainment set, T's checked first, is not
+    finite."""
+    pairs = attainment_set(T).pair_count()
+    return attainment_set(A).pair_count() >= pairs
 
 
 # ---------------------------------------------------------------------------

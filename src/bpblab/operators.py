@@ -34,6 +34,7 @@ from .spaces import (
     SpaceSpec,
     face_barycentres,
     face_containment,
+    face_distances,
     is_smooth_point,
     lp_circle,
     pnorm,
@@ -166,7 +167,8 @@ class AttainmentSet:
         if self.kind == "faces":
             out.fill(np.inf)
             for f in self.faces:
-                np.minimum(out, f.distance_to(X, work[0], work[1:]), out=out)
+                face_distances(self.space, [f.pattern], X, work[None, 0], work[1:, None])
+                np.minimum(out, work[0], out=out)
         elif self.kind == "points":
             # points sets live on 2-D domains: work[:2] holds X - q by columns
             out.fill(np.inf)
@@ -251,13 +253,7 @@ def attainment_equal(a: AttainmentSet, b: AttainmentSet) -> bool:
         P = a.basis @ a.basis.T
         Q = b.basis @ b.basis.T
         return bool(np.abs(P - Q).max() < TAU_ATTAIN_EQ)
-    if a.kind == "points" and b.kind == "points":
-        if len(a.points) != len(b.points):
-            return False
-        da = a.distance_to(b.points)
-        db = b.distance_to(a.points)
-        return bool(da.max() < TAU_ATTAIN_EQ and db.max() < TAU_ATTAIN_EQ)
-    # mixed representations: compare via mutual representative distances
+    # points, or mixed representations: mutual representative distances
     ra, rb = a.representative_points(), b.representative_points()
     return bool(a.distance_to(rb).max() < TAU_ATTAIN_EQ and b.distance_to(ra).max() < TAU_ATTAIN_EQ)
 
@@ -377,11 +373,22 @@ def require_norm_one(T: OperatorMatrix, what: str = "operator") -> tuple[float, 
     return value, witness
 
 
+def _attaining_faces(E: np.ndarray, values, domain: SpaceSpec, codomain: SpaceSpec) -> np.ndarray:
+    """H[..., f]: whether the operator of the stack E, shape (..., m, n),
+    with norm values[...] attains on face f of the polyhedral `domain`, in
+    `PolyhedralTable.patterns` order.
+
+    ||E.|| is convex and at most ||E|| on the ball, so it reaches ||E|| at
+    a face's barycentre iff it is constant on the whole face; the test is
+    ||E b|| >= ||E|| (1 - TAU_EQ) at the barycentre b.
+    """
+    B = polyhedral_table(domain).barycentres
+    return _vertex_norms(E, B, codomain) >= np.asarray(values)[..., None] * (1.0 - TAU_EQ)
+
+
 def _polyhedral_attainment(T: OperatorMatrix, value: float) -> AttainmentSet:
-    # ||T.|| is convex and at most ||T|| on the ball, so it reaches ||T|| at
-    # a face's barycentre iff it is constant on the whole face.
     table = polyhedral_table(T.domain)
-    hit = np.flatnonzero(T.image_norms(table.barycentres) >= value * (1.0 - TAU_EQ))
+    hit = np.flatnonzero(_attaining_faces(T.entries, value, T.domain, T.codomain))
     # distinct patterns, so off the diagonal containment is proper
     H = table.patterns[hit]
     inside = face_containment(T.domain, H, H)
@@ -453,18 +460,6 @@ def norm_one_attainment_set(
     return attainment_set(T, resolution, check=lambda value: check_norm_one(value, what, error))
 
 
-def approx_attainment(
-    T: OperatorMatrix, delta: float, resolution: int = DEFAULT_RESOLUTION
-) -> np.ndarray:
-    """Sampled M_T(delta): unit grid vectors z with ||Tz|| > ||T|| - delta."""
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    value, _ = op_norm(T)
-    X = sphere_grid(T.domain, resolution)
-    mask = T.image_norms(X) > value - delta
-    return X[mask]
-
-
 @dataclass(frozen=True)
 class DeltaSearch:
     """Outcome of the delta(eps) grid descent of the inclusion test."""
@@ -476,6 +471,10 @@ class DeltaSearch:
 
 
 DELTA_FLOOR = 1e-6
+# The last level of the delta grid 1/2, 1/4, ... down to DELTA_FLOOR, the
+# least 2^-k >= DELTA_FLOOR: a largest image norm g passes some level of
+# the grid, `_halving_delta(g, 1) is not None`, iff g <= 1 - DELTA_LAST.
+DELTA_LAST = 2.0 ** -math.floor(-math.log2(DELTA_FLOOR))
 
 
 def _halving_delta(g: float, top: float) -> Optional[float]:

@@ -188,7 +188,8 @@ class Face:
 
     The sign pattern q in {-1,0,+1}^n encodes, for l_inf, the set
     {x : x_i = q_i where q_i != 0, |x_j| <= 1 elsewhere}; for l_1 it encodes
-    conv{q_i e_i : q_i != 0}.
+    conv{q_i e_i : q_i != 0}.  A value type: the kernels `face_containment`,
+    `face_barycentres` and `face_distances` compute with the patterns.
     """
 
     space: SpaceSpec
@@ -211,46 +212,13 @@ class Face:
             return self.space.n - nz
         return nz - 1
 
-    def vertices(self) -> np.ndarray:
-        """Extreme points of the face, one per row, in
-        `PolyhedralTable.vertices` order."""
-        V = polyhedral_table(self.space).vertices
-        return V[face_containment(self.space, [self.pattern], V)[0]]
-
     @property
     def signs(self) -> str:
         """The sign pattern as a string such as "+0-"."""
         return "".join("+" if v > 0 else "-" if v < 0 else "0" for v in self.pattern)
 
-    def relative_interior_coords(self) -> np.ndarray:
-        return face_barycentres(self.space, self.pattern)[0]
-
-    def contains_face(self, other: "Face") -> bool:
-        """Whether `other` is a (not necessarily proper) subface of this face."""
-        if self.space != other.space:
-            raise MixedSpacesError("faces of different spaces")
-        return bool(face_containment(self.space, [self.pattern], [other.pattern])[0, 0])
-
-    def distance_to(self, X, out=None, work=None) -> np.ndarray:
-        """Distance (in the space's own norm) from each row of X to the
-        face, by `face_distances`.
-
-        The result goes to `out`; `work`, shape (2, len(X)), is scratch.
-        Both are allocated when not given.
-        """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if out is None:
-            out = np.empty(len(X))
-        face_distances(self.space, [self.pattern], X, out[None], None if work is None else work[:, None])
-        return out
-
     def __repr__(self):
         return f"Face({self.space}, {self.signs})"
-
-
-def enumerate_faces(s: SpaceSpec) -> list[Face]:
-    """All proper faces of the unit ball of a polyhedral space."""
-    return list(polyhedral_table(s).faces)
 
 
 def face_containment(s: SpaceSpec, big, small) -> np.ndarray:
@@ -351,10 +319,12 @@ class PolyhedralTable:
     -e_1..-e_n for the cross-polytope.  The vertices of ``space.dual()`` are
     the extreme functionals of the dual ball, so one table serves both
     roles.  ``patterns`` holds the sign patterns of the proper faces in
-    ``itertools.product((-1, 0, 1))`` order, ``faces`` the faces themselves
-    and ``barycentres`` their barycentres, one row each.  The face fields
-    are built on first use.  Either raises OutOfRangeError, before
-    enumerating, when it would hold more than ENUMERATION_LIMIT rows.
+    ``itertools.product((-1, 0, 1))`` order, one row each, and
+    ``barycentres`` their barycentres; the face kernels take these rows.
+    ``faces`` holds one `Face` per row, the objects every faces
+    `AttainmentSet` of the space shares.  The face fields are built on
+    first use.  Either raises OutOfRangeError, before enumerating, when it
+    would hold more than ENUMERATION_LIMIT rows.
     """
 
     def __init__(self, space: SpaceSpec):

@@ -2,7 +2,8 @@
 code they replaced.
 
 The references below are the earlier implementations, kept verbatim in
-logic: the sign loop of `Face.vertices`, the per-coordinate rules of
+logic: the sign loop of the face vertices (`face_containment` over the
+table's vertices), the per-coordinate rules of
 `support_functionals` and `is_smooth_point`, the whole-array subspace and
 point distances of `AttainmentSet.distance_to`, `pair_count` and `is_single_pair`
 branching on the kind, `is_smooth_operator` on top of them, and the point
@@ -19,7 +20,6 @@ import pytest
 from bpblab import (
     AttainmentSet,
     attainment_set,
-    enumerate_faces,
     hilbert_rotate_approx,
     is_smooth_operator,
     is_smooth_point,
@@ -34,7 +34,7 @@ from bpblab import (
 from bpblab.errors import NotDiscreteError
 from bpblab.operators import OperatorMatrix
 from bpblab.sampling import _linf_grid, sphere_grid
-from bpblab.spaces import INF, TAU_EQ, Point, pnorm
+from bpblab.spaces import INF, TAU_EQ, Point, face_containment, pnorm, polyhedral_table
 
 # ---------------------------------------------------------------------------
 # The replaced implementations.
@@ -170,8 +170,10 @@ def rows(A):
 
 @pytest.mark.parametrize("space", POLYHEDRAL, ids=repr)
 def test_face_vertices_are_the_loop_vertices(space):
-    for f in enumerate_faces(space):
-        assert rows(f.vertices()) == rows(loop_face_vertices(f)), f
+    table = polyhedral_table(space)
+    C = face_containment(space, table.patterns, table.vertices)
+    for f, on in zip(table.faces, C):
+        assert rows(table.vertices[on]) == rows(loop_face_vertices(f)), f
 
 
 def seeded_points(space, count, rng):

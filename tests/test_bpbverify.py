@@ -7,7 +7,6 @@ import pytest
 
 from bpblab import (
     attainment_cardinality_check,
-    check_ball_inclusion,
     enumerate_isometries,
     epsilon0_lp2,
     hilbert_necessary_checks,
@@ -34,6 +33,7 @@ from bpblab.errors import (
     NotDiscreteError,
     UnsupportedPairError,
 )
+from bpblab.bpbverify import _sample_buffers
 from bpblab.operators import attainment_set
 
 
@@ -98,6 +98,8 @@ class TestVerifyUniformBpb:
                 tracemalloc.stop()
             assert again == first and first.certified
             assert peak < 64 * 1024, T.domain
+            # the distance kernels read the sample a column at a time
+            assert _sample_buffers(T.domain, 16384, T.codomain.n)[0].flags.f_contiguous
 
     def test_threads_do_not_share_grid_arrays(self):
         s = linf(3)
@@ -232,11 +234,17 @@ class TestEpsBoundary:
         assert verify_uniform_bpb(T, T, 1e6, resolution=64).certified
 
 
+def ball_inclusion(T, A, radius):
+    """Whether every representative point of M_A lies within radius of M_T."""
+    reps = attainment_set(A).representative_points()
+    return bool(attainment_set(T).distance_to(reps).max() <= radius)
+
+
 class TestBallInclusion:
     def test_preserving_pair_any_radius(self):
         T = operator([[1.0, 0.0], [1.0, 0.0]], linf(2), linf(2))
         report = linf_extreme_approx(T, 0.2)
-        assert check_ball_inclusion(T, report.approximant, 1e-6)
+        assert ball_inclusion(T, report.approximant, 1e-6)
 
     def test_moved_pair_threshold(self):
         eps = 0.2
@@ -245,8 +253,8 @@ class TestBallInclusion:
         ct = math.sqrt(1.0 - st * st)
         gap = float(np.linalg.norm(np.array([1.0, 0.0]) - np.array([st, ct])))
         T, A = report.original, report.approximant
-        assert check_ball_inclusion(T, A, 2 * gap)
-        assert not check_ball_inclusion(T, A, gap / 4.0)
+        assert ball_inclusion(T, A, 2 * gap)
+        assert not ball_inclusion(T, A, gap / 4.0)
 
 
 class TestPropertyPWitness:
@@ -340,7 +348,32 @@ class TestCardinality:
         assert attainment_cardinality_check(T, T)
 
     def test_non_discrete_rejected(self):
+        # M_T is the whole circle
+        T = operator(np.eye(2), l2(2), l2(2))
+        with pytest.raises(NotDiscreteError):
+            attainment_cardinality_check(T, T)
+
+    def test_one_dimensional_subspace_is_counted(self):
         T = operator(np.diag([1.0, 0.5]), l2(2), l2(2))
+        A = operator(np.diag([0.5, 1.0]), l2(2), l2(2))
+        assert attainment_set(T).pair_count() == 1
+        assert attainment_cardinality_check(T, A)
+
+    def test_finite_face_set_is_counted(self):
+        # M_T is the two vertices +/-e1 of the cross-polytope, one pair
+        s = l1(2)
+        T = operator([[1.0, 0.0], [0.0, 0.5]], s, s)
+        assert attainment_set(T).finite_points().tolist() == [[-1.0, 0.0], [1.0, 0.0]]
+        assert attainment_cardinality_check(T, T)
+        # into l_inf^2: one pair for T, the two pairs +/-e1, +/-e2 for A
+        T, A = (operator(M, s, linf(2)) for M in ([[1.0, 0.0], [0.0, 0.5]], np.eye(2)))
+        assert attainment_cardinality_check(T, A) is True
+        assert attainment_cardinality_check(A, T) is False
+
+    def test_face_continuum_rejected(self):
+        # M_T holds the edge from e1 to e2, a continuum
+        s = l1(2)
+        T = operator([[1.0, 1.0], [0.0, 0.0]], s, s)
         with pytest.raises(NotDiscreteError):
             attainment_cardinality_check(T, T)
 

@@ -8,8 +8,8 @@ probe, the random extremality search of `is_extreme_contraction`, the delta
 descent written inline in `verify_uniform_bpb` and `delta_for_epsilon` and
 its level-by-level loop, the one-trial-at-a-time search of
 `is_only_approximation`, the vertex loops of `extreme_points`, the facet
-loop of `property_p_witness` and the per-face closed forms of
-`Face.distance_to`.
+loop of `property_p_witness` and the per-face closed forms of the face
+distance.
 """
 
 import itertools
@@ -50,6 +50,8 @@ from bpblab.bpbverify import (
 from bpblab.errors import MixedSpacesError, NormNotOneError
 from bpblab.operators import (
     DELTA_FLOOR,
+    DELTA_LAST,
+    _halving_delta,
     OperatorMatrix,
     _lp2_local_maxima,
     delta_descent,
@@ -61,8 +63,6 @@ from bpblab.spaces import (
     INF,
     TAU_EQ,
     TAU_OPT,
-    Face,
-    enumerate_faces,
     face_distances,
     lp_circle,
     pnorm,
@@ -277,7 +277,7 @@ def sequential_only_approximation(T, eps, trials, seed, resolution):
 
 
 def loop_face_distance(face, X):
-    """Face.distance_to with its two closed forms written per face: one
+    """The distance to a face with its two closed forms written per face: one
     branch per coordinate on whether the face fixes it (l_inf), the
     positive part summed over the support only (l_1)."""
     out, tmp, pos = np.zeros(len(X)), np.empty(len(X)), np.zeros(len(X))
@@ -330,10 +330,13 @@ def loop_facet_witness(A):
     dom = A.domain
     MA = attainment_set(A)
     best = None
-    for f in enumerate_faces(dom):
+    for f in polyhedral_table(dom).faces:
         if f.dim != dom.n - 1:
             continue
-        x = f.vertices().mean(axis=0) if dom.p == 1 else np.array(f.pattern, dtype=float)
+        # a cross-polytope facet is the simplex of its n vertices q_i e_i
+        x = np.array(f.pattern, dtype=float)
+        if dom.p == 1:
+            x /= dom.n
         d = float(MA.distance_to(x[None, :])[0])
         if best is None or d > best[1]:
             best = (x, d)
@@ -798,6 +801,31 @@ def test_polyhedral_screen_decides_each_candidate_as_its_certificate():
     assert outcomes == {True, False}
 
 
+def test_screen_verdict_is_the_halving_rule():
+    # g passes some level of the delta grid iff it passes the last one;
+    # checked at every level, one ulp to either side, and at -inf
+    levels, delta = [], 0.5
+    while delta >= DELTA_FLOOR:
+        levels.append(1.0 - delta)
+        delta /= 2.0
+    assert DELTA_LAST == 1.0 - levels[-1] == 2.0 ** -19
+    g = np.array(levels + [-np.inf, 0.0, 1.0, 2.0])
+    g = np.concatenate([g, np.nextafter(g, np.inf), np.nextafter(g, -np.inf)])
+    g = np.concatenate([g, np.random.default_rng(41).uniform(0.99, 1.0, 2000)])
+    got = g <= 1.0 - DELTA_LAST
+    want = [_halving_delta(float(x), 1.0) is not None for x in g]
+    assert got.tolist() == want and len(set(want)) == 2
+
+
+def test_faces_sets_share_the_table_faces():
+    # every faces AttainmentSet holds the cached Face objects of its table
+    for dom, M in ((linf(3), [[1.0, 0.0, 0.0]]), (l1(3), [[1.0, 1.0, 0.5]]),
+                   (linf(2), [[1.0, 0.0], [1.0, 0.0]])):
+        MA = attainment_set(operator(M, dom, linf(len(M))))
+        cached = polyhedral_table(dom).faces
+        assert MA.faces and all(any(f is c for c in cached) for f in MA.faces)
+
+
 def _face_samples(s):
     """Sphere grids at 256 and 16384, and off-sphere points: Gaussian rows,
     small integers and rows with exact zeros."""
@@ -820,13 +848,13 @@ def test_face_distances_match_the_per_face_loop(s):
         for f, row in zip(polyhedral_table(s).faces, D):
             want = _bits(loop_face_distance(f, X))
             assert np.array_equal(_bits(row), want), (s, f)
-            assert np.array_equal(_bits(f.distance_to(X)), want), (s, f)
-        assert np.array_equal(_bits(face_distances(s, patterns[:1], X)), _bits(D[:1]))
+            # one face at a time, as AttainmentSet.distance_to calls it
+            assert np.array_equal(_bits(face_distances(s, [f.pattern], X)[0]), want), (s, f)
     # rows of another dimension: the per-face loop raised IndexError or
     # ignored the extra coordinates
     for cols in (s.n - 1, s.n + 1):
         with pytest.raises(MixedSpacesError):
-            Face(s, patterns[0]).distance_to(np.ones((2, cols)))
+            face_distances(s, patterns[:1], np.ones((2, cols)))
 
 
 def test_every_attaining_face_gives_the_attainment_distance():

@@ -12,7 +12,6 @@ import pytest
 from scipy.optimize import linprog
 
 from bpblab import (
-    Face,
     attainment_set,
     enumerate_extreme_linf3_l13,
     enumerate_isometries,
@@ -74,21 +73,36 @@ def loop_op_norm(T):
     return best, wit
 
 
+def loop_face_vertices(s, pat):
+    """The vertices of the face with sign pattern pat, one sign or one
+    support coordinate at a time."""
+    if s.p == INF:
+        free = [i for i, q in enumerate(pat) if q == 0]
+        out = []
+        for signs in itertools.product((1.0, -1.0), repeat=len(free)):
+            v = np.array(pat, dtype=float)
+            v[free] = signs
+            out.append(v)
+        return np.array(out)
+    return np.array([q * np.eye(s.n)[i] for i, q in enumerate(pat) if q])
+
+
 def loop_attainment_patterns(T, value):
-    """Maximal faces whose vertices and barycentre all attain, in lattice order."""
+    """Maximal faces whose vertices and barycentre all attain, in lattice
+    order; a face lies in another iff its vertices do."""
     faces = []
     for pat in itertools.product((-1, 0, 1), repeat=T.domain.n):
         if not any(pat):
             continue
-        f = Face(T.domain, pat)
-        if (T.image_norms(f.vertices()) >= value * (1.0 - TAU_EQ)).all():
-            mid = f.relative_interior_coords()
+        V = loop_face_vertices(T.domain, pat)
+        if (T.image_norms(V) >= value * (1.0 - TAU_EQ)).all():
+            mid = V.mean(axis=0)
             if float(pnorm(T.apply(mid), T.codomain.p)) >= value * (1.0 - TAU_EQ):
-                faces.append(f)
+                faces.append((pat, set(map(tuple, V.tolist()))))
     return [
-        f.pattern
-        for f in faces
-        if not any(g is not f and g.contains_face(f) for g in faces)
+        pat
+        for pat, verts in faces
+        if not any(other != pat and verts <= big for other, big in faces)
     ]
 
 

@@ -14,7 +14,6 @@ from bpblab import (
     arc_length_total,
     attainment_set,
     birkhoff_orthogonal,
-    enumerate_faces,
     extreme_points,
     is_smooth_point,
     l1,
@@ -34,7 +33,23 @@ from bpblab.errors import (
     ZeroVectorError,
 )
 from bpblab import spaces
-from bpblab.spaces import lp_circle, pnorm, points_distance, polyhedral_table
+from bpblab.spaces import (
+    face_barycentres,
+    face_distances,
+    lp_circle,
+    pnorm,
+    points_distance,
+    polyhedral_table,
+)
+
+
+def faces(s):
+    return polyhedral_table(s).faces
+
+
+def face_distance(f, X):
+    """The distance from each row of X to the face f."""
+    return face_distances(f.space, [f.pattern], np.atleast_2d(X))[0]
 
 
 class TestSpaceSpec:
@@ -105,39 +120,35 @@ class TestExtremePoints:
 
 class TestFaces:
     def test_square_face_count(self):
-        assert len(enumerate_faces(linf(2))) == 8
-        assert len(enumerate_faces(l1(2))) == 8
+        assert len(faces(linf(2))) == 8
+        assert len(faces(l1(2))) == 8
 
     def test_cube_face_count(self):
-        faces = enumerate_faces(linf(3))
-        assert len(faces) == 26
+        cube = faces(linf(3))
+        assert len(cube) == 26
         by_dim = {}
-        for f in faces:
+        for f in cube:
             by_dim[f.dim] = by_dim.get(f.dim, 0) + 1
         assert by_dim == {0: 8, 1: 12, 2: 6}
 
     def test_face_lattice_closed_forms(self):
         # cube: sum_k C(n,k) 2^(n-k) proper faces; cross-polytope: sum C(n,k) 2^k
         for n in (2, 3):
-            assert len(enumerate_faces(linf(n))) == 3 ** n - 1
-            assert len(enumerate_faces(l1(n))) == 3 ** n - 1
+            assert len(faces(linf(n))) == 3 ** n - 1
+            assert len(faces(l1(n))) == 3 ** n - 1
 
     def test_relative_interior_points(self):
-        assert tuple(Face(linf(2), (1, 0)).relative_interior_coords()) == (1, 0)
-        ri = Face(l1(2), (1, 1)).relative_interior_coords()
-        assert tuple(ri) == (0.5, 0.5)
-        assert tuple(Face(linf(3), (0, 0, -1)).relative_interior_coords()) == (
-            0,
-            0,
-            -1,
-        )
+        assert tuple(face_barycentres(linf(2), (1, 0))[0]) == (1, 0)
+        assert tuple(face_barycentres(l1(2), (1, 1))[0]) == (0.5, 0.5)
+        assert tuple(face_barycentres(linf(3), (0, 0, -1))[0]) == (0, 0, -1)
 
     def test_every_interior_point_is_on_sphere_and_on_face(self):
         for s in (linf(2), linf(3), l1(2), l1(3)):
-            for f in enumerate_faces(s):
-                x = f.relative_interior_coords()
+            table = polyhedral_table(s)
+            assert np.array_equal(table.barycentres, face_barycentres(s, table.patterns))
+            for f, x in zip(table.faces, table.barycentres):
                 assert pnorm(x, s.p) == pytest.approx(1.0, abs=1e-12)
-                assert float(f.distance_to(x[None, :])[0]) == pytest.approx(0.0, abs=1e-12)
+                assert float(face_distance(f, x)[0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_bad_pattern_rejected(self):
         with pytest.raises(OutOfRangeError):
@@ -183,7 +194,7 @@ class TestDistances:
 
     def test_point_on_face(self):
         x = point([0.5, 1.0], linf(2))
-        assert float(Face(linf(2), (0, 1)).distance_to(x.coords[None, :])[0]) == 0.0
+        assert float(face_distance(Face(linf(2), (0, 1)), x.coords)[0]) == 0.0
 
     def test_linf_face_clamping_oracle(self):
         # brute force over a fine grid of the face {x1 = 1, |x2| <= 1}
@@ -192,7 +203,7 @@ class TestDistances:
         for x in rng.uniform(-2, 2, size=(20, 2)):
             grid = np.stack([np.ones(4001), np.linspace(-1, 1, 4001)], axis=1)
             brute = np.abs(grid - x).max(axis=1).min()
-            assert float(f.distance_to(x[None, :])[0]) == pytest.approx(
+            assert float(face_distance(f, x)[0]) == pytest.approx(
                 brute, abs=1e-3
             )
 
@@ -204,13 +215,13 @@ class TestDistances:
         verts = np.stack([lam, 1 - lam], axis=1)
         for x in rng.uniform(-2, 2, size=(20, 2)):
             brute = np.abs(verts - x).sum(axis=1).min()
-            assert float(f.distance_to(x[None, :])[0]) == pytest.approx(
+            assert float(face_distance(f, x)[0]) == pytest.approx(
                 brute, abs=1e-3
             )
 
     def test_l1_face_off_support_mass(self):
         f = Face(l1(3), (1, 0, 0))
-        d = float(f.distance_to(np.array([[1.0, 0.3, -0.2]]))[0])
+        d = float(face_distance(f, [1.0, 0.3, -0.2])[0])
         assert d == pytest.approx(0.5)
 
     @pytest.mark.parametrize("space", [linf(3), l1(3), linf(4), l1(4)])
@@ -218,8 +229,8 @@ class TestDistances:
         # the whole-array closed forms: clamping for l_inf, and for l_1
         # sum((-y)_+) + |sum(y_+) - 1| + off-support mass, y = q x on the support
         X = np.random.default_rng(2).uniform(-2.0, 2.0, size=(400, space.n))
-        out, work = np.empty(len(X)), np.empty((2, len(X)))
-        for f in enumerate_faces(space):
+        out, work = np.empty((1, len(X))), np.empty((2, 1, len(X)))
+        for f in faces(space):
             pat = np.array(f.pattern, dtype=float)
             fixed = pat != 0
             if space.p == INF:
@@ -232,10 +243,10 @@ class TestDistances:
                 expected = (np.maximum(-y, 0.0).sum(axis=1)
                             + np.abs(np.maximum(y, 0.0).sum(axis=1) - 1.0)
                             + np.abs(X[:, ~fixed]).sum(axis=1))
-            d = f.distance_to(X)
+            d = face_distance(f, X)
             assert np.abs(d - expected).max() <= 1e-12
-            assert f.distance_to(X, out, work) is out
-            assert np.array_equal(out, d)
+            assert face_distances(space, [f.pattern], X, out, work) is out
+            assert np.array_equal(out[0], d)
 
 
 class TestSupportFunctionals:
