@@ -68,12 +68,15 @@ def _sample_buffers(space: SpaceSpec, resolution: int, cols: int):
     """This thread's arrays for verifying on the grid of `space` at
     `resolution` with a codomain of dimension `cols`, kept from call to call.
 
-    `sample` holds the grid and one free last row, `images` their images,
-    `work` five rows of scratch and `mask` one flag per sample row.  At
-    resolution 16384 each array is 0.13-0.4 MB.  Allocated afresh per call,
-    such blocks go back to the kernel whenever glibc trims the heap, which
-    depends on what was allocated before the call, and the next call faults
-    every page in again, hundreds of page faults per call.
+    `sample`, shape (rows, space.n) and Fortran-ordered, holds the grid and
+    one free last row; `images`, shape (cols, rows) and C-ordered, holds
+    their images coordinate by coordinate, so that a norm reduces across
+    `cols` contiguous rows; `work` holds five rows of scratch and `mask`
+    one flag per sample row.  At resolution 16384 each array is
+    0.13-0.4 MB.  Allocated afresh per call, such blocks go back to the
+    kernel whenever glibc trims the heap, which depends on what was
+    allocated before the call, and the next call faults every page in
+    again, hundreds of page faults per call.
     """
     buffers = _scratch.__dict__.setdefault("samples", {})
     key = (space, resolution, cols)
@@ -85,7 +88,7 @@ def _sample_buffers(space: SpaceSpec, resolution: int, cols: int):
         # column-major: the distance kernels read the sample a column at a time
         sample = np.empty((rows, space.n), order="F")
         sample[:-1] = grid
-        buffers[key] = (sample, np.empty((rows, cols)), np.empty((5, rows)),
+        buffers[key] = (sample, np.empty((cols, rows)), np.empty((5, rows)),
                         np.empty(rows, dtype=bool))
     return buffers[key]
 
@@ -114,7 +117,7 @@ def _sample_norms(T: OperatorMatrix, witness: Point, resolution: int):
     in work[0]."""
     X, images, work, mask = _sample_buffers(T.domain, resolution, T.codomain.n)
     X[-1] = witness.coords
-    pnorm_into(np.matmul(X, T.entries.T, out=images), T.codomain.p, 1, work[0])
+    pnorm_into(np.matmul(T.entries, X.T, out=images), T.codomain.p, 0, work[0])
     return X, work, mask
 
 
@@ -327,7 +330,7 @@ def property_p_witness(A: OperatorMatrix, resolution: int = DEFAULT_RESOLUTION) 
         occupied = set(((s[rows] / (L / K)).astype(int) % K).tolist())
         free = next(a for a in range(K) if a not in occupied)
         mid_s = (free + 0.5) * (L / K)
-        x = _interp_on_curve(tab_pts, s, np.array([mid_s]))[0]
+        x = _interp_on_curve(tab_pts, s, np.array([mid_s]))[:, 0]
         x = x / float(pnorm(x, p))
         r0 = arc_length_constant(p, L / (2.0 * K))
         return PropertyPWitness(A, Point(x, dom), r0)

@@ -93,12 +93,18 @@ class OperatorMatrix:
     def apply(self, x) -> np.ndarray:
         return self.entries @ np.asarray(x, dtype=float)
 
-    def apply_rows(self, X) -> np.ndarray:
-        """Apply to each row of X; returns image rows."""
-        return np.asarray(X, dtype=float) @ self.entries.T
-
     def image_norms(self, X) -> np.ndarray:
-        return pnorm(self.apply_rows(X), self.codomain.p, axis=1)
+        """||Tx|| in the codomain for each row x of X, an array of shape
+        (rows, domain.n); other shapes are refused.  The images are
+        computed coordinate-major, shape (codomain.n, rows), and the norm
+        reduces across their coordinates."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.domain.n:
+            raise MixedSpacesError(
+                f"sample shape {X.shape} does not fit the {self.entries.shape[0]} x "
+                f"{self.entries.shape[1]} matrix, which needs rows of {self.domain.n} entries"
+            )
+        return pnorm(self.entries @ X.T, self.codomain.p, axis=0)
 
     def __add__(self, other):
         self._check_same(other)
@@ -279,9 +285,11 @@ def _refined_maxima(t: np.ndarray, h: np.ndarray, f):
 @functools.lru_cache(maxsize=32)
 def _lp2_grid(p, resolution: int):
     """Read-only (parameters t of [0, pi), their l_p circle points) of the
-    l_p^2 maximum search, shared by every operator on the space."""
+    l_p^2 maximum search, shared by every operator on the space.  The
+    points are Fortran-ordered, so `image_norms` multiplies by a
+    C-contiguous transpose."""
     t = np.linspace(0.0, math.pi, resolution, endpoint=False)
-    pts = lp_circle(p, t)
+    pts = np.asfortranarray(lp_circle(p, t))
     t.setflags(write=False)
     pts.setflags(write=False)
     return t, pts
@@ -307,10 +315,11 @@ def _lp2_local_maxima(T: OperatorMatrix, resolution: int):
 
 
 def _vertex_norms(E: np.ndarray, V: np.ndarray, codomain: SpaceSpec) -> np.ndarray:
-    """||Ev|| in `codomain` at every row v of V, the vertices of a polyhedral
-    unit ball, for a stack E of shape (..., m, n); the result has shape
-    (..., vertices)."""
-    return pnorm(V @ E.swapaxes(-1, -2), codomain.p, axis=-1)
+    """||Ev|| in `codomain` at every row v of V (vertices or barycentres of
+    a polyhedral unit ball) for a stack E of shape (..., m, n); the result
+    has shape (..., rows of V).  The images E V^T, shape (..., m, rows),
+    are reduced across their m coordinates."""
+    return pnorm(E @ V.T, codomain.p, axis=-2)
 
 
 def op_norm(T: OperatorMatrix) -> tuple[float, Point]:

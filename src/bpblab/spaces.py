@@ -114,11 +114,14 @@ def lp(p, n: int) -> SpaceSpec:
 
 
 def pnorm(v, p: Exponent, axis: int = -1):
-    """l_p norm along an axis; vectorized."""
+    """l_p norm along an axis; vectorized.  Pass a batch of vectors
+    coordinate-major, shape (m, rows) with axis=0, so that each pass is one
+    contiguous run over the rows, not one tiny loop per row of length m."""
     v = np.asarray(v, dtype=float)
-    if p == INF:
-        return np.abs(v).max(axis=axis)
+    # branch on the float: p == INF on a Fraction p runs Fraction.__eq__
     pf = float(p)
+    if pf == INF:
+        return np.abs(v).max(axis=axis)
     if pf == 1.0:
         return np.abs(v).sum(axis=axis)
     if pf == 2.0:
@@ -129,9 +132,9 @@ def pnorm(v, p: Exponent, axis: int = -1):
 def pnorm_into(v: np.ndarray, p: Exponent, axis: int, out: np.ndarray) -> np.ndarray:
     """pnorm(v, p, axis) written to `out`, with the float array v
     overwritten as scratch, so no array is allocated."""
-    if p == INF:
-        return np.abs(v, out=v).max(axis=axis, out=out)
     pf = float(p)
+    if pf == INF:
+        return np.abs(v, out=v).max(axis=axis, out=out)
     if pf == 1.0:
         return np.abs(v, out=v).sum(axis=axis, out=out)
     if pf == 2.0:
@@ -495,9 +498,11 @@ def _arc_table(p: Exponent, m: int):
     Returns read-only (points (m+1,2) with wrap row, s (m+1,) cumulative
     lengths), shared by every caller.  The wrap row is the first row:
     lp_circle(p, 2*pi) misses it by |sin(2*pi)|^(2/p), 7e-4 at p = 10.
+    The points are Fortran-ordered, so that each coordinate column is
+    contiguous and np.interp reads it without a copy.
     """
     t = np.linspace(0.0, 2.0 * math.pi, m + 1)
-    pts = lp_circle(p, t)
+    pts = np.asfortranarray(lp_circle(p, t))
     pts[-1] = pts[0]
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     s = np.concatenate([[0.0], np.cumsum(seg)])
@@ -505,12 +510,11 @@ def _arc_table(p: Exponent, m: int):
 
 
 def _interp_on_curve(pts, s, u):
-    """Linear interpolation of curve points at cumulative arc positions u."""
+    """Linear interpolation of curve points at cumulative arc positions u,
+    coordinate-major: shape (2, len(u)), one row per coordinate."""
     L = s[-1]
     u = np.mod(u, L)
-    x = np.interp(u, s, pts[:, 0])
-    y = np.interp(u, s, pts[:, 1])
-    return np.stack([x, y], axis=-1)
+    return np.stack([np.interp(u, s, pts[:, 0]), np.interp(u, s, pts[:, 1])])
 
 
 def _arc_table_rows(p: Exponent, m: int, Q) -> np.ndarray:
@@ -538,7 +542,7 @@ def _arc_constant_at(p: Exponent, eps: float, m: int) -> float:
     u = np.linspace(0.0, L, m, endpoint=False)
     a = _interp_on_curve(pts, s, u)
     b = _interp_on_curve(pts, s, u + eps)
-    return float(pnorm(a - b, p, axis=1).min())
+    return float(pnorm(a - b, p, axis=0).min())
 
 
 def arc_length_constant(p, eps: float, resolution: int | None = None) -> float:

@@ -98,8 +98,11 @@ class TestVerifyUniformBpb:
                 tracemalloc.stop()
             assert again == first and first.certified
             assert peak < 64 * 1024, T.domain
-            # the distance kernels read the sample a column at a time
-            assert _sample_buffers(T.domain, 16384, T.codomain.n)[0].flags.f_contiguous
+            # the distance kernels read the sample a column at a time, and
+            # the image norms reduce across contiguous coordinate rows
+            X, images, _, _ = _sample_buffers(T.domain, 16384, T.codomain.n)
+            assert X.flags.f_contiguous
+            assert images.flags.c_contiguous and images.shape == (T.codomain.n, len(X))
 
     def test_threads_do_not_share_grid_arrays(self):
         s = linf(3)

@@ -215,9 +215,11 @@ def inline_verify(T, A, eps, resolution):
     if dist >= eps:
         return ("falsified", eps, None, resolution, math.inf, None, dist)
     MA = attainment_set(A)
-    X, images, work, mask = _sample_buffers(T.domain, resolution, T.codomain.n)
+    X, _, work, mask = _sample_buffers(T.domain, resolution, T.codomain.n)
     X[-1] = witness.coords
     norms, dists = work[0], work[1]
+    # the row-major image form, in an array of the oracle's own
+    images = np.empty((len(X), T.codomain.n))
     pnorm_into(np.matmul(X, T.entries.T, out=images), T.codomain.p, 1, norms)
     MA.distance_to(X, out=dists, work=work[2:])
     delta = 0.5

@@ -3,10 +3,12 @@
 Each `tests/golden/<name>.out` holds the stdout of one subcommand, recorded
 before the kernels behind it were consolidated; `witness_p_linf2` and
 `sweep_linf2` were recorded before the per-type serialisers became
-`jsonio.to_json`.  The cases avoid results that
-go through LAPACK, quadrature or a non-integer `pow` (l_2, l_p^2, epsilon0),
-whose last bits may vary with the platform; `demo` prints only check names
-and pass flags.
+`jsonio.to_json`, and the four smooth-path cases (`*_lp3_2`, `verify_l23`)
+before the norm kernels became coordinate-major.  Those four go through
+`pow`, trigonometry and, for l_2^3, LAPACK, whose last bits may vary with
+the platform; they were recorded with numpy 2.4 on x86-64 Linux.  The other
+cases avoid such results, and `demo` prints only check names and pass
+flags.
 """
 
 import json
@@ -42,6 +44,10 @@ CASES = {
     ),
     "demo": (["demo"], 0),
     "witness_p_linf2": (["witness-p", "--operator", "linf2_double.json"], 0),
+    "norm_lp3_2": (["norm", "--operator", "lp3_2_unit.json"], 0),
+    "attain_lp3_2": (["attain", "--operator", "lp3_2_unit.json"], 0),
+    "witness_p_lp3_2": (["witness-p", "--operator", "lp3_2_unit.json"], 0),
+    "verify_l23": (["verify", "--T", "l23_T.json", "--A", "l23_A.json", "--eps", "0.2"], 0),
     "sweep_linf2": (
         [
             "sweep", "--pair", "linf2", "--trials", "2", "--seed", "1",

@@ -340,3 +340,19 @@ class TestLp2SearchResolution:
         # Hilbert and polyhedral domains never read the resolution
         assert attainment_set(operator(np.eye(2), l2(2), l2(2)), resolution=0).subspace_dim == 2
         assert attainment_set(operator(np.eye(2), linf(2), linf(2)), resolution=0).kind == "faces"
+
+
+class TestImageNorms:
+    def test_rows_are_norms_of_the_images(self):
+        T = operator([[1.0, 2.0], [0.0, -1.0], [3.0, 0.5]], l1(2), linf(3))
+        X = np.array([[1.0, 0.0], [0.0, -1.0], [0.5, 0.5]])
+        assert T.image_norms(X).tolist() == [3.0, 2.0, 1.75]
+        assert T.image_norms(np.empty((0, 2))).shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (4, 1), (2,), (3,), (1, 2, 2)])
+    def test_other_shapes_are_refused_naming_both(self, shape):
+        # a 1-D x would otherwise be read as one column after the transpose
+        T = operator([[1.0, 2.0], [0.0, -1.0], [3.0, 0.5]], l1(2), linf(3))
+        with pytest.raises(MixedSpacesError) as info:
+            T.image_norms(np.ones(shape))
+        assert str(shape) in str(info.value) and "3 x 2" in str(info.value)

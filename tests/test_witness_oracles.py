@@ -67,7 +67,7 @@ def full_scan_witness(A, resolution):
         i = int(np.argmin(np.linalg.norm(tab_pts - q, axis=1)))
         occupied.add(int(s[i] / (L / K)) % K)
     free = next(a for a in range(K) if a not in occupied)
-    x = _interp_on_curve(tab_pts, s, np.array([(free + 0.5) * (L / K)]))[0]
+    x = _interp_on_curve(tab_pts, s, np.array([(free + 0.5) * (L / K)]))[:, 0]
     x = x / float(pnorm(x, p))
     return x, doubling_loop(p, L / (2.0 * K))
 
