@@ -27,6 +27,7 @@ from .bpbverify import (
     HilbertChecks,
     PropertyPWitness,
     attainment_cardinality_check,
+    delta_for_epsilon,
     epsilon0_lp2,
     hilbert_necessary_checks,
     is_only_approximation,
@@ -49,7 +50,6 @@ from .operators import (
     OperatorMatrix,
     attainment_equal,
     attainment_set,
-    delta_for_epsilon,
     is_smooth_operator,
     op_norm,
     operator,

@@ -302,9 +302,6 @@ def l1_extreme_approx(T: OperatorMatrix, eps: float) -> ApproximantReport:
     raise ConditionFailsError("unreachable")
 
 
-_BLOCK_APPROX = "block"
-
-
 def _block_canonical_approx(eps: float) -> np.ndarray:
     e = eps / 8.0
     return np.array(

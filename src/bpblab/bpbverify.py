@@ -27,14 +27,12 @@ from .errors import (
 )
 from .operators import (
     DEFAULT_RESOLUTION,
-    DELTA_LAST,
     TAU_ANGLE,
     TAU_SAME,
     OperatorMatrix,
     _attaining_faces,
     attainment_set,
     check_norm_one,
-    delta_descent,
     norm_one_attainment_set,
     op_norm,
     op_norms,
@@ -121,19 +119,88 @@ def _sample_norms(T: OperatorMatrix, witness: Point, resolution: int):
     return X, work, mask
 
 
-def _inclusion_certificate(MA, dist: float, eps: float, resolution: int, sample) -> BpbCertificate:
-    """The A side of the inclusion test: the distance of every row of the
-    T-side `sample` to the attainment set MA of A and the delta descent over
-    T's image norms; `dist` is ||T - A||, below eps.  Overwrites work[1:]
-    and the mask of the sample, never X or work[0]."""
+# The last level of the delta grid 1/2, 1/4, ... (times the norm), the
+# least 2^-k >= 1e-6.  It decides the whole grid: a largest image norm g
+# among the rows not below eps passes some level iff it passes this one,
+# g <= top - top*DELTA_LAST, and a failed descent names a row above it.
+DELTA_LAST = 2.0 ** -19
+
+
+def delta_descent(norms, dists, top: float, eps: float, mask: np.ndarray):
+    """The geometric delta descent of the uniform inclusion test.
+
+    Sample row i has image norm norms[i] and distance dists[i] to the
+    target set.  Returns (delta, worst distance, None) for the first delta
+    of top/2, top/4, ... down to top*DELTA_LAST whose rows with
+    norms > top - delta all lie below eps; else (None, its distance, index)
+    of the farthest row with norms > top - top*DELTA_LAST, which lies at
+    least eps from the set.  `mask`, one flag per row, is scratch.
+
+    A delta fails iff some row not below eps has norms > top - delta, that
+    is iff g, the largest norm among those rows, exceeds top - delta; so
+    one masked max decides every level of the grid.
+    """
+    np.less(dists, eps, out=mask)
+    g = float(norms.max(where=np.invert(mask, out=mask), initial=-np.inf))
+    floor = top - top * DELTA_LAST
+    if g > floor:
+        np.greater(norms, floor, out=mask)
+        idx = int(np.argmax(np.where(mask, dists, -np.inf)))
+        return None, float(dists[idx]), idx
+    delta = top / 2.0
+    while g > top - delta:
+        delta /= 2.0
+    np.greater(norms, top - delta, out=mask)
+    return delta, float(dists.max(where=mask, initial=-np.inf)), None
+
+
+def _descent(M, top: float, eps: float, sample):
+    """delta_descent of the T-side `sample`, whose image norms peak at
+    `top`, against the attainment set M: (delta, worst distance,
+    counterexample Point or None).  Overwrites work[1:] and the mask of
+    the sample, never X or work[0]."""
     X, work, mask = sample
-    dists = work[1]
-    MA.distance_to(X, out=dists, work=work[2:])
-    delta, worst, idx = delta_descent(work[0], dists, 1.0, eps, mask)
-    if delta is not None:
-        return BpbCertificate("certified", eps, delta, resolution, worst, None, dist)
-    z = Point(X[idx], MA.space)
-    return BpbCertificate("falsified", eps, None, resolution, worst, z, dist)
+    M.distance_to(X, out=work[1], work=work[2:])
+    delta, worst, idx = delta_descent(work[0], work[1], top, eps, mask)
+    return delta, worst, None if idx is None else Point(X[idx], M.space)
+
+
+def _inclusion_certificate(MA, dist: float, eps: float, resolution: int, sample) -> BpbCertificate:
+    """The A side of the inclusion test: the delta descent of the T-side
+    `sample` against the attainment set MA of A; `dist` is ||T - A||,
+    below eps."""
+    delta, worst, z = _descent(MA, 1.0, eps, sample)
+    status = "falsified" if delta is None else "certified"
+    return BpbCertificate(status, eps, delta, resolution, worst, z, dist)
+
+
+@dataclass(frozen=True)
+class DeltaSearch:
+    """Outcome of the delta(eps) grid descent of the inclusion test."""
+
+    succeeded: bool
+    delta: Optional[float]
+    counterexample: Optional[Point]
+    resolution: int
+
+
+def delta_for_epsilon(
+    T: OperatorMatrix, eps: float, resolution: int = DEFAULT_RESOLUTION
+) -> DeltaSearch:
+    """Largest grid delta with sampled M_T(delta) inside eps-balls of M_T.
+
+    The delta grid is geometric, ||T||*2^-k down to ||T||*DELTA_LAST, and
+    the sample is that of `verify_uniform_bpb`: the sphere grid plus a
+    norming vector of T.  On failure the counterexample is the sample
+    farthest from M_T among those with ||Tz|| > ||T||(1 - DELTA_LAST); it
+    lies at least eps from M_T.  The certificate is valid at the stated
+    sampling resolution only.  eps must be finite and positive.
+    """
+    apx._check_eps(eps, hi=math.inf)
+    M = attainment_set(T, resolution=resolution)
+    _, witness = op_norm(T)
+    delta, _, z = _descent(M, M.value, eps, _sample_norms(T, witness, resolution))
+    return DeltaSearch(delta is not None, delta, z, resolution)
 
 
 def verify_uniform_bpb(
@@ -441,16 +508,21 @@ class SweepSummary:
 
 
 def _random_linf_candidates(n, trials, rng):
-    """Random non-isometric matrices with one unimodular entry per row."""
-    out = []
-    while len(out) < trials:
+    """Distinct random non-isometric matrices with one unimodular entry per
+    row, at most all (n^n - n!) 2^n of them."""
+    family = (n ** n - math.factorial(n)) * 2 ** n
+    out, seen = [], set()
+    while len(out) < min(trials, family):
         cols = rng.integers(0, n, size=n)
         if len(set(cols.tolist())) == n:
             continue  # signed permutation pattern: skip isometries
         signs = rng.choice([-1.0, 1.0], size=n)
+        key = (tuple(cols.tolist()), tuple(signs.tolist()))
+        if key in seen:
+            continue
+        seen.add(key)
         M = np.zeros((n, n))
-        for r in range(n):
-            M[r, cols[r]] = signs[r]
+        M[np.arange(n), cols] = signs
         out.append(M)
     return out
 

@@ -1,8 +1,8 @@
 """Matrix operators between l_p spaces.
 
 Operator norm with a maximising witness, the norm attainment set M_T in an
-exact representation per domain geometry, delta-approximate attainment,
-restricted norms, and operator smoothness.
+exact representation per domain geometry, restricted norms, and operator
+smoothness.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .errors import (
     ZeroOperatorError,
 )
 from .optim import zoom_max
-from .sampling import sphere_grid
 from .spaces import (
     TAU_EQ,
     TAU_OPT,
@@ -467,85 +466,6 @@ def norm_one_attainment_set(
     is built when ||T|| is not 1 within TAU_NORM_ONE, the zero operator
     included."""
     return attainment_set(T, resolution, check=lambda value: check_norm_one(value, what, error))
-
-
-@dataclass(frozen=True)
-class DeltaSearch:
-    """Outcome of the delta(eps) grid descent of the inclusion test."""
-
-    succeeded: bool
-    delta: Optional[float]
-    counterexample: Optional[Point]
-    resolution: int
-
-
-DELTA_FLOOR = 1e-6
-# The last level of the delta grid 1/2, 1/4, ... down to DELTA_FLOOR, the
-# least 2^-k >= DELTA_FLOOR: a largest image norm g passes some level of
-# the grid, `_halving_delta(g, 1) is not None`, iff g <= 1 - DELTA_LAST.
-DELTA_LAST = 2.0 ** -math.floor(-math.log2(DELTA_FLOOR))
-
-
-def _halving_delta(g: float, top: float) -> Optional[float]:
-    """The first delta of top/2, top/4, ... down to DELTA_FLOOR*top with
-    g <= top - delta, None without one: the delta grid level that passes
-    when g is the largest image norm among the sample rows not below eps."""
-    floor = DELTA_FLOOR * top
-    delta = top / 2.0
-    while delta >= floor and g > top - delta:
-        delta /= 2.0
-    return delta if delta >= floor else None
-
-
-def delta_descent(norms, dists, top: float, eps: float, mask: np.ndarray):
-    """The geometric delta descent of the uniform inclusion test.
-
-    Sample row i has image norm norms[i] and distance dists[i] to the
-    target set.  Returns (delta, worst distance, None) for the first delta
-    of top/2, top/4, ... down to DELTA_FLOOR*top whose rows with
-    norms > top - delta all lie below eps; else (None, its distance, index)
-    of the farthest row with norms > top - DELTA_FLOOR*top, or
-    (None, -inf, None) without one.  `mask`, one flag per row, is scratch.
-
-    A delta fails iff some row not below eps has norms > top - delta, that
-    is iff g, the largest norm among those rows, exceeds top - delta; so
-    one masked max decides every level of the grid (`_halving_delta`).
-    """
-    np.less(dists, eps, out=mask)
-    g = float(norms.max(where=np.invert(mask, out=mask), initial=-np.inf))
-    delta = _halving_delta(g, top)
-    if delta is not None:
-        np.greater(norms, top - delta, out=mask)
-        return delta, float(dists.max(where=mask, initial=-np.inf)), None
-    floor = DELTA_FLOOR * top
-    np.greater(norms, top - floor, out=mask)
-    if not mask.any():
-        return None, -np.inf, None
-    idx = int(np.argmax(np.where(mask, dists, -np.inf)))
-    return None, float(dists[idx]), idx
-
-
-def delta_for_epsilon(
-    T: OperatorMatrix, eps: float, resolution: int = DEFAULT_RESOLUTION
-) -> DeltaSearch:
-    """Largest grid delta with sampled M_T(delta) inside eps-balls of M_T.
-
-    The delta grid is geometric, ||T||*2^-k down to DELTA_FLOOR*||T||.  On
-    failure the counterexample is the sample farthest from M_T among those
-    with ||Tz|| > ||T||(1 - DELTA_FLOOR), None when no sample is that close
-    to norming.  The certificate is valid at the stated sampling resolution
-    only.
-    """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    M = attainment_set(T, resolution=resolution)
-    X = sphere_grid(T.domain, resolution)
-    mask = np.empty(len(X), dtype=bool)
-    delta, _, idx = delta_descent(T.image_norms(X), M.distance_to(X), M.value, eps, mask)
-    if delta is not None:
-        return DeltaSearch(True, delta, None, resolution)
-    z = None if idx is None else Point(X[idx], T.domain)
-    return DeltaSearch(False, None, z, resolution)
 
 
 def restricted_norm(T: OperatorMatrix, basis) -> float:

@@ -58,14 +58,15 @@ _cache = {}
 
 
 def _constructor_reports():
-    """Census members plus 50 seeded condition matrices, each with its report."""
+    """Census members plus 50 distinct seeded condition matrices, each with
+    its report; l_inf^2 and l_1^2 hold only 8 each."""
     if "reports" not in _cache:
         eps = 0.3
         reports = []
         for m in enumerate_extreme_linf3_l13():
             reports.append(("mixed", m, linf3_l13_extreme_approx(m, eps), eps))
         rng = np.random.default_rng(404)
-        plan = [(linf(2), "linf", 13), (linf(3), "linf", 13), (l1(2), "l1", 12), (l1(3), "l1", 12)]
+        plan = [(linf(2), "linf", 8), (linf(3), "linf", 17), (l1(2), "l1", 8), (l1(3), "l1", 17)]
         for s, path, count in plan:
             for M in _random_linf_candidates(s.n, count, rng):
                 if path == "l1":

@@ -7,6 +7,7 @@ import pytest
 
 from bpblab import (
     attainment_cardinality_check,
+    delta_for_epsilon,
     enumerate_isometries,
     epsilon0_lp2,
     hilbert_necessary_checks,
@@ -33,7 +34,7 @@ from bpblab.errors import (
     NotDiscreteError,
     UnsupportedPairError,
 )
-from bpblab.bpbverify import _sample_buffers
+from bpblab.bpbverify import _random_linf_candidates, _sample_buffers
 from bpblab.operators import attainment_set
 
 
@@ -55,6 +56,20 @@ class TestVerifyUniformBpb:
         A = operator(np.diag([0.5, 1.0]), l2(2), l2(2))
         cert = verify_uniform_bpb(T, A, 0.2)
         assert cert.status == "falsified"
+
+    def test_falsified_sample_names_a_row_at_least_eps_away(self):
+        # ||T e2|| = 1 - 1.5e-6 lies between the last grid level 1 - 2^-19
+        # and 1 - 1e-6: every level fails on rows near e2, sqrt(2) from
+        # M_T = {+/-e1}, and those rows name the counterexample
+        T = operator(np.diag([1.0, 1.0 - 1.5e-6]), l2(2), l2(2))
+        MT = attainment_set(T, resolution=1024)
+        cert = verify_uniform_bpb(T, T, 1.0, resolution=1024)
+        res = delta_for_epsilon(T, 1.0, resolution=1024)
+        assert cert.status == "falsified" and cert.worst_distance >= 1.0
+        assert not res.succeeded
+        for z in (cert.counterexample.coords, res.counterexample.coords):
+            assert float(MT.distance_to(z[None, :])[0]) >= 1.0
+            assert float(T.image_norms(z[None, :])[0]) > 1.0 - 2.0 ** -19
 
     def test_moved_attainment_falsifies_small_eps(self):
         # nearby operators whose attainment pairs sit far apart
@@ -218,7 +233,9 @@ class TestEpsBoundary:
     even an operator that is not norm-one gets the eps error."""
 
     @pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan, 0.0, -1.0])
-    @pytest.mark.parametrize("check", ["verify", "only"])
+    # delta_for_epsilon used to fail on nan with a counterexample and pass
+    # on inf with delta 0.5
+    @pytest.mark.parametrize("check", ["verify", "only", "delta"])
     def test_non_positive_or_non_finite_eps_is_refused(self, eps, check, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("work started before eps was checked")
@@ -228,6 +245,8 @@ class TestEpsBoundary:
         with pytest.raises(OutOfRangeError, match="eps"):
             if check == "verify":
                 verify_uniform_bpb(T, T, eps)
+            elif check == "delta":
+                delta_for_epsilon(T, eps)
             else:
                 is_only_approximation(T, eps, trials=3, seed=0)
 
@@ -398,6 +417,15 @@ class TestSweep:
     def test_hilbert_pair(self):
         s = pair_property_sweep(l2(2), l2(2), [0.2], trials=5, seed=4)
         assert not s.failures
+
+    def test_draws_are_distinct_and_stop_at_the_family(self):
+        # every constructor refuses eps >= 2, so each operator tried is a
+        # failure; l_inf^2 has 8 non-isometric one-unimodular-per-row matrices
+        s = pair_property_sweep(linf(2), linf(2), [2.5], trials=10, seed=1)
+        ops = {tuple(f.operator.entries.ravel()) for f in s.failures}
+        assert len(ops) == len(s.failures) == s.total == 8
+        M = _random_linf_candidates(3, 500, np.random.default_rng(0))
+        assert len({tuple(m.ravel()) for m in M}) == len(M) == 168
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_trials_below_one_rejected(self, trials):

@@ -41,20 +41,18 @@ from bpblab import (
 )
 from bpblab import operators
 from bpblab.bpbverify import (
+    DELTA_LAST,
     _halving_search,
     _inclusion_certificate,
     _polyhedral_screen,
     _sample_buffers,
     _sample_norms,
+    delta_descent,
 )
 from bpblab.errors import MixedSpacesError, NormNotOneError
 from bpblab.operators import (
-    DELTA_FLOOR,
-    DELTA_LAST,
-    _halving_delta,
     OperatorMatrix,
     _lp2_local_maxima,
-    delta_descent,
     norm_one_attainment_set,
     require_norm_one,
 )
@@ -223,13 +221,13 @@ def inline_verify(T, A, eps, resolution):
     pnorm_into(np.matmul(X, T.entries.T, out=images), T.codomain.p, 1, norms)
     MA.distance_to(X, out=dists, work=work[2:])
     delta = 0.5
-    while delta >= DELTA_FLOOR:
+    while delta >= DELTA_LAST:
         np.greater(norms, 1.0 - delta, out=mask)
         worst = float(dists.max(where=mask, initial=-np.inf))
         if worst < eps:
             return ("certified", eps, delta, resolution, worst, None, dist)
         delta /= 2.0
-    mask = norms > 1.0 - DELTA_FLOOR
+    mask = norms > 1.0 - DELTA_LAST
     idx = int(np.argmax(np.where(mask, dists, -np.inf)))
     return ("falsified", eps, None, resolution, float(dists[idx]), X[idx].copy(), dist)
 
@@ -237,17 +235,26 @@ def inline_verify(T, A, eps, resolution):
 def loop_delta_descent(norms, dists, top, eps):
     """delta_descent one grid level at a time: a masked max per level."""
     delta = top / 2.0
-    while delta >= DELTA_FLOOR * top:
+    while delta >= DELTA_LAST * top:
         mask = norms > top - delta
         worst = float(dists.max(where=mask, initial=-np.inf))
         if worst < eps:
             return delta, worst, None
         delta /= 2.0
-    mask = norms > top - DELTA_FLOOR * top
-    if not mask.any():
-        return None, -np.inf, None
+    # the last level failed, so some row above it lies at eps or beyond
+    mask = norms > top - DELTA_LAST * top
+    assert mask.any()
     idx = int(np.argmax(np.where(mask, dists, -np.inf)))
     return None, float(dists[idx]), idx
+
+
+def halving_delta(g, top):
+    """The first delta of top/2, top/4, ... down to top*DELTA_LAST with
+    g <= top - delta, None without one."""
+    delta = top / 2.0
+    while delta >= DELTA_LAST * top and g > top - delta:
+        delta /= 2.0
+    return delta if delta >= DELTA_LAST * top else None
 
 
 def sequential_only_approximation(T, eps, trials, seed, resolution):
@@ -307,7 +314,7 @@ def inline_delta_search(T, eps, resolution):
     norms = T.image_norms(X)
     dists = M.distance_to(X)
     delta = value / 2.0
-    while delta >= DELTA_FLOOR * value:
+    while delta >= DELTA_LAST * value:
         mask = norms > value - delta
         if not mask.any() or dists[mask].max() < eps:
             return True, delta
@@ -604,6 +611,9 @@ def test_delta_descent_gives_the_inline_certificates(triples):
             else:
                 assert np.array_equal(z, want[5])
             statuses.add(cert.status)
+            # a falsified sample names a row at least eps from M_A
+            if cert.status == "falsified" and cert.operator_distance < eps:
+                assert cert.worst_distance >= eps, (T, A, eps)
     assert statuses == {"certified", "falsified"}
 
 
@@ -620,14 +630,14 @@ def test_delta_for_epsilon_keeps_its_delta_and_takes_the_floor_counterexample():
         outcomes.add(ok)
         if ok:
             continue
-        # the counterexample is the farthest sample with ||Tz|| > ||T||(1 - DELTA_FLOOR)
-        value, _ = op_norm(T)
+        # the counterexample is the farthest sample with
+        # ||Tz|| > ||T||(1 - DELTA_LAST), and it lies at least eps from M_T
         M = attainment_set(T, resolution=1024)
         X = sphere_grid(T.domain, 1024)
-        near = T.image_norms(X) > value - DELTA_FLOOR * value
+        near = T.image_norms(X) > M.value - DELTA_LAST * M.value
         z = res.counterexample.coords
-        assert float(T.image_norms(z[None, :])[0]) > value - DELTA_FLOOR * value
-        assert float(M.distance_to(z[None, :])[0]) == M.distance_to(X[near]).max()
+        assert float(T.image_norms(z[None, :])[0]) > M.value - DELTA_LAST * M.value
+        assert float(M.distance_to(z[None, :])[0]) == M.distance_to(X[near]).max() >= eps
     assert outcomes == {True, False}
 
 
@@ -657,8 +667,9 @@ def test_facet_witness_matches_the_facet_loop():
 def _descent_cases():
     """(norms, dists, top, eps): random rows plus the edges of the closed
     form: no row at or beyond eps, every row beyond it, infinite distances
-    (an empty attainment basis), no row near enough to norming for the
-    final mask, and rows exactly at eps or exactly on a grid level."""
+    (an empty attainment basis), every level failing only on rows between
+    the last level and 1e-6 below top, and rows exactly at eps or exactly
+    on a grid level."""
     rng = np.random.default_rng(41)
     cases = []
     for k in range(200):
@@ -673,9 +684,9 @@ def _descent_cases():
     cases.append((norms, np.full(50, 0.1), 1.0, 0.3))            # no row at or beyond eps
     cases.append((norms, np.full(50, 0.5), 1.0, 0.3))            # every row beyond eps
     cases.append((norms, np.full(50, np.inf), 1.0, 0.3))         # empty basis: infinite distances
-    # every level fails on a row between the last level and the floor,
-    # which the final mask leaves out: no counterexample
-    near = np.full(50, 1.0 - 1.5 * DELTA_FLOOR)
+    # every level fails on rows in the band (1 - DELTA_LAST, 1 - 1e-6],
+    # and they name the counterexample
+    near = np.full(50, 1.0 - 1.5e-6)
     cases.append((near, np.full(50, 0.5), 1.0, 0.3))
     cases.append((norms, np.where(norms > 0.9, 0.3, 0.0), 1.0, 0.3))  # rows exactly at eps
     levels = 1.0 - 0.5 ** np.arange(1, 25)                      # norms exactly top - delta
@@ -691,7 +702,7 @@ def test_closed_form_descent_matches_the_level_loop():
         got = delta_descent(norms, dists, top, eps, np.empty(len(norms), dtype=bool))
         assert got == want, (norms, dists, top, eps)
         outcomes.add((want[0] is None, want[2] is None))
-    assert outcomes == {(False, True), (True, False), (True, True)}
+    assert outcomes == {(False, True), (True, False)}
 
 
 def _rigidity_cases():
@@ -804,10 +815,11 @@ def test_polyhedral_screen_decides_each_candidate_as_its_certificate():
 
 
 def test_screen_verdict_is_the_halving_rule():
-    # g passes some level of the delta grid iff it passes the last one;
-    # checked at every level, one ulp to either side, and at -inf
+    # the grid runs down to the least 2^-k >= 1e-6, and g passes some level
+    # iff it passes the last one; checked at every level, one ulp to either
+    # side, and at -inf
     levels, delta = [], 0.5
-    while delta >= DELTA_FLOOR:
+    while delta >= 1e-6:
         levels.append(1.0 - delta)
         delta /= 2.0
     assert DELTA_LAST == 1.0 - levels[-1] == 2.0 ** -19
@@ -815,7 +827,7 @@ def test_screen_verdict_is_the_halving_rule():
     g = np.concatenate([g, np.nextafter(g, np.inf), np.nextafter(g, -np.inf)])
     g = np.concatenate([g, np.random.default_rng(41).uniform(0.99, 1.0, 2000)])
     got = g <= 1.0 - DELTA_LAST
-    want = [_halving_delta(float(x), 1.0) is not None for x in g]
+    want = [halving_delta(float(x), 1.0) is not None for x in g]
     assert got.tolist() == want and len(set(want)) == 2
 
 
