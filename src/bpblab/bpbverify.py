@@ -191,14 +191,16 @@ def delta_for_epsilon(
 
     The delta grid is geometric, ||T||*2^-k down to ||T||*DELTA_LAST, and
     the sample is that of `verify_uniform_bpb`: the sphere grid plus a
-    norming vector of T.  On failure the counterexample is the sample
+    norming vector of T, a point of M_T.  On failure the counterexample is the sample
     farthest from M_T among those with ||Tz|| > ||T||(1 - DELTA_LAST); it
     lies at least eps from M_T.  The certificate is valid at the stated
     sampling resolution only.  eps must be finite and positive.
     """
     apx._check_eps(eps, hi=math.inf)
     M = attainment_set(T, resolution=resolution)
-    _, witness = op_norm(T)
+    # a point of M_T: op_norm's vertex on a polyhedral domain, else a row
+    # of the set, so no second l_p^2 search or SVD runs
+    witness = op_norm(T)[1] if T.domain.polyhedral else Point(M.representative_points()[0], T.domain)
     delta, _, z = _descent(M, M.value, eps, _sample_norms(T, witness, resolution))
     return DeltaSearch(delta is not None, delta, z, resolution)
 

@@ -233,8 +233,6 @@ class TestEpsBoundary:
     even an operator that is not norm-one gets the eps error."""
 
     @pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan, 0.0, -1.0])
-    # delta_for_epsilon used to fail on nan with a counterexample and pass
-    # on inf with delta 0.5
     @pytest.mark.parametrize("check", ["verify", "only", "delta"])
     def test_non_positive_or_non_finite_eps_is_refused(self, eps, check, monkeypatch):
         def refuse(*args, **kwargs):
