@@ -20,7 +20,6 @@ from .errors import (
     ConstructionError,
     DegenerateWitnessError,
     IsIsometryError,
-    NoZeroRowError,
     NormNotOneError,
     NotAMidpointError,
     NotComplementaryError,
@@ -249,16 +248,11 @@ def linf_extreme_approx(T: OperatorMatrix, eps: float) -> ApproximantReport:
     if not linf_row_condition(T):
         raise ConditionFailsError("row condition fails")
     E = T.entries.copy()
-    n = T.domain.n
-    target = None
-    for c in range(n):
-        rows = [r for r in range(T.codomain.n) if abs(E[r, c]) > TAU_EQ]
-        if len(rows) >= 2:
-            target = (rows[0], c)
-            break
-    if target is None:
-        raise ConditionFailsError("no column with two entries (unexpected)")
-    r, c = target
+    # n entries, one per row, and not one per column: by pigeonhole some
+    # column carries two or more; take its first
+    nz = np.abs(E) > TAU_EQ
+    c = int(np.argmax(nz.sum(axis=0) >= 2))
+    r = int(np.argmax(nz[:, c]))
     E[r, c] -= math.copysign(eps / 2.0, E[r, c])
     A = OperatorMatrix(E, T.domain, T.codomain)
     return _finish(T, A, eps, "linf_extreme")
@@ -278,16 +272,12 @@ def l1_extreme_approx(T: OperatorMatrix, eps: float) -> ApproximantReport:
     if not l1_column_condition(T):
         raise ConditionFailsError("column condition fails")
     E = T.entries
-    m = T.codomain.n
-    heavy = next(
-        (r for r in range(m) if (np.abs(E[r]) > TAU_EQ).sum() >= 2), None
-    )
-    zero = next((r for r in range(m) if (np.abs(E[r]) <= TAU_EQ).all()), None)
-    if heavy is None:
-        raise ConditionFailsError("no row with two entries (unexpected)")
-    if zero is None:
-        raise NoZeroRowError("no zero row available (unexpected)")
-    c = next(c for c in range(T.domain.n) if abs(E[heavy, c]) > TAU_EQ)
+    # n entries, one per column, and not one per row: by pigeonhole the
+    # first row with two or more and the first zero row both exist
+    nz = np.abs(E) > TAU_EQ
+    counts = nz.sum(axis=1)
+    heavy, zero = int(np.argmax(counts >= 2)), int(np.argmax(counts == 0))
+    c = int(np.argmax(nz[heavy]))
     s = math.copysign(1.0, E[heavy, c])
     for fill_sign in (s, -s):
         F = E.copy()

@@ -12,7 +12,8 @@ import math
 import numbers
 import threading
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -52,6 +53,9 @@ from .spaces import (
     arc_length_constant,
     arc_length_total,
     face_distances,
+    l1,
+    l2,
+    linf,
     pnorm,
     pnorm_into,
     polyhedral_table,
@@ -505,7 +509,6 @@ class SweepSummary:
     total: int
     certified: int
     preserved: int
-    skipped_isometries: int
     failures: tuple
 
 
@@ -529,17 +532,52 @@ def _random_linf_candidates(n, trials, rng):
     return out
 
 
-def _route(T: OperatorMatrix, eps: float):
-    dom, cod = T.domain, T.codomain
-    if dom.p == INF and cod.p == INF:
-        return apx.linf_extreme_approx(T, eps)
-    if dom.p == 1 and cod.p == 1:
-        return apx.l1_extreme_approx(T, eps)
-    if dom.p == INF and cod.p == 1 and dom.n == 3:
-        return apx.linf3_l13_extreme_approx(T, eps)
-    if dom.hilbert and cod.hilbert:
-        return apx.hilbert_rotate_approx(T, eps)
-    raise UnsupportedPairError(f"no constructor route for {dom} -> {cod}")
+def _random_l1_candidates(n, trials, rng):
+    """The transposes of `_random_linf_candidates`: one unimodular entry per
+    column."""
+    return [M.T for M in _random_linf_candidates(n, trials, rng)]
+
+
+def _census_candidates(trials, rng):
+    """The first `trials` members of the l_inf^3 -> l_1^3 census; draws
+    nothing."""
+    return [T.entries for T in enumerate_extreme_linf3_l13()[:trials]]
+
+
+def _random_hilbert_candidates(n, trials, rng):
+    """Gaussian n x n matrices scaled to norm one, each redrawn while
+    M^T M lies within 1e-3 of I entrywise, so none is near an isometry."""
+    s = l2(n)
+    out = []
+    while len(out) < trials:
+        M = rng.standard_normal((n, n))
+        M = M / op_norm(OperatorMatrix(M, s, s))[0]
+        if np.abs(M.T @ M - np.eye(n)).max() >= 1e-3:
+            out.append(M)
+    return out
+
+
+@dataclass(frozen=True)
+class SweepPair:
+    """A pair of the sweep: its spaces, `draw(trials, rng)`, the seeded
+    entries of `trials` operators from a family without isometries, and
+    the constructor of their approximants."""
+
+    domain: SpaceSpec
+    codomain: SpaceSpec
+    draw: Callable
+    construct: Callable
+
+
+SWEEP_PAIRS = {
+    "linf2": SweepPair(linf(2), linf(2), partial(_random_linf_candidates, 2), apx.linf_extreme_approx),
+    "linf3": SweepPair(linf(3), linf(3), partial(_random_linf_candidates, 3), apx.linf_extreme_approx),
+    "l12": SweepPair(l1(2), l1(2), partial(_random_l1_candidates, 2), apx.l1_extreme_approx),
+    "l13": SweepPair(l1(3), l1(3), partial(_random_l1_candidates, 3), apx.l1_extreme_approx),
+    "linf3-l13": SweepPair(linf(3), l1(3), _census_candidates, apx.linf3_l13_extreme_approx),
+    "l22": SweepPair(l2(2), l2(2), partial(_random_hilbert_candidates, 2), apx.hilbert_rotate_approx),
+    "l23": SweepPair(l2(3), l2(3), partial(_random_hilbert_candidates, 3), apx.hilbert_rotate_approx),
+}
 
 
 def pair_property_sweep(
@@ -552,43 +590,25 @@ def pair_property_sweep(
 ) -> SweepSummary:
     """Construct and verify preserving approximants across a space pair.
 
-    Samples non-isometric norm-one operators (plus the full extreme census
-    where available), routes each through the applicable constructor, and
-    verifies every report.  Isometries are skipped by definition.
+    The pair must be one of SWEEP_PAIRS; any other raises
+    UnsupportedPairError before anything is drawn.  Draws `trials` of its
+    operators from the seeded RNG, builds each one's approximant with the
+    pair's constructor for every eps, and verifies every report.
     """
     trials = _check_trials(trials)
-    rng = np.random.default_rng(seed)
-    candidates: list[OperatorMatrix] = []
-    same = spaceX.n == spaceY.n and spaceX.p == spaceY.p
-    if spaceX.p == INF and spaceY.p == INF and same and spaceX.n <= 3:
-        for M in _random_linf_candidates(spaceX.n, trials, rng):
-            candidates.append(OperatorMatrix(M, spaceX, spaceY))
-    elif spaceX.p == 1 and spaceY.p == 1 and same and spaceX.n <= 3:
-        for M in _random_linf_candidates(spaceX.n, trials, rng):
-            candidates.append(OperatorMatrix(M.T, spaceX, spaceY))
-    elif spaceX.p == INF and spaceX.n == 3 and spaceY.p == 1 and spaceY.n == 3:
-        candidates.extend(enumerate_extreme_linf3_l13()[:trials])
-    elif spaceX.hilbert and spaceY.hilbert and same and spaceX.n <= 3:
-        while len(candidates) < trials:
-            M = rng.standard_normal((spaceX.n, spaceX.n))
-            v, _ = op_norm(OperatorMatrix(M, spaceX, spaceY))
-            M = M / v
-            cand = OperatorMatrix(M, spaceX, spaceY)
-            if np.abs(M.T @ M - np.eye(spaceX.n)).max() < 1e-3:
-                continue
-            candidates.append(cand)
-    else:
+    pair = next(
+        (s for s in SWEEP_PAIRS.values() if (s.domain, s.codomain) == (spaceX, spaceY)), None
+    )
+    if pair is None:
         raise UnsupportedPairError(f"unsupported pair {spaceX} -> {spaceY}")
-    total = certified = preserved = skipped = 0
+    total = certified = preserved = 0
     failures = []
-    for T in candidates:
-        if same and is_isometry(T):
-            skipped += 1
-            continue
+    for M in pair.draw(trials, np.random.default_rng(seed)):
+        T = OperatorMatrix(M, spaceX, spaceY)
         for eps in eps_list:
             total += 1
             try:
-                report = _route(T, eps)
+                report = pair.construct(T, eps)
             except Exception as exc:  # constructor contract violations
                 failures.append(SweepFailure(T, eps, f"constructor: {exc}"))
                 continue
@@ -601,11 +621,4 @@ def pair_property_sweep(
                 preserved += 1
             else:
                 failures.append(SweepFailure(T, eps, "attainment not preserved"))
-    return SweepSummary(
-        (str(spaceX), str(spaceY)),
-        total,
-        certified,
-        preserved,
-        skipped,
-        tuple(failures),
-    )
+    return SweepSummary((str(spaceX), str(spaceY)), total, certified, preserved, tuple(failures))

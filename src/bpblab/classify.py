@@ -144,20 +144,9 @@ def is_isometry(T: OperatorMatrix) -> bool:
     M = T.entries
     if T.domain.hilbert:
         return bool(np.abs(M.T @ M - np.eye(T.domain.n)).max() < TAU_EQ)
-    # p != 2: the isometries of l_p^n are exactly the signed permutations
-    return _is_signed_permutation_matrix(M)
-
-
-def _is_signed_permutation_matrix(M: np.ndarray, tol: float = TAU_EQ) -> bool:
-    n = M.shape[0]
-    if M.shape[0] != M.shape[1]:
-        return False
-    A = np.abs(M)
-    near_one = np.abs(A - 1.0) < tol
-    near_zero = A < tol
-    if not (near_one | near_zero).all():
-        return False
-    return bool((near_one.sum(axis=0) == 1).all() and (near_one.sum(axis=1) == 1).all())
+    # p != 2: the isometries of l_p^n are exactly the signed permutations,
+    # the matrices with one unimodular entry in every row and every column
+    return _one_unimodular_per_line(M) and _one_unimodular_per_line(M.T)
 
 
 def enumerate_isometries(s: SpaceSpec) -> list[OperatorMatrix]:

@@ -152,8 +152,6 @@ def _orbit_sizes(members) -> list:
 
 
 def _cmd_enumerate_ext(args) -> int:
-    if args.pair != "linf3-l13":
-        raise MalformedInputError("pair", f"unsupported pair {args.pair!r}")
     members = cf.enumerate_extreme_linf3_l13()
     _emit(
         args,
@@ -178,10 +176,7 @@ _CONSTRUCTIONS = {
 
 def _cmd_approx(args) -> int:
     T = jsonio.load_operator(args.operator)
-    builder = _CONSTRUCTIONS.get(args.construction)
-    if builder is None:
-        raise MalformedInputError("construction", f"unknown {args.construction!r}")
-    _emit(args, builder(T, args.eps))
+    _emit(args, _CONSTRUCTIONS[args.construction](T, args.eps))
     return 0
 
 
@@ -204,26 +199,11 @@ def _cmd_epsilon0(args) -> int:
     return 0
 
 
-_SWEEP_PAIRS = {
-    "linf2": ("inf", 2, "inf", 2),
-    "linf3": ("inf", 3, "inf", 3),
-    "l12": ("1", 2, "1", 2),
-    "l13": ("1", 3, "1", 3),
-    "linf3-l13": ("inf", 3, "1", 3),
-    "l22": ("2", 2, "2", 2),
-    "l23": ("2", 3, "2", 3),
-}
-
-
 def _cmd_sweep(args) -> int:
-    if args.pair not in _SWEEP_PAIRS:
-        raise MalformedInputError(
-            "pair", f"unknown pair {args.pair!r}; choose from {sorted(_SWEEP_PAIRS)}"
-        )
-    px, nx, py, ny = _SWEEP_PAIRS[args.pair]
+    pair = bv.SWEEP_PAIRS[args.pair]
     summary = bv.pair_property_sweep(
-        SpaceSpec(as_exponent(px), nx),
-        SpaceSpec(as_exponent(py), ny),
+        pair.domain,
+        pair.codomain,
         args.eps_list,
         trials=args.trials,
         seed=args.seed,
@@ -352,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_orbit)
 
     p = sub.add_parser("enumerate-ext", help="enumerate extreme contractions")
-    p.add_argument("--pair", required=True, help="currently: linf3-l13")
+    p.add_argument("--pair", required=True, choices=["linf3-l13"])
     common(p)
     p.set_defaults(func=_cmd_enumerate_ext)
 
@@ -385,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_epsilon0)
 
     p = sub.add_parser("sweep", help="construct and verify approximants across a pair")
-    p.add_argument("--pair", required=True)
+    p.add_argument("--pair", required=True, choices=sorted(bv.SWEEP_PAIRS))
     p.add_argument("--eps-list", type=_eps_list_flag, default="0.2", dest="eps_list")
     p.add_argument("--trials", type=_positive_int, default=10)
     common(p, resolution=True, seed=True)

@@ -89,10 +89,6 @@ class ConditionFailsError(ConstructionError):
     """Required sign-pattern condition (row/column) fails."""
 
 
-class NoZeroRowError(ConstructionError):
-    """No zero row available for the l1 fill-in step."""
-
-
 class NotInEnumerationError(ConstructionError):
     """Operator is not one of the enumerated extreme contractions."""
 

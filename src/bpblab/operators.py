@@ -64,6 +64,8 @@ TAU_VANISH = 1e-12  # largest norm of T restricted to a subspace still read as T
                     # vanishing there
 TAU_UNIT = 1e-9    # largest | ||x|| - 1 | of an input vector or functional taken
                    # as a unit one
+TAU_CLOSE = 1e-12  # largest entry gap at which close_to reads two operators
+                   # between the same spaces as equal
 
 DEFAULT_RESOLUTION = 4096
 
@@ -122,11 +124,11 @@ class OperatorMatrix:
         if self.domain != other.domain or self.codomain != other.codomain:
             raise MixedSpacesError("operators between different space pairs")
 
-    def close_to(self, other, tol=1e-12) -> bool:
+    def close_to(self, other) -> bool:
         return (
             self.domain == other.domain
             and self.codomain == other.codomain
-            and bool(np.allclose(self.entries, other.entries, atol=tol, rtol=0.0))
+            and bool(np.allclose(self.entries, other.entries, atol=TAU_CLOSE, rtol=0.0))
         )
 
     def __repr__(self):

@@ -3,6 +3,9 @@
 import numpy as np
 
 ZOOM_POINTS = 33  # samples per bracket and level; odd, so the centre is one
+BISECT_TOL = 1e-12   # bracket width at which bisect_increasing stops
+BISECT_MAX_ITER = 200  # halvings after which it stops anyway: near a large
+                       # root the doubles are spaced wider than BISECT_TOL
 
 
 def zoom_max(f, centre, half, tol):
@@ -39,14 +42,14 @@ def zoom_max(f, centre, half, tol):
             return c, fc
 
 
-def bisect_increasing(g, target, lo, hi, tol=1e-12, max_iter=200):
+def bisect_increasing(g, target, lo, hi):
     """Solve g(x) = target for increasing continuous g on [lo, hi]."""
     glo, ghi = g(lo), g(hi)
     if not (glo <= target <= ghi):
         raise ValueError("target not bracketed")
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if hi - lo < tol:
+        if hi - lo < BISECT_TOL:
             return mid
         if g(mid) < target:
             lo = mid

@@ -38,8 +38,9 @@ from bpblab.errors import (
     ObstructionError,
     ZeroOnX2Error,
 )
+from bpblab.bpbverify import _random_linf_candidates
 from bpblab.operators import attainment_equal, attainment_set
-from bpblab.spaces import pnorm
+from bpblab.spaces import TAU_EQ, pnorm
 
 
 def check_contract(report, preserved=True):
@@ -184,6 +185,12 @@ class TestLinfExtreme:
         with pytest.raises(ConditionFailsError):
             linf_extreme_approx(T, 0.2)
 
+    def test_boundary_signed_permutation_rejected(self):
+        # 1e-9 is TAU_EQ: zero for the row condition and for is_isometry
+        T = operator([[1.0, 1e-9], [0.0, 1.0]], linf(2), linf(2))
+        with pytest.raises(IsIsometryError):
+            linf_extreme_approx(T, 0.2)
+
 
 class TestL1Extreme:
     def test_column_sums_preserved(self):
@@ -209,6 +216,44 @@ class TestL1Extreme:
     def test_isometry_rejected(self):
         with pytest.raises(IsIsometryError):
             l1_extreme_approx(operator(np.eye(2), l1(2), l1(2)), 0.2)
+
+    def test_boundary_signed_permutation_rejected(self):
+        # 1e-9 is TAU_EQ: zero for the column condition and for is_isometry
+        T = operator([[1.0, 0.0], [1e-9, 1.0]], l1(2), l1(2))
+        with pytest.raises(IsIsometryError):
+            l1_extreme_approx(T, 0.2)
+
+
+def old_linf_target(E):
+    """The entry linf_extreme_approx shrank before it read the column
+    counts off one mask: the first entry of the first doubled column."""
+    for c in range(E.shape[1]):
+        rows = [r for r in range(E.shape[0]) if abs(E[r, c]) > TAU_EQ]
+        if len(rows) >= 2:
+            return {(rows[0], c)}
+
+
+def old_l1_targets(E):
+    """The entries l1_extreme_approx moved mass between, found row by row:
+    the first doubled row's first entry and the first zero row."""
+    m = E.shape[0]
+    heavy = next(r for r in range(m) if (np.abs(E[r]) > TAU_EQ).sum() >= 2)
+    zero = next(r for r in range(m) if (np.abs(E[r]) <= TAU_EQ).all())
+    c = next(c for c in range(E.shape[1]) if abs(E[heavy, c]) > TAU_EQ)
+    return {(heavy, c), (zero, c)}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sign_pattern_constructors_move_the_entries_the_loops_chose(n):
+    # every non-isometric one-unimodular-per-row matrix: 8 for n = 2, 168 for n = 3
+    family = _random_linf_candidates(n, 1000, np.random.default_rng(0))
+    for M in family:
+        for E, s, build, old in ((M, linf(n), linf_extreme_approx, old_linf_target),
+                                 (M.T, l1(n), l1_extreme_approx, old_l1_targets)):
+            T = operator(E, s, s)
+            A = build(T, 0.3).approximant.entries
+            moved = set(zip(*np.nonzero(A != T.entries)))
+            assert moved == old(E)
 
 
 class TestMixedCensusApprox:

@@ -216,8 +216,6 @@ class TestOnlyApproximation:
 
     @pytest.mark.parametrize("trials", [True, False, 2.5, 3.0, "3", None, -1])
     def test_non_integer_or_bool_trials_are_refused(self, trials):
-        # True used to run one trial and report trials=True; 2.5 died
-        # with a bare TypeError
         T = enumerate_isometries(linf(2))[0]
         with pytest.raises(ValueError, match="trials"):
             is_only_approximation(T, 0.5, trials=trials, seed=0)
@@ -440,3 +438,18 @@ class TestSweep:
     def test_unsupported_pair(self):
         with pytest.raises(UnsupportedPairError):
             pair_property_sweep(lp(4, 2), lp(4, 2), [0.2], trials=1, seed=0)
+
+    @pytest.mark.parametrize(
+        "X, Y",
+        [(l2(1), l2(1)), (linf(1), linf(1)), (l1(1), l1(1)), (lp(3, 2), lp(3, 2)),
+         (l1(3), linf(3)), (linf(4), linf(4)), (l2(4), l2(4))],
+    )
+    def test_unlisted_pair_is_refused_before_any_draw(self, X, Y, monkeypatch):
+        # every norm-one 1 x 1 matrix is an isometry, so no n = 1 pair has
+        # a family to draw from
+        def refuse(*args, **kwargs):
+            raise AssertionError("a draw started before the pair was checked")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        with pytest.raises(UnsupportedPairError, match="unsupported pair"):
+            pair_property_sweep(X, Y, [0.2], trials=3, seed=1)

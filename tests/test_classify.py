@@ -18,8 +18,9 @@ from bpblab import (
     op_norm,
     operator,
 )
-from bpblab.classify import census_lookup, orbit_with_witnesses
+from bpblab.classify import all_signed_permutations, census_lookup, orbit_with_witnesses
 from bpblab.errors import InfiniteGroupError, NormNotOneError, WrongSpacesError
+from bpblab.spaces import TAU_EQ
 
 
 class TestRowCondition:
@@ -151,6 +152,54 @@ class TestIsometry:
     def test_wrong_spaces(self):
         with pytest.raises(WrongSpacesError):
             is_isometry(operator(np.eye(2), linf(2), l1(2)))
+
+
+def old_is_signed_permutation_matrix(M, tol=TAU_EQ):
+    """The signed-permutation rule `is_isometry` used on p != 2 before it
+    became one unimodular entry per row and per column: strict `< tol`
+    where the row and column conditions allow `<= TAU_EQ`."""
+    if M.shape[0] != M.shape[1]:
+        return False
+    A = np.abs(M)
+    near_one = np.abs(A - 1.0) < tol
+    near_zero = A < tol
+    if not (near_one | near_zero).all():
+        return False
+    return bool((near_one.sum(axis=0) == 1).all() and (near_one.sum(axis=1) == 1).all())
+
+
+# an entry of exactly TAU_EQ: zero for the row and column conditions, not
+# for the old rule
+BOUNDARY = [
+    (np.array([[1.0, 1e-9], [0.0, 1.0]]), linf(2)),
+    (np.array([[1.0, 0.0], [1e-9, 1.0]]), l1(2)),
+]
+
+
+class TestSignedPermutationRule:
+    def test_agrees_with_the_old_rule_off_the_boundary(self):
+        rng = np.random.default_rng(7)
+        perms = [m for n in (2, 3) for m in all_signed_permutations(n)]
+        assert len(perms) == 56
+        dense = [rng.standard_normal((3, 3)) for _ in range(200)]
+        integer = [rng.integers(-1, 2, size=(3, 3)).astype(float) for _ in range(100)]
+        for _ in range(100):
+            M = np.zeros((3, 3))
+            M[np.arange(3), rng.integers(0, 3, size=3)] = rng.choice([-1.0, 1.0], size=3)
+            integer.append(M)
+        verdicts = []
+        for M in perms + dense + integer:
+            for s in (linf(len(M)), l1(len(M)), lp(3, len(M))):
+                new = is_isometry(operator(M, s, s))
+                assert new == old_is_signed_permutation_matrix(M)
+                verdicts.append(new)
+        assert sum(verdicts) > 3 * len(perms)
+
+    @pytest.mark.parametrize("M, s", BOUNDARY)
+    def test_boundary_entry_is_read_as_zero(self, M, s):
+        T = operator(M, s, s)
+        assert is_isometry(T) and not old_is_signed_permutation_matrix(M)
+        assert linf_row_condition(T) if s == linf(2) else l1_column_condition(T)
 
 
 class TestIsometryEnumeration:

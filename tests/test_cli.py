@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from bpblab.bpbverify import SWEEP_PAIRS
 from bpblab.cli import main
 from bpblab.errors import MalformedInputError
 from bpblab.jsonio import parse_operator, parse_space, to_json
@@ -148,6 +149,27 @@ class TestEnumerationCommands:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--p" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--pair", "l21", "--seed", "1"], ["sweep", "--pair", "linf1", "--seed", "1"],
+         ["enumerate-ext", "--pair", "linf2-l12"]],
+    )
+    def test_unknown_pair_names_flag(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--no-timestamp"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--pair" in captured.err
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_PAIRS))
+    def test_sweep_reads_its_spaces_from_the_table(self, capsys, name):
+        # every constructor refuses eps = 2.5: one failure, no verification
+        argv = ["sweep", "--pair", name, "--trials", "1", "--seed", "1", "--eps-list", "2.5"]
+        code, doc = run(capsys, argv + ["--no-timestamp"])
+        pair = SWEEP_PAIRS[name]
+        assert code == 1 and doc["total"] == 1 and len(doc["failures"]) == 1
+        assert doc["pair"] == [str(pair.domain), str(pair.codomain)]
 
     def test_orbit(self, op_file, capsys):
         f = op_file("id.json", [[1, 0], [0, 1]], LINF2, LINF2)
@@ -343,3 +365,41 @@ class TestEnumerationGuards:
         f = op_file("t.json", np.eye(5).tolist(), l1_5, l1_5)
         assert main(["orbit", "--operator", f, "--no-timestamp"]) == 2
         assert "n = 5" in capsys.readouterr().err
+
+
+def _write_json(tmp_path, doc):
+    path = tmp_path / "op.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
+
+
+def _op(**changes):
+    """An l_inf^2 operator document with `changes`; a None value drops the key."""
+    doc = {"rows": [[1, 0], [1, 0]], "domain": LINF2, "codomain": LINF2}
+    doc.update(changes)
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+# one case per MalformedInputError raise of jsonio: (file contents, field,
+# message)
+JSON_REFUSALS = {
+    "space_not_an_object": (_op(domain="inf"), "operator.domain", "expected an object"),
+    "missing_p": (_op(codomain={"n": 2}), "operator.codomain.p", "missing exponent"),
+    "operator_not_an_object": ([[1, 0], [1, 0]], "operator", "expected an object"),
+    "empty_rows": (_op(rows=[]), "operator.rows", "expected a nonempty"),
+    "ragged_rows": (_op(rows=[[1, 0], [1]]), "operator.rows", "rows must be numeric"),
+    "rows_not_a_matrix": (_op(rows=[1, 0]), "operator.rows", "rows must form a matrix"),
+    "missing_domain": (_op(domain=None), "operator.domain", "missing domain"),
+    "missing_codomain": (_op(codomain=None), "operator.codomain", "missing codomain"),
+    "missing_file": (None, "operator", "file not found"),
+    "invalid_json": ('{"rows": [[1, 0], [1, 0]', "operator", "invalid JSON"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JSON_REFUSALS))
+def test_json_refusal_exits_two_naming_the_field(case, tmp_path, capsys):
+    doc, field, message = JSON_REFUSALS[case]
+    path = str(tmp_path / "absent.json") if doc is None else _write_json(tmp_path, doc)
+    assert main(["norm", "--operator", path, "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {field}: {message}")

@@ -1,9 +1,9 @@
 """Byte-for-byte CLI outputs under --no-timestamp.
 
 Each `tests/golden/<name>.out` holds the stdout of one subcommand, recorded
-before the kernels behind it were consolidated; `witness_p_linf2` and
-`sweep_linf2` were recorded before the per-type serialisers became
-`jsonio.to_json`, and the four smooth-path cases (`*_lp3_2`, `verify_l23`)
+before the kernels behind it were consolidated; `witness_p_linf2` was
+recorded before the per-type serialisers became `jsonio.to_json`,
+`sweep_linf2` when the sweep's pairs became one table, and the four smooth-path cases (`*_lp3_2`, `verify_l23`)
 before the norm kernels became coordinate-major.  Those four go through
 `pow`, trigonometry and, for l_2^3, LAPACK, whose last bits may vary with
 the platform; they were recorded with numpy 2.4 on x86-64 Linux.  The other

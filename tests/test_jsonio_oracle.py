@@ -131,7 +131,6 @@ def sweep_to_json(s):
         "total": s.total,
         "certified": s.certified,
         "preserved": s.preserved,
-        "skipped_isometries": s.skipped_isometries,
         "failures": [
             {"eps": f.eps, "reason": f.reason, "operator": operator_to_json(f.operator)}
             for f in s.failures

@@ -311,7 +311,6 @@ class TestNonFiniteEntries:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("space", [lp(3, 2), linf(2), l2(2)])
     def test_refused_at_construction_naming_entries(self, bad, space):
-        # op_norm used to return a NaN norm with a finite witness on l_p^2
         with pytest.raises(NonFiniteError, match="entries") as info:
             operator([[bad, 0.0], [0.0, 1.0]], space, space)
         assert isinstance(info.value, BpbLabError)
@@ -327,7 +326,6 @@ class TestNonFiniteEntries:
 class TestLp2SearchResolution:
     @pytest.mark.parametrize("resolution", [0, 1, -5])
     def test_below_two_is_refused_naming_resolution(self, resolution):
-        # resolution 0 used to fail inside numpy: argmax of an empty sequence
         T = hadamard(3)
         with pytest.raises(OutOfRangeError, match="resolution"):
             attainment_set(T, resolution=resolution)
