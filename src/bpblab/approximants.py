@@ -289,7 +289,6 @@ def l1_extreme_approx(T: OperatorMatrix, eps: float) -> ApproximantReport:
         except ConstructionError:
             if fill_sign == -s:
                 raise
-    raise ConditionFailsError("unreachable")
 
 
 def _block_canonical_approx(eps: float) -> np.ndarray:

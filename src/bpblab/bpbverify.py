@@ -12,7 +12,7 @@ import math
 import numbers
 import threading
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -73,12 +73,13 @@ def _sample_buffers(space: SpaceSpec, resolution: int, cols: int):
     `sample`, shape (rows, space.n) and Fortran-ordered, holds the grid and
     one free last row; `images`, shape (cols, rows) and C-ordered, holds
     their images coordinate by coordinate, so that a norm reduces across
-    `cols` contiguous rows; `work` holds five rows of scratch and `mask`
-    one flag per sample row.  At resolution 16384 each array is
-    0.13-0.4 MB.  Allocated afresh per call, such blocks go back to the
-    kernel whenever glibc trims the heap, which depends on what was
-    allocated before the call, and the next call faults every page in
-    again, hundreds of page faults per call.
+    `cols` contiguous rows; `work` holds the image norm and the distance
+    of every row, and `scratch` three rows for the distance kernels and the
+    delta descent.  At resolution 16384 each array is 0.13-0.4 MB.
+    Allocated afresh per call, such blocks go back to the kernel whenever
+    glibc trims the heap, which depends on what was allocated before the
+    call, and the next call faults every page in again, hundreds of page
+    faults per call.
     """
     buffers = _scratch.__dict__.setdefault("samples", {})
     key = (space, resolution, cols)
@@ -90,9 +91,24 @@ def _sample_buffers(space: SpaceSpec, resolution: int, cols: int):
         # column-major: the distance kernels read the sample a column at a time
         sample = np.empty((rows, space.n), order="F")
         sample[:-1] = grid
-        buffers[key] = (sample, np.empty((cols, rows)), np.empty((5, rows)),
-                        np.empty(rows, dtype=bool))
+        buffers[key] = (sample, np.empty((cols, rows)), np.empty((2, rows)), np.empty((3, rows)))
     return buffers[key]
+
+
+# At most this many face rows are cached, each 8 bytes per grid row; the
+# polyhedral grids at resolution 16384 have at most 16,386 rows, so 64 of
+# their face rows hold 8.4 MB.
+_FACE_ROWS_KEPT = 64
+
+
+@lru_cache(maxsize=_FACE_ROWS_KEPT)
+def _face_row(space: SpaceSpec, resolution: int, pattern: tuple) -> np.ndarray:
+    """The read-only distances from the rows of sphere_grid(space,
+    resolution) to the face with sign pattern `pattern`, shared by every
+    thread.  Like the grid, they depend on neither T nor A."""
+    row = face_distances(space, [pattern], sphere_grid(space, resolution))[0]
+    row.setflags(write=False)
+    return row
 
 
 @dataclass(frozen=True)
@@ -114,13 +130,13 @@ class BpbCertificate:
 
 def _sample_norms(T: OperatorMatrix, witness: Point, resolution: int):
     """The T side of the inclusion test: this thread's sample buffers
-    (X, work, mask) for T's domain at `resolution`, with the norming vector
-    `witness` of T as the last row of X and T's image norm of every row
-    in work[0]."""
-    X, images, work, mask = _sample_buffers(T.domain, resolution, T.codomain.n)
+    (X, work, scratch) for T's domain at `resolution`, with the norming
+    vector `witness` of T as the last row of X and T's image norm of every
+    row in work[0]."""
+    X, images, work, scratch = _sample_buffers(T.domain, resolution, T.codomain.n)
     X[-1] = witness.coords
     pnorm_into(np.matmul(T.entries, X.T, out=images), T.codomain.p, 0, work[0])
-    return X, work, mask
+    return X, work, scratch
 
 
 # The last level of the delta grid 1/2, 1/4, ... (times the norm), the
@@ -130,42 +146,71 @@ def _sample_norms(T: OperatorMatrix, witness: Point, resolution: int):
 DELTA_LAST = 2.0 ** -19
 
 
-def delta_descent(norms, dists, top: float, eps: float, mask: np.ndarray):
+def _keep_where_at_least(values, keys, bound: float, out: np.ndarray) -> np.ndarray:
+    """out[i] = values[i] where keys[i] >= bound, else -inf, for values
+    without NaN, in three branch-free passes that allocate nothing.
+
+    (keys - bound) * inf is +inf where keys > bound, -inf where
+    keys < bound and NaN where they are equal (a difference of two floats
+    is 0 only then), and fmin, which passes over a NaN, takes `values`
+    on the NaN and +inf rows.
+    """
+    np.subtract(keys, bound, out=out)
+    with np.errstate(invalid="ignore"):
+        np.multiply(out, np.inf, out=out)
+    return np.fmin(out, values, out=out)
+
+
+def delta_descent(norms, dists, top: float, eps: float, scratch: np.ndarray):
     """The geometric delta descent of the uniform inclusion test.
 
     Sample row i has image norm norms[i] and distance dists[i] to the
-    target set.  Returns (delta, worst distance, None) for the first delta
-    of top/2, top/4, ... down to top*DELTA_LAST whose rows with
-    norms > top - delta all lie below eps; else (None, its distance, index)
-    of the farthest row with norms > top - top*DELTA_LAST, which lies at
-    least eps from the set.  `mask`, one flag per row, is scratch.
+    target set, neither NaN.  Returns (delta, worst distance, None) for
+    the first delta of top/2, top/4, ... down to top*DELTA_LAST whose rows
+    with norms > top - delta all lie below eps; else (None, its distance,
+    index) of the farthest row with norms > top - top*DELTA_LAST, which
+    lies at least eps from the set.  `scratch`, one float per row, is
+    overwritten.
 
     A delta fails iff some row not below eps has norms > top - delta, that
     is iff g, the largest norm among those rows, exceeds top - delta; so
-    one masked max decides every level of the grid.
+    one reduction decides every level of the grid.  norms > level is
+    norms >= the next float above level.
     """
-    np.less(dists, eps, out=mask)
-    g = float(norms.max(where=np.invert(mask, out=mask), initial=-np.inf))
+    g = float(_keep_where_at_least(norms, dists, eps, scratch).max())
     floor = top - top * DELTA_LAST
     if g > floor:
-        np.greater(norms, floor, out=mask)
-        idx = int(np.argmax(np.where(mask, dists, -np.inf)))
+        above = _keep_where_at_least(dists, norms, np.nextafter(floor, np.inf), scratch)
+        idx = int(np.argmax(above))
         return None, float(dists[idx]), idx
     delta = top / 2.0
     while g > top - delta:
         delta /= 2.0
-    np.greater(norms, top - delta, out=mask)
-    return delta, float(dists.max(where=mask, initial=-np.inf)), None
+    above = _keep_where_at_least(dists, norms, np.nextafter(top - delta, np.inf), scratch)
+    return delta, float(above.max()), None
 
 
-def _descent(M, top: float, eps: float, sample):
-    """delta_descent of the T-side `sample`, whose image norms peak at
-    `top`, against the attainment set M: (delta, worst distance,
-    counterexample Point or None).  Overwrites work[1:] and the mask of
-    the sample, never X or work[0]."""
-    X, work, mask = sample
-    M.distance_to(X, out=work[1], work=work[2:])
-    delta, worst, idx = delta_descent(work[0], work[1], top, eps, mask)
+def _descent(M, top: float, eps: float, sample, resolution: int):
+    """delta_descent of the T-side `sample` at `resolution`, whose image
+    norms peak at `top`, against the attainment set M: (delta, worst
+    distance, counterexample Point or None).  Overwrites work[1] and the
+    scratch of the sample, never X or work[0].
+
+    On a set of faces the grid rows' distance is the least of the faces'
+    cached rows, and only the last row, T's norming vector, is measured
+    per call.
+    """
+    X, work, scratch = sample
+    dists = work[1]
+    if M.faces:
+        grid = dists[:-1]
+        np.copyto(grid, _face_row(M.space, resolution, M.faces[0].pattern))
+        for f in M.faces[1:]:
+            np.minimum(grid, _face_row(M.space, resolution, f.pattern), out=grid)
+        dists[-1] = face_distances(M.space, [f.pattern for f in M.faces], X[-1:]).min()
+    else:
+        M.distance_to(X, out=dists, work=scratch)
+    delta, worst, idx = delta_descent(work[0], dists, top, eps, scratch[0])
     return delta, worst, None if idx is None else Point(X[idx], M.space)
 
 
@@ -173,7 +218,7 @@ def _inclusion_certificate(MA, dist: float, eps: float, resolution: int, sample)
     """The A side of the inclusion test: the delta descent of the T-side
     `sample` against the attainment set MA of A; `dist` is ||T - A||,
     below eps."""
-    delta, worst, z = _descent(MA, 1.0, eps, sample)
+    delta, worst, z = _descent(MA, 1.0, eps, sample, resolution)
     status = "falsified" if delta is None else "certified"
     return BpbCertificate(status, eps, delta, resolution, worst, z, dist)
 
@@ -205,7 +250,7 @@ def delta_for_epsilon(
     # a point of M_T: op_norm's vertex on a polyhedral domain, else a row
     # of the set, so no second l_p^2 search or SVD runs
     witness = op_norm(T)[1] if T.domain.polyhedral else Point(M.representative_points()[0], T.domain)
-    delta, _, z = _descent(M, M.value, eps, _sample_norms(T, witness, resolution))
+    delta, _, z = _descent(M, M.value, eps, _sample_norms(T, witness, resolution), resolution)
     return DeltaSearch(delta is not None, delta, z, resolution)
 
 

@@ -1,7 +1,7 @@
 """Structural classification of contractions.
 
-Necessary sign-pattern conditions for extreme contractions on polyhedral
-spaces, a rank-based extremality test, isometry testing and enumeration, and
+Sign-pattern criteria for extreme contractions on l_inf^n and l_1^n, a
+rank-based extremality test, isometry testing and enumeration, and
 signed-permutation equivalence orbits including the 90-element census of
 extreme contractions from l_inf^3 to l_1^3.
 """
@@ -67,8 +67,10 @@ def _require_pair(T: OperatorMatrix, p, same_dim=True):
 def linf_row_condition(T: OperatorMatrix) -> bool:
     """Every row has exactly one nonzero entry and that entry is +/-1.
 
-    A necessary condition for T to be an extreme contraction of the space of
-    operators on l_inf^n; not claimed sufficient.
+    For a norm-one T on l_inf^n this is exactly extremality, up to TAU_EQ:
+    ||T|| is the largest l_1 norm of a row, so the unit ball of the
+    operators is the product of the rows' l_1 balls, and T is an extreme
+    point iff every row is a vertex +/-e_j of its ball.
     """
     _require_pair(T, INF)
     require_norm_one(T)
@@ -76,18 +78,24 @@ def linf_row_condition(T: OperatorMatrix) -> bool:
 
 
 def l1_column_condition(T: OperatorMatrix) -> bool:
-    """Column-wise analogue of linf_row_condition for l_1^n."""
+    """Every column has exactly one nonzero entry and that entry is +/-1.
+
+    For a norm-one T on l_1^n this is exactly extremality, up to TAU_EQ:
+    ||T|| is the largest l_1 norm of a column, so the unit ball of the
+    operators is the product of the columns' l_1 balls.
+    """
     _require_pair(T, 1)
     require_norm_one(T)
     return _one_unimodular_per_line(T.entries.T)
 
 
 def _one_unimodular_per_line(M: np.ndarray) -> bool:
-    for row in M:
-        nz = row[np.abs(row) > TAU_EQ]
-        if len(nz) != 1 or abs(abs(nz[0]) - 1.0) > TAU_EQ:
-            return False
-    return True
+    """Whether every row of M has exactly one entry above TAU_EQ in
+    absolute value, and that entry lies within TAU_EQ of +/-1."""
+    A = np.abs(M)
+    nz = A > TAU_EQ
+    # with one per row, A[nz] holds one entry per row
+    return bool((nz.sum(axis=1) == 1).all()) and bool(np.abs(A[nz] - 1.0).max() <= TAU_EQ)
 
 
 def is_extreme_contraction(T: OperatorMatrix) -> ExtremalityVerdict:

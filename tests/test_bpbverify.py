@@ -120,11 +120,14 @@ class TestVerifyUniformBpb:
             assert images.flags.c_contiguous and images.shape == (T.codomain.n, len(X))
 
     def test_threads_do_not_share_grid_arrays(self):
-        s = linf(3)
+        # l_inf^3 and l_1^3 sets share the cached face rows of their grids
         cases = []
         for cols in ((0, 0, 2), (1, 1, 0), (0, 2, 2), (2, 1, 2)):
-            T = operator(np.eye(3)[list(cols)], s, s)
+            T = operator(np.eye(3)[list(cols)], linf(3), linf(3))
             cases.append((T, linf_extreme_approx(T, 0.3).approximant))
+        for cols in ((0, 0, 2), (2, 1, 2)):
+            T = operator(np.eye(3)[list(cols)].T, l1(3), l1(3))
+            cases.append((T, l1_extreme_approx(T, 0.3).approximant))
         expected = [verify_uniform_bpb(T, A, 0.3, resolution=4096) for T, A in cases]
         got = [[] for _ in cases]
 

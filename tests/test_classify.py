@@ -18,7 +18,12 @@ from bpblab import (
     op_norm,
     operator,
 )
-from bpblab.classify import all_signed_permutations, census_lookup, orbit_with_witnesses
+from bpblab.classify import (
+    _one_unimodular_per_line,
+    all_signed_permutations,
+    census_lookup,
+    orbit_with_witnesses,
+)
 from bpblab.errors import InfiniteGroupError, NormNotOneError, WrongSpacesError
 from bpblab.spaces import TAU_EQ
 
@@ -200,6 +205,79 @@ class TestSignedPermutationRule:
         T = operator(M, s, s)
         assert is_isometry(T) and not old_is_signed_permutation_matrix(M)
         assert linf_row_condition(T) if s == linf(2) else l1_column_condition(T)
+
+
+def loop_one_unimodular_per_line(M):
+    """`_one_unimodular_per_line` as a loop over the rows, one boolean
+    index per row."""
+    for row in M:
+        nz = row[np.abs(row) > TAU_EQ]
+        if len(nz) != 1 or abs(abs(nz[0]) - 1.0) > TAU_EQ:
+            return False
+    return True
+
+
+def _one_unimodular_per_row(n):
+    """Every n x n matrix with one +/-1 per row, signed permutations
+    included."""
+    rows = np.arange(n)
+    for cols in itertools.product(range(n), repeat=n):
+        for signs in itertools.product((1.0, -1.0), repeat=n):
+            M = np.zeros((n, n))
+            M[rows, cols] = signs
+            yield M
+
+
+def _seeded_matrices(count, seed):
+    """Dense Gaussian and half-integer 2x2 and 3x3 matrices, none zero."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        n = 2 + len(out) % 2
+        if len(out) % 4 < 2:
+            M = rng.standard_normal((n, n))
+        else:
+            M = rng.integers(-2, 3, size=(n, n)) / 2.0
+        if M.any():
+            out.append(M)
+    return out
+
+
+def _unimodular_cases():
+    """(operator, its row or column condition) on l_inf^n and l_1^n, n = 2
+    and 3: every one-unimodular-per-row matrix on l_inf and its transpose
+    on l_1, then 400 seeded matrices scaled to norm one."""
+    cases = []
+    for n in (2, 3):
+        for M in _one_unimodular_per_row(n):
+            cases.append((operator(M, linf(n), linf(n)), linf_row_condition))
+            cases.append((operator(M.T, l1(n), l1(n)), l1_column_condition))
+    for k, M in enumerate(_seeded_matrices(400, 61)):
+        s, condition = ((linf, linf_row_condition), (l1, l1_column_condition))[k % 2]
+        T = operator(M, s(len(M)), s(len(M)))
+        cases.append((T * (1.0 / op_norm(T)[0]), condition))
+    return cases
+
+
+class TestOneUnimodularPerLine:
+    def test_one_mask_matches_the_row_loop(self):
+        mats = [M for n in (2, 3) for M in _one_unimodular_per_row(n)]
+        assert len(mats) == 16 + 216
+        mats += [M.T for M in mats] + _seeded_matrices(400, 67) + [M for M, _ in BOUNDARY]
+        verdicts = []
+        for M in mats:
+            verdicts.append(_one_unimodular_per_line(M))
+            assert verdicts[-1] == loop_one_unimodular_per_line(M), M
+        assert set(verdicts) == {True, False}
+
+    def test_row_and_column_conditions_are_extremality(self):
+        # the operator ball of l_inf^n (l_1^n) is the product of the rows'
+        # (columns') l_1 balls, so the condition is exactly extremality
+        verdicts = []
+        for T, condition in _unimodular_cases():
+            verdicts.append(condition(T))
+            assert is_extreme_contraction(T).is_extreme == verdicts[-1], T
+        assert verdicts.count(True) >= 2 * (16 + 216) and False in verdicts
 
 
 class TestIsometryEnumeration:

@@ -8,12 +8,14 @@ probe, the random extremality search of `is_extreme_contraction`, the delta
 descent written inline in `verify_uniform_bpb` and `delta_for_epsilon` and
 its level-by-level loop, the one-trial-at-a-time search of
 `is_only_approximation`, the vertex loops of `extreme_points`, the facet
-loop of `property_p_witness` and the per-face closed forms of the face
-distance.
+loop of `property_p_witness`, the per-face closed forms of the face
+distance, and the certificate's descent with its faces measured one
+`distance_to` pass per face and its two masked maxima.
 """
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +44,8 @@ from bpblab import (
 from bpblab import operators
 from bpblab.bpbverify import (
     DELTA_LAST,
+    SWEEP_PAIRS,
+    _face_row,
     _halving_search,
     _inclusion_certificate,
     _polyhedral_screen,
@@ -213,13 +217,14 @@ def inline_verify(T, A, eps, resolution):
     if dist >= eps:
         return ("falsified", eps, None, resolution, math.inf, None, dist)
     MA = attainment_set(A)
-    X, _, work, mask = _sample_buffers(T.domain, resolution, T.codomain.n)
+    X, _, work, scratch = _sample_buffers(T.domain, resolution, T.codomain.n)
     X[-1] = witness.coords
     norms, dists = work[0], work[1]
+    mask = np.empty(len(X), dtype=bool)
     # the row-major image form, in an array of the oracle's own
     images = np.empty((len(X), T.codomain.n))
     pnorm_into(np.matmul(X, T.entries.T, out=images), T.codomain.p, 1, norms)
-    MA.distance_to(X, out=dists, work=work[2:])
+    MA.distance_to(X, out=dists, work=scratch)
     delta = 0.5
     while delta >= DELTA_LAST:
         np.greater(norms, 1.0 - delta, out=mask)
@@ -699,7 +704,7 @@ def test_closed_form_descent_matches_the_level_loop():
     outcomes = set()
     for norms, dists, top, eps in _descent_cases():
         want = loop_delta_descent(norms, dists, top, eps)
-        got = delta_descent(norms, dists, top, eps, np.empty(len(norms), dtype=bool))
+        got = delta_descent(norms, dists, top, eps, np.empty(len(norms)))
         assert got == want, (norms, dists, top, eps)
         outcomes.add((want[0] is None, want[2] is None))
     assert outcomes == {(False, True), (True, False)}
@@ -896,3 +901,195 @@ def test_every_attaining_face_gives_the_attainment_distance():
                 got = face_distances(dom, table.patterns[hit], X).min(axis=0)
                 assert np.array_equal(_bits(got), _bits(MA.distance_to(X))), (A, len(X))
     assert sizes == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# The certificate's descent: cached face rows and the branch-free reductions.
+# ---------------------------------------------------------------------------
+
+
+def masked_delta_descent(norms, dists, top, eps, mask):
+    """delta_descent with its two masked maxima, `max(where=)`."""
+    np.less(dists, eps, out=mask)
+    g = float(norms.max(where=np.invert(mask, out=mask), initial=-np.inf))
+    floor = top - top * DELTA_LAST
+    if g > floor:
+        np.greater(norms, floor, out=mask)
+        idx = int(np.argmax(np.where(mask, dists, -np.inf)))
+        return None, float(dists[idx]), idx
+    delta = top / 2.0
+    while g > top - delta:
+        delta /= 2.0
+    np.greater(norms, top - delta, out=mask)
+    return delta, float(dists.max(where=mask, initial=-np.inf)), None
+
+
+def distance_to_descent(M, top, eps, sample):
+    """_descent with every row measured by `AttainmentSet.distance_to`, one
+    pass over the whole sample per face, and the masked-max descent:
+    (delta, worst distance, counterexample coords or None)."""
+    X, work, scratch = sample
+    M.distance_to(X, out=work[1], work=scratch)
+    delta, worst, idx = masked_delta_descent(work[0], work[1], top, eps,
+                                             np.empty(len(X), dtype=bool))
+    return delta, worst, None if idx is None else X[idx].copy()
+
+
+def _one_per_row(n):
+    """Every n x n matrix with one +/-1 per row that is not a signed
+    permutation."""
+    for cols in itertools.product(range(n), repeat=n):
+        if len(set(cols)) < n:
+            for signs in itertools.product((1.0, -1.0), repeat=n):
+                M = np.zeros((n, n))
+                M[np.arange(n), cols] = signs
+                yield M
+
+
+def _family(name):
+    """Every member of a polyhedral sweep family, as operators."""
+    pair = SWEEP_PAIRS[name]
+    if name == "linf3-l13":
+        return enumerate_extreme_linf3_l13()
+    n = pair.domain.n
+    mats = _one_per_row(n) if pair.domain.p == INF else (M.T for M in _one_per_row(n))
+    return [OperatorMatrix(M, pair.domain, pair.codomain) for M in mats]
+
+
+POLYHEDRAL_FAMILIES = ("linf2", "linf3", "l12", "l13", "linf3-l13")
+
+
+def test_the_families_are_the_sweep_families():
+    sizes = {name: len(_family(name)) for name in POLYHEDRAL_FAMILIES}
+    assert sizes == {"linf2": 8, "linf3": 168, "l12": 8, "l13": 168, "linf3-l13": 90}
+    for name in POLYHEDRAL_FAMILIES:
+        drawn = SWEEP_PAIRS[name].draw(1000, np.random.default_rng(0))
+        assert {M.tobytes() for M in drawn} == {T.entries.tobytes() for T in _family(name)}
+
+
+def _assert_same_descent(got, want):
+    """(delta, worst, counterexample) of the two descents, exactly."""
+    assert got[0] == want[0] and got[1] == want[1]
+    if want[2] is None:
+        assert got[2] is None
+    else:
+        assert np.array_equal(got[2].coords, want[2])
+
+
+def _check_certificate(name, T, eps, resolution):
+    """verify_uniform_bpb of T and its family constructor's A against the
+    per-face descent on the same sample, field by field; its status."""
+    A = SWEEP_PAIRS[name].construct(T, eps).approximant
+    cert = verify_uniform_bpb(T, A, eps, resolution=resolution)
+    MA = norm_one_attainment_set(A, "A", resolution)
+    assert MA.faces
+    want = distance_to_descent(MA, 1.0, eps, _sample_norms(T, require_norm_one(T)[1], resolution))
+    assert cert.status == ("certified" if want[0] is not None else "falsified")
+    assert (cert.eps, cert.resolution) == (eps, resolution)
+    assert cert.operator_distance == op_norm(T - A)[0]
+    _assert_same_descent((cert.delta_found, cert.worst_distance, cert.counterexample), want)
+    return cert.status
+
+
+def _check_delta_search(T, eps, resolution):
+    """delta_for_epsilon against the per-face descent; whether it succeeded."""
+    M = attainment_set(T, resolution=resolution)
+    want = distance_to_descent(M, M.value, eps, _sample_norms(T, op_norm(T)[1], resolution))
+    got = delta_for_epsilon(T, eps, resolution=resolution)
+    assert got.succeeded == (want[0] is not None) and got.resolution == resolution
+    _assert_same_descent((got.delta, None, got.counterexample), (want[0], None, want[2]))
+    return got.succeeded
+
+
+@pytest.mark.parametrize("name", POLYHEDRAL_FAMILIES)
+def test_cached_face_rows_give_every_family_certificate(name):
+    statuses = set()
+    for T in _family(name):
+        for eps in (0.05, 0.3):
+            statuses.add(_check_certificate(name, T, eps, 1024))
+    assert statuses == {"certified"}
+
+
+@pytest.mark.parametrize("name", POLYHEDRAL_FAMILIES)
+def test_cached_face_rows_at_the_coarse_and_fine_grids(name):
+    family = _family(name)
+    rng = np.random.default_rng(53)
+    outcomes = set()
+    for i in rng.choice(len(family), size=min(10, len(family)), replace=False):
+        for resolution in (256, 16384):
+            for eps in (0.05, 0.3):
+                _check_certificate(name, family[i], eps, resolution)
+                outcomes.add(_check_delta_search(family[i], eps, resolution))
+    assert True in outcomes
+
+
+def test_face_descent_keeps_the_falsified_counterexample():
+    # a second vertex nearly attains, far from M_T: every level fails and
+    # the counterexample is the farthest row above the last level
+    outcomes = set()
+    for s in (linf(2), linf(3), l1(2), l1(3)):
+        for second in (1.0 - 1e-7, 0.5):
+            T = operator(np.diag([1.0] + [second] * (s.n - 1)), s, s)
+            for eps in (0.05, 0.3):
+                outcomes.add(_check_delta_search(T, eps, 1024))
+    assert outcomes == {True, False}
+
+
+def _sorted_descent_cases():
+    """The cases of `_descent_cases` with their rows sorted by norm, and by
+    norm against distance, so that masks come in long runs."""
+    cases = []
+    for norms, dists, top, eps in _descent_cases():
+        order = np.argsort(norms, kind="stable")
+        cases.append((norms[order], dists[order], top, eps))
+        cases.append((norms[order], np.sort(dists)[::-1].copy(), top, eps))
+    return cases
+
+
+def _floor_cases():
+    """Rows exactly at the last level, farther from the set than the row
+    above it: the counterexample must skip them."""
+    cases = []
+    for top in (1.0, 0.5, 3.0):
+        floor = top - top * DELTA_LAST
+        cases.append((np.array([top, floor, floor]), np.array([0.3, 0.9, 0.1]), top, 0.2))
+        cases.append((np.array([floor, top, floor]), np.array([0.9, 0.2, 0.9]), top, 0.2))
+    return cases
+
+
+def test_branch_free_descent_matches_the_masked_maxima():
+    outcomes = set()
+    for norms, dists, top, eps in _descent_cases() + _sorted_descent_cases() + _floor_cases():
+        want = masked_delta_descent(norms, dists, top, eps, np.empty(len(norms), dtype=bool))
+        got = delta_descent(norms, dists, top, eps, np.empty(len(norms)))
+        assert got == want, (norms, dists, top, eps)
+        outcomes.add((want[0] is None, top))
+    assert outcomes == {(falsified, top) for falsified in (False, True) for top in (1.0, 0.5, 3.0)}
+
+
+def test_branch_free_descent_allocates_no_row():
+    rng = np.random.default_rng(59)
+    norms, dists, scratch = rng.uniform(0.0, 1.0, 16384), rng.uniform(0.0, 0.6, 16384), np.empty(16384)
+    for eps in (0.3, 0.7):  # falsified, certified
+        delta_descent(norms, dists, 1.0, eps, scratch)
+        tracemalloc.start()
+        try:
+            delta_descent(norms, dists, 1.0, eps, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 1024, eps
+
+
+@pytest.mark.parametrize("s", [linf(2), linf(3), l1(2), l1(3)])
+def test_cached_face_rows_are_read_only_grid_distances(s):
+    for resolution in (256, 1024):
+        grid = sphere_grid(s, resolution)
+        for f in polyhedral_table(s).faces:
+            row = _face_row(s, resolution, f.pattern)
+            assert not row.flags.writeable and row.shape == (len(grid),)
+            assert np.array_equal(_bits(row), _bits(face_distances(s, [f.pattern], grid)[0]))
+            assert np.array_equal(_bits(row), _bits(loop_face_distance(f, grid)))
+            assert _face_row(s, resolution, f.pattern) is row
+    # the bound the README documents
+    assert _face_row.cache_info().maxsize == 64
