@@ -30,6 +30,7 @@ from .operators import (
     DEFAULT_RESOLUTION,
     TAU_ANGLE,
     TAU_SAME,
+    TAU_VANISH,
     OperatorMatrix,
     _attaining_faces,
     attainment_set,
@@ -504,9 +505,9 @@ def hilbert_necessary_checks(
     """Three Hilbert-space sanity checks for an approximation pair.
 
     (i) equal attainment dimensions and trivial cross intersections of the
-    attainment subspaces; (ii) a split-norm disjunction over a boundary grid
-    of (eps1, eps2) with eps1^2 + eps2^2 = 2.25 eps^2; (iii) the sampled
-    inclusion certificate.
+    attainment subspaces; (ii) a split-norm disjunction for every
+    (eps1, eps2) > 0 with eps1^2 + eps2^2 = 2.25 eps^2, decided by
+    `_split_norm_disjunction`; (iii) the sampled inclusion certificate.
     """
     if not (T.domain.hilbert and T.codomain.hilbert):
         raise WrongSpacesError("checks require Hilbert domain and codomain")
@@ -519,13 +520,16 @@ def hilbert_necessary_checks(
     D = T - A
     n1 = restricted_norm(D, H0)
     n2 = restricted_norm(D, orthogonal_complement(H0))
-    radius = math.sqrt(2.25) * eps
-    angles = np.linspace(0.0, math.pi / 2.0, 16)
-    disjunction = all(
-        n1 < radius * math.cos(a) or n2 < radius * math.sin(a) for a in angles[1:-1]
-    )
+    disjunction = _split_norm_disjunction(n1, n2, math.sqrt(2.25) * eps)
     cert = verify_uniform_bpb(T, A, eps, resolution=resolution)
     return HilbertChecks(dims_equal, trivial, disjunction, cert.certified)
+
+
+def _split_norm_disjunction(n1: float, n2: float, r: float) -> bool:
+    """Whether n1 < r cos a or n2 < r sin a for all a in (0, pi/2).  Some a
+    fails iff n1, n2 > 0 (above TAU_VANISH) and n1^2 + n2^2 >= r^2, as
+    cos a, sin a > 0; then a = atan2(n2, n1) has r (cos a, sin a) <= (n1, n2)."""
+    return not (n1 > TAU_VANISH and n2 > TAU_VANISH and n1 * n1 + n2 * n2 >= r * r)
 
 
 def attainment_cardinality_check(T: OperatorMatrix, A: OperatorMatrix) -> bool:

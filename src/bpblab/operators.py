@@ -62,6 +62,8 @@ TAU_INSIDE = 1e-7  # largest X2 component of an attainment point still read as
                    # the point lying in X1
 TAU_VANISH = 1e-12  # largest norm of T restricted to a subspace still read as T
                     # vanishing there
+TAU_RANK = 1e-12   # smallest singular value of a basis still read as independent;
+                   # the |R_ii| of its QR are at least that
 TAU_UNIT = 1e-9    # largest | ||x|| - 1 | of an input vector or functional taken
                    # as a unit one
 TAU_CLOSE = 1e-12  # largest entry gap at which close_to reads two operators
@@ -415,14 +417,6 @@ def orthogonal_complement(Q: np.ndarray) -> np.ndarray:
     return full[:, k:n]
 
 
-def _orthonormal(basis: np.ndarray) -> np.ndarray:
-    Q, R = np.linalg.qr(basis)
-    keep = np.abs(np.diag(R)) > 1e-12
-    if not keep.all():
-        raise DegenerateBasisError("basis columns are linearly dependent")
-    return Q
-
-
 def attainment_set(
     T: OperatorMatrix, resolution: int = DEFAULT_RESOLUTION, check=None
 ) -> AttainmentSet:
@@ -479,11 +473,11 @@ def restricted_norm(T: OperatorMatrix, basis) -> float:
         raise MixedSpacesError("basis does not live in the domain")
     if B.shape[1] == 0:
         return 0.0
-    if np.linalg.matrix_rank(B, tol=1e-12) < B.shape[1]:
+    if np.linalg.matrix_rank(B, tol=TAU_RANK) < B.shape[1]:
         raise DegenerateBasisError("basis columns are linearly dependent")
     dom = T.domain
     if dom.hilbert and T.codomain.hilbert:
-        Q = _orthonormal(B)
+        Q, _ = np.linalg.qr(B)
         s = np.linalg.svd(T.entries @ Q, compute_uv=False)
         return float(s[0])
     if B.shape[1] == 1:

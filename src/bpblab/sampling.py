@@ -3,92 +3,90 @@
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 
 import numpy as np
 
 from .errors import UnsupportedSpaceError
-from .spaces import INF, SpaceSpec, exponent_str, lp_circle
+from .spaces import INF, SpaceSpec, pnorm
 
 
 @functools.lru_cache(maxsize=64)
-def _cached_grid(p_key, n, resolution):
-    space = SpaceSpec(p_key if p_key != "inf" else INF, n)
-    grid = _build_grid(space, resolution)
+def sphere_grid(space: SpaceSpec, resolution: int) -> np.ndarray:
+    """A deterministic sample of S_X with roughly `resolution` points: one
+    cached read-only array per (space, resolution).
+
+    +-1 for n = 1; the cube lattice's surface for p = inf; for 1 <= p < inf
+    and n <= 3, the cross-polytope lattice L = {x / k : x in Z^n,
+    ||x||_1 = k} of `_l1_grid` with each row divided by its l_p norm.  l_2^n
+    with n >= 4 takes a seeded random grid; other n >= 4 are refused.
+
+    Covering radius, up to rounding: each z in S_X lies within
+    h_p <= 2 s n^(1 - 1/p) in l_p of a row (h_1 <= s), s being the l_1
+    covering radius of L.  For u, v != 0 in any norm, u/||u|| - v/||v|| is
+    (u - v)/||v|| plus u (||v|| - ||u||)/(||u|| ||v||), each of norm at most
+    ||u - v||/||v||.  Hoelder gives ||v||_p >= n^(1/p - 1) ||v||_1.  So for
+    v = z/||z||_1 (z = v/||v||_p) and u in L with ||u - v||_1 <= s, the row
+    u/||u||_p lies within 2 ||u - v||_p / ||v||_p <= 2 s n^(1 - 1/p) of z.
+    - n = 2: an edge of L holds (a, 1 - a) with a in steps of
+      1/(per_facet - 1), per_facet = max(resolution // 4, 2); each a is
+      within half a step of one, and moving a by t moves the point 2t in
+      l_1, so s = 1/(per_facet - 1).
+    - n = 3: on a facet, k|v| = f + r with f integral, r in [0, 1)^3, and
+      d = sum r in {0, 1, 2} as sum k|v| = k.  Adding 1 to the d largest
+      r_i lands in kL on that facet, at l_1 distance 0, 2 (1 - r_max) with
+      r_max >= 1/3, or 2 r_min with r_min <= 2/3.  So s = 4/(3k).
+    """
+    n, resolution = space.n, int(resolution)
+    if n == 1:
+        grid = np.array([[1.0], [-1.0]])
+    elif space.p == INF:
+        grid = _linf_grid(n, resolution)
+    elif space.hilbert and n >= 4:
+        g = np.random.default_rng(20240000 + resolution).standard_normal((resolution, n))
+        grid = g / np.linalg.norm(g, axis=1, keepdims=True)
+    elif n >= 4:
+        raise UnsupportedSpaceError(f"no sampling grid for {space}: n <= 3 off l_2 and l_inf")
+    else:
+        grid = _l1_grid(n, resolution)
+        if space.p != 1:
+            grid = grid / pnorm(grid.T, space.p, axis=0)[:, None]
     # one array shared by every caller: a write would corrupt them all
     grid.setflags(write=False)
     return grid
 
 
-def sphere_grid(space: SpaceSpec, resolution: int) -> np.ndarray:
-    """A deterministic, read-only sample of S_X with roughly `resolution`
-    points.
-
-    Per-face grids for polyhedral spaces, the trigonometric parametrization
-    for 2-D l_p spheres, a Fibonacci grid for the Euclidean 2-sphere.
-    """
-    pts = _cached_grid(exponent_str(space.p), space.n, int(resolution))
-    return pts
-
-
-def _build_grid(space: SpaceSpec, resolution: int) -> np.ndarray:
-    n = space.n
-    if n == 1:
-        return np.array([[1.0], [-1.0]])
-    if space.polyhedral:
-        if space.p == INF:
-            return _linf_grid(n, resolution)
-        return _l1_grid(n, resolution)
-    if n == 2:
-        t = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
-        return lp_circle(space.p, t)
-    if space.hilbert and n == 3:
-        return _fibonacci_sphere(resolution)
-    if space.hilbert:
-        rng = np.random.default_rng(20240000 + resolution)
-        g = rng.standard_normal((resolution, n))
-        return g / np.linalg.norm(g, axis=1, keepdims=True)
-    raise UnsupportedSpaceError(f"no sampling grid for {space}")
-
-
 def _linf_grid(n: int, resolution: int) -> np.ndarray:
-    """Grid over the 2n facets x_j = +/-1 of the cube: one lattice of the
-    free coordinates, with the fixed one inserted per facet."""
+    """The points of A^n, A = linspace(-1, 1, k), with some coordinate +-1
+    (the 2n facets x_j = +-1 of the cube), in lexicographic order."""
     per_facet = max(resolution // (2 * n), 2)
     k = max(int(round(per_facet ** (1.0 / (n - 1)))), 2)
     axis = np.linspace(-1.0, 1.0, k)
-    lattice = np.stack(np.meshgrid(*[axis] * (n - 1), indexing="ij"), axis=-1).reshape(-1, n - 1)
-    facets = [np.insert(lattice, j, sgn, axis=1) for j in range(n) for sgn in (1.0, -1.0)]
-    return np.unique(np.concatenate(facets), axis=0)
+    head = np.stack(np.meshgrid(*[axis] * (n - 1), indexing="ij"), axis=-1).reshape(-1, n - 1)
+    # a head on a facet takes all k last coordinates, any other head only +-1
+    on_facet = (np.abs(head) == 1.0).any(axis=1)
+    count = np.where(on_facet, k, 2)
+    row = np.repeat(np.arange(len(head)), count)
+    offset = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+    j = offset * np.where(on_facet, 1, k - 1)[row]
+    return np.column_stack([head[row], axis[j]])
 
 
 def _l1_grid(n: int, resolution: int) -> np.ndarray:
-    """Barycentric grids over the 2^n simplex facets of the cross-polytope."""
-    per_facet = max(resolution // (2 ** n), 2)
+    """The integer points x with ||x||_1 = k, scaled onto the l_1 sphere, in
+    lexicographic order (n = 2, 3).  On n = 3 a row is x / k; on n = 2 it
+    is +-(lam, 1 - lam), lam = linspace(0, 1, k + 1)[|x_1|], signed as x."""
     if n == 2:
-        k = per_facet
-        lam = np.linspace(0.0, 1.0, k)
-        bary = np.stack([lam, 1.0 - lam], axis=1)
-    elif n == 3:
-        k = max(int(round((2 * per_facet) ** 0.5)), 2)
-        rows = []
-        for i in range(k + 1):
-            for j in range(k + 1 - i):
-                rows.append((i / k, j / k, (k - i - j) / k))
-        bary = np.array(rows)
+        k = max(resolution // 4, 2) - 1
     else:
-        raise UnsupportedSpaceError("l_1 sampling implemented for n <= 3")
-    out = []
-    for signs in itertools.product((1.0, -1.0), repeat=n):
-        out.append(bary * np.array(signs))
-    return np.unique(np.concatenate(out, axis=0), axis=0)
-
-
-def _fibonacci_sphere(resolution: int) -> np.ndarray:
-    i = np.arange(resolution, dtype=float)
-    phi = math.pi * (3.0 - math.sqrt(5.0))
-    z = 1.0 - 2.0 * (i + 0.5) / resolution
-    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    theta = phi * i
-    return np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
+        k = max(int(round((2 * max(resolution // 8, 2)) ** 0.5)), 2)
+    axis = np.arange(-k, k + 1)
+    head = np.stack(np.meshgrid(*[axis] * (n - 1), indexing="ij"), axis=-1).reshape(-1, n - 1)
+    rest = k - np.abs(head).sum(axis=1)
+    head, rest = head[rest >= 0], rest[rest >= 0]
+    # each head takes the last coordinate -rest, then +rest; once if rest = 0
+    i, j = np.nonzero(np.stack([rest > 0, rest >= 0], axis=1))
+    x = np.column_stack([head[i], (2 * j - 1) * rest[i]])
+    if n == 3:
+        return x / k
+    lam = np.linspace(0.0, 1.0, k + 1)[np.abs(x[:, 0])]
+    return np.column_stack([np.copysign(lam, x[:, 0]), np.copysign(1.0 - lam, x[:, 1])])

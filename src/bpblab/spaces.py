@@ -39,14 +39,16 @@ Exponent = Union[Fraction, float]
 
 
 def as_exponent(value) -> Exponent:
-    """Coerce to an exact exponent: a Fraction >= 1, or math.inf."""
-    if isinstance(value, str):
-        if value.strip().lower() in ("inf", "infinity", "oo"):
-            return INF
-        value = Fraction(value)
-    if isinstance(value, float) and math.isinf(value):
+    """Coerce to an exact exponent: a Fraction >= 1 with a finite float, or inf."""
+    if isinstance(value, str) and value.strip().lower() in ("inf", "infinity", "oo"):
         return INF
-    p = Fraction(value)
+    if isinstance(value, float) and value == INF:
+        return INF
+    try:
+        p = Fraction(value)
+        float(p)
+    except OverflowError:  # -inf, or a finite value no float can hold
+        raise UnsupportedExponentError(f"exponent out of the float range: {value!r:.24}") from None
     if p < 1:
         raise UnsupportedExponentError(f"exponent must satisfy p >= 1, got {p}")
     return p

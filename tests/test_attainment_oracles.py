@@ -7,7 +7,8 @@ table's vertices), the per-coordinate rules of
 `support_functionals` and `is_smooth_point`, the whole-array subspace and
 point distances of `AttainmentSet.distance_to`, `pair_count` and `is_single_pair`
 branching on the kind, `is_smooth_operator` on top of them, and the point
-loop of `sampling._linf_grid`.
+loops of `sampling._linf_grid` and `sampling._l1_grid`, which deduplicated
+their facets with `np.unique(axis=0)`.
 """
 
 import itertools
@@ -33,7 +34,7 @@ from bpblab import (
 )
 from bpblab.errors import NotDiscreteError
 from bpblab.operators import OperatorMatrix
-from bpblab.sampling import _linf_grid, sphere_grid
+from bpblab.sampling import _l1_grid, _linf_grid, sphere_grid
 from bpblab.spaces import INF, TAU_EQ, Point, face_containment, pnorm, polyhedral_table
 
 # ---------------------------------------------------------------------------
@@ -155,6 +156,25 @@ def loop_linf_grid(n, resolution):
                         idx += 1
                 out.append(v)
     return np.unique(np.array(out), axis=0)
+
+
+def loop_l1_grid(n, resolution):
+    per_facet = max(resolution // (2 ** n), 2)
+    if n == 2:
+        k = per_facet
+        lam = np.linspace(0.0, 1.0, k)
+        bary = np.stack([lam, 1.0 - lam], axis=1)
+    else:
+        k = max(int(round((2 * per_facet) ** 0.5)), 2)
+        rows = []
+        for i in range(k + 1):
+            for j in range(k + 1 - i):
+                rows.append((i / k, j / k, (k - i - j) / k))
+        bary = np.array(rows)
+    out = []
+    for signs in itertools.product((1.0, -1.0), repeat=n):
+        out.append(bary * np.array(signs))
+    return np.unique(np.concatenate(out, axis=0), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +391,16 @@ def test_pair_count_and_single_pair_match_the_kind_branches():
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("resolution", [256, 4096, 16384])
+@pytest.mark.parametrize("resolution", [2, 16, 256, 4096, 16384])
 def test_linf_grid_is_the_loop_grid(n, resolution):
     assert np.array_equal(_linf_grid(n, resolution), loop_linf_grid(n, resolution))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("resolution", [2, 16, 256, 4096, 16384])
+def test_l1_grid_is_the_loop_grid(n, resolution):
+    # equal as numbers; the loop grid's zeros may carry either sign, the
+    # lattice's are all +0.0
+    new = _l1_grid(n, resolution)
+    assert np.array_equal(new, loop_l1_grid(n, resolution))
+    assert not np.signbit(new[new == 0.0]).any()

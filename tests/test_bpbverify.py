@@ -34,7 +34,7 @@ from bpblab.errors import (
     NotDiscreteError,
     UnsupportedPairError,
 )
-from bpblab.bpbverify import _random_linf_candidates, _sample_buffers
+from bpblab.bpbverify import _random_linf_candidates, _sample_buffers, _split_norm_disjunction
 from bpblab.operators import attainment_set
 
 
@@ -360,6 +360,53 @@ class TestHilbertChecks:
         A = operator(np.diag([0.5, 1.0]), l2(2), l2(2))
         checks = hilbert_necessary_checks(T, A, 0.75)
         assert not checks.intersections_trivial
+
+
+def grid_disjunction(n1, n2, radius):
+    """The 14-angle test that `_split_norm_disjunction` replaced, kept as an
+    oracle: n1 < r cos a or n2 < r sin a on the inner angles of a 16-point
+    grid of [0, pi/2]."""
+    angles = np.linspace(0.0, math.pi / 2.0, 16)
+    return all(n1 < radius * math.cos(a) or n2 < radius * math.sin(a) for a in angles[1:-1])
+
+
+class TestSplitNormDisjunction:
+    GAP = math.pi / 30  # the spacing of the oracle's angles
+
+    def test_agrees_with_the_angle_grid_off_two_thin_bands(self):
+        # the grid tests a subset of the angles, so it can only pass where
+        # the closed form fails; that happens only near the circle between
+        # grid angles, or near an axis, below the first or beyond the last
+        # grid angle
+        rng = np.random.default_rng(7)
+        r = 1.5 * 0.2
+        disagree = 0
+        for n1, n2 in rng.uniform(0.0, 2.5 * r, size=(20000, 2)):
+            closed, grid = _split_norm_disjunction(n1, n2, r), grid_disjunction(n1, n2, r)
+            if closed == grid:
+                continue
+            disagree += 1
+            assert grid and not closed
+            near_circle = r <= math.hypot(n1, n2) < r * math.sqrt(1.0 + math.sin(self.GAP))
+            near_axis = min(n1, n2) < r * math.sin(self.GAP)
+            assert near_circle or near_axis, (n1, n2)
+        assert 0 < disagree < 2000
+
+    @pytest.mark.parametrize(
+        "n1, n2, closed, grid",
+        [
+            (2.0, 0.05, False, True),  # near an axis: below the first grid angle
+            (0.05, 2.0, False, True),  # beyond the last grid angle
+            (1.001 * math.cos(0.05 * math.pi), 1.001 * math.sin(0.05 * math.pi), False, True),
+            (0.6, 0.6, True, True),  # inside the circle
+            (1.0, 1.0, False, False),  # well outside, away from the axes
+            (0.0, 5.0, True, True),  # a vanishing restricted norm
+            (5.0, 1e-13, True, True),  # below TAU_VANISH, read as 0
+        ],
+    )
+    def test_listed_cases(self, n1, n2, closed, grid):
+        assert _split_norm_disjunction(n1, n2, 1.0) is closed
+        assert grid_disjunction(n1, n2, 1.0) is grid
 
 
 class TestCardinality:

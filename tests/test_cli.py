@@ -44,6 +44,16 @@ class TestNormCommand:
         err = capsys.readouterr().err
         assert "domain.p" in err
 
+    @pytest.mark.parametrize("p", ["1e400", float("-inf")])
+    def test_exponent_beyond_the_floats_names_field(self, op_file, capsys, p):
+        # "1e400" was accepted and norm died in lp_circle with an
+        # OverflowError traceback and exit 1; -Infinity was read as inf
+        f = op_file("big.json", [[1, 0], [0, 1]], {"p": p, "n": 2}, LINF2)
+        assert main(["norm", "--operator", f, "--no-timestamp"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "operator.domain.p" in captured.err
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("side", ["domain", "codomain"])
     def test_bool_dimension_names_field(self, op_file, capsys, side):
         # rows of the shape that n = 1 gives: this ran with exit 0
@@ -122,9 +132,9 @@ class TestEnumerationCommands:
         assert code == 0
         assert doc["count"] == 8
 
-    @pytest.mark.parametrize("value", ["abc", "1/0", "nan", "0.5"])
+    @pytest.mark.parametrize("value", ["abc", "1/0", "nan", "0.5", "1e400"])
     def test_isometries_bad_exponent_names_flag(self, capsys, value):
-        # "abc" and "1/0" died with a traceback and exit 1
+        # "abc" and "1/0" died with a traceback and exit 1; "1e400" exited 0
         with pytest.raises(SystemExit) as exc:
             main(["isometries", "--p", value, "--n", "2", "--no-timestamp"])
         assert exc.value.code == 2

@@ -4,7 +4,11 @@ Each `tests/golden/<name>.out` holds the stdout of one subcommand, recorded
 before the kernels behind it were consolidated; `witness_p_linf2` was
 recorded before the per-type serialisers became `jsonio.to_json`,
 `sweep_linf2` when the sweep's pairs became one table, and the four smooth-path cases (`*_lp3_2`, `verify_l23`)
-before the norm kernels became coordinate-major.  Those four go through
+before the norm kernels became coordinate-major.  `verify_l23` was
+re-recorded with the same argv when l_2^3 sampling moved from the
+Fibonacci sphere to the radial cross-polytope grid of `sampling`: only
+its `worst_distance` changed (0.18409904725818974 -> 0.1701325562461556).
+Those four go through
 `pow`, trigonometry and, for l_2^3, LAPACK, whose last bits may vary with
 the platform; they were recorded with numpy 2.4 on x86-64 Linux.  The other
 cases avoid such results, and `demo` prints only check names and pass

@@ -108,7 +108,7 @@ def _uses_np_random(tree):
 def test_searches_and_random_draws_stay_where_they_belong(path):
     """Yes/no predicates are closed forms: only the l_p^2 maximum search in
     `operators` uses `zoom_max`, and only the seeded sweeps of `bpbverify`
-    and the seeded Hilbert grid of `sampling` draw random numbers."""
+    and the seeded l_2^n grid (n >= 4) of `sampling` draw random numbers."""
     tree = parse(path)
     if path.name != "operators.py":
         assert not _refers_to(tree, "zoom_max"), f"{path.name} imports zoom_max"

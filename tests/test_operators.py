@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from bpblab import (
     attainment_set,
@@ -240,14 +242,70 @@ class TestApproxAttainment:
         assert float(M.distance_to(pts).max()) < 0.05
 
 
+GRID_SPACES = [
+    linf(2), linf(3), l1(2), l1(3), l2(2), l2(3), lp(3, 2), lp(3, 3), lp("3/2", 2), lp("3/2", 3)
+]
+GRID_RESOLUTIONS = [2, 16, 256, 4096, 16384]
+
+
+def covering_bound(space, resolution):
+    """The covering radius that `sphere_grid` proves for its radial grids:
+    2 s n^(1 - 1/p), s the l_1 covering radius of the cross-polytope
+    lattice."""
+    n, p = space.n, float(space.p)
+    if n == 2:
+        s = 1.0 / (max(resolution // 4, 2) - 1)
+    else:
+        s = 4.0 / (3.0 * max(int(round((2 * max(resolution // 8, 2)) ** 0.5)), 2))
+    return 2.0 * s * n ** (1.0 - 1.0 / p)
+
+
 class TestSphereGrid:
-    @pytest.mark.parametrize("space", [linf(1), linf(3), l1(3), l2(2), lp(4, 2), l2(3), l2(4)])
+    @pytest.mark.parametrize(
+        "space", [linf(1), linf(3), l1(3), l2(2), lp(4, 2), l2(3), l2(4), lp(3, 3), lp("3/2", 3)]
+    )
     def test_grids_are_read_only(self, space):
         # one cached array serves every caller at this resolution
         X = sphere_grid(space, 256)
         with pytest.raises(ValueError):
             X[0, 0] = 2.0
         assert sphere_grid(space, 256) is X
+
+    @pytest.mark.parametrize("resolution", GRID_RESOLUTIONS)
+    @pytest.mark.parametrize("space", GRID_SPACES, ids=repr)
+    def test_rows_are_unit_vectors_holding_the_vertices(self, space, resolution):
+        X = sphere_grid(space, resolution)
+        assert np.abs(pnorm(X.T, space.p, axis=0) - 1.0).max() <= 4 * np.finfo(float).eps
+        # the ball's vertices on l_inf, +-e_i for p < inf: T's norming vertex
+        # on a polyhedral domain is always a row already
+        if space.p == math.inf:
+            must = np.array(list(itertools.product((1.0, -1.0), repeat=space.n)))
+        else:
+            must = np.concatenate([np.eye(space.n), -np.eye(space.n)])
+        for v in must:
+            assert (X == v).all(axis=1).any(), v
+
+    @pytest.mark.parametrize("resolution", [1024, 4096])
+    @pytest.mark.parametrize(
+        "space", [l2(2), lp(3, 2), lp("4/3", 2), l2(3), lp(3, 3), lp("3/2", 3)], ids=repr
+    )
+    def test_radial_grid_meets_its_covering_bound(self, space, resolution):
+        # nearest rows in the domain norm of 20,000 seeded random points of S_X
+        X = sphere_grid(space, resolution)
+        rng = np.random.default_rng(resolution + space.n)
+        Z = rng.standard_normal((20000, space.n))
+        Z /= pnorm(Z.T, space.p, axis=0)[:, None]
+        dist, _ = cKDTree(X).query(Z, p=float(space.p))
+        assert 0.0 < dist.max() <= covering_bound(space, resolution)
+
+    def test_hilbert_n4_keeps_its_seeded_grid(self):
+        g = np.random.default_rng(20240000 + 256).standard_normal((256, 4))
+        assert np.array_equal(sphere_grid(l2(4), 256), g / np.linalg.norm(g, axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("space", [l1(4), lp(3, 4)], ids=repr)
+    def test_n4_off_hilbert_is_refused(self, space):
+        with pytest.raises(UnsupportedSpaceError):
+            sphere_grid(space, 256)
 
 
 class TestDeltaForEpsilon:
@@ -293,6 +351,20 @@ class TestRestrictedNorm:
         T = operator(np.eye(2), l2(2), l2(2))
         with pytest.raises(DegenerateBasisError):
             restricted_norm(T, np.array([[1.0, 2.0], [1.0, 2.0]]))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-10, 1e-11])
+    def test_rank_test_covers_the_qr_diagonal(self, scale):
+        # the Hilbert path also refused a QR with some |R_ii| <= TAU_RANK;
+        # that could not fire after the rank test, as |R_ii| >= s_min(B)
+        rng = np.random.default_rng(3)
+        for k in (2, 3):
+            B = rng.standard_normal((4, k))
+            B[:, -1] = B[:, 0] + scale * rng.standard_normal(4)
+            s_min = np.linalg.svd(B, compute_uv=False)[-1]
+            R = np.linalg.qr(B)[1]
+            assert np.abs(np.diag(R)).min() >= s_min * (1.0 - 1e-9)
+            T = operator(np.eye(4), l2(4), l2(4))
+            assert restricted_norm(T, B) == pytest.approx(1.0)
 
 
 class TestSmoothOperator:

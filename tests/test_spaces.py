@@ -34,6 +34,7 @@ from bpblab.errors import (
 )
 from bpblab import spaces
 from bpblab.spaces import (
+    as_exponent,
     face_barycentres,
     face_distances,
     lp_circle,
@@ -96,6 +97,15 @@ class TestDuality:
     def test_rejects_p_below_one(self):
         with pytest.raises(UnsupportedExponentError):
             lp(Fraction(1, 2), 2)
+
+    @pytest.mark.parametrize("value", ["1e400", 10 ** 400, Fraction(10 ** 309, 3), -math.inf])
+    def test_rejects_p_beyond_the_floats(self, value):
+        # "1e400" became a 401-digit Fraction that no norm kernel can use,
+        # and -inf was read as inf
+        with pytest.raises(UnsupportedExponentError):
+            as_exponent(value)
+        assert as_exponent("1e300") == Fraction(10) ** 300
+        assert as_exponent(math.inf) == as_exponent(" Infinity ") == math.inf
 
 
 class TestExtremePoints:
