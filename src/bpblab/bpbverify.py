@@ -27,7 +27,6 @@ from .errors import (
     WrongSpacesError,
 )
 from .operators import (
-    DEFAULT_RESOLUTION,
     TAU_ANGLE,
     TAU_SAME,
     TAU_VANISH,
@@ -62,6 +61,8 @@ from .spaces import (
     polyhedral_table,
 )
 
+
+DEFAULT_RESOLUTION = 4096  # the sphere-grid sample of a certificate by default
 
 _scratch = threading.local()
 _SAMPLE_BUFFERS_KEPT = 8
@@ -247,7 +248,7 @@ def delta_for_epsilon(
     sampling resolution only.  eps must be finite and positive.
     """
     apx._check_eps(eps, hi=math.inf)
-    M = attainment_set(T, resolution=resolution)
+    M = attainment_set(T)
     # a point of M_T: op_norm's vertex on a polyhedral domain, else a row
     # of the set, so no second l_p^2 search or SVD runs
     witness = op_norm(T)[1] if T.domain.polyhedral else Point(M.representative_points()[0], T.domain)
@@ -262,14 +263,13 @@ def verify_uniform_bpb(
 
     Requires ||T-A|| < eps; then descends a geometric delta grid looking for
     the largest delta such that every sampled z with ||Tz|| > 1 - delta lies
-    within eps of the attainment set of A, which is built at the same
-    resolution.  The sample is the sphere grid plus the norming vector of
-    T, so no delta is certified on an empty set.  eps must be finite and
-    positive.
+    within eps of the attainment set of A.  The sample is the sphere grid
+    at `resolution` plus the norming vector of T, so no delta is certified
+    on an empty set.  eps must be finite and positive.
     """
     apx._check_eps(eps, hi=math.inf)
     _, witness = require_norm_one(T, "T")
-    MA = norm_one_attainment_set(A, "A", resolution)
+    MA = norm_one_attainment_set(A, "A")
     dist, _ = op_norm(T - A)
     if dist >= eps:
         return BpbCertificate("falsified", eps, None, resolution, math.inf, None, dist)
@@ -290,13 +290,13 @@ HALVINGS = 60      # scalings t = eps/2, eps/4, ... tried per random direction
 TRIAL_BLOCK = 64   # trials of is_only_approximation searched in lockstep
 
 
-def _check_trials(trials) -> int:
-    """trials as an int; refuses bools, non-integers and values below 1."""
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    return int(trials)
+def _check_int(value, name: str, lo: int) -> int:
+    """value as an int; ValueError naming `name` for a bool, a non-integer or a value below lo."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < lo:
+        raise ValueError(f"{name} must be at least {lo}, got {value}")
+    return int(value)
 
 
 def _halving_search(T: OperatorMatrix, D: np.ndarray, eps: float):
@@ -358,7 +358,7 @@ def is_only_approximation(
     Samples norm-one perturbations A != T with ||T-A|| < eps and verifies
     each; the first certified A is returned as a counterexample.  Finding
     none is evidence, not proof.  eps must be finite and positive, trials
-    an integer of at least 1.
+    an integer of at least 1 and seed an integer of at least 0.
 
     Trials run in blocks of TRIAL_BLOCK, one Gaussian draw per block (the
     same stream as one draw per trial), with the halving search of the
@@ -370,7 +370,8 @@ def is_only_approximation(
     so no trial past a certificate is searched.
     """
     apx._check_eps(eps, hi=math.inf)
-    trials = _check_trials(trials)
+    trials = _check_int(trials, "trials", 1)
+    seed = _check_int(seed, "seed", 0)
     _, witness = require_norm_one(T, "T")
     dom, cod = T.domain, T.codomain
     block = TRIAL_BLOCK if dom.polyhedral or (dom.hilbert and cod.hilbert) else 1
@@ -390,7 +391,7 @@ def is_only_approximation(
                 if not certifies[j]:
                     continue
             A = OperatorMatrix(cands[i], dom, cod)
-            MA = norm_one_attainment_set(A, "A", resolution)
+            MA = norm_one_attainment_set(A, "A")
             cert = _inclusion_certificate(MA, float(dists[i]), eps, resolution, sample)
             if cert.certified:
                 return OnlyApproximationResult(True, trials, A, cert)
@@ -406,7 +407,7 @@ class PropertyPWitness:
     r0: float
 
 
-def property_p_witness(A: OperatorMatrix, resolution: int = DEFAULT_RESOLUTION) -> PropertyPWitness:
+def property_p_witness(A: OperatorMatrix) -> PropertyPWitness:
     """An isolation witness (x_A, r0) with B(x_A, r0) disjoint from M_A.
 
     Strategies per domain: a facet interior point off the attainment faces
@@ -419,7 +420,7 @@ def property_p_witness(A: OperatorMatrix, resolution: int = DEFAULT_RESOLUTION) 
     # that the norm-one rule would have refused
     if dom.n == A.codomain.n and dom.p == A.codomain.p and is_isometry(A):
         raise IsIsometryError("an isometry attains everywhere; no witness exists")
-    MA = norm_one_attainment_set(A, "A", resolution)
+    MA = norm_one_attainment_set(A, "A")
     if dom.polyhedral:
         table = polyhedral_table(dom)
         # a cube facet fixes one sign, a cross-polytope facet fixes all n
@@ -466,14 +467,14 @@ class Epsilon0Report:
     eps0: float
 
 
-def epsilon0_lp2(p: int, resolution: int | None = None) -> Epsilon0Report:
+def epsilon0_lp2(p: int) -> Epsilon0Report:
     """min of the isometry separation 2^((p-1)/p) and the arc constant
     at one part in 2(16p-9) of the circle length."""
     if not isinstance(p, int) or p in (1, 2) or p < 1:
         raise BadExponentError("p must be an integer >= 3")
     L = arc_length_total(p)
     sep = 2.0 ** ((p - 1.0) / p)
-    delta1 = arc_length_constant(p, L / (2.0 * (16 * p - 9)), resolution=resolution)
+    delta1 = arc_length_constant(p, L / (2.0 * (16 * p - 9)))
     return Epsilon0Report(p, sep, delta1, min(sep, delta1))
 
 
@@ -642,9 +643,11 @@ def pair_property_sweep(
     The pair must be one of SWEEP_PAIRS; any other raises
     UnsupportedPairError before anything is drawn.  Draws `trials` of its
     operators from the seeded RNG, builds each one's approximant with the
-    pair's constructor for every eps, and verifies every report.
+    pair's constructor for every eps, and verifies every report.  trials
+    must be an integer of at least 1 and seed an integer of at least 0.
     """
-    trials = _check_trials(trials)
+    trials = _check_int(trials, "trials", 1)
+    seed = _check_int(seed, "seed", 0)
     pair = next(
         (s for s in SWEEP_PAIRS.values() if (s.domain, s.codomain) == (spaceX, spaceY)), None
     )

@@ -57,10 +57,10 @@ class ExtremalityVerdict:
         return self.status == "extreme"
 
 
-def _require_pair(T: OperatorMatrix, p, same_dim=True):
+def _require_pair(T: OperatorMatrix, p):
     if T.domain.p != p or T.codomain.p != p:
         raise WrongSpacesError(f"operator must map l_{p} to l_{p}")
-    if same_dim and T.domain.n != T.codomain.n:
+    if T.domain.n != T.codomain.n:
         raise WrongSpacesError("operator must be square")
 
 

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -21,13 +22,15 @@ from . import bpbverify as bv
 from . import classify as cf
 from . import jsonio
 from .errors import BpbLabError, MalformedInputError, UnsupportedExponentError
-from .operators import DEFAULT_RESOLUTION, OperatorMatrix, attainment_set, op_norm
+from .operators import OperatorMatrix, attainment_set, op_norm
 from .spaces import INF, Point, SpaceSpec, as_exponent, l2, linf, lp, pnorm
 
 
 def _int_at_least(text: str, lo: int) -> int:
     """int(text), refused with an argparse error naming the bound unless
-    it is an integer >= lo."""
+    it is an integer >= lo.  The type, through partial, of --resolution,
+    --trials, isometries --n and BPBLAB_DEFAULT_RESOLUTION (lo = 1), of
+    sweep --seed (lo = 0) and of epsilon0 --p (lo = 3)."""
     try:
         value = int(text)
     except ValueError:
@@ -35,17 +38,6 @@ def _int_at_least(text: str, lo: int) -> int:
     if value < lo:
         raise argparse.ArgumentTypeError(f"must be an integer >= {lo}, got {text!r}")
     return value
-
-
-def _positive_int(text: str) -> int:
-    """The type of --resolution, --trials, isometries --n and
-    BPBLAB_DEFAULT_RESOLUTION: an integer >= 1."""
-    return _int_at_least(text, 1)
-
-
-def _epsilon0_exponent_flag(text: str) -> int:
-    """The type of epsilon0 --p: an integer >= 3."""
-    return _int_at_least(text, 3)
 
 
 def _eps_flag(text: str) -> float:
@@ -79,9 +71,9 @@ def _eps_list_flag(text: str) -> list:
 def _default_resolution() -> int:
     env = os.environ.get("BPBLAB_DEFAULT_RESOLUTION")
     if not env:
-        return DEFAULT_RESOLUTION
+        return bv.DEFAULT_RESOLUTION
     try:
-        return _positive_int(env)
+        return _int_at_least(env, 1)
     except argparse.ArgumentTypeError as exc:
         raise MalformedInputError("BPBLAB_DEFAULT_RESOLUTION", str(exc))
 
@@ -108,7 +100,7 @@ def _cmd_norm(args) -> int:
 
 def _cmd_attain(args) -> int:
     T = jsonio.load_operator(args.operator)
-    M = attainment_set(T, resolution=args.resolution)
+    M = attainment_set(T)
     _emit(args, M)
     return 0
 
@@ -190,7 +182,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_witness_p(args) -> int:
     A = jsonio.load_operator(args.operator)
-    _emit(args, bv.property_p_witness(A, resolution=args.resolution))
+    _emit(args, bv.property_p_witness(A))
     return 0
 
 
@@ -299,11 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
         if resolution:
             p.add_argument(
                 "--resolution",
-                type=_positive_int,
-                help="sphere sampling density (env BPBLAB_DEFAULT_RESOLUTION)",
+                type=partial(_int_at_least, lo=1),
+                help="certificate sphere sample size (env BPBLAB_DEFAULT_RESOLUTION)",
             )
         if seed:
-            p.add_argument("--seed", type=int, required=True, help="RNG seed (required)")
+            p.add_argument("--seed", type=partial(_int_at_least, lo=0), required=True,
+                           help="RNG seed (required)")
 
     p = sub.add_parser("norm", help="operator norm with witness")
     p.add_argument("--operator", required=True)
@@ -312,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attain", help="norm attainment set")
     p.add_argument("--operator", required=True)
-    common(p, resolution=True)
+    common(p)
     p.set_defaults(func=_cmd_attain)
 
     p = sub.add_parser("classify", help="extremality and isometry classification")
@@ -322,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("isometries", help="enumerate signed-permutation isometries")
     p.add_argument("--p", type=_exponent_flag, required=True)
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=partial(_int_at_least, lo=1), required=True)
     common(p)
     p.set_defaults(func=_cmd_isometries)
 
@@ -356,18 +349,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness-p", help="isolation witness for the attainment set")
     p.add_argument("--operator", required=True)
-    common(p, resolution=True)
+    common(p)
     p.set_defaults(func=_cmd_witness_p)
 
     p = sub.add_parser("epsilon0", help="rigidity constant for l_p^2, integer p >= 3")
-    p.add_argument("--p", type=_epsilon0_exponent_flag, required=True)
+    p.add_argument("--p", type=partial(_int_at_least, lo=3), required=True)
     common(p)
     p.set_defaults(func=_cmd_epsilon0)
 
     p = sub.add_parser("sweep", help="construct and verify approximants across a pair")
     p.add_argument("--pair", required=True, choices=sorted(bv.SWEEP_PAIRS))
     p.add_argument("--eps-list", type=_eps_list_flag, default="0.2", dest="eps_list")
-    p.add_argument("--trials", type=_positive_int, default=10)
+    p.add_argument("--trials", type=partial(_int_at_least, lo=1), default=10)
     common(p, resolution=True, seed=True)
     p.set_defaults(func=_cmd_sweep)
 

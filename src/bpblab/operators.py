@@ -21,7 +21,6 @@ from .errors import (
     NonFiniteError,
     NormNotOneError,
     NotDiscreteError,
-    OutOfRangeError,
     UnsupportedSpaceError,
     ZeroOperatorError,
 )
@@ -69,7 +68,7 @@ TAU_UNIT = 1e-9    # largest | ||x|| - 1 | of an input vector or functional take
 TAU_CLOSE = 1e-12  # largest entry gap at which close_to reads two operators
                    # between the same spaces as equal
 
-DEFAULT_RESOLUTION = 4096
+LP2_SEARCH_POINTS = 4096  # equispaced parameters of [0, pi) in the l_p^2 maximum search
 
 
 @dataclass(frozen=True)
@@ -286,28 +285,26 @@ def _refined_maxima(t: np.ndarray, h: np.ndarray, f):
 
 
 @functools.lru_cache(maxsize=32)
-def _lp2_grid(p, resolution: int):
-    """Read-only (parameters t of [0, pi), their l_p circle points) of the
-    l_p^2 maximum search, shared by every operator on the space.  The
-    points are Fortran-ordered, so `image_norms` multiplies by a
-    C-contiguous transpose."""
-    t = np.linspace(0.0, math.pi, resolution, endpoint=False)
+def _lp2_grid(p):
+    """Read-only (LP2_SEARCH_POINTS parameters t of [0, pi), their l_p
+    circle points) of the l_p^2 maximum search, shared by every operator on
+    the space.  The points are Fortran-ordered, so `image_norms`
+    multiplies by a C-contiguous transpose."""
+    t = np.linspace(0.0, math.pi, LP2_SEARCH_POINTS, endpoint=False)
     pts = np.asfortranarray(lp_circle(p, t))
     t.setflags(write=False)
     pts.setflags(write=False)
     return t, pts
 
 
-def _lp2_local_maxima(T: OperatorMatrix, resolution: int):
+def _lp2_local_maxima(T: OperatorMatrix):
     """Grid + zoom refinement of ||T gamma(t)|| on the l_p circle; refuses
-    domains of other dimensions and resolutions below 2."""
+    domains of other dimensions."""
     if T.domain.n != 2:
         raise UnsupportedSpaceError(
             f"operator norm on {T.domain} is out of desk scale (1<p<inf, p!=2 needs n=2)"
         )
-    if not resolution >= 2:
-        raise OutOfRangeError(f"resolution must be at least 2, got {resolution}")
-    t, pts = _lp2_grid(T.domain.p, int(resolution))
+    t, pts = _lp2_grid(T.domain.p)
     # float exponents: the same norms, without Fraction arithmetic per level
     p, q = T.domain.pf, T.codomain.pf
 
@@ -342,7 +339,7 @@ def op_norm(T: OperatorMatrix) -> tuple[float, Point]:
     if dom.hilbert and T.codomain.hilbert:
         U, s, Vt = np.linalg.svd(T.entries)
         return float(s[0]), Point(Vt[0], dom)
-    candidates, best = _lp2_local_maxima(T, DEFAULT_RESOLUTION)
+    candidates, best = _lp2_local_maxima(T)
     tt = max(candidates, key=lambda c: c[1])[0]
     return best, Point(lp_circle(dom.p, tt), dom)
 
@@ -417,16 +414,14 @@ def orthogonal_complement(Q: np.ndarray) -> np.ndarray:
     return full[:, k:n]
 
 
-def attainment_set(
-    T: OperatorMatrix, resolution: int = DEFAULT_RESOLUTION, check=None
-) -> AttainmentSet:
+def attainment_set(T: OperatorMatrix, check=None) -> AttainmentSet:
     """The norm attainment set M_T in its exact representation.
 
     Polyhedral domains: union of the maximal faces whose barycentre
     attains.  Hilbert-to-Hilbert: the right singular subspace of
     the top singular value (gap TAU_GAP).  Other 2-D domains: refined point
-    pairs.  `check`, when given, is called with ||T|| before anything else
-    is decided from it.
+    pairs of op_norm's search.  `check`, when given, is called with ||T||
+    before anything else is decided from it.
     """
     dom = T.domain
     if dom.polyhedral:
@@ -435,7 +430,7 @@ def attainment_set(
         _, s, Vt = np.linalg.svd(T.entries)
         value = float(s[0])
     else:
-        candidates, value = _lp2_local_maxima(T, resolution)
+        candidates, value = _lp2_local_maxima(T)
     if check is not None:
         check(value)
     if value <= 0.0:
@@ -455,13 +450,11 @@ def attainment_set(
     return AttainmentSet("points", value, dom, points=np.array(pts))
 
 
-def norm_one_attainment_set(
-    T: OperatorMatrix, what: str, resolution: int = DEFAULT_RESOLUTION, error=NormNotOneError
-) -> AttainmentSet:
+def norm_one_attainment_set(T: OperatorMatrix, what: str, error=NormNotOneError) -> AttainmentSet:
     """attainment_set(T), refused with `error` naming `what` before the set
     is built when ||T|| is not 1 within TAU_NORM_ONE, the zero operator
     included."""
-    return attainment_set(T, resolution, check=lambda value: check_norm_one(value, what, error))
+    return attainment_set(T, check=lambda value: check_norm_one(value, what, error))
 
 
 def restricted_norm(T: OperatorMatrix, basis) -> float:

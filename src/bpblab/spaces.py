@@ -547,30 +547,26 @@ def _arc_constant_at(p: Exponent, eps: float, m: int) -> float:
     return float(pnorm(a - b, p, axis=0).min())
 
 
-def arc_length_constant(p, eps: float, resolution: int | None = None) -> float:
+def arc_length_constant(p, eps: float) -> float:
     """The eps-arc-length constant of the l_p circle.
 
     Minimal l_p chord length between circle points at Euclidean arc
     separation eps (monotone chord-vs-arc on a convex curve reduces the
-    search over separations >= eps to exactly eps).  The table resolution is
-    doubled until successive values agree to 1e-6 unless `resolution` pins
-    it, to at least 2 segments.  Each (p, eps, resolution) is computed once.
+    search over separations >= eps to exactly eps).  The table's segment
+    count is doubled from 2^13 until successive values agree to 1e-6, up
+    to 2^17.  Each (p, eps) is computed once.
     """
     p = as_exponent(p)
     if not (1 < p < INF):
         raise UnsupportedExponentError("arc-length constant needs 1 < p < inf")
-    if resolution is not None and not resolution >= 2:
-        raise OutOfRangeError(f"resolution must be at least 2, got {resolution}")
     L = arc_length_total(p)
     if not (0.0 < eps < L / 2.0):
         raise OutOfRangeError(f"eps must lie in (0, L/2) = (0, {L / 2.0})")
-    return _arc_length_constant(p, float(eps), None if resolution is None else int(resolution))
+    return _arc_length_constant(p, float(eps))
 
 
 @functools.lru_cache(maxsize=32)
-def _arc_length_constant(p: Exponent, eps: float, resolution: int | None) -> float:
-    if resolution is not None:
-        return _arc_constant_at(p, eps, resolution)
+def _arc_length_constant(p: Exponent, eps: float) -> float:
     m = 1 << 13
     prev = _arc_constant_at(p, eps, m)
     while m < (1 << 17):

@@ -40,6 +40,7 @@ from bpblab.bpbverify import _random_linf_candidates
 from bpblab.classify import census_lookup
 from bpblab.errors import ObstructionError
 from bpblab.operators import orthogonal_complement
+from bpblab.spaces import _arc_constant_at, arc_length_total, as_exponent
 
 
 def run_criterion(k, budget, body):
@@ -175,10 +176,12 @@ def test_criterion_3_isometry_rigidity():
                 for j in range(i + 1, len(isos)):
                     d, _ = op_norm(isos[i] - isos[j])
                     assert min(abs(d - a) for a in allowed) <= 1e-8
-        coarse = epsilon0_lp2(3, resolution=1 << 14)
-        fine = epsilon0_lp2(3, resolution=1 << 15)
-        assert coarse.eps0 > 0
-        assert abs(coarse.eps0 - fine.eps0) < 1e-4
+        report = epsilon0_lp2(3)
+        assert report.eps0 > 0
+        # the arc constant converges in the table's segment count
+        eps = arc_length_total(3) / (2.0 * (16 * 3 - 9))
+        coarse, fine = (_arc_constant_at(as_exponent(3), eps, m) for m in (1 << 14, 1 << 15))
+        assert abs(coarse - fine) < 1e-4 and abs(report.delta1 - fine) < 1e-4
 
     run_criterion(3, 10.0, body)
 
@@ -265,7 +268,7 @@ def test_criterion_8_property_p_witnesses():
                 A = (1.0 / v) * A
                 if s.n == A.codomain.n and is_isometry(A):
                     continue
-                w = property_p_witness(A, resolution=2048)
+                w = property_p_witness(A)
                 assert w.r0 > 0
                 if s.hilbert:
                     assert w.r0 == 1.0

@@ -26,7 +26,6 @@ from bpblab import (
     property_p_witness,
     verify_uniform_bpb,
 )
-from bpblab import operators
 from bpblab.errors import (
     BadExponentError,
     IsIsometryError,
@@ -36,6 +35,7 @@ from bpblab.errors import (
 )
 from bpblab.bpbverify import _random_linf_candidates, _sample_buffers, _split_norm_disjunction
 from bpblab.operators import attainment_set
+from bpblab.sampling import sphere_grid
 
 
 class TestVerifyUniformBpb:
@@ -62,7 +62,7 @@ class TestVerifyUniformBpb:
         # and 1 - 1e-6: every level fails on rows near e2, sqrt(2) from
         # M_T = {+/-e1}, and those rows name the counterexample
         T = operator(np.diag([1.0, 1.0 - 1.5e-6]), l2(2), l2(2))
-        MT = attainment_set(T, resolution=1024)
+        MT = attainment_set(T)
         cert = verify_uniform_bpb(T, T, 1.0, resolution=1024)
         res = delta_for_epsilon(T, 1.0, resolution=1024)
         assert cert.status == "falsified" and cert.worst_distance >= 1.0
@@ -157,36 +157,43 @@ class TestVerifyUniformBpb:
             assert verify_uniform_bpb(T, report.approximant, 0.2, resolution=res).certified
 
 
+def hadamard_l4():
+    """The normalised Hadamard operator of l_4^2, which attains at four
+    points, (+/-1, +/-1) / 2^(1/4)."""
+    s = lp(4, 2)
+    return operator(np.array([[1.0, 1.0], [1.0, -1.0]]) / 2.0 ** 0.75, s, s)
+
+
+def inline_certificate(T, A, eps, resolution):
+    """(delta_found, worst_distance) of the inclusion test written out:
+    the sphere grid plus op_norm's witness of T, M_A = attainment_set(A),
+    and the levels 1/2, 1/4, ... tried one at a time."""
+    X = np.concatenate([sphere_grid(T.domain, resolution), op_norm(T)[1].coords[None, :]])
+    norms, dists = T.image_norms(X), attainment_set(A).distance_to(X)
+    delta = 0.5
+    while delta >= 2.0 ** -19:
+        near = norms > 1.0 - delta
+        if (dists[near] < eps).all():
+            return delta, float(dists[near].max())
+        delta /= 2.0
+    return None, None
+
+
 class TestVerifyResolution:
-    def _lp2_pair(self):
-        s = lp(3, 2)
-        T = operator([[1.0, 0.3], [0.2, 0.8]], s, s)
-        T = operator(T.entries / op_norm(T)[0], s, s)
-        A = operator(T.entries + 0.01 * np.array([[0.0, 1.0], [1.0, 0.0]]), s, s)
-        return T, operator(A.entries / op_norm(A)[0], s, s)
+    @pytest.mark.parametrize("resolution", [2, 3, 8])
+    def test_coarse_sample_keeps_the_exact_attainment_set(self, resolution):
+        # M_A came from an r-point search and T's norming vector from
+        # op_norm's 4096-point one, so with A = T the vector lay off M_A:
+        # 1.79e-9, 9.9e-10 and 3.6e-10 from it at r = 2, 3 and 8
+        H = hadamard_l4()
+        assert len(attainment_set(H).points) == 4
+        assert verify_uniform_bpb(H, H, 0.05, resolution=resolution).worst_distance == 0.0
 
-    def test_attainment_set_of_A_uses_the_callers_resolution(self, monkeypatch):
-        seen = []
-        search = operators._lp2_local_maxima
-
-        def spy(T, resolution):
-            seen.append(resolution)
-            return search(T, resolution)
-
-        monkeypatch.setattr(operators, "_lp2_local_maxima", spy)
-        T, A = self._lp2_pair()
-        for res in (512, 2048):
-            seen.clear()
-            cert = verify_uniform_bpb(T, A, 0.5, resolution=res)
-            assert cert.resolution == res
-            # ||T|| (op_norm) stays at the default; M_A follows the caller
-            assert seen[1] == res
-
-    @pytest.mark.parametrize("resolution", [0, 1])
-    def test_lp2_resolution_below_two_is_refused(self, resolution):
-        T, A = self._lp2_pair()
-        with pytest.raises(OutOfRangeError, match="resolution"):
-            verify_uniform_bpb(T, A, 0.5, resolution=resolution)
+    def test_certificate_is_the_inline_one_on_the_search_grid_set(self):
+        H = hadamard_l4()
+        cert = verify_uniform_bpb(H, H, 0.05, resolution=1024)
+        assert (cert.delta_found, cert.worst_distance) == inline_certificate(H, H, 0.05, 1024)
+        assert cert.worst_distance == 0.035374962565074566
 
     def test_hilbert_resolution_zero_still_runs_on_the_svd_path(self):
         # M_A comes from an SVD, which reads no resolution; the sample is
@@ -222,6 +229,17 @@ class TestOnlyApproximation:
         T = enumerate_isometries(linf(2))[0]
         with pytest.raises(ValueError, match="trials"):
             is_only_approximation(T, 0.5, trials=trials, seed=0)
+
+    @pytest.mark.parametrize("seed", [None, True, 2.5, -1])
+    def test_bad_seed_is_refused_before_any_draw(self, seed, monkeypatch):
+        # seed=None drew from fresh OS entropy; -1 raised numpy's error
+        def refuse(*args, **kwargs):
+            raise AssertionError("a draw started before the seed was checked")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        T = enumerate_isometries(linf(2))[0]
+        with pytest.raises(ValueError, match="seed"):
+            is_only_approximation(T, 0.5, trials=3, seed=seed)
 
     def test_numpy_integer_trials_are_accepted(self):
         T = enumerate_isometries(linf(2))[0]
@@ -484,6 +502,16 @@ class TestSweep:
         for X, Y in ((linf(2), linf(2)), (l2(2), l2(2)), (linf(3), l1(3))):
             with pytest.raises(ValueError, match="trials must be an integer"):
                 pair_property_sweep(X, Y, [0.2], trials=trials, seed=1)
+
+    @pytest.mark.parametrize("seed", [None, False, 1.0, -1])
+    def test_bad_seed_is_refused_before_any_draw(self, seed, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a draw started before the seed was checked")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        for X, Y in ((linf(2), linf(2)), (l2(2), l2(2)), (linf(3), l1(3))):
+            with pytest.raises(ValueError, match="seed"):
+                pair_property_sweep(X, Y, [0.2], trials=1, seed=seed)
 
     def test_unsupported_pair(self):
         with pytest.raises(UnsupportedPairError):

@@ -281,9 +281,9 @@ class TestEnvResolution:
         f = op_file(
             "d.json", [[1, 0], [0, 0.5]], {"p": "4", "n": 2}, {"p": "4", "n": 2}
         )
-        code, doc = run(capsys, ["attain", "--operator", f, "--no-timestamp"])
+        code, doc = run(capsys, ["verify", "--T", f, "--A", f, "--eps", "0.1", "--no-timestamp"])
         assert code == 0
-        assert doc["kind"] == "points"
+        assert doc["resolution"] == 256
 
 
 class TestResolutionBoundaries:
@@ -291,17 +291,21 @@ class TestResolutionBoundaries:
     def test_flag_below_one_rejected(self, op_file, capsys, value):
         f = op_file("t.json", [[1, 0], [1, 0]], LINF2, LINF2)
         with pytest.raises(SystemExit) as exc:
-            main(["attain", "--operator", f, "--resolution", value])
+            main(["verify", "--T", f, "--A", f, "--eps", "0.1", "--resolution", value])
         assert exc.value.code == 2
         assert "--resolution" in capsys.readouterr().err
 
     def test_lp2_resolution_one_exits_two_naming_resolution(self, op_file, capsys):
-        # the flag admits 1; the l_p^2 search needs two grid points
+        # the l_p^2 search has one grid, so neither command takes the flag
         lp3 = {"p": "3", "n": 2}
         f = op_file("t.json", [[1, 0], [0, 0.5]], lp3, lp3)
-        assert main(["attain", "--operator", f, "--resolution", "1", "--no-timestamp"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "resolution" in captured.err
+        for command in ("attain", "witness-p"):
+            for value in ("1", "256"):
+                with pytest.raises(SystemExit) as exc:
+                    main([command, "--operator", f, "--resolution", value, "--no-timestamp"])
+                assert exc.value.code == 2
+                captured = capsys.readouterr()
+                assert captured.out == "" and "--resolution" in captured.err
 
     @pytest.mark.parametrize("pair", ["linf2", "l22", "linf3-l13"])
     @pytest.mark.parametrize("value", ["-3", "0", "two"])
@@ -313,12 +317,33 @@ class TestResolutionBoundaries:
         captured = capsys.readouterr()
         assert captured.out == "" and "--trials" in captured.err
 
+    @pytest.mark.parametrize("pair", ["linf2", "l22", "linf3-l13"])
+    @pytest.mark.parametrize("value", ["-1", "1.5", "seven"])
+    def test_sweep_seed_below_zero_rejected(self, capsys, pair, value):
+        # -1 reached numpy and exited 1 with a ValueError traceback
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--pair", pair, "--trials", "1", "--seed", value, "--no-timestamp"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--seed" in captured.err
+
+    def test_sweep_seed_zero_is_accepted(self, capsys):
+        code, doc = run(capsys, ["sweep", "--pair", "linf2", "--trials", "1", "--seed", "0",
+                                 "--no-timestamp"])
+        assert code == 0 and doc["total"] == 1
+
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_bad_env_default_names_variable(self, op_file, capsys, monkeypatch, value):
         monkeypatch.setenv("BPBLAB_DEFAULT_RESOLUTION", value)
         f = op_file("t.json", [[1, 0], [1, 0]], LINF2, LINF2)
-        assert main(["attain", "--operator", f, "--no-timestamp"]) == 2
+        assert main(["verify", "--T", f, "--A", f, "--eps", "0.1", "--no-timestamp"]) == 2
         assert "BPBLAB_DEFAULT_RESOLUTION" in capsys.readouterr().err
+
+    def test_env_default_is_not_read_by_attain(self, op_file, capsys, monkeypatch):
+        monkeypatch.setenv("BPBLAB_DEFAULT_RESOLUTION", "abc")
+        f = op_file("t.json", [[1, 0], [1, 0]], LINF2, LINF2)
+        code, doc = run(capsys, ["attain", "--operator", f, "--no-timestamp"])
+        assert code == 0 and doc["kind"] == "faces"
 
 
 class TestNonFiniteInput:

@@ -55,6 +55,7 @@ from bpblab.bpbverify import (
 )
 from bpblab.errors import MixedSpacesError, NormNotOneError
 from bpblab.operators import (
+    LP2_SEARCH_POINTS,
     OperatorMatrix,
     _lp2_local_maxima,
     norm_one_attainment_set,
@@ -314,7 +315,7 @@ def loop_face_distance(face, X):
 def inline_delta_search(T, eps, resolution):
     """delta_for_epsilon's own descent: (succeeded, delta)."""
     value, _ = op_norm(T)
-    M = attainment_set(T, resolution=resolution)
+    M = attainment_set(T)
     X = sphere_grid(T.domain, resolution)
     norms = T.image_norms(X)
     dists = M.distance_to(X)
@@ -421,11 +422,11 @@ def test_vectorised_scan_gives_the_loop_candidates(monkeypatch):
     # value up to rounding: the evaluation order differs, the bracket not
     calls = _zoom_centres(monkeypatch)
     ops = lp2_operators(520, seed=3)
-    for k, T in enumerate(ops):
-        resolution = (256, 1024, 4096)[k % 3]
+    resolution = LP2_SEARCH_POINTS
+    for T in ops:
         want, want_best, kept = loop_lp2_local_maxima(T, resolution)
         calls.clear()
-        got, best = _lp2_local_maxima(T, resolution)
+        got, best = _lp2_local_maxima(T)
         t = np.linspace(0.0, math.pi, resolution, endpoint=False)
         assert len(calls) == 1 and np.array_equal(calls[0], t[kept]), (T, resolution)
         assert len(got) == len(want)
@@ -637,7 +638,7 @@ def test_delta_for_epsilon_keeps_its_delta_and_takes_the_floor_counterexample():
             continue
         # the counterexample is the farthest sample with
         # ||Tz|| > ||T||(1 - DELTA_LAST), and it lies at least eps from M_T
-        M = attainment_set(T, resolution=1024)
+        M = attainment_set(T)
         X = sphere_grid(T.domain, 1024)
         near = T.image_norms(X) > M.value - DELTA_LAST * M.value
         z = res.counterexample.coords
@@ -811,7 +812,7 @@ def test_polyhedral_screen_decides_each_candidate_as_its_certificate():
         values, certifies = _polyhedral_screen(cands[found], T.domain, T.codomain, sample, eps)
         for C, d, value, passes in zip(cands[found], dists[found], values, certifies):
             A = OperatorMatrix(C, T.domain, T.codomain)
-            MA = norm_one_attainment_set(A, "A", resolution)
+            MA = norm_one_attainment_set(A, "A")
             assert value == MA.value
             cert = _inclusion_certificate(MA, float(d), eps, resolution, sample)
             assert passes == cert.certified, (T, eps)
@@ -981,7 +982,7 @@ def _check_certificate(name, T, eps, resolution):
     per-face descent on the same sample, field by field; its status."""
     A = SWEEP_PAIRS[name].construct(T, eps).approximant
     cert = verify_uniform_bpb(T, A, eps, resolution=resolution)
-    MA = norm_one_attainment_set(A, "A", resolution)
+    MA = norm_one_attainment_set(A, "A")
     assert MA.faces
     want = distance_to_descent(MA, 1.0, eps, _sample_norms(T, require_norm_one(T)[1], resolution))
     assert cert.status == ("certified" if want[0] is not None else "falsified")
@@ -993,7 +994,7 @@ def _check_certificate(name, T, eps, resolution):
 
 def _check_delta_search(T, eps, resolution):
     """delta_for_epsilon against the per-face descent; whether it succeeded."""
-    M = attainment_set(T, resolution=resolution)
+    M = attainment_set(T)
     want = distance_to_descent(M, M.value, eps, _sample_norms(T, op_norm(T)[1], resolution))
     got = delta_for_epsilon(T, eps, resolution=resolution)
     assert got.succeeded == (want[0] is not None) and got.resolution == resolution

@@ -236,7 +236,7 @@ def witnesses(rng):
     out = [property_p_witness(operator([[1.0, 0.0], [1.0, 0.0]], linf(2), linf(2)))]
     for s in (linf(3), l1(3), l2(3), lp(3, 2), lp(4, 2)):
         for _ in range(2):
-            out += built(property_p_witness, normalised(rng.standard_normal((s.n, s.n)), s, s), 1024)
+            out += built(property_p_witness, normalised(rng.standard_normal((s.n, s.n)), s, s))
     return out
 
 
@@ -244,7 +244,7 @@ CASES = {
     "spaces": lambda rng: SPACES,
     "operators": random_operators,
     "points": lambda rng: [op_norm(T)[1] for T in random_operators(rng)],
-    "attainment_sets": lambda rng: [attainment_set(T, resolution=256) for T in random_operators(rng)]
+    "attainment_sets": lambda rng: [attainment_set(T) for T in random_operators(rng)]
     + [attainment_set(operator([[1.0, 0.0], [1.0, 0.0]], linf(2), linf(2)))],
     "reports": reports,
     "certificates": certificates,

@@ -21,6 +21,7 @@ import pytest
 from bpblab import l1, l2, linf, lp
 from bpblab.bpbverify import _sample_norms
 from bpblab.operators import (
+    LP2_SEARCH_POINTS,
     OperatorMatrix,
     _attaining_faces,
     _lp2_grid,
@@ -193,9 +194,9 @@ def test_pnorm_on_the_float_exponent_equals_the_old_branching(p):
 
 @pytest.mark.parametrize("p", [Fraction(3), Fraction(4, 3), Fraction(10)], ids=str)
 def test_fortran_lp2_grid_equals_the_c_ordered_one(p):
-    t, pts = _lp2_grid(p, 4096)
+    t, pts = _lp2_grid(p)
     assert pts.flags.f_contiguous
-    old = lp_circle(p, np.linspace(0.0, math.pi, 4096, endpoint=False))
+    old = lp_circle(p, np.linspace(0.0, math.pi, LP2_SEARCH_POINTS, endpoint=False))
     assert same_bits(pts, old)
     for E in matrices(3, 2, 13):
         T = OperatorMatrix(E, lp(p, 2), lp(3, 3))

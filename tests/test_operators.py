@@ -24,7 +24,6 @@ from bpblab.errors import (
     DegenerateBasisError,
     MixedSpacesError,
     NonFiniteError,
-    OutOfRangeError,
     UnsupportedSpaceError,
     ZeroOperatorError,
 )
@@ -393,23 +392,6 @@ class TestNonFiniteEntries:
         T = operator([[1.0, 2.0], [3.0, 4.0]], lp(3, 2), lp(3, 2))
         with pytest.raises(NonFiniteError):
             T * math.inf
-
-
-class TestLp2SearchResolution:
-    @pytest.mark.parametrize("resolution", [0, 1, -5])
-    def test_below_two_is_refused_naming_resolution(self, resolution):
-        T = hadamard(3)
-        with pytest.raises(OutOfRangeError, match="resolution"):
-            attainment_set(T, resolution=resolution)
-
-    def test_two_is_the_smallest_grid(self):
-        value = attainment_set(hadamard(4), resolution=2).value
-        assert value == pytest.approx(2 ** 0.75, rel=1e-9)
-
-    def test_the_refusal_is_the_lp2_search_only(self):
-        # Hilbert and polyhedral domains never read the resolution
-        assert attainment_set(operator(np.eye(2), l2(2), l2(2)), resolution=0).subspace_dim == 2
-        assert attainment_set(operator(np.eye(2), linf(2), linf(2)), resolution=0).kind == "faces"
 
 
 class TestImageNorms:

@@ -18,7 +18,7 @@ from bpblab import approximants as apx
 from bpblab.bpbverify import (
     SWEEP_PAIRS,
     SweepFailure,
-    _check_trials,
+    _check_int,
     _random_linf_candidates,
     pair_property_sweep,
     verify_uniform_bpb,
@@ -54,7 +54,7 @@ def _route(T, eps):
 
 
 def old_pair_property_sweep(spaceX, spaceY, eps_list, trials, seed, resolution=1024):
-    trials = _check_trials(trials)
+    trials = _check_int(trials, "trials", 1)
     rng = np.random.default_rng(seed)
     candidates = []
     same = spaceX.n == spaceY.n and spaceX.p == spaceY.p

@@ -14,8 +14,8 @@ import pytest
 
 from bpblab import spaces
 from bpblab.approximants import _finish
-from bpblab.bpbverify import epsilon0_lp2, property_p_witness, verify_uniform_bpb
-from bpblab.errors import ConstructionError, NormNotOneError, OutOfRangeError
+from bpblab.bpbverify import property_p_witness, verify_uniform_bpb
+from bpblab.errors import ConstructionError, NormNotOneError
 from bpblab.operators import (
     TAU_NORM_ONE,
     attainment_set,
@@ -55,9 +55,9 @@ def doubling_loop(p, eps):
     return prev
 
 
-def full_scan_witness(A, resolution):
+def full_scan_witness(A):
     require_norm_one(A, "A")
-    MA = attainment_set(A, resolution=resolution)
+    MA = attainment_set(A)
     p = A.domain.p
     K = 2 * (16 * int(p) - 9)
     L = arc_length_total(p)
@@ -78,15 +78,17 @@ def norm_one(rng, space):
     return operator(M / v, space, space)
 
 
-@pytest.mark.parametrize("resolution", (2048, 4096))
+# the seeds draw the operators that the search resolutions 2048 and 4096
+# drew when the witness took one
+@pytest.mark.parametrize("seed", (2048, 4096))
 @pytest.mark.parametrize("p", EXPONENTS)
-def test_witness_matches_full_table_scan(p, resolution):
-    rng = np.random.default_rng(100 * p + resolution)
+def test_witness_matches_full_table_scan(p, seed):
+    rng = np.random.default_rng(100 * p + seed)
     space = lp(p, 2)
     for _ in range(10):
         A = norm_one(rng, space)
-        w = property_p_witness(A, resolution=resolution)
-        x, r0 = full_scan_witness(A, resolution)
+        w = property_p_witness(A)
+        x, r0 = full_scan_witness(A)
         assert np.array_equal(w.x_A.coords, x)
         assert w.r0 == r0
 
@@ -130,9 +132,6 @@ def test_cached_constant_is_the_doubling_loop(p):
     for eps in (L / (2.0 * K), L / (2.0 * (16 * p - 9)), 0.05, 0.3):
         assert arc_length_constant(p, eps) == doubling_loop(as_exponent(p), eps)
         assert arc_length_constant(p, eps) == arc_length_constant(p, eps)
-    assert arc_length_constant(p, 0.05, resolution=1 << 12) == _arc_constant_at(
-        as_exponent(p), 0.05, 1 << 12
-    )
 
 
 def test_second_witness_on_a_space_reuses_r0(monkeypatch):
@@ -146,23 +145,6 @@ def test_second_witness_on_a_space_reuses_r0(monkeypatch):
     monkeypatch.setattr(spaces, "_arc_constant_at", fail)
     second = property_p_witness(norm_one(rng, space))
     assert second.r0 == first.r0
-
-
-@pytest.mark.parametrize("resolution", (0, 1, -4))
-def test_resolution_below_two_is_refused(resolution, monkeypatch):
-    with pytest.raises(OutOfRangeError, match="resolution"):
-        epsilon0_lp2(3, resolution=resolution)
-
-    def fail(*args):
-        raise AssertionError("the cache was consulted")
-
-    monkeypatch.setattr(spaces, "_arc_length_constant", fail)
-    with pytest.raises(OutOfRangeError, match="resolution"):
-        arc_length_constant(3, 0.1, resolution=resolution)
-
-
-def test_resolution_two_is_finite():
-    assert math.isfinite(epsilon0_lp2(3, resolution=2).delta1)
 
 
 SPACES = (lp(3, 2), lp(4, 2), l2(2), l2(3), linf(2), l1(3))
