@@ -21,6 +21,7 @@ from . import approximants as apx
 from .classify import enumerate_extreme_linf3_l13, is_isometry
 from .errors import (
     BadExponentError,
+    BpbLabError,
     IsIsometryError,
     UnsupportedPairError,
     UnsupportedSpaceError,
@@ -50,6 +51,7 @@ from .spaces import (
     _arc_table,
     _arc_table_rows,
     _interp_on_curve,
+    _read_only,
     arc_length_constant,
     arc_length_total,
     face_distances,
@@ -108,9 +110,7 @@ def _face_row(space: SpaceSpec, resolution: int, pattern: tuple) -> np.ndarray:
     """The read-only distances from the rows of sphere_grid(space,
     resolution) to the face with sign pattern `pattern`, shared by every
     thread.  Like the grid, they depend on neither T nor A."""
-    row = face_distances(space, [pattern], sphere_grid(space, resolution))[0]
-    row.setflags(write=False)
-    return row
+    return _read_only(face_distances(space, [pattern], sphere_grid(space, resolution))[0])
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ def _descent(M, top: float, eps: float, sample, resolution: int):
 
     On a set of faces the grid rows' distance is the least of the faces'
     cached rows, and only the last row, T's norming vector, is measured
-    per call.
+    per call, by `distance_to`.
     """
     X, work, scratch = sample
     dists = work[1]
@@ -209,7 +209,7 @@ def _descent(M, top: float, eps: float, sample, resolution: int):
         np.copyto(grid, _face_row(M.space, resolution, M.faces[0].pattern))
         for f in M.faces[1:]:
             np.minimum(grid, _face_row(M.space, resolution, f.pattern), out=grid)
-        dists[-1] = face_distances(M.space, [f.pattern for f in M.faces], X[-1:]).min()
+        M.distance_to(X[-1:], out=dists[-1:])
     else:
         M.distance_to(X, out=dists, work=scratch)
     delta, worst, idx = delta_descent(work[0], dists, top, eps, scratch[0])
@@ -661,7 +661,7 @@ def pair_property_sweep(
             total += 1
             try:
                 report = pair.construct(T, eps)
-            except Exception as exc:  # constructor contract violations
+            except BpbLabError as exc:  # constructor contract violations
                 failures.append(SweepFailure(T, eps, f"constructor: {exc}"))
                 continue
             cert = verify_uniform_bpb(T, report.approximant, eps, resolution=resolution)

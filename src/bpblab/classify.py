@@ -174,9 +174,11 @@ def orbit_with_witnesses(A: OperatorMatrix) -> dict:
     """The two-sided signed-permutation orbit {L A R}.
 
     Maps each orbit member's rounded-entry key to (member entries, L, R)
-    with member = L @ A @ R.
+    with member = L @ A @ R.  A must be square.
     """
     n = A.domain.n
+    if A.codomain.n != n:
+        raise WrongSpacesError(f"an orbit needs a square operator, got {A.codomain.n} x {n}")
     _check_enumeration_size(n, 2)
     mats = list(all_signed_permutations(n))
     out = {}

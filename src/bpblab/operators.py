@@ -164,20 +164,18 @@ class AttainmentSet:
         """Distance in the domain norm from each row of X to the set.
 
         The result goes to `out`; `work`, shape (3, len(X)), is scratch.
-        Both are allocated when not given; with both given, no array of
-        len(X) is allocated.
+        Both are allocated when not given; with both given, a points or
+        subspace set allocates no array of len(X).
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if out is None:
             out = np.empty(len(X))
+        if self.kind == "faces":
+            D = face_distances(self.space, [f.pattern for f in self.faces], X)
+            return D.min(axis=0, out=out, initial=np.inf)
         if work is None:
             work = np.empty((3, len(X)))
-        if self.kind == "faces":
-            out.fill(np.inf)
-            for f in self.faces:
-                face_distances(self.space, [f.pattern], X, work[None, 0], work[1:, None])
-                np.minimum(out, work[0], out=out)
-        elif self.kind == "points":
+        if self.kind == "points":
             # points sets live on 2-D domains: work[:2] holds X - q by columns
             out.fill(np.inf)
             for q in self.points:

@@ -115,6 +115,12 @@ def lp(p, n: int) -> SpaceSpec:
     return SpaceSpec(as_exponent(p), n)
 
 
+# Above this p the generic norm divides each lane by its largest |v_i|
+# before the power.  At or below it every |v_i| in [1e-9, 1e9] has its p-th
+# power in the normal float range, so the unscaled bits cost one compare.
+UNSCALED_P_MAX = 32.0
+
+
 def pnorm(v, p: Exponent, axis: int = -1):
     """l_p norm along an axis; vectorized.  Pass a batch of vectors
     coordinate-major, shape (m, rows) with axis=0, so that each pass is one
@@ -128,12 +134,15 @@ def pnorm(v, p: Exponent, axis: int = -1):
         return np.abs(v).sum(axis=axis)
     if pf == 2.0:
         return np.sqrt((v * v).sum(axis=axis))
+    if pf > UNSCALED_P_MAX:
+        return pnorm_into(np.abs(v), pf, axis, None)
     return (np.abs(v) ** pf).sum(axis=axis) ** (1.0 / pf)
 
 
 def pnorm_into(v: np.ndarray, p: Exponent, axis: int, out: np.ndarray) -> np.ndarray:
     """pnorm(v, p, axis) written to `out`, with the float array v
-    overwritten as scratch, so no array is allocated."""
+    overwritten as scratch, so for p <= UNSCALED_P_MAX no array is
+    allocated.  With out None the result is returned in a new array."""
     pf = float(p)
     if pf == INF:
         return np.abs(v, out=v).max(axis=axis, out=out)
@@ -141,8 +150,15 @@ def pnorm_into(v: np.ndarray, p: Exponent, axis: int, out: np.ndarray) -> np.nda
         return np.abs(v, out=v).sum(axis=axis, out=out)
     if pf == 2.0:
         return np.sqrt(np.multiply(v, v, out=v).sum(axis=axis, out=out), out=out)
-    np.power(np.abs(v, out=v), pf, out=v).sum(axis=axis, out=out)
-    return np.power(out, 1.0 / pf, out=out)
+    if pf > UNSCALED_P_MAX:
+        # each lane divided by its largest entry (by 1 if that is 0 or not
+        # finite), so no power under- or overflows, and multiplied back
+        top = np.abs(v, out=v).max(axis=axis, keepdims=True)
+        scale = np.where((top > 0.0) & (top < INF), top, 1.0)
+        s = np.power(np.divide(v, scale, out=v), pf, out=v).sum(axis=axis, out=out)
+        return np.multiply(np.power(s, 1.0 / pf, out=out), np.squeeze(scale, axis=axis), out=out)
+    s = np.power(np.abs(v, out=v), pf, out=v).sum(axis=axis, out=out)
+    return np.power(s, 1.0 / pf, out=out)
 
 
 @dataclass(frozen=True)
@@ -244,7 +260,7 @@ def face_containment(s: SpaceSpec, big, small) -> np.ndarray:
     return C
 
 
-def face_distances(s: SpaceSpec, patterns, X, out=None, work=None) -> np.ndarray:
+def face_distances(s: SpaceSpec, patterns, X) -> np.ndarray:
     """D[f, i]: the distance in the norm of s from row i of X to the face
     with sign pattern patterns[f].
 
@@ -252,29 +268,17 @@ def face_distances(s: SpaceSpec, patterns, X, out=None, work=None) -> np.ndarray
     largest of 0 and |x_j - q_j| - [q_j = 0] over j (coordinate clamping)
     for a cube face; ||x||_1 - P + |P - 1| with P = sum((q_j x_j)_+) (the
     nearest point of the simplex conv{q_j e_j}) for a cross-polytope face.
-    The result goes to `out`, shape (len(patterns), len(X)); `work`, shape
-    (2, len(patterns), len(X)), is scratch.  Both are allocated when not
-    given.  Rows of another dimension than s are refused.
+    Rows of another dimension than s are refused.
     """
     if X.shape[1] != s.n:
         raise MixedSpacesError(f"rows of dimension {X.shape[1]} do not live in {s}")
-    Q = np.atleast_2d(np.asarray(patterns, dtype=float))
-    if out is None:
-        out = np.empty((len(Q), len(X)))
-    tmp, pos = np.empty((2, *out.shape)) if work is None else work
+    Q = np.asarray(patterns, dtype=float).reshape(len(patterns), s.n)
+    out = np.zeros((len(Q), len(X)))
+    tmp, pos = np.zeros((2, *out.shape))
     # where no face fixes a coordinate (or, on l_inf, none frees it), its
-    # pass would only subtract or add zeros, which changes no bit: skipping
-    # it, and taking one face's rows as 1-D arrays and its signs as floats,
-    # keeps one face as cheap as the two-branch per-face forms
-    D, signs = out, Q.T.tolist()
-    if len(Q) == 1:
-        out, tmp, pos = out[0], tmp[0], pos[0]
-        cols = [c[0] for c in signs]
-    else:
-        cols = Q.T[:, :, None]
-    out.fill(0.0)
+    # pass would only subtract or add zeros, which changes no bit
     if s.p == INF:
-        for x, q, c in zip(X.T, cols, signs):
+        for x, q, c in zip(X.T, Q.T[:, :, None], Q.T.tolist()):
             if any(c):
                 np.abs(np.subtract(x, q, out=tmp), out=tmp)
             else:
@@ -282,16 +286,15 @@ def face_distances(s: SpaceSpec, patterns, X, out=None, work=None) -> np.ndarray
             if not all(c):
                 np.subtract(tmp, 1.0 - abs(q), out=tmp)
             np.maximum(out, tmp, out=out)
-        return D
-    pos.fill(0.0)
-    for x, q, c in zip(X.T, cols, signs):
+        return out
+    for x, q, c in zip(X.T, Q.T[:, :, None], Q.T.tolist()):
         np.add(out, np.abs(x, out=tmp), out=out)
         if any(c):
             # fmax, not maximum: an infinite x_j off the support adds 0, not nan
             np.add(pos, np.fmax(np.multiply(x, q, out=tmp), 0.0, out=tmp), out=pos)
     np.subtract(out, pos, out=out)
     np.add(out, np.abs(np.subtract(pos, 1.0, out=pos), out=pos), out=out)
-    return D
+    return out
 
 
 def face_barycentres(s: SpaceSpec, patterns) -> np.ndarray:

@@ -33,7 +33,13 @@ from bpblab.errors import (
     NotDiscreteError,
     UnsupportedPairError,
 )
-from bpblab.bpbverify import _random_linf_candidates, _sample_buffers, _split_norm_disjunction
+from bpblab.bpbverify import (
+    SWEEP_PAIRS,
+    SweepPair,
+    _random_linf_candidates,
+    _sample_buffers,
+    _split_norm_disjunction,
+)
 from bpblab.operators import attainment_set
 from bpblab.sampling import sphere_grid
 
@@ -512,6 +518,18 @@ class TestSweep:
         for X, Y in ((linf(2), linf(2)), (l2(2), l2(2)), (linf(3), l1(3))):
             with pytest.raises(ValueError, match="seed"):
                 pair_property_sweep(X, Y, [0.2], trials=1, seed=seed)
+
+    def test_constructor_bug_propagates(self, monkeypatch):
+        # only a refusal of the constructor contract (a BpbLabError) is a
+        # counted failure; any other exception is a bug and is raised
+        def broken(T, eps):
+            raise TypeError("a bug in the constructor")
+
+        pair = SWEEP_PAIRS["linf2"]
+        monkeypatch.setitem(SWEEP_PAIRS, "linf2",
+                            SweepPair(pair.domain, pair.codomain, pair.draw, broken))
+        with pytest.raises(TypeError, match="a bug in the constructor"):
+            pair_property_sweep(linf(2), linf(2), [0.2], trials=1, seed=1)
 
     def test_unsupported_pair(self):
         with pytest.raises(UnsupportedPairError):

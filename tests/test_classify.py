@@ -329,6 +329,18 @@ class TestOrbits:
         for B, L, R in list(wit.values())[:10]:
             assert np.abs(L @ A.entries @ R - B).max() < 1e-12
 
+    @pytest.mark.parametrize(
+        "entries, dom, cod, shape",
+        [(np.ones((2, 3)), linf(3), l1(2), "2 x 3"), (np.ones((3, 2)), lp(3, 2), l2(3), "3 x 2")],
+    )
+    def test_non_square_operator_is_refused(self, entries, dom, cod, shape, monkeypatch):
+        def refuse(n):
+            raise AssertionError("the orbit was enumerated before the shape was checked")
+
+        monkeypatch.setattr("bpblab.classify.all_signed_permutations", refuse)
+        with pytest.raises(WrongSpacesError, match=shape):
+            orbit_with_witnesses(operator(entries, dom, cod))
+
     def test_orbit_preserves_norm(self):
         A = operator(
             [[0.5, 0.5, 0.0], [0.5, -0.5, 0.0], [0.0, 0.0, 0.0]], linf(3), l1(3)

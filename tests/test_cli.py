@@ -187,6 +187,12 @@ class TestEnumerationCommands:
         assert code == 0
         assert doc["size"] == 8
 
+    def test_orbit_of_a_non_square_operator_exits_two(self, op_file, capsys):
+        f = op_file("wide.json", [[1, 0, 0], [0, 1, 0]], {"p": "inf", "n": 3}, {"p": 1, "n": 2})
+        assert main(["orbit", "--operator", f, "--no-timestamp"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "2 x 3" in captured.err
+
     def test_epsilon0(self, capsys):
         code, doc = run(capsys, ["epsilon0", "--p", "3", "--no-timestamp"])
         assert code == 0

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -33,12 +34,14 @@ from bpblab.errors import (
     ZeroVectorError,
 )
 from bpblab import spaces
+from bpblab.operators import AttainmentSet
 from bpblab.spaces import (
     as_exponent,
     face_barycentres,
     face_distances,
     lp_circle,
     pnorm,
+    pnorm_into,
     points_distance,
     polyhedral_table,
 )
@@ -75,6 +78,31 @@ class TestNorm:
     def test_zero_iff_zero_vector(self):
         assert norm(point([0.0, 0.0, 0.0], l1(3))) == 0.0
         assert norm(point([0.0, 1e-100], l2(2))) > 0.0
+
+    @pytest.mark.parametrize(
+        "v, p, want",
+        [([0.6, 0.8], 5000, 0.8), ([1e-10, 5e-11], 50, 1e-10 * (1 + 2.0 ** -50) ** (1 / 50)),
+         ([3.0, 4.0], 2000, 4.0), ([0.0, 0.0], 5000, 0.0), ([math.inf, 1.0], 5000, math.inf)],
+    )
+    def test_large_exponent_neither_underflows_nor_overflows(self, v, p, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pnorm(v, p) == pytest.approx(want, rel=1e-12)
+            out = np.empty(1)
+            pnorm_into(np.array(v)[:, None], p, 0, out)
+            assert out[0] == pytest.approx(want, rel=1e-12)
+
+    def test_dual_of_an_exponent_just_above_one(self):
+        # q = 10^20 + 1, so ||.||_q is the sup norm to the last bit here
+        q = lp("1.00000000000000000001", 2).dual().p
+        assert pnorm([0.6, 0.8], q) == 0.8
+
+    def test_operator_norm_at_a_large_exponent_raises_no_warning(self):
+        s = lp(5000, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, _ = op_norm(operator(np.diag([2.0, 1.0]), s, s))
+        assert value == pytest.approx(2.0, rel=1e-12)
 
 
 class TestDuality:
@@ -202,6 +230,11 @@ class TestDistances:
             math.sqrt(2)
         )
 
+    def test_no_faces_lie_at_infinite_distance(self):
+        X = np.eye(2)
+        assert face_distances(linf(2), [], X).shape == (0, 2)
+        assert np.isinf(AttainmentSet("faces", 1.0, linf(2), faces=()).distance_to(X)).all()
+
     def test_point_on_face(self):
         x = point([0.5, 1.0], linf(2))
         assert float(face_distance(Face(linf(2), (0, 1)), x.coords)[0]) == 0.0
@@ -239,7 +272,6 @@ class TestDistances:
         # the whole-array closed forms: clamping for l_inf, and for l_1
         # sum((-y)_+) + |sum(y_+) - 1| + off-support mass, y = q x on the support
         X = np.random.default_rng(2).uniform(-2.0, 2.0, size=(400, space.n))
-        out, work = np.empty((1, len(X))), np.empty((2, 1, len(X)))
         for f in faces(space):
             pat = np.array(f.pattern, dtype=float)
             fixed = pat != 0
@@ -255,8 +287,7 @@ class TestDistances:
                             + np.abs(X[:, ~fixed]).sum(axis=1))
             d = face_distance(f, X)
             assert np.abs(d - expected).max() <= 1e-12
-            assert face_distances(space, [f.pattern], X, out, work) is out
-            assert np.array_equal(out[0], d)
+            assert np.array_equal(face_distances(space, [f.pattern], X)[0], d)
 
 
 class TestSupportFunctionals:
