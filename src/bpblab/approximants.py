@@ -142,7 +142,7 @@ def _rank_one(T: OperatorMatrix, MT: AttainmentSet, eps: float) -> ApproximantRe
         if np.linalg.norm(e - (e @ w) * w / (w @ w)) > TAU_INDEP:
             v = e
             break
-    p = T.codomain.p
+    p = T.codomain.pf
 
     def gap(t):
         u = w + t * v

@@ -54,6 +54,7 @@ from .spaces import (
     _read_only,
     arc_length_constant,
     arc_length_total,
+    code_containment,
     face_distances,
     l1,
     l2,
@@ -61,6 +62,7 @@ from .spaces import (
     pnorm,
     pnorm_into,
     polyhedral_table,
+    sign_codes,
 )
 
 
@@ -137,7 +139,7 @@ def _sample_norms(T: OperatorMatrix, witness: Point, resolution: int):
     row in work[0]."""
     X, images, work, scratch = _sample_buffers(T.domain, resolution, T.codomain.n)
     X[-1] = witness.coords
-    pnorm_into(np.matmul(T.entries, X.T, out=images), T.codomain.p, 0, work[0])
+    pnorm_into(np.matmul(T.entries, X.T, out=images), T.codomain.pf, 0, work[0])
     return X, work, scratch
 
 
@@ -199,8 +201,10 @@ def _descent(M, top: float, eps: float, sample, resolution: int):
     scratch of the sample, never X or work[0].
 
     On a set of faces the grid rows' distance is the least of the faces'
-    cached rows, and only the last row, T's norming vector, is measured
-    per call, by `distance_to`.
+    cached rows.  The last row, T's norming vector, is then op_norm's
+    vertex of the ball, which lies 0.0 from a face that holds it and 2.0
+    from any other, the bits `face_distances` gives in both geometries; one
+    `code_containment` test of its sign code decides which.
     """
     X, work, scratch = sample
     dists = work[1]
@@ -209,7 +213,9 @@ def _descent(M, top: float, eps: float, sample, resolution: int):
         np.copyto(grid, _face_row(M.space, resolution, M.faces[0].pattern))
         for f in M.faces[1:]:
             np.minimum(grid, _face_row(M.space, resolution, f.pattern), out=grid)
-        M.distance_to(X[-1:], out=dists[-1:])
+        vertex = int(sign_codes(M.space, X[-1:])[0])
+        held = any(code_containment(M.space, f.code, vertex) for f in M.faces)
+        dists[-1] = 0.0 if held else 2.0
     else:
         M.distance_to(X, out=dists, work=scratch)
     delta, worst, idx = delta_descent(work[0], dists, top, eps, scratch[0])

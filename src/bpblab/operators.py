@@ -30,6 +30,7 @@ from .spaces import (
     TAU_OPT,
     Point,
     SpaceSpec,
+    code_containment,
     face_barycentres,
     face_containment,
     face_distances,
@@ -106,7 +107,7 @@ class OperatorMatrix:
                 f"sample shape {X.shape} does not fit the {self.entries.shape[0]} x "
                 f"{self.entries.shape[1]} matrix, which needs rows of {self.domain.n} entries"
             )
-        return pnorm(self.entries @ X.T, self.codomain.p, axis=0)
+        return pnorm(self.entries @ X.T, self.codomain.pf, axis=0)
 
     def __add__(self, other):
         self._check_same(other)
@@ -180,7 +181,7 @@ class AttainmentSet:
             out.fill(np.inf)
             for q in self.points:
                 np.subtract(X.T, q[:, None], out=work[:2])
-                np.minimum(out, pnorm_into(work[:2], self.space.p, 0, work[2]), out=out)
+                np.minimum(out, pnorm_into(work[:2], self.space.pf, 0, work[2]), out=out)
         elif self.basis.shape[1] == 0:
             out.fill(np.inf)
         else:
@@ -317,7 +318,7 @@ def _vertex_norms(E: np.ndarray, V: np.ndarray, codomain: SpaceSpec) -> np.ndarr
     a polyhedral unit ball) for a stack E of shape (..., m, n); the result
     has shape (..., rows of V).  The images E V^T, shape (..., m, rows),
     are reduced across their m coordinates."""
-    return pnorm(E @ V.T, codomain.p, axis=-2)
+    return pnorm(E @ V.T, codomain.pf, axis=-2)
 
 
 def op_norm(T: OperatorMatrix) -> tuple[float, Point]:
@@ -395,12 +396,11 @@ def _attaining_faces(E: np.ndarray, values, domain: SpaceSpec, codomain: SpaceSp
 
 def _polyhedral_attainment(T: OperatorMatrix, value: float) -> AttainmentSet:
     table = polyhedral_table(T.domain)
-    hit = np.flatnonzero(_attaining_faces(T.entries, value, T.domain, T.codomain))
-    # distinct patterns, so off the diagonal containment is proper
-    H = table.patterns[hit]
-    inside = face_containment(T.domain, H, H)
-    np.fill_diagonal(inside, False)
-    faces = tuple(table.faces[i] for i in hit[~inside.any(axis=0)])
+    hit = _attaining_faces(T.entries, value, T.domain, T.codomain).nonzero()[0]
+    # a hit face is maximal when the only hit face holding it is itself
+    codes = table.codes[hit]
+    holders = code_containment(T.domain, codes[:, None], codes).sum(axis=0)
+    faces = tuple(table.faces[i] for i in hit[holders == 1].tolist())
     return AttainmentSet("faces", value, T.domain, faces=faces)
 
 

@@ -60,7 +60,11 @@ def exponent_str(p: Exponent) -> str:
 
 @dataclass(frozen=True)
 class SpaceSpec:
-    """A finite-dimensional l_p space: exponent p in [1, inf] and dimension n."""
+    """A finite-dimensional l_p space: exponent p in [1, inf] and dimension n.
+
+    ``pf`` is the exponent as a float (math.inf for the sup norm), converted
+    once; it is not a field, so equality, hashing and repr see (p, n) only.
+    """
 
     p: Exponent
     n: int
@@ -69,11 +73,7 @@ class SpaceSpec:
         object.__setattr__(self, "p", as_exponent(self.p))
         if not (isinstance(self.n, int) and not isinstance(self.n, bool) and self.n >= 1):
             raise UnsupportedSpaceError(f"dimension must be a positive integer, got {self.n}")
-
-    @property
-    def pf(self) -> float:
-        """Exponent as a float (math.inf for the sup norm)."""
-        return float(self.p)
+        object.__setattr__(self, "pf", float(self.p))
 
     @property
     def polyhedral(self) -> bool:
@@ -178,7 +178,7 @@ class Point:
         object.__setattr__(self, "coords", c)
 
     def norm(self) -> float:
-        return float(pnorm(self.coords, self.space.p))
+        return float(pnorm(self.coords, self.space.pf))
 
     def __repr__(self):
         return f"Point({np.array2string(self.coords, precision=6)}, {self.space})"
@@ -209,8 +209,9 @@ class Face:
 
     The sign pattern q in {-1,0,+1}^n encodes, for l_inf, the set
     {x : x_i = q_i where q_i != 0, |x_j| <= 1 elsewhere}; for l_1 it encodes
-    conv{q_i e_i : q_i != 0}.  A value type: the kernels `face_containment`,
-    `face_barycentres` and `face_distances` compute with the patterns.
+    conv{q_i e_i : q_i != 0}.  A value type: the kernels `face_barycentres`
+    and `face_distances` compute with the patterns, and containment is
+    decided on their sign codes (`sign_codes`, `code_containment`).
     """
 
     space: SpaceSpec
@@ -238,26 +239,56 @@ class Face:
         """The sign pattern as a string such as "+0-"."""
         return "".join("+" if v > 0 else "-" if v < 0 else "0" for v in self.pattern)
 
+    @functools.cached_property
+    def code(self) -> int:
+        """The sign code of the pattern (see `sign_codes`)."""
+        return int(sign_codes(self.space, [self.pattern])[0])
+
     def __repr__(self):
         return f"Face({self.space}, {self.signs})"
 
 
+@functools.lru_cache(maxsize=None)
+def _code_bits(n: int) -> np.ndarray:
+    """2^0 .. 2^(2n-1) in the smallest unsigned dtype that holds 2n bits,
+    Python ints past 64 bits."""
+    dtype = np.min_scalar_type((1 << 2 * n) - 1)
+    return _read_only(np.array([1 << k for k in range(2 * n)], dtype))
+
+
+def sign_codes(s: SpaceSpec, rows) -> np.ndarray:
+    """One integer per row q of `rows`, sign patterns or vertices in
+    {-1, 0, 1}^n: bit j is set when q_j = +1 and bit n + j when q_j = -1.
+
+    A face's code is the set of signs it fixes (cube) or spans
+    (cross-polytope), so face containment is a subset test on the codes
+    (`code_containment`).  A vertex is the 0-dimensional face whose
+    pattern is itself.
+    """
+    R = np.asarray(rows).reshape(-1, s.n)
+    bits = _code_bits(s.n)
+    return (R > 0) @ bits[: s.n] + (R < 0) @ bits[s.n:]
+
+
+def code_containment(s: SpaceSpec, big, small):
+    """Whether the face with sign code `small` lies in the face with sign
+    code `big`, not necessarily properly; elementwise, with numpy
+    broadcasting, on codes of `sign_codes` or Python ints.
+
+    The larger cube face fixes a subset of the smaller one's signs,
+    big & ~small == 0; the larger cross-polytope face spans a superset,
+    small & ~big == 0.
+    """
+    if s.pf == INF:
+        return (big & ~small) == 0
+    return (small & ~big) == 0
+
+
 def face_containment(s: SpaceSpec, big, small) -> np.ndarray:
     """C[i, j]: whether the face with sign pattern small[j] is a (not
-    necessarily proper) subface of the face with sign pattern big[i].
-
-    A cube face is fixed by its nonzero signs, so the larger face fixes a
-    subset of them; a cross-polytope face is spanned by its nonzero signs,
-    so the larger face spans a superset.
-    """
-    big, small = np.atleast_2d(big), np.atleast_2d(small)
-    C = np.ones((len(big), len(small)), dtype=bool)
-    # one coordinate at a time keeps the working memory at one matrix
-    for b, q in zip(big.T, small.T):
-        b, q = b[:, None], q[None, :]
-        free = b == 0 if s.p == INF else q == 0
-        C &= free | (b == q)
-    return C
+    necessarily proper) subface of the face with sign pattern big[i];
+    `code_containment` on the rows' sign codes."""
+    return code_containment(s, sign_codes(s, big)[:, None], sign_codes(s, small)[None, :])
 
 
 def face_distances(s: SpaceSpec, patterns, X) -> np.ndarray:
@@ -329,10 +360,11 @@ class PolyhedralTable:
     roles.  ``patterns`` holds the sign patterns of the proper faces in
     ``itertools.product((-1, 0, 1))`` order, one row each, and
     ``barycentres`` their barycentres; the face kernels take these rows.
-    ``faces`` holds one `Face` per row, the objects every faces
-    `AttainmentSet` of the space shares.  The face fields are built on
-    first use.  Either raises OutOfRangeError, before enumerating, when it
-    would hold more than ENUMERATION_LIMIT rows.
+    ``codes`` holds their `sign_codes`, one int each, for
+    `code_containment`.  ``faces`` holds one `Face` per row, the objects
+    every faces `AttainmentSet` of the space shares.  The face fields are
+    built on first use.  Either raises OutOfRangeError, before
+    enumerating, when it would hold more than ENUMERATION_LIMIT rows.
     """
 
     def __init__(self, space: SpaceSpec):
@@ -360,6 +392,10 @@ class PolyhedralTable:
     @functools.cached_property
     def barycentres(self) -> np.ndarray:
         return _read_only(face_barycentres(self.space, self.patterns))
+
+    @functools.cached_property
+    def codes(self) -> np.ndarray:
+        return _read_only(sign_codes(self.space, self.patterns))
 
 
 @functools.lru_cache(maxsize=32)

@@ -868,7 +868,7 @@ def test_face_distances_match_the_per_face_loop(s):
         for f, row in zip(polyhedral_table(s).faces, D):
             want = _bits(loop_face_distance(f, X))
             assert np.array_equal(_bits(row), want), (s, f)
-            # one face at a time, as AttainmentSet.distance_to calls it
+            # one face at a time, as `bpbverify._face_row` calls it
             assert np.array_equal(_bits(face_distances(s, [f.pattern], X)[0]), want), (s, f)
     # rows of another dimension: the per-face loop raised IndexError or
     # ignored the extra coordinates
