@@ -3,9 +3,9 @@
 Building blocks: l_p space primitives and polyhedral face lattices
 (`spaces`), operators with exact attainment sets (`operators`), extremality
 and isometry classification (`classify`), explicit attainment-preserving
-approximant constructors (`approximants`), and a sampling-based certificate
-engine (`bpbverify`).  The `bpblab` console script exposes all of it as JSON
-subcommands.
+approximant constructors (`approximants`), and a certificate engine, exact
+on polyhedral domains (`bpbverify`).  The `bpblab` console script exposes
+all of it as JSON subcommands.
 """
 
 from .approximants import (

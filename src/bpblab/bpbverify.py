@@ -1,7 +1,7 @@
 """Certificate engine for attainment-aware approximation.
 
-Verifies or falsifies, at a stated sampling resolution, that every
-near-norming point of T lies within eps of a norming point of A; computes
+Verifies or falsifies that every near-norming point of T lies within eps
+of a norming point of A (exactly on l_1^n and l_inf^n); computes
 isolation witnesses, the rigidity constant for 2-D l_p spaces, Hilbert
 necessary-condition reports, and pair-level sweeps.
 """
@@ -12,7 +12,7 @@ import math
 import numbers
 import threading
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,6 +29,7 @@ from .errors import (
 )
 from .operators import (
     TAU_ANGLE,
+    TAU_CORNER,
     TAU_SAME,
     TAU_VANISH,
     OperatorMatrix,
@@ -42,7 +43,7 @@ from .operators import (
     require_norm_one,
     restricted_norm,
 )
-from .sampling import sphere_grid
+from .sampling import corner_points, sphere_grid
 from .spaces import (
     ARC_TABLE_SIZE,
     INF,
@@ -51,10 +52,8 @@ from .spaces import (
     _arc_table,
     _arc_table_rows,
     _interp_on_curve,
-    _read_only,
     arc_length_constant,
     arc_length_total,
-    code_containment,
     face_distances,
     l1,
     l2,
@@ -62,11 +61,10 @@ from .spaces import (
     pnorm,
     pnorm_into,
     polyhedral_table,
-    sign_codes,
 )
 
 
-DEFAULT_RESOLUTION = 4096  # the sphere-grid sample of a certificate by default
+DEFAULT_RESOLUTION = 4096  # a certificate's sphere-grid sample off l_1^n and l_inf^n
 
 _scratch = threading.local()
 _SAMPLE_BUFFERS_KEPT = 8
@@ -101,23 +99,10 @@ def _sample_buffers(space: SpaceSpec, resolution: int, cols: int):
     return buffers[key]
 
 
-# At most this many face rows are cached, each 8 bytes per grid row; the
-# polyhedral grids at resolution 16384 have at most 16,386 rows, so 64 of
-# their face rows hold 8.4 MB.
-_FACE_ROWS_KEPT = 64
-
-
-@lru_cache(maxsize=_FACE_ROWS_KEPT)
-def _face_row(space: SpaceSpec, resolution: int, pattern: tuple) -> np.ndarray:
-    """The read-only distances from the rows of sphere_grid(space,
-    resolution) to the face with sign pattern `pattern`, shared by every
-    thread.  Like the grid, they depend on neither T nor A."""
-    return _read_only(face_distances(space, [pattern], sphere_grid(space, resolution))[0])
-
-
 @dataclass(frozen=True)
 class BpbCertificate:
-    """Sampling-relative verdict for an approximation triple (T, A, eps)."""
+    """Verdict for an approximation triple (T, A, eps): `basis` "exact" on
+    l_1^n and l_inf^n, where `resolution` has no effect, else "sampled"."""
 
     status: str  # "certified", "falsified"
     eps: float
@@ -126,6 +111,7 @@ class BpbCertificate:
     worst_distance: float
     counterexample: Optional[Point]
     operator_distance: float
+    basis: str = "sampled"
 
     @property
     def certified(self) -> bool:
@@ -194,41 +180,45 @@ def delta_descent(norms, dists, top: float, eps: float, scratch: np.ndarray):
     return delta, float(above.max()), None
 
 
-def _descent(M, top: float, eps: float, sample, resolution: int):
-    """delta_descent of the T-side `sample` at `resolution`, whose image
-    norms peak at `top`, against the attainment set M: (delta, worst
-    distance, counterexample Point or None).  Overwrites work[1] and the
-    scratch of the sample, never X or work[0].
+def _sample(T: OperatorMatrix, witness: Optional[Point], eps: float, resolution: int):
+    """The T side of the inclusion test, (X, image norms, distance row,
+    scratch (3, rows)): on l_1^n and l_inf^n X is the corner set, which
+    holds every vertex; elsewhere this thread's sphere grid at `resolution`
+    with T's norming vector `witness` last."""
+    if T.domain.polyhedral:
+        X = corner_points(T.domain, eps)
+        return X, T.image_norms(X), np.empty(len(X)), np.empty((3, len(X)))
+    X, work, scratch = _sample_norms(T, witness, resolution)
+    return X, work[0], work[1], scratch
 
-    On a set of faces the grid rows' distance is the least of the faces'
-    cached rows.  The last row, T's norming vector, is then op_norm's
-    vertex of the ball, which lies 0.0 from a face that holds it and 2.0
-    from any other, the bits `face_distances` gives in both geometries; one
-    `code_containment` test of its sign code decides which.
+
+def _far_from(eps: float) -> float:
+    """The least corner distance read as eps: eps - TAU_CORNER, above 0."""
+    return max(eps - TAU_CORNER, math.ulp(0.0))
+
+
+def _descent(M, top: float, eps: float, sample):
+    """delta_descent of the T-side `sample`, whose image norms peak at
+    `top`, against the attainment set M: (delta, worst distance,
+    counterexample Point or None).  A corner at exactly eps may compute
+    just below it, so a corner distance from `_far_from(eps)` up is eps.
     """
-    X, work, scratch = sample
-    dists = work[1]
-    if M.faces:
-        grid = dists[:-1]
-        np.copyto(grid, _face_row(M.space, resolution, M.faces[0].pattern))
-        for f in M.faces[1:]:
-            np.minimum(grid, _face_row(M.space, resolution, f.pattern), out=grid)
-        vertex = int(sign_codes(M.space, X[-1:])[0])
-        held = any(code_containment(M.space, f.code, vertex) for f in M.faces)
-        dists[-1] = 0.0 if held else 2.0
-    else:
-        M.distance_to(X, out=dists, work=scratch)
-    delta, worst, idx = delta_descent(work[0], dists, top, eps, scratch[0])
+    X, norms, dists, scratch = sample
+    M.distance_to(X, out=dists, work=scratch)
+    if M.space.polyhedral:
+        np.copyto(dists, eps, where=(dists < eps) & (dists >= _far_from(eps)))
+    delta, worst, idx = delta_descent(norms, dists, top, eps, scratch[0])
     return delta, worst, None if idx is None else Point(X[idx], M.space)
 
 
 def _inclusion_certificate(MA, dist: float, eps: float, resolution: int, sample) -> BpbCertificate:
     """The A side of the inclusion test: the delta descent of the T-side
-    `sample` against the attainment set MA of A; `dist` is ||T - A||,
-    below eps."""
-    delta, worst, z = _descent(MA, 1.0, eps, sample, resolution)
+    `sample` against the attainment set MA of A, when `dist`, ||T - A||,
+    is below eps; else falsified with no descent."""
+    delta, worst, z = _descent(MA, 1.0, eps, sample) if dist < eps else (None, math.inf, None)
     status = "falsified" if delta is None else "certified"
-    return BpbCertificate(status, eps, delta, resolution, worst, z, dist)
+    basis = "exact" if MA.space.polyhedral else "sampled"
+    return BpbCertificate(status, eps, delta, resolution, worst, z, dist, basis)
 
 
 @dataclass(frozen=True)
@@ -244,32 +234,31 @@ class DeltaSearch:
 def delta_for_epsilon(
     T: OperatorMatrix, eps: float, resolution: int = DEFAULT_RESOLUTION
 ) -> DeltaSearch:
-    """Largest grid delta with sampled M_T(delta) inside eps-balls of M_T.
+    """Largest grid delta with M_T(delta) inside eps-balls of M_T.
 
     The delta grid is geometric, ||T||*2^-k down to ||T||*DELTA_LAST, and
-    the sample is that of `verify_uniform_bpb`: the sphere grid plus a
-    norming vector of T, a point of M_T.  On failure the counterexample is the sample
+    the sample is that of `verify_uniform_bpb`, with a point of M_T off
+    l_1^n and l_inf^n.  On failure the counterexample is the sample
     farthest from M_T among those with ||Tz|| > ||T||(1 - DELTA_LAST); it
-    lies at least eps from M_T.  The certificate is valid at the stated
-    sampling resolution only.  eps must be finite and positive.
+    lies at least eps from M_T.  eps must be finite and positive.
     """
     apx._check_eps(eps, hi=math.inf)
     M = attainment_set(T)
-    # a point of M_T: op_norm's vertex on a polyhedral domain, else a row
-    # of the set, so no second l_p^2 search or SVD runs
-    witness = op_norm(T)[1] if T.domain.polyhedral else Point(M.representative_points()[0], T.domain)
-    delta, _, z = _descent(M, M.value, eps, _sample_norms(T, witness, resolution), resolution)
+    # off polyhedral domains a row of the set, so no second l_p^2 search or SVD runs
+    witness = None if T.domain.polyhedral else Point(M.representative_points()[0], T.domain)
+    delta, _, z = _descent(M, M.value, eps, _sample(T, witness, eps, resolution))
     return DeltaSearch(delta is not None, delta, z, resolution)
 
 
 def verify_uniform_bpb(
     T: OperatorMatrix, A: OperatorMatrix, eps: float, resolution: int = DEFAULT_RESOLUTION
 ) -> BpbCertificate:
-    """Certify or falsify the uniform inclusion property at a resolution.
+    """Certify or falsify the uniform inclusion property.
 
     Requires ||T-A|| < eps; then descends a geometric delta grid looking for
     the largest delta such that every sampled z with ||Tz|| > 1 - delta lies
-    within eps of the attainment set of A.  The sample is the sphere grid
+    within eps of the attainment set of A.  The sample is the corner set on
+    l_1^n and l_inf^n, which makes the verdict exact, else the sphere grid
     at `resolution` plus the norming vector of T, so no delta is certified
     on an empty set.  eps must be finite and positive.
     """
@@ -277,9 +266,7 @@ def verify_uniform_bpb(
     _, witness = require_norm_one(T, "T")
     MA = norm_one_attainment_set(A, "A")
     dist, _ = op_norm(T - A)
-    if dist >= eps:
-        return BpbCertificate("falsified", eps, None, resolution, math.inf, None, dist)
-    return _inclusion_certificate(MA, dist, eps, resolution, _sample_norms(T, witness, resolution))
+    return _inclusion_certificate(MA, dist, eps, resolution, _sample(T, witness, eps, resolution))
 
 
 @dataclass(frozen=True)
@@ -337,18 +324,18 @@ def _polyhedral_screen(C: np.ndarray, dom: SpaceSpec, cod: SpaceSpec, sample, ep
 
     A attains on the faces `_attaining_faces` names, as in
     `attainment_set`.  A face is no farther from a point than its
-    subfaces, so a row lies below eps of M_A iff it lies below eps of one
-    of these faces, maximal or not: one table of row-to-face distances over
-    the faces some candidate attains on gives each candidate's g, the
-    largest image norm among the rows not below eps, and A certifies iff
-    g passes some level of the delta grid, g <= 1 - DELTA_LAST.
+    subfaces, so a row lies near M_A iff it lies near one of these faces,
+    maximal or not: one table of row-to-face distances over the faces
+    some candidate attains on gives each candidate's g, the largest image
+    norm among the rows not near, and A certifies iff g passes some level
+    of the delta grid, g <= 1 - DELTA_LAST.
     """
-    X, work, _ = sample
+    X, norms = sample[:2]
     values = op_norms(C, dom, cod)
     hit = _attaining_faces(C, values, dom, cod)
     used = np.flatnonzero(hit.any(axis=0))
-    near = face_distances(dom, polyhedral_table(dom).patterns[used], X) < eps
-    g = np.where(hit[:, used] @ near, -np.inf, work[0]).max(axis=1)
+    near = face_distances(dom, polyhedral_table(dom).patterns[used], X) < _far_from(eps)
+    g = np.where(hit[:, used] @ near, -np.inf, norms).max(axis=1)
     return values, g <= 1.0 - DELTA_LAST
 
 
@@ -382,7 +369,7 @@ def is_only_approximation(
     dom, cod = T.domain, T.codomain
     block = TRIAL_BLOCK if dom.polyhedral or (dom.hilbert and cod.hilbert) else 1
     rng = np.random.default_rng(seed)
-    sample = _sample_norms(T, witness, resolution)
+    sample = _sample(T, witness, eps, resolution)
     for start in range(0, trials, block):
         D = rng.standard_normal((min(block, trials - start), *T.entries.shape))
         cands, dists, found = _halving_search(T, D, eps)

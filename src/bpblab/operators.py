@@ -68,6 +68,8 @@ TAU_UNIT = 1e-9    # largest | ||x|| - 1 | of an input vector or functional take
                    # as a unit one
 TAU_CLOSE = 1e-12  # largest entry gap at which close_to reads two operators
                    # between the same spaces as equal
+TAU_CORNER = 1e-15  # largest rounding (a few ulps of 1) below eps of a positive
+                    # corner distance still read as eps; that only adds far points
 
 LP2_SEARCH_POINTS = 4096  # equispaced parameters of [0, pi) in the l_p^2 maximum search
 

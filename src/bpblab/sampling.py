@@ -1,13 +1,14 @@
-"""Deterministic unit-sphere sample grids for the supported spaces."""
+"""Deterministic unit-sphere samples: grids, and the polyhedral corner sets."""
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
 from .errors import UnsupportedSpaceError
-from .spaces import INF, SpaceSpec, pnorm
+from .spaces import INF, SpaceSpec, _check_table_size, _read_only, pnorm
 
 
 @functools.lru_cache(maxsize=64)
@@ -90,3 +91,42 @@ def _l1_grid(n: int, resolution: int) -> np.ndarray:
         return x / k
     lam = np.linspace(0.0, 1.0, k + 1)[np.abs(x[:, 0])]
     return np.column_stack([np.copysign(lam, x[:, 0]), np.copysign(1.0 - lam, x[:, 1])])
+
+
+@functools.lru_cache(maxsize=64)
+def corner_points(space: SpaceSpec, eps: float) -> np.ndarray:
+    """A finite subset of S_X that holds, for every operator T and union M
+    of faces of the ball, a maximiser of ||Tz|| over the z in S_X with
+    d(z, M) >= eps: one cached read-only array per (space, eps).  eps is
+    read in [2^-52, 2]: at 2 the set is the vertices, which lie at most 2
+    from any face; below 2^-52, where 1 - eps/2 rounds to 1, the points
+    2^-52 from the faces stand in, which moves g by rounding-size amounts.
+
+    ||T.|| is convex, so on each polytope below it peaks at a vertex.
+    - l_inf^n: {+-1, +-(1 - eps)}^n with some coordinate +-1 (56 points on
+      n = 3; past ENUMERATION_LIMIT, OutOfRangeError names n).  On the facet
+      z_k = s, d(z, f) for a cube face f is the largest 1 - f_j z_j over the
+      j != k f fixes (or 0 or 2 from k), so {d(z, M) >= eps} is a union of
+      boxes with faces at +-1 and +-(1 - eps).
+    - l_1^n, n <= 3: s o t, s a sign vector and t in the simplex with
+      n - 1 of the t_i in {0, eps/2, 1 - eps/2}, 78 points on n = 3.  On the
+      facet of s, d(z, f) = 2 (1 - P), P the sum of the t_j whose sign f
+      spans, so d(z, f) >= eps cuts t_i <= 1 - eps/2 or t_i >= eps/2, or
+      nothing.  n >= 4 is refused, as in sphere_grid.
+    """
+    n, e = space.n, min(max(float(eps), 2.0 ** -52), 2.0)
+    if space.p == INF:
+        _check_table_size(n, 4 ** n, "corner candidates")
+        axis = np.unique([-1.0, e - 1.0, 1.0 - e, 1.0])
+        Z = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
+        Z = Z[(np.abs(Z) == 1.0).any(axis=1)]
+    elif n >= 4:
+        raise UnsupportedSpaceError(f"no corner set for {space}: n <= 3 off l_inf")
+    else:
+        head = np.array(list(itertools.product((0.0, e / 2.0, 1.0 - e / 2.0), repeat=n - 1)))
+        t = np.column_stack([head, 1.0 - head.sum(axis=1)])
+        t = np.concatenate([np.roll(t[t[:, -1] >= 0.0], k, axis=1) for k in range(n)])
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+        # + 0.0 turns the -0.0 of a flipped zero into 0.0, so np.unique merges them
+        Z = np.unique((t[:, None, :] * signs).reshape(-1, n) + 0.0, axis=0)
+    return _read_only(Z)

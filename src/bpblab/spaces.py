@@ -62,8 +62,9 @@ def exponent_str(p: Exponent) -> str:
 class SpaceSpec:
     """A finite-dimensional l_p space: exponent p in [1, inf] and dimension n.
 
-    ``pf`` is the exponent as a float (math.inf for the sup norm), converted
-    once; it is not a field, so equality, hashing and repr see (p, n) only.
+    ``pf`` (p as a float), the flags (from the exact p: 1 + 1e-20 has pf
+    1.0) and the hash of (p, n) are set once; none is a field, so equality,
+    repr and JSON see (p, n) only.
     """
 
     p: Exponent
@@ -74,18 +75,13 @@ class SpaceSpec:
         if not (isinstance(self.n, int) and not isinstance(self.n, bool) and self.n >= 1):
             raise UnsupportedSpaceError(f"dimension must be a positive integer, got {self.n}")
         object.__setattr__(self, "pf", float(self.p))
+        object.__setattr__(self, "polyhedral", self.p == 1 or self.p == INF)
+        object.__setattr__(self, "strictly_convex", 1 < self.p < INF)
+        object.__setattr__(self, "hilbert", self.p == 2)
+        object.__setattr__(self, "_hash", hash((self.p, self.n)))
 
-    @property
-    def polyhedral(self) -> bool:
-        return self.p == 1 or self.p == INF
-
-    @property
-    def strictly_convex(self) -> bool:
-        return 1 < self.p < INF
-
-    @property
-    def hilbert(self) -> bool:
-        return self.p == 2
+    def __hash__(self):
+        return self._hash
 
     def dual(self) -> "SpaceSpec":
         """Conjugate-exponent space: 1/p + 1/q = 1, with 1 <-> inf."""
@@ -238,11 +234,6 @@ class Face:
     def signs(self) -> str:
         """The sign pattern as a string such as "+0-"."""
         return "".join("+" if v > 0 else "-" if v < 0 else "0" for v in self.pattern)
-
-    @functools.cached_property
-    def code(self) -> int:
-        """The sign code of the pattern (see `sign_codes`)."""
-        return int(sign_codes(self.space, [self.pattern])[0])
 
     def __repr__(self):
         return f"Face({self.space}, {self.signs})"

@@ -102,9 +102,10 @@ class TestVerifyUniformBpb:
         assert abs(cert.counterexample.coords[1]) == pytest.approx(1.0)
 
     def test_polyhedral_verify_reuses_its_grid_arrays(self):
-        # every array over the 16384-point grid is 0.1-0.4 MB; after the
-        # first call none of them is allocated again, on a polyhedral
-        # domain (face distances) or a Euclidean one (subspace distances)
+        # a repeated certificate allocates little: on a polyhedral domain
+        # the cached corner set and distances over M_A's maximal faces only,
+        # on a Euclidean one none of the 0.1-0.4 MB arrays over the
+        # 16384-point grid again (subspace distances)
         s, h = l1(3), l2(3)
         L = operator(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]).T, s, s)
         H = operator(np.diag([1.0, 1.0, 0.5]), h, h)
@@ -119,14 +120,14 @@ class TestVerifyUniformBpb:
                 tracemalloc.stop()
             assert again == first and first.certified
             assert peak < 64 * 1024, T.domain
-            # the distance kernels read the sample a column at a time, and
-            # the image norms reduce across contiguous coordinate rows
-            X, images, _, _ = _sample_buffers(T.domain, 16384, T.codomain.n)
-            assert X.flags.f_contiguous
-            assert images.flags.c_contiguous and images.shape == (T.codomain.n, len(X))
+        # the distance kernels read the grid a column at a time, and the
+        # image norms reduce across contiguous coordinate rows
+        X, images, _, _ = _sample_buffers(h, 16384, h.n)
+        assert X.flags.f_contiguous
+        assert images.flags.c_contiguous and images.shape == (h.n, len(X))
 
     def test_threads_do_not_share_grid_arrays(self):
-        # l_inf^3 and l_1^3 sets share the cached face rows of their grids
+        # l_inf^3 and l_1^3 certificates share the cached corner sets
         cases = []
         for cols in ((0, 0, 2), (1, 1, 0), (0, 2, 2), (2, 1, 2)):
             T = operator(np.eye(3)[list(cols)], linf(3), linf(3))

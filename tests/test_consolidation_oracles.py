@@ -9,10 +9,15 @@ descent written inline in `verify_uniform_bpb` and `delta_for_epsilon` and
 its level-by-level loop, the one-trial-at-a-time search of
 `is_only_approximation`, the vertex loops of `extreme_points`, the facet
 loop of `property_p_witness`, the per-face closed forms of the face
-distance, and the certificate's descent with its faces measured one
-`distance_to` pass per face and its two masked maxima.
+distance, the certificate's descent with its faces measured one
+`distance_to` pass per face and its two masked maxima, and the polyhedral
+certificate on the sphere grid that the exact corner certificate replaced:
+cached per-face grid rows, T's norming vertex as the last row, and the
+rigidity screen over the grid.  The exact delta is never above the
+sampled one, as the corners' g is never below the grid's.
 """
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -45,32 +50,41 @@ from bpblab import operators
 from bpblab.bpbverify import (
     DELTA_LAST,
     SWEEP_PAIRS,
-    _face_row,
+    BpbCertificate,
+    DeltaSearch,
+    _far_from,
     _halving_search,
     _inclusion_certificate,
     _polyhedral_screen,
+    _sample,
     _sample_buffers,
     _sample_norms,
     delta_descent,
 )
-from bpblab.errors import MixedSpacesError, NormNotOneError
+from bpblab.errors import MixedSpacesError, NormNotOneError, OutOfRangeError, UnsupportedSpaceError
 from bpblab.operators import (
     LP2_SEARCH_POINTS,
+    TAU_CORNER,
     OperatorMatrix,
+    _attaining_faces,
     _lp2_local_maxima,
     norm_one_attainment_set,
+    op_norms,
     require_norm_one,
 )
-from bpblab.sampling import sphere_grid
+from bpblab.sampling import corner_points, sphere_grid
 from bpblab.spaces import (
     INF,
     TAU_EQ,
     TAU_OPT,
+    Point,
+    code_containment,
     face_distances,
     lp_circle,
     pnorm,
     pnorm_into,
     polyhedral_table,
+    sign_codes,
 )
 
 
@@ -326,6 +340,83 @@ def inline_delta_search(T, eps, resolution):
             return True, delta
         delta /= 2.0
     return False, None
+
+
+@functools.lru_cache(maxsize=64)
+def grid_face_row(space, resolution, pattern):
+    """The distances from the rows of sphere_grid(space, resolution) to the
+    face with sign pattern `pattern`, cached: they depend on neither T nor A."""
+    return face_distances(space, [pattern], sphere_grid(space, resolution))[0]
+
+
+def grid_descent(M, top, eps, sample, resolution):
+    """The faces branch of the certificate's descent on the grid sample of
+    `_sample_norms` (X, work, scratch), whose last row is op_norm's vertex:
+    the grid rows' distances are the least of M's cached face rows, and the
+    vertex lies 0.0 from a face whose sign code holds it and 2.0 from any
+    other.  (delta, worst distance, counterexample Point or None)."""
+    X, work, scratch = sample
+    dists = work[1]
+    grid = dists[:-1]
+    np.copyto(grid, grid_face_row(M.space, resolution, M.faces[0].pattern))
+    for f in M.faces[1:]:
+        np.minimum(grid, grid_face_row(M.space, resolution, f.pattern), out=grid)
+    codes = sign_codes(M.space, [f.pattern for f in M.faces])
+    held = code_containment(M.space, codes, sign_codes(M.space, X[-1:])[0]).any()
+    dists[-1] = 0.0 if held else 2.0
+    delta, worst, idx = delta_descent(work[0], dists, top, eps, scratch[0])
+    return delta, worst, None if idx is None else Point(X[idx], M.space)
+
+
+def grid_verify(T, A, eps, resolution):
+    """verify_uniform_bpb on the sphere grid at `resolution`: the grid
+    descent on polyhedral domains, the library's own sampled certificate
+    elsewhere."""
+    if not T.domain.polyhedral:
+        return verify_uniform_bpb(T, A, eps, resolution=resolution)
+    _, witness = require_norm_one(T, "T")
+    MA = norm_one_attainment_set(A, "A")
+    dist, _ = op_norm(T - A)
+    if dist >= eps:
+        return BpbCertificate("falsified", eps, None, resolution, math.inf, None, dist)
+    delta, worst, z = grid_descent(MA, 1.0, eps, _sample_norms(T, witness, resolution), resolution)
+    status = "falsified" if delta is None else "certified"
+    return BpbCertificate(status, eps, delta, resolution, worst, z, dist)
+
+
+def grid_delta_search(T, eps, resolution):
+    """delta_for_epsilon on the sphere grid, as `grid_verify`."""
+    if not T.domain.polyhedral:
+        return delta_for_epsilon(T, eps, resolution=resolution)
+    M = attainment_set(T)
+    sample = _sample_norms(T, op_norm(T)[1], resolution)
+    delta, _, z = grid_descent(M, M.value, eps, sample, resolution)
+    return DeltaSearch(delta is not None, delta, z, resolution)
+
+
+def grid_screen(C, dom, cod, sample, eps):
+    """The rigidity screen on the grid sample of `_sample_norms`: ||A|| of
+    every candidate, and whether its grid certificate certifies."""
+    X, work, _ = sample
+    values = op_norms(C, dom, cod)
+    hit = _attaining_faces(C, values, dom, cod)
+    used = np.flatnonzero(hit.any(axis=0))
+    near = face_distances(dom, polyhedral_table(dom).patterns[used], X) < eps
+    g = np.where(hit[:, used] @ near, -np.inf, work[0]).max(axis=1)
+    return values, g <= 1.0 - DELTA_LAST
+
+
+def _delta(result):
+    """The delta of a certificate or a delta search, 0 when it failed."""
+    delta = result.delta_found if isinstance(result, BpbCertificate) else result.delta
+    return delta or 0.0
+
+
+def assert_exact_within_sampled(exact, sampled):
+    """The exact delta is at most the grid's; an exact certificate says so."""
+    assert _delta(exact) <= _delta(sampled), (exact, sampled)
+    if isinstance(exact, BpbCertificate):
+        assert (exact.basis, sampled.basis) == ("exact", "sampled")
 
 
 def loop_extreme_points(s):
@@ -607,7 +698,9 @@ def test_delta_descent_gives_the_inline_certificates(triples):
         for eps in (0.15, 0.4, 1.2):
             resolution = (256, 1024)[k % 2]
             want = inline_verify(T, A, eps, resolution)
-            cert = verify_uniform_bpb(T, A, eps, resolution=resolution)
+            cert = grid_verify(T, A, eps, resolution)
+            if T.domain.polyhedral:
+                assert_exact_within_sampled(verify_uniform_bpb(T, A, eps, resolution=resolution), cert)
             z = None if cert.counterexample is None else cert.counterexample.coords
             got = (cert.status, cert.eps, cert.delta_found, cert.resolution,
                    cert.worst_distance, z, cert.operator_distance)
@@ -631,18 +724,26 @@ def test_delta_for_epsilon_keeps_its_delta_and_takes_the_floor_counterexample():
     outcomes = set()
     for T, eps in cases:
         ok, delta = inline_delta_search(T, eps, 1024)
-        res = delta_for_epsilon(T, eps, resolution=1024)
+        res = grid_delta_search(T, eps, 1024)
         assert (res.succeeded, res.delta) == (ok, delta)
         outcomes.add(ok)
-        if ok:
-            continue
+        M = attainment_set(T)
+        exact = delta_for_epsilon(T, eps, resolution=1024)
+        if T.domain.polyhedral:
+            assert_exact_within_sampled(exact, res)
         # the counterexample is the farthest sample with
         # ||Tz|| > ||T||(1 - DELTA_LAST), and it lies at least eps from M_T
-        M = attainment_set(T)
+        floor = M.value - DELTA_LAST * M.value
+        if not exact.succeeded:
+            z = exact.counterexample.coords
+            assert float(T.image_norms(z[None, :])[0]) > floor
+            assert float(M.distance_to(z[None, :])[0]) >= eps - TAU_CORNER
+        if ok:
+            continue
         X = sphere_grid(T.domain, 1024)
-        near = T.image_norms(X) > M.value - DELTA_LAST * M.value
+        near = T.image_norms(X) > floor
         z = res.counterexample.coords
-        assert float(T.image_norms(z[None, :])[0]) > M.value - DELTA_LAST * M.value
+        assert float(T.image_norms(z[None, :])[0]) > floor
         assert float(M.distance_to(z[None, :])[0]) == M.distance_to(X[near]).max() >= eps
     assert outcomes == {True, False}
 
@@ -801,21 +902,30 @@ def test_lockstep_search_raises_at_the_trial_the_sequential_loop_does(monkeypatc
 
 def test_polyhedral_screen_decides_each_candidate_as_its_certificate():
     # the search builds a certificate only where the screen passes, so a
-    # screen that passed too much would go unseen by the comparison above
+    # screen that passed too much would go unseen by the comparison above;
+    # the grid screen decides as the grid certificate, and passes every
+    # candidate that the corner screen passes
     outcomes = set()
     for T, eps, trials, seed, resolution in _rigidity_cases():
         if not T.domain.polyhedral:
             continue
         D = np.random.default_rng(seed).standard_normal((trials, *T.entries.shape))
         cands, dists, found = _halving_search(T, D, eps)
-        sample = _sample_norms(T, require_norm_one(T)[1], resolution)
+        witness = require_norm_one(T)[1]
+        sample = _sample(T, witness, eps, resolution)
         values, certifies = _polyhedral_screen(cands[found], T.domain, T.codomain, sample, eps)
-        for C, d, value, passes in zip(cands[found], dists[found], values, certifies):
+        grid = _sample_norms(T, witness, resolution)
+        grid_values, grid_certifies = grid_screen(cands[found], T.domain, T.codomain, grid, eps)
+        assert np.array_equal(values, grid_values)
+        for C, d, value, passes, grid_passes in zip(cands[found], dists[found], values, certifies,
+                                                    grid_certifies):
             A = OperatorMatrix(C, T.domain, T.codomain)
             MA = norm_one_attainment_set(A, "A")
             assert value == MA.value
             cert = _inclusion_certificate(MA, float(d), eps, resolution, sample)
             assert passes == cert.certified, (T, eps)
+            assert grid_passes == (grid_descent(MA, 1.0, eps, grid, resolution)[0] is not None)
+            assert grid_passes or not passes, (T, eps)
             outcomes.add(passes)
     assert outcomes == {True, False}
 
@@ -847,13 +957,15 @@ def test_faces_sets_share_the_table_faces():
 
 
 def _face_samples(s):
-    """Sphere grids at 256 and 16384, and off-sphere points: Gaussian rows,
-    small integers and rows with exact zeros."""
+    """Sphere grids at 256 and 16384, the corner sets at eps 0.05, 0.3 and
+    1, and off-sphere points: Gaussian rows, small integers and rows with
+    exact zeros."""
     rng = np.random.default_rng(31)
     G = rng.standard_normal((400, s.n)) * rng.uniform(0.0, 3.0, (400, 1))
     G[::3] = np.round(G[::3])
     G[1::5, 0] = 0.0
-    return [sphere_grid(s, 256), sphere_grid(s, 16384), G]
+    corners = np.concatenate([corner_points(s, eps) for eps in (0.05, 0.3, 1.0)])
+    return [sphere_grid(s, 256), sphere_grid(s, 16384), corners, G]
 
 
 def _bits(a):
@@ -868,7 +980,7 @@ def test_face_distances_match_the_per_face_loop(s):
         for f, row in zip(polyhedral_table(s).faces, D):
             want = _bits(loop_face_distance(f, X))
             assert np.array_equal(_bits(row), want), (s, f)
-            # one face at a time, as `bpbverify._face_row` calls it
+            # one face at a time, as the grid oracle's face rows call it
             assert np.array_equal(_bits(face_distances(s, [f.pattern], X)[0]), want), (s, f)
     # rows of another dimension: the per-face loop raised IndexError or
     # ignored the extra coordinates
@@ -898,14 +1010,15 @@ def test_every_attaining_face_gives_the_attainment_distance():
             MA = attainment_set(A)
             hit = A.image_norms(table.barycentres) >= MA.value * (1.0 - TAU_EQ)
             sizes.add(int(hit.sum()) > len(MA.faces))
-            for X in samples[:2]:
+            for X in samples[:3]:
                 got = face_distances(dom, table.patterns[hit], X).min(axis=0)
                 assert np.array_equal(_bits(got), _bits(MA.distance_to(X))), (A, len(X))
     assert sizes == {True, False}
 
 
 # ---------------------------------------------------------------------------
-# The certificate's descent: cached face rows and the branch-free reductions.
+# The certificate's descent: the grid oracle's cached face rows, the exact
+# corner certificate against them, and the branch-free reductions.
 # ---------------------------------------------------------------------------
 
 
@@ -978,27 +1091,34 @@ def _assert_same_descent(got, want):
 
 
 def _check_certificate(name, T, eps, resolution):
-    """verify_uniform_bpb of T and its family constructor's A against the
-    per-face descent on the same sample, field by field; its status."""
+    """The grid certificate of T and its family constructor's A against the
+    per-face descent on the same sample, field by field, and the exact
+    certificate against the grid's; the exact status."""
     A = SWEEP_PAIRS[name].construct(T, eps).approximant
-    cert = verify_uniform_bpb(T, A, eps, resolution=resolution)
+    cert = grid_verify(T, A, eps, resolution)
     MA = norm_one_attainment_set(A, "A")
     assert MA.faces
     want = distance_to_descent(MA, 1.0, eps, _sample_norms(T, require_norm_one(T)[1], resolution))
     assert cert.status == ("certified" if want[0] is not None else "falsified")
-    assert (cert.eps, cert.resolution) == (eps, resolution)
-    assert cert.operator_distance == op_norm(T - A)[0]
     _assert_same_descent((cert.delta_found, cert.worst_distance, cert.counterexample), want)
-    return cert.status
+    exact = verify_uniform_bpb(T, A, eps, resolution=resolution)
+    assert (exact.eps, exact.resolution) == (eps, resolution)
+    assert exact.operator_distance == op_norm(T - A)[0]
+    assert_exact_within_sampled(exact, cert)
+    return exact.status
 
 
 def _check_delta_search(T, eps, resolution):
-    """delta_for_epsilon against the per-face descent; whether it succeeded."""
+    """The grid delta search against the per-face descent, and the exact
+    one against it; whether the grid search succeeded."""
     M = attainment_set(T)
     want = distance_to_descent(M, M.value, eps, _sample_norms(T, op_norm(T)[1], resolution))
-    got = delta_for_epsilon(T, eps, resolution=resolution)
-    assert got.succeeded == (want[0] is not None) and got.resolution == resolution
+    got = grid_delta_search(T, eps, resolution)
+    assert got.succeeded == (want[0] is not None)
     _assert_same_descent((got.delta, None, got.counterexample), (want[0], None, want[2]))
+    exact = delta_for_epsilon(T, eps, resolution=resolution)
+    assert exact.resolution == resolution
+    assert_exact_within_sampled(exact, got)
     return got.succeeded
 
 
@@ -1082,15 +1202,153 @@ def test_branch_free_descent_allocates_no_row():
         assert peak < 8 * 1024, eps
 
 
-@pytest.mark.parametrize("s", [linf(2), linf(3), l1(2), l1(3)])
-def test_cached_face_rows_are_read_only_grid_distances(s):
-    for resolution in (256, 1024):
-        grid = sphere_grid(s, resolution)
-        for f in polyhedral_table(s).faces:
-            row = _face_row(s, resolution, f.pattern)
-            assert not row.flags.writeable and row.shape == (len(grid),)
-            assert np.array_equal(_bits(row), _bits(face_distances(s, [f.pattern], grid)[0]))
-            assert np.array_equal(_bits(row), _bits(loop_face_distance(f, grid)))
-            assert _face_row(s, resolution, f.pattern) is row
-    # the bound the README documents
-    assert _face_row.cache_info().maxsize == 64
+# ---------------------------------------------------------------------------
+# The exact corner certificate.
+# ---------------------------------------------------------------------------
+
+
+def corner_g(T, M, eps):
+    """g, the largest ||Tz|| over the corners read as at least eps from M;
+    -inf without one."""
+    Z = corner_points(T.domain, eps)
+    far = M.distance_to(Z) >= _far_from(eps)
+    return float(T.image_norms(Z)[far].max(initial=-np.inf))
+
+
+@pytest.mark.parametrize("s", [linf(1), linf(2), linf(3), linf(4), l1(1), l1(2), l1(3)], ids=repr)
+def test_corner_sets_lie_on_the_sphere_and_hold_the_vertices(s):
+    vertices = {tuple(v) for v in polyhedral_table(s).vertices.tolist()}
+    for eps in (1e-12, 0.05, 1.0 / 3.0, 1.0, 1.5, 2.0):
+        Z = corner_points(s, eps)
+        assert corner_points(s, eps) is Z and not Z.flags.writeable
+        assert np.abs(pnorm(Z.T, s.p, axis=0) - 1.0).max() <= 4.5e-16
+        rows = {tuple(z) for z in Z.tolist()}
+        assert len(rows) == len(Z) and vertices <= rows
+    # at eps = 2 every corner is a vertex
+    assert rows == vertices
+
+
+def test_corner_counts_and_refusals():
+    assert len(corner_points(linf(3), 0.05)) == 56 and len(corner_points(l1(3), 0.05)) == 78
+    with pytest.raises(UnsupportedSpaceError):
+        corner_points(l1(4), 0.05)
+    # refused before anything is enumerated
+    with pytest.raises(OutOfRangeError, match="n = 10"):
+        corner_points(linf(10), 0.05)
+
+
+def test_eps_below_an_ulp_of_one_is_not_read_as_the_vertices():
+    # for eps < 2^-52, 1 - eps/2 rounds to 1; the corners 2^-52 from the
+    # faces stand in, so a T with points just off M_T is still falsified
+    # (delta(eps) is about eps), and an isometry still certified
+    for s in (linf(2), l1(2)):
+        T = operator([[1.0, 0.0], [1.0, 0.0]] if s.p == INF else [[1.0, 0.0], [0.0, 0.5]], s, s)
+        iso = enumerate_isometries(s)[0]
+        for eps in (1e-12, 3e-16, 2.0 ** -52, 1e-16, 1e-17, 1e-300):
+            if eps < 2.0 ** -52:
+                assert np.array_equal(corner_points(s, eps), corner_points(s, 2.0 ** -52))
+            cert = verify_uniform_bpb(T, T, eps)
+            assert cert.status == "falsified" and cert.worst_distance >= eps, (s, eps)
+            assert not delta_for_epsilon(T, eps).succeeded
+            assert verify_uniform_bpb(iso, iso, eps).certified
+
+
+def exact_corner_distances(s, Z, eps):
+    """The distances from the corners Z at eps to every face of s, in exact
+    integer arithmetic times a scale c, with c and c eps.  With eps = a/b,
+    each coordinate of Z is read as the nearest of its exact values, +-1
+    and +-(1 - eps) on l_inf^n (c = b), +-0, +-h, +-(1 - h), +-(1 - 2h),
+    +-(2h - 1) and +-1 with h = eps/2 on l_1^n (c = 2b), each an integer
+    times 1/c; the distances take the closed forms of `face_distances`."""
+    a, b = float(eps).as_integer_ratio()
+    if s.p == INF:
+        c, vals = b, [b, b - a]
+    else:
+        c = 2 * b
+        vals = [0, a, c - a, c - 2 * a, 2 * a - c, c]
+    vals = np.array(vals + [-v for v in vals], dtype=object)
+    X = vals[np.abs(Z[..., None] - (vals / c).astype(float)).argmin(axis=-1)]
+    Q = polyhedral_table(s).patterns.astype(object)[:, None, :]
+    if s.p == INF:
+        assert (np.abs(X).max(axis=1) == c).all()
+        D = np.maximum(np.where(Q != 0, np.abs(X - Q * c), np.abs(X) - c).max(axis=-1), 0)
+    else:
+        assert (np.abs(X).sum(axis=1) == c).all()
+        P = np.maximum(Q * X, 0).sum(axis=-1)
+        D = np.abs(X).sum(axis=-1) - P + np.abs(P - c)
+    return D, c, a * c // b
+
+
+@pytest.mark.parametrize("s", [linf(2), linf(3), l1(2), l1(3)], ids=repr)
+def test_corner_distances_round_within_tau_corner(s):
+    # every corner whose exact distance to a face is eps computes within
+    # TAU_CORNER of eps, and no distance strays further from its exact value
+    epss = [1e-12, 1e-15, 1.0 / 3.0, 2.0 / 3.0, 0.05, 0.1, 0.3, 0.7, 1.0, 1.9, 2.0]
+    epss += np.random.default_rng(71).uniform(0.0, 2.0, 9).tolist()
+    for eps in epss:
+        Z = corner_points(s, eps)
+        D = face_distances(s, polyhedral_table(s).patterns, Z)
+        exact, c, at = exact_corner_distances(s, Z, eps)
+        assert (exact == at).any(), eps
+        assert np.abs(D[exact == at] - eps).max() <= TAU_CORNER, eps
+        assert np.abs(D - (exact / c).astype(float)).max() <= TAU_CORNER, eps
+        # a point of a face is never read as far from it
+        assert (D[exact == 0] < _far_from(eps)).all(), eps
+
+
+def test_exact_delta_is_eps_on_every_family_triple():
+    # on the families the exact delta(eps) is eps: 1 - g = eps, and the
+    # certificate and delta_for_epsilon give the largest level 2^-k <= 1 - g
+    checked = 0
+    for name in POLYHEDRAL_FAMILIES:
+        for T in _family(name):
+            for eps in (0.05, 0.1, 0.3):
+                A = SWEEP_PAIRS[name].construct(T, eps).approximant
+                g = corner_g(T, norm_one_attainment_set(A, "A"), eps)
+                assert abs(1.0 - g - eps) <= TAU_CORNER, (T, eps)
+                cert = verify_uniform_bpb(T, A, eps)
+                assert cert.delta_found == halving_delta(g, 1.0) == delta_for_epsilon(T, eps).delta
+                checked += 1
+    assert checked == 1326
+
+
+def _dense_pairs():
+    """Seeded dense norm-one T on l_inf^2/3 and l_1^2/3 into l_inf^3 and
+    l_1^3, each with a norm-one A at most 0.02 away in entries."""
+    rng = np.random.default_rng(61)
+    for dom in (linf(2), linf(3), l1(2), l1(3)):
+        for cod in (linf(3), l1(3)):
+            for _ in range(4):
+                T = _unit(rng.standard_normal((cod.n, dom.n)), dom, cod)
+                yield T, _unit(T.entries + 0.02 * rng.standard_normal(T.entries.shape), dom, cod)
+
+
+def test_grid_delta_is_never_below_the_exact_delta_on_dense_operators():
+    statuses = set()
+    for T, A in _dense_pairs():
+        for eps in (0.05, 0.3):
+            assert_exact_within_sampled(delta_for_epsilon(T, eps), grid_delta_search(T, eps, 4096))
+            exact = verify_uniform_bpb(T, A, eps)
+            assert_exact_within_sampled(exact, grid_verify(T, A, eps, 4096))
+            statuses.add(exact.status)
+    assert statuses == {"certified", "falsified"}
+
+
+def test_exact_g_bounds_a_fine_grid():
+    # brute force: the rows of the 262,144-point grid at least eps from M_T
+    # never reach above the corners' g, and come within about a grid step
+    # (2/208 on l_inf^3) of it
+    rng = np.random.default_rng(67)
+    gaps = []
+    for dom in (linf(3), l1(3)):
+        X = sphere_grid(dom, 262144)
+        for cod in (linf(3), l1(3)):
+            T = _unit(rng.standard_normal((3, 3)), dom, cod)
+            M = attainment_set(T)
+            norms, dists = T.image_norms(X), M.distance_to(X)
+            for eps in (0.05, 0.3):
+                g = corner_g(T, M, eps)
+                sampled = float(norms[dists >= eps].max())
+                assert sampled <= g, (T, eps)
+                gaps.append(g - sampled)
+    assert max(gaps) < 0.01, gaps

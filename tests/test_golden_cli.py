@@ -8,6 +8,17 @@ before the norm kernels became coordinate-major.  `verify_l23` was
 re-recorded with the same argv when l_2^3 sampling moved from the
 Fibonacci sphere to the radial cross-polytope grid of `sampling`: only
 its `worst_distance` changed (0.18409904725818974 -> 0.1701325562461556).
+The three `verify` cases were re-recorded with the same argv when
+certificates on l_1^n and l_inf^n domains became exact, computed on the
+corner set of `sampling.corner_points` in place of the sphere grid, and
+gained the field `basis` ("exact" there, "sampled" on l_2^3).  The worst
+distance is now taken over the corners above the level: in
+`verify_certified` 0.12316715542521994 -> 0.0 (its delta stays 0.125), in
+`verify_falsified` 0.9990224828934506 -> 0.2, with the counterexample
+(-0.00098, -1) -> (-0.8, -1); `verify_l23` gained the field only.
+`verify_linf3_exact` was recorded then: the grid at 4096 certified it with
+delta 0.0625, which is false (z = (0.94, 1, 0.94) has ||Tz|| = 0.94 and
+d(z, M_A) = 0.06 >= eps); the exact delta is 0.03125.
 Those four go through
 `pow`, trigonometry and, for l_2^3, LAPACK, whose last bits may vary with
 the platform; they were recorded with numpy 2.4 on x86-64 Linux.  The other
@@ -52,6 +63,10 @@ CASES = {
     "attain_lp3_2": (["attain", "--operator", "lp3_2_unit.json"], 0),
     "witness_p_lp3_2": (["witness-p", "--operator", "lp3_2_unit.json"], 0),
     "verify_l23": (["verify", "--T", "l23_T.json", "--A", "l23_A.json", "--eps", "0.2"], 0),
+    "verify_linf3_exact": (
+        ["verify", "--T", "linf3_double.json", "--A", "linf3_double_approx.json", "--eps", "0.05"],
+        0,
+    ),
     "sweep_linf2": (
         [
             "sweep", "--pair", "linf2", "--trials", "2", "--seed", "1",

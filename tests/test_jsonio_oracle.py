@@ -92,6 +92,7 @@ def certificate_to_json(c):
         "counterexample": None
         if c.counterexample is None
         else point_to_json(c.counterexample),
+        "basis": c.basis,
     }
 
 

@@ -3,7 +3,7 @@
 The references below are the earlier implementations, kept verbatim in
 logic: the per-coordinate face containment loop, the maximal-face filter
 of the polyhedral attainment set (that loop over the hit patterns, with
-the diagonal cleared), and the certificate's witness row measured by
+the diagonal cleared), and the grid certificate's witness row measured by
 `AttainmentSet.distance_to`.
 """
 
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from bpblab import attainment_set, l1, linf, op_norm, operator
-from bpblab.bpbverify import SWEEP_PAIRS, _descent, _sample_norms
+from bpblab.bpbverify import SWEEP_PAIRS
 from bpblab.operators import _attaining_faces
 from bpblab.spaces import (
     INF,
@@ -74,17 +74,17 @@ def test_code_rule_is_the_containment_loop(s):
         want = loop_face_containment(s, P, small)
         assert np.array_equal(code_containment(s, table.codes[:, None], codes[None, :]), want)
         assert np.array_equal(face_containment(s, P, small), want)
-    # the codes name the patterns one to one; a Face carries its row's
-    # code, and a vertex's code is that of its own pattern
+    # the codes name the patterns one to one, in the order of the faces,
+    # and a vertex's code is that of its own pattern
     assert len(set(table.codes.tolist())) == len(P)
-    assert [f.code for f in table.faces] == table.codes.tolist()
-    in_faces = {f.pattern: f.code for f in table.faces}
+    assert [f.pattern for f in table.faces] == [tuple(q) for q in P.tolist()]
+    in_faces = dict(zip((f.pattern for f in table.faces), table.codes.tolist()))
     assert [in_faces[tuple(int(x) for x in v)] for v in V] == sign_codes(s, V).tolist()
 
 
 @pytest.mark.parametrize("s", SMALL, ids=repr)
 def test_a_vertex_lies_0_or_2_from_a_face(s):
-    # the closed form the certificate's witness row reads off containment
+    # the closed form the grid certificate's witness row read off containment
     table = polyhedral_table(s)
     D = face_distances(s, table.patterns, table.vertices)
     held = loop_face_containment(s, table.patterns, table.vertices)
@@ -155,28 +155,40 @@ def test_identity_on_linf8_matches_the_loop_filter():
     _assert_parent_faces(operator(np.eye(8), linf(8), linf(8)))
 
 
+def witness_row(M, vertex):
+    """The grid certificate's distance from a vertex of the ball, its
+    norming row, to a faces set M: 0.0 when the sign code of a face of M
+    holds the vertex's, else 2.0."""
+    codes = sign_codes(M.space, [f.pattern for f in M.faces])
+    held = code_containment(M.space, codes, sign_codes(M.space, vertex[None, :])[0]).any()
+    return 0.0 if held else 2.0
+
+
 def test_witness_row_is_distance_to(family_operators):
     # every vertex of the ball as T's norming row, against M_T and M_A of
-    # each family triple: the descent's last distance is distance_to's bits
+    # each family triple: the grid oracle's witness row is distance_to's bits
     checked = 0
     for T in family_operators:
         M = attainment_set(T)
-        _, witness = op_norm(T)
-        X, work, scratch = sample = _sample_norms(T, witness, 256)
         for v in polyhedral_table(T.domain).vertices:
-            X[-1] = v
-            _descent(M, M.value, 0.3, sample, 256)
-            assert _bits(work[1][-1:]).tolist() == _bits(M.distance_to(X[-1:])).tolist(), (T, v)
+            want = _bits(M.distance_to(v[None, :])).tolist()
+            assert _bits(np.array([witness_row(M, v)])).tolist() == want, (T, v)
             checked += 1
     assert checked > 5000
 
 
 def test_float_exponent_is_converted_once_and_is_no_field():
+    # so are the three flags, from the exact exponent, and the hash
     tiny = as_exponent("1.00000000000000000001")
-    for p in (1, 2, INF, "3/2", 4, SpaceSpec(tiny, 2).dual().p):
+    for p in (1, 2, INF, "3/2", 4, tiny, SpaceSpec(tiny, 2).dual().p):
         s = lp(p, 2)
         assert s.pf == float(s.p)
         assert type(s.pf) is float
+        assert s.polyhedral is (s.p == 1 or s.p == INF)
+        assert s.strictly_convex is (1 < s.p < INF)
+        assert s.hilbert is (s.p == 2)
+        assert hash(s) == hash((s.p, s.n)) == hash(SpaceSpec(s.p, 2))
+    assert lp(tiny, 2).strictly_convex and not lp(tiny, 2).polyhedral and lp(tiny, 2).pf == 1.0
     assert [f.name for f in dataclasses.fields(SpaceSpec)] == ["p", "n"]
     assert lp(4, 3) == lp(4, 3) and hash(lp(4, 3)) == hash(SpaceSpec(4, 3))
     assert repr(lp("3/2", 2)) == "l_3/2^2"
