@@ -163,41 +163,30 @@ class AttainmentSet:
     points: Optional[np.ndarray] = None
     basis: Optional[np.ndarray] = None
 
-    def distance_to(self, X, out=None, work=None) -> np.ndarray:
-        """Distance in the domain norm from each row of X to the set.
-
-        The result goes to `out`; `work`, shape (3, len(X)), is scratch.
-        Both are allocated when not given; with both given, a points or
-        subspace set allocates no array of len(X).
-        """
+    def distance_to(self, X) -> np.ndarray:
+        """Distance in the domain norm from each row of X to the set."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if out is None:
-            out = np.empty(len(X))
         if self.kind == "faces":
             D = face_distances(self.space, [f.pattern for f in self.faces], X)
-            return D.min(axis=0, out=out, initial=np.inf)
-        if work is None:
-            work = np.empty((3, len(X)))
+            return D.min(axis=0, initial=np.inf)
+        out = np.full(len(X), np.inf)
         if self.kind == "points":
-            # points sets live on 2-D domains: work[:2] holds X - q by columns
-            out.fill(np.inf)
+            # points sets live on 2-D domains: X - q by columns
             for q in self.points:
-                np.subtract(X.T, q[:, None], out=work[:2])
-                np.minimum(out, pnorm_into(work[:2], self.space.pf, 0, work[2]), out=out)
-        elif self.basis.shape[1] == 0:
-            out.fill(np.inf)
-        else:
+                np.minimum(out, pnorm_into(X.T - q[:, None], self.space.pf, 0, None), out=out)
+        elif self.basis.shape[1]:
             # the nearest point of S_X /\ H_0 to x is the normalised
-            # projection: distance sqrt(||x||^2 + 1 - 2 ||Q^T x||)
-            tmp, qx = work[0], work[1]
+            # projection: distance sqrt(||x||^2 + 1 - 2 ||Q^T x||); two
+            # scratch rows, as a fresh array per step made a repeated l_2^3
+            # certificate at resolution 16384 about 10 % slower
+            tmp, qx = np.empty(len(X)), np.zeros(len(X))
             out.fill(1.0)
             for x in X.T:
-                np.add(out, np.multiply(x, x, out=tmp), out=out)
-            qx.fill(0.0)
+                out += np.multiply(x, x, out=tmp)
             for q in self.basis.T:
                 np.matmul(X, q, out=tmp)
-                np.add(qx, np.multiply(tmp, tmp, out=tmp), out=qx)
-            np.subtract(out, np.multiply(np.sqrt(qx, out=qx), 2.0, out=qx), out=out)
+                qx += np.multiply(tmp, tmp, out=tmp)
+            out -= np.multiply(np.sqrt(qx, out=qx), 2.0, out=qx)
             np.sqrt(np.maximum(out, 0.0, out=out), out=out)
         return out
 

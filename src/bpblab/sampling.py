@@ -8,10 +8,11 @@ import itertools
 import numpy as np
 
 from .errors import UnsupportedSpaceError
-from .spaces import INF, SpaceSpec, _check_table_size, _read_only, pnorm
+from .spaces import INF, SpaceSpec, _check_int, _check_table_size, _read_only, pnorm
 
 
-@functools.lru_cache(maxsize=64)
+# typed: True and 2.0 are keys of their own, not the cached grids of 1 and 2
+@functools.lru_cache(maxsize=64, typed=True)
 def sphere_grid(space: SpaceSpec, resolution: int) -> np.ndarray:
     """A deterministic sample of S_X with roughly `resolution` points: one
     cached read-only array per (space, resolution).
@@ -19,7 +20,8 @@ def sphere_grid(space: SpaceSpec, resolution: int) -> np.ndarray:
     +-1 for n = 1; the cube lattice's surface for p = inf; for 1 <= p < inf
     and n <= 3, the cross-polytope lattice L = {x / k : x in Z^n,
     ||x||_1 = k} of `_l1_grid` with each row divided by its l_p norm.  l_2^n
-    with n >= 4 takes a seeded random grid; other n >= 4 are refused.
+    with n >= 4 takes a seeded random grid; other n >= 4 are refused, as
+    is a resolution that is not an integer of at least 0.
 
     Covering radius, up to rounding: each z in S_X lies within
     h_p <= 2 s n^(1 - 1/p) in l_p of a row (h_1 <= s), s being the l_1
@@ -37,7 +39,7 @@ def sphere_grid(space: SpaceSpec, resolution: int) -> np.ndarray:
       r_i lands in kL on that facet, at l_1 distance 0, 2 (1 - r_max) with
       r_max >= 1/3, or 2 r_min with r_min <= 2/3.  So s = 4/(3k).
     """
-    n, resolution = space.n, int(resolution)
+    n, resolution = space.n, _check_int(resolution, "resolution", 0)
     if n == 1:
         grid = np.array([[1.0], [-1.0]])
     elif space.p == INF:

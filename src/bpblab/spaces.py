@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -121,24 +122,15 @@ def pnorm(v, p: Exponent, axis: int = -1):
     """l_p norm along an axis; vectorized.  Pass a batch of vectors
     coordinate-major, shape (m, rows) with axis=0, so that each pass is one
     contiguous run over the rows, not one tiny loop per row of length m."""
-    v = np.asarray(v, dtype=float)
-    # branch on the float: p == INF on a Fraction p runs Fraction.__eq__
-    pf = float(p)
-    if pf == INF:
-        return np.abs(v).max(axis=axis)
-    if pf == 1.0:
-        return np.abs(v).sum(axis=axis)
-    if pf == 2.0:
-        return np.sqrt((v * v).sum(axis=axis))
-    if pf > UNSCALED_P_MAX:
-        return pnorm_into(np.abs(v), pf, axis, None)
-    return (np.abs(v) ** pf).sum(axis=axis) ** (1.0 / pf)
+    return pnorm_into(np.abs(np.asarray(v, dtype=float)), p, axis, None)
 
 
 def pnorm_into(v: np.ndarray, p: Exponent, axis: int, out: np.ndarray) -> np.ndarray:
     """pnorm(v, p, axis) written to `out`, with the float array v
     overwritten as scratch, so for p <= UNSCALED_P_MAX no array is
-    allocated.  With out None the result is returned in a new array."""
+    allocated.  With out None the result is returned in a new array, or a
+    scalar when v is one vector."""
+    # branch on the float: p == INF on a Fraction p runs Fraction.__eq__
     pf = float(p)
     if pf == INF:
         return np.abs(v, out=v).max(axis=axis, out=out)
@@ -154,6 +146,10 @@ def pnorm_into(v: np.ndarray, p: Exponent, axis: int, out: np.ndarray) -> np.nda
         s = np.power(np.divide(v, scale, out=v), pf, out=v).sum(axis=axis, out=out)
         return np.multiply(np.power(s, 1.0 / pf, out=out), np.squeeze(scale, axis=axis), out=out)
     s = np.power(np.abs(v, out=v), pf, out=v).sum(axis=axis, out=out)
+    if out is None:
+        # `**`, not the ufunc: on a scalar sum it is libm's pow, whose last
+        # bit can differ from the vectorised np.power's
+        return s ** (1.0 / pf)
     return np.power(s, 1.0 / pf, out=out)
 
 
@@ -332,6 +328,15 @@ def face_barycentres(s: SpaceSpec, patterns) -> np.ndarray:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _check_int(value, name: str, lo: int) -> int:
+    """value as an int; ValueError naming `name` for a bool, a non-integer or a value below lo."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < lo:
+        raise ValueError(f"{name} must be at least {lo}, got {value}")
+    return int(value)
 
 
 def _check_table_size(n: int, count: int, what: str) -> None:

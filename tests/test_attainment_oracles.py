@@ -5,7 +5,8 @@ The references below are the earlier implementations, kept verbatim in
 logic: the sign loop of the face vertices (`face_containment` over the
 table's vertices), the per-coordinate rules of
 `support_functionals` and `is_smooth_point`, the whole-array subspace and
-point distances of `AttainmentSet.distance_to`, `pair_count` and `is_single_pair`
+point distances of `AttainmentSet.distance_to` and its buffered form,
+which wrote them to the caller's rows, `pair_count` and `is_single_pair`
 branching on the kind, `is_smooth_operator` on top of them, and the point
 loops of `sampling._linf_grid` and `sampling._l1_grid`, which deduplicated
 their facets with `np.unique(axis=0)`.
@@ -13,7 +14,6 @@ their facets with `np.unique(axis=0)`.
 
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +35,7 @@ from bpblab import (
 from bpblab.errors import NotDiscreteError
 from bpblab.operators import OperatorMatrix
 from bpblab.sampling import _l1_grid, _linf_grid, sphere_grid
-from bpblab.spaces import INF, TAU_EQ, Point, face_containment, pnorm, polyhedral_table
+from bpblab.spaces import INF, TAU_EQ, Point, face_containment, pnorm, pnorm_into, polyhedral_table
 
 # ---------------------------------------------------------------------------
 # The replaced implementations.
@@ -111,6 +111,41 @@ def whole_array_subspace_distance(Q, X):
 
 def broadcast_points_distance(M, X):
     return pnorm(X[:, None, :] - M.points[None, :, :], M.space.p, axis=2).min(axis=1)
+
+
+def buffered_distance_to(M, X, out, work):
+    """`distance_to` of a points or subspace set written to `out`, with
+    `work`, shape (3, len(X)), as scratch: no array of len(X) allocated."""
+    if M.kind == "points":
+        # points sets live on 2-D domains: work[:2] holds X - q by columns
+        out.fill(np.inf)
+        for q in M.points:
+            np.subtract(X.T, q[:, None], out=work[:2])
+            np.minimum(out, pnorm_into(work[:2], M.space.pf, 0, work[2]), out=out)
+    elif M.basis.shape[1] == 0:
+        out.fill(np.inf)
+    else:
+        tmp, qx = work[0], work[1]
+        out.fill(1.0)
+        for x in X.T:
+            np.add(out, np.multiply(x, x, out=tmp), out=out)
+        qx.fill(0.0)
+        for q in M.basis.T:
+            np.matmul(X, q, out=tmp)
+            np.add(qx, np.multiply(tmp, tmp, out=tmp), out=qx)
+        np.subtract(out, np.multiply(np.sqrt(qx, out=qx), 2.0, out=qx), out=out)
+        np.sqrt(np.maximum(out, 0.0, out=out), out=out)
+    return out
+
+
+def assert_buffered_bits(M, X):
+    """distance_to of M on X equals the buffered form bit for bit, on X and
+    on a Fortran-ordered copy (the certificate's sample); returns it."""
+    for Y in (np.asfortranarray(X), X):
+        got = M.distance_to(Y)
+        want = buffered_distance_to(M, Y, np.empty(len(Y)), np.empty((3, len(Y))))
+        assert got.tobytes() == want.tobytes(), M
+    return got
 
 
 def kind_is_single_pair(M):
@@ -275,13 +310,11 @@ def test_in_place_subspace_distance_matches_the_whole_array_one():
         X[20:30] = (Q @ rng.standard_normal((Q.shape[1], 10))).T
         X[20:25] /= np.linalg.norm(X[20:25], axis=1, keepdims=True)
         want = whole_array_subspace_distance(Q, X)
-        out, work = np.empty(len(X)), np.empty((3, len(X)))
-        assert M.distance_to(X, out=out, work=work) is out
-        assert np.array_equal(M.distance_to(X), out)
+        out = assert_buffered_bits(M, X)
         worst = max(worst, float(np.abs(out - want).max()))
     assert worst <= 1e-7
     empty = AttainmentSet("subspace", 1.0, l2(3), basis=np.zeros((3, 0)))
-    assert np.isinf(empty.distance_to(np.eye(3))).all()
+    assert np.isinf(assert_buffered_bits(empty, np.eye(3))).all()
 
 
 def test_in_place_point_distance_is_the_broadcast_one():
@@ -289,29 +322,10 @@ def test_in_place_point_distance_is_the_broadcast_one():
     for p in (3, 4, "4/3", "3/2"):
         s = lp(p, 2)
         X = np.concatenate([sphere_grid(s, 1024), rng.standard_normal((200, 2))])
-        out, work = np.empty(len(X)), np.empty((3, len(X)))
         for _ in range(15):
             M = attainment_set(_unit(rng.standard_normal((2, 2)), s))
             assert M.kind == "points"
-            assert M.distance_to(X, out=out, work=work) is out
-            assert np.array_equal(out, broadcast_points_distance(M, X)), p
-            assert np.array_equal(M.distance_to(X), out)
-
-
-def test_point_distance_with_buffers_allocates_no_rows():
-    s = lp(3, 2)
-    M = attainment_set(OperatorMatrix(np.array([[1.0, 0.3], [-0.2, 0.9]]), s, s))
-    X = sphere_grid(s, 16384)
-    out, work = np.empty(len(X)), np.empty((3, len(X)))
-    M.distance_to(X, out=out, work=work)
-    tracemalloc.start()
-    try:
-        M.distance_to(X, out=out, work=work)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # one row of the grid is 128 KB
-    assert peak < 16 * 1024
+            assert np.array_equal(assert_buffered_bits(M, X), broadcast_points_distance(M, X)), p
 
 
 def _unit(M, s):
@@ -332,10 +346,9 @@ def test_hilbert_certificates_keep_their_status_and_delta(monkeypatch):
              for k, (T, A) in enumerate(triples) for eps in (0.15, 0.4, 1.2)]
     new = [verify_uniform_bpb(T, A, eps, resolution=r) for T, A, eps, r in cases]
 
-    def old_distance_to(self, X, out=None, work=None):
+    def old_distance_to(self, X):
         assert self.kind == "subspace"
-        out[...] = whole_array_subspace_distance(self.basis, X)
-        return out
+        return whole_array_subspace_distance(self.basis, X)
 
     monkeypatch.setattr(AttainmentSet, "distance_to", old_distance_to)
     old = [verify_uniform_bpb(T, A, eps, resolution=r) for T, A, eps, r in cases]

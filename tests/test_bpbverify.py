@@ -101,16 +101,31 @@ class TestVerifyUniformBpb:
         assert cert.status == "falsified"
         assert abs(cert.counterexample.coords[1]) == pytest.approx(1.0)
 
+    def test_exact_worst_distance_is_a_lower_bound(self):
+        # the `verify_falsified` golden triple: the corners above the last
+        # level lie at most 0.2 from M_A (the faces x_1 = +-1), yet
+        # z = (0, -1) attains ||Tz|| = 1 and lies 1.0 from M_A
+        s = linf(2)
+        T = operator(np.eye(2), s, s)
+        A = operator(np.diag([1.0, 0.9]), s, s)
+        cert = verify_uniform_bpb(T, A, 0.2)
+        assert (cert.status, cert.basis, cert.worst_distance) == ("falsified", "exact", 0.2)
+        z = np.array([[0.0, -1.0]])
+        assert T.image_norms(z)[0] == 1.0
+        assert attainment_set(A).distance_to(z)[0] == 1.0
+
     def test_polyhedral_verify_reuses_its_grid_arrays(self):
         # a repeated certificate allocates little: on a polyhedral domain
-        # the cached corner set and distances over M_A's maximal faces only,
-        # on a Euclidean one none of the 0.1-0.4 MB arrays over the
-        # 16384-point grid again (subspace distances)
+        # the cached corner set and distances over M_A's maximal faces only;
+        # on a Euclidean one the distance rows over the 16384-point grid
+        # (0.4 MB, three float rows), but not the sample and its norms
+        # again (seven rows, 0.92 MB, when they were)
         s, h = l1(3), l2(3)
+        rows = len(sphere_grid(h, 16384)) + 1
         L = operator(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]).T, s, s)
         H = operator(np.diag([1.0, 1.0, 0.5]), h, h)
-        for T, A in ((L, l1_extreme_approx(L, 0.3).approximant),
-                     (H, hilbert_rotate_approx(H, 0.3).approximant)):
+        for T, A, bound in ((L, l1_extreme_approx(L, 0.3).approximant, 64 * 1024),
+                            (H, hilbert_rotate_approx(H, 0.3).approximant, 5 * 8 * rows)):
             first = verify_uniform_bpb(T, A, 0.3, resolution=16384)
             tracemalloc.start()
             try:
@@ -119,10 +134,10 @@ class TestVerifyUniformBpb:
             finally:
                 tracemalloc.stop()
             assert again == first and first.certified
-            assert peak < 64 * 1024, T.domain
+            assert peak < bound, T.domain
         # the distance kernels read the grid a column at a time, and the
         # image norms reduce across contiguous coordinate rows
-        X, images, _, _ = _sample_buffers(h, 16384, h.n)
+        X, images, _ = _sample_buffers(h, 16384, h.n)
         assert X.flags.f_contiguous
         assert images.flags.c_contiguous and images.shape == (h.n, len(X))
 
@@ -210,6 +225,53 @@ class TestVerifyResolution:
         A = operator([[0.5, 0.0], [0.0, 1.0]], s, s)
         cert = verify_uniform_bpb(T, A, 0.6, resolution=0)
         assert cert.resolution == 0 and cert.status in ("certified", "falsified")
+
+
+# T = 2I on l_3^2 is not norm one, and every call below fails on some
+# argument other than the resolution; a ValueError naming the resolution
+# shows that it is checked before any work
+TWICE = operator(2.0 * np.eye(2), lp(3, 2), lp(3, 2))
+RESOLUTION_ENTRY_POINTS = {
+    "verify_uniform_bpb": lambda r: verify_uniform_bpb(TWICE, TWICE, 0.3, resolution=r),
+    "delta_for_epsilon": lambda r: delta_for_epsilon(TWICE, -1.0, resolution=r),
+    "is_only_approximation": lambda r: is_only_approximation(TWICE, 0.3, 3, 0, resolution=r),
+    "hilbert_necessary_checks": lambda r: hilbert_necessary_checks(TWICE, TWICE, 0.3, resolution=r),
+    "pair_property_sweep": lambda r: pair_property_sweep(lp(3, 2), lp(3, 2), [0.3], 1, 0, resolution=r),
+    "sphere_grid": lambda r: sphere_grid(lp(3, 4), r),
+}
+
+
+class TestResolutionArgument:
+    @pytest.mark.parametrize("resolution", [-1, 2.5, 16.0, True, False, "16", None])
+    @pytest.mark.parametrize("entry", sorted(RESOLUTION_ENTRY_POINTS))
+    def test_bad_resolution_is_refused_before_any_work(self, entry, resolution):
+        with pytest.raises(ValueError, match="resolution must be"):
+            RESOLUTION_ENTRY_POINTS[entry](resolution)
+
+    def test_negative_resolution_no_longer_certifies(self):
+        # it returned "certified" with resolution -1 in the certificate
+        s = lp(3, 2)
+        T = operator(np.diag([1.0, 0.5]), s, s)
+        with pytest.raises(ValueError, match="resolution must be at least 0, got -1"):
+            verify_uniform_bpb(T, T, 0.3, resolution=-1)
+
+    def test_zero_and_numpy_integers_are_accepted(self):
+        s = lp(3, 2)
+        T = operator(np.diag([1.0, 0.5]), s, s)
+        assert len(sphere_grid(s, 0)) == 4
+        assert delta_for_epsilon(T, 0.3, resolution=0).resolution == 0
+        cert = verify_uniform_bpb(T, T, 0.3, resolution=np.int64(256))
+        assert cert.resolution == 256 and type(cert.resolution) is int
+        assert cert == verify_uniform_bpb(T, T, 0.3, resolution=256)
+
+    def test_cached_grid_admits_no_equal_float_or_bool(self):
+        # the grid cache is keyed by type too: 16.0 and True do not reach
+        # the grids cached for 16 and 1
+        s = lp(3, 2)
+        sphere_grid(s, 16), sphere_grid(s, 1)
+        for resolution in (16.0, True):
+            with pytest.raises(ValueError, match="resolution must be an integer"):
+                sphere_grid(s, resolution)
 
 
 class TestOnlyApproximation:

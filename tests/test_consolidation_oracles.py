@@ -10,8 +10,10 @@ its level-by-level loop, the one-trial-at-a-time search of
 `is_only_approximation`, the vertex loops of `extreme_points`, the facet
 loop of `property_p_witness`, the per-face closed forms of the face
 distance, the certificate's descent with its faces measured one
-`distance_to` pass per face and its two masked maxima, and the polyhedral
-certificate on the sphere grid that the exact corner certificate replaced:
+`distance_to` pass per face and its two masked maxima, the branch-free
+delta descent that wrote its masks as -inf rows into a scratch row, and
+the polyhedral certificate on the sphere grid that the exact corner
+certificate replaced:
 cached per-face grid rows, T's norming vertex as the last row, and the
 rigidity screen over the grid.  The exact delta is never above the
 sampled one, as the corners' g is never below the grid's.
@@ -20,7 +22,6 @@ sampled one, as the corners' g is never below the grid's.
 import functools
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,7 +59,6 @@ from bpblab.bpbverify import (
     _polyhedral_screen,
     _sample,
     _sample_buffers,
-    _sample_norms,
     delta_descent,
 )
 from bpblab.errors import MixedSpacesError, NormNotOneError, OutOfRangeError, UnsupportedSpaceError
@@ -232,14 +232,13 @@ def inline_verify(T, A, eps, resolution):
     if dist >= eps:
         return ("falsified", eps, None, resolution, math.inf, None, dist)
     MA = attainment_set(A)
-    X, _, work, scratch = _sample_buffers(T.domain, resolution, T.codomain.n)
+    X, _, norms = _sample_buffers(T.domain, resolution, T.codomain.n)
     X[-1] = witness.coords
-    norms, dists = work[0], work[1]
     mask = np.empty(len(X), dtype=bool)
     # the row-major image form, in an array of the oracle's own
     images = np.empty((len(X), T.codomain.n))
     pnorm_into(np.matmul(X, T.entries.T, out=images), T.codomain.p, 1, norms)
-    MA.distance_to(X, out=dists, work=scratch)
+    dists = MA.distance_to(X)
     delta = 0.5
     while delta >= DELTA_LAST:
         np.greater(norms, 1.0 - delta, out=mask)
@@ -349,14 +348,24 @@ def grid_face_row(space, resolution, pattern):
     return face_distances(space, [pattern], sphere_grid(space, resolution))[0]
 
 
+def grid_sample(T, witness, resolution):
+    """The certificate's sample on the sphere grid at `resolution`, (X,
+    image norms): this thread's grid buffers with `witness` as the last
+    row, as `_sample` builds them off l_1^n and l_inf^n."""
+    X, images, norms = _sample_buffers(T.domain, resolution, T.codomain.n)
+    X[-1] = witness.coords
+    pnorm_into(np.matmul(T.entries, X.T, out=images), T.codomain.pf, 0, norms)
+    return X, norms
+
+
 def grid_descent(M, top, eps, sample, resolution):
     """The faces branch of the certificate's descent on the grid sample of
-    `_sample_norms` (X, work, scratch), whose last row is op_norm's vertex:
-    the grid rows' distances are the least of M's cached face rows, and the
-    vertex lies 0.0 from a face whose sign code holds it and 2.0 from any
-    other.  (delta, worst distance, counterexample Point or None)."""
-    X, work, scratch = sample
-    dists = work[1]
+    `grid_sample`, whose last row is op_norm's vertex: the grid rows'
+    distances are the least of M's cached face rows, and the vertex lies
+    0.0 from a face whose sign code holds it and 2.0 from any other.
+    (delta, worst distance, counterexample Point or None)."""
+    X, norms = sample
+    dists = np.empty(len(X))
     grid = dists[:-1]
     np.copyto(grid, grid_face_row(M.space, resolution, M.faces[0].pattern))
     for f in M.faces[1:]:
@@ -364,7 +373,7 @@ def grid_descent(M, top, eps, sample, resolution):
     codes = sign_codes(M.space, [f.pattern for f in M.faces])
     held = code_containment(M.space, codes, sign_codes(M.space, X[-1:])[0]).any()
     dists[-1] = 0.0 if held else 2.0
-    delta, worst, idx = delta_descent(work[0], dists, top, eps, scratch[0])
+    delta, worst, idx = branch_free_delta_descent(norms, dists, top, eps, np.empty(len(X)))
     return delta, worst, None if idx is None else Point(X[idx], M.space)
 
 
@@ -379,7 +388,7 @@ def grid_verify(T, A, eps, resolution):
     dist, _ = op_norm(T - A)
     if dist >= eps:
         return BpbCertificate("falsified", eps, None, resolution, math.inf, None, dist)
-    delta, worst, z = grid_descent(MA, 1.0, eps, _sample_norms(T, witness, resolution), resolution)
+    delta, worst, z = grid_descent(MA, 1.0, eps, grid_sample(T, witness, resolution), resolution)
     status = "falsified" if delta is None else "certified"
     return BpbCertificate(status, eps, delta, resolution, worst, z, dist)
 
@@ -389,20 +398,20 @@ def grid_delta_search(T, eps, resolution):
     if not T.domain.polyhedral:
         return delta_for_epsilon(T, eps, resolution=resolution)
     M = attainment_set(T)
-    sample = _sample_norms(T, op_norm(T)[1], resolution)
+    sample = grid_sample(T, op_norm(T)[1], resolution)
     delta, _, z = grid_descent(M, M.value, eps, sample, resolution)
     return DeltaSearch(delta is not None, delta, z, resolution)
 
 
 def grid_screen(C, dom, cod, sample, eps):
-    """The rigidity screen on the grid sample of `_sample_norms`: ||A|| of
+    """The rigidity screen on the grid sample of `grid_sample`: ||A|| of
     every candidate, and whether its grid certificate certifies."""
-    X, work, _ = sample
+    X, norms = sample
     values = op_norms(C, dom, cod)
     hit = _attaining_faces(C, values, dom, cod)
     used = np.flatnonzero(hit.any(axis=0))
     near = face_distances(dom, polyhedral_table(dom).patterns[used], X) < eps
-    g = np.where(hit[:, used] @ near, -np.inf, work[0]).max(axis=1)
+    g = np.where(hit[:, used] @ near, -np.inf, norms).max(axis=1)
     return values, g <= 1.0 - DELTA_LAST
 
 
@@ -806,7 +815,7 @@ def test_closed_form_descent_matches_the_level_loop():
     outcomes = set()
     for norms, dists, top, eps in _descent_cases():
         want = loop_delta_descent(norms, dists, top, eps)
-        got = delta_descent(norms, dists, top, eps, np.empty(len(norms)))
+        got = delta_descent(norms, dists, top, eps)
         assert got == want, (norms, dists, top, eps)
         outcomes.add((want[0] is None, want[2] is None))
     assert outcomes == {(False, True), (True, False)}
@@ -914,7 +923,7 @@ def test_polyhedral_screen_decides_each_candidate_as_its_certificate():
         witness = require_norm_one(T)[1]
         sample = _sample(T, witness, eps, resolution)
         values, certifies = _polyhedral_screen(cands[found], T.domain, T.codomain, sample, eps)
-        grid = _sample_norms(T, witness, resolution)
+        grid = grid_sample(T, witness, resolution)
         grid_values, grid_certifies = grid_screen(cands[found], T.domain, T.codomain, grid, eps)
         assert np.array_equal(values, grid_values)
         for C, d, value, passes, grid_passes in zip(cands[found], dists[found], values, certifies,
@@ -1038,13 +1047,45 @@ def masked_delta_descent(norms, dists, top, eps, mask):
     return delta, float(dists.max(where=mask, initial=-np.inf)), None
 
 
+def keep_where_at_least(values, keys, bound, out):
+    """out[i] = values[i] where keys[i] >= bound, else -inf, for values
+    without NaN, in three branch-free passes that allocate nothing.
+
+    (keys - bound) * inf is +inf where keys > bound, -inf where
+    keys < bound and NaN where they are equal (a difference of two floats
+    is 0 only then), and fmin, which passes over a NaN, takes `values`
+    on the NaN and +inf rows.
+    """
+    np.subtract(keys, bound, out=out)
+    with np.errstate(invalid="ignore"):
+        np.multiply(out, np.inf, out=out)
+    return np.fmin(out, values, out=out)
+
+
+def branch_free_delta_descent(norms, dists, top, eps, scratch):
+    """delta_descent with its masks written as -inf rows by
+    `keep_where_at_least` into `scratch`, one float per row, which is
+    overwritten; norms > level is norms >= the next float above level."""
+    g = float(keep_where_at_least(norms, dists, eps, scratch).max())
+    floor = top - top * DELTA_LAST
+    if g > floor:
+        above = keep_where_at_least(dists, norms, np.nextafter(floor, np.inf), scratch)
+        idx = int(np.argmax(above))
+        return None, float(dists[idx]), idx
+    delta = top / 2.0
+    while g > top - delta:
+        delta /= 2.0
+    above = keep_where_at_least(dists, norms, np.nextafter(top - delta, np.inf), scratch)
+    return delta, float(above.max()), None
+
+
 def distance_to_descent(M, top, eps, sample):
     """_descent with every row measured by `AttainmentSet.distance_to`, one
     pass over the whole sample per face, and the masked-max descent:
     (delta, worst distance, counterexample coords or None)."""
-    X, work, scratch = sample
-    M.distance_to(X, out=work[1], work=scratch)
-    delta, worst, idx = masked_delta_descent(work[0], work[1], top, eps,
+    X, norms = sample
+    dists = M.distance_to(X)
+    delta, worst, idx = masked_delta_descent(norms, dists, top, eps,
                                              np.empty(len(X), dtype=bool))
     return delta, worst, None if idx is None else X[idx].copy()
 
@@ -1098,7 +1139,7 @@ def _check_certificate(name, T, eps, resolution):
     cert = grid_verify(T, A, eps, resolution)
     MA = norm_one_attainment_set(A, "A")
     assert MA.faces
-    want = distance_to_descent(MA, 1.0, eps, _sample_norms(T, require_norm_one(T)[1], resolution))
+    want = distance_to_descent(MA, 1.0, eps, grid_sample(T, require_norm_one(T)[1], resolution))
     assert cert.status == ("certified" if want[0] is not None else "falsified")
     _assert_same_descent((cert.delta_found, cert.worst_distance, cert.counterexample), want)
     exact = verify_uniform_bpb(T, A, eps, resolution=resolution)
@@ -1112,7 +1153,7 @@ def _check_delta_search(T, eps, resolution):
     """The grid delta search against the per-face descent, and the exact
     one against it; whether the grid search succeeded."""
     M = attainment_set(T)
-    want = distance_to_descent(M, M.value, eps, _sample_norms(T, op_norm(T)[1], resolution))
+    want = distance_to_descent(M, M.value, eps, grid_sample(T, op_norm(T)[1], resolution))
     got = grid_delta_search(T, eps, resolution)
     assert got.succeeded == (want[0] is not None)
     _assert_same_descent((got.delta, None, got.counterexample), (want[0], None, want[2]))
@@ -1179,27 +1220,17 @@ def _floor_cases():
 
 
 def test_branch_free_descent_matches_the_masked_maxima():
+    # the library's masked reduction against the replaced branch-free
+    # kernel and the explicit mask, bit for bit
     outcomes = set()
     for norms, dists, top, eps in _descent_cases() + _sorted_descent_cases() + _floor_cases():
-        want = masked_delta_descent(norms, dists, top, eps, np.empty(len(norms), dtype=bool))
-        got = delta_descent(norms, dists, top, eps, np.empty(len(norms)))
+        want = branch_free_delta_descent(norms, dists, top, eps, np.empty(len(norms)))
+        assert masked_delta_descent(norms, dists, top, eps, np.empty(len(norms), dtype=bool)) == want
+        got = delta_descent(norms, dists, top, eps)
+        assert np.array(got[:2], dtype=float).tobytes() == np.array(want[:2], dtype=float).tobytes()
         assert got == want, (norms, dists, top, eps)
         outcomes.add((want[0] is None, top))
     assert outcomes == {(falsified, top) for falsified in (False, True) for top in (1.0, 0.5, 3.0)}
-
-
-def test_branch_free_descent_allocates_no_row():
-    rng = np.random.default_rng(59)
-    norms, dists, scratch = rng.uniform(0.0, 1.0, 16384), rng.uniform(0.0, 0.6, 16384), np.empty(16384)
-    for eps in (0.3, 0.7):  # falsified, certified
-        delta_descent(norms, dists, 1.0, eps, scratch)
-        tracemalloc.start()
-        try:
-            delta_descent(norms, dists, 1.0, eps, scratch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 1024, eps
 
 
 # ---------------------------------------------------------------------------

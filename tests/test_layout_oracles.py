@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from bpblab import l1, l2, linf, lp
-from bpblab.bpbverify import _sample_norms
+from bpblab.bpbverify import _sample
 from bpblab.operators import (
     LP2_SEARCH_POINTS,
     OperatorMatrix,
@@ -113,17 +113,18 @@ def case_id(case):
 
 @pytest.mark.parametrize("case", list(cases()), ids=case_id)
 def test_sample_norms_equal_the_row_major_form(case):
-    # the verifier's sample: the grid with the norming vector as its last row
+    # the verifier's sample: the grid with the norming vector as its last
+    # row, the corner set on l_1^n and l_inf^n
     dom, cod = case
     ones = np.ones(dom.n)
     witness = Point(ones / pnorm(ones, dom.p), dom)
     for seed, E in enumerate(matrices(cod.n, dom.n, zlib.crc32(case_id(case).encode()))):
         T = OperatorMatrix(E, dom, cod)
         for resolution in RESOLUTIONS:
-            X, work, _ = _sample_norms(T, witness, resolution)
-            assert same_bits(X[-1], witness.coords)
+            X, norms = _sample(T, witness, 0.1, resolution)
+            assert dom.polyhedral or same_bits(X[-1], witness.coords)
             want = row_major_norms(T.entries, np.array(X), cod.p)
-            assert same_bits(work[0], want), (seed, resolution)
+            assert same_bits(norms, want), (seed, resolution)
 
 
 @pytest.mark.parametrize("case", list(cases()), ids=case_id)
