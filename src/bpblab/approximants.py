@@ -129,6 +129,30 @@ def rank_one_approx(T: OperatorMatrix, eps: float) -> ApproximantReport:
     return _rank_one(T, norm_one_attainment_set(T, "operator"), eps)
 
 
+def _tilt_gap(w, v, p, t):
+    """||u - w||_p for the unit tilts u = (w + t v) / ||w + t v||_p of an
+    array of t, built coordinate-major, one column per t."""
+    u = w[:, None] + t * v[:, None]
+    u /= pnorm(u, p, axis=0)
+    return pnorm(u - w[:, None], p, axis=0)
+
+
+_TILT_ENDS = 2.0 ** np.arange(21)  # the brackets [0, 2^k] that _tilt tries
+
+
+def _tilt(w, v, p, eps):
+    """The t whose unit tilt of w toward v lies eps/4 from w.
+
+    The bracket is [0, hi] for the first hi = 2^k with gap(hi) >= eps/4,
+    or hi = 2^20, the first past 1e6, where the target falls to
+    0.9 gap(hi) if that is smaller; every candidate hi is one gap call.
+    """
+    gaps = _tilt_gap(w, v, p, _TILT_ENDS)
+    k = int(np.argmax(~(gaps < eps / 4.0) | (_TILT_ENDS >= 1e6)))
+    target = min(eps / 4.0, 0.9 * float(gaps[k]))
+    return bisect_increasing(lambda t: _tilt_gap(w, v, p, t), target, 0.0, float(_TILT_ENDS[k]))
+
+
 def _rank_one(T: OperatorMatrix, MT: AttainmentSet, eps: float) -> ApproximantReport:
     """rank_one_approx of a norm-one T whose attainment set MT is built."""
     if T.codomain.n < 2:
@@ -143,17 +167,7 @@ def _rank_one(T: OperatorMatrix, MT: AttainmentSet, eps: float) -> ApproximantRe
             v = e
             break
     p = T.codomain.pf
-
-    def gap(t):
-        u = w + t * v
-        u = u / float(pnorm(u, p))
-        return float(pnorm(u - w, p))
-
-    hi = 1.0
-    while gap(hi) < eps / 4.0 and hi < 1e6:
-        hi *= 2.0
-    target = min(eps / 4.0, 0.9 * gap(hi))
-    t = bisect_increasing(gap, target, 0.0, hi)
+    t = _tilt(w, v, p, eps)
     u = w + t * v
     u = u / float(pnorm(u, p))
     A = OperatorMatrix(np.outer(u, f), T.domain, T.codomain)
@@ -401,7 +415,7 @@ def functional_approx_lp2(f: Point, eps: float) -> ApproximantReport:
     )
 
     def gap(dt):
-        return float(pnorm(lp_circle(p_space.p, t0 + dt) - x, p_space.p))
+        return pnorm(lp_circle(p_space.p, t0 + dt) - x, p_space.pf)
 
     dt = bisect_increasing(gap, eps / 4.0, 0.0, math.pi / 2.0)
     xk = lp_circle(p_space.p, t0 + dt)

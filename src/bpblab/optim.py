@@ -1,11 +1,16 @@
 """Small 1-D optimisation helpers used throughout the library."""
 
+import math
+
 import numpy as np
 
 ZOOM_POINTS = 33  # samples per bracket and level; odd, so the centre is one
-BISECT_TOL = 1e-12   # bracket width at which bisect_increasing stops
+BISECT_TOL = 1e-12   # bisect_increasing stops once the bracket is narrower
+BISECT_REL = 2.0 ** -10  # than BISECT_TOL and than BISECT_REL times its larger
+                         # end's magnitude, so a root near 0 is found too
 BISECT_MAX_ITER = 200  # halvings after which it stops anyway: near a large
                        # root the doubles are spaced wider than BISECT_TOL
+BISECT_LEVELS = 8  # halvings decided per call of g, at 2^8 + 1 points
 
 
 def zoom_max(f, centre, half, tol):
@@ -42,17 +47,66 @@ def zoom_max(f, centre, half, tol):
             return c, fc
 
 
+_SPAN = 1 << BISECT_LEVELS  # index of hi among a call's points
+_FRACTIONS = np.arange(_SPAN + 1) / _SPAN
+
+
+def _dyadic_unit(x):
+    """The largest power of 2 dividing the finite float x; inf for 0."""
+    num, den = float(x).as_integer_ratio()
+    return (num & -num) / den if num else math.inf
+
+
+def _halving_points(lo, hi):
+    """The 2^BISECT_LEVELS + 1 points that the next BISECT_LEVELS halvings of
+    [lo, hi] can reach: the ends and every mid 0.5 * (a + b) of the brackets
+    [a, b] on the way, each computed as the halving loop computes it.
+
+    When lo and hi are multiples of a power of 2, u, with |lo|, |hi| below
+    2^(52 - BISECT_LEVELS) u, as on [0, 2^k] and the brackets its halvings
+    reach, every point lo + (hi - lo) k / 2^BISECT_LEVELS is a multiple of
+    u / 2^BISECT_LEVELS under 2^53 of them: a float, reached exactly by
+    that formula and by each mid, so the formula is used.  Otherwise the
+    mids are built level by level.
+    """
+    u = min(_dyadic_unit(lo), _dyadic_unit(hi))
+    if max(abs(lo), abs(hi)) < 2.0 ** (52 - BISECT_LEVELS) * u and u * _FRACTIONS[1] > 0.0:
+        return lo + (hi - lo) * _FRACTIONS
+    x = np.empty(_SPAN + 1)
+    x[0], x[_SPAN] = lo, hi
+    step = _SPAN
+    while step > 1:
+        half = step // 2
+        np.multiply(0.5, x[:-1:step] + x[step::step], out=x[half::step])
+        step = half
+    return x
+
+
 def bisect_increasing(g, target, lo, hi):
-    """Solve g(x) = target for increasing continuous g on [lo, hi]."""
-    glo, ghi = g(lo), g(hi)
-    if not (glo <= target <= ghi):
+    """Solve g(x) = target for increasing continuous g on [lo, hi].
+
+    `g` maps an array of x to the array of g(x).  One call gives g at every
+    point the next BISECT_LEVELS halvings can reach (`_halving_points`), and
+    the loop walks those values with the same mids, test and stops as a loop
+    calling g once per halving, so the result has that loop's bits.  It
+    stops once the bracket is narrower than BISECT_TOL and than BISECT_REL
+    times its larger end's magnitude, or after BISECT_MAX_ITER halvings.
+    """
+    y = g(_halving_points(lo, hi))
+    if not (y[0] <= target <= y[_SPAN]):
         raise ValueError("target not bracketed")
+    i, j = 0, _SPAN  # lo and hi are the points i and j of the last call
     for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if hi - lo < BISECT_TOL:
+        width = hi - lo
+        if width < BISECT_TOL and width < BISECT_REL * max(abs(lo), abs(hi)):
             return mid
-        if g(mid) < target:
-            lo = mid
+        if j - i == 1:
+            y = g(_halving_points(lo, hi))
+            i, j = 0, _SPAN
+        k = (i + j) // 2
+        if y[k] < target:
+            lo, i = mid, k
         else:
-            hi = mid
+            hi, j = mid, k
     return 0.5 * (lo + hi)

@@ -122,7 +122,7 @@ def pnorm(v, p: Exponent, axis: int = -1):
     """l_p norm along an axis; vectorized.  Pass a batch of vectors
     coordinate-major, shape (m, rows) with axis=0, so that each pass is one
     contiguous run over the rows, not one tiny loop per row of length m."""
-    return pnorm_into(np.abs(np.asarray(v, dtype=float)), p, axis, None)
+    return pnorm_into(np.array(v, dtype=float), p, axis, None)
 
 
 def pnorm_into(v: np.ndarray, p: Exponent, axis: int, out: np.ndarray) -> np.ndarray:

@@ -77,6 +77,25 @@ class TestRankOne:
         with pytest.raises(CodomainDimOneError):
             rank_one_approx(T, 0.1)
 
+    @pytest.mark.parametrize("eps", [1e-12, 5e-13, 1e-13])
+    @pytest.mark.parametrize("codomain", ["census", "l_3^2"])
+    def test_small_eps_lands_at_a_quarter_of_eps(self, codomain, eps):
+        # the tilt t is about eps/8, so a bracket 1e-12 wide is no bound on
+        # it: at 5e-13 the census member raised, the distance 9.1e-13 not
+        # below eps, and at 1e-12 the distance was 0.91 eps
+        if codomain == "census":
+            T = operator([[0, 0, 0], [0, -1, 0], [0, 0, 0]], linf(3), l1(3))
+        else:
+            w = np.array([0.6, (1.0 - 0.6 ** 3) ** (1.0 / 3.0)])
+            T = operator(np.outer(w, [0.5, -0.25, 0.25]), linf(3), lp(3, 2))
+        report = rank_one_approx(T, eps)
+        assert report.distance < eps and report.attainment_preserved
+        # within 2^-10 relative, up to the rounding of T - A's entries near
+        # 1 (half an ulp of 1 each)
+        assert abs(report.distance - eps / 4.0) <= 2.0 ** -10 * eps / 4.0 + 2.0 ** -51
+        if eps >= 1e-12:
+            assert report.distance == pytest.approx(eps / 4.0, rel=1e-3)
+
 
 class TestConvexWitness:
     def setup_method(self):

@@ -19,8 +19,12 @@ distance is now taken over the corners above the level: in
 `verify_linf3_exact` was recorded then: the grid at 4096 certified it with
 delta 0.0625, which is false (z = (0.94, 1, 0.94) has ||Tz|| = 0.94 and
 d(z, M_A) = 0.06 >= eps); the exact delta is 0.03125.
+The two `approx_rank_one_*` cases (a rank-one census member l_inf^3 ->
+l_1^3 and a rank-one l_inf^3 -> l_3^2 operator) were recorded before the
+rank-one tilt's bisection began deciding eight halvings per call.
 Those four go through
-`pow`, trigonometry and, for l_2^3, LAPACK, whose last bits may vary with
+`pow`, trigonometry and, for l_2^3, LAPACK, and the two rank-one cases
+through LAPACK's SVD (and `pow` on l_3^2), whose last bits may vary with
 the platform; they were recorded with numpy 2.4 on x86-64 Linux.  The other
 cases avoid such results, and `demo` prints only check names and pass
 flags.
@@ -47,6 +51,14 @@ CASES = {
     "enumerate_ext": (["enumerate-ext", "--pair", "linf3-l13"], 0),
     "approx_linf": (
         ["approx", "--operator", "linf2_double.json", "--eps", "0.2", "--construction", "linf"],
+        0,
+    ),
+    "approx_rank_one_census": (
+        ["approx", "--operator", "census_rank_one.json", "--eps", "0.3", "--construction", "rank-one"],
+        0,
+    ),
+    "approx_rank_one_l32": (
+        ["approx", "--operator", "linf3_l32_rank_one.json", "--eps", "0.2", "--construction", "rank-one"],
         0,
     ),
     "verify_certified": (

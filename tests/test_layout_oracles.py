@@ -193,6 +193,22 @@ def test_pnorm_on_the_float_exponent_equals_the_old_branching(p):
         assert same_bits(pnorm_into(v.copy(), p, axis, out), want)
 
 
+@pytest.mark.parametrize(
+    "p", [1, 1.2, Fraction(4, 3), 1.5, 2, 3, 4, 10, 33, 100, INF], ids=str
+)
+def test_pnorm_copy_is_the_abs_copy(p):
+    # pnorm hands pnorm_into a plain copy, which takes |v| in place on every
+    # branch; the reference copies |v| first
+    rng = np.random.default_rng(9)
+    v = rng.standard_normal((40, 3))
+    v[::7, 1] = -0.0
+    inputs = [(v, 0), (v, 1), (np.asfortranarray(v), 0), (v[3], -1), (v[5].tolist(), -1)]
+    inputs += [([-0.0, -0.0, 2.5], -1), ([[-1.0, 0.5], [-0.0, -3.0]], 0)]
+    for x, axis in inputs:
+        want = pnorm_into(np.abs(np.asarray(x, dtype=float)), p, axis, None)
+        assert same_bits(pnorm(x, p, axis), want)
+
+
 @pytest.mark.parametrize("p", [Fraction(3), Fraction(4, 3), Fraction(10)], ids=str)
 def test_fortran_lp2_grid_equals_the_c_ordered_one(p):
     t, pts = _lp2_grid(p)
