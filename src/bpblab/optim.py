@@ -1,7 +1,5 @@
 """Small 1-D optimisation helpers used throughout the library."""
 
-import math
-
 import numpy as np
 
 ZOOM_POINTS = 33  # samples per bracket and level; odd, so the centre is one
@@ -48,30 +46,13 @@ def zoom_max(f, centre, half, tol):
 
 
 _SPAN = 1 << BISECT_LEVELS  # index of hi among a call's points
-_FRACTIONS = np.arange(_SPAN + 1) / _SPAN
-
-
-def _dyadic_unit(x):
-    """The largest power of 2 dividing the finite float x; inf for 0."""
-    num, den = float(x).as_integer_ratio()
-    return (num & -num) / den if num else math.inf
 
 
 def _halving_points(lo, hi):
     """The 2^BISECT_LEVELS + 1 points that the next BISECT_LEVELS halvings of
     [lo, hi] can reach: the ends and every mid 0.5 * (a + b) of the brackets
-    [a, b] on the way, each computed as the halving loop computes it.
-
-    When lo and hi are multiples of a power of 2, u, with |lo|, |hi| below
-    2^(52 - BISECT_LEVELS) u, as on [0, 2^k] and the brackets its halvings
-    reach, every point lo + (hi - lo) k / 2^BISECT_LEVELS is a multiple of
-    u / 2^BISECT_LEVELS under 2^53 of them: a float, reached exactly by
-    that formula and by each mid, so the formula is used.  Otherwise the
-    mids are built level by level.
+    [a, b] on the way, built level by level as the halving loop builds them.
     """
-    u = min(_dyadic_unit(lo), _dyadic_unit(hi))
-    if max(abs(lo), abs(hi)) < 2.0 ** (52 - BISECT_LEVELS) * u and u * _FRACTIONS[1] > 0.0:
-        return lo + (hi - lo) * _FRACTIONS
     x = np.empty(_SPAN + 1)
     x[0], x[_SPAN] = lo, hi
     step = _SPAN
@@ -88,7 +69,8 @@ def bisect_increasing(g, target, lo, hi):
     `g` maps an array of x to the array of g(x).  One call gives g at every
     point the next BISECT_LEVELS halvings can reach (`_halving_points`), and
     the loop walks those values with the same mids, test and stops as a loop
-    calling g once per halving, so the result has that loop's bits.  It
+    calling g once per halving, so given the same values of g the result
+    has that loop's bits.  It
     stops once the bracket is narrower than BISECT_TOL and than BISECT_REL
     times its larger end's magnitude, or after BISECT_MAX_ITER halvings.
     """

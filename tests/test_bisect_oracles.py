@@ -106,13 +106,12 @@ def seeded_rank_one(codomain, count, seed):
 
 # --- the bisection kernel ----------------------------------------------------
 
-# brackets of dyadic ends, as the tilt's, take lo + (hi - lo) k / 2^8; the
-# others, and subnormal ones, the mids level by level
+# dyadic brackets, as the tilt's [0, 2^k], non-dyadic and subnormal ones
 BRACKETS = [
     (0.0, 1.0), (0.0, 2.0 ** 20), (0.25 + 2.0 ** -40, 0.25 + 2.0 ** -39), (-1.0, 0.75),
     (0.0, math.pi / 2), (0.1, 0.3), (-3.0, 7e-3), (1.0, 1.0 + 2.0 ** -44),
     (0.0, 5e-324), (-(2.0 ** -1070), 2.0 ** -1060), (2.0 ** -1066, 2.0 ** -1065),
-    # odd integers just inside and past 2^44: the formula is exact, then not
+    # odd integers near 2^44 and 2^46, where lo + (hi - lo) k / 2^8 rounds
     (1.0 - 2.0 ** 44, 2.0 ** 44 - 1.0), (1.0 - 2.0 ** 46, 2.0 ** 46 - 1.0),
 ]
 
@@ -128,6 +127,7 @@ def test_halving_points_are_the_loops_mids(lo, hi):
         for k in range(half, n, step):
             assert x[k] == 0.5 * (x[k - half] + x[k + half])
         step = half
+    # on the tilt's brackets the points are equispaced
     if lo == 0.0 and math.log2(hi).is_integer() and hi > 2.0 ** -1000:
         assert np.array_equal(x, lo + (hi - lo) * np.arange(n + 1) / n)
 
@@ -190,7 +190,12 @@ def test_census_tilts_are_the_scalar_loops():
             assert _tilt(w, v, p, eps) == scalar_tilt(w, v, p, eps)
 
 
-@pytest.mark.parametrize("codomain", [l1(3), linf(3), l2(3), lp(3, 2)], ids=repr)
+# on l_3^2 and from n = 8 on the array gap can differ from the scalar one in
+# the last bit (np.power against libm pow; another order of summation), so
+# the equal t there is observed, not implied
+@pytest.mark.parametrize(
+    "codomain", [l1(3), linf(3), l2(3), lp(3, 2), l1(8), lp(3, 9)], ids=repr
+)
 def test_seeded_tilts_are_the_scalar_loops(codomain):
     for T, eps in seeded_rank_one(codomain, 60, seed=11):
         w, v, p = tilt_inputs(T, eps)
