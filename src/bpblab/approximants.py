@@ -101,9 +101,15 @@ def _shrink_index(d, eps):
     return n
 
 
-def _check_eps(eps, hi=2.0):
-    if not (0.0 < eps < hi):
-        raise OutOfRangeError(f"eps must lie in (0, {hi}), got {eps}")
+def _check_eps(eps, hi=2.0, lo=0):
+    if not (lo < eps < hi):
+        raise OutOfRangeError(f"eps must lie in ({lo}, {hi}), got {eps}")
+
+
+# the least eps the rank-one tilt accepts: it lands within 2^-10 relative of
+# eps/4, up to the rounding of T - A's entries near 1, and the distance must
+# exceed TAU_COINCIDE; at 4 TAU_COINCIDE it fell below for eps up to 4.17e-14
+_RANK_ONE_EPS_MIN = 5.0 * TAU_COINCIDE
 
 
 def _rank_one_factors(T: OperatorMatrix):
@@ -123,9 +129,10 @@ def rank_one_approx(T: OperatorMatrix, eps: float) -> ApproximantReport:
     With T = f (x) w, the approximant is f (x) u where u is a unit vector at
     codomain distance eps/4 from w, reached by rotating w toward the lowest
     index basis vector independent of w.  The attainment set, which is that
-    of the functional f alone, is untouched.
+    of the functional f alone, is untouched.  eps at or below
+    5 TAU_COINCIDE is refused, as the approximant would coincide with T.
     """
-    _check_eps(eps, hi=4.0)
+    _check_eps(eps, hi=4.0, lo=_RANK_ONE_EPS_MIN)
     return _rank_one(T, norm_one_attainment_set(T, "operator"), eps)
 
 
@@ -155,6 +162,7 @@ def _tilt(w, v, p, eps):
 
 def _rank_one(T: OperatorMatrix, MT: AttainmentSet, eps: float) -> ApproximantReport:
     """rank_one_approx of a norm-one T whose attainment set MT is built."""
+    _check_eps(eps, hi=4.0, lo=_RANK_ONE_EPS_MIN)
     if T.codomain.n < 2:
         raise CodomainDimOneError("rank-one construction needs dim(codomain) > 1")
     f, w = _rank_one_factors(T)
@@ -227,15 +235,18 @@ def direct_sum_shrink_approx(
 
 
 def _direct_sum_shrink(
-    T: OperatorMatrix, MT: AttainmentSet, X1_basis, X2_basis, eps: float
+    T: OperatorMatrix, MT: AttainmentSet, X1_basis, X2_basis, eps: float, r2=None
 ) -> ApproximantReport:
     """direct_sum_shrink_approx of a norm-one T whose attainment set MT is
-    built."""
+    built; `r2`, when given, is restricted_norm(T, X2_basis), computed by
+    the caller."""
     B1, B2, P1, P2 = _decomposition_projectors(X1_basis, X2_basis, T.domain.n)
     reps = MT.representative_points()
     if np.abs(reps @ P2.T).max() > TAU_INSIDE:
         raise NotComplementaryError("attainment set is not contained in X1")
-    if restricted_norm(T, B2) <= TAU_VANISH:
+    if r2 is None:
+        r2 = restricted_norm(T, B2)
+    if r2 <= TAU_VANISH:
         raise ZeroOnX2Error("T vanishes on X2; the construction is trivial")
     for i in range(B1.shape[1]):
         for j in range(B2.shape[1]):
@@ -361,7 +372,7 @@ def hilbert_rotate_approx(
             "T has full norm on the attainment complement; preservation impossible"
         )
     if r > TAU_VANISH:
-        return _direct_sum_shrink(T, MT, Q0, Qc, eps)
+        return _direct_sum_shrink(T, MT, Q0, Qc, eps, r2=r)
     if k == 1:
         return _rank_one(T, MT, eps)
     phi = 2.0 * math.asin(eps / 8.0)

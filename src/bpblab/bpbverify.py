@@ -50,15 +50,14 @@ from .spaces import (
     SpaceSpec,
     _arc_table,
     _arc_table_rows,
+    _arc_witness_table,
     _check_int,
-    _interp_on_curve,
     arc_length_constant,
     arc_length_total,
     face_distances,
     l1,
     l2,
     linf,
-    pnorm,
     pnorm_into,
     polyhedral_table,
 )
@@ -416,19 +415,13 @@ def property_p_witness(A: OperatorMatrix) -> PropertyPWitness:
         p = dom.p
         if p.denominator != 1 or p <= 2:
             raise UnsupportedSpaceError("arc strategy needs integer exponent p > 2")
-        pi = int(p)
-        K = 2 * (16 * pi - 9)
-        L = arc_length_total(p)
-        tab_pts, s = _arc_table(p, ARC_TABLE_SIZE)
+        K, L, mids, r0 = _arc_witness_table(p)
+        s = _arc_table(p, ARC_TABLE_SIZE)[1]
         # arc-length positions of the attainment points, binned into K arcs
         rows = _arc_table_rows(p, ARC_TABLE_SIZE, MA.points)
         occupied = set(((s[rows] / (L / K)).astype(int) % K).tolist())
         free = next(a for a in range(K) if a not in occupied)
-        mid_s = (free + 0.5) * (L / K)
-        x = _interp_on_curve(tab_pts, s, np.array([mid_s]))[:, 0]
-        x = x / float(pnorm(x, p))
-        r0 = arc_length_constant(p, L / (2.0 * K))
-        return PropertyPWitness(A, Point(x, dom), r0)
+        return PropertyPWitness(A, Point(mids[free], dom), r0)
     raise UnsupportedSpaceError(f"no witness strategy for {dom}")
 
 

@@ -53,7 +53,8 @@ TAU_ANGLE = 1e-9   # largest cosine of the widest principal angle between two
 TAU_ATTAIN_EQ = 1e-7  # largest distance between two attainment sets (points
                       # or subspace projectors) still read as equal sets
 TAU_COINCIDE = 1e-14  # largest ||T - A|| at which a constructor reads A as T
-                      # itself and refuses it
+                      # itself and refuses it; the rank-one tilt lands near
+                      # eps/4, so it refuses eps <= 5 TAU_COINCIDE up front
 TAU_RANK_ONE = 1e-10  # largest s_2 / s_1 of an operator still read as rank one
 TAU_INDEP = 1e-8   # smallest distance from a basis vector to span{w} for the
                    # rank-one tilt to turn w toward it
@@ -264,11 +265,16 @@ def _refined_maxima(t: np.ndarray, h: np.ndarray, f):
     call refines every kept grid maximum on its +/- one grid step bracket.
     Returns the refined (theta mod pi, value) pairs and the largest value.
     """
-    left, right = np.roll(h, 1), np.roll(h, -1)
+    # g[i] = h[i] - h[i - 1], cyclically, so h[i] - h[i + 1] = -g[i + 1]
+    n = len(h)
+    g = np.empty(n + 1)
+    np.subtract(h[1:], h[:-1], out=g[1:n])
+    g[0] = g[n] = h[0] - h[-1]
     # plateaus (constant stretches, up to rounding noise) contribute one
     # candidate at most, via the global argmax; otherwise require a rise
     # above the floating-point noise floor on the two sides combined
-    keep = (h >= left) & (h >= right) & ((h - left) + (h - right) > 1e-13 * np.maximum(1.0, h))
+    rise = g[:n] - g[1:]
+    keep = (g[:n] >= 0.0) & (g[1:] <= 0.0) & (rise > 1e-13 * np.maximum(1.0, h))
     keep[np.argmax(h)] = True
     x, v = zoom_max(f, t[keep], math.pi / len(t), TAU_OPT)
     return list(zip((x % math.pi).tolist(), v.tolist())), float(v.max())
@@ -296,10 +302,11 @@ def _lp2_local_maxima(T: OperatorMatrix):
         )
     t, pts = _lp2_grid(T.domain.p)
     # float exponents: the same norms, without Fraction arithmetic per level
-    p, q = T.domain.pf, T.codomain.pf
+    p, q, E = T.domain.pf, T.codomain.pf, T.entries.T
 
     def f(theta):
-        return pnorm(lp_circle(p, theta) @ T.entries.T, q)
+        # the matmul's output is fresh, so the norm takes it as scratch
+        return pnorm_into(lp_circle(p, theta) @ E, q, -1, None)
 
     return _refined_maxima(t, T.image_norms(pts), f)
 

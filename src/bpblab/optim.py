@@ -11,6 +11,11 @@ BISECT_MAX_ITER = 200  # halvings after which it stops anyway: near a large
 BISECT_LEVELS = 8  # halvings decided per call of g, at 2^8 + 1 points
 
 
+_ZOOM_U = np.linspace(-1.0, 1.0, ZOOM_POINTS)  # a bracket's samples, centre + half * u
+_ZOOM_U.setflags(write=False)
+_ZOOM_SHRINK = 2.0 / (ZOOM_POINTS - 1)  # bracket width ratio of one level
+
+
 def zoom_max(f, centre, half, tol):
     """Maximise f on every bracket [centre - half, centre + half] at once.
 
@@ -26,23 +31,25 @@ def zoom_max(f, centre, half, tol):
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    c = np.atleast_1d(np.asarray(centre, dtype=float))
-    h = np.broadcast_to(np.asarray(half, dtype=float), c.shape)
-    lo, hi = (c - h)[:, None], (c + h)[:, None]
-    u = np.linspace(-1.0, 1.0, ZOOM_POINTS)
-    rows = np.arange(len(c))
-    shrink = 2.0 / (ZOOM_POINTS - 1)
+    # columns, so that every level broadcasts against the row of u
+    c = np.atleast_1d(np.asarray(centre, dtype=float))[:, None]
+    h = np.empty_like(c)
+    h[:, 0] = half
+    lo, hi = c - h, c + h
+    # flat index of each row's first sample
+    first = np.arange(0, len(c) * ZOOM_POINTS, ZOOM_POINTS)[:, None]
     width = 2.0 * float(h.max(initial=0.0))
     while True:
-        x = c[:, None] + h[:, None] * u
+        x = np.multiply(h, _ZOOM_U)
+        x += c
         np.minimum(np.maximum(x, lo, out=x), hi, out=x)
         v = f(x)
-        best = np.argmax(v, axis=1)
-        c, fc = x[rows, best], v[rows, best]
-        h = h * shrink
-        width *= shrink
+        best = v.argmax(axis=1, keepdims=True) + first
+        c = x.take(best)
+        width *= _ZOOM_SHRINK
         if width <= tol:
-            return c, fc
+            return c[:, 0], v.take(best[:, 0])
+        h *= _ZOOM_SHRINK
 
 
 _SPAN = 1 << BISECT_LEVELS  # index of hi among a call's points

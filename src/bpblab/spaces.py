@@ -501,10 +501,15 @@ def lp_circle(p: Exponent, t) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     e = 2.0 / float(p)
-    c, s = np.cos(t), np.sin(t)
-    x = np.sign(c) * np.abs(c) ** e
-    y = np.sign(s) * np.abs(s) ** e
-    return np.stack([x, y], axis=-1)
+    out = np.empty(t.shape + (2,))
+    # sgn * |.| ** e, not np.copysign or np.power: on a 0-d t `**` is libm's
+    # pow, whose last bit can differ from np.power's, and copysign would put
+    # 1.0, not 0, at sin(0) when p = inf
+    c = np.cos(t)
+    out[..., 0] = np.sign(c) * np.abs(c) ** e
+    c = np.sin(t)
+    out[..., 1] = np.sign(c) * np.abs(c) ** e
+    return out
 
 
 # Segments of the arc table shared by arc_length_total and property_p_witness.
@@ -544,6 +549,26 @@ def _arc_table(p: Exponent, m: int):
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     s = np.concatenate([[0.0], np.cumsum(seg)])
     return _read_only(pts), _read_only(s)
+
+
+@functools.lru_cache(maxsize=32)
+def _arc_witness_table(p: Exponent):
+    """The isolation witnesses of the arc strategy on the l_p circle, for
+    an integer p > 2: read-only (K = 2(16p - 9), the circle's length L,
+    the K unit midpoints of the K arcs of length L / K that the arc table
+    cuts it into, one row each, and r0 = arc_length_constant(p, L / 2K)).
+
+    A witness depends only on p and the first free arc, so each p
+    interpolates its K midpoints in one call and normalises each with the
+    scalar pnorm, as a witness computed on its own would.
+    """
+    K = 2 * (16 * int(p) - 9)
+    L = arc_length_total(p)
+    pts, s = _arc_table(p, ARC_TABLE_SIZE)
+    X = _interp_on_curve(pts, s, (np.arange(K) + 0.5) * (L / K)).T.copy()
+    for x in X:
+        x /= float(pnorm(x, p))
+    return K, L, _read_only(X), arc_length_constant(p, L / (2.0 * K))
 
 
 def _interp_on_curve(pts, s, u):

@@ -36,6 +36,7 @@ from bpblab.errors import (
     NormNotOneError,
     NotRankOneError,
     ObstructionError,
+    OutOfRangeError,
     ZeroOnX2Error,
 )
 from bpblab.bpbverify import _random_linf_candidates
@@ -49,6 +50,16 @@ def check_contract(report, preserved=True):
     assert v == pytest.approx(1.0, abs=1e-9)
     assert not report.approximant.close_to(report.original)
     assert report.attainment_preserved == preserved
+
+
+def small_eps_operators():
+    """The rank-one census member and l_inf^3 -> l_3^2 operator on which
+    the tilt misbehaved at small eps, by codomain."""
+    w = np.array([0.6, (1.0 - 0.6 ** 3) ** (1.0 / 3.0)])
+    return {
+        "census": operator([[0, 0, 0], [0, -1, 0], [0, 0, 0]], linf(3), l1(3)),
+        "l_3^2": operator(np.outer(w, [0.5, -0.25, 0.25]), linf(3), lp(3, 2)),
+    }
 
 
 class TestRankOne:
@@ -83,11 +94,7 @@ class TestRankOne:
         # the tilt t is about eps/8, so a bracket 1e-12 wide is no bound on
         # it: at 5e-13 the census member raised, the distance 9.1e-13 not
         # below eps, and at 1e-12 the distance was 0.91 eps
-        if codomain == "census":
-            T = operator([[0, 0, 0], [0, -1, 0], [0, 0, 0]], linf(3), l1(3))
-        else:
-            w = np.array([0.6, (1.0 - 0.6 ** 3) ** (1.0 / 3.0)])
-            T = operator(np.outer(w, [0.5, -0.25, 0.25]), linf(3), lp(3, 2))
+        T = small_eps_operators()[codomain]
         report = rank_one_approx(T, eps)
         assert report.distance < eps and report.attainment_preserved
         # within 2^-10 relative, up to the rounding of T - A's entries near
@@ -95,6 +102,40 @@ class TestRankOne:
         assert abs(report.distance - eps / 4.0) <= 2.0 ** -10 * eps / 4.0 + 2.0 ** -51
         if eps >= 1e-12:
             assert report.distance == pytest.approx(eps / 4.0, rel=1e-3)
+
+    @pytest.mark.parametrize("eps", [4e-14, 1e-15, approximants._RANK_ONE_EPS_MIN])
+    def test_eps_at_the_coincidence_floor_is_refused_up_front(self, monkeypatch, eps):
+        # at 4e-14 the l_3^2 operator raised ConstructionError("coincides")
+        monkeypatch.setattr(approximants, "norm_one_attainment_set", None)
+        monkeypatch.setattr(approximants, "_tilt", None)
+        for T in small_eps_operators().values():
+            with pytest.raises(OutOfRangeError, match="eps"):
+                rank_one_approx(T, eps)
+        # the l_2^n chain reaches the tilt with eps already in (0, 2)
+        monkeypatch.undo()
+        monkeypatch.setattr(approximants, "_tilt", None)
+        R = operator(np.diag([1.0, 0.0, 0.0]), l2(3), l2(3))
+        with pytest.raises(OutOfRangeError, match="eps"):
+            hilbert_rotate_approx(R, eps)
+
+    def test_every_accepted_small_eps_constructs(self):
+        floor = approximants._RANK_ONE_EPS_MIN
+        assert floor == 5.0 * operators.TAU_COINCIDE
+        grid = np.concatenate([
+            np.nextafter(floor, 1.0) + 1e-17 * np.arange(8),
+            np.geomspace(4e-14, 1e-12, 24),
+        ])
+        R = operator(np.diag([1.0, 0.0, 0.0]), l2(3), l2(3))
+        for eps in grid.tolist():
+            for T in small_eps_operators().values():
+                if eps <= floor:
+                    with pytest.raises(OutOfRangeError):
+                        rank_one_approx(T, eps)
+                    continue
+                report = rank_one_approx(T, eps)
+                assert operators.TAU_COINCIDE < report.distance < eps
+            if eps > floor:
+                assert hilbert_rotate_approx(R, eps).distance > operators.TAU_COINCIDE
 
 
 class TestConvexWitness:
@@ -369,6 +410,24 @@ class TestHilbertChainWork:
         assert of_T == ["attainment_set"]
         # the rest: M_A and ||T - A|| in _finish
         assert sorted(name for name, _ in calls) == ["attainment_set", "attainment_set", "op_norm"]
+
+    def test_the_complement_norm_is_computed_once(self, monkeypatch):
+        # hilbert_rotate_approx hands ||T|_{X2}|| to the shrink, which the
+        # public direct_sum_shrink_approx computes itself
+        log = []
+        fn = approximants.restricted_norm
+
+        def spy(T, basis):
+            log.append(np.array(basis))
+            return fn(T, basis)
+
+        monkeypatch.setattr(approximants, "restricted_norm", spy)
+        T = operator(np.diag([1.0, 1.0, 0.5]), l2(3), l2(3))
+        assert hilbert_rotate_approx(T, 0.1).construction.startswith("direct_sum_shrink")
+        assert len(log) == 1
+        Q0, Qc = np.eye(3)[:, :2], np.eye(3)[:, 2:]
+        assert direct_sum_shrink_approx(T, Q0, Qc, 0.1).construction.startswith("direct_sum_shrink")
+        assert len(log) == 2 and np.array_equal(log[1], Qc)
 
     def test_reports_match_the_public_constructors(self):
         T = operator(np.diag([1.0, 1.0, 0.5]), l2(3), l2(3))
