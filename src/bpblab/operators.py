@@ -311,6 +311,33 @@ def _lp2_local_maxima(T: OperatorMatrix):
     return _refined_maxima(t, T.image_norms(pts), f)
 
 
+@functools.lru_cache(maxsize=8)
+def _norm_analysis(raw: bytes, shape: tuple, domain: SpaceSpec, codomain: SpaceSpec):
+    """The raw norm analysis of the operator with C-ordered float entries
+    `raw` of `shape`, memoised on that content and the two spaces: (s, Vt)
+    of its SVD, read-only, on a Hilbert pair, else the l_p^2 search's
+    refined (theta, value) candidates as a tuple and the largest value.
+
+    Eight entries hold the operators of one call chain (T, A and T - A of
+    a certificate), not a list of operators: a loop over more than eight
+    operators computes each afresh.  A hit returns the very arrays and
+    floats the miss computed, so every caller keeps its bits.
+    """
+    E = np.frombuffer(raw).reshape(shape)
+    if domain.hilbert and codomain.hilbert:
+        _, s, Vt = np.linalg.svd(E)
+        s.setflags(write=False)
+        Vt.setflags(write=False)
+        return s, Vt
+    candidates, best = _lp2_local_maxima(OperatorMatrix(E, domain, codomain))
+    return tuple(candidates), best
+
+
+def _analysis(T: OperatorMatrix):
+    """_norm_analysis of T, which is on a non-polyhedral domain."""
+    return _norm_analysis(T.entries.tobytes(), T.entries.shape, T.domain, T.codomain)
+
+
 def _vertex_norms(E: np.ndarray, V: np.ndarray, codomain: SpaceSpec) -> np.ndarray:
     """||Ev|| in `codomain` at every row v of V (vertices or barycentres of
     a polyhedral unit ball) for a stack E of shape (..., m, n); the result
@@ -325,7 +352,8 @@ def op_norm(T: OperatorMatrix) -> tuple[float, Point]:
     Exact per domain: the maximum over the unit ball's vertices for l_1^n
     and l_inf^n (the first maximising vertex is the witness), the top
     singular value for Hilbert-to-Hilbert, and grid search
-    refined by zoom_max for 2-D strictly convex domains.
+    refined by zoom_max for 2-D strictly convex domains.  The SVD and the
+    search are memoised per operator, shared with attainment_set.
     """
     dom = T.domain
     if dom.polyhedral:
@@ -334,9 +362,9 @@ def op_norm(T: OperatorMatrix) -> tuple[float, Point]:
         k = int(np.argmax(norms))
         return float(norms[k]), Point(V[k], dom)
     if dom.hilbert and T.codomain.hilbert:
-        U, s, Vt = np.linalg.svd(T.entries)
+        s, Vt = _analysis(T)
         return float(s[0]), Point(Vt[0], dom)
-    candidates, best = _lp2_local_maxima(T)
+    candidates, best = _analysis(T)
     tt = max(candidates, key=lambda c: c[1])[0]
     return best, Point(lp_circle(dom.p, tt), dom)
 
@@ -423,10 +451,10 @@ def attainment_set(T: OperatorMatrix, check=None) -> AttainmentSet:
     if dom.polyhedral:
         value, _ = op_norm(T)
     elif dom.hilbert and T.codomain.hilbert:
-        _, s, Vt = np.linalg.svd(T.entries)
+        s, Vt = _analysis(T)
         value = float(s[0])
     else:
-        candidates, value = _lp2_local_maxima(T)
+        candidates, value = _analysis(T)
     if check is not None:
         check(value)
     if value <= 0.0:

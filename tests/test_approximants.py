@@ -29,6 +29,7 @@ from bpblab.errors import (
     BadIndexError,
     CodomainDimOneError,
     ConditionFailsError,
+    ConstructionError,
     DegenerateWitnessError,
     IsIsometryError,
     NotAMidpointError,
@@ -40,8 +41,9 @@ from bpblab.errors import (
     ZeroOnX2Error,
 )
 from bpblab.bpbverify import _random_linf_candidates
-from bpblab.operators import attainment_equal, attainment_set
-from bpblab.spaces import TAU_EQ, pnorm
+from bpblab.operators import OperatorMatrix, attainment_equal, attainment_set
+from bpblab.optim import bisect_increasing
+from bpblab.spaces import TAU_EQ, Point, SpaceSpec, lp_circle, pnorm, support_functionals
 
 
 def check_contract(report, preserved=True):
@@ -495,6 +497,97 @@ class TestFunctionalApprox:
             float(pnorm(a - bpt, 4)) for a in x for bpt in xk
         )
         assert 0 < d < 0.3
+
+
+def point_target_functional(f, eps):
+    """functional_approx_lp2 as it was with one point distance, eps/4: it
+    refused f when the support functional there lay eps or more from f."""
+    q_space = f.space
+    p_space = q_space.dual()
+    qf = float(q_space.p)
+    c = f.coords
+    x = np.sign(c) * np.abs(c) ** (qf - 1.0)
+    x = x / float(pnorm(x, p_space.p))
+    t0 = math.atan2(
+        math.copysign(abs(x[1]) ** (float(p_space.p) / 2.0), x[1]),
+        math.copysign(abs(x[0]) ** (float(p_space.p) / 2.0), x[0]),
+    )
+
+    def gap(dt):
+        return pnorm(lp_circle(p_space.p, t0 + dt) - x, p_space.pf)
+
+    dt = bisect_increasing(gap, eps / 4.0, 0.0, math.pi / 2.0)
+    xk = lp_circle(p_space.p, t0 + dt)
+    fk = support_functionals(Point(xk, p_space)).functionals[0]
+    cod = SpaceSpec(2, 1)
+    Tf = OperatorMatrix(c[None, :], p_space, cod)
+    Af = OperatorMatrix(fk.coords[None, :], p_space, cod)
+    report = approximants._finish(Tf, Af, eps, "functional_lp2", expect_preserved=False)
+    if float(pnorm(fk.coords - c, q_space.p)) >= eps:
+        raise ConstructionError("dual distance exceeds eps")
+    return report
+
+
+def report_bits(r):
+    return (
+        r.approximant.entries.tobytes(), r.distance.hex(), r.construction,
+        r.attainment_original.points.tobytes(), r.attainment_approximant.points.tobytes(),
+    )
+
+
+class TestFunctionalHalving:
+    """Near p = 1 the support functional of the point eps/4 from x can lie
+    eps or more from f; the constructor then halves the point distance."""
+
+    @pytest.fixture
+    def targets(self, monkeypatch):
+        """The point distances the constructor bisects for, in order."""
+        log = []
+
+        def spy(g, target, lo, hi):
+            log.append(target)
+            return bisect_increasing(g, target, lo, hi)
+
+        monkeypatch.setattr(approximants, "bisect_increasing", spy)
+        return log
+
+    @pytest.mark.parametrize("p, refused_before", [
+        ("6/5", 5), ("3", 1), ("11/10", 13), ("101/100", 17),
+    ])
+    def test_every_seeded_functional_is_accepted(self, p, refused_before, targets):
+        s = lp(p, 2)
+        rng = np.random.default_rng(0)
+        refused = 0
+        for _ in range(30):
+            c = rng.standard_normal(2)
+            f = point(c / float(pnorm(c, s.p)), s)
+            eps = float(rng.uniform(0.02, 1.98))
+            targets.clear()
+            report = functional_approx_lp2(f, eps)
+            check_contract(report, preserved=report.attainment_preserved)
+            diff = report.approximant.entries[0] - report.original.entries[0]
+            assert float(pnorm(diff, s.p)) < eps
+            assert targets == [eps / 2.0 ** k for k in range(2, len(targets) + 2)]
+            assert len(targets) <= 6
+            try:
+                want = point_target_functional(f, eps)
+            except ConstructionError:
+                refused += 1
+                assert len(targets) > 1
+            else:
+                # accepted at eps/4: the same bits as before
+                assert len(targets) == 1 and report_bits(report) == report_bits(want)
+        assert refused == refused_before
+
+    def test_refused_after_the_last_halving(self, targets):
+        # on l_{101/100}^2 the dual distance of J(x_k) jumps near a zero
+        # coordinate of x, so no halving within the bound helps
+        c = np.array([-1.0, -0.49254298])
+        f = point(c / float(pnorm(c, 101)), lp(101, 2))
+        with pytest.raises(ConstructionError, match="no support functional within eps"):
+            functional_approx_lp2(f, 0.025)
+        assert len(targets) == approximants._FUNCTIONAL_HALVINGS + 1
+        assert targets[-1] == 0.025 / 2.0 ** (approximants._FUNCTIONAL_HALVINGS + 2)
 
 
 class TestSbpbpFamily:

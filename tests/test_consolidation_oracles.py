@@ -506,6 +506,8 @@ def _zoom_centres(monkeypatch):
 
     zoom_max = operators.zoom_max
     monkeypatch.setattr(operators, "zoom_max", spy)
+    # a search memoised by an earlier test would make no zoom call
+    operators._norm_analysis.cache_clear()
     return calls
 
 

@@ -23,8 +23,10 @@ The two `approx_rank_one_*` cases (a rank-one census member l_inf^3 ->
 l_1^3 and a rank-one l_inf^3 -> l_3^2 operator) were recorded before the
 rank-one tilt's bisection began deciding eight halvings per call, and
 `norm_lp43_2` (an l_{4/3}^2 -> l_3^2 operator, the search off integer p)
-before the l_p^2 maximum search lost its per-call copies.
-The four smooth-path cases and `norm_lp43_2` go through
+before the l_p^2 maximum search lost its per-call copies, and
+`attain_lp43_2` (its points attainment set) before the norm analysis of
+l_p^2 and Hilbert operators was memoised.
+The four smooth-path cases and the two `*_lp43_2` cases go through
 `pow`, trigonometry and, for l_2^3, LAPACK, and the two rank-one cases
 through LAPACK's SVD (and `pow` on l_3^2), whose last bits may vary with
 the platform; they were recorded with numpy 2.4 on x86-64 Linux.  The other
@@ -76,6 +78,7 @@ CASES = {
     "norm_lp3_2": (["norm", "--operator", "lp3_2_unit.json"], 0),
     "norm_lp43_2": (["norm", "--operator", "lp43_2.json"], 0),
     "attain_lp3_2": (["attain", "--operator", "lp3_2_unit.json"], 0),
+    "attain_lp43_2": (["attain", "--operator", "lp43_2.json"], 0),
     "witness_p_lp3_2": (["witness-p", "--operator", "lp3_2_unit.json"], 0),
     "verify_l23": (["verify", "--T", "l23_T.json", "--A", "l23_A.json", "--eps", "0.2"], 0),
     "verify_linf3_exact": (

@@ -8,8 +8,14 @@ the neighbour test on two `np.roll` copies; `copy_objective`, which copied
 each image before taking its norm; and `per_call_witness`, the arc
 witness interpolated and normalised afresh on every call.  Each new kernel
 must equal its reference bit for bit.
+
+The memo of the raw norm analysis (`operators._norm_analysis`) is checked
+against its own uncached body, `_norm_analysis.__wrapped__`, through every
+caller: norm, attainment set, witness, Hilbert constructor and certificate
+give the same bits cold, warm and uncached.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -17,7 +23,8 @@ import numpy as np
 import pytest
 
 from bpblab import operators
-from bpblab.bpbverify import property_p_witness
+from bpblab.approximants import hilbert_rotate_approx
+from bpblab.bpbverify import property_p_witness, verify_uniform_bpb
 from bpblab.operators import (
     _lp2_grid,
     _lp2_local_maxima,
@@ -37,6 +44,7 @@ from bpblab.spaces import (
     arc_length_constant,
     arc_length_total,
     as_exponent,
+    l2,
     lp,
     lp_circle,
     pnorm,
@@ -250,3 +258,134 @@ def test_witness_is_the_per_call_witness(p):
         x, r0 = per_call_witness(A)
         assert same_bits(w.x_A.coords, x)
         assert w.r0 == r0
+
+
+# ---------------------------------------------------------------------------
+# the memo of the raw norm analysis
+
+
+def bits(x):
+    """A hashable fingerprint of a result holding its floats' and arrays'
+    exact bits."""
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__,) + tuple(bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, np.ndarray):
+        return (x.dtype.str, x.shape, x.tobytes())
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (tuple, list)):
+        return tuple(bits(v) for v in x)
+    return x
+
+
+def unit_operator(M, dom):
+    return operator(M / op_norm(operator(M, dom, dom))[0], dom, dom)
+
+
+def memo_cases():
+    """Seeded norm-one (T, A) pairs, A a normalised perturbation of T, on
+    each smooth space of the benchmark, and the l_4^2 Hadamard matrix."""
+    rng = np.random.default_rng(64)
+    cases = []
+    for p, n in (("3", 2), ("4", 2), ("4/3", 2), ("3/2", 2), ("2", 3)):
+        dom = lp(p, n)
+        for _ in range(3):
+            M = rng.standard_normal((n, n))
+            cases.append((unit_operator(M, dom), unit_operator(M + 0.02 * rng.standard_normal((n, n)), dom)))
+    H = np.array([[1.0, 1.0], [1.0, -1.0]])
+    cases.append((unit_operator(H, lp(4, 2)), unit_operator(H + 0.01 * np.eye(2), lp(4, 2))))
+    return cases
+
+
+def chain(T, A):
+    """Every result built on the memo for one (T, A) pair."""
+    dom = T.domain
+    out = [op_norm(T), attainment_set(T), op_norm(A), attainment_set(A)]
+    if dom.hilbert:
+        out.append(hilbert_rotate_approx(T, 0.3))
+    elif dom.p.denominator == 1:
+        out += [property_p_witness(T), property_p_witness(A)]
+    out.append(verify_uniform_bpb(T, A, 0.3, resolution=16384))
+    return bits(out)
+
+
+def test_memo_results_equal_the_uncached_analysis(monkeypatch):
+    cases = memo_cases()
+    memo = operators._norm_analysis
+    cold, warm = [], []
+    for T, A in cases:
+        memo.cache_clear()
+        cold.append(chain(T, A))
+        misses = memo.cache_info().misses
+        warm.append(chain(T, A))
+        assert memo.cache_info().misses == misses
+    monkeypatch.setattr(operators, "_norm_analysis", memo.__wrapped__)
+    uncached = [chain(T, A) for T, A in cases]
+    assert cold == uncached
+    assert warm == uncached
+    # the Hadamard matrix itself (norm 2^(1/2)), as the benchmark asks it
+    H = operator([[1.0, 1.0], [1.0, -1.0]], lp(4, 2), lp(4, 2))
+    want = bits([op_norm(H), attainment_set(H)])
+    monkeypatch.undo()
+    memo.cache_clear()
+    assert bits([op_norm(H), attainment_set(H)]) == want
+    assert bits([op_norm(H), attainment_set(H)]) == want
+
+
+def fresh_lp2(seed, p="3"):
+    M = np.random.default_rng(seed).standard_normal((2, 2))
+    return unit_operator(M, lp(p, 2))
+
+
+def test_one_search_serves_norm_set_and_witness():
+    T = fresh_lp2(1)
+    memo = operators._norm_analysis
+    memo.cache_clear()
+    op_norm(T)
+    assert memo.cache_info()[:2] == (0, 1)
+    attainment_set(T)
+    property_p_witness(T)
+    assert memo.cache_info()[:2] == (2, 1)
+
+
+def test_the_ninth_operator_evicts_the_first():
+    memo = operators._norm_analysis
+    first, others = fresh_lp2(2), [fresh_lp2(10 + k) for k in range(8)]
+    memo.cache_clear()
+    op_norm(first)
+    for T in others:
+        op_norm(T)
+    assert memo.cache_info()[:4] == (0, 9, 8, 8)
+    op_norm(first)
+    assert memo.cache_info()[:2] == (0, 10)
+    # the last seven stay
+    for T in others[1:]:
+        op_norm(T)
+    assert memo.cache_info()[:2] == (7, 10)
+
+
+def test_memo_results_are_read_only():
+    T = unit_operator(np.random.default_rng(3).standard_normal((3, 3)), l2(3))
+    s, Vt = operators._analysis(T)
+    for a in (s, Vt):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    candidates, best = operators._analysis(fresh_lp2(3))
+    assert isinstance(candidates, tuple) and isinstance(best, float)
+    with pytest.raises(TypeError):
+        candidates[0] = (0.0, 0.0)
+    # the attainment basis is the caller's own copy
+    basis = attainment_set(T).basis
+    basis[0, 0] = 0.5
+    assert not np.shares_memory(basis, Vt)
+
+
+def test_spaces_and_scale_are_part_of_the_key():
+    M = np.random.default_rng(4).standard_normal((2, 2))
+    memo = operators._norm_analysis
+    memo.cache_clear()
+    on3, on4 = operator(M, lp(3, 2), lp(3, 2)), operator(M, lp(4, 2), lp(4, 2))
+    into4, scaled = operator(M, lp(3, 2), lp(4, 2)), operator(2.0 * M, lp(3, 2), lp(3, 2))
+    norms = [op_norm(T)[0] for T in (on3, on4, into4, scaled)]
+    assert memo.cache_info() == (0, 4, 8, 4)
+    assert len(set(norms)) == 4 and norms[3] == pytest.approx(2.0 * norms[0], rel=1e-12)
