@@ -41,6 +41,7 @@ from .operators import (
     TAU_VANISH,
     AttainmentSet,
     OperatorMatrix,
+    _orthonormal_norm,
     attainment_equal,
     attainment_set,
     norm_one_attainment_set,
@@ -366,7 +367,7 @@ def hilbert_rotate_approx(
     if k == n:
         raise IsIsometryError("full-sphere attainment; T is an isometry")
     Qc = orthogonal_complement(Q0)
-    r = restricted_norm(T, Qc)
+    r = _orthonormal_norm(T, Qc)
     if r >= 1.0 - TAU_EQ:
         raise ObstructionError(
             "T has full norm on the attainment complement; preservation impossible"

@@ -12,7 +12,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -33,14 +33,15 @@ from .operators import (
     TAU_VANISH,
     OperatorMatrix,
     _attaining_faces,
+    _orthonormal_norm,
     attainment_set,
     check_norm_one,
     norm_one_attainment_set,
     op_norm,
     op_norms,
     orthogonal_complement,
+    pair_geometry,
     require_norm_one,
-    restricted_norm,
 )
 from .sampling import corner_points, sphere_grid
 from .spaces import (
@@ -163,37 +164,46 @@ def delta_descent(norms, dists, top: float, eps: float):
     return delta, float(dists[norms > top - delta].max(initial=-np.inf)), None
 
 
-def _sample(T: OperatorMatrix, witness: Optional[Point], eps: float, resolution: int):
-    """The T side of the inclusion test, (X, image norms): on l_1^n and
-    l_inf^n X is the corner set, which holds every vertex; elsewhere this
-    thread's sphere grid at `resolution` with T's norming vector `witness`
-    last, its norms in this thread's norms row."""
-    if T.domain.polyhedral:
+class _Sample(NamedTuple):
+    """The T side of the inclusion test: the rows z, their norms ||Tz||,
+    the least distance read as eps (None: distances read as computed) and
+    the certificate's `basis`."""
+
+    rows: np.ndarray
+    norms: np.ndarray
+    far: Optional[float]
+    basis: str
+
+
+def _sample(T: OperatorMatrix, witness: Optional[Point], eps: float, resolution: int) -> _Sample:
+    """The sample of T's geometry.  Polyhedral: the corner set, which holds
+    every vertex, read from `_far_from(eps)` up as eps ("exact").  Else
+    this thread's sphere grid at `resolution` with T's norming vector
+    `witness` last, its norms in this thread's norms row ("sampled")."""
+    if pair_geometry(T.domain, T.codomain) == "polyhedral":
         X = corner_points(T.domain, eps)
-        return X, T.image_norms(X)
+        return _Sample(X, T.image_norms(X), _far_from(eps), "exact")
     X, images, norms = _sample_buffers(T.domain, resolution, T.codomain.n)
     X[-1] = witness.coords
     pnorm_into(np.matmul(T.entries, X.T, out=images), T.codomain.pf, 0, norms)
-    return X, norms
+    return _Sample(X, norms, None, "sampled")
 
 
 def _far_from(eps: float) -> float:
-    """The least corner distance read as eps: eps - TAU_CORNER, above 0."""
+    """The least corner distance read as eps, as a corner at exactly eps
+    may compute just below it: eps - TAU_CORNER, above 0."""
     return max(eps - TAU_CORNER, math.ulp(0.0))
 
 
-def _descent(M, top: float, eps: float, sample):
+def _descent(M, top: float, eps: float, sample: _Sample):
     """delta_descent of the T-side `sample`, whose image norms peak at
     `top`, against the attainment set M: (delta, worst distance,
-    counterexample Point or None).  A corner at exactly eps may compute
-    just below it, so a corner distance from `_far_from(eps)` up is eps.
-    """
-    X, norms = sample
-    dists = M.distance_to(X)
-    if M.space.polyhedral:
-        np.copyto(dists, eps, where=(dists < eps) & (dists >= _far_from(eps)))
-    delta, worst, idx = delta_descent(norms, dists, top, eps)
-    return delta, worst, None if idx is None else Point(X[idx], M.space)
+    counterexample Point or None)."""
+    dists = M.distance_to(sample.rows)
+    if sample.far is not None:
+        np.copyto(dists, eps, where=(dists < eps) & (dists >= sample.far))
+    delta, worst, idx = delta_descent(sample.norms, dists, top, eps)
+    return delta, worst, None if idx is None else Point(sample.rows[idx], M.space)
 
 
 def _inclusion_certificate(MA, dist: float, eps: float, resolution: int, sample) -> BpbCertificate:
@@ -202,8 +212,7 @@ def _inclusion_certificate(MA, dist: float, eps: float, resolution: int, sample)
     is below eps; else falsified with no descent."""
     delta, worst, z = _descent(MA, 1.0, eps, sample) if dist < eps else (None, math.inf, None)
     status = "falsified" if delta is None else "certified"
-    basis = "exact" if MA.space.polyhedral else "sampled"
-    return BpbCertificate(status, eps, delta, resolution, worst, z, dist, basis)
+    return BpbCertificate(status, eps, delta, resolution, worst, z, dist, sample.basis)
 
 
 @dataclass(frozen=True)
@@ -231,8 +240,10 @@ def delta_for_epsilon(
     resolution = _check_int(resolution, "resolution", 0)
     apx._check_eps(eps, hi=math.inf)
     M = attainment_set(T)
-    # off polyhedral domains a row of the set, so no second l_p^2 search or SVD runs
-    witness = None if T.domain.polyhedral else Point(M.representative_points()[0], T.domain)
+    # the set's first row, not op_norm's witness (another of its points on
+    # l_p^2), keeps the sample's bits
+    polyhedral = pair_geometry(T.domain, T.codomain) == "polyhedral"
+    witness = None if polyhedral else Point(M.representative_points()[0], T.domain)
     delta, _, z = _descent(M, M.value, eps, _sample(T, witness, eps, resolution))
     return DeltaSearch(delta is not None, delta, z, resolution)
 
@@ -297,7 +308,7 @@ def _halving_search(T: OperatorMatrix, D: np.ndarray, eps: float):
     return cands, dists, found
 
 
-def _polyhedral_screen(C: np.ndarray, dom: SpaceSpec, cod: SpaceSpec, sample, eps: float):
+def _polyhedral_screen(C: np.ndarray, dom: SpaceSpec, cod: SpaceSpec, sample: _Sample):
     """||A|| of every candidate A of the stack C on a polyhedral domain, and
     whether `_inclusion_certificate` certifies A against the T-side
     `sample` when ||A|| is 1, decided without building an attainment set.
@@ -310,12 +321,11 @@ def _polyhedral_screen(C: np.ndarray, dom: SpaceSpec, cod: SpaceSpec, sample, ep
     norm among the rows not near, and A certifies iff g passes some level
     of the delta grid, g <= 1 - DELTA_LAST.
     """
-    X, norms = sample
     values = op_norms(C, dom, cod)
     hit = _attaining_faces(C, values, dom, cod)
     used = np.flatnonzero(hit.any(axis=0))
-    near = face_distances(dom, polyhedral_table(dom).patterns[used], X) < _far_from(eps)
-    g = np.where(hit[:, used] @ near, -np.inf, norms).max(axis=1)
+    near = face_distances(dom, polyhedral_table(dom).patterns[used], sample.rows) < sample.far
+    g = np.where(hit[:, used] @ near, -np.inf, sample.norms).max(axis=1)
     return values, g <= 1.0 - DELTA_LAST
 
 
@@ -348,19 +358,20 @@ def is_only_approximation(
     resolution = _check_int(resolution, "resolution", 0)
     _, witness = require_norm_one(T, "T")
     dom, cod = T.domain, T.codomain
-    block = TRIAL_BLOCK if dom.polyhedral or (dom.hilbert and cod.hilbert) else 1
+    geometry = pair_geometry(dom, cod)
+    block = 1 if geometry == "lp2" else TRIAL_BLOCK
     rng = np.random.default_rng(seed)
     sample = _sample(T, witness, eps, resolution)
     for start in range(0, trials, block):
         D = rng.standard_normal((min(block, trials - start), *T.entries.shape))
         cands, dists, found = _halving_search(T, D, eps)
         idx = np.flatnonzero(found)
-        if dom.polyhedral and idx.size:
-            values, certifies = _polyhedral_screen(cands[idx], dom, cod, sample, eps)
+        if geometry == "polyhedral" and idx.size:
+            values, certifies = _polyhedral_screen(cands[idx], dom, cod, sample)
         for j, i in enumerate(idx):
             if np.abs(cands[i] - T.entries).max() < TAU_SAME:
                 continue
-            if dom.polyhedral:
+            if geometry == "polyhedral":
                 check_norm_one(float(values[j]), "A")
                 if not certifies[j]:
                     continue
@@ -489,8 +500,8 @@ def hilbert_necessary_checks(
     sv = np.linalg.svd(H0.T @ H, compute_uv=False)
     trivial = dims_equal and (len(sv) == 0 or float(sv[min(k, len(sv)) - 1]) > TAU_ANGLE)
     D = T - A
-    n1 = restricted_norm(D, H0)
-    n2 = restricted_norm(D, orthogonal_complement(H0))
+    n1 = _orthonormal_norm(D, H0)
+    n2 = _orthonormal_norm(D, orthogonal_complement(H0))
     disjunction = _split_norm_disjunction(n1, n2, math.sqrt(2.25) * eps)
     cert = verify_uniform_bpb(T, A, eps, resolution=resolution)
     return HilbertChecks(dims_equal, trivial, disjunction, cert.certified)

@@ -2,7 +2,8 @@
 
 Every subcommand maps onto one library capability, reads operators as JSON
 files, and emits a JSON report on stdout (or to --output).  Exit codes:
-0 success, 1 falsified or failed verification, 2 malformed input.
+0 success, 1 falsified or failed verification, 2 malformed input or any
+other library refusal, such as a space pair that no geometry covers.
 """
 
 from __future__ import annotations
@@ -281,7 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, resolution=False, seed=False):
+    def command(name, help, func, *flags, resolution=False, seed=False):
+        """Subcommand `name` running `func`: the (flag, options) pairs of
+        `flags`, then --output, --no-timestamp and the optional ones."""
+        p = sub.add_parser(name, help=help)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
         p.add_argument("--output", help="write the JSON report to a file")
         p.add_argument(
             "--no-timestamp",
@@ -297,77 +303,32 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=partial(_int_at_least, lo=0), required=True,
                            help="RNG seed (required)")
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("norm", help="operator norm with witness")
-    p.add_argument("--operator", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_norm)
-
-    p = sub.add_parser("attain", help="norm attainment set")
-    p.add_argument("--operator", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_attain)
-
-    p = sub.add_parser("classify", help="extremality and isometry classification")
-    p.add_argument("--operator", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("isometries", help="enumerate signed-permutation isometries")
-    p.add_argument("--p", type=_exponent_flag, required=True)
-    p.add_argument("--n", type=partial(_int_at_least, lo=1), required=True)
-    common(p)
-    p.set_defaults(func=_cmd_isometries)
-
-    p = sub.add_parser("orbit", help="two-sided signed-permutation orbit")
-    p.add_argument("--operator", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_orbit)
-
-    p = sub.add_parser("enumerate-ext", help="enumerate extreme contractions")
-    p.add_argument("--pair", required=True, choices=["linf3-l13"])
-    common(p)
-    p.set_defaults(func=_cmd_enumerate_ext)
-
-    p = sub.add_parser("approx", help="build an attainment-aware approximant")
-    p.add_argument("--operator", required=True)
-    p.add_argument("--eps", type=_eps_flag, required=True)
-    p.add_argument(
-        "--construction",
-        required=True,
-        choices=sorted(_CONSTRUCTIONS),
-    )
-    common(p)
-    p.set_defaults(func=_cmd_approx)
-
-    p = sub.add_parser("verify", help="certify or falsify an approximation triple")
-    p.add_argument("--T", required=True)
-    p.add_argument("--A", required=True)
-    p.add_argument("--eps", type=_eps_flag, required=True)
-    common(p, resolution=True)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("witness-p", help="isolation witness for the attainment set")
-    p.add_argument("--operator", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_witness_p)
-
-    p = sub.add_parser("epsilon0", help="rigidity constant for l_p^2, integer p >= 3")
-    p.add_argument("--p", type=partial(_int_at_least, lo=3), required=True)
-    common(p)
-    p.set_defaults(func=_cmd_epsilon0)
-
-    p = sub.add_parser("sweep", help="construct and verify approximants across a pair")
-    p.add_argument("--pair", required=True, choices=sorted(bv.SWEEP_PAIRS))
-    p.add_argument("--eps-list", type=_eps_list_flag, default="0.2", dest="eps_list")
-    p.add_argument("--trials", type=partial(_int_at_least, lo=1), default=10)
-    common(p, resolution=True, seed=True)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("demo", help="pass/fail report over the headline constants")
-    common(p)
-    p.set_defaults(func=_cmd_demo)
-
+    operator = ("--operator", {"required": True})
+    eps = ("--eps", {"type": _eps_flag, "required": True})
+    command("norm", "operator norm with witness", _cmd_norm, operator)
+    command("attain", "norm attainment set", _cmd_attain, operator)
+    command("classify", "extremality and isometry classification", _cmd_classify, operator)
+    command("isometries", "enumerate signed-permutation isometries", _cmd_isometries,
+            ("--p", {"type": _exponent_flag, "required": True}),
+            ("--n", {"type": partial(_int_at_least, lo=1), "required": True}))
+    command("orbit", "two-sided signed-permutation orbit", _cmd_orbit, operator)
+    command("enumerate-ext", "enumerate extreme contractions", _cmd_enumerate_ext,
+            ("--pair", {"required": True, "choices": ["linf3-l13"]}))
+    command("approx", "build an attainment-aware approximant", _cmd_approx, operator, eps,
+            ("--construction", {"required": True, "choices": sorted(_CONSTRUCTIONS)}))
+    command("verify", "certify or falsify an approximation triple", _cmd_verify,
+            ("--T", {"required": True}), ("--A", {"required": True}), eps, resolution=True)
+    command("witness-p", "isolation witness for the attainment set", _cmd_witness_p, operator)
+    command("epsilon0", "rigidity constant for l_p^2, integer p >= 3", _cmd_epsilon0,
+            ("--p", {"type": partial(_int_at_least, lo=3), "required": True}))
+    command("sweep", "construct and verify approximants across a pair", _cmd_sweep,
+            ("--pair", {"required": True, "choices": sorted(bv.SWEEP_PAIRS)}),
+            ("--eps-list", {"type": _eps_list_flag, "default": "0.2", "dest": "eps_list"}),
+            ("--trials", {"type": partial(_int_at_least, lo=1), "default": 10}),
+            resolution=True, seed=True)
+    command("demo", "pass/fail report over the headline constants", _cmd_demo)
     return parser
 
 

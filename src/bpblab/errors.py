@@ -109,8 +109,8 @@ class BadExponentError(BpbLabError):
     """Integer exponent outside the supported set."""
 
 
-class UnsupportedPairError(BpbLabError):
-    """Space pair not covered by the sweep."""
+class UnsupportedPairError(UnsupportedSpaceError):
+    """Domain and codomain pair outside the geometries an operation covers."""
 
 
 class MalformedInputError(BpbLabError):

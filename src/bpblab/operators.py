@@ -21,6 +21,7 @@ from .errors import (
     NonFiniteError,
     NormNotOneError,
     NotDiscreteError,
+    UnsupportedPairError,
     UnsupportedSpaceError,
     ZeroOperatorError,
 )
@@ -293,13 +294,28 @@ def _lp2_grid(p):
     return t, pts
 
 
+@functools.cache
+def pair_geometry(domain: SpaceSpec, codomain: SpaceSpec) -> str:
+    """The geometry whose kernels serve operators from `domain` to
+    `codomain`, decided once per pair: "polyhedral" on l_1^n and l_inf^n
+    domains (vertex maximum, faces, exact corner certificate), "hilbert" on
+    l_2^n -> l_2^m (SVD, subspace, sampled), "lp2" on other 2-D domains
+    (the l_p^2 search, points, sampled).  Other pairs are refused."""
+    if domain.polyhedral:
+        return "polyhedral"
+    if domain.hilbert and codomain.hilbert:
+        return "hilbert"
+    if domain.n == 2:
+        return "lp2"
+    raise UnsupportedPairError(
+        f"no geometry covers {domain} -> {codomain}: the domain must be l_1^n, "
+        f"l_inf^n or 2-D, or l_2^n with an l_2^m codomain"
+    )
+
+
 def _lp2_local_maxima(T: OperatorMatrix):
-    """Grid + zoom refinement of ||T gamma(t)|| on the l_p circle; refuses
-    domains of other dimensions."""
-    if T.domain.n != 2:
-        raise UnsupportedSpaceError(
-            f"operator norm on {T.domain} is out of desk scale (1<p<inf, p!=2 needs n=2)"
-        )
+    """Grid + zoom refinement of ||T gamma(t)|| on the l_p circle of the
+    2-D domain."""
     t, pts = _lp2_grid(T.domain.p)
     # float exponents: the same norms, without Fraction arithmetic per level
     p, q, E = T.domain.pf, T.codomain.pf, T.entries.T
@@ -324,7 +340,7 @@ def _norm_analysis(raw: bytes, shape: tuple, domain: SpaceSpec, codomain: SpaceS
     floats the miss computed, so every caller keeps its bits.
     """
     E = np.frombuffer(raw).reshape(shape)
-    if domain.hilbert and codomain.hilbert:
+    if pair_geometry(domain, codomain) == "hilbert":
         _, s, Vt = np.linalg.svd(E)
         s.setflags(write=False)
         Vt.setflags(write=False)
@@ -334,7 +350,7 @@ def _norm_analysis(raw: bytes, shape: tuple, domain: SpaceSpec, codomain: SpaceS
 
 
 def _analysis(T: OperatorMatrix):
-    """_norm_analysis of T, which is on a non-polyhedral domain."""
+    """_norm_analysis of T, which is on a hilbert or lp2 pair."""
     return _norm_analysis(T.entries.tobytes(), T.entries.shape, T.domain, T.codomain)
 
 
@@ -347,21 +363,18 @@ def _vertex_norms(E: np.ndarray, V: np.ndarray, codomain: SpaceSpec) -> np.ndarr
 
 
 def op_norm(T: OperatorMatrix) -> tuple[float, Point]:
-    """Operator norm sup ||Tx|| over the unit sphere, with a witness.
-
-    Exact per domain: the maximum over the unit ball's vertices for l_1^n
-    and l_inf^n (the first maximising vertex is the witness), the top
-    singular value for Hilbert-to-Hilbert, and grid search
-    refined by zoom_max for 2-D strictly convex domains.  The SVD and the
-    search are memoised per operator, shared with attainment_set.
-    """
+    """Operator norm sup ||Tx|| over the unit sphere, with a witness, by
+    the kernel of the pair's geometry: the vertex maximum (the first
+    maximising vertex is the witness), the top singular value, or the l_p^2
+    search refined by zoom_max, these two memoised per operator."""
     dom = T.domain
-    if dom.polyhedral:
+    geometry = pair_geometry(dom, T.codomain)
+    if geometry == "polyhedral":
         V = polyhedral_table(dom).vertices
         norms = _vertex_norms(T.entries, V, T.codomain)
         k = int(np.argmax(norms))
         return float(norms[k]), Point(V[k], dom)
-    if dom.hilbert and T.codomain.hilbert:
+    if geometry == "hilbert":
         s, Vt = _analysis(T)
         return float(s[0]), Point(Vt[0], dom)
     candidates, best = _analysis(T)
@@ -371,12 +384,9 @@ def op_norm(T: OperatorMatrix) -> tuple[float, Point]:
 
 def op_norms(E, domain: SpaceSpec, codomain: SpaceSpec) -> np.ndarray:
     """op_norm(...)[0] of every matrix of a stack E of shape (..., m, n),
-    bit for bit; the result has shape (...).
-
-    One vertex matmul on l_1^n and l_inf^n, one stacked SVD on a Hilbert
-    pair (with vectors: the LAPACK driver of op_norm), and op_norm per
-    matrix on l_p^2.  Non-finite entries are refused.
-    """
+    bit for bit, in shape (...): one vertex matmul, one stacked SVD (with
+    vectors: op_norm's LAPACK driver), or op_norm per matrix on l_p^2.
+    Non-finite entries are refused."""
     E = np.asarray(E, dtype=float)
     if E.ndim < 2 or E.shape[-2:] != (codomain.n, domain.n):
         raise MixedSpacesError(
@@ -384,9 +394,10 @@ def op_norms(E, domain: SpaceSpec, codomain: SpaceSpec) -> np.ndarray:
         )
     if not np.isfinite(E).all():
         raise NonFiniteError("entries must be finite")
-    if domain.polyhedral:
+    geometry = pair_geometry(domain, codomain)
+    if geometry == "polyhedral":
         return _vertex_norms(E, polyhedral_table(domain).vertices, codomain).max(axis=-1)
-    if domain.hilbert and codomain.hilbert:
+    if geometry == "hilbert":
         return np.linalg.svd(E)[1][..., 0]
     flat = E.reshape(-1, codomain.n, domain.n)
     norms = [op_norm(OperatorMatrix(M, domain, codomain))[0] for M in flat]
@@ -439,18 +450,16 @@ def orthogonal_complement(Q: np.ndarray) -> np.ndarray:
 
 
 def attainment_set(T: OperatorMatrix, check=None) -> AttainmentSet:
-    """The norm attainment set M_T in its exact representation.
-
-    Polyhedral domains: union of the maximal faces whose barycentre
-    attains.  Hilbert-to-Hilbert: the right singular subspace of
-    the top singular value (gap TAU_GAP).  Other 2-D domains: refined point
+    """The norm attainment set M_T in the exact form of the pair's
+    geometry: the maximal faces whose barycentre attains, the right singular
+    subspace of the top singular value (gap TAU_GAP), or the refined point
     pairs of op_norm's search.  `check`, when given, is called with ||T||
-    before anything else is decided from it.
-    """
+    before anything else is decided from it."""
     dom = T.domain
-    if dom.polyhedral:
-        value, _ = op_norm(T)
-    elif dom.hilbert and T.codomain.hilbert:
+    geometry = pair_geometry(dom, T.codomain)
+    if geometry == "polyhedral":
+        value = float(_vertex_norms(T.entries, polyhedral_table(dom).vertices, T.codomain).max())
+    elif geometry == "hilbert":
         s, Vt = _analysis(T)
         value = float(s[0])
     else:
@@ -459,9 +468,9 @@ def attainment_set(T: OperatorMatrix, check=None) -> AttainmentSet:
         check(value)
     if value <= 0.0:
         raise ZeroOperatorError("the zero operator attains nothing")
-    if dom.polyhedral:
+    if geometry == "polyhedral":
         return _polyhedral_attainment(T, value)
-    if dom.hilbert and T.codomain.hilbert:
+    if geometry == "hilbert":
         k = int((s >= s[0] - TAU_GAP * max(s[0], 1.0)).sum())
         return AttainmentSet("subspace", value, dom, basis=Vt[:k].T.copy())
     pts = []
@@ -481,6 +490,12 @@ def norm_one_attainment_set(T: OperatorMatrix, what: str, error=NormNotOneError)
     return attainment_set(T, check=lambda value: check_norm_one(value, what, error))
 
 
+def _orthonormal_norm(T: OperatorMatrix, Q: np.ndarray) -> float:
+    """restricted_norm(T, Q) of a Hilbert pair for Q with orthonormal
+    columns, which needs neither the rank test nor the QR."""
+    return float(np.linalg.svd(T.entries @ Q, compute_uv=False)[0]) if Q.shape[1] else 0.0
+
+
 def restricted_norm(T: OperatorMatrix, basis) -> float:
     """sup ||Tz|| over unit vectors of the subspace spanned by basis columns."""
     B = np.asarray(basis, dtype=float)
@@ -494,9 +509,7 @@ def restricted_norm(T: OperatorMatrix, basis) -> float:
         raise DegenerateBasisError("basis columns are linearly dependent")
     dom = T.domain
     if dom.hilbert and T.codomain.hilbert:
-        Q, _ = np.linalg.qr(B)
-        s = np.linalg.svd(T.entries @ Q, compute_uv=False)
-        return float(s[0])
+        return _orthonormal_norm(T, np.linalg.qr(B)[0])
     if B.shape[1] == 1:
         b = B[:, 0]
         return float(pnorm(T.apply(b), T.codomain.p) / pnorm(b, dom.p))

@@ -415,15 +415,18 @@ class TestHilbertChainWork:
 
     def test_the_complement_norm_is_computed_once(self, monkeypatch):
         # hilbert_rotate_approx hands ||T|_{X2}|| to the shrink, which the
-        # public direct_sum_shrink_approx computes itself
+        # public direct_sum_shrink_approx computes itself; the first takes
+        # it on its orthonormal complement without the public rank test
         log = []
-        fn = approximants.restricted_norm
 
-        def spy(T, basis):
-            log.append(np.array(basis))
-            return fn(T, basis)
+        def spy(fn):
+            def call(T, basis):
+                log.append(np.array(basis))
+                return fn(T, basis)
+            return call
 
-        monkeypatch.setattr(approximants, "restricted_norm", spy)
+        for name in ("restricted_norm", "_orthonormal_norm"):
+            monkeypatch.setattr(approximants, name, spy(getattr(approximants, name)))
         T = operator(np.diag([1.0, 1.0, 0.5]), l2(3), l2(3))
         assert hilbert_rotate_approx(T, 0.1).construction.startswith("direct_sum_shrink")
         assert len(log) == 1
