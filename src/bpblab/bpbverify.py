@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -22,6 +22,7 @@ from .errors import (
     BadExponentError,
     BpbLabError,
     IsIsometryError,
+    NonFiniteError,
     UnsupportedPairError,
     UnsupportedSpaceError,
     WrongSpacesError,
@@ -34,11 +35,11 @@ from .operators import (
     OperatorMatrix,
     _attaining_faces,
     _orthonormal_norm,
+    _stacked_norms,
     attainment_set,
     check_norm_one,
     norm_one_attainment_set,
     op_norm,
-    op_norms,
     orthogonal_complement,
     pair_geometry,
     require_norm_one,
@@ -109,9 +110,11 @@ class BpbCertificate:
     row that attains it when falsified (at least eps from M_A), else None.
     With ||T - A|| >= eps no descent runs: inf and None.  On "sampled" the
     rows are the sphere grid and T's norming vector.  On "exact" they are
-    the corner set, which holds a maximiser of ||Tz|| among the points at
-    least eps from M_A, not one of the distance: the value is a lower
-    bound that can lie far below the supremum.  T = I and A = diag(1, 0.9)
+    the corner set, their distances read off the cached corner table of
+    (space, eps), where a distance within TAU_CORNER below eps reads as eps.
+    The corners hold a maximiser of ||Tz|| among the points at least eps
+    from M_A, not one of the distance: the value is a lower bound that
+    can lie far below the supremum.  T = I and A = diag(1, 0.9)
     on l_inf^2 at eps 0.2 report 0.2, yet z = (0, -1) has ||Tz|| = 1 and
     lies 1.0 from M_A.
     """
@@ -166,23 +169,27 @@ def delta_descent(norms, dists, top: float, eps: float):
 
 class _Sample(NamedTuple):
     """The T side of the inclusion test: the rows z, their norms ||Tz||,
-    the least distance read as eps (None: distances read as computed) and
-    the certificate's `basis`."""
+    the `_CornerTable` whose corners the rows are (else None: `distance_to`
+    measures the rows) and the certificate's `basis`."""
 
     rows: np.ndarray
     norms: np.ndarray
-    far: Optional[float]
+    table: Optional[_CornerTable]
     basis: str
 
 
-def _sample(T: OperatorMatrix, witness: Optional[Point], eps: float, resolution: int) -> _Sample:
-    """The sample of T's geometry.  Polyhedral: the corner set, which holds
-    every vertex, read from `_far_from(eps)` up as eps ("exact").  Else
-    this thread's sphere grid at `resolution` with T's norming vector
-    `witness` last, its norms in this thread's norms row ("sampled")."""
-    if pair_geometry(T.domain, T.codomain) == "polyhedral":
-        X = corner_points(T.domain, eps)
-        return _Sample(X, T.image_norms(X), _far_from(eps), "exact")
+def _sample(
+    T: OperatorMatrix,
+    witness: Optional[Point],
+    resolution: int,
+    table: Optional[_CornerTable],
+) -> _Sample:
+    """The sample of T's geometry.  With `table`, `_exact_table(T, eps)`:
+    its corners at eps, which hold every vertex ("exact").  Else this thread's
+    sphere grid at `resolution` with T's norming vector `witness` last, its
+    norms in this thread's norms row ("sampled")."""
+    if table is not None:
+        return _Sample(table.corners, T.image_norms(table.corners), table, "exact")
     X, images, norms = _sample_buffers(T.domain, resolution, T.codomain.n)
     X[-1] = witness.coords
     pnorm_into(np.matmul(T.entries, X.T, out=images), T.codomain.pf, 0, norms)
@@ -195,13 +202,80 @@ def _far_from(eps: float) -> float:
     return max(eps - TAU_CORNER, math.ulp(0.0))
 
 
+_CORNER_DISTANCES_KEPT = 2 ** 16  # distances a _CornerTable keeps from call to call
+
+
+class _CornerTable:
+    """The corners of `corner_points(space, eps)` and their distances to
+    the faces of the ball, read by face row in `polyhedral_table(space)`
+    order, a distance in [`_far_from(eps)`, eps) read as eps.  The rule
+    is monotone, so it commutes with the least entry over the faces of M:
+    that is the corner's distance to M read by the rule, bit for bit.
+
+    A face's row is measured when first read, and the newest rows are
+    kept while they hold at most _CORNER_DISTANCES_KEPT distances (512
+    KB): every face of l_1^3 and l_inf^3, one row of the 65,280 corners
+    of l_inf^8.  So a call holds the rows of the faces it reads, not one
+    row per face of the ball (3^n - 1 rows of up to 4^n - 2^n corners on
+    l_inf^n).
+    """
+
+    def __init__(self, space: SpaceSpec, eps: float):
+        self.space, self.eps = space, eps
+        self.corners = corner_points(space, eps)
+        self._kept = {}
+        self._rows_kept = _CORNER_DISTANCES_KEPT // len(self.corners)
+        self._lock = threading.Lock()
+
+    def rows(self, faces) -> np.ndarray:
+        """D[k, i]: the read distance from corner i to the face of row
+        faces[k]."""
+        with self._lock:
+            kept = self._kept
+            got = {f: kept[f] for f in faces if f in kept}
+            new = [f for f in dict.fromkeys(faces) if f not in got]
+            if new:
+                patterns = polyhedral_table(self.space).patterns[new]
+                D = face_distances(self.space, patterns, self.corners)
+                np.copyto(D, self.eps, where=(D < self.eps) & (D >= _far_from(self.eps)))
+                got.update(zip(new, D))
+                for f in new[max(len(new) - self._rows_kept, 0):]:
+                    kept[f] = got[f].copy()
+                while len(kept) > self._rows_kept:
+                    del kept[next(iter(kept))]
+            return np.array([got[f] for f in faces])
+
+
+# one table per (space, eps), for every operator, as corner_points
+_corner_table = lru_cache(maxsize=64)(_CornerTable)
+
+
+def _exact_table(T: OperatorMatrix, eps: float) -> Optional[_CornerTable]:
+    """`_corner_table` of T's domain at eps on a polyhedral pair, else
+    None.  Each certificate entry asks it once, before any norm, and
+    passes it to `_sample`, so a polyhedral domain without corner set
+    (l_1^n, n >= 4) is refused up front, with UnsupportedPairError naming
+    the pair."""
+    if pair_geometry(T.domain, T.codomain) != "polyhedral":
+        return None
+    try:
+        return _corner_table(T.domain, eps)
+    except UnsupportedSpaceError as exc:
+        raise UnsupportedPairError(
+            f"no exact certificate for {T.domain} -> {T.codomain}: {exc}"
+        ) from None
+
+
 def _descent(M, top: float, eps: float, sample: _Sample):
     """delta_descent of the T-side `sample`, whose image norms peak at
     `top`, against the attainment set M: (delta, worst distance,
-    counterexample Point or None)."""
-    dists = M.distance_to(sample.rows)
-    if sample.far is not None:
-        np.copyto(dists, eps, where=(dists < eps) & (dists >= sample.far))
+    counterexample Point or None).  On "exact" a row's distance is the
+    least of its entries in the table rows of M's faces."""
+    if sample.table is None:
+        dists = M.distance_to(sample.rows)
+    else:
+        rows = polyhedral_table(M.space).rows
+        dists = sample.table.rows([rows[f.pattern] for f in M.faces]).min(axis=0)
     delta, worst, idx = delta_descent(sample.norms, dists, top, eps)
     return delta, worst, None if idx is None else Point(sample.rows[idx], M.space)
 
@@ -239,12 +313,12 @@ def delta_for_epsilon(
     """
     resolution = _check_int(resolution, "resolution", 0)
     apx._check_eps(eps, hi=math.inf)
+    table = _exact_table(T, eps)  # refuses before any norm
     M = attainment_set(T)
     # the set's first row, not op_norm's witness (another of its points on
     # l_p^2), keeps the sample's bits
-    polyhedral = pair_geometry(T.domain, T.codomain) == "polyhedral"
-    witness = None if polyhedral else Point(M.representative_points()[0], T.domain)
-    delta, _, z = _descent(M, M.value, eps, _sample(T, witness, eps, resolution))
+    witness = None if table is not None else Point(M.representative_points()[0], T.domain)
+    delta, _, z = _descent(M, M.value, eps, _sample(T, witness, resolution, table))
     return DeltaSearch(delta is not None, delta, z, resolution)
 
 
@@ -263,10 +337,12 @@ def verify_uniform_bpb(
     """
     resolution = _check_int(resolution, "resolution", 0)
     apx._check_eps(eps, hi=math.inf)
+    table = _exact_table(T, eps)  # refuses before any norm
     _, witness = require_norm_one(T, "T")
     MA = norm_one_attainment_set(A, "A")
     dist, _ = op_norm(T - A)
-    return _inclusion_certificate(MA, dist, eps, resolution, _sample(T, witness, eps, resolution))
+    sample = _sample(T, witness, resolution, table)
+    return _inclusion_certificate(MA, dist, eps, resolution, sample)
 
 
 @dataclass(frozen=True)
@@ -286,18 +362,28 @@ TRIAL_BLOCK = 64   # trials of is_only_approximation searched in lockstep
 def _halving_search(T: OperatorMatrix, D: np.ndarray, eps: float):
     """For each direction D[i], the first t of eps/2, eps/4, ... (HALVINGS
     of them) whose normalised T + tD[i] lies within eps of T, all directions
-    in lockstep: two stacked norm calls per halving over the still-open
-    directions.  Returns the candidates, their distances ||T - A|| and
-    which directions found one."""
+    in lockstep: two stacked norm kernels per halving over the still-open
+    directions, the pair's geometry decided once.  Returns the candidates,
+    their distances ||T - A|| and which directions found one.  A candidate
+    with non-finite entries, or of norm 0, is refused with NonFiniteError,
+    as op_norms refused it."""
     dom, cod = T.domain, T.codomain
+    geometry = pair_geometry(dom, cod)
     cands, dists = np.empty_like(D), np.empty(len(D))
     found = np.zeros(len(D), dtype=bool)
     open_ = np.arange(len(D))
     t = eps / 2.0
+    # T + sD lies between T and T + tD for 0 < s < t, so the first
+    # candidates are finite iff all are
+    if not np.isfinite(T.entries + t * D).all():
+        raise NonFiniteError("entries must be finite")
     for _ in range(HALVINGS):
         C = T.entries + t * D[open_]
-        C /= op_norms(C, dom, cod)[:, None, None]
-        d = op_norms(T.entries - C, dom, cod)
+        norms = _stacked_norms(C, dom, cod, geometry)
+        if not norms.all():
+            raise NonFiniteError("entries must be finite: a candidate T + tD is 0")
+        C /= norms[:, None, None]
+        d = _stacked_norms(T.entries - C, dom, cod, geometry)
         hit = d < eps
         done = open_[hit]
         cands[done], dists[done], found[done] = C[hit], d[hit], True
@@ -316,15 +402,15 @@ def _polyhedral_screen(C: np.ndarray, dom: SpaceSpec, cod: SpaceSpec, sample: _S
     A attains on the faces `_attaining_faces` names, as in
     `attainment_set`.  A face is no farther from a point than its
     subfaces, so a row lies near M_A iff it lies near one of these faces,
-    maximal or not: one table of row-to-face distances over the faces
-    some candidate attains on gives each candidate's g, the largest image
+    maximal or not: the sample's corner table, over the faces some
+    candidate attains on, gives each candidate's g, the largest image
     norm among the rows not near, and A certifies iff g passes some level
     of the delta grid, g <= 1 - DELTA_LAST.
     """
-    values = op_norms(C, dom, cod)
+    values = _stacked_norms(C, dom, cod, "polyhedral")
     hit = _attaining_faces(C, values, dom, cod)
     used = np.flatnonzero(hit.any(axis=0))
-    near = face_distances(dom, polyhedral_table(dom).patterns[used], sample.rows) < sample.far
+    near = sample.table.rows(used.tolist()) < sample.table.eps
     g = np.where(hit[:, used] @ near, -np.inf, sample.norms).max(axis=1)
     return values, g <= 1.0 - DELTA_LAST
 
@@ -356,12 +442,13 @@ def is_only_approximation(
     trials = _check_int(trials, "trials", 1)
     seed = _check_int(seed, "seed", 0)
     resolution = _check_int(resolution, "resolution", 0)
+    table = _exact_table(T, eps)  # refuses before any norm
     _, witness = require_norm_one(T, "T")
     dom, cod = T.domain, T.codomain
     geometry = pair_geometry(dom, cod)
     block = 1 if geometry == "lp2" else TRIAL_BLOCK
     rng = np.random.default_rng(seed)
-    sample = _sample(T, witness, eps, resolution)
+    sample = _sample(T, witness, resolution, table)
     for start in range(0, trials, block):
         D = rng.standard_normal((min(block, trials - start), *T.entries.shape))
         cands, dists, found = _halving_search(T, D, eps)

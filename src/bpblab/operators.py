@@ -327,20 +327,38 @@ def _lp2_local_maxima(T: OperatorMatrix):
     return _refined_maxima(t, T.image_norms(pts), f)
 
 
+class _VertexMaximum:
+    """The norm memo's entry on a polyhedral pair: `value`, ||T|| as the
+    vertex maximum; `vertex`, the row of its first maximising vertex in
+    `PolyhedralTable.vertices`; `faces`, the maximal faces of M_T, None
+    until attainment_set first builds them."""
+
+    __slots__ = ("value", "vertex", "faces")
+
+    def __init__(self, value: float, vertex: int):
+        self.value, self.vertex, self.faces = value, vertex, None
+
+
 @functools.lru_cache(maxsize=8)
 def _norm_analysis(raw: bytes, shape: tuple, domain: SpaceSpec, codomain: SpaceSpec):
     """The raw norm analysis of the operator with C-ordered float entries
-    `raw` of `shape`, memoised on that content and the two spaces: (s, Vt)
-    of its SVD, read-only, on a Hilbert pair, else the l_p^2 search's
-    refined (theta, value) candidates as a tuple and the largest value.
+    `raw` of `shape`, memoised on that content and the two spaces: a
+    `_VertexMaximum` on a polyhedral pair, (s, Vt) of its SVD, read-only,
+    on a Hilbert pair, else the l_p^2 search's refined (theta, value)
+    candidates as a tuple and the largest value.
 
     Eight entries hold the operators of one call chain (T, A and T - A of
     a certificate), not a list of operators: a loop over more than eight
-    operators computes each afresh.  A hit returns the very arrays and
-    floats the miss computed, so every caller keeps its bits.
+    operators computes each afresh.  A hit returns the very arrays, floats
+    and faces the miss computed, so every caller keeps its bits.
     """
     E = np.frombuffer(raw).reshape(shape)
-    if pair_geometry(domain, codomain) == "hilbert":
+    geometry = pair_geometry(domain, codomain)
+    if geometry == "polyhedral":
+        norms = _vertex_norms(E, polyhedral_table(domain).vertices, codomain)
+        k = int(norms.argmax())
+        return _VertexMaximum(float(norms[k]), k)
+    if geometry == "hilbert":
         _, s, Vt = np.linalg.svd(E)
         s.setflags(write=False)
         Vt.setflags(write=False)
@@ -350,7 +368,7 @@ def _norm_analysis(raw: bytes, shape: tuple, domain: SpaceSpec, codomain: SpaceS
 
 
 def _analysis(T: OperatorMatrix):
-    """_norm_analysis of T, which is on a hilbert or lp2 pair."""
+    """_norm_analysis of T."""
     return _norm_analysis(T.entries.tobytes(), T.entries.shape, T.domain, T.codomain)
 
 
@@ -358,35 +376,33 @@ def _vertex_norms(E: np.ndarray, V: np.ndarray, codomain: SpaceSpec) -> np.ndarr
     """||Ev|| in `codomain` at every row v of V (vertices or barycentres of
     a polyhedral unit ball) for a stack E of shape (..., m, n); the result
     has shape (..., rows of V).  The images E V^T, shape (..., m, rows),
-    are reduced across their m coordinates."""
-    return pnorm(E @ V.T, codomain.pf, axis=-2)
+    are fresh, so the norm reduces them across their m coordinates in
+    place."""
+    return pnorm_into(E @ V.T, codomain.pf, -2, None)
 
 
 def op_norm(T: OperatorMatrix) -> tuple[float, Point]:
     """Operator norm sup ||Tx|| over the unit sphere, with a witness, by
-    the kernel of the pair's geometry: the vertex maximum (the first
-    maximising vertex is the witness), the top singular value, or the l_p^2
-    search refined by zoom_max, these two memoised per operator."""
+    the kernel of the pair's geometry, memoised per operator: the vertex
+    maximum (the first maximising vertex is the witness), the top singular
+    value, or the l_p^2 search refined by zoom_max."""
     dom = T.domain
     geometry = pair_geometry(dom, T.codomain)
+    analysis = _analysis(T)
     if geometry == "polyhedral":
-        V = polyhedral_table(dom).vertices
-        norms = _vertex_norms(T.entries, V, T.codomain)
-        k = int(np.argmax(norms))
-        return float(norms[k]), Point(V[k], dom)
+        return analysis.value, Point(polyhedral_table(dom).vertices[analysis.vertex], dom)
     if geometry == "hilbert":
-        s, Vt = _analysis(T)
+        s, Vt = analysis
         return float(s[0]), Point(Vt[0], dom)
-    candidates, best = _analysis(T)
+    candidates, best = analysis
     tt = max(candidates, key=lambda c: c[1])[0]
     return best, Point(lp_circle(dom.p, tt), dom)
 
 
 def op_norms(E, domain: SpaceSpec, codomain: SpaceSpec) -> np.ndarray:
     """op_norm(...)[0] of every matrix of a stack E of shape (..., m, n),
-    bit for bit, in shape (...): one vertex matmul, one stacked SVD (with
-    vectors: op_norm's LAPACK driver), or op_norm per matrix on l_p^2.
-    Non-finite entries are refused."""
+    bit for bit, in shape (...), by `_stacked_norms`.  Non-finite entries
+    are refused."""
     E = np.asarray(E, dtype=float)
     if E.ndim < 2 or E.shape[-2:] != (codomain.n, domain.n):
         raise MixedSpacesError(
@@ -394,7 +410,13 @@ def op_norms(E, domain: SpaceSpec, codomain: SpaceSpec) -> np.ndarray:
         )
     if not np.isfinite(E).all():
         raise NonFiniteError("entries must be finite")
-    geometry = pair_geometry(domain, codomain)
+    return _stacked_norms(E, domain, codomain, pair_geometry(domain, codomain))
+
+
+def _stacked_norms(E: np.ndarray, domain: SpaceSpec, codomain: SpaceSpec, geometry: str):
+    """op_norms of a finite float stack E between spaces of `geometry`,
+    unchecked: one vertex matmul, one stacked SVD (with vectors: op_norm's
+    LAPACK driver), or op_norm per matrix on l_p^2."""
     if geometry == "polyhedral":
         return _vertex_norms(E, polyhedral_table(domain).vertices, codomain).max(axis=-1)
     if geometry == "hilbert":
@@ -431,14 +453,15 @@ def _attaining_faces(E: np.ndarray, values, domain: SpaceSpec, codomain: SpaceSp
     return _vertex_norms(E, B, codomain) >= np.asarray(values)[..., None] * (1.0 - TAU_EQ)
 
 
-def _polyhedral_attainment(T: OperatorMatrix, value: float) -> AttainmentSet:
+def _maximal_faces(T: OperatorMatrix, value: float) -> tuple:
+    """The maximal faces of M_T on a polyhedral domain, ||T|| = value, as
+    the `PolyhedralTable.faces` objects."""
     table = polyhedral_table(T.domain)
     hit = _attaining_faces(T.entries, value, T.domain, T.codomain).nonzero()[0]
     # a hit face is maximal when the only hit face holding it is itself
     codes = table.codes[hit]
     holders = code_containment(T.domain, codes[:, None], codes).sum(axis=0)
-    faces = tuple(table.faces[i] for i in hit[holders == 1].tolist())
-    return AttainmentSet("faces", value, T.domain, faces=faces)
+    return tuple(table.faces[i] for i in hit[holders == 1].tolist())
 
 
 def orthogonal_complement(Q: np.ndarray) -> np.ndarray:
@@ -453,23 +476,27 @@ def attainment_set(T: OperatorMatrix, check=None) -> AttainmentSet:
     """The norm attainment set M_T in the exact form of the pair's
     geometry: the maximal faces whose barycentre attains, the right singular
     subspace of the top singular value (gap TAU_GAP), or the refined point
-    pairs of op_norm's search.  `check`, when given, is called with ||T||
-    before anything else is decided from it."""
+    pairs of op_norm's search, all read from op_norm's memo entry; the
+    faces are kept there once built.  `check`, when given, is called with
+    ||T|| before anything else is decided from it."""
     dom = T.domain
     geometry = pair_geometry(dom, T.codomain)
+    analysis = _analysis(T)
     if geometry == "polyhedral":
-        value = float(_vertex_norms(T.entries, polyhedral_table(dom).vertices, T.codomain).max())
+        value = analysis.value
     elif geometry == "hilbert":
-        s, Vt = _analysis(T)
+        s, Vt = analysis
         value = float(s[0])
     else:
-        candidates, value = _analysis(T)
+        candidates, value = analysis
     if check is not None:
         check(value)
     if value <= 0.0:
         raise ZeroOperatorError("the zero operator attains nothing")
     if geometry == "polyhedral":
-        return _polyhedral_attainment(T, value)
+        if analysis.faces is None:
+            analysis.faces = _maximal_faces(T, value)
+        return AttainmentSet("faces", value, dom, faces=analysis.faces)
     if geometry == "hilbert":
         k = int((s >= s[0] - TAU_GAP * max(s[0], 1.0)).sum())
         return AttainmentSet("subspace", value, dom, basis=Vt[:k].T.copy())

@@ -84,8 +84,11 @@ class SpaceSpec:
     def __hash__(self):
         return self._hash
 
+    @functools.lru_cache(maxsize=64)
     def dual(self) -> "SpaceSpec":
-        """Conjugate-exponent space: 1/p + 1/q = 1, with 1 <-> inf."""
+        """Conjugate-exponent space: 1/p + 1/q = 1, with 1 <-> inf; built
+        once per space, as each extremality verdict asks for its
+        codomain's dual."""
         if self.p == INF:
             return SpaceSpec(Fraction(1), self.n)
         if self.p == 1:
@@ -358,8 +361,9 @@ class PolyhedralTable:
     ``barycentres`` their barycentres; the face kernels take these rows.
     ``codes`` holds their `sign_codes`, one int each, for
     `code_containment`.  ``faces`` holds one `Face` per row, the objects
-    every faces `AttainmentSet` of the space shares.  The face fields are
-    built on first use.  Either raises OutOfRangeError, before
+    every faces `AttainmentSet` of the space shares, and ``rows`` maps each
+    face's pattern tuple to its row.  The face fields are built on first
+    use.  Either raises OutOfRangeError, before
     enumerating, when it would hold more than ENUMERATION_LIMIT rows.
     """
 
@@ -384,6 +388,10 @@ class PolyhedralTable:
     @functools.cached_property
     def faces(self) -> tuple:
         return tuple(Face(self.space, tuple(row)) for row in self.patterns)
+
+    @functools.cached_property
+    def rows(self) -> dict:
+        return {f.pattern: i for i, f in enumerate(self.faces)}
 
     @functools.cached_property
     def barycentres(self) -> np.ndarray:

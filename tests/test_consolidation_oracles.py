@@ -53,6 +53,7 @@ from bpblab.bpbverify import (
     SWEEP_PAIRS,
     BpbCertificate,
     DeltaSearch,
+    _exact_table,
     _far_from,
     _halving_search,
     _inclusion_certificate,
@@ -923,7 +924,7 @@ def test_polyhedral_screen_decides_each_candidate_as_its_certificate():
         D = np.random.default_rng(seed).standard_normal((trials, *T.entries.shape))
         cands, dists, found = _halving_search(T, D, eps)
         witness = require_norm_one(T)[1]
-        sample = _sample(T, witness, eps, resolution)
+        sample = _sample(T, witness, resolution, _exact_table(T, eps))
         values, certifies = _polyhedral_screen(cands[found], T.domain, T.codomain, sample)
         grid = grid_sample(T, witness, resolution)
         grid_values, grid_certifies = grid_screen(cands[found], T.domain, T.codomain, grid, eps)

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from bpblab import l1, l2, linf, lp
-from bpblab.bpbverify import _sample
+from bpblab.bpbverify import _exact_table, _sample
 from bpblab.errors import UnsupportedPairError
 from bpblab.operators import (
     LP2_SEARCH_POINTS,
@@ -125,10 +125,10 @@ def test_sample_norms_equal_the_row_major_form(case):
         T = OperatorMatrix(E, dom, cod)
         if dom == l2(3) and cod.p != 2:
             with pytest.raises(UnsupportedPairError, match=re.escape(f"{dom} -> {cod}")):
-                _sample(T, witness, 0.1, RESOLUTIONS[0])
+                _sample(T, witness, RESOLUTIONS[0], _exact_table(T, 0.1))
             continue
         for resolution in RESOLUTIONS:
-            X, norms = _sample(T, witness, 0.1, resolution)[:2]
+            X, norms = _sample(T, witness, resolution, _exact_table(T, 0.1))[:2]
             assert dom.polyhedral or same_bits(X[-1], witness.coords)
             want = row_major_norms(T.entries, np.array(X), cod.p)
             assert same_bits(norms, want), (seed, resolution)

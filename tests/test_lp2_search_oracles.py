@@ -11,8 +11,8 @@ must equal its reference bit for bit.
 
 The memo of the raw norm analysis (`operators._norm_analysis`) is checked
 against its own uncached body, `_norm_analysis.__wrapped__`, through every
-caller: norm, attainment set, witness, Hilbert constructor and certificate
-give the same bits cold, warm and uncached.
+caller: norm, attainment set, witness, Hilbert and polyhedral constructors,
+delta search and certificate give the same bits cold, warm and uncached.
 """
 
 import dataclasses
@@ -24,7 +24,8 @@ import pytest
 
 from bpblab import operators
 from bpblab.approximants import hilbert_rotate_approx
-from bpblab.bpbverify import property_p_witness, verify_uniform_bpb
+from bpblab.bpbverify import SWEEP_PAIRS, delta_for_epsilon, property_p_witness, verify_uniform_bpb
+from bpblab.classify import enumerate_extreme_linf3_l13
 from bpblab.operators import (
     _lp2_grid,
     _lp2_local_maxima,
@@ -44,7 +45,9 @@ from bpblab.spaces import (
     arc_length_constant,
     arc_length_total,
     as_exponent,
+    l1,
     l2,
+    linf,
     lp,
     lp_circle,
     pnorm,
@@ -282,9 +285,18 @@ def unit_operator(M, dom):
     return operator(M / op_norm(operator(M, dom, dom))[0], dom, dom)
 
 
+def poly_construct(T):
+    """The constructor of T's polyhedral sweep family."""
+    pairs = SWEEP_PAIRS.values()
+    return next(s.construct for s in pairs if (s.domain, s.codomain) == (T.domain, T.codomain))
+
+
 def memo_cases():
     """Seeded norm-one (T, A) pairs, A a normalised perturbation of T, on
-    each smooth space of the benchmark, and the l_4^2 Hadamard matrix."""
+    each smooth space of the benchmark, and the l_4^2 Hadamard matrix;
+    then polyhedral T with A its family constructor's approximant at eps
+    0.3: census members l_inf^3 -> l_1^3 of both orbits, and operators
+    with one +/-1 per column on l_1^3 and per row on l_inf^2."""
     rng = np.random.default_rng(64)
     cases = []
     for p, n in (("3", 2), ("4", 2), ("4/3", 2), ("3/2", 2), ("2", 3)):
@@ -294,6 +306,12 @@ def memo_cases():
             cases.append((unit_operator(M, dom), unit_operator(M + 0.02 * rng.standard_normal((n, n)), dom)))
     H = np.array([[1.0, 1.0], [1.0, -1.0]])
     cases.append((unit_operator(H, lp(4, 2)), unit_operator(H + 0.01 * np.eye(2), lp(4, 2))))
+    census = enumerate_extreme_linf3_l13()
+    polyhedral = [census[k] for k in (0, 17, 18, 60, 89)]
+    for M in ([[1, 1, 0], [0, 0, 1], [0, 0, 0]], [[0, 0, 0], [-1, 0, 1], [0, -1, 0]]):
+        polyhedral.append(operator(M, l1(3), l1(3)))
+    polyhedral += [operator(M, linf(2), linf(2)) for M in ([[1, 0], [1, 0]], [[0, -1], [0, 1]])]
+    cases += [(T, poly_construct(T)(T, 0.3).approximant) for T in polyhedral]
     return cases
 
 
@@ -301,7 +319,9 @@ def chain(T, A):
     """Every result built on the memo for one (T, A) pair."""
     dom = T.domain
     out = [op_norm(T), attainment_set(T), op_norm(A), attainment_set(A)]
-    if dom.hilbert:
+    if dom.polyhedral:
+        out += [poly_construct(T)(T, 0.3), op_norm(T - A), delta_for_epsilon(T, 0.3)]
+    elif dom.hilbert:
         out.append(hilbert_rotate_approx(T, 0.3))
     elif dom.p.denominator == 1:
         out += [property_p_witness(T), property_p_witness(A)]
