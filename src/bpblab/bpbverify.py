@@ -1,9 +1,9 @@
 """Certificate engine for attainment-aware approximation.
 
 Verifies or falsifies that every near-norming point of T lies within eps
-of a norming point of A (exactly on l_1^n and l_inf^n); computes
-isolation witnesses, the rigidity constant for 2-D l_p spaces, Hilbert
-necessary-condition reports, and pair-level sweeps.
+of a norming point of A (exactly on l_1^n, l_inf^n and l_2^n, n >= 3);
+computes isolation witnesses, the rigidity constant for 2-D l_p spaces,
+Hilbert necessary-condition reports, and pair-level sweeps.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .operators import (
     require_norm_one,
 )
 from .sampling import corner_points, sphere_grid
+from .slemma import HilbertSupplier
 from .spaces import (
     ARC_TABLE_SIZE,
     INF,
@@ -65,7 +66,7 @@ from .spaces import (
 )
 
 
-DEFAULT_RESOLUTION = 4096  # a certificate's sphere-grid sample off l_1^n and l_inf^n
+DEFAULT_RESOLUTION = 4096  # a certificate's sphere-grid sample where it is not exact
 
 _scratch = threading.local()
 _SAMPLE_BUFFERS_KEPT = 8
@@ -102,21 +103,29 @@ def _sample_buffers(space: SpaceSpec, resolution: int, cols: int):
 @dataclass(frozen=True)
 class BpbCertificate:
     """Verdict for an approximation triple (T, A, eps): `basis` "exact" on
-    l_1^n and l_inf^n, where `resolution` has no effect, else "sampled".
+    l_1^n and l_inf^n, and on l_2^n -> l_2^m (n >= 3) when dim M_A is 1,
+    n - 1 or n (every l_2^3 pair), where `resolution` has no effect, else
+    "sampled".
 
-    `worst_distance` is the largest distance to M_A among the sample rows
-    z with ||Tz|| above the level that decided, 1 - delta_found when
-    certified and 1 - DELTA_LAST when falsified; `counterexample` is the
-    row that attains it when falsified (at least eps from M_A), else None.
-    With ||T - A|| >= eps no descent runs: inf and None.  On "sampled" the
-    rows are the sphere grid and T's norming vector.  On "exact" they are
-    the corner set, their distances read off the cached corner table of
-    (space, eps), where a distance within TAU_CORNER below eps reads as eps.
-    The corners hold a maximiser of ||Tz|| among the points at least eps
-    from M_A, not one of the distance: the value is a lower bound that
-    can lie far below the supremum.  T = I and A = diag(1, 0.9)
-    on l_inf^2 at eps 0.2 report 0.2, yet z = (0, -1) has ||Tz|| = 1 and
-    lies 1.0 from M_A.
+    `worst_distance` is the largest distance to M_A among the points z
+    with ||Tz|| above the level that decided, 1 - delta_found when
+    certified and 1 - DELTA_LAST when falsified; `counterexample` is a
+    point at least eps from M_A when falsified, else None.  With
+    ||T - A|| >= eps no descent runs: inf and None.
+    - "sampled": the points are the sphere grid and T's norming vector,
+      and the counterexample is the row that attains the worst distance.
+    - "exact" on l_2^n: the value is the exact supremum over the unit z
+      with ||Tz|| at or above the level, from the same secular solve as
+      g (`slemma`), and the counterexample is the maximiser of ||Tz||
+      among the points at least eps from M_A.
+    - "exact" on l_1^n and l_inf^n: the points are the corner set, their
+      distances read off the cached corner table of (space, eps), where a
+      distance within TAU_CORNER below eps reads as eps.  The corners hold
+      a maximiser of ||Tz|| among the points at least eps from M_A, not
+      one of the distance: the value is a lower bound that can lie far
+      below the supremum.  T = I and A = diag(1, 0.9) on l_inf^2 at eps
+      0.2 report 0.2, yet z = (0, -1) has ||Tz|| = 1 and lies 1.0 from
+      M_A.
     """
 
     status: str  # "certified", "falsified"
@@ -140,6 +149,17 @@ class BpbCertificate:
 DELTA_LAST = 2.0 ** -19
 
 
+def _delta_level(g: float, top: float) -> Optional[float]:
+    """The first delta of top/2, top/4, ... down to top*DELTA_LAST with
+    g <= top - delta, None when g > top - top*DELTA_LAST."""
+    if g > top - top * DELTA_LAST:
+        return None
+    delta = top / 2.0
+    while g > top - delta:
+        delta /= 2.0
+    return delta
+
+
 def delta_descent(norms, dists, top: float, eps: float):
     """The geometric delta descent of the uniform inclusion test.
 
@@ -152,30 +172,30 @@ def delta_descent(norms, dists, top: float, eps: float):
 
     A delta fails iff some row not below eps has norms > top - delta, that
     is iff g, the largest norm among those rows, exceeds top - delta; so
-    one masked maximum decides every level of the grid.  The masks go
-    through np.where and a boolean index: max(where=) took 1.1-2 times as
-    long on the l_2^3 grid at resolution 16384.
+    one masked maximum decides every level of the grid (`_delta_level`).
+    The masks go through np.where and a boolean index: max(where=) took
+    1.1-2 times as long on the l_2^3 grid at resolution 16384.
     """
     g = float(np.where(dists >= eps, norms, -np.inf).max())
-    floor = top - top * DELTA_LAST
-    if g > floor:
-        idx = int(np.argmax(np.where(norms > floor, dists, -np.inf)))
+    delta = _delta_level(g, top)
+    if delta is None:
+        idx = int(np.argmax(np.where(norms > top - top * DELTA_LAST, dists, -np.inf)))
         return None, float(dists[idx]), idx
-    delta = top / 2.0
-    while g > top - delta:
-        delta /= 2.0
     return delta, float(dists[norms > top - delta].max(initial=-np.inf)), None
 
 
 class _Sample(NamedTuple):
     """The T side of the inclusion test: the rows z, their norms ||Tz||,
     the `_CornerTable` whose corners the rows are (else None: `distance_to`
-    measures the rows) and the certificate's `basis`."""
+    measures the rows), the certificate's `basis`, and on l_2^n (n >= 3)
+    T's `HilbertSupplier`, which decides every attainment set it covers
+    (no rows on n = 3)."""
 
-    rows: np.ndarray
-    norms: np.ndarray
+    rows: Optional[np.ndarray]
+    norms: Optional[np.ndarray]
     table: Optional[_CornerTable]
     basis: str
+    hilbert: Optional[HilbertSupplier] = None
 
 
 def _sample(
@@ -185,15 +205,23 @@ def _sample(
     table: Optional[_CornerTable],
 ) -> _Sample:
     """The sample of T's geometry.  With `table`, `_exact_table(T, eps)`:
-    its corners at eps, which hold every vertex ("exact").  Else this thread's
-    sphere grid at `resolution` with T's norming vector `witness` last, its
-    norms in this thread's norms row ("sampled")."""
+    its corners at eps, which hold every vertex ("exact").  On l_2^n ->
+    l_2^m with n >= 3, T's `HilbertSupplier` ("exact"); it covers every
+    attainment set on n = 3, and on n >= 4 the grid below stands by for
+    those of dimension 2 to n - 2.  Else this thread's sphere grid at
+    `resolution` with T's norming vector `witness` last, its norms in
+    this thread's norms row ("sampled")."""
     if table is not None:
         return _Sample(table.corners, T.image_norms(table.corners), table, "exact")
+    hilbert = None
+    if T.domain.n >= 3 and pair_geometry(T.domain, T.codomain) == "hilbert":
+        hilbert = HilbertSupplier(T)
+        if T.domain.n == 3:
+            return _Sample(None, None, None, "exact", hilbert)
     X, images, norms = _sample_buffers(T.domain, resolution, T.codomain.n)
     X[-1] = witness.coords
     pnorm_into(np.matmul(T.entries, X.T, out=images), T.codomain.pf, 0, norms)
-    return _Sample(X, norms, None, "sampled")
+    return _Sample(X, norms, None, "sampled", hilbert)
 
 
 def _far_from(eps: float) -> float:
@@ -267,26 +295,39 @@ def _exact_table(T: OperatorMatrix, eps: float) -> Optional[_CornerTable]:
 
 
 def _descent(M, top: float, eps: float, sample: _Sample):
-    """delta_descent of the T-side `sample`, whose image norms peak at
+    """The delta descent of the T-side `sample`, whose image norms peak at
     `top`, against the attainment set M: (delta, worst distance,
-    counterexample Point or None).  On "exact" a row's distance is the
-    least of its entries in the table rows of M's faces."""
+    counterexample Point or None, basis).  When T's `HilbertSupplier`
+    covers M, the exact g of its far set takes the levels; on "exact"
+    polyhedral rows a row's distance is the least of its entries in the
+    table rows of M's faces."""
+    profile = None if sample.hilbert is None else sample.hilbert.profile(M)
+    if profile is not None:
+        delta = _delta_level(profile.far_maximum(eps), top)
+        if delta is None:
+            worst = profile.worst_distance(top - top * DELTA_LAST)
+            return None, worst, profile.far_point(eps), "exact"
+        return delta, profile.worst_distance(top - delta), None, "exact"
     if sample.table is None:
         dists = M.distance_to(sample.rows)
     else:
         rows = polyhedral_table(M.space).rows
         dists = sample.table.rows([rows[f.pattern] for f in M.faces]).min(axis=0)
     delta, worst, idx = delta_descent(sample.norms, dists, top, eps)
-    return delta, worst, None if idx is None else Point(sample.rows[idx], M.space)
+    z = None if idx is None else Point(sample.rows[idx], M.space)
+    return delta, worst, z, sample.basis
 
 
 def _inclusion_certificate(MA, dist: float, eps: float, resolution: int, sample) -> BpbCertificate:
     """The A side of the inclusion test: the delta descent of the T-side
     `sample` against the attainment set MA of A, when `dist`, ||T - A||,
     is below eps; else falsified with no descent."""
-    delta, worst, z = _descent(MA, 1.0, eps, sample) if dist < eps else (None, math.inf, None)
+    if dist < eps:
+        delta, worst, z, basis = _descent(MA, 1.0, eps, sample)
+    else:
+        delta, worst, z, basis = None, math.inf, None, sample.basis
     status = "falsified" if delta is None else "certified"
-    return BpbCertificate(status, eps, delta, resolution, worst, z, dist, sample.basis)
+    return BpbCertificate(status, eps, delta, resolution, worst, z, dist, basis)
 
 
 @dataclass(frozen=True)
@@ -305,10 +346,11 @@ def delta_for_epsilon(
     """Largest grid delta with M_T(delta) inside eps-balls of M_T.
 
     The delta grid is geometric, ||T||*2^-k down to ||T||*DELTA_LAST, and
-    the sample is that of `verify_uniform_bpb`, with a point of M_T off
-    l_1^n and l_inf^n.  On failure the counterexample is the sample
-    farthest from M_T among those with ||Tz|| > ||T||(1 - DELTA_LAST); it
-    lies at least eps from M_T.  eps must be finite and positive and
+    the sample is that of `verify_uniform_bpb`, with a point of M_T on
+    the grid.  On failure the counterexample has ||Tz|| >
+    ||T||(1 - DELTA_LAST) and lies at least eps from M_T: the farthest
+    such sample on the grid, the maximiser of ||Tz|| over the points at
+    least eps from M_T on the exact l_2^n path.  eps must be finite and positive and
     resolution an integer of at least 0.
     """
     resolution = _check_int(resolution, "resolution", 0)
@@ -318,7 +360,7 @@ def delta_for_epsilon(
     # the set's first row, not op_norm's witness (another of its points on
     # l_p^2), keeps the sample's bits
     witness = None if table is not None else Point(M.representative_points()[0], T.domain)
-    delta, _, z = _descent(M, M.value, eps, _sample(T, witness, resolution, table))
+    delta, _, z, _ = _descent(M, M.value, eps, _sample(T, witness, resolution, table))
     return DeltaSearch(delta is not None, delta, z, resolution)
 
 
@@ -329,11 +371,12 @@ def verify_uniform_bpb(
 
     Requires ||T-A|| < eps; then descends a geometric delta grid looking for
     the largest delta such that every sampled z with ||Tz|| > 1 - delta lies
-    within eps of the attainment set of A.  The sample is the corner set on
-    l_1^n and l_inf^n, which makes the verdict exact, else the sphere grid
-    at `resolution` plus the norming vector of T, so no delta is certified
-    on an empty set.  eps must be finite and positive and resolution an
-    integer of at least 0.
+    within eps of the attainment set of A.  The verdict is exact on l_1^n
+    and l_inf^n, whose sample is the corner set, and on l_2^n (n >= 3),
+    where `slemma` computes the far set's maximum of ||Tz||; else the
+    sample is the sphere grid at `resolution` plus the norming vector of
+    T, so no delta is certified on an empty set.  eps must be finite and
+    positive and resolution an integer of at least 0.
     """
     resolution = _check_int(resolution, "resolution", 0)
     apx._check_eps(eps, hi=math.inf)
@@ -574,7 +617,8 @@ def hilbert_necessary_checks(
     (i) equal attainment dimensions and trivial cross intersections of the
     attainment subspaces; (ii) a split-norm disjunction for every
     (eps1, eps2) > 0 with eps1^2 + eps2^2 = 2.25 eps^2, decided by
-    `_split_norm_disjunction`; (iii) the sampled inclusion certificate.
+    `_split_norm_disjunction`; (iii) the inclusion certificate of
+    `verify_uniform_bpb`.
     resolution must be an integer of at least 0.
     """
     resolution = _check_int(resolution, "resolution", 0)

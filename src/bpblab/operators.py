@@ -31,6 +31,7 @@ from .spaces import (
     TAU_OPT,
     Point,
     SpaceSpec,
+    _read_only,
     code_containment,
     face_barycentres,
     face_containment,
@@ -72,6 +73,9 @@ TAU_CLOSE = 1e-12  # largest entry gap at which close_to reads two operators
                    # between the same spaces as equal
 TAU_CORNER = 1e-15  # largest rounding (a few ulps of 1) below eps of a positive
                     # corner distance still read as eps; that only adds far points
+TAU_SECULAR = 1e-12  # added to the exact far-set maximum g on l_2^n before the
+                     # delta levels: it covers the rounding of the SVD, the
+                     # eigh and the secular solve, so rounding only shrinks delta
 
 LP2_SEARCH_POINTS = 4096  # equispaced parameters of [0, pi) in the l_p^2 maximum search
 
@@ -327,44 +331,44 @@ def _lp2_local_maxima(T: OperatorMatrix):
     return _refined_maxima(t, T.image_norms(pts), f)
 
 
-class _VertexMaximum:
-    """The norm memo's entry on a polyhedral pair: `value`, ||T|| as the
-    vertex maximum; `vertex`, the row of its first maximising vertex in
-    `PolyhedralTable.vertices`; `faces`, the maximal faces of M_T, None
-    until attainment_set first builds them."""
+class _Analysis:
+    """The norm memo's entry: `value`, ||T||; `data`, the geometry's raw
+    analysis: the row of the first maximising vertex in
+    `PolyhedralTable.vertices` (polyhedral), (s, Vt) of the SVD, read-only
+    (hilbert), or the l_p^2 search's refined (theta, value) candidates as
+    a tuple (lp2); `witness` and `mset`, op_norm's Point and
+    attainment_set's AttainmentSet, None until first asked for, then kept,
+    read-only, and returned by every hit."""
 
-    __slots__ = ("value", "vertex", "faces")
+    __slots__ = ("value", "data", "witness", "mset")
 
-    def __init__(self, value: float, vertex: int):
-        self.value, self.vertex, self.faces = value, vertex, None
+    def __init__(self, value: float, data):
+        self.value, self.data, self.witness, self.mset = value, data, None, None
 
 
 @functools.lru_cache(maxsize=8)
-def _norm_analysis(raw: bytes, shape: tuple, domain: SpaceSpec, codomain: SpaceSpec):
+def _norm_analysis(raw: bytes, shape: tuple, domain: SpaceSpec, codomain: SpaceSpec) -> _Analysis:
     """The raw norm analysis of the operator with C-ordered float entries
-    `raw` of `shape`, memoised on that content and the two spaces: a
-    `_VertexMaximum` on a polyhedral pair, (s, Vt) of its SVD, read-only,
-    on a Hilbert pair, else the l_p^2 search's refined (theta, value)
-    candidates as a tuple and the largest value.
+    `raw` of `shape`, memoised on that content and the two spaces.
 
     Eight entries hold the operators of one call chain (T, A and T - A of
     a certificate), not a list of operators: a loop over more than eight
-    operators computes each afresh.  A hit returns the very arrays, floats
-    and faces the miss computed, so every caller keeps its bits.
+    operators computes each afresh.  A hit returns the very entry the miss
+    made, so every caller keeps its bits.
     """
     E = np.frombuffer(raw).reshape(shape)
     geometry = pair_geometry(domain, codomain)
     if geometry == "polyhedral":
         norms = _vertex_norms(E, polyhedral_table(domain).vertices, codomain)
         k = int(norms.argmax())
-        return _VertexMaximum(float(norms[k]), k)
+        return _Analysis(float(norms[k]), k)
     if geometry == "hilbert":
         _, s, Vt = np.linalg.svd(E)
         s.setflags(write=False)
         Vt.setflags(write=False)
-        return s, Vt
+        return _Analysis(float(s[0]), (s, Vt))
     candidates, best = _lp2_local_maxima(OperatorMatrix(E, domain, codomain))
-    return tuple(candidates), best
+    return _Analysis(best, tuple(candidates))
 
 
 def _analysis(T: OperatorMatrix):
@@ -385,18 +389,20 @@ def op_norm(T: OperatorMatrix) -> tuple[float, Point]:
     """Operator norm sup ||Tx|| over the unit sphere, with a witness, by
     the kernel of the pair's geometry, memoised per operator: the vertex
     maximum (the first maximising vertex is the witness), the top singular
-    value, or the l_p^2 search refined by zoom_max."""
+    value, or the l_p^2 search refined by zoom_max.  The witness is built
+    once per memo entry."""
     dom = T.domain
-    geometry = pair_geometry(dom, T.codomain)
-    analysis = _analysis(T)
-    if geometry == "polyhedral":
-        return analysis.value, Point(polyhedral_table(dom).vertices[analysis.vertex], dom)
-    if geometry == "hilbert":
-        s, Vt = analysis
-        return float(s[0]), Point(Vt[0], dom)
-    candidates, best = analysis
-    tt = max(candidates, key=lambda c: c[1])[0]
-    return best, Point(lp_circle(dom.p, tt), dom)
+    entry = _analysis(T)
+    if entry.witness is None:
+        geometry = pair_geometry(dom, T.codomain)
+        if geometry == "polyhedral":
+            x = polyhedral_table(dom).vertices[entry.data]
+        elif geometry == "hilbert":
+            x = entry.data[1][0]
+        else:
+            x = lp_circle(dom.p, max(entry.data, key=lambda c: c[1])[0])
+        entry.witness = Point(x, dom)
+    return entry.value, entry.witness
 
 
 def op_norms(E, domain: SpaceSpec, codomain: SpaceSpec) -> np.ndarray:
@@ -453,14 +459,21 @@ def _attaining_faces(E: np.ndarray, values, domain: SpaceSpec, codomain: SpaceSp
     return _vertex_norms(E, B, codomain) >= np.asarray(values)[..., None] * (1.0 - TAU_EQ)
 
 
+_HOLDER_ROWS = 256  # hit faces per block when _maximal_faces counts holders
+
+
 def _maximal_faces(T: OperatorMatrix, value: float) -> tuple:
     """The maximal faces of M_T on a polyhedral domain, ||T|| = value, as
     the `PolyhedralTable.faces` objects."""
     table = polyhedral_table(T.domain)
     hit = _attaining_faces(T.entries, value, T.domain, T.codomain).nonzero()[0]
-    # a hit face is maximal when the only hit face holding it is itself
+    # a hit face is maximal when the only hit face holding it is itself;
+    # the holders are counted _HOLDER_ROWS hit faces at a time, so the
+    # containment grid has _HOLDER_ROWS rows, not one per hit face
     codes = table.codes[hit]
-    holders = code_containment(T.domain, codes[:, None], codes).sum(axis=0)
+    holders = np.zeros(len(hit), dtype=np.intp)
+    for i in range(0, len(hit), _HOLDER_ROWS):
+        holders += code_containment(T.domain, codes[i:i + _HOLDER_ROWS, None], codes).sum(axis=0)
     return tuple(table.faces[i] for i in hit[holders == 1].tolist())
 
 
@@ -476,38 +489,38 @@ def attainment_set(T: OperatorMatrix, check=None) -> AttainmentSet:
     """The norm attainment set M_T in the exact form of the pair's
     geometry: the maximal faces whose barycentre attains, the right singular
     subspace of the top singular value (gap TAU_GAP), or the refined point
-    pairs of op_norm's search, all read from op_norm's memo entry; the
-    faces are kept there once built.  `check`, when given, is called with
-    ||T|| before anything else is decided from it."""
-    dom = T.domain
-    geometry = pair_geometry(dom, T.codomain)
-    analysis = _analysis(T)
-    if geometry == "polyhedral":
-        value = analysis.value
-    elif geometry == "hilbert":
-        s, Vt = analysis
-        value = float(s[0])
-    else:
-        candidates, value = analysis
+    pairs of op_norm's search, all read from op_norm's memo entry, which
+    keeps the set, read-only, once built.  `check`, when given, is called
+    with ||T|| before anything else is decided from it."""
+    entry = _analysis(T)
+    value = entry.value
     if check is not None:
         check(value)
     if value <= 0.0:
         raise ZeroOperatorError("the zero operator attains nothing")
+    if entry.mset is None:
+        entry.mset = _build_attainment_set(T, entry)
+    return entry.mset
+
+
+def _build_attainment_set(T: OperatorMatrix, entry: _Analysis) -> AttainmentSet:
+    """attainment_set's set, from T's memo entry, its arrays read-only."""
+    dom, value = T.domain, entry.value
+    geometry = pair_geometry(dom, T.codomain)
     if geometry == "polyhedral":
-        if analysis.faces is None:
-            analysis.faces = _maximal_faces(T, value)
-        return AttainmentSet("faces", value, dom, faces=analysis.faces)
+        return AttainmentSet("faces", value, dom, faces=_maximal_faces(T, value))
     if geometry == "hilbert":
+        s, Vt = entry.data
         k = int((s >= s[0] - TAU_GAP * max(s[0], 1.0)).sum())
-        return AttainmentSet("subspace", value, dom, basis=Vt[:k].T.copy())
+        return AttainmentSet("subspace", value, dom, basis=_read_only(Vt[:k].T.copy()))
     pts = []
-    for tt, v in candidates:
+    for tt, v in entry.data:
         if v >= value * (1.0 - TAU_EQ):
             x = lp_circle(dom.p, tt)
             if not pts or points_distance(x, np.array(pts), dom.p) > TAU_DEDUP:
                 pts.append(x)
     pts = pts + [-x for x in pts]
-    return AttainmentSet("points", value, dom, points=np.array(pts))
+    return AttainmentSet("points", value, dom, points=_read_only(np.array(pts)))
 
 
 def norm_one_attainment_set(T: OperatorMatrix, what: str, error=NormNotOneError) -> AttainmentSet:

@@ -378,30 +378,58 @@ def grid_descent(M, top, eps, sample, resolution):
     return delta, worst, None if idx is None else Point(X[idx], M.space)
 
 
+def smooth_grid_descent(M, top, eps, sample):
+    """The certificate's descent on the grid sample of `grid_sample` off
+    polyhedral domains: every row measured by `distance_to`."""
+    X, norms = sample
+    delta, worst, idx = delta_descent(norms, M.distance_to(X), top, eps)
+    return delta, worst, None if idx is None else Point(X[idx], M.space)
+
+
 def grid_verify(T, A, eps, resolution):
     """verify_uniform_bpb on the sphere grid at `resolution`: the grid
-    descent on polyhedral domains, the library's own sampled certificate
-    elsewhere."""
-    if not T.domain.polyhedral:
-        return verify_uniform_bpb(T, A, eps, resolution=resolution)
+    descent with face rows on polyhedral domains, `distance_to` elsewhere.
+    Off polyhedral domains that is the library's own sampled certificate,
+    and on l_2^n (n >= 3) the one its exact certificate replaced."""
     _, witness = require_norm_one(T, "T")
     MA = norm_one_attainment_set(A, "A")
     dist, _ = op_norm(T - A)
     if dist >= eps:
         return BpbCertificate("falsified", eps, None, resolution, math.inf, None, dist)
-    delta, worst, z = grid_descent(MA, 1.0, eps, grid_sample(T, witness, resolution), resolution)
+    sample = grid_sample(T, witness, resolution)
+    if T.domain.polyhedral:
+        delta, worst, z = grid_descent(MA, 1.0, eps, sample, resolution)
+    else:
+        delta, worst, z = smooth_grid_descent(MA, 1.0, eps, sample)
     status = "falsified" if delta is None else "certified"
     return BpbCertificate(status, eps, delta, resolution, worst, z, dist)
 
 
 def grid_delta_search(T, eps, resolution):
-    """delta_for_epsilon on the sphere grid, as `grid_verify`."""
-    if not T.domain.polyhedral:
-        return delta_for_epsilon(T, eps, resolution=resolution)
+    """delta_for_epsilon on the sphere grid, as `grid_verify`: T's norming
+    vertex last on polyhedral domains, else the first row of M_T, as the
+    library samples off its exact pairs."""
     M = attainment_set(T)
-    sample = grid_sample(T, op_norm(T)[1], resolution)
-    delta, _, z = grid_descent(M, M.value, eps, sample, resolution)
+    if T.domain.polyhedral:
+        sample = grid_sample(T, op_norm(T)[1], resolution)
+        delta, _, z = grid_descent(M, M.value, eps, sample, resolution)
+    else:
+        sample = grid_sample(T, Point(M.representative_points()[0], T.domain), resolution)
+        delta, _, z = smooth_grid_descent(M, M.value, eps, sample)
     return DeltaSearch(delta is not None, delta, z, resolution)
+
+
+def same_certificate(a, b):
+    """Equal fields, the basis aside, and counterexamples with equal bits."""
+    za, zb = (None if c.counterexample is None else c.counterexample.coords.tobytes() for c in (a, b))
+    fields = ("status", "eps", "delta_found", "resolution", "worst_distance", "operator_distance")
+    return za == zb and all(getattr(a, f) == getattr(b, f) for f in fields)
+
+
+def exact_pair(T):
+    """Whether the library's certificates on T's pair are exact: polyhedral
+    domains, and l_2^n -> l_2^m with n >= 3 (every attainment set on n = 3)."""
+    return T.domain.polyhedral or (T.domain.hilbert and T.domain.n == 3)
 
 
 def grid_screen(C, dom, cod, sample, eps):
@@ -711,8 +739,11 @@ def test_delta_descent_gives_the_inline_certificates(triples):
             resolution = (256, 1024)[k % 2]
             want = inline_verify(T, A, eps, resolution)
             cert = grid_verify(T, A, eps, resolution)
-            if T.domain.polyhedral:
-                assert_exact_within_sampled(verify_uniform_bpb(T, A, eps, resolution=resolution), cert)
+            lib = verify_uniform_bpb(T, A, eps, resolution=resolution)
+            if exact_pair(T):
+                assert_exact_within_sampled(lib, cert)
+            else:
+                assert lib.basis == "sampled" and same_certificate(lib, cert), (T, A, eps)
             z = None if cert.counterexample is None else cert.counterexample.coords
             got = (cert.status, cert.eps, cert.delta_found, cert.resolution,
                    cert.worst_distance, z, cert.operator_distance)
@@ -741,8 +772,11 @@ def test_delta_for_epsilon_keeps_its_delta_and_takes_the_floor_counterexample():
         outcomes.add(ok)
         M = attainment_set(T)
         exact = delta_for_epsilon(T, eps, resolution=1024)
-        if T.domain.polyhedral:
+        if exact_pair(T):
             assert_exact_within_sampled(exact, res)
+        else:
+            z = [None if r.counterexample is None else r.counterexample.coords.tobytes() for r in (exact, res)]
+            assert (exact.succeeded, exact.delta, z[0]) == (res.succeeded, res.delta, z[1])
         # the counterexample is the farthest sample with
         # ||Tz|| > ||T||(1 - DELTA_LAST), and it lies at least eps from M_T
         floor = M.value - DELTA_LAST * M.value

@@ -458,11 +458,11 @@ def test_memo_entry_holds_the_vertex_maximum_and_the_faces():
             memo.cache_clear()
             value, witness = op_norm(T)
             entry = operators._analysis(T)
-            assert (entry.value, entry.vertex, entry.faces) == (value, int(np.argmax(norms)), None)
-            assert value == float(norms.max())
-            assert np.array_equal(witness.coords, polyhedral_table(dom).vertices[entry.vertex])
+            assert (entry.value, entry.data, entry.mset) == (value, int(np.argmax(norms)), None)
+            assert value == float(norms.max()) and entry.witness is witness
+            assert np.array_equal(witness.coords, polyhedral_table(dom).vertices[entry.data])
             M = attainment_set(T)
-            assert entry.faces is M.faces and attainment_set(T).faces is M.faces
+            assert entry.mset is M and attainment_set(T) is M
             assert memo.cache_info()[:2] == (3, 1)
 
 

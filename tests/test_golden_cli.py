@@ -26,6 +26,16 @@ rank-one tilt's bisection began deciding eight halvings per call, and
 before the l_p^2 maximum search lost its per-call copies, and
 `attain_lp43_2` (its points attainment set) before the norm analysis of
 l_p^2 and Hilbert operators was memoised.
+`verify_l23` was re-recorded with the same argv when certificates on
+l_2^n (n >= 3) became exact, read off the S-lemma's secular solve in
+place of the sphere grid: its delta stays 0.0078125 (the exact g is
+0.99130), its `basis` went "sampled" -> "exact" and its worst distance,
+now the exact supremum, 0.1701325562461556 -> 0.1894648359860743.
+`verify_l23_exact` was recorded then, on an l_2^3 operator of the
+smooth-2d benchmark workload (seed 1) and the approximant of
+`hilbert_rotate_approx` at eps 0.3: the grid at 4096 certified it with
+delta 0.03125, which is false (a far point has ||Tz|| = 0.97083 > 0.96875);
+the exact delta is 0.015625.
 The four smooth-path cases and the two `*_lp43_2` cases go through
 `pow`, trigonometry and, for l_2^3, LAPACK, and the two rank-one cases
 through LAPACK's SVD (and `pow` on l_3^2), whose last bits may vary with
@@ -81,6 +91,10 @@ CASES = {
     "attain_lp43_2": (["attain", "--operator", "lp43_2.json"], 0),
     "witness_p_lp3_2": (["witness-p", "--operator", "lp3_2_unit.json"], 0),
     "verify_l23": (["verify", "--T", "l23_T.json", "--A", "l23_A.json", "--eps", "0.2"], 0),
+    "verify_l23_exact": (
+        ["verify", "--T", "l23_smooth_T.json", "--A", "l23_smooth_A.json", "--eps", "0.3"],
+        0,
+    ),
     "verify_linf3_exact": (
         ["verify", "--T", "linf3_double.json", "--A", "linf3_double_approx.json", "--eps", "0.05"],
         0,

@@ -8,6 +8,11 @@
 - ||T|| on l_p^2 -> l_q^2 is the norm of the adjoint T^T on
   l_{q'}^2 -> l_{p'}^2.  The pairs below cross all three geometries, so
   each kernel is checked against another one.
+- Orthogonal maps are the isometries of l_2^n, so (U^T T V, U^T A V, eps)
+  must keep the status and delta of the exact l_2^3 certificate, and its
+  worst distance up to rounding.  The sphere grid it replaced is not
+  invariant: at resolution 1024 its delta moved with the basis on 20 of
+  40 such triples, by up to 8x.
 """
 
 import itertools
@@ -18,15 +23,21 @@ import pytest
 
 from bpblab import (
     OperatorMatrix,
+    hilbert_rotate_approx,
     l1,
     l1_extreme_approx,
+    l2,
     linf,
     linf_extreme_approx,
     lp,
     op_norm,
     verify_uniform_bpb,
 )
-from bpblab.bpbverify import _random_l1_candidates, _random_linf_candidates
+from bpblab.bpbverify import (
+    _random_hilbert_candidates,
+    _random_l1_candidates,
+    _random_linf_candidates,
+)
 from bpblab.classify import all_signed_permutations
 from bpblab.operators import pair_geometry
 from bpblab.spaces import INF
@@ -84,3 +95,38 @@ def test_adjoint_norm_is_the_norm_on_the_dual_pair():
             b = op_norm(OperatorMatrix(E.T, Y.dual(), X.dual()))[0]
             assert abs(a - b) <= TAU_DUALITY * max(a, b), (p, q, E)
     assert geometries == {"polyhedral", "hilbert", "lp2"}
+
+
+# Largest gap between the worst distances of a certificate and of its
+# rotated copy: both are exact up to the rounding of the SVD, the eigh and
+# the secular solve.
+TAU_ROTATED_WORST = 1e-9
+
+
+def _orthogonal(rng, n):
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+    return Q * np.sign(np.diag(R))
+
+
+def test_orthogonal_maps_keep_the_exact_hilbert_certificate():
+    rng = np.random.default_rng(23)
+    s = l2(3)
+    statuses = set()
+    for M in _random_hilbert_candidates(3, 10, rng):
+        T = OperatorMatrix(M, s, s)
+        for eps in (0.1, 0.3):
+            # the constructor keeps M_A = M_T; a perturbation moves it
+            nearby = M + 0.3 * eps * rng.standard_normal((3, 3))
+            for A in (hilbert_rotate_approx(T, eps).approximant.entries,
+                      nearby / op_norm(OperatorMatrix(nearby, s, s))[0]):
+                want = verify_uniform_bpb(T, OperatorMatrix(A, s, s), eps)
+                assert want.basis == "exact"
+                statuses.add(want.status)
+                for _ in range(PERMUTATION_PAIRS):
+                    U, V = _orthogonal(rng, 3), _orthogonal(rng, 3)
+                    got = verify_uniform_bpb(OperatorMatrix(U.T @ M @ V, s, s),
+                                             OperatorMatrix(U.T @ A @ V, s, s), eps)
+                    assert (got.status, got.delta_found) == (want.status, want.delta_found), (M, A, eps)
+                    if want.operator_distance < eps:
+                        assert abs(got.worst_distance - want.worst_distance) <= TAU_ROTATED_WORST
+    assert statuses == {"certified", "falsified"}

@@ -117,7 +117,8 @@ def case_id(case):
 def test_sample_norms_equal_the_row_major_form(case):
     # the verifier's sample: the grid with the norming vector as its last
     # row, the corner set on l_1^n and l_inf^n; no geometry covers l_2^3
-    # into a non-Hilbert codomain, so no certificate samples it
+    # into a non-Hilbert codomain, and l_2^3 -> l_2^m certificates are
+    # exact (slemma), so no certificate samples l_2^3
     dom, cod = case
     ones = np.ones(dom.n)
     witness = Point(ones / pnorm(ones, dom.p), dom)
@@ -126,6 +127,10 @@ def test_sample_norms_equal_the_row_major_form(case):
         if dom == l2(3) and cod.p != 2:
             with pytest.raises(UnsupportedPairError, match=re.escape(f"{dom} -> {cod}")):
                 _sample(T, witness, RESOLUTIONS[0], _exact_table(T, 0.1))
+            continue
+        if dom == l2(3):
+            sample = _sample(T, witness, RESOLUTIONS[0], _exact_table(T, 0.1))
+            assert (sample.rows, sample.norms, sample.basis) == (None, None, "exact")
             continue
         for resolution in RESOLUTIONS:
             X, norms = _sample(T, witness, resolution, _exact_table(T, 0.1))[:2]

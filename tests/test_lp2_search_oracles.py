@@ -386,18 +386,35 @@ def test_the_ninth_operator_evicts_the_first():
 
 def test_memo_results_are_read_only():
     T = unit_operator(np.random.default_rng(3).standard_normal((3, 3)), l2(3))
-    s, Vt = operators._analysis(T)
+    s, Vt = operators._analysis(T).data
     for a in (s, Vt):
         with pytest.raises(ValueError):
             a[0] = 0.0
-    candidates, best = operators._analysis(fresh_lp2(3))
-    assert isinstance(candidates, tuple) and isinstance(best, float)
+    entry = operators._analysis(fresh_lp2(3))
+    assert isinstance(entry.data, tuple) and isinstance(entry.value, float)
     with pytest.raises(TypeError):
-        candidates[0] = (0.0, 0.0)
-    # the attainment basis is the caller's own copy
+        entry.data[0] = (0.0, 0.0)
+    # the attainment basis is the entry's own copy, read-only like Vt
     basis = attainment_set(T).basis
-    basis[0, 0] = 0.5
     assert not np.shares_memory(basis, Vt)
+    with pytest.raises(ValueError):
+        basis[0, 0] = 0.5
+
+
+@pytest.mark.parametrize("space", [linf(3), l1(2), l2(3), lp(3, 2)], ids=repr)
+def test_memo_hits_return_the_same_witness_and_set(space):
+    # a hit returns the witness and the set the first call built, and
+    # their arrays refuse writes, so no caller can change another's
+    M = np.random.default_rng(5).standard_normal((space.n, space.n))
+    T = operator(M, space, space)
+    (value, witness), M_T = op_norm(T), attainment_set(T)
+    again = operator(M.copy(), space, space)
+    assert op_norm(again)[1] is witness and op_norm(T)[0] == value
+    assert attainment_set(again) is M_T
+    arrays = [witness.coords] + [a for a in (M_T.points, M_T.basis) if a is not None]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a.flat[0] = 0.0
 
 
 def test_spaces_and_scale_are_part_of_the_key():

@@ -8,11 +8,13 @@ the diagonal cleared), and the grid certificate's witness row measured by
 """
 
 import dataclasses
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bpblab import attainment_set, l1, linf, op_norm, operator
+from bpblab import attainment_set, l1, linf, op_norm, operator, operators
 from bpblab.bpbverify import SWEEP_PAIRS
 from bpblab.operators import _attaining_faces
 from bpblab.spaces import (
@@ -131,6 +133,30 @@ def _assert_parent_faces(T):
     got = attainment_set(T)
     assert got.value == value
     assert got.faces == loop_maximal_faces(T, value), T
+
+
+def test_maximal_faces_hold_one_block_of_containments():
+    # T = I on l_inf^8 attains on all 6,560 faces; a hits x hits
+    # containment grid peaked at 125 MB of traced memory; the loop filter
+    # checks these faces and their order in
+    # test_identity_on_linf8_matches_the_loop_filter
+    s = linf(8)
+    table = polyhedral_table(s)
+    table.codes, table.faces, table.barycentres  # the space's tables, built untraced
+    T = operator(np.eye(8), s, s)
+    operators._norm_analysis.cache_clear()
+    op_norm(T)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        M = attainment_set(T)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.faces == tuple(f for f in table.faces if f.dim == 7)
+    assert len(M.faces) == 16
+    assert peak < 16e6 and elapsed < 1.0, (peak, elapsed)
 
 
 def test_family_attainment_matches_the_loop_filter(family_operators):
