@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import approximants as apx
+from . import operators
 from .classify import enumerate_extreme_linf3_l13, is_isometry
 from .errors import (
     BadExponentError,
@@ -399,41 +400,51 @@ class OnlyApproximationResult:
 
 
 HALVINGS = 60      # scalings t = eps/2, eps/4, ... tried per random direction
+HALVING_LEVELS = 4  # halvings one stacked kernel call decides on polyhedral pairs
 TRIAL_BLOCK = 64   # trials of is_only_approximation searched in lockstep
 
 
 def _halving_search(T: OperatorMatrix, D: np.ndarray, eps: float):
     """For each direction D[i], the first t of eps/2, eps/4, ... (HALVINGS
     of them) whose normalised T + tD[i] lies within eps of T, all directions
-    in lockstep: two stacked norm kernels per halving over the still-open
-    directions, the pair's geometry decided once.  Returns the candidates,
-    their distances ||T - A|| and which directions found one.  A candidate
-    with non-finite entries, or of norm 0, is refused with NonFiniteError,
+    in lockstep, the pair's geometry decided once: two stacked norm kernels
+    over the still-open directions decide HALVING_LEVELS halvings on
+    polyhedral pairs (a direction's first hit is the argmax over the
+    levels), and one on Hilbert and l_p^2 pairs, where op_norms loops per
+    matrix.  Returns the candidates, their distances ||T - A|| and which
+    directions found one.  A candidate with non-finite entries, or of norm
+    0 at a halving its direction reaches, is refused with NonFiniteError,
     as op_norms refused it."""
     dom, cod = T.domain, T.codomain
     geometry = pair_geometry(dom, cod)
+    levels = HALVING_LEVELS if geometry == "polyhedral" else 1
     cands, dists = np.empty_like(D), np.empty(len(D))
     found = np.zeros(len(D), dtype=bool)
     open_ = np.arange(len(D))
-    t = eps / 2.0
+    t, k = eps / 2.0, 0
     # T + sD lies between T and T + tD for 0 < s < t, so the first
     # candidates are finite iff all are
     if not np.isfinite(T.entries + t * D).all():
         raise NonFiniteError("entries must be finite")
-    for _ in range(HALVINGS):
-        C = T.entries + t * D[open_]
+    while open_.size and k < HALVINGS:
+        ts = [t]
+        while len(ts) < min(levels, HALVINGS - k):
+            ts.append(ts[-1] / 2.0)
+        C = T.entries + np.reshape(ts, (-1, 1, 1, 1)) * D[open_]
         norms = _stacked_norms(C, dom, cod, geometry)
         if not norms.all():
+            if len(ts) > 1:  # the 0 may lie past a first hit: redo one halving a call
+                levels = 1
+                continue
             raise NonFiniteError("entries must be finite: a candidate T + tD is 0")
-        C /= norms[:, None, None]
+        C /= norms[..., None, None]
         d = _stacked_norms(T.entries - C, dom, cod, geometry)
         hit = d < eps
-        done = open_[hit]
-        cands[done], dists[done], found[done] = C[hit], d[hit], True
-        open_ = open_[~hit]
-        if not open_.size:
-            break
-        t /= 2.0
+        got = hit.any(axis=0)
+        row, done = hit.argmax(axis=0)[got], open_[got]
+        cands[done], dists[done], found[done] = C[row, got], d[row, got], True
+        open_ = open_[~got]
+        k, t = k + len(ts), ts[-1] / 2.0
     return cands, dists, found
 
 
@@ -476,10 +487,12 @@ def is_only_approximation(
     same stream as one draw per trial), with the halving search of the
     block in lockstep and the candidates verified in trial order against
     one sample of T.  On polyhedral domains one stacked screen
-    (`_polyhedral_screen`) decides every candidate of a block, and only
-    the first that certifies gets its attainment set and certificate.  On
-    l_p^2 domains, where op_norms loops per matrix, a block is one trial,
-    so no trial past a certificate is searched.
+    (`_polyhedral_screen`) decides every candidate of a block; with the
+    A != T and norm-one masks it leaves only the candidates that raise or
+    certify to visit, and only the first that certifies gets its
+    attainment set and certificate.  On l_p^2 domains, where op_norms
+    loops per matrix, a block is one trial, so no trial past a
+    certificate is searched.
     """
     apx._check_eps(eps, hi=math.inf)
     trials = _check_int(trials, "trials", 1)
@@ -496,18 +509,19 @@ def is_only_approximation(
         D = rng.standard_normal((min(block, trials - start), *T.entries.shape))
         cands, dists, found = _halving_search(T, D, eps)
         idx = np.flatnonzero(found)
-        if geometry == "polyhedral" and idx.size:
-            values, certifies = _polyhedral_screen(cands[idx], dom, cod, sample)
-        for j, i in enumerate(idx):
-            if np.abs(cands[i] - T.entries).max() < TAU_SAME:
-                continue
+        if not idx.size:
+            continue
+        C = cands[idx]
+        visit = np.abs(C - T.entries).max(axis=(1, 2)) >= TAU_SAME
+        if geometry == "polyhedral":
+            values, certifies = _polyhedral_screen(C, dom, cod, sample)
+            visit &= certifies | (np.abs(values - 1.0) > operators.TAU_NORM_ONE)
+        for j in np.flatnonzero(visit):
             if geometry == "polyhedral":
                 check_norm_one(float(values[j]), "A")
-                if not certifies[j]:
-                    continue
-            A = OperatorMatrix(cands[i], dom, cod)
+            A = OperatorMatrix(C[j], dom, cod)
             MA = norm_one_attainment_set(A, "A")
-            cert = _inclusion_certificate(MA, float(dists[i]), eps, resolution, sample)
+            cert = _inclusion_certificate(MA, float(dists[idx[j]]), eps, resolution, sample)
             if cert.certified:
                 return OnlyApproximationResult(True, trials, A, cert)
     return OnlyApproximationResult(False, trials)

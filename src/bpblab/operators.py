@@ -96,10 +96,22 @@ class OperatorMatrix:
                 f"matrix shape {m.shape} does not match "
                 f"{self.codomain.n} x {self.domain.n}"
             )
+        self._seal(m)
+
+    def _seal(self, m: np.ndarray):
         if np.count_nonzero(np.isfinite(m)) != m.size:
             raise NonFiniteError(f"entries must be finite, got {m.tolist()}")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
+
+    def _result(self, m: np.ndarray) -> "OperatorMatrix":
+        """The operator of this pair whose entries are the fresh float
+        array `m` of an arithmetic result: no copy and no shape check."""
+        out = object.__new__(OperatorMatrix)
+        object.__setattr__(out, "domain", self.domain)
+        object.__setattr__(out, "codomain", self.codomain)
+        out._seal(m)
+        return out
 
     def apply(self, x) -> np.ndarray:
         return self.entries @ np.asarray(x, dtype=float)
@@ -119,19 +131,20 @@ class OperatorMatrix:
 
     def __add__(self, other):
         self._check_same(other)
-        return OperatorMatrix(self.entries + other.entries, self.domain, self.codomain)
+        return self._result(self.entries + other.entries)
 
     def __sub__(self, other):
         self._check_same(other)
-        return OperatorMatrix(self.entries - other.entries, self.domain, self.codomain)
+        return self._result(self.entries - other.entries)
 
     def __mul__(self, c):
-        return OperatorMatrix(self.entries * float(c), self.domain, self.codomain)
+        return self._result(self.entries * float(c))
 
     __rmul__ = __mul__
 
     def _check_same(self, other):
-        if self.domain != other.domain or self.codomain != other.codomain:
+        # a tuple compares its items by identity first
+        if (self.domain, self.codomain) != (other.domain, other.codomain):
             raise MixedSpacesError("operators between different space pairs")
 
     def close_to(self, other) -> bool:

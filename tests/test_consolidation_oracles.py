@@ -47,7 +47,7 @@ from bpblab import (
     restricted_norm,
     verify_uniform_bpb,
 )
-from bpblab import operators
+from bpblab import bpbverify, operators
 from bpblab.bpbverify import (
     DELTA_LAST,
     SWEEP_PAIRS,
@@ -974,6 +974,69 @@ def test_polyhedral_screen_decides_each_candidate_as_its_certificate():
             assert grid_passes or not passes, (T, eps)
             outcomes.add(passes)
     assert outcomes == {True, False}
+
+
+class PresetDraws:
+    """A stand-in for np.random.default_rng(seed) whose standard_normal
+    hands out the matrices of `draws` in order, one per trial, whatever the
+    seed and however the trials are blocked."""
+
+    def __init__(self, draws):
+        self.rows = iter(draws)
+
+    def standard_normal(self, shape):
+        count = math.prod(shape[:-2])
+        return np.array([next(self.rows) for _ in range(count)]).reshape(shape)
+
+
+def test_walk_skips_t_itself_and_builds_one_attainment_set(monkeypatch):
+    # the first direction is 3T, whose candidate is T itself; the next two
+    # candidates do not certify and the last two do: only the first of
+    # those gets an attainment set
+    s, eps = linf(2), 1.0
+    T = operator([[0.4, -0.6], [0.2, 0.0]], s, s)
+    D = np.random.default_rng(3).standard_normal((12, 2, 2))
+    draws = np.concatenate([3.0 * T.entries[None], D[[9, 11, 0, 1]]])
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: PresetDraws(draws))
+    cands, _, found = _halving_search(T, draws, eps)
+    assert found.all() and np.abs(cands[0] - T.entries).max() < operators.TAU_SAME
+    want_found, want_A, want_cert = sequential_only_approximation(T, eps, len(draws), 0, 256)
+    assert want_found and want_A.entries.tobytes() == cands[3].tobytes()
+    built = []
+
+    def counting(A, what):
+        built.append(A.entries.tobytes())
+        return norm_one_attainment_set(A, what)
+
+    monkeypatch.setattr(bpbverify, "norm_one_attainment_set", counting)
+    res = is_only_approximation(T, eps, trials=len(draws), seed=0, resolution=256)
+    assert built == [cands[3].tobytes()]
+    assert res.found and res.counterexample.entries.tobytes() == want_A.entries.tobytes()
+    got = res.certificate
+    assert (got.status, got.eps, got.delta_found, got.resolution) == (
+        want_cert.status, want_cert.eps, want_cert.delta_found, want_cert.resolution)
+    assert repr(got.worst_distance) == repr(want_cert.worst_distance)
+    assert repr(got.operator_distance) == repr(want_cert.operator_distance)
+
+
+def test_search_makes_three_kernel_calls_when_every_direction_hits_within_a_block(monkeypatch):
+    # seed 0 draws ten directions around I on l_inf^3 that all find their
+    # candidate within HALVING_LEVELS halvings: one norm and one distance
+    # kernel for the search, one for the screen
+    T = enumerate_isometries(linf(3))[0]
+    D = np.random.default_rng(0).standard_normal((10, 3, 3))
+    with monkeypatch.context() as m:
+        m.setattr(bpbverify, "HALVINGS", bpbverify.HALVING_LEVELS)
+        assert _halving_search(T, D, 0.5)[2].all()
+    calls = []
+
+    def counting(*args):
+        calls.append(args[-1])
+        return operators._stacked_norms(*args)
+
+    monkeypatch.setattr(bpbverify, "_stacked_norms", counting)
+    assert not is_only_approximation(T, 0.5, trials=10, seed=0, resolution=256).found
+    assert calls == ["polyhedral"] * 3
 
 
 def test_screen_verdict_is_the_halving_rule():

@@ -358,6 +358,84 @@ def test_halving_search_equals_the_op_norms_loop(halvings, monkeypatch):
     assert outcomes == ({True} if halvings > 2 else {True, False})
 
 
+def assert_search_is_the_reference(T, D, eps, halvings=60):
+    """`_halving_search` gives the reference's outcome bit for bit; returns
+    which directions found a candidate."""
+    got = _halving_search(T, D, eps)
+    want = reference_halving_search(T, D, eps, halvings)
+    assert got[2].tolist() == want[2].tolist()
+    f = want[2]
+    assert bits(got[0][f]) == bits(want[0][f]) and bits(got[1][f]) == bits(want[1][f])
+    return f
+
+
+def first_hit_level(T, D, eps):
+    """The halving (0 for t = eps/2) at which the reference search finds
+    the candidate of the one direction D, None past HALVINGS."""
+    for h in range(1, bpbverify.HALVINGS + 1):
+        if reference_halving_search(T, D[None], eps, h)[2][0]:
+            return h - 1
+    return None
+
+
+@pytest.mark.parametrize("halvings", [2, 5, 6])
+def test_halving_search_clips_its_last_block(halvings, monkeypatch):
+    # not multiples of HALVING_LEVELS, so the last block decides fewer
+    # halvings; scaling a direction by 2^j moves its first hit j halvings
+    # later, so some directions run out of halvings
+    monkeypatch.setattr(bpbverify, "HALVINGS", halvings)
+    rng = np.random.default_rng(109)
+    outcomes = set()
+    for T in rigidity_operators():
+        if T.domain.polyhedral:
+            D = rng.standard_normal((16, *T.entries.shape)) * 2.0 ** rng.integers(0, 8, (16, 1, 1))
+            outcomes.update(assert_search_is_the_reference(T, D, 0.05, halvings).tolist())
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("s", POLYHEDRAL, ids=repr)
+def test_halving_search_first_hits_straddle_the_first_block(s):
+    # a direction first hit at halving 7 keeps the search open past the
+    # first block while the others are found at its edge
+    assert bpbverify.HALVING_LEVELS == 4
+    rng = np.random.default_rng(113)
+    T = operator(np.eye(s.n), s, s)
+    D0 = rng.standard_normal((s.n, s.n)) * 2.0 ** 8
+    base = first_hit_level(T, D0, 0.05)
+    assert base >= 5
+    D = np.array([D0 * 2.0 ** (j - base) for j in (3, 4, 5, 0, 7)])
+    assert [first_hit_level(T, d, 0.05) for d in D] == [3, 4, 5, 0, 7]
+    assert assert_search_is_the_reference(T, D, 0.05).all()
+
+
+def rng_direction(s, seed):
+    return np.random.default_rng(seed).standard_normal((s.n, s.n))
+
+
+def test_halving_search_never_reaches_a_zero_past_a_first_hit():
+    # at eps 2.5 and D = -T/(eps/8), T + tD is -3T at t = eps/2, whose
+    # normalisation -T lies 2 < eps from T, and 0 at t = eps/8: the search
+    # stops at the first halving, as one halving a call would
+    s, eps = linf(2), 2.5
+    T = operator(np.eye(2), s, s)
+    D = np.array([-T.entries / (eps / 8), rng_direction(s, 127)])
+    assert assert_search_is_the_reference(T, D, eps).all()
+    assert np.array_equal(_halving_search(T, D[:1], eps)[0][0], -np.eye(2))
+
+
+def test_halving_search_refuses_a_zero_at_a_reached_halving_of_the_second_block():
+    # T + tD is (1 - 2^(5-k)) T at halving k: -T, 2 >= eps from T, before
+    # halving 5, where it is 0; a second direction is found in the first block
+    s, eps = linf(2), 1.5
+    T = operator(np.eye(2), s, s)
+    D = np.array([-T.entries / (eps / 2.0 ** 6), rng_direction(s, 127) * 2.0 ** -4])
+    assert first_hit_level(T, D[1], eps) < 4
+    with pytest.raises(NonFiniteError, match="finite"):
+        _halving_search(T, D, eps)
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(NonFiniteError, match="finite"):
+        reference_halving_search(T, D, eps)
+
+
 @pytest.mark.parametrize("s", [linf(2), l1(3), l2(2), l2(3), lp(3, 2)], ids=repr)
 def test_halving_search_refuses_a_zero_or_overflowing_candidate(s):
     T = operator(np.eye(s.n), s, s)

@@ -393,6 +393,39 @@ class TestNonFiniteEntries:
         with pytest.raises(NonFiniteError):
             T * math.inf
 
+    def test_overflowing_product_is_refused(self):
+        T = operator([[2.0, 0.0], [0.0, 1.0]], linf(2), linf(2))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="entries"):
+            T * 1e308
+
+
+class TestArithmetic:
+    """+, - and * build their result without the constructor's copy and
+    shape check; the entries are those of the constructor, read-only."""
+
+    @pytest.mark.parametrize("dom, cod", [(l2(3), l2(3)), (linf(3), l1(2)), (lp(3, 2), lp(3, 2))])
+    def test_results_are_the_constructor_results(self, dom, cod):
+        rng = np.random.default_rng(43)
+        T, A = (operator(rng.standard_normal((cod.n, dom.n)), dom, cod) for _ in range(2))
+        for got, want in [
+            (T - A, OperatorMatrix(T.entries - A.entries, dom, cod)),
+            (T + A, OperatorMatrix(T.entries + A.entries, dom, cod)),
+            (T * 0.3, OperatorMatrix(T.entries * 0.3, dom, cod)),
+            (-2 * T, OperatorMatrix(T.entries * -2.0, dom, cod)),
+        ]:
+            assert got.entries.tobytes() == want.entries.tobytes()
+            assert (got.domain, got.codomain, got.entries.dtype) == (dom, cod, np.float64)
+            assert not got.entries.flags.writeable
+            with pytest.raises(ValueError):
+                got.entries[0, 0] = 1.0
+
+    def test_mixed_pairs_are_refused(self):
+        T = operator(np.eye(2), l2(2), l2(2))
+        with pytest.raises(MixedSpacesError):
+            T - operator(np.eye(2), linf(2), l2(2))
+        with pytest.raises(MixedSpacesError):
+            T + operator(np.eye(2), l2(2), l1(2))
+
 
 class TestImageNorms:
     def test_rows_are_norms_of_the_images(self):
