@@ -26,6 +26,10 @@ rank-one tilt's bisection began deciding eight halvings per call, and
 before the l_p^2 maximum search lost its per-call copies, and
 `attain_lp43_2` (its points attainment set) before the norm analysis of
 l_p^2 and Hilbert operators was memoised.
+The four `approx_rank_one_*_eps_*` cases run the same two operators at the
+tilt's extremes, eps 1e-12 (where the bisection stops on the relative
+width, t near 1.25e-13) and eps 3.9; they were recorded before the
+bisection's later calls began evaluating g along one predicted halving path.
 `verify_l23` was re-recorded with the same argv when certificates on
 l_2^n (n >= 3) became exact, read off the S-lemma's secular solve in
 place of the sphere grid: its delta stays 0.0078125 (the exact g is
@@ -73,6 +77,22 @@ CASES = {
     ),
     "approx_rank_one_l32": (
         ["approx", "--operator", "linf3_l32_rank_one.json", "--eps", "0.2", "--construction", "rank-one"],
+        0,
+    ),
+    "approx_rank_one_census_eps_tiny": (
+        ["approx", "--operator", "census_rank_one.json", "--eps", "1e-12", "--construction", "rank-one"],
+        0,
+    ),
+    "approx_rank_one_census_eps_large": (
+        ["approx", "--operator", "census_rank_one.json", "--eps", "3.9", "--construction", "rank-one"],
+        0,
+    ),
+    "approx_rank_one_l32_eps_tiny": (
+        ["approx", "--operator", "linf3_l32_rank_one.json", "--eps", "1e-12", "--construction", "rank-one"],
+        0,
+    ),
+    "approx_rank_one_l32_eps_large": (
+        ["approx", "--operator", "linf3_l32_rank_one.json", "--eps", "3.9", "--construction", "rank-one"],
         0,
     ),
     "verify_certified": (
