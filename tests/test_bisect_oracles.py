@@ -5,9 +5,13 @@ replaced.
 stopped on the absolute width BISECT_TOL alone; `scalar_gap` and
 `scalar_doubling` are the rank-one tilt's gap and its doubling of hi, one
 scalar gap call per candidate.  `optim.bisect_increasing` now calls g once
-per BISECT_LEVELS halvings, and `approximants._tilt` reads every candidate
-hi from one call; both must choose the same bits wherever the old width
-rule stopped.
+on the first BISECT_LEVELS halvings' points and then on predicted halving
+paths, and `approximants._tilt` reads every candidate hi from one call;
+both must choose the same bits wherever the old width rule stopped.
+`grid_bisect` is the kernel the path calls replaced, one call of g per
+BISECT_LEVELS halvings, kept to count its calls; `scalar_loop` is the
+halving loop with the library's stops, for brackets where the width rule
+alone stops elsewhere.
 """
 
 import math
@@ -15,13 +19,14 @@ import math
 import numpy as np
 import pytest
 
-from bpblab import approximants, enumerate_extreme_linf3_l13, functional_approx_lp2
+from bpblab import approximants, enumerate_extreme_linf3_l13, functional_approx_lp2, optim
 from bpblab.approximants import _TILT_ENDS, _tilt, _tilt_gap, rank_one_approx
 from bpblab.classify import census_lookup
 from bpblab.operators import OperatorMatrix
 from bpblab.optim import (
     BISECT_LEVELS,
     BISECT_MAX_ITER,
+    BISECT_REL,
     BISECT_TOL,
     _halving_points,
     bisect_increasing,
@@ -42,6 +47,50 @@ def scalar_bisect(g, target, lo, hi):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def scalar_loop(g, target, lo, hi):
+    if not (g(lo) <= target <= g(hi)):
+        raise ValueError("target not bracketed")
+    for _ in range(optim.BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        width = hi - lo
+        if width < BISECT_TOL and width < BISECT_REL * max(abs(lo), abs(hi)):
+            return mid
+        if g(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def grid_bisect(g, target, lo, hi):
+    y = g(_halving_points(lo, hi))
+    n = 1 << BISECT_LEVELS
+    if not (y[0] <= target <= y[n]):
+        raise ValueError("target not bracketed")
+    i, j = 0, n
+    for _ in range(BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        width = hi - lo
+        if width < BISECT_TOL and width < BISECT_REL * max(abs(lo), abs(hi)):
+            return mid
+        if j - i == 1:
+            y = g(_halving_points(lo, hi))
+            i, j = 0, n
+        k = (i + j) // 2
+        if y[k] < target:
+            lo, i = mid, k
+        else:
+            hi, j = mid, k
+    return 0.5 * (lo + hi)
+
+
+def grid_calls(g, target, lo, hi):
+    """The calls of g that grid_bisect makes."""
+    calls = []
+    grid_bisect(counted(g, calls), target, lo, hi)
+    return len(calls)
 
 
 def scalar_gap(w, v, p, t):
@@ -150,15 +199,17 @@ def test_bisection_is_the_scalar_loop(f, target, lo, hi):
     calls = []
     x = bisect_increasing(counted(f, calls), target, lo, hi)
     assert x == scalar_bisect(lambda s: float(f(s)), target, lo, hi)
-    assert all(len(a) == (1 << BISECT_LEVELS) + 1 for (a,) in calls)
+    assert len(calls[0][0]) == (1 << BISECT_LEVELS) + 1
+    assert len(calls) <= grid_calls(f, target, lo, hi) + 1
 
 
-def test_one_call_decides_eight_halvings():
+def test_one_third_takes_at_most_three_calls():
     calls = []
     x = bisect_increasing(counted(lambda t: t, calls), 1.0 / 3.0, 0.0, 1.0)
-    # 40 halvings take [0, 1] below 1e-12 wide; the stop is tested before
-    # a sixth call
-    assert len(calls) == 40 // BISECT_LEVELS == 5
+    # 40 halvings take [0, 1] below 1e-12 wide: the grid took 5 calls, the
+    # first call and one predicted path take 2
+    assert grid_calls(lambda t: t, 1.0 / 3.0, 0.0, 1.0) == 40 // BISECT_LEVELS == 5
+    assert len(calls) <= 3
     assert abs(x - 1.0 / 3.0) < BISECT_TOL
 
 
@@ -176,6 +227,96 @@ def test_a_root_near_zero_is_bracketed_relative_to_its_size():
     assert scalar_bisect(lambda t: t, 1e-13, 0.0, 1.0) > 4e-13
     x = bisect_increasing(lambda t: t, 1e-13, 0.0, 1.0)
     assert abs(x - 1e-13) <= 2.0 ** -10 * 1e-13
+
+
+# --- the predicted path ------------------------------------------------------
+
+
+def elementwise(h, lo, hi):
+    """h on an array, one scalar call per point, refusing points outside
+    [lo, hi]; with h itself the scalar loops see the same values."""
+    def g(x):
+        x = np.asarray(x).tolist()
+        assert all(lo <= t <= hi for t in x)
+        return np.array([h(t) for t in x])
+    return g
+
+
+def kink(t):
+    return t if t < 0.3 else 0.3 + 5.0 * (t - 0.3)
+
+
+def step(t):
+    return 0.0 if t < 1.0 / 3.0 else 1.0
+
+
+def with_nans(t):
+    return math.nan if int(t * 2.0 ** 20) % 3 == 2 else t
+
+
+ADVERSARIAL = {
+    "kink": (kink, 0.3, 0.0, 1.0),
+    "kink off its root": (kink, 0.7, 0.0, 1.0),
+    # tied values in the points nearest the root, where Neville divides by 0
+    "plateau": (lambda t: min(max(t, 0.25), 0.75), 0.75, 0.0, 1.0),
+    "plateau at the target": (lambda t: t if t < 0.4 else max(0.4, t - 0.2), 0.4, 0.0, 1.0),
+    "step": (step, 0.5, 0.0, 1.0),
+    "nans": (with_nans, 0.3, 0.0, 1.0),
+    "ulp wiggle": (lambda t: t + 1e-16 * math.sin(1e9 * t), 0.3, 0.0, 1.0),
+    "target g(lo)": (lambda t: t ** 3, 0.1 ** 3, 0.1, 2.0),
+    "target g(hi)": (lambda t: t ** 3, 8.0, 0.1, 2.0),
+    "max iter": (lambda t: t, 2.0 ** 40 + 0.5, 0.0, 2.0 ** 41),
+}
+
+
+@pytest.mark.parametrize("name", ADVERSARIAL)
+def test_adversarial_bisections_are_the_scalar_loop(name):
+    h, target, lo, hi = ADVERSARIAL[name]
+    g, calls = elementwise(h, lo, hi), []
+    x = bisect_increasing(counted(g, calls), target, lo, hi)
+    assert x == scalar_loop(h, target, lo, hi) == scalar_bisect(h, target, lo, hi)
+    assert len(calls) <= grid_calls(g, target, lo, hi) + 1
+
+
+def test_a_path_is_cut_at_the_halving_limit(monkeypatch):
+    # 19 halvings end inside the first path
+    monkeypatch.setattr(optim, "BISECT_MAX_ITER", 19)
+    calls = []
+    x = bisect_increasing(counted(lambda t: t, calls), 1.0 / 3.0, 0.0, 1.0)
+    assert x == scalar_loop(lambda t: t, 1.0 / 3.0, 0.0, 1.0)
+    assert [len(a) for (a,) in calls] == [(1 << BISECT_LEVELS) + 1, 19 - BISECT_LEVELS]
+
+
+@pytest.mark.parametrize("lo, hi", BRACKETS)
+@pytest.mark.parametrize("share", [0.0, 1.0 / 3.0, 0.7, 1.0])
+def test_bisections_on_every_bracket_are_the_scalar_loop(lo, hi, share):
+    target = min(max(lo + (hi - lo) * share, lo), hi)
+    g, calls = elementwise(lambda t: t, lo, hi), []
+    x = bisect_increasing(counted(g, calls), target, lo, hi)
+    assert x == scalar_loop(lambda t: t, target, lo, hi)
+    assert len(calls) <= grid_calls(g, target, lo, hi) + 1
+    # the first call's points are the memoised, read-only halving points
+    first = calls[0][0]
+    assert not first.flags.writeable
+    assert first.tobytes() == _halving_points.__wrapped__(lo, hi).tobytes()
+    again = []
+    bisect_increasing(counted(g, again), target, lo, hi)
+    assert again[0][0] is first
+
+
+def test_functional_bisections_make_at_most_one_call_more(monkeypatch):
+    monkeypatch.setattr(approximants, "bisect_increasing", capture)
+    rng = np.random.default_rng(5)
+    for p in ("6/5", "4/3", "3/2", "3", "4", "5"):
+        q_space = lp(p, 2).dual()
+        for _ in range(30):
+            c = rng.standard_normal(2)
+            with pytest.raises(Captured) as caught:
+                functional_approx_lp2(Point(c / pnorm(c, q_space.pf), q_space), rng.uniform(0.02, 1.98))
+            gap, target, lo, hi = caught.value.args
+            calls = []
+            bisect_increasing(counted(gap, calls), target, lo, hi)
+            assert len(calls) <= grid_calls(gap, target, lo, hi) + 1
 
 
 # --- the rank-one tilt -------------------------------------------------------
@@ -202,7 +343,7 @@ def test_seeded_tilts_are_the_scalar_loops(codomain):
         assert _tilt(w, v, p, eps) == scalar_tilt(w, v, p, eps)
 
 
-def test_a_census_tilt_makes_six_objective_calls(monkeypatch):
+def test_a_census_tilt_makes_three_gap_calls(monkeypatch):
     new, old = [], []
     monkeypatch.setattr(approximants, "_tilt_gap", counted(_tilt_gap, new))
     for T in census_rank_one():
@@ -210,7 +351,7 @@ def test_a_census_tilt_makes_six_objective_calls(monkeypatch):
             w, v, p = tilt_inputs(T, eps)
             new.clear()
             _tilt(w, v, p, eps)
-            assert len(new) <= 6
+            assert len(new) == 3
             old.clear()
             gap = counted(lambda t: scalar_gap(w, v, p, t), old)
             hi, target = scalar_doubling(gap, eps)
