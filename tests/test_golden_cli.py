@@ -40,6 +40,10 @@ smooth-2d benchmark workload (seed 1) and the approximant of
 `hilbert_rotate_approx` at eps 0.3: the grid at 4096 certified it with
 delta 0.03125, which is false (a far point has ||Tz|| = 0.97083 > 0.96875);
 the exact delta is 0.015625.
+`classify_linf3_double` (an extreme l_inf^3 -> l_inf^3 operator) and
+`classify_l13` (a non-extreme l_1^3 -> l_1^3 operator, whose witness comes
+from LAPACK's SVD) were recorded before extremality on l_inf codomains and
+l_1 domains was decided row by row and column by column.
 The four smooth-path cases and the two `*_lp43_2` cases go through
 `pow`, trigonometry and, for l_2^3, LAPACK, and the two rank-one cases
 through LAPACK's SVD (and `pow` on l_3^2), whose last bits may vary with
@@ -64,6 +68,8 @@ CASES = {
     "attain_l13": (["attain", "--operator", "l13_mixed.json"], 0),
     "attain_linf2": (["attain", "--operator", "linf2_double.json"], 0),
     "classify_census": (["classify", "--operator", "census_block.json"], 0),
+    "classify_linf3_double": (["classify", "--operator", "linf3_double.json"], 0),
+    "classify_l13": (["classify", "--operator", "l13_mixed.json"], 0),
     "isometries_p3_n2": (["isometries", "--p", "3", "--n", "2"], 0),
     "orbit_census": (["orbit", "--operator", "census_block.json"], 0),
     "enumerate_ext": (["enumerate-ext", "--pair", "linf3-l13"], 0),
