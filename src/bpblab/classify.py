@@ -1,7 +1,8 @@
 """Structural classification of contractions.
 
-Sign-pattern criteria for extreme contractions on l_inf^n and l_1^n, a
-rank-based extremality test, isometry testing and enumeration, and
+Sign-pattern criteria for extreme contractions on l_inf^n and l_1^n, an
+extremality test by rows, by columns or by rank, isometry testing and
+enumeration, and
 signed-permutation equivalence orbits including the 90-element census of
 extreme contractions from l_inf^3 to l_1^3.
 """
@@ -16,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InfiniteGroupError, OutOfRangeError, WrongSpacesError
-from .operators import OperatorMatrix, require_norm_one
+from .operators import OperatorMatrix, _norm_value, check_norm_one, require_norm_one
 from .spaces import ENUMERATION_LIMIT, INF, TAU_EQ, SpaceSpec, l1, linf, polyhedral_table
 
 
@@ -89,60 +90,116 @@ def l1_column_condition(T: OperatorMatrix) -> bool:
     return _one_unimodular_per_line(T.entries.T)
 
 
+def _extreme_lines(L: np.ndarray, value: float, signs: bool) -> np.ndarray:
+    """Whether each row of L is extreme in the ball of radius `value`, within
+    TAU_EQ * value: of l_inf (signs: every entry near +/-value) or of l_1
+    (one entry above TAU_EQ * value in magnitude, and one near +/-value)."""
+    A = np.abs(L)
+    tol = TAU_EQ * value
+    near = np.abs(A - value) <= tol
+    if signs:
+        return near.all(axis=1)
+    return ((A > tol).sum(axis=1) == 1) & near.any(axis=1)
+
+
 def _one_unimodular_per_line(M: np.ndarray) -> bool:
-    """Whether every row of M has exactly one entry above TAU_EQ in
-    absolute value, and that entry lies within TAU_EQ of +/-1."""
-    A = np.abs(M)
-    nz = A > TAU_EQ
-    # with one per row, A[nz] holds one entry per row
-    return bool((nz.sum(axis=1) == 1).all()) and bool(np.abs(A[nz] - 1.0).max() <= TAU_EQ)
+    """Whether every row of M is a vertex +/-e_j of the l_1 ball, within TAU_EQ."""
+    return bool(_extreme_lines(M, 1.0, False).all())
 
 
 def is_extreme_contraction(T: OperatorMatrix) -> ExtremalityVerdict:
     """Whether a norm-one T is an extreme point of the operator unit ball.
 
-    Polyhedral pairs: the operator unit ball is the polytope
-    {S : f(S v) <= 1} over the domain vertices v and the extreme dual
-    functionals f, so T is extreme iff it is a vertex of that polytope: iff
-    the normals f (x) v of the constraints active at T span R^(m*n)
-    (Schrijver, Theory of Linear and Integer Programming, section 8).  One
-    SVD decides the rank; otherwise a null vector D of the active normals,
-    scaled so that no inactive constraint is crossed, is a witness with
-    ||T +/- D|| <= ||T||.  Other pairs get no verdict beyond ||T|| = 1:
-    status "necessary_condition_only", method "none".  A random
-    perturbation search cannot stand in there, since every D with
-    ||T +/- D|| <= 1 lies in the span of the minimal face of T, a proper
-    subspace that a random draw misses with probability one.
+    Polyhedral pairs, relative to ||T|| within TAU_EQ, by method "rows" on
+    an l_inf^m codomain (every row extreme in X*'s ball), "columns" on an
+    l_1^n domain (every column extreme in Y's ball; Lindenstrauss and
+    Perles, Duke Math. J. 1966), else "rank": whether the normals of the
+    facets {S : f(S v) <= 1} active at T span R^(m*n), by one SVD (the
+    vertex criterion; Schrijver, Theory of Linear and Integer Programming,
+    section 8).  A not_extreme verdict carries a witness D != 0 with
+    ||T +/- D|| <= ||T||.
+    Other pairs get no verdict beyond ||T|| = 1: status
+    "necessary_condition_only", method "none".  A random perturbation
+    search cannot stand in there, since every D with ||T +/- D|| <= 1 lies
+    in the span of the minimal face of T, a proper subspace that a random
+    draw misses with probability one.
     """
-    value, _ = require_norm_one(T)
+    value = _norm_value(T)
+    check_norm_one(value, "operator")
     dom, cod = T.domain, T.codomain
-    if dom.polyhedral and cod.polyhedral and dom.n <= 3 and cod.n <= 3:
-        return _rank_extremality(T, value)
-    return ExtremalityVerdict("necessary_condition_only", "none")
+    if not (dom.polyhedral and cod.polyhedral):
+        return ExtremalityVerdict("necessary_condition_only", "none")
+    if cod.p == INF or dom.p == 1:
+        return _line_extremality(T, value)
+    return _rank_extremality(T, value)
+
+
+def _line_extremality(T: OperatorMatrix, value: float) -> ExtremalityVerdict:
+    """The rows or the columns test.  The witness changes the first line
+    that is not extreme: it adds the line's slack to one entry, or moves
+    t = min(|r_a|, |r_b|) between the two largest entries of an l_1 line
+    of norm ||T||."""
+    columns = T.codomain.p != INF
+    D = np.zeros_like(T.entries)
+    L, DL = (T.entries.T, D.T) if columns else (T.entries, D)
+    signs = T.domain.p == 1 and not columns  # rows in l_inf's ball, else in l_1's
+    ok = _extreme_lines(L, value, signs)
+    method = "columns" if columns else "rows"
+    if ok.all():
+        return ExtremalityVerdict("extreme", method)
+    i = int(ok.argmin())
+    A = np.abs(L[i])
+    slack = value - A.sum()
+    if signs:
+        j = int(A.argmin())
+        DL[i, j] = value - A[j]
+    elif slack > TAU_EQ * value:
+        DL[i, A.argmax()] = slack
+    else:
+        a, b = np.argsort(-A, kind="stable")[:2]
+        DL[i, a], DL[i, b] = A[b] * np.sign(L[i, a]), -A[b] * np.sign(L[i, b])
+    return ExtremalityVerdict("not_extreme", method, witness=D)
+
+
+RANK_TABLE_LIMIT = 1 << 12  # facet normals the rank test may tabulate
+
+
+@functools.lru_cache(maxsize=16)
+def _facet_normals(domain: SpaceSpec, codomain: SpaceSpec) -> np.ndarray:
+    """K, read-only, with f(S v) = K @ vec(S) for every facet of the
+    operator ball of l_inf^n -> l_1^m: v runs over the 2^n sign vectors, f
+    over those with f_1 = +1, since (f, v) and (-f, -v) give one facet.
+    OutOfRangeError, before building, past RANK_TABLE_LIMIT rows."""
+    m, n = codomain.n, domain.n
+    count = 2 ** (m + n - 1)
+    if count > RANK_TABLE_LIMIT:
+        raise OutOfRangeError(f"{domain} -> {codomain}: the rank test would "
+                              f"tabulate {count} facet normals, more than {RANK_TABLE_LIMIT}")
+    V = polyhedral_table(domain).vertices
+    F = polyhedral_table(codomain.dual()).vertices[: count >> n]  # f_1 = +1 first
+    K = (F[:, None, :, None] * V[None, :, None, :]).reshape(count, m * n)
+    K.setflags(write=False)
+    return K
 
 
 def _rank_extremality(T: OperatorMatrix, value: float) -> ExtremalityVerdict:
     m, n = T.entries.shape
-    V = polyhedral_table(T.domain).vertices          # (v, n)
-    F = polyhedral_table(T.codomain.dual()).vertices  # (f, m)
-    vals = F @ T.entries @ V.T                       # f(T v), (f, v)
-    # active relative to ||T||, as in the attainment set: require_norm_one
+    K = _facet_normals(T.domain, T.codomain)
+    vals = K @ T.entries.reshape(-1)  # f(T v)
+    # active relative to ||T||, as in the attainment set: the norm check
     # lets ||T|| miss 1 by more than TAU_EQ
     active = vals >= value * (1.0 - TAU_EQ)
-    fi, vi = np.nonzero(active)
-    # the coefficient of d_ij in f(D v) is f_i v_j: the normal is kron(f, v)
-    normals = (F[fi, :, None] * V[vi, None, :]).reshape(len(fi), m * n)
-    _, s, Vt = np.linalg.svd(normals)
-    # numpy's matrix_rank tolerance; the normals have entries in {0, +-1}
+    normals = K[active]
+    _, s, Vt = np.linalg.svd(normals, full_matrices=len(normals) < m * n)
+    # numpy's matrix_rank tolerance; the normals have entries +-1
     rank = int((s > s.max(initial=0.0) * max(normals.shape) * np.finfo(float).eps).sum())
     if rank == m * n:
         return ExtremalityVerdict("extreme", "rank")
-    D = Vt[rank].reshape(m, n)
-    # f(D v) = 0 on the active pairs; stop at the first inactive one to reach ||T||
-    slack, reach = value - vals[~active], np.abs(F @ D @ V.T)[~active]
+    # f(D v) = 0 on the active facets; stop at the first inactive one to reach ||T||
+    slack, reach = value - vals[~active], np.abs(K[~active] @ Vt[rank])
     with np.errstate(divide="ignore"):
         t = np.min(slack / reach, initial=1.0)
-    return ExtremalityVerdict("not_extreme", "rank", witness=t * D)
+    return ExtremalityVerdict("not_extreme", "rank", witness=t * Vt[rank].reshape(m, n))
 
 
 def is_isometry(T: OperatorMatrix) -> bool:
@@ -165,30 +222,32 @@ def enumerate_isometries(s: SpaceSpec) -> list[OperatorMatrix]:
     return [OperatorMatrix(m, s, s) for m in all_signed_permutations(s.n)]
 
 
-def _round_key(M: np.ndarray) -> tuple:
-    r = np.round(M, 12) + 0.0  # normalise -0.0
-    return tuple(r.reshape(-1))
+def _round_keys(M: np.ndarray):
+    """The keys of the matrices of a stack M, one at a time; M is rounded
+    in place."""
+    np.round(M, 12, out=M)
+    M += 0.0  # normalise -0.0
+    return (tuple(row.tolist()) for row in M.reshape(-1, M.shape[-2] * M.shape[-1]))
 
 
 def orbit_with_witnesses(A: OperatorMatrix) -> dict:
     """The two-sided signed-permutation orbit {L A R}.
 
     Maps each orbit member's rounded-entry key to (member entries, L, R)
-    with member = L @ A @ R.  A must be square.
+    with member = L @ A @ R, in the order of the first L and then R to
+    reach it.  A must be square.  The keys come from one stacked matmul.
     """
     n = A.domain.n
     if A.codomain.n != n:
         raise WrongSpacesError(f"an orbit needs a square operator, got {A.codomain.n} x {n}")
     _check_enumeration_size(n, 2)
-    mats = list(all_signed_permutations(n))
+    P = np.array(list(all_signed_permutations(n)))
+    LA = P @ A.entries
     out = {}
-    for L in mats:
-        LA = L @ A.entries
-        for R in mats:
-            B = LA @ R
-            key = _round_key(B)
-            if key not in out:
-                out[key] = (B, L, R)
+    for k, key in enumerate(_round_keys(LA[:, None] @ P)):
+        if key not in out:
+            l, r = divmod(k, len(P))
+            out[key] = (LA[l] @ P[r], P[l], P[r])
     return out
 
 
@@ -236,7 +295,7 @@ def census_lookup(T: OperatorMatrix):
     None if T is not in the enumeration.
     """
     rank_one, block = _extreme_census()
-    key = _round_key(T.entries)
+    key = next(_round_keys(T.entries.copy()))
     if key in rank_one:
         _, L, R = rank_one[key]
         return ("rank_one", CANONICAL_RANK_ONE_3, L, R)

@@ -418,6 +418,11 @@ def op_norm(T: OperatorMatrix) -> tuple[float, Point]:
     return entry.value, entry.witness
 
 
+def _norm_value(T: OperatorMatrix) -> float:
+    """op_norm(T)[0], read off the memo entry without building the witness."""
+    return _analysis(T).value
+
+
 def op_norms(E, domain: SpaceSpec, codomain: SpaceSpec) -> np.ndarray:
     """op_norm(...)[0] of every matrix of a stack E of shape (..., m, n),
     bit for bit, in shape (...), by `_stacked_norms`.  Non-finite entries

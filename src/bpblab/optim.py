@@ -78,11 +78,10 @@ def _halving_points(lo, hi):
 
 def _path(x, y, target, lo, hi, count):
     """The halving loop's mids from [lo, hi] toward the root r that Neville
-    inverse interpolation predicts from the _PREDICT_POINTS points x nearest
-    the bracket and their values y (its middle if two values tie or r leaves
-    it): at most count, up to the first bracket the stop test ends."""
-    near = np.argsort(np.abs(x - 0.5 * (lo + hi)))[:_PREDICT_POINTS]
-    r, v = x[near].tolist(), y[near].tolist()
+    inverse interpolation predicts from the points x and their values y
+    (the bracket's middle if two values tie or r leaves it): at most count,
+    up to the first bracket the stop test ends."""
+    r, v = x.tolist(), y.tolist()
     if len(set(v)) == len(v):  # no divisor below is 0
         for m in range(1, len(r)):
             r = [((target - b) * s + (a - target) * u) / (a - b)
@@ -130,7 +129,15 @@ def bisect_increasing(g, target, lo, hi):
             if grid:
                 x, i, j, k = _halving_points(lo, hi), 0, _SPAN, None
             else:
-                x, k = _path(np.asarray(x), y, target, lo, hi, BISECT_MAX_ITER - n), 0
+                # the _PREDICT_POINTS points of the last call nearest the
+                # bracket; on a grid call, its neighbours i - 2 .. i + 3
+                x = np.asarray(x)
+                if k is None:
+                    a = min(max(i - 2, 0), _SPAN + 1 - _PREDICT_POINTS)
+                    near = slice(a, a + _PREDICT_POINTS)
+                else:
+                    near = np.argsort(np.abs(x - mid))[:_PREDICT_POINTS]
+                x, k = _path(x[near], y[near], target, lo, hi, BISECT_MAX_ITER - n), 0
             y = g(np.asarray(x))
         m, k = ((i + j) // 2, None) if k is None else (k, k + 1)
         if y[m] < target:

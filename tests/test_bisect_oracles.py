@@ -28,6 +28,7 @@ from bpblab.optim import (
     BISECT_MAX_ITER,
     BISECT_REL,
     BISECT_TOL,
+    _PREDICT_POINTS,
     _halving_points,
     bisect_increasing,
 )
@@ -179,6 +180,30 @@ def test_halving_points_are_the_loops_mids(lo, hi):
     # on the tilt's brackets the points are equispaced
     if lo == 0.0 and math.log2(hi).is_integer() and hi > 2.0 ** -1000:
         assert np.array_equal(x, lo + (hi - lo) * np.arange(n + 1) / n)
+
+
+def test_grid_neighbours_are_the_nearest_points():
+    """After a grid call the bracket is [x_i, x_(i+1)], and the path is
+    predicted from x_(i-2) .. x_(i+3), clipped to the grid: as near the
+    bracket's middle as the points the replaced argsort over all 2^8 + 1
+    points picked, on every grid of distinct points.  Where the points
+    repeat ([0, 5e-324], whose mids round to 0) a tie can pick other
+    points; that moves only the prediction, and the bisections on that
+    bracket are the scalar loop's too."""
+    n = 1 << BISECT_LEVELS
+    checked = 0
+    for lo, hi in BRACKETS:
+        x = _halving_points(lo, hi)
+        if not (np.diff(x) > 0).all():
+            continue
+        checked += 1
+        for i in range(n):
+            mid = 0.5 * (x[i] + x[i + 1])
+            a = min(max(i - 2, 0), n + 1 - _PREDICT_POINTS)
+            got = np.sort(np.abs(x[a : a + _PREDICT_POINTS] - mid))
+            want = np.sort(np.abs(x - mid))[:_PREDICT_POINTS]
+            assert np.array_equal(got, want), (lo, hi, i)
+    assert checked == len(BRACKETS) - 1
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,9 @@ from bpblab import (
     operator,
 )
 from bpblab.classify import (
+    CANONICAL_BLOCK_3,
+    CANONICAL_RANK_ONE_3,
+    _extreme_census,
     _one_unimodular_per_line,
     all_signed_permutations,
     census_lookup,
@@ -348,6 +351,56 @@ class TestOrbits:
         for B in equivalence_orbit(A)[:12]:
             v, _ = op_norm(B)
             assert v == pytest.approx(1.0, abs=1e-12)
+
+
+def loop_orbit_with_witnesses(A):
+    """`orbit_with_witnesses` as one product L A R at a time, keyed by a
+    tuple of numpy floats."""
+    mats = list(all_signed_permutations(A.domain.n))
+    out = {}
+    for L in mats:
+        LA = L @ A.entries
+        for R in mats:
+            B = LA @ R
+            key = tuple((np.round(B, 12) + 0.0).reshape(-1))
+            if key not in out:
+                out[key] = (B, L, R)
+    return out
+
+
+def _orbit_cases():
+    rng = np.random.default_rng(11)
+    signed_zeros = np.array([[0.0, -0.0, 0.5], [-0.5, 0.0, -0.0], [0.0, 0.0, -0.0]])
+    return [
+        operator([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], linf(3), l1(3)),
+        operator([[0.5, 0.5, 0.0], [0.5, -0.5, 0.0], [0.0, 0.0, 0.0]], linf(3), l1(3)),
+        operator(np.eye(2), linf(2), linf(2)),
+        operator(signed_zeros, linf(3), l1(3)),
+        operator(rng.standard_normal((3, 3)), l1(3), l1(3)),
+        operator(rng.integers(-2, 3, size=(3, 3)) / 2.0, linf(3), linf(3)),
+        operator([[-2.0]], lp(3, 1), lp(3, 1)),
+    ]
+
+
+class TestStackedOrbit:
+    @pytest.mark.parametrize("A", _orbit_cases())
+    def test_one_stacked_product_is_the_loop(self, A):
+        got, want = orbit_with_witnesses(A), loop_orbit_with_witnesses(A)
+        assert list(got) == list(want)
+        for (B, L, R), (B0, L0, R0) in zip(got.values(), want.values()):
+            # tobytes tells -0.0 from 0.0
+            assert B.tobytes() == B0.tobytes()
+            assert L.tobytes() == L0.tobytes() and R.tobytes() == R0.tobytes()
+
+    def test_census_members_are_the_loops(self):
+        members = [m.entries for m in enumerate_extreme_linf3_l13()]
+        rank_one, block = _extreme_census()
+        loop = [
+            B for A in (CANONICAL_RANK_ONE_3, CANONICAL_BLOCK_3)
+            for B, _, _ in loop_orbit_with_witnesses(operator(A, linf(3), l1(3))).values()
+        ]
+        assert [B.tobytes() for B in members] == [B.tobytes() for B in loop]
+        assert len(rank_one) + len(block) == 90
 
 
 class TestCensus:

@@ -41,9 +41,12 @@ smooth-2d benchmark workload (seed 1) and the approximant of
 delta 0.03125, which is false (a far point has ||Tz|| = 0.97083 > 0.96875);
 the exact delta is 0.015625.
 `classify_linf3_double` (an extreme l_inf^3 -> l_inf^3 operator) and
-`classify_l13` (a non-extreme l_1^3 -> l_1^3 operator, whose witness comes
-from LAPACK's SVD) were recorded before extremality on l_inf codomains and
-l_1 domains was decided row by row and column by column.
+`classify_l13` (a non-extreme l_1^3 -> l_1^3 operator) were recorded
+while the rank test decided both, and re-recorded with the same argv when
+extremality on l_inf codomains became the rows test and on l_1 domains the
+columns test: the method went "rank" -> "rows" and "rank" -> "columns",
+and the witness of `classify_l13`, an SVD null vector with entries such as
+5.9e-17, became the exact [[0, 0.5, 0], [0, 0.5, 0], [0, 0, 0]].
 The four smooth-path cases and the two `*_lp43_2` cases go through
 `pow`, trigonometry and, for l_2^3, LAPACK, and the two rank-one cases
 through LAPACK's SVD (and `pow` on l_3^2), whose last bits may vary with

@@ -2,7 +2,9 @@
 
 The references below are the implementations the kernels replaced: an LP
 extremality test (one HiGHS linprog per coordinate of the perturbation D),
-the vertex loops of op_norm, and the face loop of the attainment set.
+the rank test on every polyhedral pair (all |F| |V| normals f (x) v and a
+full SVD), the vertex loops of op_norm, and the face loop of the attainment
+set.
 """
 
 import itertools
@@ -23,7 +25,9 @@ from bpblab import (
     op_norm,
     operator,
 )
-from bpblab.spaces import INF, TAU_EQ, pnorm
+from bpblab.classify import RANK_TABLE_LIMIT
+from bpblab.errors import OutOfRangeError
+from bpblab.spaces import INF, TAU_EQ, pnorm, polyhedral_table
 
 
 def _vertices(s):
@@ -50,6 +54,29 @@ def lp_extremality(T):
         if -res.fun > 1e-7:
             return "not_extreme"
     return "extreme"
+
+
+def svd_extremality(T):
+    """The rank test that decided every polyhedral pair up to 3 x 3, without
+    the size cap: the normals f (x) v of all active (f, v), each facet twice,
+    and a full SVD.  Returns (status, witness)."""
+    value = op_norm(T)[0]
+    m, n = T.entries.shape
+    V = polyhedral_table(T.domain).vertices
+    F = polyhedral_table(T.codomain.dual()).vertices
+    vals = F @ T.entries @ V.T
+    active = vals >= value * (1.0 - TAU_EQ)
+    fi, vi = np.nonzero(active)
+    normals = (F[fi, :, None] * V[vi, None, :]).reshape(len(fi), m * n)
+    _, s, Vt = np.linalg.svd(normals)
+    rank = int((s > s.max(initial=0.0) * max(normals.shape) * np.finfo(float).eps).sum())
+    if rank == m * n:
+        return "extreme", None
+    D = Vt[rank].reshape(m, n)
+    slack, reach = value - vals[~active], np.abs(F @ D @ V.T)[~active]
+    with np.errstate(divide="ignore"):
+        t = np.min(slack / reach, initial=1.0)
+    return "not_extreme", t * D
 
 
 def loop_op_norm(T):
@@ -184,7 +211,113 @@ def test_scaled_census_stays_extreme():
     for T in enumerate_extreme_linf3_l13():
         S = (1.0 - 5e-8) * T
         v = is_extreme_contraction(S)
-        assert v.status == "extreme" == lp_extremality(S), T
+        assert v.status == "extreme" == lp_extremality(S) == svd_extremality(S)[0], T
+
+
+def _route(T):
+    if T.codomain.p == INF:
+        return "rows"
+    return "columns" if T.domain.p == 1 else "rank"
+
+
+def _signed_permutations():
+    """The isometries of l_inf^n and l_1^n, n = 2..4, each also scaled by
+    1 - 5e-8, inside the norm-one tolerance; and the same matrices of norm
+    one from l_inf^4 to l_1^4."""
+    out = []
+    for n in (2, 3, 4):
+        for s in (linf(n), l1(n)):
+            for Q in enumerate_isometries(s):
+                out += [Q, (1.0 - 5e-8) * Q]
+    out += [_unit(Q.entries, linf(4), l1(4)) for Q in enumerate_isometries(linf(4))[::8]]
+    return out
+
+
+def _linf4_l14_operators():
+    """Seeded dense and half-integer operators l_inf^4 -> l_1^4 of norm one,
+    and the census members padded to 4 x 4."""
+    out = _seeded_operators([(linf(4), l1(4))], 20, seed=404)
+    for T in enumerate_extreme_linf3_l13()[::3]:
+        M = np.zeros((4, 4))
+        M[:3, :3] = T.entries
+        out.append(operator(M, linf(4), l1(4)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def route_cases(poly_operators):
+    ops = poly_operators + _signed_permutations() + _linf4_l14_operators()
+    return [(T, is_extreme_contraction(T), svd_extremality(T)[0]) for T in ops]
+
+
+def test_routes_match_the_svd_kernel(route_cases):
+    statuses = {}
+    for T, v, ref in route_cases:
+        assert (v.status, v.method) == (ref, _route(T)), T
+        statuses.setdefault((T.domain.n, T.codomain.n, v.method), set()).add(v.status)
+    assert len(route_cases) >= 634 + 1800
+    for key in ((3, 3, "rank"), (4, 4, "rank"), (3, 3, "rows"), (3, 3, "columns")):
+        assert statuses[key] == {"extreme", "not_extreme"}, key
+
+
+def test_every_witness_stays_in_the_ball(route_cases):
+    """||T +/- D|| <= ||T|| (1 + 1e-9) by the vertex loop, D != 0, over all
+    four ways a witness is made: an SVD null vector (rank), slack added to
+    an entry of a row of an operator on l_1^n (its rows lie in the l_inf
+    ball), slack added to an entry of an l_1 line, and mass moved between
+    two entries of an l_1 line of norm ||T||."""
+    branches = set()
+    for T, v, _ in route_cases:
+        if v.status != "not_extreme":
+            continue
+        D = v.witness
+        assert D.shape == T.entries.shape and np.abs(D).max() > 1e-9, T
+        value = loop_op_norm(T)[0]
+        for S in (T.entries + D, T.entries - D):
+            assert loop_op_norm(operator(S, T.domain, T.codomain))[0] <= value * (1.0 + 1e-9), T
+        if v.method == "rank":
+            branches.add("rank")
+        elif v.method == "rows" and T.domain.p == 1:
+            branches.add("sign slack")
+        else:
+            changed = np.count_nonzero(D)
+            branches.add("l1 slack" if changed == 1 else "l1 shift")
+            assert changed in (1, 2) and np.count_nonzero(D.any(axis=int(v.method == "rows"))) == 1
+    assert branches == {"rank", "sign slack", "l1 slack", "l1 shift"}
+
+
+def test_one_svd_per_rank_verdict(route_cases, monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    for T, _, _ in route_cases:
+        calls.clear()
+        v = is_extreme_contraction(T)
+        assert len(calls) == (v.method == "rank"), T
+
+
+def test_closed_form_pairs_have_no_size_cap():
+    cases = [
+        (operator(np.eye(8), linf(8), linf(8)), "rows", "extreme"),
+        (operator(np.ones((4, 6)), l1(6), linf(4)), "rows", "extreme"),
+        (operator(np.eye(6)[::-1], l1(6), l1(6)), "columns", "extreme"),
+        (_unit(np.ones((5, 5)), l1(5), l1(5)), "columns", "not_extreme"),
+    ]
+    for T, method, status in cases:
+        v = is_extreme_contraction(T)
+        assert (v.method, v.status) == (method, status)
+
+
+def test_the_rank_table_is_refused_past_its_limit():
+    # 2^(m + n - 1) facet normals: 2^12 on l_inf^6 -> l_1^7, 2^13 on l_inf^7 -> l_1^7
+    assert RANK_TABLE_LIMIT == 2 ** 12
+    M = np.zeros((7, 6))
+    M[0, 0] = 1.0
+    assert is_extreme_contraction(operator(M, linf(6), l1(7))).method == "rank"
+    M = np.zeros((7, 7))
+    M[0, 0] = 1.0
+    with pytest.raises(OutOfRangeError, match="8192 facet normals"):
+        is_extreme_contraction(operator(M, linf(7), l1(7)))
 
 
 def test_non_extreme_witnesses_stay_in_the_ball(verdicts):
