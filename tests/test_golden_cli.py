@@ -47,6 +47,9 @@ extremality on l_inf codomains became the rows test and on l_1 domains the
 columns test: the method went "rank" -> "rows" and "rank" -> "columns",
 and the witness of `classify_l13`, an SVD null vector with entries such as
 5.9e-17, became the exact [[0, 0.5, 0], [0, 0.5, 0], [0, 0, 0]].
+`norm_linf3_double` and `attain_linf3_double` (the l_inf^3 -> l_inf^3
+operator of `classify_linf3_double`) were recorded before the stacked
+polyhedral norms took closed forms (the largest row l_1 sum there).
 The four smooth-path cases and the two `*_lp43_2` cases go through
 `pow`, trigonometry and, for l_2^3, LAPACK, and the two rank-one cases
 through LAPACK's SVD (and `pow` on l_3^2), whose last bits may vary with
@@ -70,6 +73,8 @@ CASES = {
     "norm_census": (["norm", "--operator", "census_block.json"], 0),
     "attain_l13": (["attain", "--operator", "l13_mixed.json"], 0),
     "attain_linf2": (["attain", "--operator", "linf2_double.json"], 0),
+    "norm_linf3_double": (["norm", "--operator", "linf3_double.json"], 0),
+    "attain_linf3_double": (["attain", "--operator", "linf3_double.json"], 0),
     "classify_census": (["classify", "--operator", "census_block.json"], 0),
     "classify_linf3_double": (["classify", "--operator", "linf3_double.json"], 0),
     "classify_l13": (["classify", "--operator", "l13_mixed.json"], 0),
