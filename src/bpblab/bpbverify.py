@@ -232,6 +232,7 @@ def _far_from(eps: float) -> float:
 
 
 _CORNER_DISTANCES_KEPT = 2 ** 16  # distances a _CornerTable keeps from call to call
+_NOT_KEPT = np.iinfo(np.intp).max  # a face's slot while its row is not kept: past every row
 
 
 class _CornerTable:
@@ -240,39 +241,63 @@ class _CornerTable:
     order, a distance in [`_far_from(eps)`, eps) read as eps.  The rule
     is monotone, so it commutes with the least entry over the faces of M:
     that is the corner's distance to M read by the rule, bit for bit.
+    A face's near mask is 1.0 (float32) where the read distance is below
+    eps, else 0.0, so a product of masks counts near faces exactly.
 
-    A face's row is measured when first read, and the newest rows are
-    kept while they hold at most _CORNER_DISTANCES_KEPT distances (512
-    KB): every face of l_1^3 and l_inf^3, one row of the 65,280 corners
-    of l_inf^8.  So a call holds the rows of the faces it reads, not one
-    row per face of the ball (3^n - 1 rows of up to 4^n - 2^n corners on
-    l_inf^n).
+    A face's row and mask are measured when first read, and the newest
+    rows are kept while they hold at most _CORNER_DISTANCES_KEPT
+    distances (512 KB, and 256 KB of masks): every face of l_1^3 and
+    l_inf^3, one row of the 65,280 corners of l_inf^8.  So a call holds
+    the rows of the faces it reads, not one row per face of the ball
+    (3^n - 1 rows of up to 4^n - 2^n corners on l_inf^n).  The kept rows
+    are two arrays in the order they were measured, `_kept` names their
+    faces and `_slot` maps each face of the ball to its row, so a read is
+    one `take` of each; a face not kept has slot _NOT_KEPT, on which the
+    take raises, and the read measures it.
     """
 
     def __init__(self, space: SpaceSpec, eps: float):
         self.space, self.eps = space, eps
         self.corners = corner_points(space, eps)
-        self._kept = {}
         self._rows_kept = _CORNER_DISTANCES_KEPT // len(self.corners)
+        self._slot = np.full(3 ** space.n - 1, _NOT_KEPT, dtype=np.intp)
+        self._kept = np.empty(0, dtype=np.intp)
+        self._dists = np.empty((0, len(self.corners)))
+        self._near = np.empty((0, len(self.corners)), dtype=np.float32)
         self._lock = threading.Lock()
+
+    def _read(self, faces, masks: bool) -> np.ndarray:
+        """The rows (`masks`: the near masks) of the faces of rows `faces`."""
+        faces = np.asarray(faces, dtype=np.intp)
+        with self._lock:
+            index = self._slot.take(faces)
+            try:
+                return (self._near if masks else self._dists).take(index, axis=0)
+            except IndexError:  # a face is not kept
+                pass
+            new = faces[index == _NOT_KEPT]
+            new = new[np.sort(np.unique(new, return_index=True)[1])]
+            D = face_distances(self.space, polyhedral_table(self.space).patterns[new], self.corners)
+            np.copyto(D, self.eps, where=(D < self.eps) & (D >= _far_from(self.eps)))
+            held = np.concatenate([self._kept, new])
+            dists = np.concatenate([self._dists, D])
+            near = np.concatenate([self._near, D < self.eps], dtype=np.float32)
+            self._slot[new] = np.arange(len(self._kept), len(held))
+            out = (near if masks else dists).take(self._slot.take(faces), axis=0)
+            drop = max(len(held) - self._rows_kept, 0)  # keep the newest rows
+            self._slot[held[:drop]] = _NOT_KEPT
+            self._slot[held[drop:]] -= drop
+            self._kept, self._dists, self._near = held[drop:], dists[drop:].copy(), near[drop:].copy()
+            return out
 
     def rows(self, faces) -> np.ndarray:
         """D[k, i]: the read distance from corner i to the face of row
         faces[k]."""
-        with self._lock:
-            kept = self._kept
-            got = {f: kept[f] for f in faces if f in kept}
-            new = [f for f in dict.fromkeys(faces) if f not in got]
-            if new:
-                patterns = polyhedral_table(self.space).patterns[new]
-                D = face_distances(self.space, patterns, self.corners)
-                np.copyto(D, self.eps, where=(D < self.eps) & (D >= _far_from(self.eps)))
-                got.update(zip(new, D))
-                for f in new[max(len(new) - self._rows_kept, 0):]:
-                    kept[f] = got[f].copy()
-                while len(kept) > self._rows_kept:
-                    del kept[next(iter(kept))]
-            return np.array([got[f] for f in faces])
+        return self._read(faces, False)
+
+    def near(self, faces) -> np.ndarray:
+        """N[k, i]: the near mask of corner i at the face of row faces[k]."""
+        return self._read(faces, True)
 
 
 # one table per (space, eps), for every operator, as corner_points
@@ -456,16 +481,18 @@ def _polyhedral_screen(C: np.ndarray, dom: SpaceSpec, cod: SpaceSpec, sample: _S
     A attains on the faces `_attaining_faces` names, as in
     `attainment_set`.  A face is no farther from a point than its
     subfaces, so a row lies near M_A iff it lies near one of these faces,
-    maximal or not: the sample's corner table, over the faces some
-    candidate attains on, gives each candidate's g, the largest image
-    norm among the rows not near, and A certifies iff g passes some level
-    of the delta grid, g <= 1 - DELTA_LAST.
+    maximal or not: one float32 product of the hit faces by their near
+    masks in the sample's corner table counts, for each candidate and
+    corner, the faces the corner lies near, exactly, as the counts are
+    small integers.  It gives each candidate's g, the largest image norm
+    among the rows not near, and A certifies iff g passes some level of
+    the delta grid, g <= 1 - DELTA_LAST.
     """
     values = _stacked_norms(C, dom, cod, "polyhedral")
     hit = _attaining_faces(C, values, dom, cod)
     used = np.flatnonzero(hit.any(axis=0))
-    near = sample.table.rows(used.tolist()) < sample.table.eps
-    g = np.where(hit[:, used] @ near, -np.inf, sample.norms).max(axis=1)
+    blocked = hit[:, used].astype(np.float32) @ sample.table.near(used) > 0.0
+    g = np.where(blocked, -np.inf, sample.norms).max(axis=1)
     return values, g <= 1.0 - DELTA_LAST
 
 

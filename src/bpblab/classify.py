@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InfiniteGroupError, OutOfRangeError, WrongSpacesError
-from .operators import OperatorMatrix, _norm_value, check_norm_one, require_norm_one
+from .operators import OperatorMatrix, _norm_value, _stacked_norms, check_norm_one, require_norm_one
 from .spaces import ENUMERATION_LIMIT, INF, TAU_EQ, SpaceSpec, l1, linf, polyhedral_table
 
 
@@ -124,13 +124,15 @@ def is_extreme_contraction(T: OperatorMatrix) -> ExtremalityVerdict:
     in the span of the minimal face of T, a proper subspace that a random
     draw misses with probability one.
     """
-    value = _norm_value(T)
-    check_norm_one(value, "operator")
     dom, cod = T.domain, T.codomain
+    lines = dom.polyhedral and cod.polyhedral and (cod.p == INF or dom.p == 1)
+    # on the rows and columns pairs ||T|| is a closed form, op_norm's bits
+    value = float(_stacked_norms(T.entries, dom, cod, "polyhedral")) if lines else _norm_value(T)
+    check_norm_one(value, "operator")
+    if lines:
+        return _line_extremality(T, value)
     if not (dom.polyhedral and cod.polyhedral):
         return ExtremalityVerdict("necessary_condition_only", "none")
-    if cod.p == INF or dom.p == 1:
-        return _line_extremality(T, value)
     return _rank_extremality(T, value)
 
 

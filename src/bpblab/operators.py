@@ -27,6 +27,7 @@ from .errors import (
 )
 from .optim import zoom_max
 from .spaces import (
+    INF,
     TAU_EQ,
     TAU_OPT,
     Point,
@@ -315,7 +316,8 @@ def _lp2_grid(p):
 def pair_geometry(domain: SpaceSpec, codomain: SpaceSpec) -> str:
     """The geometry whose kernels serve operators from `domain` to
     `codomain`, decided once per pair: "polyhedral" on l_1^n and l_inf^n
-    domains (vertex maximum, faces, exact corner certificate), "hilbert" on
+    domains (vertex maximum or its closed form, faces, exact corner
+    certificate), "hilbert" on
     l_2^n -> l_2^m (SVD, subspace, sampled), "lp2" on other 2-D domains
     (the l_p^2 search, points, sampled).  Other pairs are refused."""
     if domain.polyhedral:
@@ -372,7 +374,9 @@ def _norm_analysis(raw: bytes, shape: tuple, domain: SpaceSpec, codomain: SpaceS
     E = np.frombuffer(raw).reshape(shape)
     geometry = pair_geometry(domain, codomain)
     if geometry == "polyhedral":
-        norms = _vertex_norms(E, polyhedral_table(domain).vertices, codomain)
+        # e_1..e_n come first among the l_1^n vertices, so the first
+        # maximiser is one row whether or not the columns alone are measured
+        norms = _polyhedral_norms(E, domain, codomain)
         k = int(norms.argmax())
         return _Analysis(float(norms[k]), k)
     if geometry == "hilbert":
@@ -396,6 +400,20 @@ def _vertex_norms(E: np.ndarray, V: np.ndarray, codomain: SpaceSpec) -> np.ndarr
     are fresh, so the norm reduces them across their m coordinates in
     place."""
     return pnorm_into(E @ V.T, codomain.pf, -2, None)
+
+
+def _polyhedral_norms(E: np.ndarray, domain: SpaceSpec, codomain: SpaceSpec) -> np.ndarray:
+    """Image norms of a stack E of shape (..., m, n) at the vertices of the
+    polyhedral `domain` ball that reach the largest, the entry of vertex
+    row k of `PolyhedralTable.vertices` at k: on l_1^n with n >= 2 the
+    column norms ||E e_j||, at the first n vertices, else the norms at
+    every vertex.  The columns are `_vertex_norms` at e_j bit for bit: a
+    product by e_j adds only zeros to E_ij, and both add the m coordinates
+    in order.  On l_1^1 those would be numpy's inner loop, which adds
+    pairwise from 8 terms on, so it keeps the vertex matmul."""
+    if domain.pf == 1.0 and domain.n > 1:
+        return pnorm_into(np.abs(E), codomain.pf, -2, None)
+    return _vertex_norms(E, polyhedral_table(domain).vertices, codomain)
 
 
 def op_norm(T: OperatorMatrix) -> tuple[float, Point]:
@@ -425,8 +443,9 @@ def _norm_value(T: OperatorMatrix) -> float:
 
 def op_norms(E, domain: SpaceSpec, codomain: SpaceSpec) -> np.ndarray:
     """op_norm(...)[0] of every matrix of a stack E of shape (..., m, n),
-    bit for bit, in shape (...), by `_stacked_norms`.  Non-finite entries
-    are refused."""
+    bit for bit, in shape (...), by `_stacked_norms`: a closed form on
+    l_1^n domains and on l_inf^n -> l_inf^m, else one vertex matmul, one
+    stacked SVD or op_norm per matrix.  Non-finite entries are refused."""
     E = np.asarray(E, dtype=float)
     if E.ndim < 2 or E.shape[-2:] != (codomain.n, domain.n):
         raise MixedSpacesError(
@@ -439,10 +458,22 @@ def op_norms(E, domain: SpaceSpec, codomain: SpaceSpec) -> np.ndarray:
 
 def _stacked_norms(E: np.ndarray, domain: SpaceSpec, codomain: SpaceSpec, geometry: str):
     """op_norms of a finite float stack E between spaces of `geometry`,
-    unchecked: one vertex matmul, one stacked SVD (with vectors: op_norm's
-    LAPACK driver), or op_norm per matrix on l_p^2."""
+    unchecked.  Polyhedral pairs take the closed form the ball gives, with
+    op_norm's bits: the largest row l_1 sum on l_inf^n -> l_inf^m with
+    m >= 2, the largest column norm on l_1^n with n >= 2, else one vertex
+    matmul (`_polyhedral_norms`).  The row sums add in column order, as
+    the vertex matmul does at the row's sign vector, where E_ij v_j =
+    |E_ij|: numpy's row sum adds pairwise from 8 terms on, so they are
+    the column sums of a C-ordered transpose.  On l_inf^n -> l_inf^1 the
+    one-row matmul is a matrix-vector product, whose BLAS kernel adds in
+    another order (the last bit differs from n = 4 on), so that pair
+    keeps the vertex matmul.  Hilbert pairs take one stacked SVD (with
+    vectors: op_norm's LAPACK routine), l_p^2 pairs op_norm per matrix."""
     if geometry == "polyhedral":
-        return _vertex_norms(E, polyhedral_table(domain).vertices, codomain).max(axis=-1)
+        if domain.pf == INF and codomain.pf == INF and codomain.n > 1:
+            rows = np.abs(E.reshape(-1, domain.n).T, order="C").sum(axis=0)
+            return rows.reshape(E.shape[:-1]).max(axis=-1)
+        return _polyhedral_norms(E, domain, codomain).max(axis=-1)
     if geometry == "hilbert":
         return np.linalg.svd(E)[1][..., 0]
     flat = E.reshape(-1, codomain.n, domain.n)

@@ -4,7 +4,10 @@ The references below are the implementations the kernels replaced: an LP
 extremality test (one HiGHS linprog per coordinate of the perturbation D),
 the rank test on every polyhedral pair (all |F| |V| normals f (x) v and a
 full SVD), the vertex loops of op_norm, and the face loop of the attainment
-set.
+set.  The extremality test on the rows and columns pairs takes ||T|| in
+closed form; its reference takes it from the vertex maximum.  The rank
+test's SVD rank is checked against an exact integer rank of the active
+normals by fraction-free elimination.
 """
 
 import itertools
@@ -25,8 +28,10 @@ from bpblab import (
     op_norm,
     operator,
 )
+from bpblab import classify
 from bpblab.classify import RANK_TABLE_LIMIT
-from bpblab.errors import OutOfRangeError
+from bpblab.errors import NormNotOneError, OutOfRangeError
+from bpblab.operators import _vertex_norms, check_norm_one
 from bpblab.spaces import INF, TAU_EQ, pnorm, polyhedral_table
 
 
@@ -372,3 +377,105 @@ def test_attainment_beyond_three_dimensions():
     # every face of the cube attains for the identity; the facets are maximal
     facets = attainment_set(operator(np.eye(8), linf(8), linf(8))).faces
     assert sorted(f.dim for f in facets) == [7] * 16
+
+
+# ---------------------------------------------------------------------------
+# ||T|| of the line tests, and the exact rank of the rank test.
+# ---------------------------------------------------------------------------
+
+
+def vertex_value_extremality(T):
+    """is_extreme_contraction on a polyhedral pair with ||T|| taken from the
+    vertex maximum, as the norm memo took it before the closed forms."""
+    dom, cod = T.domain, T.codomain
+    value = float(_vertex_norms(T.entries, polyhedral_table(dom).vertices, cod).max())
+    check_norm_one(value, "operator")
+    if cod.p == INF or dom.p == 1:
+        return classify._line_extremality(T, value)
+    return classify._rank_extremality(T, value)
+
+
+def verdict_or_refusal(extremality, T):
+    try:
+        v = extremality(T)
+    except NormNotOneError as exc:
+        return "refused", str(exc)
+    return v.status, v.method, None if v.witness is None else v.witness.tobytes()
+
+
+def test_line_verdicts_take_the_vertex_maximum_bits(poly_operators):
+    # the 634 LP-fixture operators (the census first), and scaled copies
+    # past the norm-one tolerance, whose refusal prints ||T||
+    seen = set()
+    for T in poly_operators:
+        for S in (T, (1.0 + 3e-7) * T, 1.5 * T):
+            got = verdict_or_refusal(is_extreme_contraction, S)
+            assert got == verdict_or_refusal(vertex_value_extremality, S), S
+            seen.add((got[0], got[1] if got[0] != "refused" else None))
+    assert {("extreme", "rows"), ("not_extreme", "columns"), ("refused", None)} <= seen
+
+
+def bareiss_rank(A):
+    """The rank of an integer matrix by fraction-free (Bareiss) elimination
+    on Python ints: each update divides exactly by the previous pivot, so
+    no entry is ever rounded."""
+    M = np.array(A, dtype=object)
+    rows, cols = M.shape
+    rank, prev = 0, 1
+    for j in range(cols):
+        nz = np.flatnonzero(M[rank:, j] != 0)
+        if not nz.size:
+            continue
+        k = rank + int(nz[0])
+        M[[rank, k]] = M[[k, rank]]
+        pivot = M[rank, j]
+        below, right = M[rank + 1:, j:j + 1], M[rank, j + 1:]
+        M[rank + 1:, j + 1:] = (M[rank + 1:, j + 1:] * pivot - below * right) // prev
+        M[rank + 1:, j] = 0
+        prev, rank = pivot, rank + 1
+        if rank == rows:
+            break
+    return rank
+
+
+def test_bareiss_rank_on_known_ranks():
+    rng = np.random.default_rng(17)
+    for r, m, n in ((0, 3, 4), (1, 5, 5), (3, 6, 4), (4, 4, 9), (5, 12, 7)):
+        A = rng.integers(-3, 4, (m, r)) @ rng.integers(-3, 4, (r, n))
+        assert bareiss_rank(A) == np.linalg.matrix_rank(A) <= r
+    assert bareiss_rank(np.kron(np.ones((2, 2)), np.eye(3))) == 3
+
+
+def exact_rank_cases():
+    """Operators of the rank test: l_inf^4 -> l_1^4 (signed permutations,
+    seeded dense and half-integer ones, padded census members) and seeded
+    dense, half-integer and rank-one extreme operators on pairs up to the
+    table limit."""
+    out = [T for T in _signed_permutations() if T.domain == linf(4) and T.codomain == l1(4)]
+    out += _linf4_l14_operators()
+    rng = np.random.default_rng(4096)
+    for n, m in ((2, 5), (5, 2), (3, 6), (5, 5), (6, 7)):
+        assert 2 ** (m + n - 1) <= RANK_TABLE_LIMIT
+        dom, cod = linf(n), l1(m)
+        out += _seeded_operators([(dom, cod)], 2, seed=n * 10 + m)
+        # x -> +-x_j e_i is extreme, and half the facets are active at it
+        M = np.zeros((m, n))
+        M[rng.integers(m), rng.integers(n)] = rng.choice([-1.0, 1.0])
+        out.append(operator(M, dom, cod))
+    return out
+
+
+def test_rank_verdicts_equal_the_exact_integer_rank():
+    statuses = set()
+    for T in exact_rank_cases():
+        m, n = T.entries.shape
+        value = op_norm(T)[0]
+        K = classify._facet_normals(T.domain, T.codomain)
+        active = K @ T.entries.reshape(-1) >= value * (1.0 - TAU_EQ)
+        rank = bareiss_rank(K[active].astype(np.int64))
+        v = is_extreme_contraction(T)
+        assert v.method == "rank"
+        assert v.status == ("extreme" if rank == m * n else "not_extreme"), (T, rank)
+        statuses.add((n, m, v.status))
+    want = {(4, 4, "extreme"), (4, 4, "not_extreme"), (6, 7, "extreme"), (6, 7, "not_extreme")}
+    assert want <= statuses
