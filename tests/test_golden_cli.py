@@ -50,9 +50,14 @@ and the witness of `classify_l13`, an SVD null vector with entries such as
 `norm_linf3_double` and `attain_linf3_double` (the l_inf^3 -> l_inf^3
 operator of `classify_linf3_double`) were recorded before the stacked
 polyhedral norms took closed forms (the largest row l_1 sum there).
+`approx_hilbert_l23_smooth` and `approx_hilbert_l23` (the direct-sum
+shrink of `hilbert_rotate_approx` on the two l_2^3 operators of the
+`verify` cases) and `sweep_l23` were recorded before that constructor
+read its split off the held SVD.
 The four smooth-path cases and the two `*_lp43_2` cases go through
-`pow`, trigonometry and, for l_2^3, LAPACK, and the two rank-one cases
-through LAPACK's SVD (and `pow` on l_3^2), whose last bits may vary with
+`pow`, trigonometry and, for l_2^3, LAPACK, the two rank-one cases
+through LAPACK's SVD (and `pow` on l_3^2) and the three l_2^3 `approx`
+and `sweep` cases through LAPACK, whose last bits may vary with
 the platform; they were recorded with numpy 2.4 on x86-64 Linux.  The other
 cases avoid such results, and `demo` prints only check names and pass
 flags.
@@ -139,6 +144,18 @@ CASES = {
             "--resolution", "256", "--eps-list", "0.2,2.5",
         ],
         1,
+    ),
+    "approx_hilbert_l23_smooth": (
+        ["approx", "--operator", "l23_smooth_T.json", "--construction", "hilbert", "--eps", "0.3"],
+        0,
+    ),
+    "approx_hilbert_l23": (
+        ["approx", "--operator", "l23_T.json", "--construction", "hilbert", "--eps", "0.3"],
+        0,
+    ),
+    "sweep_l23": (
+        ["sweep", "--pair", "l23", "--trials", "6", "--seed", "1", "--eps-list", "0.1,0.3"],
+        0,
     ),
 }
 
