@@ -41,6 +41,7 @@ from .operators import (
     TAU_VANISH,
     AttainmentSet,
     OperatorMatrix,
+    _analysis,
     _orthonormal_norm,
     attainment_equal,
     attainment_set,
@@ -55,7 +56,7 @@ from .spaces import (
     TAU_EQ,
     Point,
     SpaceSpec,
-    birkhoff_orthogonal,
+    _orthogonal_columns,
     l2,
     lp_circle,
     pnorm,
@@ -229,19 +230,23 @@ def direct_sum_shrink_approx(
 
     A_n acts as T on X1 and as (1-1/n)T on X2; n is the smallest index with
     2/n < eps.  Requires the attainment set inside X1 and X1 Birkhoff-James
-    orthogonal to X2.
+    orthogonal to X2.  The bases may be oblique: the projectors come from
+    the inverse of [X1 X2].
     """
     _check_eps(eps)
-    return _direct_sum_shrink(T, norm_one_attainment_set(T, "operator"), X1_basis, X2_basis, eps)
+    MT = norm_one_attainment_set(T, "operator")
+    B1, B2, P1, P2 = _decomposition_projectors(X1_basis, X2_basis, T.domain.n)
+    return _direct_sum_shrink(T, MT, B1, B2, P1, P2, eps)
 
 
 def _direct_sum_shrink(
-    T: OperatorMatrix, MT: AttainmentSet, X1_basis, X2_basis, eps: float, r2=None
+    T: OperatorMatrix, MT: AttainmentSet, B1, B2, P1, P2, eps: float, r2=None
 ) -> ApproximantReport:
     """direct_sum_shrink_approx of a norm-one T whose attainment set MT is
-    built; `r2`, when given, is restricted_norm(T, X2_basis), computed by
-    the caller."""
-    B1, B2, P1, P2 = _decomposition_projectors(X1_basis, X2_basis, T.domain.n)
+    built, on the bases B1, B2 (one column each) of the two summands with
+    their projectors P1, P2 (P1 + P2 = I), all from the caller; `r2`, when
+    given, is restricted_norm(T, B2), computed by the caller.  X1 _|_B X2
+    is checked with one product J(x) @ B2 per column x of B1."""
     reps = MT.representative_points()
     if np.abs(reps @ P2.T).max() > TAU_INSIDE:
         raise NotComplementaryError("attainment set is not contained in X1")
@@ -249,12 +254,9 @@ def _direct_sum_shrink(
         r2 = restricted_norm(T, B2)
     if r2 <= TAU_VANISH:
         raise ZeroOnX2Error("T vanishes on X2; the construction is trivial")
-    for i in range(B1.shape[1]):
-        for j in range(B2.shape[1]):
-            x = Point(B1[:, i], T.domain)
-            y = Point(B2[:, j], T.domain)
-            if not birkhoff_orthogonal(x, y):
-                raise OrthogonalityError("X1 is not Birkhoff-James orthogonal to X2")
+    for x in B1.T:
+        if not _orthogonal_columns(Point(x, T.domain), B2).all():
+            raise OrthogonalityError("X1 is not Birkhoff-James orthogonal to X2")
     n = _shrink_index(2.0, eps)
     A = OperatorMatrix(T.entries @ (P1 + (1.0 - 1.0 / n) * P2), T.domain, T.codomain)
     return _finish(T, A, eps, f"direct_sum_shrink(n={n})", MT=MT)
@@ -350,30 +352,41 @@ def hilbert_rotate_approx(
     angle with chord eps/4.  Fails when T has full norm on the complement
     of the declared attainment subspace, where no preserving approximant
     exists.
+
+    Without a declared subspace the split is read off T's SVD, which the
+    norm memo holds: H_0 and its complement are spanned by the right
+    singular vectors Vt[:k] and Vt[k:], where T has norm s[k] (0 when k
+    is the number of singular values).  A declared subspace takes a QR
+    for its complement and an SVD for that norm.  The split is
+    orthonormal either way, so the shrink gets the orthogonal projectors
+    Q Q^T of its two bases.
     """
     _check_eps(eps)
     if not (T.domain.hilbert and T.codomain.hilbert):
         raise WrongSpacesError("construction requires Hilbert domain and codomain")
     MT = norm_one_attainment_set(T, "operator")
     n = T.domain.n
-    if attained_subspace is not None:
+    if attained_subspace is None:
+        s, Vt = _analysis(T).data
+        Q0 = MT.basis
+        k = Q0.shape[1]
+        Qc, r = Vt[k:].T, (float(s[k]) if k < len(s) else 0.0)
+    else:
         Q0 = np.atleast_2d(np.asarray(attained_subspace, dtype=float))
         if Q0.shape[0] != n:
             Q0 = Q0.T
         Q0, _ = np.linalg.qr(Q0)
-    else:
-        Q0 = MT.basis
-    k = Q0.shape[1]
+        k = Q0.shape[1]
+        Qc = orthogonal_complement(Q0)
+        r = _orthonormal_norm(T, Qc)
     if k == n:
         raise IsIsometryError("full-sphere attainment; T is an isometry")
-    Qc = orthogonal_complement(Q0)
-    r = _orthonormal_norm(T, Qc)
     if r >= 1.0 - TAU_EQ:
         raise ObstructionError(
             "T has full norm on the attainment complement; preservation impossible"
         )
     if r > TAU_VANISH:
-        return _direct_sum_shrink(T, MT, Q0, Qc, eps, r2=r)
+        return _direct_sum_shrink(T, MT, Q0, Qc, Q0 @ Q0.T, Qc @ Qc.T, eps, r2=r)
     if k == 1:
         return _rank_one(T, MT, eps)
     phi = 2.0 * math.asin(eps / 8.0)

@@ -35,6 +35,7 @@ from .operators import (
     TAU_VANISH,
     OperatorMatrix,
     _attaining_faces,
+    _norm_value,
     _orthonormal_norm,
     _stacked_norms,
     attainment_set,
@@ -43,7 +44,6 @@ from .operators import (
     op_norm,
     orthogonal_complement,
     pair_geometry,
-    require_norm_one,
 )
 from .sampling import corner_points, sphere_grid
 from .slemma import HilbertSupplier
@@ -211,7 +211,8 @@ def _sample(
     attainment set on n = 3, and on n >= 4 the grid below stands by for
     those of dimension 2 to n - 2.  Else this thread's sphere grid at
     `resolution` with T's norming vector `witness` last, its norms in
-    this thread's norms row ("sampled")."""
+    this thread's norms row ("sampled"); a `witness` of None is
+    op_norm's, built only here, where a sample reads it."""
     if table is not None:
         return _Sample(table.corners, T.image_norms(table.corners), table, "exact")
     hilbert = None
@@ -220,7 +221,7 @@ def _sample(
         if T.domain.n == 3:
             return _Sample(None, None, None, "exact", hilbert)
     X, images, norms = _sample_buffers(T.domain, resolution, T.codomain.n)
-    X[-1] = witness.coords
+    X[-1] = (op_norm(T)[1] if witness is None else witness).coords
     pnorm_into(np.matmul(T.entries, X.T, out=images), T.codomain.pf, 0, norms)
     return _Sample(X, norms, None, "sampled", hilbert)
 
@@ -407,10 +408,10 @@ def verify_uniform_bpb(
     resolution = _check_int(resolution, "resolution", 0)
     apx._check_eps(eps, hi=math.inf)
     table = _exact_table(T, eps)  # refuses before any norm
-    _, witness = require_norm_one(T, "T")
+    check_norm_one(_norm_value(T), "T")
     MA = norm_one_attainment_set(A, "A")
     dist, _ = op_norm(T - A)
-    sample = _sample(T, witness, resolution, table)
+    sample = _sample(T, None, resolution, table)
     return _inclusion_certificate(MA, dist, eps, resolution, sample)
 
 
@@ -526,12 +527,12 @@ def is_only_approximation(
     seed = _check_int(seed, "seed", 0)
     resolution = _check_int(resolution, "resolution", 0)
     table = _exact_table(T, eps)  # refuses before any norm
-    _, witness = require_norm_one(T, "T")
+    check_norm_one(_norm_value(T), "T")
     dom, cod = T.domain, T.codomain
     geometry = pair_geometry(dom, cod)
     block = 1 if geometry == "lp2" else TRIAL_BLOCK
     rng = np.random.default_rng(seed)
-    sample = _sample(T, witness, resolution, table)
+    sample = _sample(T, None, resolution, table)
     for start in range(0, trials, block):
         D = rng.standard_normal((min(block, trials - start), *T.entries.shape))
         cands, dists, found = _halving_search(T, D, eps)

@@ -497,6 +497,18 @@ def birkhoff_orthogonal(x: Point, y: Point, strong: bool = False) -> bool:
     return lo < -tol and hi > tol
 
 
+def _orthogonal_columns(x: Point, Y: np.ndarray) -> np.ndarray:
+    """birkhoff_orthogonal(x, y) for every column y of Y, in x's space,
+    from one product J(x) @ Y, with its rule and its tolerance
+    TAU_EQ * ||y||."""
+    nx = x.norm()
+    if nx == 0.0:
+        raise ZeroVectorError("x must be nonzero")
+    fy = _support_rows(x, nx) @ Y
+    tol = TAU_EQ * pnorm(Y, x.space.pf, axis=0)
+    return (fy.min(axis=0) <= tol) & (fy.max(axis=0) >= -tol)
+
+
 # ---------------------------------------------------------------------------
 # Arc-length machinery for the l_p circle |x|^p + |y|^p = 1.
 # ---------------------------------------------------------------------------

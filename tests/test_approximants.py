@@ -22,6 +22,7 @@ from bpblab import (
     point,
     rank_one_approx,
     sbpbp_counterexample_family,
+    verify_uniform_bpb,
 )
 from bpblab import approximants, operators
 from bpblab.classify import census_lookup
@@ -414,9 +415,10 @@ class TestHilbertChainWork:
         assert sorted(name for name, _ in calls) == ["attainment_set", "attainment_set", "op_norm"]
 
     def test_the_complement_norm_is_computed_once(self, monkeypatch):
-        # hilbert_rotate_approx hands ||T|_{X2}|| to the shrink, which the
-        # public direct_sum_shrink_approx computes itself; the first takes
-        # it on its orthonormal complement without the public rank test
+        # hilbert_rotate_approx reads ||T|_{X2}|| off the held SVD, or takes
+        # it on the orthonormal complement of a declared subspace without
+        # the public rank test, and hands it to the shrink; the public
+        # direct_sum_shrink_approx computes it itself
         log = []
 
         def spy(fn):
@@ -429,10 +431,37 @@ class TestHilbertChainWork:
             monkeypatch.setattr(approximants, name, spy(getattr(approximants, name)))
         T = operator(np.diag([1.0, 1.0, 0.5]), l2(3), l2(3))
         assert hilbert_rotate_approx(T, 0.1).construction.startswith("direct_sum_shrink")
-        assert len(log) == 1
+        assert len(log) == 0
         Q0, Qc = np.eye(3)[:, :2], np.eye(3)[:, 2:]
+        declared = hilbert_rotate_approx(T, 0.1, attained_subspace=Q0)
+        assert declared.construction.startswith("direct_sum_shrink")
+        assert len(log) == 1 and np.abs(np.abs(log[0]) - Qc).max() < 1e-15
         assert direct_sum_shrink_approx(T, Q0, Qc, 0.1).construction.startswith("direct_sum_shrink")
         assert len(log) == 2 and np.array_equal(log[1], Qc)
+
+    def test_the_l23_chain_runs_three_svds_and_one_eigh(self, monkeypatch):
+        # norm -> set -> constructor -> certificate on a fresh l_2^3
+        # operator: one SVD each for T, A and T - A (the norm memo), one
+        # eigh for the secular solve; the split is read off T's SVD
+        rng = np.random.default_rng(7)
+        M = rng.standard_normal((3, 3))
+        T = operator(M / np.linalg.svd(M, compute_uv=False)[0], l2(3), l2(3))
+        counts = {}
+        for name in ("svd", "eigh", "qr", "det", "inv"):
+            fn = getattr(np.linalg, name)
+
+            def spy(*args, _fn=fn, _name=name, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        operators._norm_analysis.cache_clear()
+        op_norm(T)
+        operators.attainment_set(T)
+        report = hilbert_rotate_approx(T, 0.3)
+        assert report.construction.startswith("direct_sum_shrink")
+        assert verify_uniform_bpb(T, report.approximant, 0.3).certified
+        assert counts == {"svd": 3, "eigh": 1}
 
     def test_reports_match_the_public_constructors(self):
         T = operator(np.diag([1.0, 1.0, 0.5]), l2(3), l2(3))

@@ -29,6 +29,7 @@ from bpblab import (
 from bpblab.errors import (
     BadExponentError,
     IsIsometryError,
+    NormNotOneError,
     OutOfRangeError,
     NotDiscreteError,
     UnsupportedPairError,
@@ -40,6 +41,7 @@ from bpblab.bpbverify import (
     _sample_buffers,
     _split_norm_disjunction,
 )
+from bpblab import operators
 from bpblab.operators import attainment_set
 from bpblab.sampling import sphere_grid
 
@@ -314,6 +316,36 @@ class TestOnlyApproximation:
         T = enumerate_isometries(linf(2))[0]
         res = is_only_approximation(T, 0.5, trials=np.int64(3), seed=0, resolution=64)
         assert res.trials == 3 and type(res.trials) is int and not res.found
+
+
+class TestNormWitnessOfT:
+    """verify_uniform_bpb and is_only_approximation check ||T|| by its
+    value and build op_norm's witness of T only where the grid sample
+    reads it: not on the corner set, nor on the exact l_2^3 supplier."""
+
+    @pytest.mark.parametrize("T, exact", [
+        (operator([[1.0, 0.0], [1.0, 0.0]], linf(2), linf(2)), True),
+        (operator(np.diag([1.0, 0.5, 0.25]), l2(3), l2(3)), True),
+        (operator(np.diag([1.0, 0.5]), l2(2), l2(2)), False),
+    ])
+    def test_witness_is_built_only_for_the_grid(self, T, exact):
+        for run in (
+            lambda: verify_uniform_bpb(T, T, 0.2, resolution=64),
+            lambda: is_only_approximation(T, 0.2, trials=2, seed=0, resolution=64),
+        ):
+            operators._norm_analysis.cache_clear()
+            run()
+            assert (operators._analysis(T).witness is None) == exact
+
+    @pytest.mark.parametrize("space", [linf(2), l2(3), l2(2)], ids=str)
+    @pytest.mark.parametrize("scale", [0.0, 2.0])
+    def test_norm_errors_are_unchanged(self, space, scale):
+        T = operator(scale * np.eye(space.n), space, space)
+        A = operator(np.eye(space.n), space, space)
+        with pytest.raises(NormNotOneError, match=f"^T norm is {scale}, expected 1$"):
+            verify_uniform_bpb(T, A, 0.2, resolution=64)
+        with pytest.raises(NormNotOneError, match=f"^T norm is {scale}, expected 1$"):
+            is_only_approximation(T, 0.2, trials=2, seed=0, resolution=64)
 
 
 class TestEpsBoundary:
