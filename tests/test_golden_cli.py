@@ -54,6 +54,11 @@ polyhedral norms took closed forms (the largest row l_1 sum there).
 shrink of `hilbert_rotate_approx` on the two l_2^3 operators of the
 `verify` cases) and `sweep_l23` were recorded before that constructor
 read its split off the held SVD.
+`verify_l13_exact` (an `l1_extreme_approx` triple on l_1^3, the first
+golden certificate on an l_1^n domain) and `verify_linf5_exact` (a
+`linf_extreme_approx` triple on l_inf^5, whose 242 x 992 corner table
+exceeds the table's budget of 2^16 distances) were recorded before the
+corner table became immutable.
 The four smooth-path cases and the two `*_lp43_2` cases go through
 `pow`, trigonometry and, for l_2^3, LAPACK, the two rank-one cases
 through LAPACK's SVD (and `pow` on l_3^2) and the three l_2^3 `approx`
@@ -136,6 +141,14 @@ CASES = {
     ),
     "verify_linf3_exact": (
         ["verify", "--T", "linf3_double.json", "--A", "linf3_double_approx.json", "--eps", "0.05"],
+        0,
+    ),
+    "verify_l13_exact": (
+        ["verify", "--T", "l13_column.json", "--A", "l13_column_approx.json", "--eps", "0.2"],
+        0,
+    ),
+    "verify_linf5_exact": (
+        ["verify", "--T", "linf5_double.json", "--A", "linf5_double_approx.json", "--eps", "0.3"],
         0,
     ),
     "sweep_linf2": (
