@@ -8,6 +8,7 @@ and whether the attainment set was preserved.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,9 +104,14 @@ def _shrink_index(d, eps):
     return n
 
 
-def _check_eps(eps, hi=2.0, lo=0):
+def _check_eps(eps, hi=2.0, lo=0, name="eps"):
+    """Refuse, naming `name`, an eps that is a bool or no real number, or
+    lies outside (lo, hi); NaN lies outside."""
+    # a float skips the slower ABC check; True is no eps
+    if not isinstance(eps, float) and (isinstance(eps, bool) or not isinstance(eps, numbers.Real)):
+        raise OutOfRangeError(f"{name} must be a real number, got {eps!r}")
     if not (lo < eps < hi):
-        raise OutOfRangeError(f"eps must lie in ({lo}, {hi}), got {eps}")
+        raise OutOfRangeError(f"{name} must lie in ({lo}, {hi}), got {eps}")
 
 
 # the least eps the rank-one tilt accepts: it lands within 2^-10 relative of
@@ -229,34 +235,33 @@ def direct_sum_shrink_approx(
     """Shrink T on the second summand of a decomposition X1 (+) X2.
 
     A_n acts as T on X1 and as (1-1/n)T on X2; n is the smallest index with
-    2/n < eps.  Requires the attainment set inside X1 and X1 Birkhoff-James
-    orthogonal to X2.  The bases may be oblique: the projectors come from
-    the inverse of [X1 X2].
+    2/n < eps.  Requires the attainment set inside X1, T nonzero on X2
+    and X1 Birkhoff-James orthogonal to X2.  The bases may be oblique:
+    the projectors come from the inverse of [X1 X2].
     """
     _check_eps(eps)
     MT = norm_one_attainment_set(T, "operator")
     B1, B2, P1, P2 = _decomposition_projectors(X1_basis, X2_basis, T.domain.n)
-    return _direct_sum_shrink(T, MT, B1, B2, P1, P2, eps)
-
-
-def _direct_sum_shrink(
-    T: OperatorMatrix, MT: AttainmentSet, B1, B2, P1, P2, eps: float, r2=None
-) -> ApproximantReport:
-    """direct_sum_shrink_approx of a norm-one T whose attainment set MT is
-    built, on the bases B1, B2 (one column each) of the two summands with
-    their projectors P1, P2 (P1 + P2 = I), all from the caller; `r2`, when
-    given, is restricted_norm(T, B2), computed by the caller.  X1 _|_B X2
-    is checked with one product J(x) @ B2 per column x of B1."""
-    reps = MT.representative_points()
-    if np.abs(reps @ P2.T).max() > TAU_INSIDE:
-        raise NotComplementaryError("attainment set is not contained in X1")
-    if r2 is None:
-        r2 = restricted_norm(T, B2)
-    if r2 <= TAU_VANISH:
+    _check_inside(MT, P2)
+    if restricted_norm(T, B2) <= TAU_VANISH:
         raise ZeroOnX2Error("T vanishes on X2; the construction is trivial")
     for x in B1.T:
         if not _orthogonal_columns(Point(x, T.domain), B2).all():
             raise OrthogonalityError("X1 is not Birkhoff-James orthogonal to X2")
+    return _direct_sum_shrink(T, MT, P1, P2, eps)
+
+
+def _check_inside(MT: AttainmentSet, P2) -> None:
+    """Refuse an MT with a point off X1, the kernel of the projector P2."""
+    if np.abs(MT.representative_points() @ P2.T).max() > TAU_INSIDE:
+        raise NotComplementaryError("attainment set is not contained in X1")
+
+
+def _direct_sum_shrink(
+    T: OperatorMatrix, MT: AttainmentSet, P1, P2, eps: float
+) -> ApproximantReport:
+    """direct_sum_shrink_approx of a norm-one T with attainment set MT, on
+    a split the caller has checked, with projectors P1 + P2 = I."""
     n = _shrink_index(2.0, eps)
     A = OperatorMatrix(T.entries @ (P1 + (1.0 - 1.0 / n) * P2), T.domain, T.codomain)
     return _finish(T, A, eps, f"direct_sum_shrink(n={n})", MT=MT)
@@ -357,9 +362,9 @@ def hilbert_rotate_approx(
     norm memo holds: H_0 and its complement are spanned by the right
     singular vectors Vt[:k] and Vt[k:], where T has norm s[k] (0 when k
     is the number of singular values).  A declared subspace takes a QR
-    for its complement and an SVD for that norm.  The split is
-    orthonormal either way, so the shrink gets the orthogonal projectors
-    Q Q^T of its two bases.
+    for its complement and an SVD for that norm, and M_T must lie in it.
+    Either split is orthonormal, hence Birkhoff-James orthogonal, so the
+    shrink gets the projectors Q Q^T of its two bases and no check.
     """
     _check_eps(eps)
     if not (T.domain.hilbert and T.codomain.hilbert):
@@ -386,7 +391,10 @@ def hilbert_rotate_approx(
             "T has full norm on the attainment complement; preservation impossible"
         )
     if r > TAU_VANISH:
-        return _direct_sum_shrink(T, MT, Q0, Qc, Q0 @ Q0.T, Qc @ Qc.T, eps, r2=r)
+        P2 = Qc @ Qc.T
+        if attained_subspace is not None:
+            _check_inside(MT, P2)
+        return _direct_sum_shrink(T, MT, Q0 @ Q0.T, P2, eps)
     if k == 1:
         return _rank_one(T, MT, eps)
     phi = 2.0 * math.asin(eps / 8.0)

@@ -24,6 +24,7 @@ from .errors import (
     BpbLabError,
     IsIsometryError,
     NonFiniteError,
+    OutOfRangeError,
     UnsupportedPairError,
     UnsupportedSpaceError,
     WrongSpacesError,
@@ -232,8 +233,7 @@ def _far_from(eps: float) -> float:
     return max(eps - TAU_CORNER, math.ulp(0.0))
 
 
-_CORNER_DISTANCES_KEPT = 2 ** 16  # distances a _CornerTable keeps from call to call
-_NOT_KEPT = np.iinfo(np.intp).max  # a face's slot while its row is not kept: past every row
+_CORNER_DISTANCES_KEPT = 2 ** 16  # the most distances a _CornerTable holds: 512 KB, masks 256 KB
 
 
 class _CornerTable:
@@ -245,60 +245,35 @@ class _CornerTable:
     A face's near mask is 1.0 (float32) where the read distance is below
     eps, else 0.0, so a product of masks counts near faces exactly.
 
-    A face's row and mask are measured when first read, and the newest
-    rows are kept while they hold at most _CORNER_DISTANCES_KEPT
-    distances (512 KB, and 256 KB of masks): every face of l_1^3 and
-    l_inf^3, one row of the 65,280 corners of l_inf^8.  So a call holds
-    the rows of the faces it reads, not one row per face of the ball
-    (3^n - 1 rows of up to 4^n - 2^n corners on l_inf^n).  The kept rows
-    are two arrays in the order they were measured, `_kept` names their
-    faces and `_slot` maps each face of the ball to its row, so a read is
-    one `take` of each; a face not kept has slot _NOT_KEPT, on which the
-    take raises, and the read measures it.
+    When the ball's 3^n - 1 face rows fit in _CORNER_DISTANCES_KEPT
+    distances (at every eps on l_1^n up to n = 3 and l_inf^n up to n = 4),
+    `__init__` measures every row and mask once and holds them read-only,
+    so threads share a table without a lock.  Past that (3.4 GB on
+    l_inf^8) a table holds none, and each read measures its faces.
     """
 
     def __init__(self, space: SpaceSpec, eps: float):
         self.space, self.eps = space, eps
         self.corners = corner_points(space, eps)
-        self._rows_kept = _CORNER_DISTANCES_KEPT // len(self.corners)
-        self._slot = np.full(3 ** space.n - 1, _NOT_KEPT, dtype=np.intp)
-        self._kept = np.empty(0, dtype=np.intp)
-        self._dists = np.empty((0, len(self.corners)))
-        self._near = np.empty((0, len(self.corners)), dtype=np.float32)
-        self._lock = threading.Lock()
+        self._dists = self._near = None
+        faces = 3 ** space.n - 1
+        if faces * len(self.corners) <= _CORNER_DISTANCES_KEPT:
+            self._dists, self._near = self._measure(np.arange(faces))
+            self._dists.flags.writeable = self._near.flags.writeable = False
 
-    def _read(self, faces, masks: bool) -> np.ndarray:
-        """The rows (`masks`: the near masks) of the faces of rows `faces`."""
-        faces = np.asarray(faces, dtype=np.intp)
-        with self._lock:
-            index = self._slot.take(faces)
-            try:
-                return (self._near if masks else self._dists).take(index, axis=0)
-            except IndexError:  # a face is not kept
-                pass
-            new = faces[index == _NOT_KEPT]
-            new = new[np.sort(np.unique(new, return_index=True)[1])]
-            D = face_distances(self.space, polyhedral_table(self.space).patterns[new], self.corners)
-            np.copyto(D, self.eps, where=(D < self.eps) & (D >= _far_from(self.eps)))
-            held = np.concatenate([self._kept, new])
-            dists = np.concatenate([self._dists, D])
-            near = np.concatenate([self._near, D < self.eps], dtype=np.float32)
-            self._slot[new] = np.arange(len(self._kept), len(held))
-            out = (near if masks else dists).take(self._slot.take(faces), axis=0)
-            drop = max(len(held) - self._rows_kept, 0)  # keep the newest rows
-            self._slot[held[:drop]] = _NOT_KEPT
-            self._slot[held[drop:]] -= drop
-            self._kept, self._dists, self._near = held[drop:], dists[drop:].copy(), near[drop:].copy()
-            return out
+    def _measure(self, faces):
+        """The read distances and near masks of the faces of rows `faces`."""
+        D = face_distances(self.space, polyhedral_table(self.space).patterns[faces], self.corners)
+        np.copyto(D, self.eps, where=(D < self.eps) & (D >= _far_from(self.eps)))
+        return D, (D < self.eps).astype(np.float32)
 
     def rows(self, faces) -> np.ndarray:
-        """D[k, i]: the read distance from corner i to the face of row
-        faces[k]."""
-        return self._read(faces, False)
+        """D[k, i]: the read distance from corner i to the face of row faces[k]."""
+        return self._measure(faces)[0] if self._dists is None else self._dists.take(faces, axis=0)
 
     def near(self, faces) -> np.ndarray:
         """N[k, i]: the near mask of corner i at the face of row faces[k]."""
-        return self._read(faces, True)
+        return self._measure(faces)[1] if self._near is None else self._near.take(faces, axis=0)
 
 
 # one table per (space, eps), for every operator, as corner_points
@@ -797,10 +772,19 @@ def pair_property_sweep(
     The pair must be one of SWEEP_PAIRS; any other raises
     UnsupportedPairError before anything is drawn.  Draws `trials` of its
     operators from the seeded RNG, builds each one's approximant with the
-    pair's constructor for every eps, and verifies every report.  trials
-    must be an integer of at least 1, seed and resolution integers of at
-    least 0.
+    pair's constructor for every eps, and verifies every report.  eps_list
+    must hold at least one eps, each finite and positive (an eps the
+    constructor refuses is a recorded failure), trials must be an integer
+    of at least 1, seed and resolution integers of at least 0.
     """
+    try:
+        eps_list = list(eps_list)
+    except TypeError:
+        raise OutOfRangeError(f"eps_list must be a list of eps, got {eps_list!r}") from None
+    if not eps_list:
+        raise OutOfRangeError("eps_list must hold at least one eps")
+    for eps in eps_list:
+        apx._check_eps(eps, hi=math.inf, name="eps_list item")
     trials = _check_int(trials, "trials", 1)
     seed = _check_int(seed, "seed", 0)
     resolution = _check_int(resolution, "resolution", 0)

@@ -74,6 +74,8 @@ TAU_CLOSE = 1e-12  # largest entry gap at which close_to reads two operators
                    # between the same spaces as equal
 TAU_CORNER = 1e-15  # largest rounding (a few ulps of 1) below eps of a positive
                     # corner distance still read as eps; that only adds far points
+TAU_RISE = 1e-13  # smallest two-sided rise of a sampled l_p^2 maximum, relative to
+                 # max(1, its value), read as a local maximum, not rounding noise
 TAU_SECULAR = 1e-12  # added to the exact far-set maximum g on l_2^n before the
                      # delta levels: it covers the rounding of the SVD, the
                      # eigh and the secular solve, so rounding only shrinks delta
@@ -293,7 +295,7 @@ def _refined_maxima(t: np.ndarray, h: np.ndarray, f):
     # candidate at most, via the global argmax; otherwise require a rise
     # above the floating-point noise floor on the two sides combined
     rise = g[:n] - g[1:]
-    keep = (g[:n] >= 0.0) & (g[1:] <= 0.0) & (rise > 1e-13 * np.maximum(1.0, h))
+    keep = (g[:n] >= 0.0) & (g[1:] <= 0.0) & (rise > TAU_RISE * np.maximum(1.0, h))
     keep[np.argmax(h)] = True
     x, v = zoom_max(f, t[keep], math.pi / len(t), TAU_OPT)
     return list(zip((x % math.pi).tolist(), v.tolist())), float(v.max())

@@ -31,6 +31,9 @@ INF = math.inf
 # every predicate computable on floats.
 TAU_EQ = 1e-9      # relative tolerance for norm equalities
 TAU_OPT = 1e-10    # final bracket width of the 1-D zoom search
+TAU_SUPPORT_UNIT = 1e-7    # largest | ||f|| - 1 | of an f in J(x) still read as norm one
+TAU_SUPPORT_ATTAIN = 1e-7  # largest |f(x) - ||x||| / max(1, ||x||) of an f in J(x)
+                           # still read as attaining ||x||
 
 # The most elements one enumeration may build: vertices or faces of a
 # polyhedral ball, signed permutations of l_p^n or pairs of them.
@@ -430,9 +433,9 @@ class SupportSet:
         dual = self.point.space.dual()
         nx = self.point.norm()
         for f in self.functionals:
-            if abs(f.norm() - 1.0) > 1e-7:
+            if abs(f.norm() - 1.0) > TAU_SUPPORT_UNIT:
                 raise OutOfRangeError("supporting functional is not norm-one")
-            if abs(float(f.coords @ self.point.coords) - nx) > 1e-7 * max(1.0, nx):
+            if abs(float(f.coords @ self.point.coords) - nx) > TAU_SUPPORT_ATTAIN * max(1.0, nx):
                 raise OutOfRangeError("functional does not attain the norm at x")
             if f.space != dual:
                 raise MixedSpacesError("functional not in the dual space")

@@ -368,6 +368,33 @@ class TestEpsBoundary:
             else:
                 is_only_approximation(T, eps, trials=3, seed=0)
 
+    @pytest.mark.parametrize("eps", [True, False, np.True_, "0.2", None, [0.2], 1j])
+    @pytest.mark.parametrize("check", ["verify", "only", "delta", "construct"])
+    def test_bool_or_non_real_eps_is_refused_naming_eps(self, eps, check, monkeypatch):
+        # True is not eps = 1, and a string or None is no bare TypeError
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before eps was checked")
+
+        monkeypatch.setattr("bpblab.bpbverify.op_norm", refuse)
+        monkeypatch.setattr("bpblab.approximants.is_isometry", refuse)
+        T = operator([[1.0, 0.0], [1.0, 0.0]], linf(2), linf(2))
+        with pytest.raises(OutOfRangeError, match="^eps must be a real number, got "):
+            if check == "verify":
+                verify_uniform_bpb(T, T, eps)
+            elif check == "delta":
+                delta_for_epsilon(T, eps)
+            elif check == "only":
+                is_only_approximation(T, eps, trials=3, seed=0)
+            else:
+                linf_extreme_approx(T, eps)
+
+    def test_real_eps_of_any_numeric_type_is_taken(self):
+        T = operator([[1.0, 0.0], [1.0, 0.0]], linf(2), linf(2))
+        A = linf_extreme_approx(T, 0.2).approximant
+        want = verify_uniform_bpb(T, A, 0.2)
+        assert verify_uniform_bpb(T, A, np.float64(0.2)) == want
+        assert verify_uniform_bpb(T, A, 1) == verify_uniform_bpb(T, A, 1.0)
+
     def test_finite_positive_eps_is_accepted(self):
         T = enumerate_isometries(linf(2))[0]
         assert verify_uniform_bpb(T, T, 1e-12, resolution=64).certified
@@ -625,6 +652,34 @@ class TestSweep:
                             SweepPair(pair.domain, pair.codomain, pair.draw, broken))
         with pytest.raises(TypeError, match="a bug in the constructor"):
             pair_property_sweep(linf(2), linf(2), [0.2], trials=1, seed=1)
+
+    @pytest.mark.parametrize("eps_list, text", [
+        ([], "eps_list must hold at least one eps"),
+        (0.2, "eps_list must be a list of eps, got 0.2"),
+        ([0.2, None], "eps_list item must be a real number, got None"),
+        ([0.2, "0.3"], "eps_list item must be a real number, got '0.3'"),
+        ([True], "eps_list item must be a real number, got True"),
+        ([0.2, math.nan], "eps_list item must lie in \\(0, inf\\), got nan"),
+        ([math.inf], "eps_list item must lie in \\(0, inf\\), got inf"),
+        ([0.2, 0.0], "eps_list item must lie in \\(0, inf\\), got 0.0"),
+        ([-1], "eps_list item must lie in \\(0, inf\\), got -1"),
+    ])
+    def test_bad_eps_list_is_refused_before_any_draw(self, eps_list, text, monkeypatch):
+        # an empty list once returned total 0 and no failures: vacuous
+        def refuse(*args, **kwargs):
+            raise AssertionError("a draw started before eps_list was checked")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        for X, Y in ((linf(2), linf(2)), (l2(2), l2(2)), (linf(3), l1(3))):
+            with pytest.raises(OutOfRangeError, match=f"^{text}$"):
+                pair_property_sweep(X, Y, eps_list, trials=2, seed=0)
+
+    def test_eps_list_may_be_any_iterable(self):
+        want = pair_property_sweep(linf(2), linf(2), [0.2, 2.5], trials=2, seed=1)
+        for eps_list in ((0.2, 2.5), iter([0.2, 2.5]), np.array([0.2, 2.5])):
+            got = pair_property_sweep(linf(2), linf(2), eps_list, trials=2, seed=1)
+            assert (got.total, got.certified, len(got.failures)) == (4, 2, 2)
+        assert (want.total, want.certified, len(want.failures)) == (4, 2, 2)
 
     def test_unsupported_pair(self):
         with pytest.raises(UnsupportedPairError):

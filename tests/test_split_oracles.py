@@ -7,9 +7,11 @@ the two bases.  The reference is the earlier route: a QR for the
 complement, `_orthonormal_norm` for the norm of T on it and
 `_decomposition_projectors` (det and inverse) for the projectors.
 
-The shrink decides X1 _|_B X2 with one product J(x) @ B2 per column x of
-B1; the reference is the earlier loop of `birkhoff_orthogonal` over the
-(x, y) pairs of Points.
+`direct_sum_shrink_approx`, whose bases come from the caller, decides
+X1 _|_B X2 with one product J(x) @ B2 per column x of B1; the reference
+is the earlier loop of `birkhoff_orthogonal` over the (x, y) pairs of
+Points.  The split of `hilbert_rotate_approx` is orthonormal, so the
+shrink it calls runs no such check.
 """
 
 import numpy as np
@@ -29,8 +31,14 @@ from bpblab import (
     verify_uniform_bpb,
 )
 from bpblab import approximants
-from bpblab.approximants import _decomposition_projectors, _direct_sum_shrink
-from bpblab.errors import CodomainDimOneError, IsIsometryError, OrthogonalityError
+from bpblab.approximants import _decomposition_projectors, direct_sum_shrink_approx
+from bpblab.errors import (
+    CodomainDimOneError,
+    IsIsometryError,
+    NotComplementaryError,
+    OrthogonalityError,
+    ZeroOnX2Error,
+)
 from bpblab.operators import TAU_VANISH, _orthonormal_norm, orthogonal_complement
 from bpblab.spaces import _orthogonal_columns
 
@@ -81,19 +89,22 @@ class _Reps:
 @pytest.mark.parametrize("space", SPACES, ids=str)
 def test_product_check_matches_the_pair_loop(space, monkeypatch):
     rng = np.random.default_rng(space.n)
-    # past the check the shrink's report is not under test
+    # M_T inside X1 and T nonzero on X2, so the orthogonality check
+    # decides; past it the shrink's report is not under test
     monkeypatch.setattr(approximants, "_finish", lambda *args, **kwargs: "passed")
+    monkeypatch.setattr(approximants, "restricted_norm", lambda T, B: 0.5)
     T = operator(np.eye(space.n), space, space)
     for B1, B2 in splits(space, rng):
         want = loop_verdicts(B1, B2, space)
         got = np.array([_orthogonal_columns(point(x, space), B2) for x in B1.T])
         assert np.array_equal(got, want)
-        _, _, P1, P2 = _decomposition_projectors(B1, B2, space.n)
+        reps = _Reps(B1[:, 0])
+        monkeypatch.setattr(approximants, "norm_one_attainment_set", lambda T, name: reps)
         if want.all():
-            assert _direct_sum_shrink(T, _Reps(B1[:, 0]), B1, B2, P1, P2, 0.3, r2=0.5) == "passed"
+            assert direct_sum_shrink_approx(T, B1, B2, 0.3) == "passed"
         else:
             with pytest.raises(OrthogonalityError):
-                _direct_sum_shrink(T, _Reps(B1[:, 0]), B1, B2, P1, P2, 0.3, r2=0.5)
+                direct_sum_shrink_approx(T, B1, B2, 0.3)
 
 
 def test_the_splits_cover_both_verdicts():
@@ -156,9 +167,9 @@ def test_svd_split_matches_the_qr_split(T, monkeypatch):
     seen = []
     real = approximants._direct_sum_shrink
 
-    def spy(T, MT, B1, B2, P1, P2, eps, r2=None):
-        seen.append((B2, P2, r2))
-        return real(T, MT, B1, B2, P1, P2, eps, r2=r2)
+    def spy(T, MT, P1, P2, eps):
+        seen.append(P2)
+        return real(T, MT, P1, P2, eps)
 
     monkeypatch.setattr(approximants, "_direct_sum_shrink", spy)
     if r <= TAU_VANISH and T.codomain.n == 1:
@@ -172,9 +183,8 @@ def test_svd_split_matches_the_qr_split(T, monkeypatch):
         assert not seen
         assert report.construction == ("rank_one" if k == 1 else "hilbert_rotate")
         return
-    want = real(T, MT, B1, B2, P1, P2, eps, r2=r)
-    (_, got_P2, got_r), = seen
-    assert abs(got_r - r) <= 1e-15
+    want = real(T, MT, P1, P2, eps)
+    got_P2, = seen
     assert np.abs(got_P2 - P2).max() <= 1e-15
     assert report.construction == want.construction
     assert np.abs(report.approximant.entries - want.approximant.entries).max() <= 1e-15
@@ -190,3 +200,31 @@ def test_the_operators_cover_every_route():
         routes.add("isometry" if B1.shape[1] == T.domain.n else
                    "shrink" if r > TAU_VANISH else f"vanish-k{B1.shape[1]}")
     assert routes == {"isometry", "shrink", "vanish-k1", "vanish-k2"}
+
+
+@pytest.mark.parametrize("diag, X1, want, text", [
+    ([1.0, 0.0, 0.0], [[0, 1, 0], [1, 0, 1]], NotComplementaryError,
+     "attainment set is not contained in X1"),
+    ([1.0, 0.0, 0.0], [[1, 0, 0], [0, 1, 1]], ZeroOnX2Error,
+     "T vanishes on X2; the construction is trivial"),
+    ([1.0, 0.0, 0.5], [[1, 0, 0], [0, 1, 1]], OrthogonalityError,
+     "X1 is not Birkhoff-James orthogonal to X2"),
+])
+def test_the_public_shrink_refuses_in_the_earlier_order(diag, X1, want, text):
+    # M_T = {+/-e1} and X2 = span{e3}: each split fails every check from
+    # the one its error names on (containment, T nonzero on X2, then
+    # orthogonality), and the first failing check decides
+    T = operator(np.diag(diag), l2(3), l2(3))
+    with pytest.raises(want, match=f"^{text}$"):
+        direct_sum_shrink_approx(T, np.array(X1, dtype=float).T, np.eye(3)[:, 2:], 0.3)
+
+
+def test_a_declared_subspace_must_hold_the_attainment_set():
+    # M_T = {+/-e1} is not in span{e1 + e2}, while T has norm 0.79 < 1 on
+    # the complement, so the shrink route is taken and refuses the split;
+    # the SVD route needs no such check, as M_T spans its X1
+    T = operator(np.diag([1.0, 0.5, 0.3]), l2(3), l2(3))
+    with pytest.raises(NotComplementaryError, match="^attainment set is not contained in X1$"):
+        hilbert_rotate_approx(T, 0.3, attained_subspace=np.array([[1.0], [1.0], [0.0]]))
+    report = hilbert_rotate_approx(T, 0.3, attained_subspace=np.eye(3)[:, :1])
+    assert report.construction.startswith("direct_sum_shrink")
