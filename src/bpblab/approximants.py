@@ -28,7 +28,6 @@ from .errors import (
     NotRankOneError,
     ObstructionError,
     OrthogonalityError,
-    OutOfRangeError,
     WrongSpacesError,
     ZeroOnX2Error,
 )
@@ -57,6 +56,8 @@ from .spaces import (
     TAU_EQ,
     Point,
     SpaceSpec,
+    _check_eps,
+    _check_finite,
     _orthogonal_columns,
     l2,
     lp_circle,
@@ -102,16 +103,6 @@ def _shrink_index(d, eps):
     while d / n >= eps:
         n += 1
     return n
-
-
-def _check_eps(eps, hi=2.0, lo=0, name="eps"):
-    """Refuse, naming `name`, an eps that is a bool or no real number, or
-    lies outside (lo, hi); NaN lies outside."""
-    # a float skips the slower ABC check; True is no eps
-    if not isinstance(eps, float) and (isinstance(eps, bool) or not isinstance(eps, numbers.Real)):
-        raise OutOfRangeError(f"{name} must be a real number, got {eps!r}")
-    if not (lo < eps < hi):
-        raise OutOfRangeError(f"{name} must lie in ({lo}, {hi}), got {eps}")
 
 
 # the least eps the rank-one tilt accepts: it lands within 2^-10 relative of
@@ -215,6 +206,8 @@ def convex_witness_approx(
 def _decomposition_projectors(X1, X2, n):
     B1 = np.atleast_2d(np.asarray(X1, dtype=float))
     B2 = np.atleast_2d(np.asarray(X2, dtype=float))
+    _check_finite(B1, "X1_basis")
+    _check_finite(B2, "X2_basis")
     if B1.shape[0] != n:
         B1 = B1.T
     if B2.shape[0] != n:
@@ -378,6 +371,7 @@ def hilbert_rotate_approx(
         Qc, r = Vt[k:].T, (float(s[k]) if k < len(s) else 0.0)
     else:
         Q0 = np.atleast_2d(np.asarray(attained_subspace, dtype=float))
+        _check_finite(Q0, "attained_subspace")
         if Q0.shape[0] != n:
             Q0 = Q0.T
         Q0, _ = np.linalg.qr(Q0)
@@ -482,7 +476,7 @@ def sbpbp_counterexample_family(x0: Point, n: int) -> OperatorMatrix:
     orthogonal to x0 have image norm 1-1/n while sitting at Euclidean
     distance sqrt(2) from the attainment set.
     """
-    if not isinstance(n, int) or n <= 1:
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n <= 1:
         raise BadIndexError("family index must be an integer above one")
     s = x0.space
     if not s.hilbert:

@@ -9,6 +9,7 @@ Hilbert necessary-condition reports, and pair-level sweeps.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -56,6 +57,7 @@ from .spaces import (
     _arc_table,
     _arc_table_rows,
     _arc_witness_table,
+    _check_eps,
     _check_int,
     arc_length_constant,
     arc_length_total,
@@ -356,7 +358,7 @@ def delta_for_epsilon(
     resolution an integer of at least 0.
     """
     resolution = _check_int(resolution, "resolution", 0)
-    apx._check_eps(eps, hi=math.inf)
+    _check_eps(eps, hi=math.inf)
     table = _exact_table(T, eps)  # refuses before any norm
     M = attainment_set(T)
     # the set's first row, not op_norm's witness (another of its points on
@@ -381,7 +383,7 @@ def verify_uniform_bpb(
     positive and resolution an integer of at least 0.
     """
     resolution = _check_int(resolution, "resolution", 0)
-    apx._check_eps(eps, hi=math.inf)
+    _check_eps(eps, hi=math.inf)
     table = _exact_table(T, eps)  # refuses before any norm
     check_norm_one(_norm_value(T), "T")
     MA = norm_one_attainment_set(A, "A")
@@ -497,7 +499,7 @@ def is_only_approximation(
     loops per matrix, a block is one trial, so no trial past a
     certificate is searched.
     """
-    apx._check_eps(eps, hi=math.inf)
+    _check_eps(eps, hi=math.inf)
     trials = _check_int(trials, "trials", 1)
     seed = _check_int(seed, "seed", 0)
     resolution = _check_int(resolution, "resolution", 0)
@@ -596,8 +598,9 @@ class Epsilon0Report:
 def epsilon0_lp2(p: int) -> Epsilon0Report:
     """min of the isometry separation 2^((p-1)/p) and the arc constant
     at one part in 2(16p-9) of the circle length."""
-    if not isinstance(p, int) or p in (1, 2) or p < 1:
+    if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 3:
         raise BadExponentError("p must be an integer >= 3")
+    p = int(p)
     L = arc_length_total(p)
     sep = 2.0 ** ((p - 1.0) / p)
     delta1 = arc_length_constant(p, L / (2.0 * (16 * p - 9)))
@@ -765,7 +768,7 @@ def pair_property_sweep(
     eps_list,
     trials: int,
     seed: int,
-    resolution: int = 1024,
+    resolution: int = DEFAULT_RESOLUTION,
 ) -> SweepSummary:
     """Construct and verify preserving approximants across a space pair.
 
@@ -784,7 +787,7 @@ def pair_property_sweep(
     if not eps_list:
         raise OutOfRangeError("eps_list must hold at least one eps")
     for eps in eps_list:
-        apx._check_eps(eps, hi=math.inf, name="eps_list item")
+        _check_eps(eps, hi=math.inf, name="eps_list item")
     trials = _check_int(trials, "trials", 1)
     seed = _check_int(seed, "seed", 0)
     resolution = _check_int(resolution, "resolution", 0)

@@ -12,7 +12,6 @@ import argparse
 import datetime
 import json
 import math
-import os
 import sys
 from functools import partial
 
@@ -22,7 +21,7 @@ from . import approximants as apx
 from . import bpbverify as bv
 from . import classify as cf
 from . import jsonio
-from .errors import BpbLabError, MalformedInputError, UnsupportedExponentError
+from .errors import BpbLabError, UnsupportedExponentError
 from .operators import OperatorMatrix, attainment_set, op_norm
 from .spaces import INF, Point, SpaceSpec, as_exponent, l2, linf, lp, pnorm
 
@@ -30,8 +29,8 @@ from .spaces import INF, Point, SpaceSpec, as_exponent, l2, linf, lp, pnorm
 def _int_at_least(text: str, lo: int) -> int:
     """int(text), refused with an argparse error naming the bound unless
     it is an integer >= lo.  The type, through partial, of --resolution,
-    --trials, isometries --n and BPBLAB_DEFAULT_RESOLUTION (lo = 1), of
-    sweep --seed (lo = 0) and of epsilon0 --p (lo = 3)."""
+    --trials and isometries --n (lo = 1), of sweep --seed (lo = 0) and of
+    epsilon0 --p (lo = 3)."""
     try:
         value = int(text)
     except ValueError:
@@ -67,16 +66,6 @@ def _eps_list_flag(text: str) -> list:
     if not values:
         raise argparse.ArgumentTypeError("expected comma-separated positive reals")
     return values
-
-
-def _default_resolution() -> int:
-    env = os.environ.get("BPBLAB_DEFAULT_RESOLUTION")
-    if not env:
-        return bv.DEFAULT_RESOLUTION
-    try:
-        return _int_at_least(env, 1)
-    except argparse.ArgumentTypeError as exc:
-        raise MalformedInputError("BPBLAB_DEFAULT_RESOLUTION", str(exc))
 
 
 def _emit(args, payload) -> None:
@@ -298,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--resolution",
                 type=partial(_int_at_least, lo=1),
-                help="certificate sphere sample size (env BPBLAB_DEFAULT_RESOLUTION)",
+                default=bv.DEFAULT_RESOLUTION,
+                help="certificate sphere sample size",
             )
         if seed:
             p.add_argument("--seed", type=partial(_int_at_least, lo=0), required=True,
@@ -336,8 +326,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if "resolution" in vars(args) and args.resolution is None:
-            args.resolution = _default_resolution()
         return args.func(args)
     except BpbLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

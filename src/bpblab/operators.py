@@ -32,6 +32,7 @@ from .spaces import (
     TAU_OPT,
     Point,
     SpaceSpec,
+    _check_finite,
     _read_only,
     code_containment,
     face_barycentres,
@@ -41,7 +42,6 @@ from .spaces import (
     lp_circle,
     pnorm,
     pnorm_into,
-    points_distance,
     polyhedral_table,
 )
 
@@ -102,8 +102,7 @@ class OperatorMatrix:
         self._seal(m)
 
     def _seal(self, m: np.ndarray):
-        if np.count_nonzero(np.isfinite(m)) != m.size:
-            raise NonFiniteError(f"entries must be finite, got {m.tolist()}")
+        _check_finite(m, "entries")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
@@ -554,6 +553,12 @@ def attainment_set(T: OperatorMatrix, check=None) -> AttainmentSet:
     return entry.mset
 
 
+def top_singular_dim(s: np.ndarray) -> int:
+    """dim H_0: how many of the descending singular values s lie within
+    TAU_GAP * max(s[0], 1) of the largest."""
+    return int(np.count_nonzero(s >= s[0] - TAU_GAP * max(s[0], 1.0)))
+
+
 def _build_attainment_set(T: OperatorMatrix, entry: _Analysis) -> AttainmentSet:
     """attainment_set's set, from T's memo entry, its arrays read-only."""
     dom, value = T.domain, entry.value
@@ -562,13 +567,12 @@ def _build_attainment_set(T: OperatorMatrix, entry: _Analysis) -> AttainmentSet:
         return AttainmentSet("faces", value, dom, faces=_maximal_faces(T, value))
     if geometry == "hilbert":
         s, Vt = entry.data
-        k = int((s >= s[0] - TAU_GAP * max(s[0], 1.0)).sum())
-        return AttainmentSet("subspace", value, dom, basis=_read_only(Vt[:k].T.copy()))
+        return AttainmentSet("subspace", value, dom, basis=_read_only(Vt[:top_singular_dim(s)].T.copy()))
     pts = []
     for tt, v in entry.data:
         if v >= value * (1.0 - TAU_EQ):
             x = lp_circle(dom.p, tt)
-            if not pts or points_distance(x, np.array(pts), dom.p) > TAU_DEDUP:
+            if not pts or pnorm(np.array(pts) - x, dom.p, axis=1).min() > TAU_DEDUP:
                 pts.append(x)
     pts = pts + [-x for x in pts]
     return AttainmentSet("points", value, dom, points=_read_only(np.array(pts)))
@@ -594,6 +598,7 @@ def restricted_norm(T: OperatorMatrix, basis) -> float:
         B = B[:, None]
     if B.shape[0] != T.domain.n:
         raise MixedSpacesError("basis does not live in the domain")
+    _check_finite(B, "basis")
     if B.shape[1] == 0:
         return 0.0
     if np.linalg.matrix_rank(B, tol=TAU_RANK) < B.shape[1]:

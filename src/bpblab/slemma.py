@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .operators import TAU_GAP, TAU_SECULAR, OperatorMatrix, _analysis, orthogonal_complement
+from .operators import TAU_SECULAR, OperatorMatrix, _analysis, orthogonal_complement, top_singular_dim
 from .spaces import Point
 
 SECULAR_MAX_ITER = 60  # Newton steps of one secular solve; they rise monotonically
@@ -52,15 +52,14 @@ class HilbertSupplier:
 
     def __init__(self, T: OperatorMatrix):
         s, Vt = _analysis(T).data
+        # the top singular subspace, with attainment_set's gap: a wider one
+        # only makes the interior case, g = ||T||, more frequent
+        self.k = top_singular_dim(s)
         s = s.tolist()
         self.space, self.n, self.Vt, self.norm = T.domain, T.domain.n, Vt, s[0]
         # the eigenvalues of Q, as Python floats: the kernels below work on
         # n and n - 1 numbers, where numpy's per-call cost dominates
         self.D = [x * x for x in s] + [0.0] * (self.n - len(s))
-        # the top singular subspace, with attainment_set's gap: a wider one
-        # only makes the interior case, g = ||T||, more frequent
-        cut = s[0] - TAU_GAP * max(s[0], 1.0)
-        self.k = sum(x >= cut for x in s)
 
     def profile(self, M) -> Optional[_Profile]:
         """T against the subspace attainment set M, None unless dim M is

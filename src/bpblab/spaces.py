@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     MixedSpacesError,
+    NonFiniteError,
     OutOfRangeError,
     UnsupportedExponentError,
     UnsupportedSpaceError,
@@ -76,8 +77,9 @@ class SpaceSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "p", as_exponent(self.p))
-        if not (isinstance(self.n, int) and not isinstance(self.n, bool) and self.n >= 1):
-            raise UnsupportedSpaceError(f"dimension must be a positive integer, got {self.n}")
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 1:
+            raise UnsupportedSpaceError(f"dimension must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "pf", float(self.p))
         object.__setattr__(self, "polyhedral", self.p == 1 or self.p == INF)
         object.__setattr__(self, "strictly_convex", 1 < self.p < INF)
@@ -172,6 +174,9 @@ class Point:
             raise MixedSpacesError(
                 f"coordinate length {c.shape} does not match dimension {self.space.n}"
             )
+        # on a few coordinates, Python floats cost less than a numpy call
+        if not all(map(math.isfinite, c.tolist())):
+            raise NonFiniteError(f"coords must be finite, got {c.tolist()}")
         c.setflags(write=False)
         object.__setattr__(self, "coords", c)
 
@@ -345,6 +350,22 @@ def _check_int(value, name: str, lo: int) -> int:
     return int(value)
 
 
+def _check_finite(a: np.ndarray, name: str) -> None:
+    """Refuse, naming `name`, a float array holding NaN or an infinity."""
+    if np.count_nonzero(np.isfinite(a)) != a.size:
+        raise NonFiniteError(f"{name} must be finite, got {a.tolist()}")
+
+
+def _check_eps(eps, hi=2.0, lo=0, name="eps"):
+    """Refuse, naming `name`, an eps that is a bool or no real number, or
+    lies outside (lo, hi); NaN lies outside."""
+    # a float skips the slower ABC check; True is no eps
+    if not isinstance(eps, float) and (isinstance(eps, bool) or not isinstance(eps, numbers.Real)):
+        raise OutOfRangeError(f"{name} must be a real number, got {eps!r}")
+    if not (lo < eps < hi):
+        raise OutOfRangeError(f"{name} must lie in ({lo}, {hi}), got {eps}")
+
+
 def _check_table_size(n: int, count: int, what: str) -> None:
     if count > ENUMERATION_LIMIT:
         raise OutOfRangeError(
@@ -409,12 +430,6 @@ class PolyhedralTable:
 def polyhedral_table(s: SpaceSpec) -> PolyhedralTable:
     """The cached PolyhedralTable of a polyhedral space."""
     return PolyhedralTable(s)
-
-
-def points_distance(x_coords, pts, p: Exponent) -> float:
-    """Min l_p distance from a single vector to a finite point list."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    return float(pnorm(pts - np.asarray(x_coords, dtype=float), p, axis=1).min())
 
 
 @dataclass(frozen=True)
@@ -487,17 +502,15 @@ def birkhoff_orthogonal(x: Point, y: Point, strong: bool = False) -> bool:
     """
     if x.space != y.space:
         raise MixedSpacesError("Birkhoff-James orthogonality needs one space")
+    if not strong or x.space.strictly_convex:
+        # y = 0 is orthogonal to every x, never strongly
+        return bool(_orthogonal_columns(x, y.coords[:, None])[0]) and not (strong and y.norm() == 0.0)
     nx = x.norm()
     if nx == 0.0:
         raise ZeroVectorError("x must be nonzero")
-    ny = y.norm()
-    if ny == 0.0:
-        return not strong
     fy = _support_rows(x, nx) @ y.coords
-    lo, hi, tol = float(fy.min()), float(fy.max()), TAU_EQ * ny
-    if not strong or x.space.strictly_convex:
-        return lo <= tol and hi >= -tol
-    return lo < -tol and hi > tol
+    tol = TAU_EQ * y.norm()
+    return bool(fy.min() < -tol and fy.max() > tol)
 
 
 def _orthogonal_columns(x: Point, Y: np.ndarray) -> np.ndarray:
@@ -642,9 +655,9 @@ def arc_length_constant(p, eps: float) -> float:
     p = as_exponent(p)
     if not (1 < p < INF):
         raise UnsupportedExponentError("arc-length constant needs 1 < p < inf")
+    _check_eps(eps, hi=INF)  # a bad eps is refused before the circle is measured
     L = arc_length_total(p)
-    if not (0.0 < eps < L / 2.0):
-        raise OutOfRangeError(f"eps must lie in (0, L/2) = (0, {L / 2.0})")
+    _check_eps(eps, hi=L / 2.0)
     return _arc_length_constant(p, float(eps))
 
 

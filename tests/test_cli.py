@@ -1,9 +1,12 @@
+import collections.abc
 import json
+import os
 
 import numpy as np
 import pytest
 
-from bpblab.bpbverify import SWEEP_PAIRS
+from bpblab import bpbverify
+from bpblab.bpbverify import DEFAULT_RESOLUTION, SWEEP_PAIRS, verify_uniform_bpb
 from bpblab.cli import main
 from bpblab.errors import MalformedInputError
 from bpblab.jsonio import parse_operator, parse_space, to_json
@@ -281,15 +284,62 @@ class TestDemoCommand:
         assert all(c["passed"] for c in doc["checks"])
 
 
-class TestEnvResolution:
-    def test_env_default_honored(self, op_file, capsys, monkeypatch):
-        monkeypatch.setenv("BPBLAB_DEFAULT_RESOLUTION", "256")
+class RecordingEnviron(collections.abc.MutableMapping):
+    """os.environ that records every key read and whether it was iterated."""
+
+    def __init__(self, env):
+        self.env, self.read, self.iterated = dict(env), set(), False
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return self.env[key]
+
+    def __setitem__(self, key, value):
+        self.env[key] = value
+
+    def __delitem__(self, key):
+        del self.env[key]
+
+    def __iter__(self):
+        self.iterated = True
+        return iter(self.env)
+
+    def __len__(self):
+        return len(self.env)
+
+
+class TestDefaultResolution:
+    def test_no_flag_runs_at_the_default_resolution(self, op_file, capsys):
         f = op_file(
             "d.json", [[1, 0], [0, 0.5]], {"p": "4", "n": 2}, {"p": "4", "n": 2}
         )
         code, doc = run(capsys, ["verify", "--T", f, "--A", f, "--eps", "0.1", "--no-timestamp"])
         assert code == 0
-        assert doc["resolution"] == 256
+        assert doc["resolution"] == DEFAULT_RESOLUTION
+
+    def test_sweep_without_the_flag_verifies_at_the_default_resolution(self, capsys, monkeypatch):
+        seen = []
+
+        def spy(T, A, eps, resolution):
+            seen.append(resolution)
+            return verify_uniform_bpb(T, A, eps, resolution=resolution)
+
+        monkeypatch.setattr(bpbverify, "verify_uniform_bpb", spy)
+        code, _ = run(capsys, ["sweep", "--pair", "l22", "--trials", "2", "--seed", "1",
+                               "--no-timestamp"])
+        assert code == 0 and seen == [DEFAULT_RESOLUTION] * 2
+
+    def test_no_environment_variable_is_read(self, op_file, capsys, monkeypatch):
+        # the resolution came from an environment variable when no flag was given
+        env = RecordingEnviron(os.environ)
+        monkeypatch.setattr(os, "environ", env)
+        f = op_file("t.json", [[1, 0], [0, 0.5]], {"p": "4", "n": 2}, {"p": "4", "n": 2})
+        for argv in (["verify", "--T", f, "--A", f, "--eps", "0.1"],
+                     ["sweep", "--pair", "linf2", "--trials", "1", "--seed", "0"],
+                     ["attain", "--operator", f]):
+            assert main(argv + ["--no-timestamp"]) == 0
+        capsys.readouterr()
+        assert not env.iterated and not any(k.startswith("BPBLAB") for k in env.read), env.read
 
 
 class TestResolutionBoundaries:
@@ -337,19 +387,6 @@ class TestResolutionBoundaries:
         code, doc = run(capsys, ["sweep", "--pair", "linf2", "--trials", "1", "--seed", "0",
                                  "--no-timestamp"])
         assert code == 0 and doc["total"] == 1
-
-    @pytest.mark.parametrize("value", ["abc", "0"])
-    def test_bad_env_default_names_variable(self, op_file, capsys, monkeypatch, value):
-        monkeypatch.setenv("BPBLAB_DEFAULT_RESOLUTION", value)
-        f = op_file("t.json", [[1, 0], [1, 0]], LINF2, LINF2)
-        assert main(["verify", "--T", f, "--A", f, "--eps", "0.1", "--no-timestamp"]) == 2
-        assert "BPBLAB_DEFAULT_RESOLUTION" in capsys.readouterr().err
-
-    def test_env_default_is_not_read_by_attain(self, op_file, capsys, monkeypatch):
-        monkeypatch.setenv("BPBLAB_DEFAULT_RESOLUTION", "abc")
-        f = op_file("t.json", [[1, 0], [1, 0]], LINF2, LINF2)
-        code, doc = run(capsys, ["attain", "--operator", f, "--no-timestamp"])
-        assert code == 0 and doc["kind"] == "faces"
 
 
 class TestNonFiniteInput:

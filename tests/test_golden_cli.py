@@ -178,8 +178,7 @@ def golden_argv(argv):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_stdout_matches_golden(name, capsys, monkeypatch):
-    monkeypatch.delenv("BPBLAB_DEFAULT_RESOLUTION", raising=False)
+def test_stdout_matches_golden(name, capsys):
     argv, code = CASES[name]
     assert main(golden_argv(argv)) == code
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()

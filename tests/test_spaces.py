@@ -42,7 +42,6 @@ from bpblab.spaces import (
     lp_circle,
     pnorm,
     pnorm_into,
-    points_distance,
     polyhedral_table,
 )
 
@@ -225,10 +224,8 @@ class TestPolyhedralTableGuard:
 
 class TestDistances:
     def test_point_list(self):
-        x = point([0.0, 1.0], l2(2))
-        assert points_distance(x.coords, [point([1.0, 0.0], l2(2)).coords], x.space.p) == pytest.approx(
-            math.sqrt(2)
-        )
+        M = AttainmentSet("points", 1.0, l2(2), points=np.array([[1.0, 0.0], [-1.0, 0.0]]))
+        assert float(M.distance_to(np.array([[0.0, 1.0]]))[0]) == pytest.approx(math.sqrt(2))
 
     def test_no_faces_lie_at_infinite_distance(self):
         X = np.eye(2)
