@@ -59,10 +59,20 @@ golden certificate on an l_1^n domain) and `verify_linf5_exact` (a
 `linf_extreme_approx` triple on l_inf^5, whose 242 x 992 corner table
 exceeds the table's budget of 2^16 distances) were recorded before the
 corner table became immutable.
+The four sampled `verify` cases were recorded before the grid's sample
+arrays stopped being kept per thread from call to call: they are the
+only goldens certified on the sphere grid.  `verify_l22_sampled` and
+`verify_l24_sampled` are `hilbert_rotate_approx` triples at eps 0.3 on
+diag(1, 0.5) (l_2^2, delta 0.03125) and diag(1, 1, 0.6, 0.3) (l_2^4,
+where dim M_A = 2 = n - 2 falls back to the grid; delta 0.015625);
+`verify_l22_falsified` pairs diag(1, 0.99) with diag(0.99, 1), whose
+counterexample (-1, 0) is a grid row; `verify_lp3_2_sampled` is the
+l_3^2 operator of `norm_lp3_2` against itself at resolution 16384.
 The four smooth-path cases and the two `*_lp43_2` cases go through
 `pow`, trigonometry and, for l_2^3, LAPACK, the two rank-one cases
 through LAPACK's SVD (and `pow` on l_3^2) and the three l_2^3 `approx`
-and `sweep` cases through LAPACK, whose last bits may vary with
+and `sweep` cases through LAPACK, and the four sampled `verify` cases
+through the grid's trigonometry, `pow` and LAPACK, whose last bits may vary with
 the platform; they were recorded with numpy 2.4 on x86-64 Linux.  The other
 cases avoid such results, and `demo` prints only check names and pass
 flags.
@@ -149,6 +159,22 @@ CASES = {
     ),
     "verify_linf5_exact": (
         ["verify", "--T", "linf5_double.json", "--A", "linf5_double_approx.json", "--eps", "0.3"],
+        0,
+    ),
+    "verify_l22_sampled": (
+        ["verify", "--T", "l22_T.json", "--A", "l22_A.json", "--eps", "0.3"],
+        0,
+    ),
+    "verify_l22_falsified": (
+        ["verify", "--T", "l22_near.json", "--A", "l22_near_swap.json", "--eps", "0.3"],
+        1,
+    ),
+    "verify_lp3_2_sampled": (
+        ["verify", "--T", "lp3_2_unit.json", "--A", "lp3_2_unit.json", "--eps", "0.3", "--resolution", "16384"],
+        0,
+    ),
+    "verify_l24_sampled": (
+        ["verify", "--T", "l24_T.json", "--A", "l24_A.json", "--eps", "0.3"],
         0,
     ),
     "sweep_linf2": (
