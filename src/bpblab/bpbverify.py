@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import threading
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional
@@ -65,44 +64,11 @@ from .spaces import (
     l1,
     l2,
     linf,
-    pnorm_into,
     polyhedral_table,
 )
 
 
 DEFAULT_RESOLUTION = 4096  # a certificate's sphere-grid sample where it is not exact
-
-_scratch = threading.local()
-_SAMPLE_BUFFERS_KEPT = 8
-
-
-def _sample_buffers(space: SpaceSpec, resolution: int, cols: int):
-    """This thread's arrays for verifying on the grid of `space` at
-    `resolution` with a codomain of dimension `cols`, kept from call to call.
-
-    `sample`, shape (rows, space.n) and Fortran-ordered, holds the grid and
-    one free last row for T's norming vector; `images`, shape (cols, rows)
-    and C-ordered, holds their images coordinate by coordinate, so that a
-    norm reduces across `cols` contiguous rows; `norms` holds the image
-    norm of every row.  At resolution 16384 each array is 0.13-0.4 MB.
-    Allocated afresh per call, such blocks go back to the kernel whenever
-    glibc trims the heap, which depends on what was allocated before the
-    call, and the next call faults every page in again, hundreds of page
-    faults per call.
-    """
-    buffers = _scratch.__dict__.setdefault("samples", {})
-    key = (space, resolution, cols)
-    if key not in buffers:
-        if len(buffers) == _SAMPLE_BUFFERS_KEPT:
-            del buffers[next(iter(buffers))]
-        grid = sphere_grid(space, resolution)
-        rows = len(grid) + 1
-        # column-major: the distance kernels read the sample a column at a time
-        sample = np.empty((rows, space.n), order="F")
-        sample[:-1] = grid
-        buffers[key] = (sample, np.empty((cols, rows)), np.empty(rows))
-    return buffers[key]
-
 
 @dataclass(frozen=True)
 class BpbCertificate:
@@ -212,10 +178,12 @@ def _sample(
     its corners at eps, which hold every vertex ("exact").  On l_2^n ->
     l_2^m with n >= 3, T's `HilbertSupplier` ("exact"); it covers every
     attainment set on n = 3, and on n >= 4 the grid below stands by for
-    those of dimension 2 to n - 2.  Else this thread's sphere grid at
-    `resolution` with T's norming vector `witness` last, its norms in
-    this thread's norms row ("sampled"); a `witness` of None is
-    op_norm's, built only here, where a sample reads it."""
+    those of dimension 2 to n - 2.  Else the sphere grid at `resolution`
+    with T's norming vector `witness` last, in a fresh Fortran-ordered
+    array ("sampled"): the distance kernels read the sample a column at
+    a time, and the l_2^n subspace distance's product on it takes its
+    bits from that layout.  A `witness` of None is op_norm's, built only
+    here, where a sample reads it."""
     if table is not None:
         return _Sample(table.corners, T.image_norms(table.corners), table, "exact")
     hilbert = None
@@ -223,10 +191,10 @@ def _sample(
         hilbert = HilbertSupplier(T)
         if T.domain.n == 3:
             return _Sample(None, None, None, "exact", hilbert)
-    X, images, norms = _sample_buffers(T.domain, resolution, T.codomain.n)
-    X[-1] = (op_norm(T)[1] if witness is None else witness).coords
-    pnorm_into(np.matmul(T.entries, X.T, out=images), T.codomain.pf, 0, norms)
-    return _Sample(X, norms, None, "sampled", hilbert)
+    grid = sphere_grid(T.domain, resolution)
+    X = np.empty((len(grid) + 1, T.domain.n), order="F")
+    X[:-1], X[-1] = grid, (op_norm(T)[1] if witness is None else witness).coords
+    return _Sample(X, T.image_norms(X), None, "sampled", hilbert)
 
 
 def _far_from(eps: float) -> float:

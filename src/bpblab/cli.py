@@ -4,6 +4,8 @@ Every subcommand maps onto one library capability, reads operators as JSON
 files, and emits a JSON report on stdout (or to --output).  Exit codes:
 0 success, 1 falsified or failed verification, 2 malformed input or any
 other library refusal, such as a space pair that no geometry covers.
+A reader that closes stdout early (`bpblab ... | head -1`) ends the run
+with exit code 1 and nothing on stderr, as on EPIPE.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import datetime
 import json
 import math
+import os
 import sys
 from functools import partial
 
@@ -326,10 +329,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a closed pipe raises here, not in the interpreter's final flush
+        sys.stdout.flush()
+        return code
     except BpbLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout now writes to os.devnull, so the final flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -121,15 +121,15 @@ class OperatorMatrix:
     def image_norms(self, X) -> np.ndarray:
         """||Tx|| in the codomain for each row x of X, an array of shape
         (rows, domain.n); other shapes are refused.  The images are
-        computed coordinate-major, shape (codomain.n, rows), and the norm
-        reduces across their coordinates."""
+        computed coordinate-major, shape (codomain.n, rows), and fresh, so
+        the norm reduces across their coordinates in place."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.domain.n:
             raise MixedSpacesError(
                 f"sample shape {X.shape} does not fit the {self.entries.shape[0]} x "
                 f"{self.entries.shape[1]} matrix, which needs rows of {self.domain.n} entries"
             )
-        return pnorm(self.entries @ X.T, self.codomain.pf, axis=0)
+        return pnorm_into(self.entries @ X.T, self.codomain.pf, 0)
 
     def __add__(self, other):
         self._check_same(other)
@@ -194,7 +194,7 @@ class AttainmentSet:
         if self.kind == "points":
             # points sets live on 2-D domains: X - q by columns
             for q in self.points:
-                np.minimum(out, pnorm_into(X.T - q[:, None], self.space.pf, 0, None), out=out)
+                np.minimum(out, pnorm_into(X.T - q[:, None], self.space.pf, 0), out=out)
         elif self.basis.shape[1]:
             # the nearest point of S_X /\ H_0 to x is the normalised
             # projection: distance sqrt(||x||^2 + 1 - 2 ||Q^T x||); two
@@ -342,7 +342,7 @@ def _lp2_local_maxima(T: OperatorMatrix):
 
     def f(theta):
         # the matmul's output is fresh, so the norm takes it as scratch
-        return pnorm_into(lp_circle(p, theta) @ E, q, -1, None)
+        return pnorm_into(lp_circle(p, theta) @ E, q, -1)
 
     return _refined_maxima(t, T.image_norms(pts), f)
 
@@ -400,7 +400,7 @@ def _vertex_norms(E: np.ndarray, V: np.ndarray, codomain: SpaceSpec) -> np.ndarr
     has shape (..., rows of V).  The images E V^T, shape (..., m, rows),
     are fresh, so the norm reduces them across their m coordinates in
     place."""
-    return pnorm_into(E @ V.T, codomain.pf, -2, None)
+    return pnorm_into(E @ V.T, codomain.pf, -2)
 
 
 def _polyhedral_norms(E: np.ndarray, domain: SpaceSpec, codomain: SpaceSpec) -> np.ndarray:
@@ -413,7 +413,7 @@ def _polyhedral_norms(E: np.ndarray, domain: SpaceSpec, codomain: SpaceSpec) -> 
     in order.  On l_1^1 those would be numpy's inner loop, which adds
     pairwise from 8 terms on, so it keeps the vertex matmul."""
     if domain.pf == 1.0 and domain.n > 1:
-        return pnorm_into(np.abs(E), codomain.pf, -2, None)
+        return pnorm_into(np.abs(E), codomain.pf, -2)
     return _vertex_norms(E, polyhedral_table(domain).vertices, codomain)
 
 

@@ -130,35 +130,30 @@ def pnorm(v, p: Exponent, axis: int = -1):
     """l_p norm along an axis; vectorized.  Pass a batch of vectors
     coordinate-major, shape (m, rows) with axis=0, so that each pass is one
     contiguous run over the rows, not one tiny loop per row of length m."""
-    return pnorm_into(np.array(v, dtype=float), p, axis, None)
+    return pnorm_into(np.array(v, dtype=float), p, axis)
 
 
-def pnorm_into(v: np.ndarray, p: Exponent, axis: int, out: np.ndarray) -> np.ndarray:
-    """pnorm(v, p, axis) written to `out`, with the float array v
-    overwritten as scratch, so for p <= UNSCALED_P_MAX no array is
-    allocated.  With out None the result is returned in a new array, or a
-    scalar when v is one vector."""
+def pnorm_into(v: np.ndarray, p: Exponent, axis: int) -> np.ndarray:
+    """pnorm(v, p, axis) with the float array v overwritten as scratch: a
+    new array, or a scalar when v is one vector."""
     # branch on the float: p == INF on a Fraction p runs Fraction.__eq__
     pf = float(p)
     if pf == INF:
-        return np.abs(v, out=v).max(axis=axis, out=out)
+        return np.abs(v, out=v).max(axis=axis)
     if pf == 1.0:
-        return np.abs(v, out=v).sum(axis=axis, out=out)
+        return np.abs(v, out=v).sum(axis=axis)
     if pf == 2.0:
-        return np.sqrt(np.multiply(v, v, out=v).sum(axis=axis, out=out), out=out)
+        return np.sqrt(np.multiply(v, v, out=v).sum(axis=axis))
     if pf > UNSCALED_P_MAX:
         # each lane divided by its largest entry (by 1 if that is 0 or not
         # finite), so no power under- or overflows, and multiplied back
         top = np.abs(v, out=v).max(axis=axis, keepdims=True)
         scale = np.where((top > 0.0) & (top < INF), top, 1.0)
-        s = np.power(np.divide(v, scale, out=v), pf, out=v).sum(axis=axis, out=out)
-        return np.multiply(np.power(s, 1.0 / pf, out=out), np.squeeze(scale, axis=axis), out=out)
-    s = np.power(np.abs(v, out=v), pf, out=v).sum(axis=axis, out=out)
-    if out is None:
-        # `**`, not the ufunc: on a scalar sum it is libm's pow, whose last
-        # bit can differ from the vectorised np.power's
-        return s ** (1.0 / pf)
-    return np.power(s, 1.0 / pf, out=out)
+        s = np.power(np.divide(v, scale, out=v), pf, out=v).sum(axis=axis)
+        return np.multiply(np.power(s, 1.0 / pf), np.squeeze(scale, axis=axis))
+    # `**`, not the ufunc: on a scalar sum it is libm's pow, whose last
+    # bit can differ from the vectorised np.power's
+    return np.power(np.abs(v, out=v), pf, out=v).sum(axis=axis) ** (1.0 / pf)
 
 
 @dataclass(frozen=True)

@@ -115,13 +115,14 @@ def broadcast_points_distance(M, X):
 
 def buffered_distance_to(M, X, out, work):
     """`distance_to` of a points or subspace set written to `out`, with
-    `work`, shape (3, len(X)), as scratch: no array of len(X) allocated."""
+    `work`, shape (3, len(X)), as scratch: on a subspace set no array of
+    len(X) is allocated, and on a points set only each point's norms."""
     if M.kind == "points":
         # points sets live on 2-D domains: work[:2] holds X - q by columns
         out.fill(np.inf)
         for q in M.points:
             np.subtract(X.T, q[:, None], out=work[:2])
-            np.minimum(out, pnorm_into(work[:2], M.space.pf, 0, work[2]), out=out)
+            np.minimum(out, pnorm_into(work[:2], M.space.pf, 0), out=out)
     elif M.basis.shape[1] == 0:
         out.fill(np.inf)
     else:

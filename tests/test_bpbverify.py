@@ -38,7 +38,7 @@ from bpblab.bpbverify import (
     SWEEP_PAIRS,
     SweepPair,
     _random_linf_candidates,
-    _sample_buffers,
+    _sample,
     _split_norm_disjunction,
 )
 from bpblab import operators
@@ -116,18 +116,20 @@ class TestVerifyUniformBpb:
         assert T.image_norms(z)[0] == 1.0
         assert attainment_set(A).distance_to(z)[0] == 1.0
 
-    def test_polyhedral_verify_reuses_its_grid_arrays(self):
+    def test_repeated_verify_allocates_one_sample(self):
         # a repeated certificate allocates little: on a polyhedral domain
         # the cached corner set and distances over M_A's maximal faces only;
-        # on a Euclidean one the distance rows over the 16384-point grid
-        # (0.4 MB, three float rows), but not the sample and its norms
-        # again (seven rows, 0.92 MB, when they were)
-        s, h = l1(3), l2(3)
+        # on the l_2^2 grid at 16384 a fresh sample (two rows, with T's
+        # norming vector last), its image block (two rows, reduced in place
+        # to its norms, one row) and the three distance rows to M_A: at
+        # most eight float rows, where a copy of the image block would
+        # pass eight
+        s, h = l1(3), l2(2)
         rows = len(sphere_grid(h, 16384)) + 1
         L = operator(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]).T, s, s)
-        H = operator(np.diag([1.0, 1.0, 0.5]), h, h)
+        H = operator(np.diag([1.0, 0.5]), h, h)
         for T, A, bound in ((L, l1_extreme_approx(L, 0.3).approximant, 64 * 1024),
-                            (H, hilbert_rotate_approx(H, 0.3).approximant, 5 * 8 * rows)):
+                            (H, hilbert_rotate_approx(H, 0.3).approximant, 8 * 8 * rows)):
             first = verify_uniform_bpb(T, A, 0.3, resolution=16384)
             tracemalloc.start()
             try:
@@ -137,14 +139,15 @@ class TestVerifyUniformBpb:
                 tracemalloc.stop()
             assert again == first and first.certified
             assert peak < bound, T.domain
-        # the distance kernels read the grid a column at a time, and the
-        # image norms reduce across contiguous coordinate rows
-        X, images, _ = _sample_buffers(h, 16384, h.n)
-        assert X.flags.f_contiguous
-        assert images.flags.c_contiguous and images.shape == (h.n, len(X))
+        # the distance kernels read the sample a column at a time
+        sample = _sample(H, None, 16384, None)
+        assert sample.basis == "sampled" and sample.rows.flags.f_contiguous
+        assert sample.rows.shape == (rows, h.n)
 
     def test_threads_do_not_share_grid_arrays(self):
-        # l_inf^3 and l_1^3 certificates share the cached corner sets
+        # l_inf^3 and l_1^3 certificates share the cached corner sets; the
+        # l_2^2, l_3^2 and l_2^4 ones (dim M_A = 2 on l_2^4) each build
+        # their grid sample
         cases = []
         for cols in ((0, 0, 2), (1, 1, 0), (0, 2, 2), (2, 1, 2)):
             T = operator(np.eye(3)[list(cols)], linf(3), linf(3))
@@ -152,7 +155,14 @@ class TestVerifyUniformBpb:
         for cols in ((0, 0, 2), (2, 1, 2)):
             T = operator(np.eye(3)[list(cols)].T, l1(3), l1(3))
             cases.append((T, l1_extreme_approx(T, 0.3).approximant))
+        for diag in ((1.0, 0.5), (1.0, 1.0, 0.6, 0.3)):
+            T = operator(np.diag(diag), l2(len(diag)), l2(len(diag)))
+            cases.append((T, hilbert_rotate_approx(T, 0.3).approximant))
+        T = operator([[0.8145883340447172, 0.4072941670223586],
+                      [-0.2036470835111793, 0.6109412505335379]], lp(3, 2), lp(3, 2))
+        cases.append((T, T))
         expected = [verify_uniform_bpb(T, A, 0.3, resolution=4096) for T, A in cases]
+        assert [c.basis for c in expected[-3:]] == ["sampled"] * 3
         got = [[] for _ in cases]
 
         def work(i):

@@ -1,10 +1,14 @@
 import collections.abc
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bpblab
 from bpblab import bpbverify
 from bpblab.bpbverify import DEFAULT_RESOLUTION, SWEEP_PAIRS, verify_uniform_bpb
 from bpblab.cli import main
@@ -481,3 +485,18 @@ def test_json_refusal_exits_two_naming_the_field(case, tmp_path, capsys):
     assert main(["norm", "--operator", path, "--no-timestamp"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"error: {field}: {message}")
+
+
+def test_closed_pipe_exits_one_without_a_traceback():
+    # `bpblab isometries --p inf --n 5 | head -1`: its 1.6 MB of output
+    # overflow the pipe, so the write fails once the reader has gone
+    path = os.pathsep.join(filter(None, [str(Path(bpblab.__file__).parent.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    argv = ["isometries", "--p", "inf", "--n", "5", "--no-timestamp"]
+    proc = subprocess.Popen([sys.executable, "-m", "bpblab.cli", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path})
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

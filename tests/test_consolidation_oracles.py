@@ -59,7 +59,6 @@ from bpblab.bpbverify import (
     _inclusion_certificate,
     _polyhedral_screen,
     _sample,
-    _sample_buffers,
     delta_descent,
 )
 from bpblab.errors import MixedSpacesError, NormNotOneError, OutOfRangeError, UnsupportedSpaceError
@@ -233,12 +232,10 @@ def inline_verify(T, A, eps, resolution):
     if dist >= eps:
         return ("falsified", eps, None, resolution, math.inf, None, dist)
     MA = attainment_set(A)
-    X, _, norms = _sample_buffers(T.domain, resolution, T.codomain.n)
-    X[-1] = witness.coords
+    X, _ = grid_sample(T, witness, resolution)
     mask = np.empty(len(X), dtype=bool)
-    # the row-major image form, in an array of the oracle's own
-    images = np.empty((len(X), T.codomain.n))
-    pnorm_into(np.matmul(X, T.entries.T, out=images), T.codomain.p, 1, norms)
+    # the row-major image form
+    norms = pnorm_into(X @ T.entries.T, T.codomain.p, 1)
     dists = MA.distance_to(X)
     delta = 0.5
     while delta >= DELTA_LAST:
@@ -351,12 +348,12 @@ def grid_face_row(space, resolution, pattern):
 
 def grid_sample(T, witness, resolution):
     """The certificate's sample on the sphere grid at `resolution`, (X,
-    image norms): this thread's grid buffers with `witness` as the last
-    row, as `_sample` builds them off l_1^n and l_inf^n."""
-    X, images, norms = _sample_buffers(T.domain, resolution, T.codomain.n)
-    X[-1] = witness.coords
-    pnorm_into(np.matmul(T.entries, X.T, out=images), T.codomain.pf, 0, norms)
-    return X, norms
+    image norms): the grid with `witness` as the last row, column-major
+    as `_sample` builds it off l_1^n and l_inf^n."""
+    grid = sphere_grid(T.domain, resolution)
+    X = np.empty((len(grid) + 1, T.domain.n), order="F")
+    X[:-1], X[-1] = grid, witness.coords
+    return X, pnorm_into(T.entries @ X.T, T.codomain.pf, 0)
 
 
 def grid_descent(M, top, eps, sample, resolution):

@@ -211,7 +211,7 @@ def test_l2_3_certificates_sample_no_grid(monkeypatch):
     def refuse(*args):
         raise AssertionError("the sphere grid was sampled")
 
-    monkeypatch.setattr(bpbverify, "_sample_buffers", refuse)
+    monkeypatch.setattr(bpbverify, "sphere_grid", refuse)
     s = l2(3)
     T, A, eps = triples()[1]
     assert verify_uniform_bpb(T, A, eps, resolution=16384).basis == "exact"

@@ -87,9 +87,7 @@ class TestNorm:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert pnorm(v, p) == pytest.approx(want, rel=1e-12)
-            out = np.empty(1)
-            pnorm_into(np.array(v)[:, None], p, 0, out)
-            assert out[0] == pytest.approx(want, rel=1e-12)
+            assert pnorm_into(np.array(v)[:, None], p, 0)[0] == pytest.approx(want, rel=1e-12)
 
     def test_dual_of_an_exponent_just_above_one(self):
         # q = 10^20 + 1, so ||.||_q is the sup norm to the last bit here
