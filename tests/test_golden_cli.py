@@ -59,6 +59,9 @@ golden certificate on an l_1^n domain) and `verify_linf5_exact` (a
 `linf_extreme_approx` triple on l_inf^5, whose 242 x 992 corner table
 exceeds the table's budget of 2^16 distances) were recorded before the
 corner table became immutable.
+`attain_linf5_double` (the l_inf^5 operator of `verify_linf5_exact`, whose
+set is 8 facets) was recorded before the maximal faces of an attained-face
+mask were memoised across operators.
 The four sampled `verify` cases were recorded before the grid's sample
 arrays stopped being kept per thread from call to call: they are the
 only goldens certified on the sphere grid.  `verify_l22_sampled` and
@@ -95,6 +98,7 @@ CASES = {
     "attain_linf2": (["attain", "--operator", "linf2_double.json"], 0),
     "norm_linf3_double": (["norm", "--operator", "linf3_double.json"], 0),
     "attain_linf3_double": (["attain", "--operator", "linf3_double.json"], 0),
+    "attain_linf5_double": (["attain", "--operator", "linf5_double.json"], 0),
     "classify_census": (["classify", "--operator", "census_block.json"], 0),
     "classify_linf3_double": (["classify", "--operator", "linf3_double.json"], 0),
     "classify_l13": (["classify", "--operator", "l13_mixed.json"], 0),
