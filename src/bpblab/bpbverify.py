@@ -58,6 +58,7 @@ from .spaces import (
     _arc_witness_table,
     _check_eps,
     _check_int,
+    _read_only,
     arc_length_constant,
     arc_length_total,
     face_distances,
@@ -249,6 +250,21 @@ class _CornerTable:
 # one table per (space, eps), for every operator, as corner_points
 _corner_table = lru_cache(maxsize=64)(_CornerTable)
 
+_CORNER_VECTORS_KEPT = 32  # (space, eps, faces) whose corner distances _corner_distances keeps
+
+
+@lru_cache(maxsize=_CORNER_VECTORS_KEPT)
+def _corner_distances(space: SpaceSpec, eps: float, rows: bytes) -> np.ndarray:
+    """The read distance from each corner of `_corner_table(space, eps)`
+    to the union of the faces of table rows `rows` (intp bytes), the
+    least entry of their table rows, read-only.  Memoised, so a set of
+    faces is measured once per eps, past the table's budget too, for
+    every operator attaining on it.  8 bytes a corner: 624 bytes up to
+    l_inf^3, 522 KB on l_inf^8 and 2.1 MB on l_inf^9 (16.7 MB and 67 MB
+    for _CORNER_VECTORS_KEPT of them)."""
+    D = _corner_table(space, eps).rows(np.frombuffer(rows, dtype=np.intp))
+    return _read_only(D.min(axis=0))
+
 
 def _exact_table(T: OperatorMatrix, eps: float) -> Optional[_CornerTable]:
     """`_corner_table` of T's domain at eps on a polyhedral pair, else
@@ -272,7 +288,7 @@ def _descent(M, top: float, eps: float, sample: _Sample):
     counterexample Point or None, basis).  When T's `HilbertSupplier`
     covers M, the exact g of its far set takes the levels; on "exact"
     polyhedral rows a row's distance is the least of its entries in the
-    table rows of M's faces."""
+    table rows of M's faces, `_corner_distances`."""
     profile = None if sample.hilbert is None else sample.hilbert.profile(M)
     if profile is not None:
         delta = _delta_level(profile.far_maximum(eps), top)
@@ -283,8 +299,7 @@ def _descent(M, top: float, eps: float, sample: _Sample):
     if sample.table is None:
         dists = M.distance_to(sample.rows)
     else:
-        rows = polyhedral_table(M.space).rows
-        dists = sample.table.rows([rows[f.pattern] for f in M.faces]).min(axis=0)
+        dists = _corner_distances(M.space, sample.table.eps, M._rows.tobytes())
     delta, worst, idx = delta_descent(sample.norms, dists, top, eps)
     z = None if idx is None else Point(sample.rows[idx], M.space)
     return delta, worst, z, sample.basis

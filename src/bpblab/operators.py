@@ -184,11 +184,24 @@ class AttainmentSet:
     points: Optional[np.ndarray] = None
     basis: Optional[np.ndarray] = None
 
+    @functools.cached_property
+    def _rows(self) -> np.ndarray:
+        """The faces' rows in `polyhedral_table(space)`, read-only, found
+        once; `attainment_set` sets its mask's rows here."""
+        rows = polyhedral_table(self.space).rows
+        return _read_only(np.array([rows[f.pattern] for f in self.faces], dtype=np.intp))
+
+    @functools.cached_property
+    def _patterns(self) -> np.ndarray:
+        """The faces' sign patterns, one int8 row each, read-only."""
+        P = np.array([f.pattern for f in self.faces], dtype=np.int8)
+        return _read_only(P.reshape(len(self.faces), self.space.n))
+
     def distance_to(self, X) -> np.ndarray:
         """Distance in the domain norm from each row of X to the set."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.kind == "faces":
-            D = face_distances(self.space, [f.pattern for f in self.faces], X)
+            D = face_distances(self.space, self._patterns, X)
             return D.min(axis=0, initial=np.inf)
         out = np.full(len(X), np.inf)
         if self.kind == "points":
@@ -221,7 +234,7 @@ class AttainmentSet:
             if any(f.dim for f in self.faces):
                 return None
             # a 0-dimensional face is the vertex its sign pattern names
-            return np.array([f.pattern for f in self.faces], dtype=float)
+            return self._patterns.astype(float)
         if self.subspace_dim > 1:
             return None
         return np.concatenate([self.basis.T, -self.basis.T])
@@ -230,7 +243,7 @@ class AttainmentSet:
         """Unit vectors representing the set, one row each."""
         if self.kind == "faces":
             table = polyhedral_table(self.space)
-            patterns = [f.pattern for f in self.faces]
+            patterns = self._patterns
             verts = table.vertices[face_containment(self.space, patterns, table.vertices).any(axis=0)]
             reps = face_barycentres(self.space, patterns)
             return np.unique(np.round(np.concatenate([reps, verts]), 12), axis=0)
@@ -265,7 +278,8 @@ def attainment_equal(a: AttainmentSet, b: AttainmentSet) -> bool:
     if a.space != b.space:
         return False
     if a.kind == "faces" and b.kind == "faces":
-        return {f.pattern for f in a.faces} == {f.pattern for f in b.faces}
+        # the sets of one attained-face mask share its faces tuple
+        return a.faces is b.faces or {f.pattern for f in a.faces} == {f.pattern for f in b.faces}
     if a.kind == "subspace" and b.kind == "subspace":
         if a.subspace_dim != b.subspace_dim:
             return False
@@ -509,22 +523,41 @@ def _attaining_faces(E: np.ndarray, values, domain: SpaceSpec, codomain: SpaceSp
     return _vertex_norms(E, B, codomain) >= np.asarray(values)[..., None] * (1.0 - TAU_EQ)
 
 
-_HOLDER_ROWS = 256  # hit faces per block when _maximal_faces counts holders
+_HOLDER_ROWS = 256  # hit faces per block when _mask_faces counts holders
+_MASKS_KEPT = 64  # attained-face masks whose maximal faces _mask_faces keeps
 
 
 def _maximal_faces(T: OperatorMatrix, value: float) -> tuple:
-    """The maximal faces of M_T on a polyhedral domain, ||T|| = value, as
-    the `PolyhedralTable.faces` objects."""
-    table = polyhedral_table(T.domain)
-    hit = _attaining_faces(T.entries, value, T.domain, T.codomain).nonzero()[0]
+    """The maximal faces of M_T on a polyhedral domain, ||T|| = value:
+    `_mask_faces` of the faces T attains on."""
+    hit = _attaining_faces(T.entries, value, T.domain, T.codomain)
+    return _mask_faces(T.domain, hit.tobytes())
+
+
+@functools.lru_cache(maxsize=_MASKS_KEPT)
+def _mask_faces(space: SpaceSpec, mask: bytes) -> tuple:
+    """(faces, rows) of the maximal faces among those the boolean `mask`,
+    over the `PolyhedralTable.patterns` rows of `space`, marks: the
+    `PolyhedralTable.faces` objects in row order and their rows, read-only.
+
+    Memoised on the mask's bytes, not on Face objects, so the operators
+    that attain on the same faces share one result.  An entry holds a key
+    of 3^n - 1 bytes and 16 bytes per maximal face (a tuple slot and an
+    intp row; the Face objects are the table's), and at most every face
+    is maximal: 112 KB an entry on l_inf^8 at worst, 7.1 MB for the
+    _MASKS_KEPT entries, and under 0.5 KB an entry up to n = 3.
+    """
+    table = polyhedral_table(space)
+    hit = np.flatnonzero(np.frombuffer(mask, dtype=bool))
     # a hit face is maximal when the only hit face holding it is itself;
     # the holders are counted _HOLDER_ROWS hit faces at a time, so the
     # containment grid has _HOLDER_ROWS rows, not one per hit face
     codes = table.codes[hit]
     holders = np.zeros(len(hit), dtype=np.intp)
     for i in range(0, len(hit), _HOLDER_ROWS):
-        holders += code_containment(T.domain, codes[i:i + _HOLDER_ROWS, None], codes).sum(axis=0)
-    return tuple(table.faces[i] for i in hit[holders == 1].tolist())
+        holders += code_containment(space, codes[i:i + _HOLDER_ROWS, None], codes).sum(axis=0)
+    rows = _read_only(hit[holders == 1])
+    return tuple(table.faces[i] for i in rows.tolist()), rows
 
 
 def orthogonal_complement(Q: np.ndarray) -> np.ndarray:
@@ -564,7 +597,10 @@ def _build_attainment_set(T: OperatorMatrix, entry: _Analysis) -> AttainmentSet:
     dom, value = T.domain, entry.value
     geometry = pair_geometry(dom, T.codomain)
     if geometry == "polyhedral":
-        return AttainmentSet("faces", value, dom, faces=_maximal_faces(T, value))
+        faces, rows = _maximal_faces(T, value)
+        M = AttainmentSet("faces", value, dom, faces=faces)
+        object.__setattr__(M, "_rows", rows)  # the mask's, so no set looks them up
+        return M
     if geometry == "hilbert":
         s, Vt = entry.data
         return AttainmentSet("subspace", value, dom, basis=_read_only(Vt[:top_singular_dim(s)].T.copy()))

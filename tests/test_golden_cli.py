@@ -86,6 +86,7 @@ from pathlib import Path
 
 import pytest
 
+from bpblab import bpbverify, operators
 from bpblab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -219,3 +220,29 @@ def test_demo_passes_every_check(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["failed"] == 0
     assert doc["checks"] and all(c["passed"] for c in doc["checks"])
+
+
+def polyhedral(argv):
+    """Whether a case runs on l_1^n or l_inf^n domains only: every operator
+    file's domain, or the `--pair` of an enumeration or sweep."""
+    if "--pair" in argv:
+        return not argv[argv.index("--pair") + 1].startswith("l2")
+    files = [json.loads((GOLDEN / a).read_text()) for a in argv if a.endswith(".json")]
+    return bool(files) and all(str(f["domain"]["p"]) in ("1", "inf") for f in files)
+
+
+def test_polyhedral_goldens_hold_on_warm_caches(capsys):
+    # twice in one process, in reverse sorted order, from cleared caches:
+    # a memoised mask or corner vector that a caller mutated, or that
+    # another case left behind, would change the bytes of a later case
+    names = sorted((n for n, (argv, _) in CASES.items() if polyhedral(argv)), reverse=True)
+    assert len(names) >= 20 and "attain_linf5_double" in names
+    operators._mask_faces.cache_clear()
+    bpbverify._corner_distances.cache_clear()
+    for _ in range(2):
+        for name in names:
+            argv, code = CASES[name]
+            assert main(golden_argv(argv)) == code, name
+            assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text(), name
+    assert operators._mask_faces.cache_info().hits > 0
+    assert bpbverify._corner_distances.cache_info().hits > 0
