@@ -36,6 +36,7 @@ from .operators import (
     TAU_VANISH,
     OperatorMatrix,
     _attaining_faces,
+    _mask_faces,
     _norm_value,
     _orthonormal_norm,
     _stacked_norms,
@@ -90,13 +91,13 @@ class BpbCertificate:
       g (`slemma`), and the counterexample is the maximiser of ||Tz||
       among the points at least eps from M_A.
     - "exact" on l_1^n and l_inf^n: the points are the corner set, their
-      distances read off the cached corner table of (space, eps), where a
-      distance within TAU_CORNER below eps reads as eps.  The corners hold
-      a maximiser of ||Tz|| among the points at least eps from M_A, not
-      one of the distance: the value is a lower bound that can lie far
-      below the supremum.  T = I and A = diag(1, 0.9) on l_inf^2 at eps
-      0.2 report 0.2, yet z = (0, -1) has ||Tz|| = 1 and lies 1.0 from
-      M_A.
+      distances to M_A's faces measured once per (space, eps, faces) and
+      cached (`_corner_distances`), where a distance within TAU_CORNER
+      below eps reads as eps.  The corners hold a maximiser of ||Tz||
+      among the points at least eps from M_A, not one of the distance:
+      the value is a lower bound that can lie far below the supremum.
+      T = I and A = diag(1, 0.9) on l_inf^2 at eps 0.2 report 0.2, yet
+      z = (0, -1) has ||Tz|| = 1 and lies 1.0 from M_A.
     """
 
     status: str  # "certified", "falsified"
@@ -157,14 +158,14 @@ def delta_descent(norms, dists, top: float, eps: float):
 
 class _Sample(NamedTuple):
     """The T side of the inclusion test: the rows z, their norms ||Tz||,
-    the `_CornerTable` whose corners the rows are (else None: `distance_to`
-    measures the rows), the certificate's `basis`, and on l_2^n (n >= 3)
-    T's `HilbertSupplier`, which decides every attainment set it covers
-    (no rows on n = 3)."""
+    the certificate's `basis`, and on l_2^n (n >= 3) T's
+    `HilbertSupplier`, which decides every attainment set it covers (no
+    rows on n = 3).  "exact" rows are the corner set at the caller's eps,
+    whose distances `_corner_distances` reads; `distance_to` measures
+    "sampled" rows."""
 
     rows: Optional[np.ndarray]
     norms: Optional[np.ndarray]
-    table: Optional[_CornerTable]
     basis: str
     hilbert: Optional[HilbertSupplier] = None
 
@@ -173,10 +174,10 @@ def _sample(
     T: OperatorMatrix,
     witness: Optional[Point],
     resolution: int,
-    table: Optional[_CornerTable],
+    corners: Optional[np.ndarray],
 ) -> _Sample:
-    """The sample of T's geometry.  With `table`, `_exact_table(T, eps)`:
-    its corners at eps, which hold every vertex ("exact").  On l_2^n ->
+    """The sample of T's geometry.  With `corners`, `_exact_table(T, eps)`:
+    the corner set at eps, which holds every vertex ("exact").  On l_2^n ->
     l_2^m with n >= 3, T's `HilbertSupplier` ("exact"); it covers every
     attainment set on n = 3, and on n >= 4 the grid below stands by for
     those of dimension 2 to n - 2.  Else the sphere grid at `resolution`
@@ -185,17 +186,17 @@ def _sample(
     a time, and the l_2^n subspace distance's product on it takes its
     bits from that layout.  A `witness` of None is op_norm's, built only
     here, where a sample reads it."""
-    if table is not None:
-        return _Sample(table.corners, T.image_norms(table.corners), table, "exact")
+    if corners is not None:
+        return _Sample(corners, T.image_norms(corners), "exact")
     hilbert = None
     if T.domain.n >= 3 and pair_geometry(T.domain, T.codomain) == "hilbert":
         hilbert = HilbertSupplier(T)
         if T.domain.n == 3:
-            return _Sample(None, None, None, "exact", hilbert)
+            return _Sample(None, None, "exact", hilbert)
     grid = sphere_grid(T.domain, resolution)
     X = np.empty((len(grid) + 1, T.domain.n), order="F")
     X[:-1], X[-1] = grid, (op_norm(T)[1] if witness is None else witness).coords
-    return _Sample(X, T.image_norms(X), None, "sampled", hilbert)
+    return _Sample(X, T.image_norms(X), "sampled", hilbert)
 
 
 def _far_from(eps: float) -> float:
@@ -204,70 +205,28 @@ def _far_from(eps: float) -> float:
     return max(eps - TAU_CORNER, math.ulp(0.0))
 
 
-_CORNER_DISTANCES_KEPT = 2 ** 16  # the most distances a _CornerTable holds: 512 KB, masks 256 KB
-
-
-class _CornerTable:
-    """The corners of `corner_points(space, eps)` and their distances to
-    the faces of the ball, read by face row in `polyhedral_table(space)`
-    order, a distance in [`_far_from(eps)`, eps) read as eps.  The rule
-    is monotone, so it commutes with the least entry over the faces of M:
-    that is the corner's distance to M read by the rule, bit for bit.
-    A face's near mask is 1.0 (float32) where the read distance is below
-    eps, else 0.0, so a product of masks counts near faces exactly.
-
-    When the ball's 3^n - 1 face rows fit in _CORNER_DISTANCES_KEPT
-    distances (at every eps on l_1^n up to n = 3 and l_inf^n up to n = 4),
-    `__init__` measures every row and mask once and holds them read-only,
-    so threads share a table without a lock.  Past that (3.4 GB on
-    l_inf^8) a table holds none, and each read measures its faces.
-    """
-
-    def __init__(self, space: SpaceSpec, eps: float):
-        self.space, self.eps = space, eps
-        self.corners = corner_points(space, eps)
-        self._dists = self._near = None
-        faces = 3 ** space.n - 1
-        if faces * len(self.corners) <= _CORNER_DISTANCES_KEPT:
-            self._dists, self._near = self._measure(np.arange(faces))
-            self._dists.flags.writeable = self._near.flags.writeable = False
-
-    def _measure(self, faces):
-        """The read distances and near masks of the faces of rows `faces`."""
-        D = face_distances(self.space, polyhedral_table(self.space).patterns[faces], self.corners)
-        np.copyto(D, self.eps, where=(D < self.eps) & (D >= _far_from(self.eps)))
-        return D, (D < self.eps).astype(np.float32)
-
-    def rows(self, faces) -> np.ndarray:
-        """D[k, i]: the read distance from corner i to the face of row faces[k]."""
-        return self._measure(faces)[0] if self._dists is None else self._dists.take(faces, axis=0)
-
-    def near(self, faces) -> np.ndarray:
-        """N[k, i]: the near mask of corner i at the face of row faces[k]."""
-        return self._measure(faces)[1] if self._near is None else self._near.take(faces, axis=0)
-
-
-# one table per (space, eps), for every operator, as corner_points
-_corner_table = lru_cache(maxsize=64)(_CornerTable)
-
 _CORNER_VECTORS_KEPT = 32  # (space, eps, faces) whose corner distances _corner_distances keeps
 
 
 @lru_cache(maxsize=_CORNER_VECTORS_KEPT)
 def _corner_distances(space: SpaceSpec, eps: float, rows: bytes) -> np.ndarray:
-    """The read distance from each corner of `_corner_table(space, eps)`
-    to the union of the faces of table rows `rows` (intp bytes), the
-    least entry of their table rows, read-only.  Memoised, so a set of
-    faces is measured once per eps, past the table's budget too, for
-    every operator attaining on it.  8 bytes a corner: 624 bytes up to
-    l_inf^3, 522 KB on l_inf^8 and 2.1 MB on l_inf^9 (16.7 MB and 67 MB
-    for _CORNER_VECTORS_KEPT of them)."""
-    D = _corner_table(space, eps).rows(np.frombuffer(rows, dtype=np.intp))
-    return _read_only(D.min(axis=0))
+    """The read distance from each corner of `corner_points(space, eps)`
+    to the union of the faces of `polyhedral_table(space)` rows `rows`
+    (intp bytes), read-only: the least `face_distances` entry over those
+    faces, a distance in [`_far_from(eps)`, eps) read as eps.  The rule is
+    monotone, so reading each entry before the least one gives the same
+    bits.  Memoised, so a set of faces is measured once per eps for every
+    operator attaining on it.  8 bytes a corner: 624 bytes up to l_inf^3,
+    522 KB on l_inf^8 and 2.1 MB on l_inf^9 (16.7 MB and 67 MB for
+    _CORNER_VECTORS_KEPT of them)."""
+    patterns = polyhedral_table(space).patterns[np.frombuffer(rows, dtype=np.intp)]
+    D = face_distances(space, patterns, corner_points(space, eps)).min(axis=0)
+    np.copyto(D, eps, where=(D < eps) & (D >= _far_from(eps)))
+    return _read_only(D)
 
 
-def _exact_table(T: OperatorMatrix, eps: float) -> Optional[_CornerTable]:
-    """`_corner_table` of T's domain at eps on a polyhedral pair, else
+def _exact_table(T: OperatorMatrix, eps: float) -> Optional[np.ndarray]:
+    """`corner_points` of T's domain at eps on a polyhedral pair, else
     None.  Each certificate entry asks it once, before any norm, and
     passes it to `_sample`, so a polyhedral domain without corner set
     (l_1^n, n >= 4) is refused up front, with UnsupportedPairError naming
@@ -275,7 +234,7 @@ def _exact_table(T: OperatorMatrix, eps: float) -> Optional[_CornerTable]:
     if pair_geometry(T.domain, T.codomain) != "polyhedral":
         return None
     try:
-        return _corner_table(T.domain, eps)
+        return corner_points(T.domain, eps)
     except UnsupportedSpaceError as exc:
         raise UnsupportedPairError(
             f"no exact certificate for {T.domain} -> {T.codomain}: {exc}"
@@ -287,8 +246,8 @@ def _descent(M, top: float, eps: float, sample: _Sample):
     `top`, against the attainment set M: (delta, worst distance,
     counterexample Point or None, basis).  When T's `HilbertSupplier`
     covers M, the exact g of its far set takes the levels; on "exact"
-    polyhedral rows a row's distance is the least of its entries in the
-    table rows of M's faces, `_corner_distances`."""
+    polyhedral rows, the corners at eps, `_corner_distances` of M's
+    faces."""
     profile = None if sample.hilbert is None else sample.hilbert.profile(M)
     if profile is not None:
         delta = _delta_level(profile.far_maximum(eps), top)
@@ -296,10 +255,10 @@ def _descent(M, top: float, eps: float, sample: _Sample):
             worst = profile.worst_distance(top - top * DELTA_LAST)
             return None, worst, profile.far_point(eps), "exact"
         return delta, profile.worst_distance(top - delta), None, "exact"
-    if sample.table is None:
+    if sample.basis == "sampled":
         dists = M.distance_to(sample.rows)
     else:
-        dists = _corner_distances(M.space, sample.table.eps, M._rows.tobytes())
+        dists = _corner_distances(M.space, eps, M._rows.tobytes())
     delta, worst, idx = delta_descent(sample.norms, dists, top, eps)
     z = None if idx is None else Point(sample.rows[idx], M.space)
     return delta, worst, z, sample.basis
@@ -342,12 +301,12 @@ def delta_for_epsilon(
     """
     resolution = _check_int(resolution, "resolution", 0)
     _check_eps(eps, hi=math.inf)
-    table = _exact_table(T, eps)  # refuses before any norm
+    corners = _exact_table(T, eps)  # refuses before any norm
     M = attainment_set(T)
     # the set's first row, not op_norm's witness (another of its points on
     # l_p^2), keeps the sample's bits
-    witness = None if table is not None else Point(M.representative_points()[0], T.domain)
-    delta, _, z, _ = _descent(M, M.value, eps, _sample(T, witness, resolution, table))
+    witness = None if corners is not None else Point(M.representative_points()[0], T.domain)
+    delta, _, z, _ = _descent(M, M.value, eps, _sample(T, witness, resolution, corners))
     return DeltaSearch(delta is not None, delta, z, resolution)
 
 
@@ -367,11 +326,11 @@ def verify_uniform_bpb(
     """
     resolution = _check_int(resolution, "resolution", 0)
     _check_eps(eps, hi=math.inf)
-    table = _exact_table(T, eps)  # refuses before any norm
+    corners = _exact_table(T, eps)  # refuses before any norm
     check_norm_one(_norm_value(T), "T")
     MA = norm_one_attainment_set(A, "A")
     dist, _ = op_norm(T - A)
-    sample = _sample(T, None, resolution, table)
+    sample = _sample(T, None, resolution, corners)
     return _inclusion_certificate(MA, dist, eps, resolution, sample)
 
 
@@ -434,27 +393,26 @@ def _halving_search(T: OperatorMatrix, D: np.ndarray, eps: float):
     return cands, dists, found
 
 
-def _polyhedral_screen(C: np.ndarray, dom: SpaceSpec, cod: SpaceSpec, sample: _Sample):
+def _polyhedral_screen(C: np.ndarray, dom: SpaceSpec, cod: SpaceSpec, eps: float, sample: _Sample):
     """||A|| of every candidate A of the stack C on a polyhedral domain, and
-    whether `_inclusion_certificate` certifies A against the T-side
+    whether `_inclusion_certificate` certifies A at eps against the T-side
     `sample` when ||A|| is 1, decided without building an attainment set.
 
-    A attains on the faces `_attaining_faces` names, as in
-    `attainment_set`.  A face is no farther from a point than its
-    subfaces, so a row lies near M_A iff it lies near one of these faces,
-    maximal or not: one float32 product of the hit faces by their near
-    masks in the sample's corner table counts, for each candidate and
-    corner, the faces the corner lies near, exactly, as the counts are
-    small integers.  It gives each candidate's g, the largest image norm
-    among the rows not near, and A certifies iff g passes some level of
-    the delta grid, g <= 1 - DELTA_LAST.
+    A attains on the faces `_attaining_faces` names, so M_A is the union of
+    that mask's maximal faces (`_mask_faces`), and the corners' distances
+    to it are `_corner_distances` of their rows, as `_descent` reads them.
+    Each distinct mask of the block is looked up once, and one masked
+    maximum over the stacked distances gives each candidate's g, the
+    largest image norm among the corners not below eps: A certifies iff g
+    passes some level of the delta grid, g <= 1 - DELTA_LAST.
     """
     values = _stacked_norms(C, dom, cod, "polyhedral")
     hit = _attaining_faces(C, values, dom, cod)
-    used = np.flatnonzero(hit.any(axis=0))
-    blocked = hit[:, used].astype(np.float32) @ sample.table.near(used) > 0.0
-    g = np.where(blocked, -np.inf, sample.norms).max(axis=1)
-    return values, g <= 1.0 - DELTA_LAST
+    masks = {}  # each distinct mask's bytes, in first-seen order
+    at = [masks.setdefault(m.tobytes(), len(masks)) for m in hit]
+    D = np.array([_corner_distances(dom, eps, _mask_faces(dom, m)[1].tobytes()) for m in masks])
+    g = np.where(D < eps, -np.inf, sample.norms).max(axis=1)
+    return values, (g <= 1.0 - DELTA_LAST)[at]
 
 
 def is_only_approximation(
@@ -475,7 +433,9 @@ def is_only_approximation(
     same stream as one draw per trial), with the halving search of the
     block in lockstep and the candidates verified in trial order against
     one sample of T.  On polyhedral domains one stacked screen
-    (`_polyhedral_screen`) decides every candidate of a block; with the
+    (`_polyhedral_screen`) decides every candidate of a block from the
+    cached corner distances of its maximal faces, the ones its
+    certificate reads, so a repeated search measures no face; with the
     A != T and norm-one masks it leaves only the candidates that raise or
     certify to visit, and only the first that certifies gets its
     attainment set and certificate.  On l_p^2 domains, where op_norms
@@ -486,13 +446,13 @@ def is_only_approximation(
     trials = _check_int(trials, "trials", 1)
     seed = _check_int(seed, "seed", 0)
     resolution = _check_int(resolution, "resolution", 0)
-    table = _exact_table(T, eps)  # refuses before any norm
+    corners = _exact_table(T, eps)  # refuses before any norm
     check_norm_one(_norm_value(T), "T")
     dom, cod = T.domain, T.codomain
     geometry = pair_geometry(dom, cod)
     block = 1 if geometry == "lp2" else TRIAL_BLOCK
     rng = np.random.default_rng(seed)
-    sample = _sample(T, None, resolution, table)
+    sample = _sample(T, None, resolution, corners)
     for start in range(0, trials, block):
         D = rng.standard_normal((min(block, trials - start), *T.entries.shape))
         cands, dists, found = _halving_search(T, D, eps)
@@ -502,7 +462,7 @@ def is_only_approximation(
         C = cands[idx]
         visit = np.abs(C - T.entries).max(axis=(1, 2)) >= TAU_SAME
         if geometry == "polyhedral":
-            values, certifies = _polyhedral_screen(C, dom, cod, sample)
+            values, certifies = _polyhedral_screen(C, dom, cod, eps, sample)
             visit &= certifies | (np.abs(values - 1.0) > operators.TAU_NORM_ONE)
         for j in np.flatnonzero(visit):
             if geometry == "polyhedral":

@@ -124,7 +124,6 @@ def lp(p, n: int) -> SpaceSpec:
 # before the power.  At or below it every |v_i| in [1e-9, 1e9] has its p-th
 # power in the normal float range, so the unscaled bits cost one compare.
 UNSCALED_P_MAX = 32.0
-_TINY = float(np.finfo(float).tiny)  # the least positive normal float
 
 
 def pnorm(v, p: Exponent, axis: int = -1):
@@ -132,19 +131,21 @@ def pnorm(v, p: Exponent, axis: int = -1):
     coordinate-major, shape (m, rows) with axis=0, so that each pass is one
     contiguous run over the rows, not one tiny loop per row of length m.
 
-    For one vector and 1 < p <= UNSCALED_P_MAX, a norm below tiny^(1/p)
-    or equal to inf may have lost its sum of powers to under- or overflow,
-    so it is measured again scaled by the largest entry, as `pnorm_into`
-    does above UNSCALED_P_MAX; every other norm keeps its unscaled bits,
-    and only a norm past the float range warns.  A batch keeps the
-    unscaled form: the guard doubled the time of a 3 x 7 batch."""
+    For one vector and 1 < p <= UNSCALED_P_MAX, a norm outside
+    [2^-34, 2^34] is measured again scaled by the largest entry, as
+    `pnorm_into` does above UNSCALED_P_MAX: its sum of powers may have
+    under- or overflowed, and the root's exponent 1/p, rounded, is off by
+    a relative ulp times |ln ||v|||, about 3e-14 at 1e200.  Every other
+    norm keeps its unscaled bits, and only a norm past the float range
+    warns.  A batch keeps the unscaled form: the guard doubled the time
+    of a 3 x 7 batch."""
     x = np.array(v, dtype=float)
     pf = float(p)
     if x.ndim != 1 or not 1.0 < pf <= UNSCALED_P_MAX:
         return pnorm_into(x, pf, axis)
     with np.errstate(over="ignore"):
         out = pnorm_into(x, pf, axis)
-    if _TINY ** (1.0 / pf) <= out < INF:
+    if 2.0 ** -34 <= out <= 2.0 ** 34:
         return out
     return _scaled_into(np.array(v, dtype=float), pf, axis)  # x is scratch now
 

@@ -7,9 +7,10 @@ l_1 sum on l_inf^n -> l_inf^m (m >= 2).  The reference is the kernel it
 replaced, the image norms at every vertex of the domain ball from one
 matmul, whose bits op_norm keeps on l_inf^n domains.  The rigidity screen
 `bpbverify._polyhedral_screen` blocks the corners near a candidate's
-attaining faces by one float32 product of the corner table's near masks;
-the reference is the screen it replaced, a boolean matmul of masks read
-from face distances measured afresh.  Each must agree bit for bit.
+maximal attaining faces by their cached distances, `_corner_distances`;
+the reference is an earlier screen, a boolean matmul of masks read from
+face distances to every attaining face measured afresh.  Each must agree
+bit for bit.
 """
 
 import numpy as np
@@ -19,7 +20,6 @@ from bpblab import bpbverify, operators
 from bpblab.bpbverify import (
     DELTA_LAST,
     TRIAL_BLOCK,
-    _corner_table,
     _exact_table,
     _far_from,
     _halving_search,
@@ -131,11 +131,10 @@ def test_the_closed_forms_skip_the_vertex_matmul(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def boolean_screen(C, dom, cod, sample):
+def boolean_screen(C, dom, cod, eps, sample):
     """The screen before the float32 product: the vertex kernel's norms,
     near masks from face distances measured afresh under the far rule,
     and numpy's boolean matmul."""
-    eps = sample.table.eps
     values = vertex_stacked_norms(C, dom, cod)
     hit = _attaining_faces(C, values, dom, cod)
     used = np.flatnonzero(hit.any(axis=0))
@@ -170,41 +169,33 @@ def test_screen_equals_the_boolean_screen(s):
     outcomes = set()
     for T, eps, C in screen_blocks(s):
         sample = _sample(T, require_norm_one(T)[1], 256, _exact_table(T, eps))
-        values, certifies = _polyhedral_screen(C, s, s, sample)
-        want_values, want = boolean_screen(C, s, s, sample)
+        values, certifies = _polyhedral_screen(C, s, s, eps, sample)
+        want_values, want = boolean_screen(C, s, s, eps, sample)
         assert bits(values) == bits(want_values)
         assert certifies.tolist() == want.tolist(), (T, eps)
         outcomes.update(want.tolist())
     assert outcomes == {True, False}
 
 
-@pytest.mark.parametrize("s", [linf(3), l1(3)], ids=repr)
-def test_near_masks_are_the_read_distances_below_eps(s):
-    rng = np.random.default_rng(7)
-    for eps in (1e-15, 0.3, 1.0, 2.0):
-        table = _corner_table(s, eps)
-        for _ in range(6):
-            faces = rng.choice(3 ** s.n - 1, size=rng.integers(1, 9))
-            near = table.near(faces)
-            assert near.dtype == np.float32
-            assert bits(near) == bits((table.rows(faces) < eps).astype(np.float32))
-
-
-def test_screen_on_l_inf_8_holds_no_masks():
-    # the corners of l_inf^8 at eps 0.2 are 65,280, past the budget of
-    # 2^16 distances with the 6560 faces: the table holds no rows, and the
-    # screen measures the masks of the faces its block uses
+def test_screen_on_l_inf_8_holds_no_masks(monkeypatch):
+    # the corners of l_inf^8 at eps 0.2 are 65,280, with 6560 faces: no
+    # face mask is held, and the screen measures the maximal faces of each
+    # distinct attained-face mask of its block once
     s, eps = linf(8), 0.2
     T = operator(np.eye(8), s, s)
     D = np.random.default_rng(8).standard_normal((6, 8, 8))
     cands, _, found = _halving_search(T, D, eps)
     C = cands[found]
     sample = _sample(T, None, 0, _exact_table(T, eps))
-    table = sample.table
-    assert len(table.corners) == 65280
-    values, certifies = _polyhedral_screen(C, s, s, sample)
-    want_values, want = boolean_screen(C, s, s, sample)
+    assert len(sample.rows) == 65280
+    calls = []
+    real = bpbverify.face_distances
+    monkeypatch.setattr(bpbverify, "face_distances", lambda *a: calls.append(1) or real(*a))
+    bpbverify._corner_distances.cache_clear()
+    values, certifies = _polyhedral_screen(C, s, s, eps, sample)
+    want_values, want = boolean_screen(C, s, s, eps, sample)
     assert bits(values) == bits(want_values) and certifies.tolist() == want.tolist()
-    used = np.flatnonzero(_attaining_faces(C, values, s, s).any(axis=0))
+    hit = _attaining_faces(C, values, s, s)
+    used = np.flatnonzero(hit.any(axis=0))
     assert len(used) > 1
-    assert table._near is None and table._dists is None
+    assert len(calls) == len(np.unique(hit, axis=0))

@@ -956,7 +956,7 @@ def test_polyhedral_screen_decides_each_candidate_as_its_certificate():
         cands, dists, found = _halving_search(T, D, eps)
         witness = require_norm_one(T)[1]
         sample = _sample(T, witness, resolution, _exact_table(T, eps))
-        values, certifies = _polyhedral_screen(cands[found], T.domain, T.codomain, sample)
+        values, certifies = _polyhedral_screen(cands[found], T.domain, T.codomain, eps, sample)
         grid = grid_sample(T, witness, resolution)
         grid_values, grid_certifies = grid_screen(cands[found], T.domain, T.codomain, grid, eps)
         assert np.array_equal(values, grid_values)

@@ -1,13 +1,12 @@
 """Differential tests of the cached polyhedral certificate tables.
 
 The exact certificate on l_1^n and l_inf^n reads each corner's distance to
-M_A off one cached table per (space, eps), `bpbverify._corner_table`,
-which holds every face row when the ball's rows fit its budget and
-measures the faces of each read past it, and the norm memo
+M_A off one cached vector per (space, eps, faces of M_A),
+`bpbverify._corner_distances`, and the norm memo
 `operators._norm_analysis` holds ||T||, its maximising vertex and M_T's
 maximal faces on polyhedral pairs.  The references are
 the forms they replaced, kept here verbatim in logic: `face_distances`
-with the far rule applied after it, the descent that measures every
+with the far rule applied to every entry, the descent that measures every
 corner by `AttainmentSet.distance_to`, the rigidity screen that builds its
 own face distances, and the halving search through the public
 `op_norms`.  Each must agree with the library bit for bit.
@@ -27,8 +26,7 @@ from bpblab.approximants import l1_extreme_approx, linf3_l13_extreme_approx, lin
 from bpblab.bpbverify import (
     SWEEP_PAIRS,
     BpbCertificate,
-    _corner_table,
-    _CornerTable,
+    _corner_distances,
     _exact_table,
     _far_from,
     _halving_search,
@@ -72,74 +70,54 @@ def far_rule_table(s, eps):
     return D
 
 
+def corner_distances(s, eps, rows):
+    """`_corner_distances` of the faces of table rows `rows`."""
+    return _corner_distances(s, eps, np.asarray(rows, dtype=np.intp).tobytes())
+
+
 WHOLE = [l1(1), l1(2), l1(3), linf(1), linf(2), linf(3), linf(4)]
 
 
 @pytest.mark.parametrize("s", WHOLE, ids=repr)
-def test_table_is_face_distances_with_the_far_rule(s):
-    # every ball whose table fits the budget at every eps is measured whole
+def test_corner_distances_are_face_distances_with_the_far_rule(s):
+    # every face alone, all faces, and rows out of order and repeated
     faces = polyhedral_table(s).faces
     every = list(range(len(faces)))
     for eps in EPS + np.random.default_rng(83).uniform(0.0, 2.0, 6).tolist():
-        table = _corner_table(s, eps)
-        assert _corner_table(s, eps) is table
-        assert bits(table.corners) == bits(corner_points(s, eps))
         want = far_rule_table(s, eps)
-        assert want.size <= bpbverify._CORNER_DISTANCES_KEPT
-        assert bits(table._dists) == bits(want), eps
-        assert bits(table._near) == bits((want < eps).astype(np.float32)), eps
+        assert corner_distances(s, eps, every) is corner_distances(s, eps, every)
+        assert bits(corner_distances(s, eps, every)) == bits(want.min(axis=0)), eps
         # one face at a time, as a set of that face alone measures it
         Z = corner_points(s, eps)
         for k in every:
             d = face_distances(s, [faces[k].pattern], Z)[0]
             np.copyto(d, eps, where=(d < eps) & (d >= _far_from(eps)))
-            assert bits(table.rows([k])[0]) == bits(d) == bits(want[k]), (eps, faces[k])
-        assert bits(table.rows(every)) == bits(want), eps
-        # out of order and repeated
+            assert bits(corner_distances(s, eps, [k])) == bits(d) == bits(want[k]), (eps, faces[k])
         for rows in ([1, 0, 1], every[::-1], [1, 1]):
-            assert bits(table.rows(rows)) == bits(want[rows])
+            assert bits(corner_distances(s, eps, rows)) == bits(want[rows].min(axis=0))
 
 
-@pytest.mark.parametrize("s", [linf(3), l1(3)], ids=repr)
-def test_table_past_its_budget_measures_each_read(s, monkeypatch):
-    eps, rng = 0.3, np.random.default_rng(79)
-    want = far_rule_table(s, eps)
-    monkeypatch.setattr(bpbverify, "_CORNER_DISTANCES_KEPT", want.size - 1)
-    table = _CornerTable(s, eps)
-    assert table._dists is None and table._near is None
-    for _ in range(12):
-        rows = rng.choice(len(want), size=rng.integers(1, 6)).tolist()
-        assert bits(table.rows(rows)) == bits(want[rows])
-        assert bits(table.near(rows)) == bits((want[rows] < eps).astype(np.float32))
-
-
-def test_table_on_l_inf_8_measures_the_faces_it_reads():
-    # 6560 faces by 65,280 corners: no table is held, each read measures
+def test_corner_distances_on_l_inf_8_measure_the_faces_they_read():
+    # 6560 faces by 65,280 corners: only the faces read are measured
     s, eps, rng = linf(8), 0.2, np.random.default_rng(8)
-    table = _corner_table(s, eps)
-    assert table._dists is None and table._near is None
     patterns = polyhedral_table(s).patterns
+    Z = corner_points(s, eps)
     for _ in range(3):
         rows = rng.choice(len(patterns), size=3).tolist()
-        want = face_distances(s, patterns[rows], table.corners)
+        want = face_distances(s, patterns[rows], Z)
         np.copyto(want, eps, where=(want < eps) & (want >= _far_from(eps)))
-        assert bits(table.rows(rows)) == bits(want)
-        assert bits(table.near(rows)) == bits((want < eps).astype(np.float32))
+        assert bits(corner_distances(s, eps, rows)) == bits(want.min(axis=0))
 
 
 @pytest.mark.parametrize("s", [linf(3), l1(3)], ids=repr)
-def test_table_arrays_are_read_only_and_reads_are_copies(s):
-    table = _corner_table(s, 0.3)
+def test_corner_distances_are_read_only(s):
     want = far_rule_table(s, 0.3)
-    for held in (table._dists, table._near):
+    for rows in ([0], [2, 5], list(range(len(want)))):
+        held = corner_distances(s, 0.3, rows)
         assert not held.flags.writeable
         with pytest.raises(ValueError):
-            held[0, 0] = -1.0
-    every = list(range(len(want)))
-    table.rows(every)[:] = -1.0  # the caller's copies, not the held rows
-    table.near(every)[:] = -1.0
-    assert bits(table.rows(every)) == bits(want)
-    assert bits(table.near(every)) == bits((want < 0.3).astype(np.float32))
+            held[0] = -1.0
+        assert bits(corner_distances(s, 0.3, rows)) == bits(want[rows].min(axis=0))
 
 
 @pytest.mark.parametrize("s", POLYHEDRAL, ids=repr)
@@ -154,7 +132,7 @@ def test_least_row_over_faces_is_distance_to_with_the_far_rule(s):
             M = operators.AttainmentSet("faces", 1.0, s, faces=tuple(table.faces[i] for i in rows))
             want = M.distance_to(Z)
             np.copyto(want, eps, where=(want < eps) & (want >= _far_from(eps)))
-            assert bits(_corner_table(s, eps).rows(rows.tolist()).min(axis=0)) == bits(want)
+            assert bits(corner_distances(s, eps, rows)) == bits(want)
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +301,14 @@ def test_falsified_certificates_equal_the_distance_to_descent():
 # ---------------------------------------------------------------------------
 
 
-def reference_screen(C, dom, cod, sample):
+def reference_screen(C, dom, cod, eps, sample):
     """The screen before the corner table: face distances of the corners
     to the faces some candidate attains on, near below `_far_from(eps)`."""
     values = op_norms(C, dom, cod)
     hit = _attaining_faces(C, values, dom, cod)
     used = np.flatnonzero(hit.any(axis=0))
     D = face_distances(dom, polyhedral_table(dom).patterns[used], sample.rows)
-    near = D < _far_from(sample.table.eps)
+    near = D < _far_from(eps)
     g = np.where(hit[:, used] @ near, -np.inf, sample.norms).max(axis=1)
     return values, g <= 1.0 - 2.0 ** -19
 
@@ -509,8 +487,8 @@ def test_screen_equals_the_face_distance_screen():
         if not len(C):
             continue
         sample = _sample(T, None, 256, _exact_table(T, eps))
-        values, certifies = _polyhedral_screen(C, T.domain, T.codomain, sample)
-        want_values, want = reference_screen(C, T.domain, T.codomain, sample)
+        values, certifies = _polyhedral_screen(C, T.domain, T.codomain, eps, sample)
+        want_values, want = reference_screen(C, T.domain, T.codomain, eps, sample)
         assert bits(values) == bits(want_values)
         assert certifies.tolist() == want.tolist(), (T, eps)
         outcomes.update(want.tolist())
@@ -606,16 +584,13 @@ def test_cli_verify_names_the_pair_without_corner_set(tmp_path, capsys):
     assert "l_1^4 -> l_1^4" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("budget", [None, 0], ids=["whole", "past-budget"])
-def test_threads_reading_one_table_get_the_far_rule_rows(budget, monkeypatch):
-    # more threads than cores read one table, held whole or measured on
-    # each read; nothing in it changes after __init__, so no read can see
+def test_threads_reading_corner_distances_get_the_far_rule_rows():
+    # more threads than cores read and evict the one cache from empty;
+    # nothing in an entry changes after it is made, so no read can see
     # another's work half done
     s, eps = linf(3), 0.3
     want = far_rule_table(s, eps)
-    if budget is not None:
-        monkeypatch.setattr(bpbverify, "_CORNER_DISTANCES_KEPT", budget)
-    table = _CornerTable(s, eps)
+    bpbverify._corner_distances.cache_clear()
     wrong = []
 
     def reader(seed):
@@ -623,7 +598,7 @@ def test_threads_reading_one_table_get_the_far_rule_rows(budget, monkeypatch):
         for _ in range(300):
             rows = rng.choice(len(want), size=rng.integers(1, 5)).tolist()
             try:
-                if bits(table.rows(rows)) != bits(want[rows]):
+                if bits(corner_distances(s, eps, rows)) != bits(want[rows].min(axis=0)):
                     wrong.append(rows)
             except Exception as exc:
                 wrong.append(exc)

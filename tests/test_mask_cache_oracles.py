@@ -16,7 +16,7 @@ from test_corner_table_oracles import certify_tasks, far_rule_table, sweep
 
 from bpblab import bpbverify, operators
 from bpblab.approximants import linf3_l13_extreme_approx, linf_extreme_approx
-from bpblab.bpbverify import _corner_distances, _corner_table, verify_uniform_bpb
+from bpblab.bpbverify import _corner_distances, is_only_approximation, verify_uniform_bpb
 from bpblab.classify import enumerate_extreme_linf3_l13
 from bpblab.operators import (
     AttainmentSet,
@@ -194,14 +194,10 @@ def test_first_pass_hits_come_from_shared_faces():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("budget", [None, 0], ids=["whole", "past-budget"])
-def test_corner_distances_are_the_least_far_rule_row(budget, monkeypatch):
-    if budget is not None:
-        monkeypatch.setattr(bpbverify, "_CORNER_DISTANCES_KEPT", budget)
+def test_corner_distances_are_the_least_far_rule_row():
     rng = np.random.default_rng(5)
     for s in (linf(2), linf(3), l1(2), l1(3)):
         for eps in (1e-12, 0.05, 0.3, 1.0, 2.0):
-            _corner_table.cache_clear()
             bpbverify._corner_distances.cache_clear()
             want = far_rule_table(s, eps)
             for _ in range(6):
@@ -209,7 +205,6 @@ def test_corner_distances_are_the_least_far_rule_row(budget, monkeypatch):
                 got = _corner_distances(s, eps, rows.astype(np.intp).tobytes())
                 assert not got.flags.writeable
                 assert got.tobytes() == want[rows].min(axis=0).tobytes(), (s, eps, rows)
-    _corner_table.cache_clear()
     bpbverify._corner_distances.cache_clear()
 
 
@@ -222,19 +217,37 @@ def row_condition_triple(n):
     return T, linf_extreme_approx(T, 0.3).approximant
 
 
-@pytest.mark.parametrize("n", [5, 6])
-def test_a_repeated_verify_past_the_budget_measures_no_face(n, monkeypatch):
-    T, A = row_condition_triple(n)
-    s = T.domain
-    table = _corner_table(s, 0.3)
-    assert table._dists is None  # past the budget: each read measures
+def count_face_distances(monkeypatch):
+    """The list that each later `face_distances` call of the certificates
+    appends to."""
     calls = []
     real = bpbverify.face_distances
     monkeypatch.setattr(bpbverify, "face_distances", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_a_repeated_verify_measures_no_face(n, monkeypatch):
+    T, A = row_condition_triple(n)
+    calls = count_face_distances(monkeypatch)
     bpbverify._corner_distances.cache_clear()
     first = verify_uniform_bpb(T, A, 0.3)
     assert first.certified and len(calls) == 1
     calls.clear()
     second = verify_uniform_bpb(T, A, 0.3)
+    assert not calls
+    assert second == first
+
+
+def test_a_repeated_rigidity_search_measures_no_face(monkeypatch):
+    # the screen reads the same cached corner distances as the
+    # certificates, so only the first search measures faces
+    T, _ = row_condition_triple(5)
+    calls = count_face_distances(monkeypatch)
+    bpbverify._corner_distances.cache_clear()
+    first = is_only_approximation(T, 0.3, trials=4, seed=3)
+    assert calls
+    calls.clear()
+    second = is_only_approximation(T, 0.3, trials=4, seed=3)
     assert not calls
     assert second == first

@@ -1,10 +1,11 @@
 """`pnorm` outside the range of its unscaled sums.
 
 For 1 < p <= UNSCALED_P_MAX `pnorm` sums |v_i|^p unscaled, whose powers
-under- or overflow far from 1.  The norm of one vector that lies below
-tiny^(1/p) or is inf is measured again scaled by its largest entry.  The
-reference is the unscaled form, `pnorm_into` on a copy: every vector and
-every lane of a batch with entries in [1e-9, 1e9] must keep its bits.
+under- or overflow far from 1, and whose root loses accuracy there.  The
+norm of one vector outside [2^-34, 2^34] is measured again scaled by its
+largest entry.  The reference is the unscaled form, `pnorm_into` on a
+copy: every vector and every lane of a batch with entries in [1e-9, 1e9]
+must keep its bits.
 """
 
 import warnings
@@ -44,19 +45,29 @@ def test_lanes_in_range_keep_the_unscaled_bits(p):
 @pytest.mark.parametrize("p", P_VALUES, ids=str)
 def test_under_and_overflowing_lanes_are_measured_scaled(p):
     # an unscaled root of a sum near 1e300 is off by up to about 3e-14
-    # relative (1/p rounds, and ln(1e300) scales that), so rel = 1e-13
+    # relative (1/p rounds, and ln(1e300) scales that); the scaled form
+    # hits every value below exactly, so one ulp is left for libm's pow
+    rel = 2.0 ** -52
     root2 = 2.0 ** (1.0 / float(p))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for c in (1e-200, 1e-300, 5e-324, 1e200, 1e300, 1.7e308):
-            assert pnorm([c, 0.0], p) == pytest.approx(c, rel=1e-13)
-            assert pnorm([0.0, -c, 0.0], p) == pytest.approx(c, rel=1e-13)
+            assert pnorm([c, 0.0], p) == pytest.approx(c, rel=rel)
+            assert pnorm([0.0, -c, 0.0], p) == pytest.approx(c, rel=rel)
         for c in (1e-300, 1e-200, 1e200, 1e300):
-            assert pnorm([c, -c], p) == pytest.approx(c * root2, rel=1e-13)
+            assert pnorm([c, -c], p) == pytest.approx(c * root2, rel=rel)
         # a batch keeps the unscaled form, out-of-range lanes included
         V = np.array([[1e-300, 3.0, 0.0], [0.0, 4.0, 0.0]])
         assert pnorm(V, p, axis=0).tobytes() == unscaled(V, p, 0).tobytes()
     assert unscaled([1e-300, 0.0], p) == 0.0
+
+
+def test_norms_far_from_1_are_accurate():
+    # in range, but the unscaled root of the sum is off in the last bits
+    assert pnorm([1e200, 0.0], Fraction(3, 2)) == 1e200
+    assert unscaled([1e200, 0.0], Fraction(3, 2)) != 1e200
+    assert pnorm([1e12, 1e12], 3) == 1e12 * 2.0 ** (1.0 / 3.0)
+    assert unscaled([1e12, 1e12], 3) != 1e12 * 2.0 ** (1.0 / 3.0)
 
 
 def test_tiny_and_huge_vectors_on_l2():
