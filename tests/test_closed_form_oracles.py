@@ -24,10 +24,12 @@ from bpblab.bpbverify import (
     _far_from,
     _halving_search,
     _polyhedral_screen,
+    _corner_distances,
     _sample,
 )
 from bpblab.classify import enumerate_isometries
 from bpblab.operators import _attaining_faces, op_norm, op_norms, operator, require_norm_one
+from bpblab.sampling import corner_points
 from bpblab.spaces import face_distances, l1, l2, linf, lp, polyhedral_table
 
 
@@ -174,6 +176,26 @@ def test_screen_equals_the_boolean_screen(s):
         assert bits(values) == bits(want_values)
         assert certifies.tolist() == want.tolist(), (T, eps)
         outcomes.update(want.tolist())
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("s", [linf(3), l1(3)], ids=repr)
+def test_near_corners_are_the_read_distances_below_eps(s):
+    # the screen drops a corner when its read distance is below eps, the
+    # boolean screen when its measured distance is below _far_from(eps):
+    # the far rule makes the two the same corners
+    rng = np.random.default_rng(7)
+    patterns = polyhedral_table(s).patterns
+    outcomes = set()
+    for eps in (1e-15, 0.3, 1.0, 2.0):
+        Z = corner_points(s, eps)
+        for _ in range(6):
+            rows = np.sort(rng.choice(len(patterns), size=rng.integers(1, 9)))
+            read = _corner_distances(s, eps, rows.astype(np.intp).tobytes())
+            measured = face_distances(s, patterns[rows], Z).min(axis=0)
+            near = measured < _far_from(eps)
+            assert (read < eps).tolist() == near.tolist(), (eps, rows)
+            outcomes.update(near.tolist())
     assert outcomes == {True, False}
 
 

@@ -120,6 +120,31 @@ def test_corner_distances_are_read_only(s):
         assert bits(corner_distances(s, 0.3, rows)) == bits(want[rows].min(axis=0))
 
 
+@pytest.mark.parametrize("s", [linf(3), l1(3)], ids=repr)
+def test_corner_distances_past_the_cache_are_measured_again(s, monkeypatch):
+    # an entry pushed out by _CORNER_VECTORS_KEPT later ones is measured
+    # once more on its next read, to the same bits; a held entry is not
+    eps = 0.3
+    want = far_rule_table(s, eps)
+    calls = []
+    real = bpbverify.face_distances
+    monkeypatch.setattr(bpbverify, "face_distances", lambda *a: calls.append(1) or real(*a))
+    bpbverify._corner_distances.cache_clear()
+    first = corner_distances(s, eps, [0])
+    later = [[k] for k in range(1, len(want))] + [[0, k] for k in range(1, len(want))]
+    later = later[: bpbverify._CORNER_VECTORS_KEPT]
+    for rows in later:
+        corner_distances(s, eps, rows)
+    assert len(calls) == 1 + len(later)
+    calls.clear()
+    assert bits(corner_distances(s, eps, later[-1])) == bits(want[later[-1]].min(axis=0))
+    assert not calls
+    again = corner_distances(s, eps, [0])
+    assert len(calls) == 1
+    assert again is not first and bits(again) == bits(first) == bits(want[0])
+    bpbverify._corner_distances.cache_clear()
+
+
 @pytest.mark.parametrize("s", POLYHEDRAL, ids=repr)
 def test_least_row_over_faces_is_distance_to_with_the_far_rule(s):
     # the rule commutes with the minimum over any union of faces
@@ -584,19 +609,25 @@ def test_cli_verify_names_the_pair_without_corner_set(tmp_path, capsys):
     assert "l_1^4 -> l_1^4" in capsys.readouterr().err
 
 
-def test_threads_reading_corner_distances_get_the_far_rule_rows():
-    # more threads than cores read and evict the one cache from empty;
+@pytest.mark.parametrize("keys", [8, None], ids=["held", "evicting"])
+def test_threads_reading_corner_distances_get_the_far_rule_rows(keys):
+    # more threads than cores read the one cache from empty, either a few
+    # face sets it holds all of or random ones that evict each other;
     # nothing in an entry changes after it is made, so no read can see
     # another's work half done
     s, eps = linf(3), 0.3
     want = far_rule_table(s, eps)
+    pool = [[k, k + 1] for k in range(keys)] if keys else None
     bpbverify._corner_distances.cache_clear()
     wrong = []
 
     def reader(seed):
         rng = np.random.default_rng(seed)
         for _ in range(300):
-            rows = rng.choice(len(want), size=rng.integers(1, 5)).tolist()
+            if pool:
+                rows = pool[rng.integers(len(pool))]
+            else:
+                rows = rng.choice(len(want), size=rng.integers(1, 5)).tolist()
             try:
                 if bits(corner_distances(s, eps, rows)) != bits(want[rows].min(axis=0)):
                     wrong.append(rows)
@@ -610,6 +641,7 @@ def test_threads_reading_corner_distances_get_the_far_rule_rows():
         t.join(timeout=60)
     assert not any(t.is_alive() for t in threads)
     assert not wrong
+    assert bpbverify._corner_distances.cache_info().currsize == (keys or bpbverify._CORNER_VECTORS_KEPT)
 
 
 @pytest.mark.parametrize("n, bound_mb", [(7, 16), (8, 48)])
