@@ -42,13 +42,14 @@ from .operators import (
     AttainmentSet,
     OperatorMatrix,
     _analysis,
+    _basis_columns,
+    _norm_value,
     _orthonormal_norm,
     attainment_equal,
     attainment_set,
+    check_norm_one,
     norm_one_attainment_set,
-    op_norm,
     orthogonal_complement,
-    require_norm_one,
     restricted_norm,
 )
 from .optim import bisect_increasing
@@ -57,7 +58,6 @@ from .spaces import (
     Point,
     SpaceSpec,
     _check_eps,
-    _check_finite,
     _orthogonal_columns,
     l2,
     lp_circle,
@@ -83,8 +83,11 @@ class ApproximantReport:
 def _finish(T, A, eps, construction, expect_preserved=True, MT=None):
     """Measure the report fields and enforce the constructor contract;
     `MT`, when given, is attainment_set(T) built by the caller."""
-    MA = norm_one_attainment_set(A, "approximant", error=ConstructionError)
-    dist, _ = op_norm(T - A)
+    try:
+        MA = norm_one_attainment_set(A, "approximant")
+    except NormNotOneError as exc:
+        raise ConstructionError(str(exc)) from None
+    dist = _norm_value(T - A)
     if not dist < eps:
         raise ConstructionError(f"distance {dist} is not below eps={eps}")
     if dist <= TAU_COINCIDE:
@@ -190,12 +193,12 @@ def convex_witness_approx(
     ||T-T1||/n falls below eps.
     """
     _check_eps(eps)
-    require_norm_one(T1, "T1")
-    require_norm_one(T2, "T2")
+    check_norm_one(_norm_value(T1), "T1")
+    check_norm_one(_norm_value(T2), "T2")
     mid = 0.5 * (T1.entries + T2.entries)
     if np.abs(mid - T.entries).max() > TAU_EQ:
         raise NotAMidpointError("T is not the midpoint of (T1, T2)")
-    d, _ = op_norm(T - T1)
+    d = _norm_value(T - T1)
     if d <= TAU_COINCIDE:
         raise DegenerateWitnessError("T coincides with T1")
     n = _shrink_index(d, eps)
@@ -204,14 +207,8 @@ def convex_witness_approx(
 
 
 def _decomposition_projectors(X1, X2, n):
-    B1 = np.atleast_2d(np.asarray(X1, dtype=float))
-    B2 = np.atleast_2d(np.asarray(X2, dtype=float))
-    _check_finite(B1, "X1_basis")
-    _check_finite(B2, "X2_basis")
-    if B1.shape[0] != n:
-        B1 = B1.T
-    if B2.shape[0] != n:
-        B2 = B2.T
+    B1 = _basis_columns(X1, n, "X1_basis")
+    B2 = _basis_columns(X2, n, "X2_basis")
     C = np.concatenate([B1, B2], axis=1)
     if C.shape != (n, n) or abs(np.linalg.det(C)) < TAU_DET:
         raise NotComplementaryError("bases do not decompose the domain")
@@ -229,8 +226,8 @@ def direct_sum_shrink_approx(
 
     A_n acts as T on X1 and as (1-1/n)T on X2; n is the smallest index with
     2/n < eps.  Requires the attainment set inside X1, T nonzero on X2
-    and X1 Birkhoff-James orthogonal to X2.  The bases may be oblique:
-    the projectors come from the inverse of [X1 X2].
+    and X1 Birkhoff-James orthogonal to X2.  The bases (`_basis_columns`)
+    may be oblique: the projectors come from the inverse of [X1 X2].
     """
     _check_eps(eps)
     MT = norm_one_attainment_set(T, "operator")
@@ -354,8 +351,8 @@ def hilbert_rotate_approx(
     Without a declared subspace the split is read off T's SVD, which the
     norm memo holds: H_0 and its complement are spanned by the right
     singular vectors Vt[:k] and Vt[k:], where T has norm s[k] (0 when k
-    is the number of singular values).  A declared subspace takes a QR
-    for its complement and an SVD for that norm, and M_T must lie in it.
+    is the number of singular values).  A declared subspace (`_basis_columns`)
+    takes a QR for its complement and an SVD for that norm; M_T must lie in it.
     Either split is orthonormal, hence Birkhoff-James orthogonal, so the
     shrink gets the projectors Q Q^T of its two bases and no check.
     """
@@ -370,11 +367,7 @@ def hilbert_rotate_approx(
         k = Q0.shape[1]
         Qc, r = Vt[k:].T, (float(s[k]) if k < len(s) else 0.0)
     else:
-        Q0 = np.atleast_2d(np.asarray(attained_subspace, dtype=float))
-        _check_finite(Q0, "attained_subspace")
-        if Q0.shape[0] != n:
-            Q0 = Q0.T
-        Q0, _ = np.linalg.qr(Q0)
+        Q0, _ = np.linalg.qr(_basis_columns(attained_subspace, n, "attained_subspace"))
         k = Q0.shape[1]
         Qc = orthogonal_complement(Q0)
         r = _orthonormal_norm(T, Qc)
@@ -461,7 +454,7 @@ def functional_approx_lp2(f: Point, eps: float) -> ApproximantReport:
         fk = support_functionals(Point(xk, p_space)).functionals[0]
         Af = OperatorMatrix(fk.coords[None, :], p_space, cod)
         # the operator distance is the one _finish measures (a memo hit there)
-        if op_norm(Tf - Af)[0] < eps and float(pnorm(fk.coords - c, q_space.p)) < eps:
+        if _norm_value(Tf - Af) < eps and float(pnorm(fk.coords - c, q_space.p)) < eps:
             return _finish(Tf, Af, eps, "functional_lp2", expect_preserved=False)
         target /= 2.0
     raise ConstructionError(

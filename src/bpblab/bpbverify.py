@@ -329,7 +329,7 @@ def verify_uniform_bpb(
     corners = _exact_table(T, eps)  # refuses before any norm
     check_norm_one(_norm_value(T), "T")
     MA = norm_one_attainment_set(A, "A")
-    dist, _ = op_norm(T - A)
+    dist = _norm_value(T - A)
     sample = _sample(T, None, resolution, corners)
     return _inclusion_certificate(MA, dist, eps, resolution, sample)
 
@@ -465,8 +465,6 @@ def is_only_approximation(
             values, certifies = _polyhedral_screen(C, dom, cod, eps, sample)
             visit &= certifies | (np.abs(values - 1.0) > operators.TAU_NORM_ONE)
         for j in np.flatnonzero(visit):
-            if geometry == "polyhedral":
-                check_norm_one(float(values[j]), "A")
             A = OperatorMatrix(C[j], dom, cod)
             MA = norm_one_attainment_set(A, "A")
             cert = _inclusion_certificate(MA, float(dists[idx[j]]), eps, resolution, sample)
@@ -676,7 +674,7 @@ def _random_hilbert_candidates(n, trials, rng):
     out = []
     while len(out) < trials:
         M = rng.standard_normal((n, n))
-        M = M / op_norm(OperatorMatrix(M, s, s))[0]
+        M = M / _norm_value(OperatorMatrix(M, s, s))
         if np.abs(M.T @ M - np.eye(n)).max() >= 1e-3:
             out.append(M)
     return out

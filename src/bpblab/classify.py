@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InfiniteGroupError, OutOfRangeError, WrongSpacesError
-from .operators import OperatorMatrix, _norm_value, _stacked_norms, check_norm_one, require_norm_one
+from .operators import OperatorMatrix, _norm_value, _stacked_norms, check_norm_one
 from .spaces import ENUMERATION_LIMIT, INF, TAU_EQ, SpaceSpec, l1, linf, polyhedral_table
 
 
@@ -58,11 +58,12 @@ class ExtremalityVerdict:
         return self.status == "extreme"
 
 
-def _require_pair(T: OperatorMatrix, p):
+def _check_pair_norm_one(T: OperatorMatrix, p):
     if T.domain.p != p or T.codomain.p != p:
         raise WrongSpacesError(f"operator must map l_{p} to l_{p}")
     if T.domain.n != T.codomain.n:
         raise WrongSpacesError("operator must be square")
+    check_norm_one(_norm_value(T), "operator")
 
 
 def linf_row_condition(T: OperatorMatrix) -> bool:
@@ -73,8 +74,7 @@ def linf_row_condition(T: OperatorMatrix) -> bool:
     operators is the product of the rows' l_1 balls, and T is an extreme
     point iff every row is a vertex +/-e_j of its ball.
     """
-    _require_pair(T, INF)
-    require_norm_one(T)
+    _check_pair_norm_one(T, INF)
     return _one_unimodular_per_line(T.entries)
 
 
@@ -85,8 +85,7 @@ def l1_column_condition(T: OperatorMatrix) -> bool:
     ||T|| is the largest l_1 norm of a column, so the unit ball of the
     operators is the product of the columns' l_1 balls.
     """
-    _require_pair(T, 1)
-    require_norm_one(T)
+    _check_pair_norm_one(T, 1)
     return _one_unimodular_per_line(T.entries.T)
 
 

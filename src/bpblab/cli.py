@@ -24,7 +24,7 @@ from . import approximants as apx
 from . import bpbverify as bv
 from . import classify as cf
 from . import jsonio
-from .errors import BpbLabError, UnsupportedExponentError
+from .errors import BpbLabError, MalformedInputError, UnsupportedExponentError
 from .operators import OperatorMatrix, attainment_set, op_norm
 from .spaces import INF, Point, SpaceSpec, as_exponent, l2, linf, lp, pnorm
 
@@ -78,8 +78,11 @@ def _emit(args, payload) -> None:
         doc["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     text = json.dumps(doc, indent=2, sort_keys=True)
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise MalformedInputError("--output", f"cannot write {args.output}: {exc.strerror}") from None
     else:
         print(text)
 

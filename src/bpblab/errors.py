@@ -114,7 +114,7 @@ class UnsupportedPairError(UnsupportedSpaceError):
 
 
 class MalformedInputError(BpbLabError):
-    """Malformed JSON payload; `field` names the offending entry."""
+    """Malformed JSON payload or unusable file; `field` names the entry or flag."""
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")

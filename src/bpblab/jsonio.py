@@ -47,7 +47,8 @@ def parse_operator(d, field: str = "operator") -> OperatorMatrix:
         raise MalformedInputError(f"{field}.rows", "rows must be numeric and rectangular")
     if M.ndim != 2:
         raise MalformedInputError(f"{field}.rows", "rows must form a matrix")
-    if not np.isfinite(M).all():
+    # JSON numbers only: numpy reads "0.5" and true as numbers too
+    if not (np.isfinite(M).all() and all(type(v) in (int, float) for r in rows for v in r)):
         raise MalformedInputError(f"{field}.rows", "entries must be finite numbers")
     if "domain" not in d:
         raise MalformedInputError(f"{field}.domain", "missing domain space")
@@ -64,10 +65,12 @@ def parse_operator(d, field: str = "operator") -> OperatorMatrix:
 
 def load_operator(path: str, field: str = "operator") -> OperatorMatrix:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
         raise MalformedInputError(field, f"file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedInputError(field, f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise MalformedInputError(field, f"invalid JSON in {path}: {exc}")
     return parse_operator(data, field)

@@ -483,7 +483,7 @@ def _stacked_norms(E: np.ndarray, domain: SpaceSpec, codomain: SpaceSpec, geomet
     one-row matmul is a matrix-vector product, whose BLAS kernel adds in
     another order (the last bit differs from n = 4 on), so that pair
     keeps the vertex matmul.  Hilbert pairs take one stacked SVD (with
-    vectors: op_norm's LAPACK routine), l_p^2 pairs op_norm per matrix."""
+    vectors: op_norm's LAPACK routine), l_p^2 pairs the memo's value each."""
     if geometry == "polyhedral":
         if domain.pf == INF and codomain.pf == INF and codomain.n > 1:
             rows = np.abs(E.reshape(-1, domain.n).T, order="C").sum(axis=0)
@@ -492,22 +492,15 @@ def _stacked_norms(E: np.ndarray, domain: SpaceSpec, codomain: SpaceSpec, geomet
     if geometry == "hilbert":
         return np.linalg.svd(E)[1][..., 0]
     flat = E.reshape(-1, codomain.n, domain.n)
-    norms = [op_norm(OperatorMatrix(M, domain, codomain))[0] for M in flat]
+    norms = [_norm_value(OperatorMatrix(M, domain, codomain)) for M in flat]
     return np.array(norms).reshape(E.shape[:-2])
 
 
-def check_norm_one(value: float, what: str, error=NormNotOneError) -> None:
-    """Raise `error` naming `what` unless the norm `value` is 1 within
-    TAU_NORM_ONE."""
+def check_norm_one(value: float, what: str) -> None:
+    """The norm-one rule: raise NormNotOneError naming `what` unless the
+    norm `value` (`_norm_value`, no witness built) is 1 within TAU_NORM_ONE."""
     if abs(value - 1.0) > TAU_NORM_ONE:
-        raise error(f"{what} norm is {value}, expected 1")
-
-
-def require_norm_one(T: OperatorMatrix, what: str = "operator") -> tuple[float, Point]:
-    """op_norm(T), refusing operators whose norm is not 1 within TAU_NORM_ONE."""
-    value, witness = op_norm(T)
-    check_norm_one(value, what)
-    return value, witness
+        raise NormNotOneError(f"{what} norm is {value}, expected 1")
 
 
 def _attaining_faces(E: np.ndarray, values, domain: SpaceSpec, codomain: SpaceSpec) -> np.ndarray:
@@ -568,18 +561,18 @@ def orthogonal_complement(Q: np.ndarray) -> np.ndarray:
     return full[:, k:n]
 
 
-def attainment_set(T: OperatorMatrix, check=None) -> AttainmentSet:
+def attainment_set(T: OperatorMatrix) -> AttainmentSet:
     """The norm attainment set M_T in the exact form of the pair's
     geometry: the maximal faces whose barycentre attains, the right singular
     subspace of the top singular value (gap TAU_GAP), or the refined point
     pairs of op_norm's search, all read from op_norm's memo entry, which
-    keeps the set, read-only, once built.  `check`, when given, is called
-    with ||T|| before anything else is decided from it."""
-    entry = _analysis(T)
-    value = entry.value
-    if check is not None:
-        check(value)
-    if value <= 0.0:
+    keeps the set, read-only, once built."""
+    return _held_set(T, _analysis(T))
+
+
+def _held_set(T: OperatorMatrix, entry: _Analysis) -> AttainmentSet:
+    """attainment_set(T) off T's memo entry, built once; 0 is refused."""
+    if entry.value <= 0.0:
         raise ZeroOperatorError("the zero operator attains nothing")
     if entry.mset is None:
         entry.mset = _build_attainment_set(T, entry)
@@ -614,11 +607,13 @@ def _build_attainment_set(T: OperatorMatrix, entry: _Analysis) -> AttainmentSet:
     return AttainmentSet("points", value, dom, points=_read_only(np.array(pts)))
 
 
-def norm_one_attainment_set(T: OperatorMatrix, what: str, error=NormNotOneError) -> AttainmentSet:
-    """attainment_set(T), refused with `error` naming `what` before the set
-    is built when ||T|| is not 1 within TAU_NORM_ONE, the zero operator
-    included."""
-    return attainment_set(T, check=lambda value: check_norm_one(value, what, error))
+def norm_one_attainment_set(T: OperatorMatrix, what: str) -> AttainmentSet:
+    """attainment_set(T), refused by `check_norm_one` naming `what` before
+    the set is built when ||T|| is not 1, the zero operator included; one
+    memo lookup serves the check and the set."""
+    entry = _analysis(T)
+    check_norm_one(entry.value, what)
+    return _held_set(T, entry)
 
 
 def _orthonormal_norm(T: OperatorMatrix, Q: np.ndarray) -> float:
@@ -627,18 +622,31 @@ def _orthonormal_norm(T: OperatorMatrix, Q: np.ndarray) -> float:
     return float(np.linalg.svd(T.entries @ Q, compute_uv=False)[0]) if Q.shape[1] else 0.0
 
 
+def _basis_columns(basis, n: int, what: str) -> np.ndarray:
+    """`basis`, a vector or rows or columns of n entries (columns when both
+    sides have n), as independent columns; other shapes, non-finite entries
+    and rank deficits (TAU_RANK) raise MixedSpacesError, NonFiniteError and
+    DegenerateBasisError naming `what`."""
+    try:
+        B = np.atleast_2d(np.asarray(basis, dtype=float))
+    except (TypeError, ValueError):  # ragged rows, or entries that are no numbers
+        raise MixedSpacesError(f"{what} is not an array of numbers") from None
+    if B.shape[0] != n:
+        B = B.T
+    if B.ndim != 2 or B.shape[0] != n:
+        raise MixedSpacesError(f"{what} of shape {np.shape(basis)} has no side of {n} entries")
+    _check_finite(B, what)
+    if np.linalg.matrix_rank(B, tol=TAU_RANK) < B.shape[1]:
+        raise DegenerateBasisError(f"{what} columns are linearly dependent")
+    return B
+
+
 def restricted_norm(T: OperatorMatrix, basis) -> float:
-    """sup ||Tz|| over unit vectors of the subspace spanned by basis columns."""
-    B = np.asarray(basis, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
-    if B.shape[0] != T.domain.n:
-        raise MixedSpacesError("basis does not live in the domain")
-    _check_finite(B, "basis")
+    """sup ||Tz|| over unit vectors of the span of `basis`, which
+    `_basis_columns` reads: a vector, or rows or columns."""
+    B = _basis_columns(basis, T.domain.n, "basis")
     if B.shape[1] == 0:
         return 0.0
-    if np.linalg.matrix_rank(B, tol=TAU_RANK) < B.shape[1]:
-        raise DegenerateBasisError("basis columns are linearly dependent")
     dom = T.domain
     if dom.hilbert and T.codomain.hilbert:
         return _orthonormal_norm(T, np.linalg.qr(B)[0])

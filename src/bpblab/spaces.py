@@ -44,7 +44,9 @@ Exponent = Union[Fraction, float]
 
 
 def as_exponent(value) -> Exponent:
-    """Coerce to an exact exponent: a Fraction >= 1 with a finite float, or inf."""
+    """Coerce to an exact exponent: a Fraction >= 1 with a finite float, or inf; no bool."""
+    if isinstance(value, bool):
+        raise UnsupportedExponentError(f"exponent must be a number or 'inf', got {value!r}")
     if isinstance(value, str) and value.strip().lower() in ("inf", "infinity", "oo"):
         return INF
     if isinstance(value, float) and value == INF:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -384,20 +385,24 @@ class TestHilbertRotate:
 
 class TestHilbertChainWork:
     """The l_2^n chain hilbert_rotate_approx -> direct_sum_shrink or
-    rank_one -> _finish checks ||T|| once and builds M_T once."""
+    rank_one -> _finish analyses ||T|| once and builds M_T once."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        # a fresh norm memo logs each miss; the set builder logs each build
         log = []
-        for name in ("op_norm", "attainment_set"):
-            fn = getattr(operators, name)
+        analyse, build = operators._norm_analysis.__wrapped__, operators._build_attainment_set
 
-            def spy(T, *args, _fn=fn, _name=name, **kwargs):
-                log.append((_name, T.entries.tobytes()))
-                return _fn(T, *args, **kwargs)
+        def miss(raw, *args):
+            log.append(("norm", raw))
+            return analyse(raw, *args)
 
-            for module in (operators, approximants):
-                monkeypatch.setattr(module, name, spy)
+        def spy(T, entry):
+            log.append(("set", T.entries.tobytes()))
+            return build(T, entry)
+
+        monkeypatch.setattr(operators, "_norm_analysis", functools.lru_cache(maxsize=8)(miss))
+        monkeypatch.setattr(operators, "_build_attainment_set", spy)
         return log
 
     @pytest.mark.parametrize("diag, construction", [
@@ -410,9 +415,9 @@ class TestHilbertChainWork:
         report = hilbert_rotate_approx(T, 0.1)
         assert report.construction.startswith(construction)
         of_T = [name for name, key in calls if key == T.entries.tobytes()]
-        assert of_T == ["attainment_set"]
-        # the rest: M_A and ||T - A|| in _finish
-        assert sorted(name for name, _ in calls) == ["attainment_set", "attainment_set", "op_norm"]
+        assert of_T == ["norm", "set"]
+        # the rest: ||A|| with M_A, and ||T - A||, in _finish
+        assert sorted(name for name, _ in calls) == ["norm", "norm", "norm", "set", "set"]
 
     def test_the_complement_norm_is_computed_once(self, monkeypatch):
         # hilbert_rotate_approx reads ||T|_{X2}|| off the held SVD, or takes

@@ -475,6 +475,11 @@ JSON_REFUSALS = {
     "missing_codomain": (_op(codomain=None), "operator.codomain", "missing codomain"),
     "missing_file": (None, "operator", "file not found"),
     "invalid_json": ('{"rows": [[1, 0], [1, 0]', "operator", "invalid JSON"),
+    # numpy read a string entry as its number and true as 1.0
+    "string_entry": (_op(rows=[["0.5", " 2 "], [1, 0]]), "operator.rows", "entries must be finite numbers"),
+    "bool_entry": (_op(rows=[[True, 0], [1, 0]]), "operator.rows", "entries must be finite numbers"),
+    # Fraction(True) read as p = 1
+    "bool_exponent": (_op(domain={"p": True, "n": 2}), "operator.domain.p", "exponent must be a number"),
 }
 
 
@@ -485,6 +490,28 @@ def test_json_refusal_exits_two_naming_the_field(case, tmp_path, capsys):
     assert main(["norm", "--operator", path, "--no-timestamp"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"error: {field}: {message}")
+
+
+@pytest.mark.parametrize("kind", ["directory", "binary"])
+def test_an_unreadable_operator_file_exits_two_naming_the_field(kind, tmp_path, capsys):
+    # IsADirectoryError and UnicodeDecodeError printed a traceback, exit 1
+    path = tmp_path / "op.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe")
+    assert main(["norm", "--operator", str(path), "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: operator: cannot read {path}")
+
+
+def test_an_unwritable_output_exits_two_naming_the_flag(op_file, tmp_path, capsys):
+    # FileNotFoundError printed a traceback, exit 1
+    f = op_file("t.json", [[1, 0], [1, 0]], LINF2, LINF2)
+    target = tmp_path / "missing" / "x.json"
+    assert main(["norm", "--operator", f, "--output", str(target), "--no-timestamp"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --output: cannot write {target}")
+    assert not target.parent.exists()
 
 
 def test_closed_pipe_exits_one_without_a_traceback():

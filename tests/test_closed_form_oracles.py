@@ -28,9 +28,17 @@ from bpblab.bpbverify import (
     _sample,
 )
 from bpblab.classify import enumerate_isometries
-from bpblab.operators import _attaining_faces, op_norm, op_norms, operator, require_norm_one
+from bpblab.operators import _attaining_faces, check_norm_one, op_norm, op_norms, operator
 from bpblab.sampling import corner_points
 from bpblab.spaces import face_distances, l1, l2, linf, lp, polyhedral_table
+
+
+def require_norm_one(T, what="operator"):
+    """The former norm-one gate, kept as the oracle's: op_norm(T), with its
+    witness, then `check_norm_one` on the value."""
+    value, witness = op_norm(T)
+    check_norm_one(value, what)
+    return value, witness
 
 
 def bits(a):

@@ -44,17 +44,25 @@ from bpblab.operators import (
     OperatorMatrix,
     _attaining_faces,
     attainment_set,
+    check_norm_one,
     norm_one_attainment_set,
     op_norm,
     op_norms,
     operator,
-    require_norm_one,
 )
 from bpblab.sampling import corner_points
 from bpblab.spaces import INF, Point, face_distances, l1, l2, linf, lp, polyhedral_table
 
 POLYHEDRAL = [linf(2), linf(3), l1(2), l1(3)]
 EPS = [2.0 ** -60, 1e-15, 1e-12, 0.05, 0.1, 0.3, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0, 1.2, 1.9, 2.0, 3.0]
+
+
+def require_norm_one(T, what="operator"):
+    """The former norm-one gate, kept as the oracle's: op_norm(T), with its
+    witness, then `check_norm_one` on the value."""
+    value, witness = op_norm(T)
+    check_norm_one(value, what)
+    return value, witness
 
 
 def bits(a):

@@ -211,7 +211,7 @@ def test_rank_verdict_matches_lp(verdicts):
 
 
 def test_scaled_census_stays_extreme():
-    # inside the norm-one tolerance of require_norm_one, so a rank test with
+    # inside the norm-one tolerance of check_norm_one, so a rank test with
     # an absolute activity threshold would find no active constraint
     for T in enumerate_extreme_linf3_l13():
         S = (1.0 - 5e-8) * T

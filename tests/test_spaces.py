@@ -62,6 +62,12 @@ class TestSpaceSpec:
         with pytest.raises(UnsupportedSpaceError):
             spaces.SpaceSpec(INF, n)
 
+    @pytest.mark.parametrize("p", [True, False])
+    def test_exponent_must_not_be_a_bool(self, p):
+        # Fraction(True) is 1, so lp(True, 2) was l_1^2
+        with pytest.raises(UnsupportedExponentError, match="^exponent must be a number or 'inf', got"):
+            lp(p, 2)
+
 
 class TestNorm:
     def test_unit_vector(self):

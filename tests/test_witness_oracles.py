@@ -19,9 +19,10 @@ from bpblab.errors import ConstructionError, NormNotOneError
 from bpblab.operators import (
     TAU_NORM_ONE,
     attainment_set,
+    check_norm_one,
+    norm_one_attainment_set,
     op_norm,
     operator,
-    require_norm_one,
 )
 from bpblab.spaces import (
     ARC_TABLE_SIZE,
@@ -41,6 +42,14 @@ from bpblab.spaces import (
 )
 
 EXPONENTS = (3, 4, 5, 10)
+
+
+def require_norm_one(T, what="operator"):
+    """The former norm-one gate, kept as the oracle's: op_norm(T), with its
+    witness, then `check_norm_one` on the value."""
+    value, witness = op_norm(T)
+    check_norm_one(value, what)
+    return value, witness
 
 
 def doubling_loop(p, eps):
@@ -175,8 +184,11 @@ def test_one_norm_one_rule(space):
         A = scale * T
         if accepted:
             require_norm_one(A)
+            norm_one_attainment_set(A, "A")
             continue
         with pytest.raises(NormNotOneError):
             require_norm_one(A)
+        with pytest.raises(NormNotOneError, match="^A norm"):
+            norm_one_attainment_set(A, "A")
         with pytest.raises(ConstructionError, match="approximant norm"):
             _finish(T, A, 1.5, "scaled")
