@@ -71,9 +71,16 @@ where dim M_A = 2 = n - 2 falls back to the grid; delta 0.015625);
 `verify_l22_falsified` pairs diag(1, 0.99) with diag(0.99, 1), whose
 counterexample (-1, 0) is a grid row; `verify_lp3_2_sampled` is the
 l_3^2 operator of `norm_lp3_2` against itself at resolution 16384.
+`classify_linf2_l13_fallback` and `classify_linf4_l14_block` were recorded
+while one SVD of the active facet normals decided every rank-route verdict.
+The first (l_inf^2 -> l_1^3) has 6 active normals of exact rank 5, so it
+stays with the SVD, and its witness is an SVD null vector with entries such
+as 1.3e-16; the second is the census block member padded to
+l_inf^4 -> l_1^4, an extreme verdict past 3 x 3.
 The four smooth-path cases and the two `*_lp43_2` cases go through
 `pow`, trigonometry and, for l_2^3, LAPACK, the two rank-one cases
-through LAPACK's SVD (and `pow` on l_3^2) and the three l_2^3 `approx`
+through LAPACK's SVD (and `pow` on l_3^2), `classify_linf2_l13_fallback`
+through LAPACK's SVD, the three l_2^3 `approx`
 and `sweep` cases through LAPACK, and the four sampled `verify` cases
 through the grid's trigonometry, `pow` and LAPACK, whose last bits may vary with
 the platform; they were recorded with numpy 2.4 on x86-64 Linux.  The other
@@ -103,6 +110,8 @@ CASES = {
     "classify_census": (["classify", "--operator", "census_block.json"], 0),
     "classify_linf3_double": (["classify", "--operator", "linf3_double.json"], 0),
     "classify_l13": (["classify", "--operator", "l13_mixed.json"], 0),
+    "classify_linf2_l13_fallback": (["classify", "--operator", "linf2_l13_fallback.json"], 0),
+    "classify_linf4_l14_block": (["classify", "--operator", "linf4_l14_block.json"], 0),
     "isometries_p3_n2": (["isometries", "--p", "3", "--n", "2"], 0),
     "orbit_census": (["orbit", "--operator", "census_block.json"], 0),
     "enumerate_ext": (["enumerate-ext", "--pair", "linf3-l13"], 0),
