@@ -17,7 +17,6 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import approximants as apx
-from . import operators
 from .classify import enumerate_extreme_linf3_l13, is_isometry
 from .errors import (
     BadExponentError,
@@ -38,6 +37,7 @@ from .operators import (
     _attaining_faces,
     _mask_faces,
     _norm_value,
+    _not_norm_one,
     _orthonormal_norm,
     _stacked_norms,
     attainment_set,
@@ -463,7 +463,7 @@ def is_only_approximation(
         visit = np.abs(C - T.entries).max(axis=(1, 2)) >= TAU_SAME
         if geometry == "polyhedral":
             values, certifies = _polyhedral_screen(C, dom, cod, eps, sample)
-            visit &= certifies | (np.abs(values - 1.0) > operators.TAU_NORM_ONE)
+            visit &= certifies | _not_norm_one(values)
         for j in np.flatnonzero(visit):
             A = OperatorMatrix(C[j], dom, cod)
             MA = norm_one_attainment_set(A, "A")

@@ -113,10 +113,10 @@ def is_extreme_contraction(T: OperatorMatrix) -> ExtremalityVerdict:
     an l_inf^m codomain (every row extreme in X*'s ball), "columns" on an
     l_1^n domain (every column extreme in Y's ball; Lindenstrauss and
     Perles, Duke Math. J. 1966), else "rank": whether the normals of the
-    facets {S : f(S v) <= 1} active at T span R^(m*n), by one SVD (the
-    vertex criterion; Schrijver, Theory of Linear and Integer Programming,
-    section 8).  A not_extreme verdict carries a witness D != 0 with
-    ||T +/- D|| <= ||T||.
+    facets {S : f(S v) <= 1} active at T span R^(m*n) (the vertex
+    criterion; Schrijver, Theory of Linear and Integer Programming, section
+    8), by an exact certificate or else one SVD.  A not_extreme verdict
+    carries a witness D != 0 with ||T +/- D|| <= ||T||.
     Other pairs get no verdict beyond ||T|| = 1: status
     "necessary_condition_only", method "none".  A random perturbation
     search cannot stand in there, since every D with ||T +/- D|| <= 1 lies
@@ -183,6 +183,39 @@ def _facet_normals(domain: SpaceSpec, codomain: SpaceSpec) -> np.ndarray:
     return K
 
 
+def _spans(N: np.ndarray) -> bool:
+    """Whether the rows of N, entries +-1, certainly span R^s, s = N's
+    column count: False with fewer than s rows, else whether the Cholesky
+    factorisation of G - cI completes, G = N^T N.  False proves nothing.
+
+    G is exact: its entries are integers of magnitude at most
+    RANK_TABLE_LIMIT, so every partial sum is exact in any order, with or
+    without FMA.  Rump (Verification of positive definiteness, BIT Numer.
+    Math. 46, 2006) proves that a symmetric floating-point A of order s is
+    positive definite if the floating-point Cholesky factorisation of
+    fl(A - cI) runs to completion for some
+        c >= gamma_(s+1) / (1 - gamma_(s+1)) tr(A)
+             + 4 (s + 1) (2 (s + 2) + max a_ii) eta,
+    gamma_k = k u / (1 - k u), u = 2^-53, eta = 2^-1074.  LAPACK scales a
+    column by the reciprocal of its pivot, one rounding more per entry than
+    the division analysed there, so gamma_(s+2) stands for gamma_(s+1).
+    Here tr(G) = rows * s exactly, and c = (s + 3) u tr(G), exact in
+    floating point, is above that first term by more than u tr(G) / 2 >=
+    2^-54 for s <= 42 (the table's limit), while the second term is below
+    2^-1050.  G positive definite is N of rank s.
+    """
+    rows, s = N.shape
+    if rows < s:
+        return False
+    G = N.T @ N
+    G.flat[:: s + 1] -= (s + 3) * rows * s * 2.0 ** -53
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _rank_extremality(T: OperatorMatrix, value: float) -> ExtremalityVerdict:
     m, n = T.entries.shape
     K = _facet_normals(T.domain, T.codomain)
@@ -191,8 +224,10 @@ def _rank_extremality(T: OperatorMatrix, value: float) -> ExtremalityVerdict:
     # lets ||T|| miss 1 by more than TAU_EQ
     active = vals >= value * (1.0 - TAU_EQ)
     normals = K[active]
+    if _spans(normals):
+        return ExtremalityVerdict("extreme", "rank")
     _, s, Vt = np.linalg.svd(normals, full_matrices=len(normals) < m * n)
-    # numpy's matrix_rank tolerance; the normals have entries +-1
+    # numpy's matrix_rank tolerance, on what the certificate leaves open
     rank = int((s > s.max(initial=0.0) * max(normals.shape) * np.finfo(float).eps).sum())
     if rank == m * n:
         return ExtremalityVerdict("extreme", "rank")

@@ -496,10 +496,16 @@ def _stacked_norms(E: np.ndarray, domain: SpaceSpec, codomain: SpaceSpec, geomet
     return np.array(norms).reshape(E.shape[:-2])
 
 
+def _not_norm_one(value):
+    """The norm-one rule, on a norm or an array of norms: whether it misses
+    1 by more than TAU_NORM_ONE.  A float stays a float operation."""
+    return abs(value - 1.0) > TAU_NORM_ONE
+
+
 def check_norm_one(value: float, what: str) -> None:
-    """The norm-one rule: raise NormNotOneError naming `what` unless the
-    norm `value` (`_norm_value`, no witness built) is 1 within TAU_NORM_ONE."""
-    if abs(value - 1.0) > TAU_NORM_ONE:
+    """Raise NormNotOneError naming `what` if the norm `value`
+    (`_norm_value`, no witness built) breaks the norm-one rule."""
+    if _not_norm_one(value):
         raise NormNotOneError(f"{what} norm is {value}, expected 1")
 
 

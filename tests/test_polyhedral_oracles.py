@@ -6,8 +6,11 @@ the rank test on every polyhedral pair (all |F| |V| normals f (x) v and a
 full SVD), the vertex loops of op_norm, and the face loop of the attainment
 set.  The extremality test on the rows and columns pairs takes ||T|| in
 closed form; its reference takes it from the vertex maximum.  The rank
-test's SVD rank is checked against an exact integer rank of the active
-normals by fraction-free elimination.
+route certifies "extreme" by a shifted Cholesky of the normals' exact Gram
+matrix and leaves the rest to an SVD; it is checked against the SVD-only
+kernel it replaced (status, method and witness bytes) and, with the
+certificate itself, against an exact integer rank of the active normals by
+fraction-free elimination.
 """
 
 import itertools
@@ -291,14 +294,37 @@ def test_every_witness_stays_in_the_ball(route_cases):
     assert branches == {"rank", "sign slack", "l1 slack", "l1 shift"}
 
 
-def test_one_svd_per_rank_verdict(route_cases, monkeypatch):
+def count_svds(monkeypatch):
+    """The list that each later np.linalg.svd call appends to."""
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    return calls
+
+
+def refuse_every_certificate(monkeypatch):
+    def refuse(_):
+        raise np.linalg.LinAlgError("refused")
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+
+
+def test_an_svd_only_where_the_certificate_refuses(route_cases, monkeypatch):
+    # every extreme verdict of the fixtures is certified; each not_extreme
+    # rank verdict takes one SVD, for its witness
+    calls = count_svds(monkeypatch)
+    seen = set()
     for T, _, _ in route_cases:
         calls.clear()
         v = is_extreme_contraction(T)
-        assert len(calls) == (v.method == "rank"), T
+        assert len(calls) == (v.method == "rank" and v.status == "not_extreme"), T
+        seen.add((v.method, v.status))
+    assert {("rank", "extreme"), ("rank", "not_extreme")} <= seen
+    # with the certificate refused, each extreme verdict is the SVD's
+    refuse_every_certificate(monkeypatch)
+    for T, v, _ in route_cases:
+        if v.method == "rank":
+            calls.clear()
+            assert is_extreme_contraction(T).status == v.status and len(calls) == 1, T
 
 
 def test_closed_form_pairs_have_no_size_cap():
@@ -415,6 +441,25 @@ def test_line_verdicts_take_the_vertex_maximum_bits(poly_operators):
     assert {("extreme", "rows"), ("not_extreme", "columns"), ("refused", None)} <= seen
 
 
+def svd_rank_extremality(T, value):
+    """The rank route before the certificate: one SVD of the active normals
+    decides every verdict, by numpy's matrix_rank tolerance, and gives the
+    witness."""
+    m, n = T.entries.shape
+    K = classify._facet_normals(T.domain, T.codomain)
+    vals = K @ T.entries.reshape(-1)
+    active = vals >= value * (1.0 - TAU_EQ)
+    normals = K[active]
+    _, s, Vt = np.linalg.svd(normals, full_matrices=len(normals) < m * n)
+    rank = int((s > s.max(initial=0.0) * max(normals.shape) * np.finfo(float).eps).sum())
+    if rank == m * n:
+        return classify.ExtremalityVerdict("extreme", "rank")
+    slack, reach = value - vals[~active], np.abs(K[~active] @ Vt[rank])
+    with np.errstate(divide="ignore"):
+        t = np.min(slack / reach, initial=1.0)
+    return classify.ExtremalityVerdict("not_extreme", "rank", witness=t * Vt[rank].reshape(m, n))
+
+
 def bareiss_rank(A):
     """The rank of an integer matrix by fraction-free (Bareiss) elimination
     on Python ints: each update divides exactly by the previous pivot, so
@@ -465,7 +510,8 @@ def exact_rank_cases():
     return out
 
 
-def test_rank_verdicts_equal_the_exact_integer_rank():
+def test_rank_verdicts_equal_the_exact_integer_rank(monkeypatch):
+    calls = count_svds(monkeypatch)
     statuses = set()
     for T in exact_rank_cases():
         m, n = T.entries.shape
@@ -473,9 +519,80 @@ def test_rank_verdicts_equal_the_exact_integer_rank():
         K = classify._facet_normals(T.domain, T.codomain)
         active = K @ T.entries.reshape(-1) >= value * (1.0 - TAU_EQ)
         rank = bareiss_rank(K[active].astype(np.int64))
+        calls.clear()
         v = is_extreme_contraction(T)
         assert v.method == "rank"
         assert v.status == ("extreme" if rank == m * n else "not_extreme"), (T, rank)
+        # an extreme verdict without an SVD is the certificate's
+        assert len(calls) == (v.status == "not_extreme"), T
         statuses.add((n, m, v.status))
     want = {(4, 4, "extreme"), (4, 4, "not_extreme"), (6, 7, "extreme"), (6, 7, "not_extreme")}
     assert want <= statuses
+
+
+@pytest.mark.parametrize("certify", [True, False], ids=["certificate", "refused"])
+def test_rank_route_matches_the_svd_kernel_bit_for_bit(route_cases, certify, monkeypatch):
+    # the SVD kernel's status, method and witness bytes on every rank-route
+    # operator; with every certificate refused, the extreme verdicts too
+    # come from the SVD
+    if not certify:
+        refuse_every_certificate(monkeypatch)
+    ops = [T for T, v, _ in route_cases if v.method == "rank"] + exact_rank_cases()
+    assert len(ops) >= 480
+    for T in ops:
+        value = op_norm(T)[0]
+        got = verdict_or_refusal(lambda S: classify._rank_extremality(S, value), T)
+        assert got == verdict_or_refusal(lambda S: svd_rank_extremality(S, value), T), T
+
+
+def _facet_subsets(dom, cod, count, seed):
+    """Row subsets of the facet table of dom -> cod: all of them when there
+    are at most `count`, else `count` seeded ones."""
+    K = classify._facet_normals(dom, cod)
+    if 2 ** len(K) <= count:
+        masks = itertools.product((False, True), repeat=len(K))
+    else:
+        masks = np.random.default_rng(seed).random((count, len(K))) < 0.5
+    return [K[np.array(mask, dtype=bool)] for mask in masks]
+
+
+def test_the_certificate_spans_exactly_where_the_integer_rank_is_full():
+    # every row subset of the facet table of l_inf^2 -> l_1^2, and seeded
+    # ones on l_inf^2 -> l_1^3 and l_inf^3 -> l_1^3
+    cases = _facet_subsets(linf(2), l1(2), 256, 0)
+    cases += _facet_subsets(linf(2), l1(3), 600, 1) + _facet_subsets(linf(3), l1(3), 600, 2)
+    spans = {True: 0, False: 0}
+    for N in cases:
+        full = N.shape[0] >= N.shape[1] and bareiss_rank(N.astype(np.int64)) == N.shape[1]
+        assert classify._spans(N) == full, N
+        spans[full] += 1
+    assert min(spans.values()) >= 100
+
+
+def test_the_certificate_up_to_the_table_limit():
+    # seeded +-1 matrices of s columns up to s = 42 and 4,096 rows, the
+    # largest table: spanned when 3s of their rows already have rank s, and
+    # refused once the last column repeats an earlier one, signed
+    rng = np.random.default_rng(31)
+    for s in (2, 6, 9, 16, 42):
+        for rows in (s, 3 * s, 4096):
+            N = rng.choice([-1.0, 1.0], size=(rows, s))
+            rank = bareiss_rank(N[: 3 * s].astype(np.int64))
+            assert rank == s or rows <= 3 * s, (s, rows)
+            assert classify._spans(N) == (rank == s), (s, rows)
+            N[:, -1] = rng.choice([-1.0, 1.0]) * N[:, rng.integers(s - 1)]
+            assert not classify._spans(N), (s, rows)
+
+
+def test_the_deficient_square_table_reaches_the_svd(monkeypatch):
+    # six active normals of exact rank 5 on l_inf^2 -> l_1^3: the
+    # certificate refuses, and the SVD gives the verdict and the witness
+    T = operator([[-0.25, -0.25], [0.5, -0.5], [0.25, 0.25]], linf(2), l1(3))
+    K = classify._facet_normals(T.domain, T.codomain)
+    normals = K[K @ T.entries.reshape(-1) >= 1.0 - TAU_EQ]
+    assert normals.shape == (6, 6) and bareiss_rank(normals.astype(np.int64)) == 5
+    assert not classify._spans(normals)
+    calls = count_svds(monkeypatch)
+    v = is_extreme_contraction(T)
+    assert (v.status, v.method, len(calls)) == ("not_extreme", "rank", 1)
+    assert v.witness.tobytes() == svd_rank_extremality(T, 1.0).witness.tobytes()

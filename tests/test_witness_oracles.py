@@ -18,6 +18,7 @@ from bpblab.bpbverify import property_p_witness, verify_uniform_bpb
 from bpblab.errors import ConstructionError, NormNotOneError
 from bpblab.operators import (
     TAU_NORM_ONE,
+    _not_norm_one,
     attainment_set,
     check_norm_one,
     norm_one_attainment_set,
@@ -192,3 +193,19 @@ def test_one_norm_one_rule(space):
             norm_one_attainment_set(A, "A")
         with pytest.raises(ConstructionError, match="approximant norm"):
             _finish(T, A, 1.5, "scaled")
+
+
+def test_the_norm_one_rule_on_arrays():
+    # the rigidity search screens a whole array of norms by the rule that
+    # check_norm_one applies to one; on a float it stays a float operation
+    values = 1.0 + TAU_NORM_ONE * np.array([-3.0, -1.5, -0.5, 0.0, 0.5, 0.99, 1.5, 3.0, -1e7])
+    got = _not_norm_one(values)
+    assert got.tolist() == [_not_norm_one(float(v)) for v in values]
+    assert got.tolist() == [True, True, False, False, False, False, True, True, True]
+    assert type(_not_norm_one(1.0)) is bool
+    for v, refused in zip(values, got):
+        if refused:
+            with pytest.raises(NormNotOneError, match=f"^A norm is {float(v)}, "):
+                check_norm_one(float(v), "A")
+        else:
+            check_norm_one(float(v), "A")
