@@ -34,7 +34,6 @@ from .spaces import (
     SpaceSpec,
     _check_finite,
     _read_only,
-    code_containment,
     face_barycentres,
     face_containment,
     face_distances,
@@ -522,7 +521,6 @@ def _attaining_faces(E: np.ndarray, values, domain: SpaceSpec, codomain: SpaceSp
     return _vertex_norms(E, B, codomain) >= np.asarray(values)[..., None] * (1.0 - TAU_EQ)
 
 
-_HOLDER_ROWS = 256  # hit faces per block when _mask_faces counts holders
 _MASKS_KEPT = 64  # attained-face masks whose maximal faces _mask_faces keeps
 
 
@@ -539,6 +537,16 @@ def _mask_faces(space: SpaceSpec, mask: bytes) -> tuple:
     over the `PolyhedralTable.patterns` rows of `space`, marks: the
     `PolyhedralTable.faces` objects in row order and their rows, read-only.
 
+    M_T is closed under subfaces, so a hit face is maximal iff none of its
+    immediate superfaces is hit: on l_inf^n the face with one fixed
+    coordinate freed, on l_1^n the face with one coordinate added to the
+    support, with either sign.  The mask, with the zero pattern put back,
+    is read as an array of shape (3,) * n indexed by q + 1, so the pattern
+    of a face's superface along coordinate j differs in one index: one
+    pass per coordinate over the 3^n patterns.  Within TAU_EQ of ||T|| the
+    barycentre test's mask need not be closed under subfaces, and a face
+    kept there may lie in another kept face: the union, M_T, is the same.
+
     Memoised on the mask's bytes, not on Face objects, so the operators
     that attain on the same faces share one result.  An entry holds a key
     of 3^n - 1 bytes and 16 bytes per maximal face (a tuple slot and an
@@ -546,17 +554,20 @@ def _mask_faces(space: SpaceSpec, mask: bytes) -> tuple:
     is maximal: 112 KB an entry on l_inf^8 at worst, 7.1 MB for the
     _MASKS_KEPT entries, and under 0.5 KB an entry up to n = 3.
     """
-    table = polyhedral_table(space)
-    hit = np.flatnonzero(np.frombuffer(mask, dtype=bool))
-    # a hit face is maximal when the only hit face holding it is itself;
-    # the holders are counted _HOLDER_ROWS hit faces at a time, so the
-    # containment grid has _HOLDER_ROWS rows, not one per hit face
-    codes = table.codes[hit]
-    holders = np.zeros(len(hit), dtype=np.intp)
-    for i in range(0, len(hit), _HOLDER_ROWS):
-        holders += code_containment(space, codes[i:i + _HOLDER_ROWS, None], codes).sum(axis=0)
-    rows = _read_only(hit[holders == 1])
-    return tuple(table.faces[i] for i in rows.tolist()), rows
+    hit = np.frombuffer(mask, dtype=bool)
+    zero = len(hit) // 2  # the zero pattern's index, which no row has
+    keyed = np.concatenate((hit[:zero], [False], hit[zero:])).reshape((3,) * space.n)
+    covered = np.zeros_like(keyed)
+    for j in range(space.n):
+        at = (slice(None),) * j  # index q_j + 1 on axis j
+        if space.p == INF:  # q_j = -1 and +1 are covered by q_j = 0
+            covered[at + (slice(0, 3, 2),)] |= keyed[at + (slice(1, 2),)]
+        else:  # q_j = 0 is covered by q_j = -1 or +1
+            covered[at + (1,)] |= keyed[at + (0,)] | keyed[at + (2,)]
+    keys = np.flatnonzero(keyed & ~covered)
+    rows = _read_only(keys - (keys > zero))
+    faces = polyhedral_table(space).faces
+    return tuple(faces[i] for i in rows.tolist()), rows
 
 
 def orthogonal_complement(Q: np.ndarray) -> np.ndarray:

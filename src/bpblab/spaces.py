@@ -403,8 +403,7 @@ class PolyhedralTable:
     roles.  ``patterns`` holds the sign patterns of the proper faces in
     ``itertools.product((-1, 0, 1))`` order, one row each, and
     ``barycentres`` their barycentres; the face kernels take these rows.
-    ``codes`` holds their `sign_codes`, one int each, for
-    `code_containment`.  ``faces`` holds one `Face` per row, the objects
+    ``faces`` holds one `Face` per row, the objects
     every faces `AttainmentSet` of the space shares, and ``rows`` maps each
     face's pattern tuple to its row.  The face fields are built on first
     use.  Either raises OutOfRangeError, before
@@ -440,10 +439,6 @@ class PolyhedralTable:
     @functools.cached_property
     def barycentres(self) -> np.ndarray:
         return _read_only(face_barycentres(self.space, self.patterns))
-
-    @functools.cached_property
-    def codes(self) -> np.ndarray:
-        return _read_only(sign_codes(self.space, self.patterns))
 
 
 @functools.lru_cache(maxsize=32)

@@ -73,14 +73,16 @@ counterexample (-1, 0) is a grid row; `verify_lp3_2_sampled` is the
 l_3^2 operator of `norm_lp3_2` against itself at resolution 16384.
 `classify_linf2_l13_fallback` and `classify_linf4_l14_block` were recorded
 while one SVD of the active facet normals decided every rank-route verdict.
-The first (l_inf^2 -> l_1^3) has 6 active normals of exact rank 5, so it
-stays with the SVD, and its witness is an SVD null vector with entries such
-as 1.3e-16; the second is the census block member padded to
-l_inf^4 -> l_1^4, an extreme verdict past 3 x 3.
+The first (l_inf^2 -> l_1^3) has 6 active normals of exact rank 5, so the
+Cholesky certificate refuses it; the second is the census block member
+padded to l_inf^4 -> l_1^4, an extreme verdict past 3 x 3.  The first was
+re-recorded with the same argv when fraction-free integer elimination
+replaced the SVD: its witness, an SVD null vector with entries such as
+0.24999999999999994 and 1.3160525346802132e-16, became the exact
+[[0.25, 0.25], [0, 0], [0.25, 0.25]].
 The four smooth-path cases and the two `*_lp43_2` cases go through
 `pow`, trigonometry and, for l_2^3, LAPACK, the two rank-one cases
-through LAPACK's SVD (and `pow` on l_3^2), `classify_linf2_l13_fallback`
-through LAPACK's SVD, the three l_2^3 `approx`
+through LAPACK's SVD (and `pow` on l_3^2), the three l_2^3 `approx`
 and `sweep` cases through LAPACK, and the four sampled `verify` cases
 through the grid's trigonometry, `pow` and LAPACK, whose last bits may vary with
 the platform; they were recorded with numpy 2.4 on x86-64 Linux.  The other

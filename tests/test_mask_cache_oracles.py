@@ -3,8 +3,10 @@
 `operators._mask_faces` keeps the maximal faces of each attained-face mask,
 and `bpbverify._corner_distances` each set's corner distances per (space,
 eps).  The references are the forms they replaced, kept here verbatim in
-logic: the per-operator `_maximal_faces` with its blocked holder count,
-the descent's least entry of the corner table rows of M's faces, and a
+logic: the per-operator `_maximal_faces` with its blocked holder count
+(every hit face that holds a hit face, where the library now looks up the
+immediate superfaces only), the descent's least entry of the corner
+table rows of M's faces, and a
 faces `AttainmentSet` that finds its rows and patterns from `faces`.
 Each must agree with the library: the same Face objects in the same
 order, the same bits.
@@ -26,7 +28,7 @@ from bpblab.operators import (
     op_norm,
     operator,
 )
-from bpblab.spaces import Face, code_containment, l1, l2, linf, polyhedral_table
+from bpblab.spaces import Face, code_containment, l1, l2, linf, polyhedral_table, sign_codes
 
 # ---------------------------------------------------------------------------
 # The replaced implementation.
@@ -38,7 +40,7 @@ def parent_maximal_faces(T, value, block=256):
     T itself, `block` hit faces at a time."""
     table = polyhedral_table(T.domain)
     hit = _attaining_faces(T.entries, value, T.domain, T.codomain).nonzero()[0]
-    codes = table.codes[hit]
+    codes = sign_codes(T.domain, table.patterns[hit])
     holders = np.zeros(len(hit), dtype=np.intp)
     for i in range(0, len(hit), block):
         holders += code_containment(T.domain, codes[i:i + block, None], codes).sum(axis=0)
@@ -56,9 +58,9 @@ def clear():
     bpbverify._corner_distances.cache_clear()
 
 
-def assert_parent_faces(T):
+def assert_parent_faces(T, block=256):
     value = op_norm(T)[0]
-    want = parent_maximal_faces(T, value)
+    want = parent_maximal_faces(T, value, block)
     faces, rows = operators._maximal_faces(T, value)
     assert len(faces) == len(want) and all(a is b for a, b in zip(faces, want)), T
     table = polyhedral_table(T.domain)
@@ -136,13 +138,32 @@ def test_identity_on_linf8_matches_the_parent_faces():
 
 
 @pytest.mark.parametrize("block", [1, 7])
-def test_holder_blocks_do_not_change_the_faces(block, monkeypatch):
-    monkeypatch.setattr(operators, "_HOLDER_ROWS", block)
+def test_holder_blocks_do_not_change_the_faces(block):
+    # the oracle's holder count, blocked as the parent's could be, gives
+    # the superface rule's faces
     clear()
     s = linf(8)
     ops = seeded_operators()[::5] + [operator(np.eye(8), s, s)]
     for T in ops:
-        assert_parent_faces(T)
+        assert_parent_faces(T, block)
+    clear()
+
+
+def test_attainment_on_linf10_is_read_off_the_superfaces():
+    # 59,048 faces: the identity attains on all of them, and its 20
+    # facets are maximal; functionals into l_1^1 attain on a vertex pair
+    # or an edge pair, which the holder count confirms
+    clear()
+    s = linf(10)
+    faces = attainment_set(operator(np.eye(10), s, s)).faces
+    assert sorted(f.signs for f in faces) == sorted(
+        "0" * j + c + "0" * (9 - j) for j in range(10) for c in "+-")
+    rng = np.random.default_rng(10)
+    for zeros in (0, 1):
+        a = rng.standard_normal(10)
+        a[:zeros] = 0.0
+        faces = assert_parent_faces(operator(a[None, :], s, l1(1)))
+        assert len(faces) == 2 and {f.dim for f in faces} == {zeros}
     clear()
 
 

@@ -7,13 +7,15 @@ full SVD), the vertex loops of op_norm, and the face loop of the attainment
 set.  The extremality test on the rows and columns pairs takes ||T|| in
 closed form; its reference takes it from the vertex maximum.  The rank
 route certifies "extreme" by a shifted Cholesky of the normals' exact Gram
-matrix and leaves the rest to an SVD; it is checked against the SVD-only
-kernel it replaced (status, method and witness bytes) and, with the
-certificate itself, against an exact integer rank of the active normals by
-fraction-free elimination.
+matrix and decides the rest by fraction-free integer elimination, which
+also gives the witness's direction; it runs no SVD.  It is checked against
+the SVD-only kernel it replaced (status and method, with exact checks on
+each witness) and, with the certificate and the elimination themselves,
+against the tests' own exact integer rank by fraction-free elimination.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -270,7 +272,7 @@ def test_routes_match_the_svd_kernel(route_cases):
 
 def test_every_witness_stays_in_the_ball(route_cases):
     """||T +/- D|| <= ||T|| (1 + 1e-9) by the vertex loop, D != 0, over all
-    four ways a witness is made: an SVD null vector (rank), slack added to
+    four ways a witness is made: an integer null vector (rank), slack added to
     an entry of a row of an operator on l_1^n (its rows lie in the l_inf
     ball), slack added to an entry of an l_1 line, and mass moved between
     two entries of an l_1 line of norm ||T||."""
@@ -308,23 +310,20 @@ def refuse_every_certificate(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", refuse)
 
 
-def test_an_svd_only_where_the_certificate_refuses(route_cases, monkeypatch):
-    # every extreme verdict of the fixtures is certified; each not_extreme
-    # rank verdict takes one SVD, for its witness
+def test_no_svd_on_the_rank_route(route_cases, monkeypatch):
+    # no verdict of the fixtures takes an SVD, with the certificate on or
+    # refused; refused, each extreme verdict is the elimination's
     calls = count_svds(monkeypatch)
     seen = set()
     for T, _, _ in route_cases:
-        calls.clear()
         v = is_extreme_contraction(T)
-        assert len(calls) == (v.method == "rank" and v.status == "not_extreme"), T
         seen.add((v.method, v.status))
     assert {("rank", "extreme"), ("rank", "not_extreme")} <= seen
-    # with the certificate refused, each extreme verdict is the SVD's
     refuse_every_certificate(monkeypatch)
     for T, v, _ in route_cases:
         if v.method == "rank":
-            calls.clear()
-            assert is_extreme_contraction(T).status == v.status and len(calls) == 1, T
+            assert is_extreme_contraction(T).status == v.status, T
+    assert not calls
 
 
 def test_closed_form_pairs_have_no_size_cap():
@@ -517,32 +516,51 @@ def test_rank_verdicts_equal_the_exact_integer_rank(monkeypatch):
         m, n = T.entries.shape
         value = op_norm(T)[0]
         K = classify._facet_normals(T.domain, T.codomain)
-        active = K @ T.entries.reshape(-1) >= value * (1.0 - TAU_EQ)
-        rank = bareiss_rank(K[active].astype(np.int64))
-        calls.clear()
+        N = K[K @ T.entries.reshape(-1) >= value * (1.0 - TAU_EQ)]
+        rank = bareiss_rank(N.astype(np.int64))
+        # the elimination's own input: N below m*n rows, else its Gram matrix
+        assert classify._integer_kernel(N if len(N) < m * n else N.T @ N)[0] == rank, T
         v = is_extreme_contraction(T)
         assert v.method == "rank"
         assert v.status == ("extreme" if rank == m * n else "not_extreme"), (T, rank)
-        # an extreme verdict without an SVD is the certificate's
-        assert len(calls) == (v.status == "not_extreme"), T
         statuses.add((n, m, v.status))
+    assert not calls
     want = {(4, 4, "extreme"), (4, 4, "not_extreme"), (6, 7, "extreme"), (6, 7, "not_extreme")}
     assert want <= statuses
 
 
+def assert_exact_rank_witness(T, D, value):
+    """The active normals N of T (f(T v) >= ||T|| (1 - TAU_EQ)) have
+    N vec(D) exactly 0, D != 0, ||T +/- D|| <= ||T|| by op_norm, and some
+    other facet is tight at T + D or T - D."""
+    K = classify._facet_normals(T.domain, T.codomain)
+    vals = K @ T.entries.reshape(-1)
+    active = vals >= value * (1.0 - TAU_EQ)
+    assert not (K[active] @ D.reshape(-1)).any() and D.any(), T
+    for S in (T.entries + D, T.entries - D):
+        assert op_norm(operator(S, T.domain, T.codomain))[0] <= value * (1.0 + 1e-12), T
+    assert (vals + np.abs(K @ D.reshape(-1)))[~active].max() >= value * (1.0 - 1e-12), T
+
+
 @pytest.mark.parametrize("certify", [True, False], ids=["certificate", "refused"])
-def test_rank_route_matches_the_svd_kernel_bit_for_bit(route_cases, certify, monkeypatch):
-    # the SVD kernel's status, method and witness bytes on every rank-route
-    # operator; with every certificate refused, the extreme verdicts too
-    # come from the SVD
+def test_rank_route_matches_the_svd_kernel_with_exact_witnesses(route_cases, certify, monkeypatch):
+    # the SVD kernel's status and method on every rank-route operator, and
+    # an exact witness for each not_extreme one; with every certificate
+    # refused, the extreme verdicts too come from the elimination
     if not certify:
         refuse_every_certificate(monkeypatch)
     ops = [T for T, v, _ in route_cases if v.method == "rank"] + exact_rank_cases()
     assert len(ops) >= 480
+    witnesses = 0
     for T in ops:
         value = op_norm(T)[0]
-        got = verdict_or_refusal(lambda S: classify._rank_extremality(S, value), T)
-        assert got == verdict_or_refusal(lambda S: svd_rank_extremality(S, value), T), T
+        v = classify._rank_extremality(T, value)
+        ref = svd_rank_extremality(T, value)
+        assert (v.status, v.method) == (ref.status, ref.method), T
+        if v.status == "not_extreme":
+            assert_exact_rank_witness(T, v.witness, value)
+            witnesses += 1
+    assert witnesses >= 200
 
 
 def _facet_subsets(dom, cod, count, seed):
@@ -584,15 +602,67 @@ def test_the_certificate_up_to_the_table_limit():
             assert not classify._spans(N), (s, rows)
 
 
-def test_the_deficient_square_table_reaches_the_svd(monkeypatch):
+def test_the_deficient_square_table_reaches_the_elimination(monkeypatch):
     # six active normals of exact rank 5 on l_inf^2 -> l_1^3: the
-    # certificate refuses, and the SVD gives the verdict and the witness
+    # certificate refuses, and the elimination on their Gram matrix gives
+    # the verdict and the witness's direction, where the SVD's witness had
+    # entries of about 1.3e-16
     T = operator([[-0.25, -0.25], [0.5, -0.5], [0.25, 0.25]], linf(2), l1(3))
     K = classify._facet_normals(T.domain, T.codomain)
     normals = K[K @ T.entries.reshape(-1) >= 1.0 - TAU_EQ]
     assert normals.shape == (6, 6) and bareiss_rank(normals.astype(np.int64)) == 5
     assert not classify._spans(normals)
+    rank, D = classify._integer_kernel(normals.T @ normals)
+    assert rank == 5 and D.tolist() == [1, 1, 0, 0, 1, 1]
     calls = count_svds(monkeypatch)
     v = is_extreme_contraction(T)
-    assert (v.status, v.method, len(calls)) == ("not_extreme", "rank", 1)
-    assert v.witness.tobytes() == svd_rank_extremality(T, 1.0).witness.tobytes()
+    assert (v.status, v.method, len(calls)) == ("not_extreme", "rank", 0)
+    assert v.witness.tolist() == [[0.25, 0.25], [0.0, 0.0], [0.25, 0.25]]
+    assert svd_rank_extremality(T, 1.0).status == "not_extreme"
+    assert_exact_rank_witness(T, v.witness, 1.0)
+
+
+def integer_matrices(seed):
+    """Seeded integer matrices A = B C of every rank r = 0..s, s columns,
+    with fewer rows than s and with at least s, and the rank r by
+    construction (at most)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for s in range(1, 8):
+        for r in range(s + 1):
+            for rows in {max(r, 1), s - 1, s, s + 3} - {0}:
+                if r > rows:
+                    continue
+                for bound in (1, 3):
+                    B = rng.integers(-bound, bound + 1, (rows, r))
+                    C = rng.integers(-bound, bound + 1, (r, s))
+                    out.append((B @ C, r))
+    return out
+
+
+def test_the_integer_kernel_matches_bareiss_rank():
+    # rank equality, A @ D == 0 exactly and D primitive (gcd 1, D != 0),
+    # on every rank from 0 to s, with fewer rows than s and with at least s
+    seen = set()
+    for A, r in integer_matrices(41):
+        rows, s = A.shape
+        rank, D = classify._integer_kernel(A)
+        assert rank == bareiss_rank(A) <= r, A
+        if rank == s:
+            assert D is None, A
+        else:
+            E = D.astype(np.int64)
+            assert np.array_equal(E, D) and E.any() and not (A @ E).any(), A
+            assert math.gcd(*E.tolist()) == 1, (A, E)
+        seen.add((rank == 0, rank == s, rows < s))
+    assert seen >= {(True, False, True), (True, False, False), (False, True, False),
+                    (False, False, True), (False, False, False)}
+
+
+def test_the_integer_kernel_refuses_a_null_vector_past_2_53():
+    # [[1, 2^60]] has the primitive null vector (-2^60, 1), which no float
+    # holds exactly with its sum
+    assert classify.EXACT_INT_LIMIT == 2 ** 53
+    with pytest.raises(OutOfRangeError, match="1 x 2 integer matrix.*past 9007199254740992"):
+        classify._integer_kernel([[1, 2 ** 60]])
+    assert classify._integer_kernel([[1, 2 ** 52 - 1]])[1].tolist() == [-(2 ** 52 - 1), 1]

@@ -72,15 +72,16 @@ def _bits(a):
 def test_code_rule_is_the_containment_loop(s):
     table = polyhedral_table(s)
     P, V = table.patterns, table.vertices
-    for small, codes in ((P, table.codes), (V, sign_codes(s, V))):
+    big = sign_codes(s, P)
+    for small in (P, V):
         want = loop_face_containment(s, P, small)
-        assert np.array_equal(code_containment(s, table.codes[:, None], codes[None, :]), want)
+        assert np.array_equal(code_containment(s, big[:, None], sign_codes(s, small)[None, :]), want)
         assert np.array_equal(face_containment(s, P, small), want)
     # the codes name the patterns one to one, in the order of the faces,
     # and a vertex's code is that of its own pattern
-    assert len(set(table.codes.tolist())) == len(P)
+    assert len(set(big.tolist())) == len(P)
     assert [f.pattern for f in table.faces] == [tuple(q) for q in P.tolist()]
-    in_faces = dict(zip((f.pattern for f in table.faces), table.codes.tolist()))
+    in_faces = dict(zip((f.pattern for f in table.faces), big.tolist()))
     assert [in_faces[tuple(int(x) for x in v)] for v in V] == sign_codes(s, V).tolist()
 
 
@@ -135,14 +136,15 @@ def _assert_parent_faces(T):
     assert got.faces == loop_maximal_faces(T, value), T
 
 
-def test_maximal_faces_hold_one_block_of_containments():
+def test_maximal_faces_take_no_containment_grid():
     # T = I on l_inf^8 attains on all 6,560 faces; a hits x hits
-    # containment grid peaked at 125 MB of traced memory; the loop filter
-    # checks these faces and their order in
+    # containment grid peaked at 125 MB of traced memory, and the
+    # superface lookups take a few arrays of one entry per hit face; the
+    # loop filter checks these faces and their order in
     # test_identity_on_linf8_matches_the_loop_filter
     s = linf(8)
     table = polyhedral_table(s)
-    table.codes, table.faces, table.barycentres  # the space's tables, built untraced
+    table.faces, table.barycentres  # the space's tables, built untraced
     T = operator(np.eye(8), s, s)
     operators._norm_analysis.cache_clear()
     op_norm(T)
